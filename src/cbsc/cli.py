@@ -72,7 +72,7 @@ def _load_key(path: str, role_name: str):
     data = _read_file(path)
     try:
         return serial.KEY_PARSERS[_ROLE_BY_NAME[role_name]](data)
-    except (serial.FormatError, ParameterError, ValueError) as exc:
+    except serial.FormatError as exc:
         raise CliError(EXIT_CRYPTO, f"bad {role_name} key file {path}: {exc}") from exc
 
 

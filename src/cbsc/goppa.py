@@ -1,5 +1,24 @@
 """Binary irreducible Goppa codes: construction, Patterson decoding,
-and receiver key generation with a permuted-subcode public key."""
+and receiver key generation with a permuted-subcode public key.
+
+A `GoppaCode` builds its decoding material when it is constructed, so
+key generation and key loading pay for it and decoding does not:
+
+- the syndrome matrix, t x n over GF(2^m): column j holds the
+  coefficients of 1/(x + alpha_j) mod g, the syndrome of the j-th unit
+  word.  It is built for the whole support at once by synthetic
+  division, since 1/(x + a) = g(a)^-1 (g(x) + g(a))/(x + a) mod g.
+  Expanded to its mt x n bits it is a binary parity-check matrix whose
+  kernel is the code.
+- ``sqrt_x``, the square root of x modulo g, which turns every square
+  root in GF(2^m)[x]/(g) into one multiply and one reduction.
+
+Patterson decoding is then one GF(2) matrix-vector product for the
+syndrome (the XOR of the columns at the nonzero positions of the
+word), the extended Euclidean algorithm on table arithmetic for the
+inverse and the key equation, and one numpy Horner pass over the
+support for the roots of the error locator.
+"""
 
 from __future__ import annotations
 
@@ -26,68 +45,69 @@ class GoppaCode:
 
     g is monic irreducible of degree t with coefficients in GF(2^m); the
     support holds n distinct field elements that are not roots of g.
+    The constructor checks all of this except irreducibility, which
+    key generation guarantees and key loading checks, then builds
+    `syndrome_matrix` (read-only, t x n) and `sqrt_x`.
     """
 
     def __init__(self, m: int, t: int, g: list[int], support: list[int]):
+        q = 1 << m
         if F.poly_deg(g) != t or g[-1] != 1:
             raise ValueError("g must be monic of degree t")
+        if any(not 0 <= c < q for c in g) or any(not 0 <= a < q for a in support):
+            raise ValueError("coefficients and support must lie in GF(2^m)")
         if len(set(support)) != len(support):
             raise ValueError("support elements must be distinct")
-        for a in support:
-            if F.poly_eval(g, a, m) == 0:
-                raise ValueError("support element is a root of g")
+        T = F.tables(m)
+        exp, log = T.exp_np, T.log_np
+        alpha = np.array(support, dtype=np.intp)
+        la = log[alpha]
+        # synthetic division of g(x) + g(a) by x + a, for every a at once
+        quot = np.empty((t, len(support)), dtype=np.intp)
+        b = np.ones(len(support), dtype=np.intp)
+        for i in range(t - 1, -1, -1):
+            quot[i] = b
+            b = exp[log[b] + la] ^ g[i]
+        if not b.all():                     # b = g(alpha)
+            raise ValueError("support element is a root of g")
         self.m = m
         self.t = t
         self.n = len(support)
         self.g = list(g)
         self.support = list(support)
-        self._inv_x_alpha: list[list[int]] | None = None
-
-    def _inv_table(self) -> list[list[int]]:
-        # 1/(x + alpha_j) mod g, cached; syndromes become xor-accumulations
-        if self._inv_x_alpha is None:
-            self._inv_x_alpha = [
-                F.poly_inv_mod([a, 1], self.g, self.m) for a in self.support
-            ]
-        return self._inv_x_alpha
+        self._alpha = alpha
+        self.syndrome_matrix = exp[log[quot] + (T.order - log[b])].astype(np.uint16)
+        self.syndrome_matrix.setflags(write=False)
+        self.sqrt_x = F.poly_sqrt_x(self.g, m)
 
     def syndrome_poly(self, word: np.ndarray) -> list[int]:
-        tab = self._inv_table()
-        acc = [0] * self.t
-        for j in np.nonzero(np.asarray(word, dtype=np.uint8))[0]:
-            p = tab[j]
-            for i, c in enumerate(p):
-                acc[i] ^= c
-        return F.poly_trim(acc)
+        """sum over the nonzero positions j of 1/(x + alpha_j) mod g."""
+        cols = np.compress(np.asarray(word, dtype=np.uint8), self.syndrome_matrix, axis=1)
+        return F.poly_trim(np.bitwise_xor.reduce(cols, axis=1).tolist())
 
 
 def random_goppa_code(m: int, n: int, t: int, rng) -> GoppaCode:
     if n > (1 << m):
         raise ValueError("support cannot exceed field size")
     g = F.random_irreducible(t, m, rng)
-    elems = [a for a in range(1 << m) if F.poly_eval(g, a, m) != 0]
+    elems = np.nonzero(F.poly_eval_many(g, np.arange(1 << m), m))[0]
     if len(elems) < n:
         raise ValueError("not enough non-root support elements")
     idx = rng.choice(len(elems), size=n, replace=False)
-    support = [elems[int(i)] for i in idx]
-    return GoppaCode(m, t, g, support)
+    return GoppaCode(m, t, g, elems[idx].tolist())
 
 
 def goppa_parity_check(code: GoppaCode) -> np.ndarray:
     """mt x n binary parity-check matrix; its right kernel is the code.
 
-    Entry (i, j) over GF(2^m) is alpha_j^i / g(alpha_j), expanded into m
-    rows of bits.
+    This is the bit expansion of the syndrome matrix (bit b of
+    coefficient i in row i*m + b).  Every parity-check matrix of the
+    code has the same row space, so ranks and kernels computed from it
+    do not depend on which one is used.
     """
-    m, t, n = code.m, code.t, code.n
-    H = np.zeros((m * t, n), dtype=np.uint8)
-    for j, a in enumerate(code.support):
-        col = F.gf_inv(F.poly_eval(code.g, a, m), m)
-        for i in range(t):
-            for b in range(m):
-                H[i * m + b, j] = (col >> b) & 1
-            col = F.gf_mul(col, a, m)
-    return H
+    Y = code.syndrome_matrix
+    bits = (Y[:, None, :] >> np.arange(code.m, dtype=np.uint16)[None, :, None]) & 1
+    return bits.reshape(code.m * code.t, code.n).astype(np.uint8)
 
 
 def generator_matrix(code: GoppaCode) -> np.ndarray:
@@ -126,19 +146,15 @@ def patterson_decode(code: GoppaCode, word: np.ndarray):
     if not R2:
         sigma = [0, 1]
     else:
-        R = F.poly_sqrt_mod(R2, code.g, m)
+        R = F.poly_sqrt_mod(R2, code.g, m, code.sqrt_x)
         a, b = _key_equation(code.g, R, t, m)
         a2 = F.poly_mul(a, a, m)
         b2 = F.poly_mul(b, b, m)
         sigma = F.poly_add(a2, F.poly_mul([0, 1], b2, m))
     if not sigma:
         return None
-    error = np.zeros(code.n, dtype=np.uint8)
-    nroots = 0
-    for j, alpha in enumerate(code.support):
-        if F.poly_eval(sigma, alpha, m) == 0:
-            error[j] = 1
-            nroots += 1
+    error = (F.poly_eval_many(sigma, code._alpha, m) == 0).astype(np.uint8)
+    nroots = int(error.sum())
     if nroots == 0 or nroots > t or nroots != F.poly_deg(sigma):
         return None
     corrected = word ^ error

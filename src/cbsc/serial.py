@@ -4,6 +4,12 @@ All files start with the magic "CBSC" and a format version byte.  Key
 files add a role byte and a profile byte; custom profiles embed their
 parameter block so files stay self-describing.  Bit vectors are packed
 row-major LSB-first; trit vectors five to a byte in base 3.
+
+Every parser is total: a byte string either parses or raises
+`FormatError`.  Payload lengths are checked before anything is
+unpacked, and a receiver secret key is checked (g monic irreducible of
+degree t, support of distinct field elements, a true permutation)
+before its decoding material is built.
 """
 
 from __future__ import annotations
@@ -12,6 +18,7 @@ import struct
 
 import numpy as np
 
+from . import fields as F
 from .goppa import (
     GoppaCode,
     ReceiverPublicKey,
@@ -33,6 +40,7 @@ from .params import (
     PROFILE_IDS,
     PROFILES,
     CommonParams,
+    ParameterError,
     custom_params,
     profile_id,
 )
@@ -76,7 +84,10 @@ def _read_params(pid: int, data: bytes, off: int) -> tuple[CommonParams, int]:
             vals = struct.unpack_from(">10I", data, off)
         except struct.error as exc:
             raise FormatError("custom parameter block truncated") from exc
-        return custom_params(dict(zip(_CUSTOM_ORDER, vals))), off + 40
+        try:
+            return custom_params(dict(zip(_CUSTOM_ORDER, vals))), off + 40
+        except ParameterError as exc:
+            raise FormatError(f"invalid custom parameter block: {exc}") from exc
     name = PROFILE_BY_ID.get(pid)
     if name is None or name == "custom":
         raise FormatError(f"unknown profile id {pid:#04x}")
@@ -136,20 +147,33 @@ def ser_receiver_sec(params: CommonParams, sk: ReceiverSecretKey) -> bytes:
     return b"".join(out)
 
 
+def _check_perm(perm: list[int]) -> None:
+    if sorted(perm) != list(range(len(perm))):
+        raise FormatError("P is not a permutation of the coordinates")
+
+
 def par_receiver_sec(data: bytes) -> tuple[CommonParams, ReceiverSecretKey]:
     _, pid = _check_header(data, ROLE_RECEIVER_SEC)
     params, off = _read_params(pid, data, 7)
-    g, off = _unpack_elems(data, off, params.t + 1)
-    support, off = _unpack_elems(data, off, params.n_r)
+    m, t, n = params.m, params.t, params.n_r
     sbits = params.k_tilde * params.k_r
+    if len(data) - off != 2 * (t + 1) + 2 * n + (sbits + 7) // 8 + 2 * n:
+        raise FormatError("receiver secret key payload length mismatch")
+    g, off = _unpack_elems(data, off, t + 1)
+    support, off = _unpack_elems(data, off, n)
     S = unpack_bits(data[off: off + (sbits + 7) // 8], sbits).reshape(
         params.k_tilde, params.k_r)
     off += (sbits + 7) // 8
-    perm, off = _unpack_elems(data, off, params.n_r)
-    if off != len(data):
-        raise FormatError("receiver secret key payload length mismatch")
-    code = GoppaCode(params.m, params.t, g, support)
-    P = Monomial(tuple(perm), (1,) * params.n_r)
+    perm, off = _unpack_elems(data, off, n)
+    _check_perm(perm)
+    # Patterson's square root is only correct for an irreducible g
+    if g[-1] != 1 or max(g) >> m or not F.poly_is_irreducible(g, m):
+        raise FormatError("g is not monic irreducible of degree t over GF(2^m)")
+    try:
+        code = GoppaCode(m, t, g, support)
+    except ValueError as exc:
+        raise FormatError(f"invalid Goppa code: {exc}") from exc
+    P = Monomial(tuple(perm), (1,) * n)
     G_sk = generator_matrix(code)
     G_pk = mat_mono(matmul(S, G_sk, 2), P, 2)
     return params, ReceiverSecretKey(code=code, S=S, P=P, G_sk=G_sk, G_pk=G_pk)
@@ -182,19 +206,22 @@ def par_sender_sec(data: bytes) -> tuple[CommonParams, SenderSecretKey]:
     _, pid = _check_header(data, ROLE_SENDER_SEC)
     params, off = _read_params(pid, data, 7)
     r, n = params.r_s, params.n_s
-    ns = r * r
+    ns, nh = r * r, r * n
+    if len(data) - off != (ns + 4) // 5 + (nh + 4) // 5 + 2 * n + (n + 7) // 8:
+        raise FormatError("sender secret key payload length mismatch")
     S = unpack_trits(data[off: off + (ns + 4) // 5], ns).reshape(r, r)
     off += (ns + 4) // 5
-    nh = r * n
     H_sk = unpack_trits(data[off: off + (nh + 4) // 5], nh).reshape(r, n)
     off += (nh + 4) // 5
     perm, off = _unpack_elems(data, off, n)
-    scal = unpack_bits(data[off: off + (n + 7) // 8], n)
-    off += (n + 7) // 8
-    if off != len(data):
-        raise FormatError("sender secret key payload length mismatch")
+    _check_perm(perm)
+    scal = unpack_bits(data[off:], n)
+    try:
+        S_inv = invert_matrix(S, 3)
+    except ValueError as exc:
+        raise FormatError(f"sender secret key: {exc}") from exc
     P = Monomial(tuple(perm), tuple(int(s) + 1 for s in scal))
-    return params, SenderSecretKey(S=S, S_inv=invert_matrix(S, 3), H_sk=H_sk,
+    return params, SenderSecretKey(S=S, S_inv=S_inv, H_sk=H_sk,
                                    P=P, k_U=params.k_U, k_V=params.k_V)
 
 

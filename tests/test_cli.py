@@ -1,9 +1,14 @@
 """CLI surface: subcommands, exit codes, and deterministic seeding."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
+from cbsc import serial
 from cbsc.cli import EXIT_CRYPTO, EXIT_IO, EXIT_OK, EXIT_USAGE, main
+from cbsc.hybrid import signcrypt
+from cbsc.params import TOY
 
 
 @pytest.fixture()
@@ -141,3 +146,21 @@ def test_custom_profile_file(tmp_path):
     assert main(["keygen", "--role", "receiver", "--profile", str(prof),
                  "--out", str(out), "--seed", "07"]) == EXIT_OK
     assert main(["estimate", "--profile", str(prof)]) == EXIT_OK
+
+
+
+def test_invalid_custom_block_in_message_exit4(keyset):
+    # a toy message framed under the custom profile id, whose embedded
+    # parameter block then declares an odd n_s
+    _, pk_r = serial.par_receiver_pub((keyset / "rcv.pub").read_bytes())
+    _, sk_s = serial.par_sender_sec((keyset / "snd.sec").read_bytes())
+    custom = dataclasses.replace(TOY, name="custom")
+    sc = signcrypt(custom, sk_s, pk_r, b"x", np.random.default_rng(1))
+    wire = bytearray(serial.ser_message(custom, sc))
+    wire[16:20] = (17).to_bytes(4, "big")       # n_s, first field of the block
+    ct = keyset / "bad.cbsc"
+    ct.write_bytes(bytes(wire))
+    rc = main(["unsigncrypt", "--receiver-sec", str(keyset / "rcv.sec"),
+               "--sender-pub", str(keyset / "snd.pub"),
+               "--in", str(ct), "--out", str(keyset / "bad.out")])
+    assert rc == EXIT_CRYPTO

@@ -15,7 +15,6 @@ import pytest
 from cbsc import serial
 from cbsc.hybrid import signcrypt, unsigncrypt
 from cbsc.params import TOY, custom_params
-
 from cbsc.sctkem import keygen_receiver_params, keygen_sender_params
 
 MID = custom_params(dict(n_s=16, k_U=4, k_V=4, omega=14, m=8, n_r=256, t=10,

@@ -2,8 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from cbsc import fields as F
 from cbsc import serial
+from cbsc.goppa import GoppaCode
 from cbsc.hybrid import SigncryptedMessage, signcrypt, unsigncrypt
 from cbsc.params import TOY, custom_params
 from cbsc.sctkem import keygen_receiver_params, keygen_sender_params, sym, encap
@@ -149,7 +152,120 @@ def test_truncated_payloads_rejected(toy_params, receiver_keys, sender_keys):
                serial.par_message]
     for blob, parse in zip(blobs, parsers):
         for cut in (len(blob) - 1, len(blob) // 2, 3):
-            with pytest.raises((serial.FormatError, ValueError)):
+            with pytest.raises(serial.FormatError):
                 parse(blob[:cut])
-        with pytest.raises((serial.FormatError, ValueError)):
+        with pytest.raises(serial.FormatError):
             parse(blob + b"\x00")
+
+
+# --- total parsers ------------------------------------------------------------
+
+_TOY_VALUES = dict(n_s=16, k_U=4, k_V=4, omega=14, m=5, n_r=32, t=2,
+                   k_tilde=16, ell=16, salt_bits=16)
+
+
+def _custom_message(receiver_keys, sender_keys):
+    """A toy signcryption serialised under an equivalent custom profile."""
+    params = custom_params(_TOY_VALUES)
+    sk_r, pk_r = receiver_keys
+    sk_s, _ = sender_keys
+    sc = signcrypt(params, sk_s, pk_r, b"custom", np.random.default_rng(4))
+    return serial.ser_message(params, sc)
+
+
+def test_invalid_custom_block_is_a_format_error(receiver_keys, sender_keys):
+    blob = bytearray(_custom_message(receiver_keys, sender_keys))
+    assert serial.par_message(bytes(blob))[0].n_s == 16
+    # message header (14 bytes), then version, profile id, block (n_s first)
+    blob[16:20] = (17).to_bytes(4, "big")                 # odd n_s
+    with pytest.raises(serial.FormatError, match="n_s must be even"):
+        serial.par_message(bytes(blob))
+    with pytest.raises(serial.FormatError):
+        serial.par_encapsulation(bytes(blob[14:-8 - 6]))
+    _, pk = receiver_keys
+    key = bytearray(serial.ser_receiver_pub(custom_params(_TOY_VALUES), pk))
+    key[7:11] = (0).to_bytes(4, "big")
+    with pytest.raises(serial.FormatError):
+        serial.par_receiver_pub(bytes(key))
+
+
+def test_receiver_sec_with_reducible_g_rejected():
+    # t = 4 and g a product of two irreducible quadratics: g has no root
+    # in GF(32), so only the irreducibility check can reject it
+    params = custom_params(dict(_TOY_VALUES, t=4, k_tilde=8))
+    rng = np.random.default_rng(21)
+    sk, _ = keygen_receiver_params(params, rng)
+    g = F.poly_mul(F.random_irreducible(2, 5, rng), F.random_irreducible(2, 5, rng), 5)
+    assert all(F.poly_eval(g, a, 5) for a in range(32))
+    GoppaCode(5, 4, g, sk.code.support)      # the code itself would build
+    blob = bytearray(serial.ser_receiver_sec(params, sk))
+    off = 7 + 40
+    blob[off: off + 10] = b"".join(c.to_bytes(2, "big") for c in g)
+    with pytest.raises(serial.FormatError, match="irreducible"):
+        serial.par_receiver_sec(bytes(blob))
+
+
+def _patched_receiver_sec(blob, field, index, value, t=2):
+    # element offsets in a toy receiver secret key, 2 bytes per element
+    start = {"g": 7, "support": 7 + 2 * (t + 1)}[field]
+    out = bytearray(blob)
+    out[start + 2 * index: start + 2 * index + 2] = value.to_bytes(2, "big")
+    return bytes(out)
+
+
+@pytest.mark.parametrize("field,index,value", [
+    pytest.param("g", 2, 3, id="g-not-monic"),
+    pytest.param("g", 0, 40, id="g-coefficient-outside-field"),
+    pytest.param("support", 5, 40, id="support-outside-field"),
+    pytest.param("support", 1, None, id="support-duplicate"),
+])
+def test_receiver_sec_bad_code_rejected(toy_params, receiver_keys, field, index,
+                                        value):
+    sk, _ = receiver_keys
+    blob = serial.ser_receiver_sec(toy_params, sk)
+    if value is None:
+        value = sk.code.support[0]
+    with pytest.raises(serial.FormatError):
+        serial.par_receiver_sec(_patched_receiver_sec(blob, field, index, value))
+
+
+def test_secret_keys_with_bad_permutation_rejected(toy_params, receiver_keys,
+                                                   sender_keys):
+    sk_r, _ = receiver_keys
+    sk_s, _ = sender_keys
+    rblob = bytearray(serial.ser_receiver_sec(toy_params, sk_r))
+    rblob[-2:] = rblob[-4:-2]                           # repeated index
+    sblob = bytearray(serial.ser_sender_sec(toy_params, sk_s))
+    off = len(sblob) - 2 - 2                            # last perm entry
+    sblob[off: off + 2] = (999).to_bytes(2, "big")      # out of range
+    with pytest.raises(serial.FormatError, match="permutation"):
+        serial.par_receiver_sec(bytes(rblob))
+    with pytest.raises(serial.FormatError, match="permutation"):
+        serial.par_sender_sec(bytes(sblob))
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_parsers_are_total(data, toy_params, receiver_keys, sender_keys):
+    sk_r, pk_r = receiver_keys
+    sk_s, pk_s = sender_keys
+    sc = signcrypt(toy_params, sk_s, pk_r, b"fuzz", np.random.default_rng(9))
+    cases = [
+        (serial.par_receiver_pub, serial.ser_receiver_pub(toy_params, pk_r)),
+        (serial.par_receiver_sec, serial.ser_receiver_sec(toy_params, sk_r)),
+        (serial.par_sender_pub, serial.ser_sender_pub(toy_params, pk_s)),
+        (serial.par_sender_sec, serial.ser_sender_sec(toy_params, sk_s)),
+        (serial.par_message, serial.ser_message(toy_params, sc)),
+        (serial.par_encapsulation, serial.ser_encapsulation(toy_params, sc.E)),
+    ]
+    parse, blob = data.draw(st.sampled_from(cases))
+    blob = bytearray(blob)
+    for _ in range(data.draw(st.integers(0, 4))):
+        pos = data.draw(st.integers(0, len(blob) - 1))
+        blob[pos] = data.draw(st.integers(0, 255))
+    cut = data.draw(st.integers(0, len(blob) + 2))
+    blob = bytes(blob[:cut]) + data.draw(st.binary(max_size=2))
+    try:
+        parse(blob)
+    except serial.FormatError:
+        pass
