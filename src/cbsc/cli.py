@@ -24,12 +24,7 @@ EXIT_USAGE = 2
 EXIT_IO = 3
 EXIT_CRYPTO = 4
 
-_ROLE_BY_NAME = {
-    "sender-pub": serial.ROLE_SENDER_PUB,
-    "sender-sec": serial.ROLE_SENDER_SEC,
-    "receiver-pub": serial.ROLE_RECEIVER_PUB,
-    "receiver-sec": serial.ROLE_RECEIVER_SEC,
-}
+_ROLE_BY_NAME = {name: role for role, name in serial.ROLE_NAMES.items()}
 
 
 class CliError(Exception):

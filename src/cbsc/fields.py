@@ -105,13 +105,6 @@ def gf_mul(a: int, b: int, m: int) -> int:
     return T.exp[T.log[a] + T.log[b]]
 
 
-def gf_pow(a: int, e: int, m: int) -> int:
-    if a == 0:
-        return int(e == 0)
-    T = tables(m)
-    return T.exp[(T.log[a] * e) % T.order]
-
-
 def gf_inv(a: int, m: int) -> int:
     if a == 0:
         raise ZeroDivisionError("inverse of 0 in GF(2^m)")

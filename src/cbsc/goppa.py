@@ -171,43 +171,31 @@ class ReceiverSecretKey:
     code: GoppaCode
     S: np.ndarray          # k-tilde x k_r, full rank
     P: Monomial            # permutation on n_r coordinates
-    G_sk: np.ndarray       # k_r x n_r generator of the Goppa code
-    G_pk: np.ndarray       # public generator, kept for re-encryption checks
-
-    @property
-    def k_tilde(self) -> int:
-        return self.S.shape[0]
+    G_pk: np.ndarray       # public generator S·G·P, kept for re-encryption checks
 
 
 @dataclass
 class ReceiverPublicKey:
     G: np.ndarray          # k-tilde x n_r
 
-    @property
-    def k_tilde(self) -> int:
-        return self.G.shape[0]
-
-    @property
-    def n(self) -> int:
-        return self.G.shape[1]
-
 
 def keygen_receiver(m: int, n_r: int, t: int, k_tilde: int, rng):
     k_r = n_r - m * t
-    if n_r > (1 << m):
-        raise ValueError("n_r exceeds field size")
     if not 1 <= k_tilde <= k_r:
         raise ValueError("need 1 <= k_tilde <= n_r - m*t")
     while True:
         code = random_goppa_code(m, n_r, t, rng)
         if mat_rank(goppa_parity_check(code), 2) == m * t:
             break
-    G_sk = generator_matrix(code)
     S = random_full_rank(k_tilde, k_r, 2, rng)
-    P = random_permutation(n_r, rng)
-    G_pk = mat_mono(matmul(S, G_sk, 2), P, 2)
-    sk = ReceiverSecretKey(code=code, S=S, P=P, G_sk=G_sk, G_pk=G_pk)
-    return sk, ReceiverPublicKey(G=G_pk)
+    sk = receiver_secret_key(code, S, random_permutation(n_r, rng))
+    return sk, ReceiverPublicKey(G=sk.G_pk)
+
+
+def receiver_secret_key(code: GoppaCode, S: np.ndarray, P: Monomial) -> ReceiverSecretKey:
+    """The secret key of (code, S, P), with its public generator S·G·P."""
+    G_pk = mat_mono(matmul(S, generator_matrix(code), 2), P, 2)
+    return ReceiverSecretKey(code=code, S=S, P=P, G_pk=G_pk)
 
 
 def decode_permuted(sk: ReceiverSecretKey, word: np.ndarray):

@@ -24,13 +24,9 @@ class SigncryptedMessage:
 
 
 def dem_encrypt(K: np.ndarray, m: bytes) -> bytes:
-    """One-time keystream XOR; K must never be reused."""
-    ks = keystream(K, len(m))
-    return bytes(a ^ b for a, b in zip(m, ks))
-
-
-def dem_decrypt(K: np.ndarray, c: bytes) -> bytes:
-    return dem_encrypt(K, c)
+    """One-time keystream XOR, its own inverse; K must never be reused."""
+    ks = np.frombuffer(keystream(K, len(m)), dtype=np.uint8)
+    return (np.frombuffer(m, dtype=np.uint8) ^ ks).tobytes()
 
 
 def signcrypt(params: CommonParams, sk_s: SenderSecretKey,
@@ -47,4 +43,4 @@ def unsigncrypt(params: CommonParams, sk_r: ReceiverSecretKey,
     K = decap(params, sk_r, pk_s, sc.E, sc.C)
     if K is None:
         return None
-    return dem_decrypt(K, sc.C)
+    return dem_encrypt(K, sc.C)

@@ -92,35 +92,6 @@ class AffineSolver:
         return x
 
 
-def solve_affine(H: np.ndarray, s: np.ndarray, p: int,
-                 fixed: dict[int, int] | None = None,
-                 free_sampler=None) -> np.ndarray | None:
-    """One x with H @ x = s (mod p) honoring `fixed`, or None if inconsistent.
-
-    Free variables default to 0; `free_sampler(index) -> value` overrides.
-    """
-    H = np.asarray(H, dtype=np.uint8) % p
-    s = np.asarray(s, dtype=np.uint8) % p
-    fixed = fixed or {}
-    keep = [c for c in range(H.shape[1]) if c not in fixed]
-    if fixed:
-        vals = np.array([fixed[c] for c in sorted(fixed)], dtype=np.int64) % p
-        idx = sorted(fixed)
-        s = (s.astype(np.int64) - H[:, idx] @ vals) % p
-    solver = AffineSolver(H[:, keep], p)
-    fv = None
-    if free_sampler is not None and solver.free:
-        fv = np.array([free_sampler(keep[c]) for c in solver.free], dtype=np.uint8)
-    sub = solver.solve(s, fv)
-    if sub is None:
-        return None
-    x = np.zeros(H.shape[1], dtype=np.uint8)
-    x[keep] = sub
-    for c, v in fixed.items():
-        x[c] = v % p
-    return x
-
-
 def random_matrix(rows: int, cols: int, p: int, rng) -> np.ndarray:
     return rng.integers(0, p, size=(rows, cols), dtype=np.uint8)
 
@@ -133,10 +104,6 @@ def random_full_rank(rows: int, cols: int, p: int, rng) -> np.ndarray:
         M = random_matrix(rows, cols, p, rng)
         if mat_rank(M, p) == rows:
             return M
-
-
-def random_invertible(n: int, p: int, rng) -> np.ndarray:
-    return random_full_rank(n, n, p, rng)
 
 
 def invert_matrix(M: np.ndarray, p: int) -> np.ndarray:
@@ -159,15 +126,22 @@ def vecmat(v: np.ndarray, M: np.ndarray, p: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # monomial matrices
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Monomial:
     """n x n monomial matrix: entry (i, perm[i]) = scalars[i], zero elsewhere.
 
     Scalars are 1 for the binary/permutation case and in {1, 2} over GF(3),
-    so M @ M.T = I in both cases.
+    so M @ M.T = I in both cases.  `perm` (intp) and `scalars` (uint8) are
+    read-only numpy arrays.
     """
-    perm: tuple[int, ...]
-    scalars: tuple[int, ...]
+    perm: np.ndarray
+    scalars: np.ndarray
+
+    def __post_init__(self):
+        for name, dtype in (("perm", np.intp), ("scalars", np.uint8)):
+            arr = np.array(getattr(self, name), dtype=dtype)
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
 
     @property
     def n(self) -> int:
@@ -175,45 +149,30 @@ class Monomial:
 
 
 def random_permutation(n: int, rng) -> Monomial:
-    perm = tuple(int(i) for i in rng.permutation(n))
-    return Monomial(perm, (1,) * n)
+    return Monomial(rng.permutation(n), np.ones(n, dtype=np.uint8))
 
 
 def random_monomial(n: int, p: int, rng) -> Monomial:
-    perm = tuple(int(i) for i in rng.permutation(n))
-    scalars = tuple(int(s) for s in rng.integers(1, p, size=n))
-    return Monomial(perm, scalars)
+    return Monomial(rng.permutation(n), rng.integers(1, p, size=n))
 
 
 def mono_apply(v: np.ndarray, M: Monomial, p: int) -> np.ndarray:
     """v @ M: output[perm[i]] = v[i] * scalars[i]."""
-    out = np.zeros_like(v)
-    for i, (j, s) in enumerate(zip(M.perm, M.scalars)):
-        out[j] = (int(v[i]) * s) % p
+    out = np.empty_like(v)
+    out[M.perm] = v * M.scalars % p
     return out
 
 
 def mono_apply_inv(v: np.ndarray, M: Monomial, p: int) -> np.ndarray:
     """v @ M^-1: output[i] = v[perm[i]] / scalars[i] (scalars are self-inverse)."""
-    out = np.zeros_like(v)
-    for i, (j, s) in enumerate(zip(M.perm, M.scalars)):
-        out[i] = (int(v[j]) * s) % p
-    return out
+    return v[M.perm] * M.scalars % p
 
 
 def mat_mono(A: np.ndarray, M: Monomial, p: int) -> np.ndarray:
     """A @ M (column permutation with scaling)."""
-    out = np.zeros_like(A)
-    for i, (j, s) in enumerate(zip(M.perm, M.scalars)):
-        out[:, j] = (A[:, i].astype(np.int64) * s) % p
+    out = np.empty_like(A)
+    out[:, M.perm] = A * M.scalars % p
     return out
-
-
-def mono_to_matrix(M: Monomial) -> np.ndarray:
-    A = np.zeros((M.n, M.n), dtype=np.uint8)
-    for i, (j, s) in enumerate(zip(M.perm, M.scalars)):
-        A[i, j] = s
-    return A
 
 
 # ---------------------------------------------------------------------------
@@ -246,7 +205,3 @@ def unpack_trits(data: bytes, n: int) -> np.ndarray:
         out[:, d] = arr % 3
         arr = arr // 3
     return out.ravel()[:n].astype(np.uint8)
-
-
-def bits_from_bytes(data: bytes) -> np.ndarray:
-    return unpack_bits(data, 8 * len(data))

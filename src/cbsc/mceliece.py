@@ -14,7 +14,7 @@ import numpy as np
 from .cwencode import phi, phi_inv
 from .goppa import ReceiverPublicKey, ReceiverSecretKey, decode_permuted
 from .hashes import H1, H3, hash_bits
-from .linalg import invert_matrix, vecmat
+from .linalg import vecmat
 
 
 class PkeCiphertext(NamedTuple):
@@ -50,14 +50,3 @@ def pke_decrypt(sk: ReceiverSecretKey, c: PkeCiphertext, t: int):
         return None
     return x, y
 
-
-def recover_message(G_pk: np.ndarray, c0: np.ndarray, sigma: np.ndarray) -> np.ndarray:
-    """Solve r @ G_pk = c0 xor sigma via k-tilde independent columns."""
-    from .linalg import mat_reduce
-
-    _, rank, pivots = mat_reduce(G_pk, 2)
-    if rank != G_pk.shape[0]:
-        raise ValueError("public generator not full rank")
-    u = (np.asarray(c0, dtype=np.uint8) ^ np.asarray(sigma, dtype=np.uint8))[pivots]
-    inv = invert_matrix(G_pk[:, pivots], 2)
-    return vecmat(u, inv, 2)

@@ -28,7 +28,6 @@ class CommonParams:
     # symmetric key bits and signature salt bits
     ell: int
     salt_bits: int
-    q: int = 3
 
     @property
     def k_s(self) -> int:
@@ -58,14 +57,14 @@ class CommonParams:
             raise ParameterError("extension degree must be in [2, 16]")
         if self.n_r > (1 << self.m):
             raise ParameterError("n_r exceeds 2^m")
-        if self.t < 1:
-            raise ParameterError("t must be >= 1")
+        # 128 is the largest t of Classic McEliece; it also bounds the
+        # O(m t^3) irreducibility test that loading a receiver key runs
+        if not 1 <= self.t <= 128:
+            raise ParameterError("t must be in [1, 128]")
         if not 1 <= self.k_tilde <= self.k_r:
             raise ParameterError("need 1 <= k_tilde <= n_r - m*t")
         if self.ell < 1 or self.salt_bits < 1:
             raise ParameterError("ell and salt_bits must be >= 1")
-        if self.q != 3:
-            raise ParameterError("only the ternary instantiation is supported")
         return self
 
 
@@ -89,18 +88,19 @@ PROFILES = {"toy": TOY, "paper-l1": PAPER_L1}
 PROFILE_IDS = {"toy": 0x01, "paper-l1": 0x02, "custom": 0x7F}
 PROFILE_BY_ID = {v: k for k, v in PROFILE_IDS.items()}
 
-_CUSTOM_FIELDS = ("n_s", "k_U", "k_V", "omega", "m", "n_r", "t",
-                  "k_tilde", "ell", "salt_bits")
+# the fields of a custom profile, in the order of the serialised block
+CUSTOM_FIELDS = ("n_s", "k_U", "k_V", "omega", "m", "n_r", "t",
+                 "k_tilde", "ell", "salt_bits")
 
 
 def custom_params(values: dict[str, int], name: str = "custom") -> CommonParams:
-    unknown = set(values) - set(_CUSTOM_FIELDS)
+    unknown = set(values) - set(CUSTOM_FIELDS)
     if unknown:
         raise ParameterError(f"unknown parameters: {sorted(unknown)}")
-    missing = set(_CUSTOM_FIELDS) - set(values)
+    missing = set(CUSTOM_FIELDS) - set(values)
     if missing:
         raise ParameterError(f"missing parameters: {sorted(missing)}")
-    return CommonParams(name=name, **{k: int(values[k]) for k in _CUSTOM_FIELDS}).validate()
+    return CommonParams(name=name, **{k: int(values[k]) for k in CUSTOM_FIELDS}).validate()
 
 
 def load_profile_file(path) -> CommonParams:

@@ -16,10 +16,15 @@ import numpy as np
 
 from .goppa import ReceiverPublicKey, ReceiverSecretKey, keygen_receiver
 from .hashes import H0, H1, hash_bits, hash_trits
-from .linalg import mono_apply, vecmat
 from .mceliece import PkeCiphertext, pke_decrypt, pke_encrypt
 from .params import CommonParams, setup
-from .uuvsign import SenderPublicKey, SenderSecretKey, keygen_sender, sign, uuv_decode
+from .uuvsign import (
+    SenderPublicKey,
+    SenderSecretKey,
+    keygen_sender,
+    sign_syndrome,
+    verify_syndrome,
+)
 
 __all__ = [
     "Encapsulation", "sym", "encap", "decap",
@@ -53,10 +58,7 @@ def encap(params: CommonParams, sk_s: SenderSecretKey, pk_r: ReceiverPublicKey,
           varpi: np.ndarray, tag: bytes, rng) -> Encapsulation:
     y = rng.integers(0, 2, size=params.kappa, dtype=np.uint8)
     z = hash_bits(H1, [y], params.k_tilde)
-    s = hash_trits([tag, varpi, z], params.r_s)
-    s_inner = vecmat(s, sk_s.S_inv.T, 3)
-    e_inner = uuv_decode(sk_s, s_inner, params.omega, rng)
-    e = mono_apply(e_inner, sk_s.P, 3)
+    e = sign_syndrome(sk_s, hash_trits([tag, varpi, z], params.r_s), params.omega, rng)
     tau_prime = hash_bits(H1, [tag], params.k_tilde)
     x = np.concatenate([tau_prime, varpi])
     c = pke_encrypt(pk_r, x, y, params.t)
@@ -66,17 +68,14 @@ def encap(params: CommonParams, sk_s: SenderSecretKey, pk_r: ReceiverPublicKey,
 def decap(params: CommonParams, sk_r: ReceiverSecretKey, pk_s: SenderPublicKey,
           E: Encapsulation, tag: bytes):
     """Session key, or None on any rejection."""
-    e = np.asarray(E.e, dtype=np.uint8) % 3
-    if len(e) != params.n_s or int(np.count_nonzero(e)) != params.omega:
-        return None
     res = pke_decrypt(sk_r, E.c, params.t)
     if res is None:
         return None
     x, y = res
     tau_tilde, varpi_tilde = x[: params.k_tilde], x[params.k_tilde:]
     z = hash_bits(H1, [y], params.k_tilde)
-    expected = hash_trits([tag, varpi_tilde, z], params.r_s)
-    if not np.array_equal(vecmat(e, pk_s.H.T, 3), expected):
+    target = hash_trits([tag, varpi_tilde, z], params.r_s)
+    if not verify_syndrome(pk_s, E.e, target, params.omega):
         return None
     if not np.array_equal(tau_tilde, hash_bits(H1, [tag], params.k_tilde)):
         return None

@@ -23,12 +23,10 @@ from .goppa import (
     GoppaCode,
     ReceiverPublicKey,
     ReceiverSecretKey,
-    generator_matrix,
+    receiver_secret_key,
 )
 from .linalg import (
     Monomial,
-    mat_mono,
-    matmul,
     invert_matrix,
     pack_bits,
     pack_trits,
@@ -36,6 +34,7 @@ from .linalg import (
     unpack_trits,
 )
 from .params import (
+    CUSTOM_FIELDS,
     PROFILE_BY_ID,
     PROFILE_IDS,
     PROFILES,
@@ -64,8 +63,7 @@ ROLE_NAMES = {
     ROLE_RECEIVER_SEC: "receiver-sec",
 }
 
-_CUSTOM_ORDER = ("n_s", "k_U", "k_V", "omega", "m", "n_r", "t",
-                 "k_tilde", "ell", "salt_bits")
+_CUSTOM_BLOCK = struct.Struct(f">{len(CUSTOM_FIELDS)}I")
 
 
 class FormatError(ValueError):
@@ -75,17 +73,17 @@ class FormatError(ValueError):
 def _params_block(params: CommonParams) -> bytes:
     if profile_id(params) != PROFILE_IDS["custom"]:
         return b""
-    return struct.pack(">10I", *(getattr(params, f) for f in _CUSTOM_ORDER))
+    return _CUSTOM_BLOCK.pack(*(getattr(params, f) for f in CUSTOM_FIELDS))
 
 
 def _read_params(pid: int, data: bytes, off: int) -> tuple[CommonParams, int]:
     if pid == PROFILE_IDS["custom"]:
         try:
-            vals = struct.unpack_from(">10I", data, off)
+            vals = _CUSTOM_BLOCK.unpack_from(data, off)
         except struct.error as exc:
             raise FormatError("custom parameter block truncated") from exc
         try:
-            return custom_params(dict(zip(_CUSTOM_ORDER, vals))), off + 40
+            return custom_params(dict(zip(CUSTOM_FIELDS, vals))), off + _CUSTOM_BLOCK.size
         except ParameterError as exc:
             raise FormatError(f"invalid custom parameter block: {exc}") from exc
     name = PROFILE_BY_ID.get(pid)
@@ -111,14 +109,12 @@ def _key_header(role: int, params: CommonParams) -> bytes:
     return MAGIC + bytes([VERSION, role, profile_id(params)]) + _params_block(params)
 
 
-def _pack_elems(elems, width: int = 2) -> bytes:
-    return b"".join(int(e).to_bytes(width, "big") for e in elems)
+def _pack_elems(elems) -> bytes:
+    return np.asarray(elems, dtype=">u2").tobytes()
 
 
-def _unpack_elems(data: bytes, off: int, count: int, width: int = 2):
-    vals = [int.from_bytes(data[off + width * i: off + width * (i + 1)], "big")
-            for i in range(count)]
-    return vals, off + width * count
+def _unpack_elems(data: bytes, off: int, count: int) -> tuple[np.ndarray, int]:
+    return np.frombuffer(data, dtype=">u2", count=count, offset=off), off + 2 * count
 
 
 # ---------------------------------------------------------------------------
@@ -147,8 +143,8 @@ def ser_receiver_sec(params: CommonParams, sk: ReceiverSecretKey) -> bytes:
     return b"".join(out)
 
 
-def _check_perm(perm: list[int]) -> None:
-    if sorted(perm) != list(range(len(perm))):
+def _check_perm(perm: np.ndarray) -> None:
+    if not np.array_equal(np.sort(perm), np.arange(len(perm))):
         raise FormatError("P is not a permutation of the coordinates")
 
 
@@ -161,6 +157,7 @@ def par_receiver_sec(data: bytes) -> tuple[CommonParams, ReceiverSecretKey]:
         raise FormatError("receiver secret key payload length mismatch")
     g, off = _unpack_elems(data, off, t + 1)
     support, off = _unpack_elems(data, off, n)
+    g, support = g.tolist(), support.tolist()
     S = unpack_bits(data[off: off + (sbits + 7) // 8], sbits).reshape(
         params.k_tilde, params.k_r)
     off += (sbits + 7) // 8
@@ -173,10 +170,8 @@ def par_receiver_sec(data: bytes) -> tuple[CommonParams, ReceiverSecretKey]:
         code = GoppaCode(m, t, g, support)
     except ValueError as exc:
         raise FormatError(f"invalid Goppa code: {exc}") from exc
-    P = Monomial(tuple(perm), (1,) * n)
-    G_sk = generator_matrix(code)
-    G_pk = mat_mono(matmul(S, G_sk, 2), P, 2)
-    return params, ReceiverSecretKey(code=code, S=S, P=P, G_sk=G_sk, G_pk=G_pk)
+    P = Monomial(perm, np.ones(n, dtype=np.uint8))
+    return params, receiver_secret_key(code, S, P)
 
 
 def ser_sender_pub(params: CommonParams, pk: SenderPublicKey) -> bytes:
@@ -198,7 +193,7 @@ def ser_sender_sec(params: CommonParams, sk: SenderSecretKey) -> bytes:
     out.append(pack_trits(sk.S))
     out.append(pack_trits(sk.H_sk))
     out.append(_pack_elems(sk.P.perm))
-    out.append(pack_bits(np.array([s - 1 for s in sk.P.scalars], dtype=np.uint8)))
+    out.append(pack_bits(sk.P.scalars - 1))
     return b"".join(out)
 
 
@@ -220,7 +215,7 @@ def par_sender_sec(data: bytes) -> tuple[CommonParams, SenderSecretKey]:
         S_inv = invert_matrix(S, 3)
     except ValueError as exc:
         raise FormatError(f"sender secret key: {exc}") from exc
-    P = Monomial(tuple(perm), tuple(int(s) + 1 for s in scal))
+    P = Monomial(perm, scal + 1)
     return params, SenderSecretKey(S=S, S_inv=S_inv, H_sk=H_sk,
                                    P=P, k_U=params.k_U, k_V=params.k_V)
 

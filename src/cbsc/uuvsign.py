@@ -98,13 +98,8 @@ def keygen_sender(n_s: int, k_U: int, k_V: int, rng):
     H_V = random_full_rank(half - k_V, half, 3, rng)
     H_sk = build_uuv_parity_check(H_U, H_V)
     r_s = n_s - k_U - k_V
-    while True:
-        S = rng.integers(0, 3, size=(r_s, r_s), dtype=np.uint8)
-        try:
-            S_inv = invert_matrix(S, 3)
-            break
-        except ValueError:
-            continue
+    S = random_full_rank(r_s, r_s, 3, rng)
+    S_inv = invert_matrix(S, 3)
     P = random_monomial(n_s, 3, rng)
     H_pk = mat_mono(matmul(S, H_sk, 3), P, 3)
     sk = SenderSecretKey(S=S, S_inv=S_inv, H_sk=H_sk, P=P, k_U=k_U, k_V=k_V)
@@ -160,19 +155,25 @@ def uuv_decode(sk: SenderSecretKey, s: np.ndarray, omega: int, rng,
     raise RetryExhausted(f"no weight-{omega} solution in {max_attempts} attempts")
 
 
-def sign(sk: SenderSecretKey, msg: bytes, omega: int, salt_bits: int, rng,
-         max_attempts: int = 10_000) -> Signature:
+def sign_syndrome(sk: SenderSecretKey, y: np.ndarray, omega: int, rng) -> np.ndarray:
+    """e with e @ H_pk.T = y and wt(e) = omega: S^-1, the trapdoor decode, P."""
+    e_inner = uuv_decode(sk, vecmat(y, sk.S_inv.T, 3), omega, rng)
+    return mono_apply(e_inner, sk.P, 3)
+
+
+def verify_syndrome(pk: SenderPublicKey, e: np.ndarray, y: np.ndarray,
+                    omega: int) -> bool:
+    """Whether e has length n_s, weight omega, and e @ H_pk.T = y."""
+    e = np.asarray(e, dtype=np.uint8) % 3
+    return (len(e) == pk.n_s and int(np.count_nonzero(e)) == omega
+            and bool(np.array_equal(vecmat(e, pk.H.T, 3), y)))
+
+
+def sign(sk: SenderSecretKey, msg: bytes, omega: int, salt_bits: int, rng) -> Signature:
     salt = rng.integers(0, 2, size=salt_bits, dtype=np.uint8)
-    y_r = hash_trits([msg, salt], sk.r_s)
-    s = vecmat(y_r, sk.S_inv.T, 3)
-    e_inner = uuv_decode(sk, s, omega, rng, max_attempts)
-    e = mono_apply(e_inner, sk.P, 3)
+    e = sign_syndrome(sk, hash_trits([msg, salt], sk.r_s), omega, rng)
     return Signature(e=e, salt=salt)
 
 
 def verify(pk: SenderPublicKey, msg: bytes, sig: Signature, omega: int) -> bool:
-    e = np.asarray(sig.e, dtype=np.uint8) % 3
-    if len(e) != pk.n_s or int(np.count_nonzero(e)) != omega:
-        return False
-    expected = hash_trits([msg, sig.salt], pk.r_s)
-    return bool(np.array_equal(vecmat(e, pk.H.T, 3), expected))
+    return verify_syndrome(pk, sig.e, hash_trits([msg, sig.salt], pk.r_s), omega)

@@ -1,6 +1,8 @@
 """Reference oracles: bit-serial GF(2^m) arithmetic and list-based
 Patterson decoding, written independently of the log/antilog tables and
-the key-time decoding material in `cbsc.fields` and `cbsc.goppa`.
+the key-time decoding material in `cbsc.fields` and `cbsc.goppa`; the
+coordinate loops that the numpy monomial gathers and the DEM replaced;
+and helpers that only tests need.
 
 They are slow and simple on purpose; tests compare the library against
 them.  Polynomials are lists of ints, index = degree, no trailing zeros.
@@ -11,6 +13,16 @@ from __future__ import annotations
 import numpy as np
 
 from cbsc.fields import IRREDUCIBLE_POLY
+from cbsc.hashes import keystream
+from cbsc.linalg import (
+    AffineSolver,
+    Monomial,
+    invert_matrix,
+    mat_reduce,
+    random_full_rank,
+    unpack_bits,
+    vecmat,
+)
 
 
 def gf_mul(a: int, b: int, m: int) -> int:
@@ -26,16 +38,20 @@ def gf_mul(a: int, b: int, m: int) -> int:
     return r
 
 
-def gf_inv(a: int, m: int) -> int:
-    if a == 0:
-        raise ZeroDivisionError("inverse of 0 in GF(2^m)")
-    r, e = 1, (1 << m) - 2
+def gf_pow(a: int, e: int, m: int) -> int:
+    r = 1
     while e:
         if e & 1:
             r = gf_mul(r, a, m)
         a = gf_mul(a, a, m)
         e >>= 1
     return r
+
+
+def gf_inv(a: int, m: int) -> int:
+    if a == 0:
+        raise ZeroDivisionError("inverse of 0 in GF(2^m)")
+    return gf_pow(a, (1 << m) - 2, m)
 
 
 def _trim(p: list[int]) -> list[int]:
@@ -178,3 +194,83 @@ def parity_check_vandermonde(g: list[int], support, m: int) -> np.ndarray:
                 H[i * m + b, j] = (col >> b) & 1
             col = gf_mul(col, a, m)
     return H
+
+
+# ---------------------------------------------------------------------------
+# monomial matrices and the DEM, one coordinate at a time
+
+def mono_apply(v: np.ndarray, M: Monomial, p: int) -> np.ndarray:
+    """v @ M: output[perm[i]] = v[i] * scalars[i]."""
+    out = np.zeros_like(v)
+    for i, (j, s) in enumerate(zip(M.perm, M.scalars)):
+        out[j] = (int(v[i]) * int(s)) % p
+    return out
+
+
+def mono_apply_inv(v: np.ndarray, M: Monomial, p: int) -> np.ndarray:
+    """v @ M^-1: output[i] = v[perm[i]] / scalars[i]."""
+    out = np.zeros_like(v)
+    for i, (j, s) in enumerate(zip(M.perm, M.scalars)):
+        out[i] = (int(v[j]) * int(s)) % p
+    return out
+
+
+def mat_mono(A: np.ndarray, M: Monomial, p: int) -> np.ndarray:
+    """A @ M (column permutation with scaling)."""
+    out = np.zeros_like(A)
+    for i, (j, s) in enumerate(zip(M.perm, M.scalars)):
+        out[:, j] = (A[:, i].astype(np.int64) * int(s)) % p
+    return out
+
+
+def mono_to_matrix(M: Monomial) -> np.ndarray:
+    A = np.zeros((M.n, M.n), dtype=np.uint8)
+    for i, (j, s) in enumerate(zip(M.perm, M.scalars)):
+        A[i, j] = s
+    return A
+
+
+def dem_encrypt(K: np.ndarray, m: bytes) -> bytes:
+    return bytes(a ^ b for a, b in zip(m, keystream(K, len(m))))
+
+
+# ---------------------------------------------------------------------------
+# helpers only tests use
+
+def random_invertible(n: int, p: int, rng) -> np.ndarray:
+    return random_full_rank(n, n, p, rng)
+
+
+def bits_from_bytes(data: bytes) -> np.ndarray:
+    return unpack_bits(data, 8 * len(data))
+
+
+def solve_affine(H: np.ndarray, s: np.ndarray, p: int,
+                 fixed: dict[int, int] | None = None) -> np.ndarray | None:
+    """One x with H @ x = s (mod p) honoring `fixed`, or None if inconsistent.
+    Free variables are 0."""
+    H = np.asarray(H, dtype=np.uint8) % p
+    s = np.asarray(s, dtype=np.uint8) % p
+    fixed = fixed or {}
+    keep = [c for c in range(H.shape[1]) if c not in fixed]
+    if fixed:
+        idx = sorted(fixed)
+        vals = np.array([fixed[c] for c in idx], dtype=np.int64) % p
+        s = (s.astype(np.int64) - H[:, idx] @ vals) % p
+    sub = AffineSolver(H[:, keep], p).solve(s)
+    if sub is None:
+        return None
+    x = np.zeros(H.shape[1], dtype=np.uint8)
+    x[keep] = sub
+    for c, v in fixed.items():
+        x[c] = v % p
+    return x
+
+
+def recover_message(G_pk: np.ndarray, c0: np.ndarray, sigma: np.ndarray) -> np.ndarray:
+    """Solve r @ G_pk = c0 xor sigma via k-tilde independent columns."""
+    _, rank, pivots = mat_reduce(G_pk, 2)
+    if rank != G_pk.shape[0]:
+        raise ValueError("public generator not full rank")
+    u = (np.asarray(c0, dtype=np.uint8) ^ np.asarray(sigma, dtype=np.uint8))[pivots]
+    return vecmat(u, invert_matrix(G_pk[:, pivots], 2), 2)

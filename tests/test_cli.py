@@ -164,3 +164,16 @@ def test_invalid_custom_block_in_message_exit4(keyset):
                "--sender-pub", str(keyset / "snd.pub"),
                "--in", str(ct), "--out", str(keyset / "bad.out")])
     assert rc == EXIT_CRYPTO
+
+
+def test_receiver_sec_declaring_t_above_128_exit4(keyset, capsys):
+    _, sk_r = serial.par_receiver_sec((keyset / "rcv.sec").read_bytes())
+    big_t = dataclasses.replace(TOY, name="custom", m=16, n_r=4096, t=129, k_tilde=1)
+    key = keyset / "big-t.sec"
+    key.write_bytes(serial.ser_receiver_sec(big_t, sk_r))
+    (keyset / "msg.txt").write_bytes(b"x")
+    rc = main(["unsigncrypt", "--receiver-sec", str(key),
+               "--sender-pub", str(keyset / "snd.pub"),
+               "--in", str(keyset / "msg.txt"), "--out", str(keyset / "out")])
+    assert rc == EXIT_CRYPTO
+    assert "t must be in [1, 128]" in capsys.readouterr().err

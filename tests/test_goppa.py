@@ -17,6 +17,8 @@ from cbsc.goppa import (
 )
 from cbsc.linalg import matmul, mono_apply_inv, mat_rank, vecmat
 
+from oracles import mat_mono
+
 
 def _code(seed=0, m=5, n=32, t=2):
     return random_goppa_code(m, n, t, np.random.default_rng(seed))
@@ -130,8 +132,10 @@ def test_keygen_receiver_shapes(receiver_keys, toy_params):
     p = toy_params
     assert pk.G.shape == (p.k_tilde, p.n_r)
     assert mat_rank(pk.G, 2) == p.k_tilde
-    assert sk.G_sk.shape == (p.k_r, p.n_r)
     assert np.array_equal(sk.G_pk, pk.G)
+    G = generator_matrix(sk.code)
+    assert G.shape == (p.k_r, p.n_r)
+    assert np.array_equal(sk.G_pk, mat_mono(matmul(sk.S, G, 2), sk.P, 2))
 
 
 def test_public_rows_in_permuted_code(receiver_keys):

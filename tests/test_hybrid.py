@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cbsc.hybrid import dem_decrypt, dem_encrypt, signcrypt, unsigncrypt
+from cbsc.hybrid import dem_encrypt, signcrypt, unsigncrypt
+
+import oracles as O
 
 
 def test_dem_involution():
@@ -12,7 +14,22 @@ def test_dem_involution():
     K = rng.integers(0, 2, size=16, dtype=np.uint8)
     for n in (0, 1, 17, 1000):
         m = bytes(rng.integers(0, 256, size=n, dtype=np.uint8))
-        assert dem_decrypt(K, dem_encrypt(K, m)) == m
+        assert dem_encrypt(K, dem_encrypt(K, m)) == m
+
+
+@pytest.mark.parametrize("n", [0, 1, 7, 256 * 1024])
+def test_dem_matches_bytewise_xor(n):
+    rng = np.random.default_rng(n)
+    K = rng.integers(0, 2, size=16, dtype=np.uint8)
+    m = rng.bytes(n)
+    assert dem_encrypt(K, m) == O.dem_encrypt(K, m)
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.lists(st.integers(0, 1), min_size=1, max_size=64), st.binary(max_size=300))
+def test_dem_matches_bytewise_xor_random(key, m):
+    K = np.array(key, dtype=np.uint8)
+    assert dem_encrypt(K, m) == O.dem_encrypt(K, m)
 
 
 def test_dem_key_matters():

@@ -6,6 +6,8 @@ from hypothesis import given, settings, strategies as st
 
 from cbsc import linalg as L
 
+import oracles as O
+
 
 def _rng(seed=0):
     return np.random.default_rng(seed)
@@ -43,7 +45,7 @@ def test_kernel_basis(p):
 def test_invert_matrix(p):
     rng = _rng(20 + p)
     for n in (1, 3, 6):
-        M = L.random_invertible(n, p, rng)
+        M = O.random_invertible(n, p, rng)
         assert np.array_equal(L.matmul(M, L.invert_matrix(M, p), p), np.eye(n, dtype=np.uint8))
 
 
@@ -86,7 +88,7 @@ def test_solve_affine_fixed_coordinates():
     rng = _rng(17)
     H = L.random_full_rank(2, 6, 2, rng)
     s = np.array([1, 1], dtype=np.uint8)
-    x = L.solve_affine(H, s, 2, fixed={0: 1, 5: 0})
+    x = O.solve_affine(H, s, 2, fixed={0: 1, 5: 0})
     assert x is not None and x[0] == 1 and x[5] == 0
     assert np.array_equal(L.vecmat(x, H.T, 2), s)
 
@@ -98,7 +100,7 @@ def test_mono_apply_matches_matrix(p):
     rng = _rng(30 + p)
     for _ in range(10):
         M = L.random_monomial(8, p, rng)
-        A = L.mono_to_matrix(M)
+        A = O.mono_to_matrix(M)
         v = rng.integers(0, p, size=8, dtype=np.uint8)
         assert np.array_equal(L.mono_apply(v, M, p), L.vecmat(v, A, p))
         assert np.array_equal(L.mono_apply_inv(L.mono_apply(v, M, p), M, p), v)
@@ -109,14 +111,49 @@ def test_mono_apply_matches_matrix(p):
 def test_monomial_self_transpose_inverse():
     rng = _rng(33)
     M = L.random_monomial(10, 3, rng)
-    A = L.mono_to_matrix(M)
+    A = O.mono_to_matrix(M)
     assert np.array_equal(L.matmul(A, A.T, 3), np.eye(10, dtype=np.uint8))
 
 
 def test_random_permutation_scalars_are_one():
     M = L.random_permutation(12, _rng(1))
-    assert M.scalars == (1,) * 12
-    assert sorted(M.perm) == list(range(12))
+    assert np.array_equal(M.scalars, np.ones(12, dtype=np.uint8))
+    assert np.array_equal(np.sort(M.perm), np.arange(12))
+
+
+@pytest.mark.parametrize("p", [2, 3])
+@pytest.mark.parametrize("n", [1, 2, 17, 256, 1024])
+def test_mono_gathers_match_coordinate_loops(p, n):
+    rng = _rng(40 + n + p)
+    M = L.random_monomial(n, p, rng)
+    v = rng.integers(0, p, size=n, dtype=np.uint8)
+    A = rng.integers(0, p, size=(5, n), dtype=np.uint8)
+    for got, want in ((L.mono_apply(v, M, p), O.mono_apply(v, M, p)),
+                      (L.mono_apply_inv(v, M, p), O.mono_apply_inv(v, M, p)),
+                      (L.mat_mono(A, M, p), O.mat_mono(A, M, p))):
+        assert got.dtype == want.dtype == np.uint8
+        assert np.array_equal(got, want)
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.integers(2, 3), st.integers(1, 40), st.integers(0, 2**32 - 1))
+def test_mono_gathers_match_coordinate_loops_random(p, n, seed):
+    rng = _rng(seed)
+    M = L.random_monomial(n, p, rng)
+    v = rng.integers(0, p, size=n, dtype=np.uint8)
+    A = rng.integers(0, p, size=(3, n), dtype=np.uint8)
+    assert np.array_equal(L.mono_apply(v, M, p), O.mono_apply(v, M, p))
+    assert np.array_equal(L.mono_apply_inv(v, M, p), O.mono_apply_inv(v, M, p))
+    assert np.array_equal(L.mat_mono(A, M, p), O.mat_mono(A, M, p))
+
+
+def test_monomial_arrays_are_read_only():
+    M = L.Monomial([2, 0, 1], [1, 2, 1])
+    assert M.perm.dtype == np.intp and M.scalars.dtype == np.uint8
+    with pytest.raises(ValueError):
+        M.perm[0] = 0
+    with pytest.raises(ValueError):
+        M.scalars[0] = 2
 
 
 # --- packing -----------------------------------------------------------------
@@ -144,5 +181,5 @@ def test_trits_roundtrip(trits):
 
 
 def test_bits_from_bytes():
-    assert np.array_equal(L.bits_from_bytes(b"\x03"),
+    assert np.array_equal(O.bits_from_bytes(b"\x03"),
                           np.array([1, 1, 0, 0, 0, 0, 0, 0], dtype=np.uint8))

@@ -3,8 +3,10 @@
 import numpy as np
 
 from cbsc.cwencode import phi
-from cbsc.mceliece import PkeCiphertext, pke_decrypt, pke_encrypt, recover_message
+from cbsc.mceliece import PkeCiphertext, pke_decrypt, pke_encrypt
 from cbsc.linalg import vecmat
+
+from oracles import recover_message
 
 
 def _xy(params, rng):

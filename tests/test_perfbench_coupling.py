@@ -1,0 +1,66 @@
+"""The benchmark's span tracer (perfbench/spans.py) patches cbsc functions
+and methods by name, and `Tracer.install` raises when one is missing.
+These tests make a renamed or dropped traced name fail here too, and
+check that a signcryption roundtrip still passes through the spans the
+per-layer metrics are derived from."""
+
+import importlib
+import importlib.util
+from pathlib import Path
+
+import numpy as np
+
+from cbsc import hybrid, linalg
+
+SPANS_PATH = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
+
+
+def _spans_module():
+    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS_PATH)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _snapshot(spans):
+    """id of every attribute of the cbsc modules the tracer patches."""
+    modules = [importlib.import_module(f"cbsc.{name}") for name in spans.TRACED]
+    return {(mod.__name__, attr): id(val)
+            for mod in modules for attr, val in vars(mod).items()}
+
+
+def test_tracer_install_then_uninstall_restores_cbsc():
+    spans = _spans_module()
+    before = _snapshot(spans)
+    solve = linalg.AffineSolver.solve
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        assert id(linalg.vecmat) != before[("cbsc.linalg", "vecmat")]
+        assert linalg.AffineSolver.solve is not solve
+    finally:
+        tracer.uninstall()
+    assert _snapshot(spans) == before
+    assert linalg.AffineSolver.solve is solve
+
+
+def test_traced_roundtrip_passes_through_the_metric_spans(
+        toy_params, receiver_keys, sender_keys):
+    spans = _spans_module()
+    sk_r, pk_r = receiver_keys
+    sk_s, pk_s = sender_keys
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        with tracer.root(spans.OP):
+            sc = hybrid.signcrypt(toy_params, sk_s, pk_r, b"traced",
+                                  np.random.default_rng(1))
+            assert hybrid.unsigncrypt(toy_params, sk_r, pk_s, sc) == b"traced"
+    finally:
+        tracer.uninstall()
+    names = [span[0] for span in tracer.spans]
+    for name in ("uuvsign.uuv_decode", "linalg.mono_apply", "linalg.mono_apply_inv",
+                 "hybrid.dem_encrypt", "goppa.decode_permuted", "sctkem.decap"):
+        assert name in names
+    assert names.count("linalg.AffineSolver.solve") % 2 == 0
+    assert names.count("hybrid.dem_encrypt") == 2

@@ -49,6 +49,16 @@ def test_decap_rejects_wrong_weight(toy_params, receiver_keys, sender_keys):
     assert decap(toy_params, sk_r, pk_s, Encapsulation(e=e, c=E.c), b"tag") is None
 
 
+def test_decap_rejects_wrong_length(toy_params, receiver_keys, sender_keys):
+    sk_r, pk_r = receiver_keys
+    sk_s, pk_s = sender_keys
+    rng = np.random.default_rng(7)
+    K, varpi = sym(toy_params, rng)
+    E = encap(toy_params, sk_s, pk_r, varpi, b"tag", rng)
+    for e in (E.e[:-1], np.concatenate([E.e, [1]])):
+        assert decap(toy_params, sk_r, pk_s, Encapsulation(e=e, c=E.c), b"tag") is None
+
+
 def test_decap_rejects_trit_change(toy_params, receiver_keys, sender_keys):
     # same weight, different value: syndrome check must catch it
     sk_r, pk_r = receiver_keys

@@ -1,5 +1,7 @@
 """Binary formats: byte-exact round trips and strict failure on damage."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -28,7 +30,8 @@ def test_receiver_sec_roundtrip(toy_params, receiver_keys):
     assert sk2.code.g == sk.code.g
     assert sk2.code.support == sk.code.support
     assert np.array_equal(sk2.S, sk.S)
-    assert sk2.P == sk.P
+    assert np.array_equal(sk2.P.perm, sk.P.perm)
+    assert np.array_equal(sk2.P.scalars, sk.P.scalars)
     assert np.array_equal(sk2.G_pk, sk.G_pk)
     assert serial.ser_receiver_sec(params, sk2) == blob
 
@@ -48,7 +51,8 @@ def test_sender_sec_roundtrip(toy_params, sender_keys):
     assert np.array_equal(sk2.S, sk.S)
     assert np.array_equal(sk2.S_inv, sk.S_inv)
     assert np.array_equal(sk2.H_sk, sk.H_sk)
-    assert sk2.P == sk.P
+    assert np.array_equal(sk2.P.perm, sk.P.perm)
+    assert np.array_equal(sk2.P.scalars, sk.P.scalars)
     assert (sk2.k_U, sk2.k_V) == (sk.k_U, sk.k_V)
     assert serial.ser_sender_sec(params, sk2) == blob
 
@@ -203,6 +207,19 @@ def test_receiver_sec_with_reducible_g_rejected():
     blob[off: off + 10] = b"".join(c.to_bytes(2, "big") for c in g)
     with pytest.raises(serial.FormatError, match="irreducible"):
         serial.par_receiver_sec(bytes(blob))
+
+
+def test_receiver_sec_declaring_t_above_128_rejected(receiver_keys):
+    # m = 16 and n_r = 4096 leave room for t = 129, so only the cap on t
+    # rejects it, before any irreducibility test runs
+    sk, _ = receiver_keys
+    big = dict(name="custom", m=16, n_r=4096, k_tilde=1)
+    blob = serial.ser_receiver_sec(dataclasses.replace(TOY, t=128, **big), sk)
+    with pytest.raises(serial.FormatError, match="payload length"):
+        serial.par_receiver_sec(blob)
+    blob = serial.ser_receiver_sec(dataclasses.replace(TOY, t=129, **big), sk)
+    with pytest.raises(serial.FormatError, match=r"t must be in \[1, 128\]"):
+        serial.par_receiver_sec(blob)
 
 
 def _patched_receiver_sec(blob, field, index, value, t=2):

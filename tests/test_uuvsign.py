@@ -4,20 +4,19 @@ exact weight target, and signature contract."""
 import numpy as np
 import pytest
 
-from cbsc.linalg import (
-    mat_mono,
-    matmul,
-    mono_to_matrix,
-    vecmat,
-)
+from cbsc.linalg import mat_mono, matmul, vecmat
 from cbsc.uuvsign import (
     RetryExhausted,
     build_uuv_parity_check,
     keygen_sender,
     sign,
+    sign_syndrome,
     uuv_decode,
     verify,
+    verify_syndrome,
 )
+
+from oracles import mono_to_matrix
 
 
 def test_parity_check_block_structure():
@@ -133,3 +132,17 @@ def test_verify_rejects_wrong_omega(sender_keys, toy_params):
     rng = np.random.default_rng(8)
     sig = sign(sk, b"msg", p.omega, p.salt_bits, rng)
     assert not verify(pk, b"msg", sig, p.omega - 1)
+
+
+def test_sign_syndrome_verify_syndrome(sender_keys, toy_params):
+    sk, pk = sender_keys
+    p = toy_params
+    rng = np.random.default_rng(9)
+    y = rng.integers(0, 3, size=p.r_s, dtype=np.uint8)
+    e = sign_syndrome(sk, y, p.omega, rng)
+    assert np.array_equal(vecmat(e, pk.H.T, 3), y)
+    assert verify_syndrome(pk, e, y, p.omega)
+    assert not verify_syndrome(pk, e, (y + 1) % 3, p.omega)
+    assert not verify_syndrome(pk, e, y, p.omega - 1)
+    for bad in (e[:-1], np.concatenate([e, [0]])):
+        assert not verify_syndrome(pk, bad, y, p.omega)
