@@ -12,6 +12,8 @@ from math import comb
 
 import numpy as np
 
+from .linalg import pack_bits, unpack_bits
+
 
 def kappa(n: int, t: int) -> int:
     """floor(log2(C(n, t))), from the exact big-integer binomial."""
@@ -43,15 +45,13 @@ def unrank_support(r: int, n: int, t: int) -> list[int]:
 
 def bits_to_int(bits: np.ndarray) -> int:
     """LSB-first bit vector to integer."""
-    v = 0
-    for i, b in enumerate(np.asarray(bits, dtype=np.uint8)):
-        if b:
-            v |= 1 << i
-    return v
+    return int.from_bytes(pack_bits(bits), "little")
 
 
 def int_to_bits(v: int, nbits: int) -> np.ndarray:
-    return np.array([(v >> i) & 1 for i in range(nbits)], dtype=np.uint8)
+    """The low nbits bits of v, LSB first."""
+    v &= (1 << nbits) - 1
+    return unpack_bits(v.to_bytes((nbits + 7) // 8, "little"), nbits)
 
 
 def phi(y: np.ndarray, n: int, t: int) -> np.ndarray:

@@ -31,7 +31,6 @@ from .linalg import (
     Monomial,
     kernel_basis,
     mat_mono,
-    mat_rank,
     matmul,
     mono_apply,
     mono_apply_inv,
@@ -184,17 +183,24 @@ def keygen_receiver(m: int, n_r: int, t: int, k_tilde: int, rng):
     if not 1 <= k_tilde <= k_r:
         raise ValueError("need 1 <= k_tilde <= n_r - m*t")
     while True:
+        # the parity check has full rank mt exactly when G has n - mt rows
         code = random_goppa_code(m, n_r, t, rng)
-        if mat_rank(goppa_parity_check(code), 2) == m * t:
+        G = generator_matrix(code)
+        if len(G) == k_r:
             break
     S = random_full_rank(k_tilde, k_r, 2, rng)
-    sk = receiver_secret_key(code, S, random_permutation(n_r, rng))
+    sk = receiver_secret_key(code, G, S, random_permutation(n_r, rng))
     return sk, ReceiverPublicKey(G=sk.G_pk)
 
 
-def receiver_secret_key(code: GoppaCode, S: np.ndarray, P: Monomial) -> ReceiverSecretKey:
-    """The secret key of (code, S, P), with its public generator S·G·P."""
-    G_pk = mat_mono(matmul(S, generator_matrix(code), 2), P, 2)
+def receiver_secret_key(code: GoppaCode, G: np.ndarray, S: np.ndarray,
+                        P: Monomial) -> ReceiverSecretKey:
+    """The secret key of (code, S, P), with its public generator S·G·P,
+    where G is the generator of the code.  Raises ValueError unless S
+    has one column per row of G."""
+    if len(G) != S.shape[1]:
+        raise ValueError(f"code has dimension {len(G)}, S has {S.shape[1]} columns")
+    G_pk = mat_mono(matmul(S, G, 2), P, 2)
     return ReceiverSecretKey(code=code, S=S, P=P, G_pk=G_pk)
 
 

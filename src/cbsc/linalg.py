@@ -50,13 +50,10 @@ def mat_rank(M: np.ndarray, p: int) -> int:
 def kernel_basis(M: np.ndarray, p: int) -> np.ndarray:
     """Rows span the right kernel: every row k satisfies M @ k == 0 (mod p)."""
     R, rank, pivots = mat_reduce(M, p)
-    cols = M.shape[1]
-    free = [c for c in range(cols) if c not in pivots]
-    basis = np.zeros((len(free), cols), dtype=np.uint8)
-    for bi, f in enumerate(free):
-        basis[bi, f] = 1
-        for ri, pc in enumerate(pivots):
-            basis[bi, pc] = (-int(R[ri, f])) % p
+    free = np.setdiff1d(np.arange(M.shape[1]), pivots)
+    basis = np.zeros((len(free), M.shape[1]), dtype=np.uint8)
+    basis[np.arange(len(free)), free] = 1
+    basis[:, pivots] = (p - R[:rank, free].T) % p
     return basis
 
 

@@ -121,11 +121,7 @@ def load_profile_file(path) -> CommonParams:
 
 
 def setup(profile) -> CommonParams:
-    """Common-parameter setup: named profile, mapping, or profile file path."""
-    if isinstance(profile, CommonParams):
-        return profile.validate()
-    if isinstance(profile, dict):
-        return custom_params(profile)
+    """Common-parameter setup: named profile or profile file path."""
     if profile in PROFILES:
         return PROFILES[profile].validate()
     p = Path(str(profile))

@@ -14,7 +14,10 @@ before its decoding material is built.
 
 from __future__ import annotations
 
+import math
 import struct
+from collections.abc import Callable
+from typing import NamedTuple
 
 import numpy as np
 
@@ -23,16 +26,10 @@ from .goppa import (
     GoppaCode,
     ReceiverPublicKey,
     ReceiverSecretKey,
+    generator_matrix,
     receiver_secret_key,
 )
-from .linalg import (
-    Monomial,
-    invert_matrix,
-    pack_bits,
-    pack_trits,
-    unpack_bits,
-    unpack_trits,
-)
+from .linalg import Monomial, pack_bits, pack_trits, unpack_bits, unpack_trits
 from .params import (
     CUSTOM_FIELDS,
     PROFILE_BY_ID,
@@ -45,7 +42,7 @@ from .params import (
 )
 from .sctkem import Encapsulation
 from .mceliece import PkeCiphertext
-from .uuvsign import SenderPublicKey, SenderSecretKey
+from .uuvsign import SenderPublicKey, SenderSecretKey, sender_secret_key
 from .hybrid import SigncryptedMessage
 
 MAGIC = b"CBSC"
@@ -70,6 +67,69 @@ class FormatError(ValueError):
     pass
 
 
+class Codec(NamedTuple):
+    nbytes: Callable[[int], int]                 # bytes that hold n values
+    pack: Callable[[np.ndarray], bytes]
+    unpack: Callable[[bytes, int], np.ndarray]   # (bytes, n) -> n values
+
+
+BITS = Codec(lambda n: (n + 7) // 8, pack_bits, unpack_bits)
+TRITS = Codec(lambda n: (n + 4) // 5, pack_trits, unpack_trits)
+ELEMS = Codec(lambda n: 2 * n,                   # big-endian 16-bit integers
+              lambda a: np.asarray(a, dtype=">u2").tobytes(),
+              lambda b, n: np.frombuffer(b, dtype=">u2", count=n))
+
+
+class Field(NamedTuple):
+    name: str
+    codec: Codec
+    shape: Callable[[CommonParams], tuple[int, ...]]
+    get: Callable[[object], np.ndarray]          # the value, from the object
+
+
+ENCAPSULATION = "encapsulation"
+
+# The payload of each wire object, field by field in file order.  The
+# serialisers, the length check and the parsers all read this table.
+LAYOUTS = {
+    ROLE_RECEIVER_PUB: (
+        Field("G", BITS, lambda p: (p.k_tilde, p.n_r), lambda pk: pk.G),),
+    ROLE_RECEIVER_SEC: (
+        Field("g", ELEMS, lambda p: (p.t + 1,), lambda sk: sk.code.g),
+        Field("support", ELEMS, lambda p: (p.n_r,), lambda sk: sk.code.support),
+        Field("S", BITS, lambda p: (p.k_tilde, p.k_r), lambda sk: sk.S),
+        Field("perm", ELEMS, lambda p: (p.n_r,), lambda sk: sk.P.perm)),
+    ROLE_SENDER_PUB: (
+        Field("H", TRITS, lambda p: (p.r_s, p.n_s), lambda pk: pk.H),),
+    ROLE_SENDER_SEC: (
+        Field("S", TRITS, lambda p: (p.r_s, p.r_s), lambda sk: sk.S),
+        Field("H_sk", TRITS, lambda p: (p.r_s, p.n_s), lambda sk: sk.H_sk),
+        Field("perm", ELEMS, lambda p: (p.n_s,), lambda sk: sk.P.perm),
+        Field("scalars", BITS, lambda p: (p.n_s,), lambda sk: sk.P.scalars - 1)),
+    ENCAPSULATION: (
+        Field("e", TRITS, lambda p: (p.n_s,), lambda E: E.e),
+        Field("c0", BITS, lambda p: (p.n_r,), lambda E: E.c.c0),
+        Field("c1", BITS, lambda p: (p.k_tilde + p.ell,), lambda E: E.c.c1)),
+}
+
+
+def _pack(what, obj) -> bytes:
+    return b"".join(f.codec.pack(f.get(obj)) for f in LAYOUTS[what])
+
+
+def _unpack(what, params: CommonParams, payload: bytes) -> dict[str, np.ndarray]:
+    shapes = [f.shape(params) for f in LAYOUTS[what]]
+    sizes = [f.codec.nbytes(math.prod(s)) for f, s in zip(LAYOUTS[what], shapes)]
+    if len(payload) != sum(sizes):
+        raise FormatError(f"{ROLE_NAMES.get(what, what)} payload length mismatch")
+    values, off = {}, 0
+    for f, shape, size in zip(LAYOUTS[what], shapes, sizes):
+        values[f.name] = f.codec.unpack(payload[off: off + size],
+                                        math.prod(shape)).reshape(shape)
+        off += size
+    return values
+
+
 def _params_block(params: CommonParams) -> bytes:
     if profile_id(params) != PROFILE_IDS["custom"]:
         return b""
@@ -92,55 +152,24 @@ def _read_params(pid: int, data: bytes, off: int) -> tuple[CommonParams, int]:
     return PROFILES[name], off
 
 
-def _check_header(data: bytes, expected_role: int | None = None) -> tuple[int, int]:
+# ---------------------------------------------------------------------------
+# keys: magic, version, role, profile id, custom block, payload
+
+def _ser_key(role: int, params: CommonParams, key) -> bytes:
+    return (MAGIC + bytes([VERSION, role, profile_id(params)])
+            + _params_block(params) + _pack(role, key))
+
+
+def _par_key(role: int, data: bytes) -> tuple[CommonParams, dict[str, np.ndarray]]:
     if len(data) < 7 or data[:4] != MAGIC:
         raise FormatError("bad magic")
     if data[4] != VERSION:
         raise FormatError(f"unsupported format version {data[4]:#04x}")
-    role = data[5]
-    if expected_role is not None and role != expected_role:
-        raise FormatError(
-            f"expected {ROLE_NAMES.get(expected_role)} key, got "
-            f"{ROLE_NAMES.get(role, hex(role))}")
-    return role, data[6]
-
-
-def _key_header(role: int, params: CommonParams) -> bytes:
-    return MAGIC + bytes([VERSION, role, profile_id(params)]) + _params_block(params)
-
-
-def _pack_elems(elems) -> bytes:
-    return np.asarray(elems, dtype=">u2").tobytes()
-
-
-def _unpack_elems(data: bytes, off: int, count: int) -> tuple[np.ndarray, int]:
-    return np.frombuffer(data, dtype=">u2", count=count, offset=off), off + 2 * count
-
-
-# ---------------------------------------------------------------------------
-# keys
-
-def ser_receiver_pub(params: CommonParams, pk: ReceiverPublicKey) -> bytes:
-    return _key_header(ROLE_RECEIVER_PUB, params) + pack_bits(pk.G)
-
-
-def par_receiver_pub(data: bytes) -> tuple[CommonParams, ReceiverPublicKey]:
-    _, pid = _check_header(data, ROLE_RECEIVER_PUB)
-    params, off = _read_params(pid, data, 7)
-    nbits = params.k_tilde * params.n_r
-    if len(data) - off != (nbits + 7) // 8:
-        raise FormatError("receiver public key payload length mismatch")
-    G = unpack_bits(data[off:], nbits).reshape(params.k_tilde, params.n_r)
-    return params, ReceiverPublicKey(G=G)
-
-
-def ser_receiver_sec(params: CommonParams, sk: ReceiverSecretKey) -> bytes:
-    out = [_key_header(ROLE_RECEIVER_SEC, params)]
-    out.append(_pack_elems(sk.code.g))
-    out.append(_pack_elems(sk.code.support))
-    out.append(pack_bits(sk.S))
-    out.append(_pack_elems(sk.P.perm))
-    return b"".join(out)
+    if data[5] != role:
+        raise FormatError(f"expected {ROLE_NAMES[role]} key, got "
+                          f"{ROLE_NAMES.get(data[5], hex(data[5]))}")
+    params, off = _read_params(data[6], data, 7)
+    return params, _unpack(role, params, data[off:])
 
 
 def _check_perm(perm: np.ndarray) -> None:
@@ -148,84 +177,59 @@ def _check_perm(perm: np.ndarray) -> None:
         raise FormatError("P is not a permutation of the coordinates")
 
 
+def ser_receiver_pub(params: CommonParams, pk: ReceiverPublicKey) -> bytes:
+    return _ser_key(ROLE_RECEIVER_PUB, params, pk)
+
+
+def par_receiver_pub(data: bytes) -> tuple[CommonParams, ReceiverPublicKey]:
+    params, v = _par_key(ROLE_RECEIVER_PUB, data)
+    return params, ReceiverPublicKey(G=v["G"])
+
+
+def ser_receiver_sec(params: CommonParams, sk: ReceiverSecretKey) -> bytes:
+    return _ser_key(ROLE_RECEIVER_SEC, params, sk)
+
+
 def par_receiver_sec(data: bytes) -> tuple[CommonParams, ReceiverSecretKey]:
-    _, pid = _check_header(data, ROLE_RECEIVER_SEC)
-    params, off = _read_params(pid, data, 7)
-    m, t, n = params.m, params.t, params.n_r
-    sbits = params.k_tilde * params.k_r
-    if len(data) - off != 2 * (t + 1) + 2 * n + (sbits + 7) // 8 + 2 * n:
-        raise FormatError("receiver secret key payload length mismatch")
-    g, off = _unpack_elems(data, off, t + 1)
-    support, off = _unpack_elems(data, off, n)
-    g, support = g.tolist(), support.tolist()
-    S = unpack_bits(data[off: off + (sbits + 7) // 8], sbits).reshape(
-        params.k_tilde, params.k_r)
-    off += (sbits + 7) // 8
-    perm, off = _unpack_elems(data, off, n)
-    _check_perm(perm)
+    params, v = _par_key(ROLE_RECEIVER_SEC, data)
+    m, g = params.m, v["g"].tolist()
+    _check_perm(v["perm"])
     # Patterson's square root is only correct for an irreducible g
     if g[-1] != 1 or max(g) >> m or not F.poly_is_irreducible(g, m):
         raise FormatError("g is not monic irreducible of degree t over GF(2^m)")
     try:
-        code = GoppaCode(m, t, g, support)
+        code = GoppaCode(m, params.t, g, v["support"].tolist())
     except ValueError as exc:
         raise FormatError(f"invalid Goppa code: {exc}") from exc
-    P = Monomial(perm, np.ones(n, dtype=np.uint8))
-    return params, receiver_secret_key(code, S, P)
+    P = Monomial(v["perm"], np.ones(params.n_r, dtype=np.uint8))
+    try:
+        return params, receiver_secret_key(code, generator_matrix(code), v["S"], P)
+    except ValueError as exc:
+        raise FormatError(f"receiver secret key: {exc}") from exc
 
 
 def ser_sender_pub(params: CommonParams, pk: SenderPublicKey) -> bytes:
-    return _key_header(ROLE_SENDER_PUB, params) + pack_trits(pk.H)
+    return _ser_key(ROLE_SENDER_PUB, params, pk)
 
 
 def par_sender_pub(data: bytes) -> tuple[CommonParams, SenderPublicKey]:
-    _, pid = _check_header(data, ROLE_SENDER_PUB)
-    params, off = _read_params(pid, data, 7)
-    n = params.r_s * params.n_s
-    if len(data) - off != (n + 4) // 5:
-        raise FormatError("sender public key payload length mismatch")
-    H = unpack_trits(data[off:], n).reshape(params.r_s, params.n_s)
-    return params, SenderPublicKey(H=H)
+    params, v = _par_key(ROLE_SENDER_PUB, data)
+    return params, SenderPublicKey(H=v["H"])
 
 
 def ser_sender_sec(params: CommonParams, sk: SenderSecretKey) -> bytes:
-    out = [_key_header(ROLE_SENDER_SEC, params)]
-    out.append(pack_trits(sk.S))
-    out.append(pack_trits(sk.H_sk))
-    out.append(_pack_elems(sk.P.perm))
-    out.append(pack_bits(sk.P.scalars - 1))
-    return b"".join(out)
+    return _ser_key(ROLE_SENDER_SEC, params, sk)
 
 
 def par_sender_sec(data: bytes) -> tuple[CommonParams, SenderSecretKey]:
-    _, pid = _check_header(data, ROLE_SENDER_SEC)
-    params, off = _read_params(pid, data, 7)
-    r, n = params.r_s, params.n_s
-    ns, nh = r * r, r * n
-    if len(data) - off != (ns + 4) // 5 + (nh + 4) // 5 + 2 * n + (n + 7) // 8:
-        raise FormatError("sender secret key payload length mismatch")
-    S = unpack_trits(data[off: off + (ns + 4) // 5], ns).reshape(r, r)
-    off += (ns + 4) // 5
-    H_sk = unpack_trits(data[off: off + (nh + 4) // 5], nh).reshape(r, n)
-    off += (nh + 4) // 5
-    perm, off = _unpack_elems(data, off, n)
-    _check_perm(perm)
-    scal = unpack_bits(data[off:], n)
+    params, v = _par_key(ROLE_SENDER_SEC, data)
+    _check_perm(v["perm"])
+    P = Monomial(v["perm"], v["scalars"] + 1)
     try:
-        S_inv = invert_matrix(S, 3)
+        return params, sender_secret_key(v["S"], v["H_sk"], P, params.k_U, params.k_V)
     except ValueError as exc:
         raise FormatError(f"sender secret key: {exc}") from exc
-    P = Monomial(perm, scal + 1)
-    return params, SenderSecretKey(S=S, S_inv=S_inv, H_sk=H_sk,
-                                   P=P, k_U=params.k_U, k_V=params.k_V)
 
-
-KEY_SERIALIZERS = {
-    ROLE_RECEIVER_PUB: ser_receiver_pub,
-    ROLE_RECEIVER_SEC: ser_receiver_sec,
-    ROLE_SENDER_PUB: ser_sender_pub,
-    ROLE_SENDER_SEC: ser_sender_sec,
-}
 
 KEY_PARSERS = {
     ROLE_RECEIVER_PUB: par_receiver_pub,
@@ -240,7 +244,7 @@ KEY_PARSERS = {
 
 def ser_encapsulation(params: CommonParams, E: Encapsulation) -> bytes:
     return (bytes([VERSION, profile_id(params)]) + _params_block(params)
-            + pack_trits(E.e) + pack_bits(E.c.c0) + pack_bits(E.c.c1))
+            + _pack(ENCAPSULATION, E))
 
 
 def par_encapsulation(data: bytes) -> tuple[CommonParams, Encapsulation]:
@@ -249,17 +253,8 @@ def par_encapsulation(data: bytes) -> tuple[CommonParams, Encapsulation]:
     if data[0] != VERSION:
         raise FormatError(f"unsupported format version {data[0]:#04x}")
     params, off = _read_params(data[1], data, 2)
-    ne = (params.n_s + 4) // 5
-    n0 = (params.n_r + 7) // 8
-    n1 = (params.k_tilde + params.ell + 7) // 8
-    if len(data) - off != ne + n0 + n1:
-        raise FormatError("encapsulation length mismatch")
-    e = unpack_trits(data[off: off + ne], params.n_s)
-    off += ne
-    c0 = unpack_bits(data[off: off + n0], params.n_r)
-    off += n0
-    c1 = unpack_bits(data[off:], params.k_tilde + params.ell)
-    return params, Encapsulation(e=e, c=PkeCiphertext(c0, c1))
+    v = _unpack(ENCAPSULATION, params, data[off:])
+    return params, Encapsulation(e=v["e"], c=PkeCiphertext(v["c0"], v["c1"]))
 
 
 def ser_message(params: CommonParams, sc: SigncryptedMessage) -> bytes:

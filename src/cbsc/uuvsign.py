@@ -38,6 +38,8 @@ class SenderSecretKey:
     P: Monomial            # monomial over GF(3)
     k_U: int
     k_V: int
+    solver_U: AffineSolver  # for the H_U block, built with the key
+    solver_V: AffineSolver  # for the H_V block
 
     @property
     def n_s(self) -> int:
@@ -46,16 +48,6 @@ class SenderSecretKey:
     @property
     def r_s(self) -> int:
         return self.H_sk.shape[0]
-
-    @property
-    def H_U(self) -> np.ndarray:
-        half = self.n_s // 2
-        return self.H_sk[: half - self.k_U, :half]
-
-    @property
-    def H_V(self) -> np.ndarray:
-        half = self.n_s // 2
-        return self.H_sk[half - self.k_U:, half:]
 
 
 @dataclass
@@ -88,6 +80,18 @@ def build_uuv_parity_check(H_U: np.ndarray, H_V: np.ndarray) -> np.ndarray:
     return H
 
 
+def sender_secret_key(S: np.ndarray, H_sk: np.ndarray, P: Monomial,
+                      k_U: int, k_V: int) -> SenderSecretKey:
+    """The secret key of (S, H_sk, P), with S^-1 and the solvers of the
+    H_U and H_V blocks.  Raises ValueError if S is not invertible."""
+    half = H_sk.shape[1] // 2
+    rU = half - k_U
+    return SenderSecretKey(S=S, S_inv=invert_matrix(S, 3), H_sk=H_sk, P=P,
+                           k_U=k_U, k_V=k_V,
+                           solver_U=AffineSolver(H_sk[:rU, :half], 3),
+                           solver_V=AffineSolver(H_sk[rU:, half:], 3))
+
+
 def keygen_sender(n_s: int, k_U: int, k_V: int, rng):
     if n_s % 2:
         raise ValueError("n_s must be even")
@@ -95,15 +99,17 @@ def keygen_sender(n_s: int, k_U: int, k_V: int, rng):
     if not (0 < k_U < half and 0 < k_V < half):
         raise ValueError("need 0 < k_U, k_V < n_s/2")
     H_U = random_full_rank(half - k_U, half, 3, rng)
+    # a zero column of H_V is a zero column of H_pk, where a signature
+    # trit could change without changing its weight or its syndrome
     H_V = random_full_rank(half - k_V, half, 3, rng)
+    while not H_V.any(axis=0).all():
+        H_V = random_full_rank(half - k_V, half, 3, rng)
     H_sk = build_uuv_parity_check(H_U, H_V)
     r_s = n_s - k_U - k_V
     S = random_full_rank(r_s, r_s, 3, rng)
-    S_inv = invert_matrix(S, 3)
     P = random_monomial(n_s, 3, rng)
     H_pk = mat_mono(matmul(S, H_sk, 3), P, 3)
-    sk = SenderSecretKey(S=S, S_inv=S_inv, H_sk=H_sk, P=P, k_U=k_U, k_V=k_V)
-    return sk, SenderPublicKey(H=H_pk)
+    return sender_secret_key(S, H_sk, P, k_U, k_V), SenderPublicKey(H=H_pk)
 
 
 def _steered_free_values(solver: AffineSolver, e_other: np.ndarray,
@@ -127,16 +133,13 @@ def uuv_decode(sk: SenderSecretKey, s: np.ndarray, omega: int, rng,
                max_attempts: int = 10_000) -> np.ndarray:
     """e with e @ H_sk.T = s and wt(e) = omega exactly."""
     n_s = sk.n_s
-    half = n_s // 2
     if not 0 <= omega <= n_s:
         raise ValueError("omega out of range")
-    rU = half - sk.k_U
     s = np.asarray(s, dtype=np.uint8) % 3
     if len(s) != sk.r_s:
         raise ValueError("syndrome length mismatch")
-    s_U, s_V = s[:rU], s[rU:]
-    solver_U = AffineSolver(sk.H_U, 3)
-    solver_V = AffineSolver(sk.H_V, 3)
+    solver_U, solver_V = sk.solver_U, sk.solver_V
+    s_U, s_V = s[:solver_U.rows], s[solver_U.rows:]
     target = omega / n_s
     for _ in range(max_attempts):
         p = min(1.0, max(0.0, target + rng.normal(0.0, 0.15)))

@@ -1,7 +1,11 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
-from cbsc.params import TOY
+from cbsc import serial
+from cbsc.goppa import generator_matrix, random_goppa_code
+from cbsc.params import TOY, custom_params
 from cbsc.sctkem import keygen_receiver_params, keygen_sender_params
 
 
@@ -20,3 +24,18 @@ def receiver_keys(toy_params):
 def sender_keys(toy_params):
     rng = np.random.default_rng(0xBEEF)
     return keygen_sender_params(toy_params, rng)
+
+
+@pytest.fixture(scope="session")
+def rank_deficient_receiver_sec():
+    """A well-formed receiver secret key whose code has dimension 5, not
+    n_r - mt = 4: the 24th code drawn from default_rng(1) has a parity
+    check of rank 15 < mt = 16.  S and P come from a valid key."""
+    params = custom_params(dict(n_s=16, k_U=4, k_V=4, omega=14, m=8, n_r=20,
+                                t=2, k_tilde=2, ell=16, salt_bits=16))
+    sk, _ = keygen_receiver_params(params, np.random.default_rng(0))
+    rng = np.random.default_rng(1)
+    for _ in range(24):
+        code = random_goppa_code(params.m, params.n_r, params.t, rng)
+    assert len(generator_matrix(code)) == 5
+    return serial.ser_receiver_sec(params, dataclasses.replace(sk, code=code))

@@ -105,6 +105,17 @@ def test_truncated_ciphertext_exit4(keyset):
     assert rc == EXIT_CRYPTO
 
 
+def test_rank_deficient_receiver_key_exit4(keyset, rank_deficient_receiver_sec):
+    key = keyset / "bad.sec"
+    key.write_bytes(rank_deficient_receiver_sec)
+    ct = keyset / "c"
+    ct.write_bytes(b"")
+    rc = main(["unsigncrypt", "--receiver-sec", str(key),
+               "--sender-pub", str(keyset / "snd.pub"),
+               "--in", str(ct), "--out", str(keyset / "o")])
+    assert rc == EXIT_CRYPTO
+
+
 def test_missing_input_exit3(keyset):
     rc = main(["signcrypt", "--sender-sec", str(keyset / "snd.sec"),
                "--receiver-pub", str(keyset / "rcv.pub"),

@@ -222,6 +222,11 @@ def test_receiver_sec_declaring_t_above_128_rejected(receiver_keys):
         serial.par_receiver_sec(blob)
 
 
+def test_receiver_sec_with_rank_deficient_code_rejected(rank_deficient_receiver_sec):
+    with pytest.raises(serial.FormatError, match="dimension 5"):
+        serial.par_receiver_sec(rank_deficient_receiver_sec)
+
+
 def _patched_receiver_sec(blob, field, index, value, t=2):
     # element offsets in a toy receiver secret key, 2 bytes per element
     start = {"g": 7, "support": 7 + 2 * (t + 1)}[field]
