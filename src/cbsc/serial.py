@@ -6,10 +6,12 @@ parameter block so files stay self-describing.  Bit vectors are packed
 row-major LSB-first; trit vectors five to a byte in base 3.
 
 Every parser is total: a byte string either parses or raises
-`FormatError`.  Payload lengths are checked before anything is
-unpacked, and a receiver secret key is checked (g monic irreducible of
-degree t, support of distinct field elements, a true permutation)
-before its decoding material is built.
+`FormatError`.  Encodings are canonical: a parsed field must re-encode
+to its own bytes, so padding bits and trits are zero and no trit byte
+exceeds 242.  Payload lengths are checked before anything is unpacked,
+and a receiver secret key is checked (g monic irreducible of degree t,
+support of distinct field elements, a true permutation) before its
+decoding material is built.
 """
 
 from __future__ import annotations
@@ -124,8 +126,14 @@ def _unpack(what, params: CommonParams, payload: bytes) -> dict[str, np.ndarray]
         raise FormatError(f"{ROLE_NAMES.get(what, what)} payload length mismatch")
     values, off = {}, 0
     for f, shape, size in zip(LAYOUTS[what], shapes, sizes):
-        values[f.name] = f.codec.unpack(payload[off: off + size],
-                                        math.prod(shape)).reshape(shape)
+        field = payload[off: off + size]
+        value = f.codec.unpack(field, math.prod(shape)).reshape(shape)
+        # one encoding per value: padding bits and trits are zero and
+        # every trit byte is below 3**5
+        if f.codec.pack(value) != field:
+            raise FormatError(f"{ROLE_NAMES.get(what, what)} field {f.name} "
+                              "is not canonically encoded")
+        values[f.name] = value
         off += size
     return values
 

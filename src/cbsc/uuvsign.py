@@ -125,7 +125,7 @@ def _steered_free_values(solver: AffineSolver, e_other: np.ndarray,
                 # nonzero and not cancelling the second half
                 vals[k] = next(v for v in (1, 2) if (v + other) % 3 != 0)
         else:
-            vals[k] = 0 if other == 0 else rng.choice([0, (3 - other) % 3])
+            vals[k] = 0 if other == 0 else (0, (3 - other) % 3)[rng.integers(0, 2)]
     return vals
 
 

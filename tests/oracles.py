@@ -2,7 +2,9 @@
 Patterson decoding, written independently of the log/antilog tables and
 the key-time decoding material in `cbsc.fields` and `cbsc.goppa`; the
 coordinate loops that the numpy monomial gathers and the DEM replaced;
-and helpers that only tests need.
+Gauss-Jordan elimination on unpacked uint8 rows and the int64 product,
+which the packed eliminator and the float64 products of `cbsc.linalg`
+replaced; and helpers that only tests need.
 
 They are slow and simple on purpose; tests compare the library against
 them.  Polynomials are lists of ints, index = degree, no trailing zeros.
@@ -18,7 +20,6 @@ from cbsc.linalg import (
     AffineSolver,
     Monomial,
     invert_matrix,
-    mat_reduce,
     random_full_rank,
     unpack_bits,
     vecmat,
@@ -194,6 +195,44 @@ def parity_check_vandermonde(g: list[int], support, m: int) -> np.ndarray:
                 H[i * m + b, j] = (col >> b) & 1
             col = gf_mul(col, a, m)
     return H
+
+
+# ---------------------------------------------------------------------------
+# elimination and products on unpacked uint8 entries
+
+def mat_reduce(M: np.ndarray, p: int) -> tuple[np.ndarray, int, list[int]]:
+    """Reduced row echelon form modulo p. Returns (rref, rank, pivot columns)."""
+    R = np.array(M, dtype=np.uint8) % p
+    rows, cols = R.shape
+    pivots: list[int] = []
+    r = 0
+    for c in range(cols):
+        if r == rows:
+            break
+        sel = None
+        for i in range(r, rows):
+            if R[i, c]:
+                sel = i
+                break
+        if sel is None:
+            continue
+        if sel != r:
+            R[[r, sel]] = R[[sel, r]]
+        if p == 3 and R[r, c] == 2:
+            R[r] = (R[r] * 2) % 3  # 2 is its own inverse mod 3
+        mask = R[:, c].copy()
+        mask[r] = 0
+        nz = np.nonzero(mask)[0]
+        if nz.size:
+            R[nz] = (R[nz] + (p - mask[nz, None]) * R[r][None, :]) % p
+        pivots.append(c)
+        r += 1
+    return R, len(pivots), pivots
+
+
+def matmul(A: np.ndarray, B: np.ndarray, p: int) -> np.ndarray:
+    """A @ B mod p in int64 (also v @ M for a vector v)."""
+    return (np.asarray(A).astype(np.int64) @ np.asarray(B).astype(np.int64) % p).astype(np.uint8)
 
 
 # ---------------------------------------------------------------------------

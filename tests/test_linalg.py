@@ -93,6 +93,72 @@ def test_solve_affine_fixed_coordinates():
     assert np.array_equal(L.vecmat(x, H.T, 2), s)
 
 
+# --- packed elimination and float64 products against the uint8/int64 oracles --
+
+# column counts on both sides of 64-bit word boundaries
+_COLS = [1, 63, 64, 65, 128, 129]
+
+
+def _matrix(kind: str, rows: int, cols: int, p: int, rng) -> np.ndarray:
+    if kind == "zero":
+        return np.zeros((rows, cols), dtype=np.uint8)
+    if kind == "low_rank":  # rank at most r, for a random r <= min(rows, cols)
+        r = int(rng.integers(0, min(rows, cols) + 1))
+        return O.matmul(L.random_matrix(rows, r, p, rng), L.random_matrix(r, cols, p, rng), p)
+    if kind == "tall":
+        rows = cols + rows + 1
+    M = L.random_matrix(rows, cols, p, rng)
+    if kind == "augmented":  # [H | I] with a dependent row, as AffineSolver reduces
+        if rows > 1:
+            M[-1] = M[0] * 2 % p
+        M = np.concatenate([M, np.eye(rows, dtype=np.uint8)], axis=1)
+    return M
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from([2, 3]), st.integers(0, 12), st.sampled_from(_COLS),
+       st.sampled_from(["random", "zero", "low_rank", "tall", "augmented"]),
+       st.integers(0, 2**32 - 1))
+def test_mat_reduce_matches_oracle(p, rows, cols, kind, seed):
+    M = _matrix(kind, rows, cols, p, _rng(seed))
+    R, rank, pivots = L.mat_reduce(M, p)
+    R_want, rank_want, pivots_want = O.mat_reduce(M, p)
+    assert R.dtype == np.uint8
+    assert np.array_equal(R, R_want)
+    assert (rank, pivots) == (rank_want, pivots_want)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from([2, 3]), st.integers(0, 6), st.sampled_from([0] + _COLS),
+       st.integers(0, 70), st.integers(0, 2**32 - 1))
+def test_products_match_oracle(p, rows, inner, cols, seed):
+    rng = _rng(seed)
+    A = L.random_matrix(rows, inner, p, rng)
+    B = L.random_matrix(inner, cols, p, rng)
+    v = L.random_matrix(1, inner, p, rng)[0]
+    w = L.random_matrix(1, rows, p, rng)[0]
+    for got, want in ((L.matmul(A, B, p), O.matmul(A, B, p)),
+                      (L.vecmat(v, B, p), O.matmul(v, B, p)),
+                      (L.vecmat(w, A, p), O.matmul(w, A, p)),
+                      (L.vecmat(v, A.T, p), O.matmul(v, A.T, p))):
+        assert got.dtype == np.uint8
+        assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_matmul_refuses_inexact_inner_dimension(p):
+    # the first inner dimension whose partial sums may reach 2**53;
+    # broadcast views, so nothing of that size is allocated
+    inner = 2**53 // (p - 1) ** 2
+    A = np.broadcast_to(np.uint8(1), (1, inner))
+    B = np.broadcast_to(np.uint8(1), (inner, 1))
+    with pytest.raises(ValueError, match="exact"):
+        L.matmul(A, B, p)
+    if p == 3:
+        with pytest.raises(ValueError, match="exact"):
+            L.vecmat(A[0], B, p)
+
+
 # --- monomial matrices -------------------------------------------------------
 
 @pytest.mark.parametrize("p", [2, 3])

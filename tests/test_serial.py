@@ -266,28 +266,65 @@ def test_secret_keys_with_bad_permutation_rejected(toy_params, receiver_keys,
         serial.par_sender_sec(bytes(sblob))
 
 
+def test_non_canonical_fields_rejected():
+    """Each field value has one encoding.  Setting a padding trit, writing
+    a trit byte of 243 or more, or setting a padding bit used to decode
+    to the same values and unsigncrypt to the same plaintext."""
+    rng = np.random.default_rng(7)
+    sk_r, pk_r = keygen_receiver_params(TOY, rng)
+    sk_s, pk_s = keygen_sender_params(TOY, rng)
+    blob = serial.ser_message(TOY, signcrypt(TOY, sk_s, pk_r, b"canonical", rng))
+    # message header (14 bytes), encapsulation header (2), then e
+    last_e = 14 + 2 + serial.TRITS.nbytes(TOY.n_s) - 1
+    assert blob[last_e] < 3  # n_s = 16: one trit and four padding trits
+    for bad in (blob[last_e] + 3, blob[last_e] + 243):
+        tampered = bytearray(blob)
+        tampered[last_e] = bad
+        with pytest.raises(serial.FormatError, match="canonical"):
+            serial.par_message(bytes(tampered))
+
+    # n_r = 30: the last byte of c0 holds two padding bits
+    params = custom_params(dict(n_s=16, k_U=4, k_V=4, omega=14, m=5, n_r=30,
+                                t=2, k_tilde=16, ell=16, salt_bits=16))
+    sk_r, pk_r = keygen_receiver_params(params, rng)
+    sk_s, pk_s = keygen_sender_params(params, rng)
+    sc = signcrypt(params, sk_s, pk_r, b"canonical", rng)
+    blob = serial.ser_encapsulation(params, sc.E)
+    last_c0 = (2 + 40 + serial.TRITS.nbytes(params.n_s)
+               + serial.BITS.nbytes(params.n_r) - 1)
+    assert blob[last_c0] < 0x40
+    tampered = bytearray(blob)
+    tampered[last_c0] |= 0x80
+    with pytest.raises(serial.FormatError, match="canonical"):
+        serial.par_encapsulation(bytes(tampered))
+    assert unsigncrypt(params, sk_r, pk_s, sc) == b"canonical"
+
+
 @settings(max_examples=150, deadline=None)
 @given(data=st.data())
 def test_parsers_are_total(data, toy_params, receiver_keys, sender_keys):
+    """Any byte string either raises FormatError or parses to an object
+    that serialises back to the same bytes."""
     sk_r, pk_r = receiver_keys
     sk_s, pk_s = sender_keys
     sc = signcrypt(toy_params, sk_s, pk_r, b"fuzz", np.random.default_rng(9))
     cases = [
-        (serial.par_receiver_pub, serial.ser_receiver_pub(toy_params, pk_r)),
-        (serial.par_receiver_sec, serial.ser_receiver_sec(toy_params, sk_r)),
-        (serial.par_sender_pub, serial.ser_sender_pub(toy_params, pk_s)),
-        (serial.par_sender_sec, serial.ser_sender_sec(toy_params, sk_s)),
-        (serial.par_message, serial.ser_message(toy_params, sc)),
-        (serial.par_encapsulation, serial.ser_encapsulation(toy_params, sc.E)),
+        (serial.par_receiver_pub, serial.ser_receiver_pub, pk_r),
+        (serial.par_receiver_sec, serial.ser_receiver_sec, sk_r),
+        (serial.par_sender_pub, serial.ser_sender_pub, pk_s),
+        (serial.par_sender_sec, serial.ser_sender_sec, sk_s),
+        (serial.par_message, serial.ser_message, sc),
+        (serial.par_encapsulation, serial.ser_encapsulation, sc.E),
     ]
-    parse, blob = data.draw(st.sampled_from(cases))
-    blob = bytearray(blob)
+    parse, ser, obj = data.draw(st.sampled_from(cases))
+    blob = bytearray(ser(toy_params, obj))
     for _ in range(data.draw(st.integers(0, 4))):
         pos = data.draw(st.integers(0, len(blob) - 1))
         blob[pos] = data.draw(st.integers(0, 255))
     cut = data.draw(st.integers(0, len(blob) + 2))
     blob = bytes(blob[:cut]) + data.draw(st.binary(max_size=2))
     try:
-        parse(blob)
+        parsed = parse(blob)
     except serial.FormatError:
-        pass
+        return
+    assert ser(*parsed) == blob
