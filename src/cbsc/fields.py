@@ -276,16 +276,13 @@ def poly_sqrt_x(mod: list[int], m: int) -> list[int]:
 
 
 def poly_sqrt_mod(p: list[int], mod: list[int], m: int,
-                  sqrt_x: list[int] | None = None) -> list[int]:
+                  sqrt_x: list[int]) -> list[int]:
     """Square root in the field GF(2^m)[x]/(mod), mod irreducible.
 
     With u = sum u_i x^i: sqrt(u) = sum_even sqrt(u_i) x^(i/2)
     + sqrt(x) * sum_odd sqrt(u_i) x^((i-1)/2), one multiply and one
-    reduction.  `sqrt_x` is `poly_sqrt_x(mod, m)`, computed here if not
-    given.
+    reduction.  `sqrt_x` is `poly_sqrt_x(mod, m)`.
     """
-    if sqrt_x is None:
-        sqrt_x = poly_sqrt_x(mod, m)
     sqrt = tables(m).sqrt
     u = poly_mod(p, mod, m)
     even = poly_trim([sqrt[c] for c in u[0::2]])

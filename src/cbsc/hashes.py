@@ -14,7 +14,7 @@ import struct
 
 import numpy as np
 
-from .linalg import pack_bits, unpack_bits
+from .linalg import pack_bits, unpack_bits, unpack_trits
 
 H0 = 0  # session key derivation, output length ell
 H1 = 1  # k-tilde-bit oracle (tags, coins, PKE randomness)
@@ -63,23 +63,13 @@ def hash_trits(fields, r_s: int) -> np.ndarray:
     if r_s < 1:
         raise ValueError("r_s must be >= 1")
     xof = _shake(H2, fields)
-    need = (r_s + 4) // 5
-    trits: list[int] = []
-    nbytes = need + 8
-    offset = 0
-    stream = xof.digest(nbytes)
-    while len(trits) < r_s:
-        if offset == len(stream):
-            nbytes *= 2
-            stream = xof.digest(nbytes)
-        b = stream[offset]
-        offset += 1
-        if b >= _TRIT_REJECT:
-            continue
-        for _ in range(5):
-            trits.append(b % 3)
-            b //= 3
-    return np.array(trits[:r_s], dtype=np.uint8)
+    nbytes = (r_s + 4) // 5 + 8
+    while True:
+        stream = np.frombuffer(xof.digest(nbytes), dtype=np.uint8)
+        accepted = stream[stream < _TRIT_REJECT]
+        if 5 * len(accepted) >= r_s:
+            return unpack_trits(accepted.tobytes(), r_s)
+        nbytes *= 2
 
 
 def keystream(key_bits: np.ndarray, nbytes: int) -> bytes:

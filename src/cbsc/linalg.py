@@ -280,10 +280,9 @@ def pack_trits(trits: np.ndarray) -> bytes:
     return (t @ weights).astype(np.uint8).tobytes()
 
 
+# the five base-3 digits of every byte value, least significant first
+_BYTE_TRITS = (np.arange(256)[:, None] // 3 ** np.arange(5) % 3).astype(np.uint8)
+
+
 def unpack_trits(data: bytes, n: int) -> np.ndarray:
-    arr = np.frombuffer(data, dtype=np.uint8).astype(np.uint16)
-    out = np.zeros((len(arr), 5), dtype=np.uint8)
-    for d in range(5):
-        out[:, d] = arr % 3
-        arr = arr // 3
-    return out.ravel()[:n].astype(np.uint8)
+    return _BYTE_TRITS[np.frombuffer(data, dtype=np.uint8)].ravel()[:n]

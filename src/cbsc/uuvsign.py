@@ -1,9 +1,14 @@
 """Ternary (U, U+V) trapdoor signatures with prescribed high weight.
 
-The secret parity check keeps the block shape [[H_U, 0], [-H_V, H_V]];
-the trapdoor decodes a syndrome to an error of exact weight omega by
-solving the V half first and then steering the free variables of the U
-half toward the weight target, retrying until it lands exactly.
+The secret parity check keeps the block shape [[H_U, 0], [-H_V, H_V]].
+The trapdoor decodes a syndrome to an error (u, u + v) of exact weight
+omega, retrying until the weight lands.  Each attempt draws p, omega/n
+plus N(0, 0.15) noise clipped to [0, 1], and solves the V half and then
+the U half with free variables from one sampler, `_free_values`: one
+uniform per free coordinate, looked up in a table by the other half's
+trit there (zero for the V half, v for the U half), gives the pair
+(x, x + other) weight 2 with probability p and the weight of `other`
+alone otherwise.
 """
 
 from __future__ import annotations
@@ -83,13 +88,19 @@ def build_uuv_parity_check(H_U: np.ndarray, H_V: np.ndarray) -> np.ndarray:
 def sender_secret_key(S: np.ndarray, H_sk: np.ndarray, P: Monomial,
                       k_U: int, k_V: int) -> SenderSecretKey:
     """The secret key of (S, H_sk, P), with S^-1 and the solvers of the
-    H_U and H_V blocks.  Raises ValueError if S is not invertible."""
+    H_U and H_V blocks.  Raises ValueError unless S is invertible, H_sk
+    is the (U, U+V) parity check of its H_U and H_V blocks and both
+    blocks have full row rank."""
     half = H_sk.shape[1] // 2
     rU = half - k_U
+    H_U, H_V = H_sk[:rU, :half], H_sk[rU:, half:]
+    if not np.array_equal(H_sk, build_uuv_parity_check(H_U, H_V)):
+        raise ValueError("H_sk is not the (U, U+V) parity check of its blocks")
+    solver_U, solver_V = AffineSolver(H_U, 3), AffineSolver(H_V, 3)
+    if solver_U.rank < solver_U.rows or solver_V.rank < solver_V.rows:
+        raise ValueError("H_U or H_V does not have full row rank")
     return SenderSecretKey(S=S, S_inv=invert_matrix(S, 3), H_sk=H_sk, P=P,
-                           k_U=k_U, k_V=k_V,
-                           solver_U=AffineSolver(H_sk[:rU, :half], 3),
-                           solver_V=AffineSolver(H_sk[rU:, half:], 3))
+                           k_U=k_U, k_V=k_V, solver_U=solver_U, solver_V=solver_V)
 
 
 def keygen_sender(n_s: int, k_U: int, k_V: int, rng):
@@ -112,21 +123,18 @@ def keygen_sender(n_s: int, k_U: int, k_V: int, rng):
     return sender_secret_key(S, H_sk, P, k_U, k_V), SenderPublicKey(H=H_pk)
 
 
-def _steered_free_values(solver: AffineSolver, e_other: np.ndarray,
-                         p_two: float, rng) -> np.ndarray:
-    # pick each free variable to contribute 2 to the weight with prob p_two
-    vals = np.zeros(len(solver.free), dtype=np.uint8)
-    for k, i in enumerate(solver.free):
-        other = int(e_other[i])
-        if rng.random() < p_two:
-            if other == 0:
-                vals[k] = rng.integers(1, 3)
-            else:
-                # nonzero and not cancelling the second half
-                vals[k] = next(v for v in (1, 2) if (v + other) % 3 != 0)
-        else:
-            vals[k] = 0 if other == 0 else (0, (3 - other) % 3)[rng.integers(0, 2)]
-    return vals
+# The free value x, by the other half's trit at its coordinate (row) and
+# by the interval of [0, 1) that one uniform falls in (column): [0, p/2),
+# [p/2, p), [p, (1+p)/2) and [(1+p)/2, 1).  Below p the pair
+# (x, x + other) has weight 2; from p on, the weight of `other` alone.
+_FREE_TABLE = np.array([[1, 2, 0, 0], [1, 1, 2, 0], [2, 2, 1, 0]], dtype=np.uint8)
+
+
+def _free_values(other: np.ndarray, p_two: float, rng) -> np.ndarray:
+    """One free value x per trit of `other`: (x, x + other) has weight 2
+    with probability p_two, and the weight of `other` otherwise."""
+    edges = np.array([p_two / 2, p_two, (1 + p_two) / 2])
+    return _FREE_TABLE[other, np.searchsorted(edges, rng.random(len(other)), "right")]
 
 
 def uuv_decode(sk: SenderSecretKey, s: np.ndarray, omega: int, rng,
@@ -140,17 +148,13 @@ def uuv_decode(sk: SenderSecretKey, s: np.ndarray, omega: int, rng,
         raise ValueError("syndrome length mismatch")
     solver_U, solver_V = sk.solver_U, sk.solver_V
     s_U, s_V = s[:solver_U.rows], s[solver_U.rows:]
+    zeros_V = np.zeros(len(solver_V.free), dtype=np.uint8)
     target = omega / n_s
     for _ in range(max_attempts):
         p = min(1.0, max(0.0, target + rng.normal(0.0, 0.15)))
-        fv = (rng.integers(1, 3, size=len(solver_V.free), dtype=np.uint8)
-              * (rng.random(len(solver_V.free)) < p)).astype(np.uint8)
-        e_V = solver_V.solve(s_V, fv)
-        if e_V is None:
-            raise RetryExhausted("V system inconsistent")
-        e1 = solver_U.solve(s_U, _steered_free_values(solver_U, e_V, p, rng))
-        if e1 is None:
-            raise RetryExhausted("U system inconsistent")
+        # both blocks have full row rank, so neither solve returns None
+        e_V = solver_V.solve(s_V, _free_values(zeros_V, p, rng))
+        e1 = solver_U.solve(s_U, _free_values(e_V[solver_U.free], p, rng))
         e2 = (e1 + e_V) % 3
         e = np.concatenate([e1, e2]).astype(np.uint8)
         if int(np.count_nonzero(e)) == omega:

@@ -39,3 +39,22 @@ def rank_deficient_receiver_sec():
         code = random_goppa_code(params.m, params.n_r, params.t, rng)
     assert len(generator_matrix(code)) == 5
     return serial.ser_receiver_sec(params, dataclasses.replace(sk, code=code))
+
+
+@pytest.fixture(scope="session")
+def malformed_sender_secs():
+    """Well-formed sender secret keys whose H_sk is not a valid trapdoor,
+    from the toy sender key of default_rng(7): a 1 in the zero block of
+    H_sk (a second encoding of the same signer), and row 1 of H_U equal
+    to row 0 (a U system that most syndromes leave without a solution)."""
+    rng = np.random.default_rng(7)
+    keygen_receiver_params(TOY, rng)
+    sk, _ = keygen_sender_params(TOY, rng)
+    half = TOY.n_s // 2
+    zero_block = sk.H_sk.copy()
+    zero_block[0, half] = 1
+    repeated_row = sk.H_sk.copy()
+    repeated_row[1, :half] = repeated_row[0, :half]
+    return {name: serial.ser_sender_sec(TOY, dataclasses.replace(sk, H_sk=H))
+            for name, H in (("zero-block", zero_block),
+                            ("repeated-row", repeated_row))}

@@ -4,7 +4,9 @@ the key-time decoding material in `cbsc.fields` and `cbsc.goppa`; the
 coordinate loops that the numpy monomial gathers and the DEM replaced;
 Gauss-Jordan elimination on unpacked uint8 rows and the int64 product,
 which the packed eliminator and the float64 products of `cbsc.linalg`
-replaced; and helpers that only tests need.
+replaced; the per-trit loops that the table sampler of `cbsc.uuvsign`
+and the vector trit decoding of `cbsc.hashes` replaced; and helpers
+that only tests need.
 
 They are slow and simple on purpose; tests compare the library against
 them.  Polynomials are lists of ints, index = degree, no trailing zeros.
@@ -15,7 +17,7 @@ from __future__ import annotations
 import numpy as np
 
 from cbsc.fields import IRREDUCIBLE_POLY
-from cbsc.hashes import keystream
+from cbsc.hashes import H2, hash_bytes, keystream
 from cbsc.linalg import (
     AffineSolver,
     Monomial,
@@ -271,6 +273,43 @@ def mono_to_matrix(M: Monomial) -> np.ndarray:
 
 def dem_encrypt(K: np.ndarray, m: bytes) -> bytes:
     return bytes(a ^ b for a, b in zip(m, keystream(K, len(m))))
+
+
+def steered_free_values(other: np.ndarray, p_two: float, rng) -> np.ndarray:
+    """Free values x, one or two scalar draws each: the pair (x, x + other)
+    has weight 2 with probability p_two, and the weight of other otherwise."""
+    vals = np.zeros(len(other), dtype=np.uint8)
+    for k, o in enumerate(int(v) for v in other):
+        if rng.random() < p_two:
+            if o == 0:
+                vals[k] = rng.integers(1, 3)
+            else:
+                # nonzero and not cancelling the second half
+                vals[k] = next(v for v in (1, 2) if (v + o) % 3 != 0)
+        else:
+            vals[k] = 0 if o == 0 else (0, (3 - o) % 3)[rng.integers(0, 2)]
+    return vals
+
+
+def hash_trits(fields, r_s: int) -> np.ndarray:
+    """r_s trits of the H2 stream, byte by byte: each byte below 243 gives
+    five base-3 digits, least significant first; the others are skipped."""
+    nbytes = (r_s + 4) // 5 + 8
+    stream = hash_bytes(H2, fields, nbytes)
+    trits: list[int] = []
+    offset = 0
+    while len(trits) < r_s:
+        if offset == len(stream):
+            nbytes *= 2
+            stream = hash_bytes(H2, fields, nbytes)
+        b = stream[offset]
+        offset += 1
+        if b >= 243:
+            continue
+        for _ in range(5):
+            trits.append(b % 3)
+            b //= 3
+    return np.array(trits[:r_s], dtype=np.uint8)
 
 
 # ---------------------------------------------------------------------------

@@ -116,6 +116,19 @@ def test_rank_deficient_receiver_key_exit4(keyset, rank_deficient_receiver_sec):
     assert rc == EXIT_CRYPTO
 
 
+@pytest.mark.parametrize("kind", ["zero-block", "repeated-row"])
+def test_malformed_sender_key_exit4(keyset, malformed_sender_secs, kind, capsys):
+    key = keyset / "bad.sec"
+    key.write_bytes(malformed_sender_secs[kind])
+    (keyset / "msg.txt").write_bytes(b"x")
+    rc = main(["signcrypt", "--sender-sec", str(key),
+               "--receiver-pub", str(keyset / "rcv.pub"),
+               "--in", str(keyset / "msg.txt"), "--out", str(keyset / "c"),
+               "--seed", "01"])
+    assert rc == EXIT_CRYPTO
+    assert "bad sender-sec key file" in capsys.readouterr().err
+
+
 def test_missing_input_exit3(keyset):
     rc = main(["signcrypt", "--sender-sec", str(keyset / "snd.sec"),
                "--receiver-pub", str(keyset / "rcv.pub"),

@@ -16,6 +16,8 @@ from cbsc.hashes import (
     keystream,
 )
 
+import oracles
+
 # regression vectors computed with an independent SHAKE-256 framing
 # implementation and frozen
 V_H0_ABC = "bb8765472c920d70bd82db89a712576e"
@@ -92,6 +94,20 @@ def test_hash_trits_uniform_chi_square():
     expected = total / 3
     stat = float(((counts - expected) ** 2 / expected).sum())
     assert stat < 13.82, f"chi-square {stat} (counts {counts})"
+
+
+def test_hash_trits_matches_oracle():
+    # at r_s = 2887 the first (r_s + 4) // 5 + 8 bytes seldom hold enough
+    # accepted ones, so the digest-doubling path is taken too
+    doubled = 0
+    for r_s in (1, 2, 5, 24, 145, 500, 2887):
+        for i in range(300):
+            fields = [b"trits", i.to_bytes(2, "big")]
+            assert np.array_equal(hash_trits(fields, r_s),
+                                  oracles.hash_trits(fields, r_s)), (r_s, i)
+            head = np.frombuffer(hash_bytes(H2, fields, (r_s + 4) // 5 + 8), np.uint8)
+            doubled += 5 * int(np.count_nonzero(head < 243)) < r_s
+    assert doubled > 0
 
 
 def test_hash_trits_rejects_bad_length():

@@ -246,6 +246,13 @@ def test_trits_roundtrip(trits):
     assert np.array_equal(L.unpack_trits(L.pack_trits(arr), len(trits)), arr)
 
 
+def test_unpack_trits_every_byte():
+    # bytes of 243 and up too: parsers reject them by re-packing
+    digits = [(b // 3 ** d) % 3 for b in range(256) for d in range(5)]
+    assert L.unpack_trits(bytes(range(256)), 1280).tolist() == digits
+    assert L.unpack_trits(bytes(range(256)), 1277).tolist() == digits[:1277]
+
+
 def test_bits_from_bytes():
     assert np.array_equal(O.bits_from_bytes(b"\x03"),
                           np.array([1, 1, 0, 0, 0, 0, 0, 0], dtype=np.uint8))

@@ -227,6 +227,16 @@ def test_receiver_sec_with_rank_deficient_code_rejected(rank_deficient_receiver_
         serial.par_receiver_sec(rank_deficient_receiver_sec)
 
 
+@pytest.mark.parametrize("kind,reason", [
+    pytest.param("zero-block", r"not the \(U, U\+V\) parity check", id="zero-block"),
+    pytest.param("repeated-row", "full row rank", id="repeated-row"),
+])
+def test_sender_sec_with_malformed_trapdoor_rejected(malformed_sender_secs,
+                                                     kind, reason):
+    with pytest.raises(serial.FormatError, match=reason):
+        serial.par_sender_sec(malformed_sender_secs[kind])
+
+
 def _patched_receiver_sec(blob, field, index, value, t=2):
     # element offsets in a toy receiver secret key, 2 bytes per element
     start = {"g": 7, "support": 7 + 2 * (t + 1)}[field]

@@ -7,6 +7,7 @@ import pytest
 from cbsc.linalg import mat_mono, matmul, vecmat
 from cbsc.uuvsign import (
     RetryExhausted,
+    _free_values,
     build_uuv_parity_check,
     keygen_sender,
     sign,
@@ -16,7 +17,7 @@ from cbsc.uuvsign import (
     verify_syndrome,
 )
 
-from oracles import mono_to_matrix
+from oracles import mono_to_matrix, steered_free_values
 
 
 def test_parity_check_block_structure():
@@ -71,6 +72,43 @@ def test_keygen_validation():
         keygen_sender(15, 4, 4, rng)
     with pytest.raises(ValueError):
         keygen_sender(16, 8, 4, rng)
+
+
+def _pair_weights(other, x):
+    return (x != 0).astype(int) + ((x + other) % 3 != 0)
+
+
+def _pair_counts(other, x):
+    counts = np.zeros((3, 3), dtype=np.int64)
+    np.add.at(counts, (other, x), 1)
+    return counts
+
+
+def test_free_values_law_matches_oracle():
+    other = np.random.default_rng(20).integers(0, 3, 30_000, dtype=np.uint8)
+    # p_two = 0: every pair weighs wt(other); p_two = 1: every pair weighs 2
+    for p_two, weight in ((0.0, (other != 0).astype(int)), (1.0, 2)):
+        x = _free_values(other, p_two, np.random.default_rng(21))
+        x_oracle = steered_free_values(other, p_two, np.random.default_rng(21))
+        assert np.all(_pair_weights(other, x) == weight)
+        assert np.all(_pair_weights(other, x_oracle) == weight)
+        assert np.array_equal(_pair_counts(other, x) > 0,
+                              _pair_counts(other, x_oracle) > 0)
+    # p_two = 0.3: the same frequency of each (other, x), by a chi-square
+    # homogeneity test per value of other (6 dof, rejected at p = 0.001)
+    a = _pair_counts(other, _free_values(other, 0.3, np.random.default_rng(22)))
+    b = _pair_counts(other, steered_free_values(other, 0.3, np.random.default_rng(23)))
+    expected = (a + b) / 2   # both samples share the same other
+    stat = float((((a - expected) ** 2 + (b - expected) ** 2) / expected).sum())
+    assert stat < 22.46, (stat, a, b)
+
+
+def test_free_values_draws_one_uniform_per_coordinate():
+    other = np.array([0, 1, 2, 0, 2], dtype=np.uint8)
+    rng, reference = np.random.default_rng(24), np.random.default_rng(24)
+    _free_values(other, 0.4, rng)
+    reference.random(len(other))
+    assert rng.random() == reference.random()
 
 
 def test_uuv_decode_meets_syndrome_and_weight(sender_keys, toy_params):
