@@ -15,9 +15,10 @@ steps of interest are:
                      linalg.random_full_rank (S), linalg.matmul (S·G)
     receiver load    fields.poly_is_irreducible, the parity check, the
                      kernel and S·G again
-    sender keygen    linalg.random_full_rank (H_U, H_V, S),
-                     linalg.invert_matrix (S^-1), linalg.AffineSolver
-                     (the two solvers), linalg.matmul (S·H)
+    sender keygen    linalg.invert_matrix (S^-1, once per draw whose
+                     H_V has no zero column),
+                     linalg.AffineSolver (the two solvers),
+                     linalg.matmul (S·H)
     sender load      linalg.invert_matrix, linalg.AffineSolver
 
 The functions are timed by the span tracer of perfbench/spans.py.  Then

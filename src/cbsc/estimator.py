@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
-from math import comb, lgamma
 
 from .params import CommonParams
 
@@ -43,7 +42,7 @@ def isd_ratio(n: int, k: int, omega: int) -> CostReport:
     if k > n - omega:
         ratio = Fraction(0)
     else:
-        ratio = Fraction(comb(n - omega, k), comb(n, k))
+        ratio = Fraction(math.comb(n - omega, k), math.comb(n, k))
     return CostReport(name=f"isd_ratio(n={n},k={k},w={omega})",
                       exact=ratio, log2=_log2_fraction(ratio),
                       value=float(ratio))
@@ -83,11 +82,6 @@ def georgiades_wf(n: int, k_tilde: int) -> CostReport:
                       note="asymptotic exponent, constants dropped")
 
 
-def georgiades_log2_lgamma(n: int, k_tilde: int) -> float:
-    """Independent log-gamma evaluation of log2(n!/k_tilde!)."""
-    return (lgamma(n + 1) - lgamma(k_tilde + 1)) / math.log(2.0)
-
-
 def paiva_terada_wf(n: int, m: int, t: int, k_tilde: int) -> CostReport:
     """Permuted-subcode search exponent:
     (n - mt - k_tilde * n^(-1/5)) * (ceil(log2 n) - 1) - 0.91 n + log2(n)/2."""
@@ -105,7 +99,7 @@ def gamma_uniformity(k_tilde: int, n: int, t: int) -> Fraction:
     """Upper bound on the coin-to-ciphertext collision probability."""
     if not 0 <= t <= n:
         raise ValueError("need 0 <= t <= n")
-    return Fraction(1, (1 << k_tilde) * comb(n, t))
+    return Fraction(1, (1 << k_tilde) * math.comb(n, t))
 
 
 def gamma_uniformity_report(k_tilde: int, n: int, t: int) -> CostReport:

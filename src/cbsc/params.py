@@ -51,6 +51,10 @@ class CommonParams:
         half = self.n_s // 2
         if not (0 < self.k_U < half and 0 < self.k_V < half):
             raise ParameterError("need 0 < k_U, k_V < n_s/2")
+        # keep n_s/2 * 3^-(n_s/2 - k_V), which bounds the chance that a drawn
+        # H_V has a zero column, at most 1/2 (3^x > n_s once 2^x > n_s)
+        if 3 ** min(half - self.k_V, self.n_s.bit_length()) < self.n_s:
+            raise ParameterError("need 3^(n_s/2 - k_V) >= n_s")
         if not 0 < self.omega <= self.n_s:
             raise ParameterError("need 0 < omega <= n_s")
         if not 2 <= self.m <= 16:

@@ -25,7 +25,7 @@ from .linalg import (
     mat_mono,
     matmul,
     mono_apply,
-    random_full_rank,
+    random_matrix,
     random_monomial,
     vecmat,
 )
@@ -87,40 +87,42 @@ def build_uuv_parity_check(H_U: np.ndarray, H_V: np.ndarray) -> np.ndarray:
 
 def sender_secret_key(S: np.ndarray, H_sk: np.ndarray, P: Monomial,
                       k_U: int, k_V: int) -> SenderSecretKey:
-    """The secret key of (S, H_sk, P), with S^-1 and the solvers of the
-    H_U and H_V blocks.  Raises ValueError unless S is invertible, H_sk
-    is the (U, U+V) parity check of its H_U and H_V blocks and both
-    blocks have full row rank."""
+    """The secret key of (S, H_sk, P), with S^-1 and the H_U and H_V solvers.
+    Raises ValueError unless H_sk is the (U, U+V) check of its blocks, H_V
+    has no zero column, S is invertible and both blocks have full row rank."""
     half = H_sk.shape[1] // 2
     rU = half - k_U
     H_U, H_V = H_sk[:rU, :half], H_sk[rU:, half:]
     if not np.array_equal(H_sk, build_uuv_parity_check(H_U, H_V)):
         raise ValueError("H_sk is not the (U, U+V) parity check of its blocks")
+    # a zero column of H_V, hence of H_pk, makes a signature trit malleable
+    if not H_V.any(axis=0).all():
+        raise ValueError("H_V has a zero column")
+    S_inv = invert_matrix(S, 3)
     solver_U, solver_V = AffineSolver(H_U, 3), AffineSolver(H_V, 3)
     if solver_U.rank < solver_U.rows or solver_V.rank < solver_V.rows:
         raise ValueError("H_U or H_V does not have full row rank")
-    return SenderSecretKey(S=S, S_inv=invert_matrix(S, 3), H_sk=H_sk, P=P,
+    return SenderSecretKey(S=S, S_inv=S_inv, H_sk=H_sk, P=P,
                            k_U=k_U, k_V=k_V, solver_U=solver_U, solver_V=solver_V)
 
 
 def keygen_sender(n_s: int, k_U: int, k_V: int, rng):
-    if n_s % 2:
-        raise ValueError("n_s must be even")
+    """Draws H_U, H_V, S and P until `sender_secret_key` accepts them.  Its
+    rules are on independent parts, so each part is uniform on valid ones."""
     half = n_s // 2
-    if not (0 < k_U < half and 0 < k_V < half):
-        raise ValueError("need 0 < k_U, k_V < n_s/2")
-    H_U = random_full_rank(half - k_U, half, 3, rng)
-    # a zero column of H_V is a zero column of H_pk, where a signature
-    # trit could change without changing its weight or its syndrome
-    H_V = random_full_rank(half - k_V, half, 3, rng)
-    while not H_V.any(axis=0).all():
-        H_V = random_full_rank(half - k_V, half, 3, rng)
-    H_sk = build_uuv_parity_check(H_U, H_V)
+    if n_s % 2 or not (0 < k_U < half and 0 < k_V < half):
+        raise ValueError("need n_s even and 0 < k_U, k_V < n_s/2")
     r_s = n_s - k_U - k_V
-    S = random_full_rank(r_s, r_s, 3, rng)
-    P = random_monomial(n_s, 3, rng)
-    H_pk = mat_mono(matmul(S, H_sk, 3), P, 3)
-    return sender_secret_key(S, H_sk, P, k_U, k_V), SenderPublicKey(H=H_pk)
+    while True:
+        H_U = random_matrix(half - k_U, half, 3, rng)
+        H_V = random_matrix(half - k_V, half, 3, rng)
+        S = random_matrix(r_s, r_s, 3, rng)
+        P = random_monomial(n_s, 3, rng)
+        try:
+            sk = sender_secret_key(S, build_uuv_parity_check(H_U, H_V), P, k_U, k_V)
+        except ValueError:
+            continue
+        return sk, SenderPublicKey(H=mat_mono(matmul(S, sk.H_sk, 3), P, 3))
 
 
 # The free value x, by the other half's trit at its coordinate (row) and

@@ -43,18 +43,27 @@ def rank_deficient_receiver_sec():
 
 @pytest.fixture(scope="session")
 def malformed_sender_secs():
-    """Well-formed sender secret keys whose H_sk is not a valid trapdoor,
-    from the toy sender key of default_rng(7): a 1 in the zero block of
-    H_sk (a second encoding of the same signer), and row 1 of H_U equal
-    to row 0 (a U system that most syndromes leave without a solution)."""
+    """Well-formed sender secret keys that are not a valid trapdoor, from
+    the toy sender key of default_rng(7): a 1 in the zero block of H_sk
+    (a second encoding of the same signer), row 1 of H_U equal to row 0
+    (a U system that most syndromes leave without a solution), column 3
+    of H_V zeroed in both of its places in H_sk (a malleable signature
+    trit), and row 1 of S equal to row 0 (no S^-1)."""
     rng = np.random.default_rng(7)
     keygen_receiver_params(TOY, rng)
     sk, _ = keygen_sender_params(TOY, rng)
     half = TOY.n_s // 2
+    rU = half - TOY.k_U
     zero_block = sk.H_sk.copy()
     zero_block[0, half] = 1
     repeated_row = sk.H_sk.copy()
     repeated_row[1, :half] = repeated_row[0, :half]
-    return {name: serial.ser_sender_sec(TOY, dataclasses.replace(sk, H_sk=H))
-            for name, H in (("zero-block", zero_block),
-                            ("repeated-row", repeated_row))}
+    zero_column = sk.H_sk.copy()
+    zero_column[rU:, [3, half + 3]] = 0
+    singular_S = sk.S.copy()
+    singular_S[1] = singular_S[0]
+    keys = {"zero-block": dataclasses.replace(sk, H_sk=zero_block),
+            "repeated-row": dataclasses.replace(sk, H_sk=repeated_row),
+            "zero-column": dataclasses.replace(sk, H_sk=zero_column),
+            "singular-S": dataclasses.replace(sk, S=singular_S)}
+    return {name: serial.ser_sender_sec(TOY, key) for name, key in keys.items()}

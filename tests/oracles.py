@@ -14,6 +14,8 @@ them.  Polynomials are lists of ints, index = degree, no trailing zeros.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from cbsc.fields import IRREDUCIBLE_POLY
@@ -314,6 +316,11 @@ def hash_trits(fields, r_s: int) -> np.ndarray:
 
 # ---------------------------------------------------------------------------
 # helpers only tests use
+
+def georgiades_log2_lgamma(n: int, k_tilde: int) -> float:
+    """Independent log-gamma evaluation of log2(n!/k_tilde!)."""
+    return (math.lgamma(n + 1) - math.lgamma(k_tilde + 1)) / math.log(2.0)
+
 
 def random_invertible(n: int, p: int, rng) -> np.ndarray:
     return random_full_rank(n, n, p, rng)

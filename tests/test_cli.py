@@ -116,7 +116,8 @@ def test_rank_deficient_receiver_key_exit4(keyset, rank_deficient_receiver_sec):
     assert rc == EXIT_CRYPTO
 
 
-@pytest.mark.parametrize("kind", ["zero-block", "repeated-row"])
+@pytest.mark.parametrize("kind", ["zero-block", "repeated-row", "zero-column",
+                                  "singular-S"])
 def test_malformed_sender_key_exit4(keyset, malformed_sender_secs, kind, capsys):
     key = keyset / "bad.sec"
     key.write_bytes(malformed_sender_secs[kind])
@@ -171,6 +172,16 @@ def test_custom_profile_file(tmp_path):
                  "--out", str(out), "--seed", "07"]) == EXIT_OK
     assert main(["estimate", "--profile", str(prof)]) == EXIT_OK
 
+
+def test_profile_with_too_few_H_V_rows_exit2(tmp_path):
+    # L1/20 with k_V = 211 leaves H_V one row, so a draw of H_V has no
+    # zero column with probability (2/3)^212 and sender keygen would not end
+    prof = tmp_path / "thin.params"
+    prof.write_text(
+        "n_s = 424\nk_U = 177\nk_V = 211\nomega = 399\nm = 10\n"
+        "n_r = 1024\nt = 20\nk_tilde = 300\nell = 128\nsalt_bits = 128\n")
+    assert main(["keygen", "--role", "sender", "--profile", str(prof),
+                 "--out", str(tmp_path / "k"), "--seed", "01"]) == EXIT_USAGE
 
 
 def test_invalid_custom_block_in_message_exit4(keyset):

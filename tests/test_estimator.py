@@ -14,7 +14,6 @@ from cbsc.estimator import (
     format_text,
     full_report,
     gamma_uniformity,
-    georgiades_log2_lgamma,
     georgiades_wf,
     goppa_poly_count,
     isd_ratio,
@@ -22,6 +21,8 @@ from cbsc.estimator import (
     sizes,
 )
 from cbsc.params import PAPER_L1, TOY
+
+from oracles import georgiades_log2_lgamma
 
 
 def test_isd_ratio_exhaustive_oracle():

@@ -193,6 +193,14 @@ def test_invalid_custom_block_is_a_format_error(receiver_keys, sender_keys):
         serial.par_receiver_pub(bytes(key))
 
 
+def test_custom_block_with_too_few_H_V_rows_is_a_format_error(receiver_keys,
+                                                              sender_keys):
+    blob = bytearray(_custom_message(receiver_keys, sender_keys))
+    blob[24:28] = (7).to_bytes(4, "big")   # k_V: H_V has 8 - 7 = 1 row, 3 < 16
+    with pytest.raises(serial.FormatError, match=r"3\^\(n_s/2 - k_V\) >= n_s"):
+        serial.par_message(bytes(blob))
+
+
 def test_receiver_sec_with_reducible_g_rejected():
     # t = 4 and g a product of two irreducible quadratics: g has no root
     # in GF(32), so only the irreducibility check can reject it
@@ -230,6 +238,8 @@ def test_receiver_sec_with_rank_deficient_code_rejected(rank_deficient_receiver_
 @pytest.mark.parametrize("kind,reason", [
     pytest.param("zero-block", r"not the \(U, U\+V\) parity check", id="zero-block"),
     pytest.param("repeated-row", "full row rank", id="repeated-row"),
+    pytest.param("zero-column", "H_V has a zero column", id="zero-column"),
+    pytest.param("singular-S", "matrix not invertible", id="singular-S"),
 ])
 def test_sender_sec_with_malformed_trapdoor_rejected(malformed_sender_secs,
                                                      kind, reason):

@@ -4,7 +4,10 @@ exact weight target, and signature contract."""
 import numpy as np
 import pytest
 
+from cbsc import linalg
 from cbsc.linalg import mat_mono, matmul, vecmat
+from cbsc.params import TOY
+from cbsc.sctkem import keygen_receiver_params, keygen_sender_params
 from cbsc.uuvsign import (
     RetryExhausted,
     _free_values,
@@ -64,6 +67,23 @@ def test_keygen_sender_public_keys_have_no_zero_column():
     for seed in range(400):
         sk, pk = keygen_sender(16, 4, 4, np.random.default_rng(seed))
         assert pk.H.any(axis=0).all(), seed
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_keygen_sender_eliminates_each_matrix_once(monkeypatch, seed):
+    # the first draw is accepted at these seeds (the toy golden vectors):
+    # one elimination each for S^-1, the H_U solver and the H_V solver
+    rng = np.random.default_rng(seed)
+    keygen_receiver_params(TOY, rng)
+    reduce, calls = linalg.mat_reduce, []
+
+    def counting_reduce(M, p):
+        calls.append(M.shape)
+        return reduce(M, p)
+
+    monkeypatch.setattr(linalg, "mat_reduce", counting_reduce)
+    keygen_sender_params(TOY, rng)
+    assert len(calls) == 3, calls
 
 
 def test_keygen_validation():
