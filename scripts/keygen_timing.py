@@ -15,18 +15,19 @@ steps of interest are:
                      linalg.random_full_rank (S), linalg.matmul (S·G)
     receiver load    fields.poly_is_irreducible, the parity check, the
                      kernel and S·G again
-    sender keygen    linalg.invert_matrix (S^-1, once per draw whose
-                     H_V has no zero column),
-                     linalg.AffineSolver (the two solvers),
-                     linalg.matmul (S·H)
-    sender load      linalg.invert_matrix, linalg.AffineSolver
+    sender keygen    uuvsign.keygen_sender self (one untraced
+                     mat_reduce of H_sk·P per draw whose H_V has no
+                     zero column: the pivot check and A),
+                     linalg.AffineSolver (the two solvers)
+    sender load      serial.par_sender_sec self (the same mat_reduce),
+                     linalg.AffineSolver
 
 The functions are timed by the span tracer of perfbench/spans.py.  Then
 the serialised key sizes are printed next to the `estimator.sizes` rows
 they correspond to.  The two need not agree: files carry a header and
 store five trits per byte where the formulas count log2(3) bits per
-trit, and the sender formulas count other matrices than the files
-hold.
+trit, and the sender secret key formula counts S and a dense P, which
+the file does not hold.
 
 Run from anywhere with `src` on PYTHONPATH:
 

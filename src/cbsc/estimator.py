@@ -139,7 +139,9 @@ def sizes(params: CommonParams) -> list[CostReport]:
     add("sender_pub_bits", r * (p.n_s - r) * LOG2_3,
         note=f"{r}*{p.n_s - r} trits at log2(3) bits each")
     add("sender_sec_bits", (p.n_s * (p.n_s + r) + r * r) * LOG2_3,
-        note=f"{p.n_s * (p.n_s + r) + r * r} trits at log2(3) bits each")
+        note=f"{p.n_s * (p.n_s + r) + r * r} trits at log2(3) bits each: "
+             "S, H_sk and a dense n_s x n_s P; the key file, far smaller, "
+             "holds H_sk, perm and scalars")
     return rows
 
 

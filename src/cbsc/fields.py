@@ -8,9 +8,8 @@ ints, index = degree, with no trailing zeros.
 Multiplication runs on log/antilog tables (`tables`), built once per m
 the first time that m is used.  `log[0]` points into a run of zeros at
 the end of `exp`, so ``exp[log[a] + log[b]] == a * b`` holds for every
-pair, zero included, with no branch.  The scalar functions below are
-the API that key generation and the tests use; `poly_eval_many` is the
-numpy form that evaluates one polynomial over a whole support at once.
+pair, zero included, with no branch; callers multiply by that lookup.
+`poly_eval_many` evaluates one polynomial over a whole support at once.
 """
 
 from __future__ import annotations
@@ -97,12 +96,6 @@ def tables(m: int) -> Tables:
     if m not in IRREDUCIBLE_POLY:
         raise ValueError(f"no field GF(2^{m})")
     return Tables(m)
-
-
-def gf_mul(a: int, b: int, m: int) -> int:
-    """Multiply two GF(2^m) elements."""
-    T = tables(m)
-    return T.exp[T.log[a] + T.log[b]]
 
 
 def gf_inv(a: int, m: int) -> int:
@@ -202,16 +195,6 @@ def poly_inv_mod(p: list[int], mod: list[int], m: int) -> list[int]:
     if poly_deg(r0) != 0:
         raise ZeroDivisionError("element not invertible")
     return poly_mod(poly_scale(u0, gf_inv(r0[0], m), m), mod, m)
-
-
-def poly_eval(p: list[int], x: int, m: int) -> int:
-    T = tables(m)
-    exp, log = T.exp, T.log
-    lx = log[x]
-    r = 0
-    for c in reversed(p):
-        r = exp[log[r] + lx] ^ c
-    return r
 
 
 def poly_eval_many(p: list[int], xs: np.ndarray, m: int) -> np.ndarray:

@@ -11,7 +11,9 @@ to its own bytes, so padding bits and trits are zero and no trit byte
 exceeds 242.  Payload lengths are checked before anything is unpacked,
 and a receiver secret key is checked (g monic irreducible of degree t,
 support of distinct field elements, a true permutation) before its
-decoding material is built.
+decoding material is built.  A sender key file holds (H_sk, P) or the A
+of the public [I | A], and a sender secret key is checked by the same
+builder that key generation uses.
 """
 
 from __future__ import annotations
@@ -44,11 +46,11 @@ from .params import (
 )
 from .sctkem import Encapsulation
 from .mceliece import PkeCiphertext
-from .uuvsign import SenderPublicKey, SenderSecretKey, sender_secret_key
+from .uuvsign import SenderPublicKey, SenderSecretKey, sender_keys
 from .hybrid import SigncryptedMessage
 
 MAGIC = b"CBSC"
-VERSION = 0x01
+VERSION = 0x02
 
 ROLE_SENDER_PUB = 0x01
 ROLE_SENDER_SEC = 0x02
@@ -102,9 +104,8 @@ LAYOUTS = {
         Field("S", BITS, lambda p: (p.k_tilde, p.k_r), lambda sk: sk.S),
         Field("perm", ELEMS, lambda p: (p.n_r,), lambda sk: sk.P.perm)),
     ROLE_SENDER_PUB: (
-        Field("H", TRITS, lambda p: (p.r_s, p.n_s), lambda pk: pk.H),),
+        Field("A", TRITS, lambda p: (p.r_s, p.n_s - p.r_s), lambda pk: pk.A),),
     ROLE_SENDER_SEC: (
-        Field("S", TRITS, lambda p: (p.r_s, p.r_s), lambda sk: sk.S),
         Field("H_sk", TRITS, lambda p: (p.r_s, p.n_s), lambda sk: sk.H_sk),
         Field("perm", ELEMS, lambda p: (p.n_s,), lambda sk: sk.P.perm),
         Field("scalars", BITS, lambda p: (p.n_s,), lambda sk: sk.P.scalars - 1)),
@@ -222,7 +223,7 @@ def ser_sender_pub(params: CommonParams, pk: SenderPublicKey) -> bytes:
 
 def par_sender_pub(data: bytes) -> tuple[CommonParams, SenderPublicKey]:
     params, v = _par_key(ROLE_SENDER_PUB, data)
-    return params, SenderPublicKey(H=v["H"])
+    return params, SenderPublicKey(A=v["A"])
 
 
 def ser_sender_sec(params: CommonParams, sk: SenderSecretKey) -> bytes:
@@ -234,7 +235,7 @@ def par_sender_sec(data: bytes) -> tuple[CommonParams, SenderSecretKey]:
     _check_perm(v["perm"])
     P = Monomial(v["perm"], v["scalars"] + 1)
     try:
-        return params, sender_secret_key(v["S"], v["H_sk"], P, params.k_U, params.k_V)
+        return params, sender_keys(v["H_sk"], P, params.k_U, params.k_V)[0]
     except ValueError as exc:
         raise FormatError(f"sender secret key: {exc}") from exc
 

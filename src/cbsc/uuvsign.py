@@ -9,6 +9,12 @@ uniform per free coordinate, looked up in a table by the other half's
 trit there (zero for the V half, v for the U half), gives the pair
 (x, x + other) weight 2 with probability p and the weight of `other`
 alone otherwise.
+
+A sender key is the pair (H_sk, P).  Its public key is the systematic
+form [I | A] of H_sk·P, so the S of H_pk = S·H_sk·P is implied: the
+inverse of the first r_s columns of H_sk·P, which must be invertible.
+Signing maps a syndrome y to s = y·S^-T, where S^-1 is those columns
+themselves.
 """
 
 from __future__ import annotations
@@ -21,9 +27,8 @@ from .hashes import hash_trits
 from .linalg import (
     AffineSolver,
     Monomial,
-    invert_matrix,
     mat_mono,
-    matmul,
+    mat_reduce,
     mono_apply,
     random_matrix,
     random_monomial,
@@ -37,14 +42,13 @@ class RetryExhausted(RuntimeError):
 
 @dataclass
 class SenderSecretKey:
-    S: np.ndarray          # r_s x r_s invertible over GF(3)
-    S_inv: np.ndarray
     H_sk: np.ndarray       # r_s x n_s, block (U, U+V) parity check
     P: Monomial            # monomial over GF(3)
     k_U: int
     k_V: int
     solver_U: AffineSolver  # for the H_U block, built with the key
     solver_V: AffineSolver  # for the H_V block
+    S_inv: np.ndarray      # the first r_s columns of H_sk·P
 
     @property
     def n_s(self) -> int:
@@ -57,15 +61,15 @@ class SenderSecretKey:
 
 @dataclass
 class SenderPublicKey:
-    H: np.ndarray          # r_s x n_s over GF(3)
+    A: np.ndarray          # r_s x (n_s - r_s) over GF(3): H_pk = [I | A]
 
     @property
     def n_s(self) -> int:
-        return self.H.shape[1]
+        return sum(self.A.shape)
 
     @property
     def r_s(self) -> int:
-        return self.H.shape[0]
+        return self.A.shape[0]
 
 
 @dataclass
@@ -85,12 +89,14 @@ def build_uuv_parity_check(H_U: np.ndarray, H_V: np.ndarray) -> np.ndarray:
     return H
 
 
-def sender_secret_key(S: np.ndarray, H_sk: np.ndarray, P: Monomial,
-                      k_U: int, k_V: int) -> SenderSecretKey:
-    """The secret key of (S, H_sk, P), with S^-1 and the H_U and H_V solvers.
-    Raises ValueError unless H_sk is the (U, U+V) check of its blocks, H_V
-    has no zero column, S is invertible and both blocks have full row rank."""
-    half = H_sk.shape[1] // 2
+def sender_keys(H_sk: np.ndarray, P: Monomial, k_U: int,
+                k_V: int) -> tuple[SenderSecretKey, SenderPublicKey]:
+    """Both halves of the sender key (H_sk, P).  Raises ValueError unless
+    H_sk is the (U, U+V) check of its blocks, H_V has no zero column and
+    the first r_s columns of H_sk·P are invertible.  The last rule makes
+    H_sk, hence both blocks, of full row rank."""
+    r_s, n_s = H_sk.shape
+    half = n_s // 2
     rU = half - k_U
     H_U, H_V = H_sk[:rU, :half], H_sk[rU:, half:]
     if not np.array_equal(H_sk, build_uuv_parity_check(H_U, H_V)):
@@ -98,31 +104,30 @@ def sender_secret_key(S: np.ndarray, H_sk: np.ndarray, P: Monomial,
     # a zero column of H_V, hence of H_pk, makes a signature trit malleable
     if not H_V.any(axis=0).all():
         raise ValueError("H_V has a zero column")
-    S_inv = invert_matrix(S, 3)
-    solver_U, solver_V = AffineSolver(H_U, 3), AffineSolver(H_V, 3)
-    if solver_U.rank < solver_U.rows or solver_V.rank < solver_V.rows:
-        raise ValueError("H_U or H_V does not have full row rank")
-    return SenderSecretKey(S=S, S_inv=S_inv, H_sk=H_sk, P=P,
-                           k_U=k_U, k_V=k_V, solver_U=solver_U, solver_V=solver_V)
+    HP = mat_mono(H_sk, P, 3)
+    R, _, pivots = mat_reduce(HP, 3)
+    if pivots != list(range(r_s)):
+        raise ValueError("the first r_s columns of H_sk P are singular")
+    sk = SenderSecretKey(H_sk=H_sk, P=P, k_U=k_U, k_V=k_V,
+                         solver_U=AffineSolver(H_U, 3),
+                         solver_V=AffineSolver(H_V, 3), S_inv=HP[:, :r_s].copy())
+    return sk, SenderPublicKey(A=R[:, r_s:])
 
 
 def keygen_sender(n_s: int, k_U: int, k_V: int, rng):
-    """Draws H_U, H_V, S and P until `sender_secret_key` accepts them.  Its
-    rules are on independent parts, so each part is uniform on valid ones."""
+    """Draws H_U, H_V and P until `sender_keys` accepts them.  Its rules
+    are on the draws only, so the key is uniform on valid ones."""
     half = n_s // 2
     if n_s % 2 or not (0 < k_U < half and 0 < k_V < half):
         raise ValueError("need n_s even and 0 < k_U, k_V < n_s/2")
-    r_s = n_s - k_U - k_V
     while True:
         H_U = random_matrix(half - k_U, half, 3, rng)
         H_V = random_matrix(half - k_V, half, 3, rng)
-        S = random_matrix(r_s, r_s, 3, rng)
         P = random_monomial(n_s, 3, rng)
         try:
-            sk = sender_secret_key(S, build_uuv_parity_check(H_U, H_V), P, k_U, k_V)
+            return sender_keys(build_uuv_parity_check(H_U, H_V), P, k_U, k_V)
         except ValueError:
             continue
-        return sk, SenderPublicKey(H=mat_mono(matmul(S, sk.H_sk, 3), P, 3))
 
 
 # The free value x, by the other half's trit at its coordinate (row) and
@@ -165,17 +170,18 @@ def uuv_decode(sk: SenderSecretKey, s: np.ndarray, omega: int, rng,
 
 
 def sign_syndrome(sk: SenderSecretKey, y: np.ndarray, omega: int, rng) -> np.ndarray:
-    """e with e @ H_pk.T = y and wt(e) = omega: S^-1, the trapdoor decode, P."""
+    """e with e @ H_pk.T = y and wt(e) = omega: S^-T, the trapdoor decode, P."""
     e_inner = uuv_decode(sk, vecmat(y, sk.S_inv.T, 3), omega, rng)
     return mono_apply(e_inner, sk.P, 3)
 
 
 def verify_syndrome(pk: SenderPublicKey, e: np.ndarray, y: np.ndarray,
                     omega: int) -> bool:
-    """Whether e has length n_s, weight omega, and e @ H_pk.T = y."""
+    """Whether e has length n_s, weight omega, and e @ [I | A].T = y."""
     e = np.asarray(e, dtype=np.uint8) % 3
+    r = pk.r_s
     return (len(e) == pk.n_s and int(np.count_nonzero(e)) == omega
-            and bool(np.array_equal(vecmat(e, pk.H.T, 3), y)))
+            and bool(np.array_equal((e[:r] + vecmat(e[r:], pk.A.T, 3)) % 3, y)))
 
 
 def sign(sk: SenderSecretKey, msg: bytes, omega: int, salt_bits: int, rng) -> Signature:

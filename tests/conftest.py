@@ -5,6 +5,7 @@ import pytest
 
 from cbsc import serial
 from cbsc.goppa import generator_matrix, random_goppa_code
+from cbsc.linalg import Monomial
 from cbsc.params import TOY, custom_params
 from cbsc.sctkem import keygen_receiver_params, keygen_sender_params
 
@@ -48,7 +49,8 @@ def malformed_sender_secs():
     (a second encoding of the same signer), row 1 of H_U equal to row 0
     (a U system that most syndromes leave without a solution), column 3
     of H_V zeroed in both of its places in H_sk (a malleable signature
-    trit), and row 1 of S equal to row 0 (no S^-1)."""
+    trit), and a P that sends the right half of H_sk to the first r_s
+    columns, which are zero in the top r_U rows (no S^-1)."""
     rng = np.random.default_rng(7)
     keygen_receiver_params(TOY, rng)
     sk, _ = keygen_sender_params(TOY, rng)
@@ -60,10 +62,9 @@ def malformed_sender_secs():
     repeated_row[1, :half] = repeated_row[0, :half]
     zero_column = sk.H_sk.copy()
     zero_column[rU:, [3, half + 3]] = 0
-    singular_S = sk.S.copy()
-    singular_S[1] = singular_S[0]
+    right_half_first = Monomial(np.roll(np.arange(TOY.n_s), half), sk.P.scalars)
     keys = {"zero-block": dataclasses.replace(sk, H_sk=zero_block),
             "repeated-row": dataclasses.replace(sk, H_sk=repeated_row),
             "zero-column": dataclasses.replace(sk, H_sk=zero_column),
-            "singular-S": dataclasses.replace(sk, S=singular_S)}
+            "singular-first-columns": dataclasses.replace(sk, P=right_half_first)}
     return {name: serial.ser_sender_sec(TOY, key) for name, key in keys.items()}

@@ -216,7 +216,8 @@ def test_criterion_8_signature_soundness(toy_keys):
 
     # syndrome-correct vectors of the wrong weight: solve the public
     # system directly without steering toward omega
-    solver = AffineSolver(pk_s.H, 3)
+    H_pk = np.concatenate([np.eye(TOY.r_s, dtype=np.uint8), pk_s.A], axis=1)
+    solver = AffineSolver(H_pk, 3)
     weight_wrong = 0
     for i in range(50):
         msg = b"wrong-weight-%d" % i
@@ -228,7 +229,7 @@ def test_criterion_8_signature_soundness(toy_keys):
             assert e is not None
             if int(np.count_nonzero(e)) != TOY.omega:
                 break
-        assert np.array_equal(vecmat(e, pk_s.H.T, 3), target)
+        assert np.array_equal(vecmat(e, H_pk.T, 3), target)
         weight_wrong += not verify(pk_s, msg, Signature(e=e, salt=salt), TOY.omega)
     assert weight_wrong == 50
 

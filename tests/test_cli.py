@@ -117,7 +117,7 @@ def test_rank_deficient_receiver_key_exit4(keyset, rank_deficient_receiver_sec):
 
 
 @pytest.mark.parametrize("kind", ["zero-block", "repeated-row", "zero-column",
-                                  "singular-S"])
+                                  "singular-first-columns"])
 def test_malformed_sender_key_exit4(keyset, malformed_sender_secs, kind, capsys):
     key = keyset / "bad.sec"
     key.write_bytes(malformed_sender_secs[kind])

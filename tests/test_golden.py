@@ -1,17 +1,15 @@
 """Golden vectors: serialised keys and signcrypted messages at fixed seeds.
 
-The key digests were recorded before GF(2^m) arithmetic moved to
-log/antilog tables, so they pin that the field representation, the
-randomness each key generator consumes and the wire formats are
-unchanged.  The message digests were re-recorded when the signer came to
-draw its free variables with one uniform each, which changed how much
-of the signing generator's stream a signature consumes.  The sender key
-and message digests of the mid-size seeds 3 and 4 were re-recorded when
-sender keygen came to draw H_U, H_V, S and P together and redraw all
-four until `sender_secret_key` accepts them: at those seeds a first draw
-is rejected, so the accepted key comes from a later part of the stream.
-The toy seeds accept their first draw, so their digests did not change.
-The mid-size profile (m=8, n_r=256, t=10) exercises a multi-step key
+Every digest was re-recorded for format version 0x02, in which a sender
+key is (H_sk, P) and its public key is the A of the systematic [I | A]:
+the version byte changed in every file (the receiver files differ from
+version 0x01 only there), the sender layouts dropped S and store A in
+place of S·H_sk·P, and sender keygen no longer draws S, so each draw
+takes less of the generator's stream and a different draw may be the
+first accepted.  Before that, the key digests pinned that moving GF(2^m)
+arithmetic to log/antilog tables left the field representation, the
+randomness each key generator consumes and the formats unchanged.  The
+mid-size profile (m=8, n_r=256, t=10) exercises a multi-step key
 equation and the square root in GF(2^m)[x]/(g), which t = 2 does not.
 """
 
@@ -32,39 +30,39 @@ MID = custom_params(dict(n_s=16, k_U=4, k_V=4, omega=14, m=8, n_r=256, t=10,
 # sender-pub, sender-sec); the receiver key is drawn first from the
 # same generator, so the sender digests pin its randomness consumption.
 KEY_DIGESTS = {
-    (TOY, 1): ("a50bab27b8dc7830f1e314b2cc04522ce4a5fa99b7507d95bf932c9ee11585ad",
-               "8e4e6f352a20cc771e18ea91390423a3911907e40e2c016eadc4c7eca96d0dc6",
-               "e18e5e78bdd855ac0257ff58fad7fae6725e00567ebf864a51caeecf032fdc07",
-               "1de840f5458fae28162199cb052a0f00987ce9c60034daa869100add9ed28920"),
-    (TOY, 2): ("1c76d389d0a0feefca43b427602da8903ebc8bb26345f2ea6f702d347a02134a",
-               "6d417cbdaf115994c2cf9ea5672dddec89d92e9686c3f1ceb27b295a767b37e7",
-               "47854ba43678a6daeb55a09d2f4e89a4bb968f7114a1fb7e72846132970e9b45",
-               "888016e6a153037128e0bda145a7de8ae0738d624cc572bb5486a9702807f29f"),
-    (MID, 3): ("bdc9eac6b865940c21a1127e76b3ed7d78ccb2902956b03d662c5dfe06a3be17",
-               "c1e14b1e8dac9918189881bef402785ab73118a59276886808f28e24607ce7a2",
-               "fbbf5ef9f59fb6f2989f775e7fb0a1c7c855f42eebf431790e3f7c3452d1effa",
-               "40ab23244121a6ea3877ba6068f373a629a25b8fdf1fc2a3935bf262b7c3848c"),
-    (MID, 4): ("25b3f8b0cc976f3268c4aa5f56137f4e5de4a242cd7f27b68fd995441919e3e2",
-               "d0a35da7fd4f4f0737b9c053fc9aa2fed92b80127d10de6dc6d3d7525f2aae56",
-               "52f2aa9e9a87550d7942e3ccd2635e62150c3a6ccb70d40c14ce435b5f832530",
-               "3a2e4ae702f7cf22395d7d85d94c8263809dedb0ee6365718b89af431711ac44"),
+    (TOY, 1): ("a8ba2649c973e65f593de8de9a9a9f5991110038cbc3d58a3696d0525ae989e2",
+               "4355cc751df2f071cfe5efcded393439de58d0f68f15ed5787897e2943a2ffe1",
+               "202497bcb208c5cb29fe451ec047497a0fb5c1a2ca39f115f0c85b13db1125fd",
+               "422b93f780564f4d27a76edef5504c3ebbb90c5151684e73db629be8c417feee"),
+    (TOY, 2): ("707e7d2f44e31eb7ac1902bbfb028b507b199d6f743cc64575f8e232dda5ea02",
+               "5c7fc17dfc7ea61057f59dc95b1f1c0acb7c69f01ac8da9d8199454a3a71da7a",
+               "eb80010c828b93b21074ce5bed22227cf7c8d978dde240abf3d05c429ee7412f",
+               "151d0b219b319c7b649a3b1af25657dc1806c36b1c755602f1d8eb895f2538cb"),
+    (MID, 3): ("02da96ed85242e8596593f11fc963951bca1f71c9e9973fbecf9dcbb9b56f80a",
+               "ea99bb344d0bc088dd24fcece969be439411c56491b0cbb681d33504483d365c",
+               "c0414a8ce022531b91a829d3958076917b3f8ccf40b2098d1b74c1241e411de2",
+               "454b61b18ddfc3cfa1b0c5caae11e38738f45132ce971924e156ee7750756ed5"),
+    (MID, 4): ("9eeed9d2bb0501dab01fcf795d60a582c1d97364aef11ff77987dd36149fcba1",
+               "5a2a4f2e837b6e7b91a87bc43ff24d3e26a835a13cd97bd2e29500a962aa172a",
+               "75ba581e64c8a3074987930a541730a15bfcccfb9268125ec6868888443220b5",
+               "c35ad2dad71f5784fa7bb9e15e36badbf861bede25d71204b1f424d42ae0756e"),
 }
 
 # (profile, keygen seed) -> sha256 of ser_message for the payload
 # b"golden <s>" signcrypted with default_rng(s), s = 10, 11, 12.
 MESSAGE_DIGESTS = {
-    (TOY, 1): ("bedfd711ea0a976a5ce18b5231f0d2ca9cd8b43972c824dc4b9f049541902177",
-               "52a986253ab09e832a785773356bf2eaf68ece0880d8aa90af541a78c0047632",
-               "3d41c4646b46352704f1b7e7c0de8e59b5fd5910acec98bd2c8fe51a2d63ed5c"),
-    (TOY, 2): ("c3d13a04922fafe27d3cb9b2d294639b249406d0b72f6a2172b591336feb6ff2",
-               "7f511a1a36069e89d50e72bfc4e9f9c06f16a170404176ec0ab23e6ecf326600",
-               "42ffc3cfbfb093aa2467ed23a320034dc22ec57231dc045dcf8712a1d7bcff3a"),
-    (MID, 3): ("50042cf502556a6cfae144c802250db187fabcee11a22a79aca2aa1833f27fc4",
-               "974e8f3fcc084c6eabf2bbb4971b578a4b855a80da10a63f94821495cd0a2609",
-               "3afe4c8e0d77f8f534c147822cdf349d3a27e35439f68ce1dae0cf1151f2cb9e"),
-    (MID, 4): ("03f253c2b4c12172046c8f34b2cfcb2ac6239c2b1835ef1c249e82ec874a4030",
-               "7408f0c50a28c87ab17e30f34038603c160743db744782fa678b4133d077e026",
-               "557af3a029df0e8dd2f887dfc2861ca6f531efa3ff0fa767e6b2266d64afca83"),
+    (TOY, 1): ("25fc3e0d912e21040bc67f1e66f771bfa8e0bc858577b83b2b4daa6bb24020dc",
+               "0cde3e36b0a8919b3196523e451301e9108bb303b98e684a1872403690e81c6e",
+               "2260fab3a9bd7abf672b3eb93f03e80d8f70b6c9de7985f20b3f5c610c8c0b4c"),
+    (TOY, 2): ("94526ab8d3c7d5252c0dc43a71c30d5efa25f9f6d56a4254315f608b5792861b",
+               "346871659c1ba5b316e7fb5ac4e1227d95a7d3a178df17363b9db0415271bb3b",
+               "85a7bb11f74c7b18af4edecab3c659b2fdea099381bda53cdd38b09dee8f1200"),
+    (MID, 3): ("71fbbfbd743596ff336042b6178888f83360d8af0670cfb88abe0963b8f7ba98",
+               "1c366996b60648ffc8c8d3e68af68a083c2eeb795d0c37065d7760d1102f4c60",
+               "cfa043ab00109c3e4c863d80a4eb7675d400fd10772ab03cf9fabb5c747c085e"),
+    (MID, 4): ("81a79330b00ebb3b6ba55db297b6343a31f375ad3c9e26dd88bf56c267b59f8f",
+               "b06f4a78305a4f0709be3afb024f211f874992d26ea78c3805578a3ae796d019",
+               "edcbb632d50a50224d2d80f59b5b7f60e29c997213643b35597565171ee729b9"),
 }
 
 

@@ -1,6 +1,7 @@
 """Binary formats: byte-exact round trips and strict failure on damage."""
 
 import dataclasses
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,10 +9,14 @@ from hypothesis import given, settings, strategies as st
 
 from cbsc import fields as F
 from cbsc import serial
+from cbsc.estimator import sizes
 from cbsc.goppa import GoppaCode
 from cbsc.hybrid import SigncryptedMessage, signcrypt, unsigncrypt
-from cbsc.params import TOY, custom_params
+from cbsc.params import TOY, custom_params, setup
 from cbsc.sctkem import keygen_receiver_params, keygen_sender_params, sym, encap
+
+import oracles as O
+from test_golden import MID
 
 
 def test_receiver_pub_roundtrip(toy_params, receiver_keys):
@@ -40,7 +45,7 @@ def test_sender_pub_roundtrip(toy_params, sender_keys):
     _, pk = sender_keys
     blob = serial.ser_sender_pub(toy_params, pk)
     params, pk2 = serial.par_sender_pub(blob)
-    assert np.array_equal(pk.H, pk2.H)
+    assert np.array_equal(pk.A, pk2.A)
     assert serial.ser_sender_pub(params, pk2) == blob
 
 
@@ -48,13 +53,28 @@ def test_sender_sec_roundtrip(toy_params, sender_keys):
     sk, _ = sender_keys
     blob = serial.ser_sender_sec(toy_params, sk)
     params, sk2 = serial.par_sender_sec(blob)
-    assert np.array_equal(sk2.S, sk.S)
     assert np.array_equal(sk2.S_inv, sk.S_inv)
     assert np.array_equal(sk2.H_sk, sk.H_sk)
     assert np.array_equal(sk2.P.perm, sk.P.perm)
     assert np.array_equal(sk2.P.scalars, sk.P.scalars)
     assert (sk2.k_U, sk2.k_V) == (sk.k_U, sk.k_V)
     assert serial.ser_sender_sec(params, sk2) == blob
+
+
+L1_20 = setup(str(Path(__file__).resolve().parent.parent / "perfbench" / "l1-20.profile"))
+
+
+@pytest.mark.parametrize("params", [TOY, MID, L1_20], ids=["toy", "mid", "l1-20"])
+def test_sender_pub_file_matches_size_formula(params):
+    """The payload of a sender public key file is the A of [I | A]: at
+    least the r_s(n_s - r_s) trits of `sender_pub_bits`, and at most
+    0.95% more (five trits in 8 bits, not 5 log2 3) plus the padding of
+    the last byte."""
+    _, pk = keygen_sender_params(params, np.random.default_rng(0))
+    blob = serial.ser_sender_pub(params, pk)
+    payload_bits = 8 * (len(blob) - 7 - len(serial._params_block(params)))
+    formula = next(r.value for r in sizes(params) if r.name == "sender_pub_bits")
+    assert formula <= payload_bits <= formula * 1.0095 + 8
 
 
 def test_reparsed_keys_interoperate(toy_params, receiver_keys, sender_keys):
@@ -116,12 +136,17 @@ def test_bad_magic(toy_params, receiver_keys):
         serial.par_receiver_pub(b"XXXX" + blob[4:])
 
 
-def test_bad_version(toy_params, receiver_keys):
-    _, pk = receiver_keys
-    blob = bytearray(serial.ser_receiver_pub(toy_params, pk))
-    blob[4] = 0x99
-    with pytest.raises(serial.FormatError):
-        serial.par_receiver_pub(bytes(blob))
+def test_bad_version(toy_params, receiver_keys, sender_keys):
+    # 0x01 is the format whose sender keys held S and the full S H_sk P
+    blobs = {serial.par_receiver_pub: serial.ser_receiver_pub(toy_params, receiver_keys[1]),
+             serial.par_sender_pub: serial.ser_sender_pub(toy_params, sender_keys[1]),
+             serial.par_sender_sec: serial.ser_sender_sec(toy_params, sender_keys[0])}
+    for parse, blob in blobs.items():
+        for version in (0x01, 0x99):
+            old = bytearray(blob)
+            old[4] = version
+            with pytest.raises(serial.FormatError, match="unsupported format version"):
+                parse(bytes(old))
 
 
 def test_role_mismatch(toy_params, receiver_keys):
@@ -208,7 +233,7 @@ def test_receiver_sec_with_reducible_g_rejected():
     rng = np.random.default_rng(21)
     sk, _ = keygen_receiver_params(params, rng)
     g = F.poly_mul(F.random_irreducible(2, 5, rng), F.random_irreducible(2, 5, rng), 5)
-    assert all(F.poly_eval(g, a, 5) for a in range(32))
+    assert all(O.poly_eval(g, a, 5) for a in range(32))
     GoppaCode(5, 4, g, sk.code.support)      # the code itself would build
     blob = bytearray(serial.ser_receiver_sec(params, sk))
     off = 7 + 40
@@ -237,9 +262,11 @@ def test_receiver_sec_with_rank_deficient_code_rejected(rank_deficient_receiver_
 
 @pytest.mark.parametrize("kind,reason", [
     pytest.param("zero-block", r"not the \(U, U\+V\) parity check", id="zero-block"),
-    pytest.param("repeated-row", "full row rank", id="repeated-row"),
+    pytest.param("repeated-row", "first r_s columns of H_sk P are singular",
+                 id="repeated-row"),
     pytest.param("zero-column", "H_V has a zero column", id="zero-column"),
-    pytest.param("singular-S", "matrix not invertible", id="singular-S"),
+    pytest.param("singular-first-columns", "first r_s columns of H_sk P are singular",
+                 id="singular-first-columns"),
 ])
 def test_sender_sec_with_malformed_trapdoor_rejected(malformed_sender_secs,
                                                      kind, reason):

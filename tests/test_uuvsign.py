@@ -4,8 +4,8 @@ exact weight target, and signature contract."""
 import numpy as np
 import pytest
 
-from cbsc import linalg
-from cbsc.linalg import mat_mono, matmul, vecmat
+from cbsc import linalg, uuvsign
+from cbsc.linalg import mat_mono, mat_rank, matmul, vecmat
 from cbsc.params import TOY
 from cbsc.sctkem import keygen_receiver_params, keygen_sender_params
 from cbsc.uuvsign import (
@@ -51,28 +51,31 @@ def test_keygen_relations(sender_keys, toy_params):
     sk, pk = sender_keys
     p = toy_params
     assert sk.H_sk.shape == (p.r_s, p.n_s)
-    assert pk.H.shape == (p.r_s, p.n_s)
-    # H_pk = S * H_sk * P
-    assert np.array_equal(pk.H, mat_mono(matmul(sk.S, sk.H_sk, 3), sk.P, 3))
-    assert np.array_equal(matmul(sk.S, sk.S_inv, 3),
-                          np.eye(p.r_s, dtype=np.uint8))
-    A = mono_to_matrix(sk.P)
-    assert np.array_equal(matmul(A, A.T, 3), np.eye(p.n_s, dtype=np.uint8))
+    assert pk.A.shape == (p.r_s, p.n_s - p.r_s)
+    # S_inv = the first r_s columns of H_sk P, and H_sk P = S_inv [I | A]
+    HP = mat_mono(sk.H_sk, sk.P, 3)
+    assert np.array_equal(sk.S_inv, HP[:, :p.r_s])
+    assert mat_rank(sk.S_inv, 3) == p.r_s
+    I_A = np.concatenate([np.eye(p.r_s, dtype=np.uint8), pk.A], axis=1)
+    assert np.array_equal(matmul(sk.S_inv, I_A, 3), HP)
+    M = mono_to_matrix(sk.P)
+    assert np.array_equal(matmul(M, M.T, 3), np.eye(p.n_s, dtype=np.uint8))
     assert set(sk.P.scalars) <= {1, 2}
 
 
 def test_keygen_sender_public_keys_have_no_zero_column():
     # at the toy size, 43 of the first draws of these seeds had a zero
-    # column in H_V, hence in H_pk, where a signature trit is malleable
+    # column in H_V, hence in H_pk, where a signature trit is malleable;
+    # the identity columns of [I | A] are never zero, so A's are checked
     for seed in range(400):
         sk, pk = keygen_sender(16, 4, 4, np.random.default_rng(seed))
-        assert pk.H.any(axis=0).all(), seed
+        assert pk.A.any(axis=0).all(), seed
 
 
-@pytest.mark.parametrize("seed", [1, 2])
+@pytest.mark.parametrize("seed", [2, 9])
 def test_keygen_sender_eliminates_each_matrix_once(monkeypatch, seed):
-    # the first draw is accepted at these seeds (the toy golden vectors):
-    # one elimination each for S^-1, the H_U solver and the H_V solver
+    # the first draw is accepted at these seeds: one elimination each
+    # for H_sk P (its pivots and A), the H_U solver and the H_V solver
     rng = np.random.default_rng(seed)
     keygen_receiver_params(TOY, rng)
     reduce, calls = linalg.mat_reduce, []
@@ -82,8 +85,11 @@ def test_keygen_sender_eliminates_each_matrix_once(monkeypatch, seed):
         return reduce(M, p)
 
     monkeypatch.setattr(linalg, "mat_reduce", counting_reduce)
+    monkeypatch.setattr(uuvsign, "mat_reduce", counting_reduce)
     keygen_sender_params(TOY, rng)
-    assert len(calls) == 3, calls
+    r_U, r_V = TOY.n_s // 2 - TOY.k_U, TOY.n_s // 2 - TOY.k_V
+    assert calls == [(TOY.r_s, TOY.n_s), (r_U, TOY.n_s // 2 + r_U),
+                     (r_V, TOY.n_s // 2 + r_V)], calls
 
 
 def test_keygen_validation():
@@ -206,7 +212,8 @@ def test_sign_syndrome_verify_syndrome(sender_keys, toy_params):
     rng = np.random.default_rng(9)
     y = rng.integers(0, 3, size=p.r_s, dtype=np.uint8)
     e = sign_syndrome(sk, y, p.omega, rng)
-    assert np.array_equal(vecmat(e, pk.H.T, 3), y)
+    I_A = np.concatenate([np.eye(p.r_s, dtype=np.uint8), pk.A], axis=1)
+    assert np.array_equal(vecmat(e, I_A.T, 3), y)
     assert verify_syndrome(pk, e, y, p.omega)
     assert not verify_syndrome(pk, e, (y + 1) % 3, p.omega)
     assert not verify_syndrome(pk, e, y, p.omega - 1)
