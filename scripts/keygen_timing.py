@@ -17,17 +17,18 @@ steps of interest are:
                      kernel and S·G again
     sender keygen    uuvsign.keygen_sender self (one untraced
                      mat_reduce of H_sk·P per draw whose H_V has no
-                     zero column: the pivot check and A),
+                     zero column, H_sk built from the drawn H_U and
+                     H_V: the pivot check and A),
                      linalg.AffineSolver (the two solvers)
-    sender load      serial.par_sender_sec self (the same mat_reduce),
-                     linalg.AffineSolver
+    sender load      serial.par_sender_sec self (unpacking H_U and H_V
+                     and the same mat_reduce), linalg.AffineSolver
 
 The functions are timed by the span tracer of perfbench/spans.py.  Then
 the serialised key sizes are printed next to the `estimator.sizes` rows
 they correspond to.  The two need not agree: files carry a header and
 store five trits per byte where the formulas count log2(3) bits per
-trit, and the sender secret key formula counts S and a dense P, which
-the file does not hold.
+trit, and the sender secret key formula counts S, H_sk and a dense P,
+where the file holds only H_U, H_V, perm and scalars.
 
 Run from anywhere with `src` on PYTHONPATH:
 

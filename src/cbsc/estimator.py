@@ -141,7 +141,7 @@ def sizes(params: CommonParams) -> list[CostReport]:
     add("sender_sec_bits", (p.n_s * (p.n_s + r) + r * r) * LOG2_3,
         note=f"{p.n_s * (p.n_s + r) + r * r} trits at log2(3) bits each: "
              "S, H_sk and a dense n_s x n_s P; the key file, far smaller, "
-             "holds H_sk, perm and scalars")
+             "holds H_U, H_V, perm and scalars")
     return rows
 
 

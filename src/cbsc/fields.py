@@ -184,14 +184,21 @@ def poly_gcd(p: list[int], q: list[int], m: int) -> list[int]:
     return p
 
 
-def poly_inv_mod(p: list[int], mod: list[int], m: int) -> list[int]:
-    """Inverse of p modulo mod (mod irreducible, p nonzero mod mod)."""
-    r0, r1 = list(mod), poly_mod(p, mod, m)
+def poly_euclid(a: list[int], b: list[int], stop: int, m: int):
+    """Extended Euclid on (a, b) until deg r1 <= stop: (r0, r1, u0, u1),
+    the last two remainders with r_i = u_i * b modulo a."""
+    r0, r1 = list(a), list(b)
     u0, u1 = [], [1]
-    while r1:
+    while poly_deg(r1) > stop:
         q, rem = poly_divmod(r0, r1, m)
         r0, r1 = r1, rem
         u0, u1 = u1, poly_add(u0, poly_mul(q, u1, m))
+    return r0, r1, u0, u1
+
+
+def poly_inv_mod(p: list[int], mod: list[int], m: int) -> list[int]:
+    """Inverse of p modulo mod (mod irreducible, p nonzero mod mod)."""
+    r0, _, u0, _ = poly_euclid(mod, poly_mod(p, mod, m), -1, m)
     if poly_deg(r0) != 0:
         raise ZeroDivisionError("element not invertible")
     return poly_mod(poly_scale(u0, gf_inv(r0[0], m), m), mod, m)

@@ -30,7 +30,6 @@ from . import fields as F
 from .linalg import (
     Monomial,
     kernel_basis,
-    mat_mono,
     matmul,
     mono_apply,
     mono_apply_inv,
@@ -116,13 +115,8 @@ def generator_matrix(code: GoppaCode) -> np.ndarray:
 
 def _key_equation(g: list[int], R: list[int], t: int, m: int) -> tuple[list[int], list[int]]:
     # partial EEA: a = b*R mod g with deg a <= t//2, deg b <= (t-1)//2
-    r0, r1 = list(g), list(R)
-    u0, u1 = [], [1]
-    while F.poly_deg(r1) > t // 2:
-        q, rem = F.poly_divmod(r0, r1, m)
-        r0, r1 = r1, rem
-        u0, u1 = u1, F.poly_add(u0, F.poly_mul(q, u1, m))
-    return r1, u1
+    _, a, _, b = F.poly_euclid(g, R, t // 2, m)
+    return a, b
 
 
 def patterson_decode(code: GoppaCode, word: np.ndarray):
@@ -200,16 +194,13 @@ def receiver_secret_key(code: GoppaCode, G: np.ndarray, S: np.ndarray,
     has one column per row of G."""
     if len(G) != S.shape[1]:
         raise ValueError(f"code has dimension {len(G)}, S has {S.shape[1]} columns")
-    G_pk = mat_mono(matmul(S, G, 2), P, 2)
+    G_pk = mono_apply(matmul(S, G, 2), P, 2)
     return ReceiverSecretKey(code=code, S=S, P=P, G_pk=G_pk)
 
 
 def decode_permuted(sk: ReceiverSecretKey, word: np.ndarray):
-    """Decode a word of the permuted subcode: un-permute, Patterson-decode,
-    re-permute the error back to public coordinates."""
-    inner = mono_apply_inv(word, sk.P, 2)
-    res = patterson_decode(sk.code, inner)
-    if res is None:
-        return None
-    codeword, error = res
-    return mono_apply(codeword, sk.P, 2), mono_apply(error, sk.P, 2)
+    """The error of a word of the permuted subcode, in public coordinates,
+    or None: un-permute, Patterson-decode, re-permute the error.  The
+    codeword is the word XOR this error."""
+    res = patterson_decode(sk.code, mono_apply_inv(word, sk.P, 2))
+    return None if res is None else mono_apply(res[1], sk.P, 2)

@@ -239,22 +239,16 @@ def random_monomial(n: int, p: int, rng) -> Monomial:
 
 
 def mono_apply(v: np.ndarray, M: Monomial, p: int) -> np.ndarray:
-    """v @ M: output[perm[i]] = v[i] * scalars[i]."""
+    """v @ M: output[..., perm[i]] = v[..., i] * scalars[i], for a vector
+    or each row of a matrix."""
     out = np.empty_like(v)
-    out[M.perm] = v * M.scalars % p
+    out[..., M.perm] = v * M.scalars % p
     return out
 
 
 def mono_apply_inv(v: np.ndarray, M: Monomial, p: int) -> np.ndarray:
     """v @ M^-1: output[i] = v[perm[i]] / scalars[i] (scalars are self-inverse)."""
     return v[M.perm] * M.scalars % p
-
-
-def mat_mono(A: np.ndarray, M: Monomial, p: int) -> np.ndarray:
-    """A @ M (column permutation with scaling)."""
-    out = np.empty_like(A)
-    out[:, M.perm] = A * M.scalars % p
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -36,10 +36,9 @@ def pke_encrypt(pk: ReceiverPublicKey, x: np.ndarray, y: np.ndarray,
 def pke_decrypt(sk: ReceiverSecretKey, c: PkeCiphertext, t: int):
     """Recover (x, y) or None.  Fails on decoding failure, a non-encodable
     error vector, or a failed re-encryption check."""
-    res = decode_permuted(sk, c.c0)
-    if res is None:
+    sigma = decode_permuted(sk, c.c0)
+    if sigma is None:
         return None
-    _, sigma = res
     y = phi_inv(sigma, t)
     if y is None:
         return None

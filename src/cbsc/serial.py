@@ -11,9 +11,10 @@ to its own bytes, so padding bits and trits are zero and no trit byte
 exceeds 242.  Payload lengths are checked before anything is unpacked,
 and a receiver secret key is checked (g monic irreducible of degree t,
 support of distinct field elements, a true permutation) before its
-decoding material is built.  A sender key file holds (H_sk, P) or the A
-of the public [I | A], and a sender secret key is checked by the same
-builder that key generation uses.
+decoding material is built.  A sender secret key file holds what key
+generation draws, H_U, H_V and P (perm and scalars), and is checked by
+the same builder that key generation uses; a sender public key file
+holds the A of the public [I | A].
 """
 
 from __future__ import annotations
@@ -50,7 +51,7 @@ from .uuvsign import SenderPublicKey, SenderSecretKey, sender_keys
 from .hybrid import SigncryptedMessage
 
 MAGIC = b"CBSC"
-VERSION = 0x02
+VERSION = 0x03
 
 ROLE_SENDER_PUB = 0x01
 ROLE_SENDER_SEC = 0x02
@@ -106,7 +107,8 @@ LAYOUTS = {
     ROLE_SENDER_PUB: (
         Field("A", TRITS, lambda p: (p.r_s, p.n_s - p.r_s), lambda pk: pk.A),),
     ROLE_SENDER_SEC: (
-        Field("H_sk", TRITS, lambda p: (p.r_s, p.n_s), lambda sk: sk.H_sk),
+        Field("H_U", TRITS, lambda p: (p.n_s // 2 - p.k_U, p.n_s // 2), lambda sk: sk.H_U),
+        Field("H_V", TRITS, lambda p: (p.n_s // 2 - p.k_V, p.n_s // 2), lambda sk: sk.H_V),
         Field("perm", ELEMS, lambda p: (p.n_s,), lambda sk: sk.P.perm),
         Field("scalars", BITS, lambda p: (p.n_s,), lambda sk: sk.P.scalars - 1)),
     ENCAPSULATION: (
@@ -235,7 +237,7 @@ def par_sender_sec(data: bytes) -> tuple[CommonParams, SenderSecretKey]:
     _check_perm(v["perm"])
     P = Monomial(v["perm"], v["scalars"] + 1)
     try:
-        return params, sender_keys(v["H_sk"], P, params.k_U, params.k_V)[0]
+        return params, sender_keys(v["H_U"], v["H_V"], P)[0]
     except ValueError as exc:
         raise FormatError(f"sender secret key: {exc}") from exc
 

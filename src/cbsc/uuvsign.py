@@ -1,20 +1,20 @@
 """Ternary (U, U+V) trapdoor signatures with prescribed high weight.
 
-The secret parity check keeps the block shape [[H_U, 0], [-H_V, H_V]].
-The trapdoor decodes a syndrome to an error (u, u + v) of exact weight
-omega, retrying until the weight lands.  Each attempt draws p, omega/n
-plus N(0, 0.15) noise clipped to [0, 1], and solves the V half and then
-the U half with free variables from one sampler, `_free_values`: one
-uniform per free coordinate, looked up in a table by the other half's
-trit there (zero for the V half, v for the U half), gives the pair
-(x, x + other) weight 2 with probability p and the weight of `other`
-alone otherwise.
+The secret parity check H_sk = [[H_U, 0], [-H_V, H_V]] is built from
+two codes, U = ker H_U and V = ker H_V.  The trapdoor decodes a syndrome
+to an error (u, u + v) of exact weight omega, retrying until the weight
+lands.  Each attempt draws p, omega/n plus N(0, 0.15) noise clipped to
+[0, 1], and solves the V half and then the U half with free variables
+from one sampler, `_free_values`: one uniform per free coordinate,
+looked up in a table by the other half's trit there (zero for the V
+half, v for the U half), gives the pair (x, x + other) weight 2 with
+probability p and the weight of `other` alone otherwise.
 
-A sender key is the pair (H_sk, P).  Its public key is the systematic
-form [I | A] of H_sk·P, so the S of H_pk = S·H_sk·P is implied: the
-inverse of the first r_s columns of H_sk·P, which must be invertible.
-Signing maps a syndrome y to s = y·S^-T, where S^-1 is those columns
-themselves.
+A sender secret key is what key generation draws, (H_U, H_V, P), and
+H_sk is built from it.  Its public key is the systematic form [I | A]
+of H_sk·P, so the S of H_pk = S·H_sk·P is implied: the inverse of the
+first r_s columns of H_sk·P, which must be invertible.  Signing maps a
+syndrome y to s = y·S^-T, where S^-1 is those columns themselves.
 """
 
 from __future__ import annotations
@@ -27,7 +27,6 @@ from .hashes import hash_trits
 from .linalg import (
     AffineSolver,
     Monomial,
-    mat_mono,
     mat_reduce,
     mono_apply,
     random_matrix,
@@ -42,21 +41,20 @@ class RetryExhausted(RuntimeError):
 
 @dataclass
 class SenderSecretKey:
-    H_sk: np.ndarray       # r_s x n_s, block (U, U+V) parity check
+    H_U: np.ndarray        # (n_s/2 - k_U) x n_s/2 over GF(3)
+    H_V: np.ndarray        # (n_s/2 - k_V) x n_s/2 over GF(3)
     P: Monomial            # monomial over GF(3)
-    k_U: int
-    k_V: int
-    solver_U: AffineSolver  # for the H_U block, built with the key
-    solver_V: AffineSolver  # for the H_V block
+    solver_U: AffineSolver  # for H_U, built with the key
+    solver_V: AffineSolver  # for H_V
     S_inv: np.ndarray      # the first r_s columns of H_sk·P
 
     @property
     def n_s(self) -> int:
-        return self.H_sk.shape[1]
+        return 2 * self.H_U.shape[1]
 
     @property
     def r_s(self) -> int:
-        return self.H_sk.shape[0]
+        return len(self.H_U) + len(self.H_V)
 
 
 @dataclass
@@ -89,27 +87,21 @@ def build_uuv_parity_check(H_U: np.ndarray, H_V: np.ndarray) -> np.ndarray:
     return H
 
 
-def sender_keys(H_sk: np.ndarray, P: Monomial, k_U: int,
-                k_V: int) -> tuple[SenderSecretKey, SenderPublicKey]:
-    """Both halves of the sender key (H_sk, P).  Raises ValueError unless
-    H_sk is the (U, U+V) check of its blocks, H_V has no zero column and
-    the first r_s columns of H_sk·P are invertible.  The last rule makes
-    H_sk, hence both blocks, of full row rank."""
-    r_s, n_s = H_sk.shape
-    half = n_s // 2
-    rU = half - k_U
-    H_U, H_V = H_sk[:rU, :half], H_sk[rU:, half:]
-    if not np.array_equal(H_sk, build_uuv_parity_check(H_U, H_V)):
-        raise ValueError("H_sk is not the (U, U+V) parity check of its blocks")
+def sender_keys(H_U: np.ndarray, H_V: np.ndarray,
+                P: Monomial) -> tuple[SenderSecretKey, SenderPublicKey]:
+    """Both halves of the sender key (H_U, H_V, P).  Raises ValueError
+    unless H_V has no zero column and the first r_s columns of H_sk·P are
+    invertible.  The last rule makes H_sk, hence H_U and H_V, of full row
+    rank."""
     # a zero column of H_V, hence of H_pk, makes a signature trit malleable
     if not H_V.any(axis=0).all():
         raise ValueError("H_V has a zero column")
-    HP = mat_mono(H_sk, P, 3)
+    HP = mono_apply(build_uuv_parity_check(H_U, H_V), P, 3)
+    r_s = len(HP)
     R, _, pivots = mat_reduce(HP, 3)
     if pivots != list(range(r_s)):
         raise ValueError("the first r_s columns of H_sk P are singular")
-    sk = SenderSecretKey(H_sk=H_sk, P=P, k_U=k_U, k_V=k_V,
-                         solver_U=AffineSolver(H_U, 3),
+    sk = SenderSecretKey(H_U=H_U, H_V=H_V, P=P, solver_U=AffineSolver(H_U, 3),
                          solver_V=AffineSolver(H_V, 3), S_inv=HP[:, :r_s].copy())
     return sk, SenderPublicKey(A=R[:, r_s:])
 
@@ -125,7 +117,7 @@ def keygen_sender(n_s: int, k_U: int, k_V: int, rng):
         H_V = random_matrix(half - k_V, half, 3, rng)
         P = random_monomial(n_s, 3, rng)
         try:
-            return sender_keys(build_uuv_parity_check(H_U, H_V), P, k_U, k_V)
+            return sender_keys(H_U, H_V, P)
         except ValueError:
             continue
 

@@ -45,26 +45,21 @@ def rank_deficient_receiver_sec():
 @pytest.fixture(scope="session")
 def malformed_sender_secs():
     """Well-formed sender secret keys that are not a valid trapdoor, from
-    the toy sender key of default_rng(7): a 1 in the zero block of H_sk
-    (a second encoding of the same signer), row 1 of H_U equal to row 0
-    (a U system that most syndromes leave without a solution), column 3
-    of H_V zeroed in both of its places in H_sk (a malleable signature
-    trit), and a P that sends the right half of H_sk to the first r_s
-    columns, which are zero in the top r_U rows (no S^-1)."""
+    the toy sender key of default_rng(7): row 1 of H_U equal to row 0 (a
+    U system that most syndromes leave without a solution), column 3 of
+    H_V zeroed (a malleable signature trit), and a P that sends the right
+    half of H_sk to the first r_s columns, which are zero in the top r_U
+    rows (no S^-1)."""
     rng = np.random.default_rng(7)
     keygen_receiver_params(TOY, rng)
     sk, _ = keygen_sender_params(TOY, rng)
-    half = TOY.n_s // 2
-    rU = half - TOY.k_U
-    zero_block = sk.H_sk.copy()
-    zero_block[0, half] = 1
-    repeated_row = sk.H_sk.copy()
-    repeated_row[1, :half] = repeated_row[0, :half]
-    zero_column = sk.H_sk.copy()
-    zero_column[rU:, [3, half + 3]] = 0
-    right_half_first = Monomial(np.roll(np.arange(TOY.n_s), half), sk.P.scalars)
-    keys = {"zero-block": dataclasses.replace(sk, H_sk=zero_block),
-            "repeated-row": dataclasses.replace(sk, H_sk=repeated_row),
-            "zero-column": dataclasses.replace(sk, H_sk=zero_column),
+    repeated_row = sk.H_U.copy()
+    repeated_row[1] = repeated_row[0]
+    zero_column = sk.H_V.copy()
+    zero_column[:, 3] = 0
+    right_half_first = Monomial(np.roll(np.arange(TOY.n_s), TOY.n_s // 2),
+                                sk.P.scalars)
+    keys = {"repeated-row": dataclasses.replace(sk, H_U=repeated_row),
+            "zero-column": dataclasses.replace(sk, H_V=zero_column),
             "singular-first-columns": dataclasses.replace(sk, P=right_half_first)}
     return {name: serial.ser_sender_sec(TOY, key) for name, key in keys.items()}

@@ -1,15 +1,17 @@
 """Golden vectors: serialised keys and signcrypted messages at fixed seeds.
 
-Every digest was re-recorded for format version 0x02, in which a sender
-key is (H_sk, P) and its public key is the A of the systematic [I | A]:
-the version byte changed in every file (the receiver files differ from
-version 0x01 only there), the sender layouts dropped S and store A in
-place of S·H_sk·P, and sender keygen no longer draws S, so each draw
-takes less of the generator's stream and a different draw may be the
-first accepted.  Before that, the key digests pinned that moving GF(2^m)
-arithmetic to log/antilog tables left the field representation, the
-randomness each key generator consumes and the formats unchanged.  The
-mid-size profile (m=8, n_r=256, t=10) exercises a multi-step key
+Every digest was re-recorded for format version 0x03, in which a sender
+secret key file holds the draws H_U, H_V and P in place of the block
+matrix H_sk = [[H_U, 0], [-H_V, H_V]], which held H_V twice and a zero
+block.  Key generation, signatures and public keys did not change:
+every receiver file, sender public file and message differs from
+version 0x02 only at its version bytes (byte 4, and byte 14 of a
+message).  Version 0x02 made a sender key (H_sk, P) with the A of the
+systematic [I | A] as its public key; sender keygen then stopped
+drawing S, so each draw took less of the generator's stream.  Before
+that, the key digests pinned that moving GF(2^m) arithmetic to
+log/antilog tables left the field representation, the randomness each
+key generator consumes and the formats unchanged.  The mid-size profile (m=8, n_r=256, t=10) exercises a multi-step key
 equation and the square root in GF(2^m)[x]/(g), which t = 2 does not.
 """
 
@@ -30,39 +32,39 @@ MID = custom_params(dict(n_s=16, k_U=4, k_V=4, omega=14, m=8, n_r=256, t=10,
 # sender-pub, sender-sec); the receiver key is drawn first from the
 # same generator, so the sender digests pin its randomness consumption.
 KEY_DIGESTS = {
-    (TOY, 1): ("a8ba2649c973e65f593de8de9a9a9f5991110038cbc3d58a3696d0525ae989e2",
-               "4355cc751df2f071cfe5efcded393439de58d0f68f15ed5787897e2943a2ffe1",
-               "202497bcb208c5cb29fe451ec047497a0fb5c1a2ca39f115f0c85b13db1125fd",
-               "422b93f780564f4d27a76edef5504c3ebbb90c5151684e73db629be8c417feee"),
-    (TOY, 2): ("707e7d2f44e31eb7ac1902bbfb028b507b199d6f743cc64575f8e232dda5ea02",
-               "5c7fc17dfc7ea61057f59dc95b1f1c0acb7c69f01ac8da9d8199454a3a71da7a",
-               "eb80010c828b93b21074ce5bed22227cf7c8d978dde240abf3d05c429ee7412f",
-               "151d0b219b319c7b649a3b1af25657dc1806c36b1c755602f1d8eb895f2538cb"),
-    (MID, 3): ("02da96ed85242e8596593f11fc963951bca1f71c9e9973fbecf9dcbb9b56f80a",
-               "ea99bb344d0bc088dd24fcece969be439411c56491b0cbb681d33504483d365c",
-               "c0414a8ce022531b91a829d3958076917b3f8ccf40b2098d1b74c1241e411de2",
-               "454b61b18ddfc3cfa1b0c5caae11e38738f45132ce971924e156ee7750756ed5"),
-    (MID, 4): ("9eeed9d2bb0501dab01fcf795d60a582c1d97364aef11ff77987dd36149fcba1",
-               "5a2a4f2e837b6e7b91a87bc43ff24d3e26a835a13cd97bd2e29500a962aa172a",
-               "75ba581e64c8a3074987930a541730a15bfcccfb9268125ec6868888443220b5",
-               "c35ad2dad71f5784fa7bb9e15e36badbf861bede25d71204b1f424d42ae0756e"),
+    (TOY, 1): ("49225aeb3dc0280b36ccbacb4a2c05f42ac8cfee3750d02dc83a0c4a34c71f42",
+               "3e1892e092f52f861ddedd77fca3124b35ce2cbebeb1671ae649d53d131e7cc4",
+               "e76d71fa2d5c21ffa62702d68629815f0992bafabd2af50740cf80752d759bca",
+               "f57d32571cdc8d61effa97e1135567d754cb1d52477575b72153ca4c43405838"),
+    (TOY, 2): ("48e915cf83bdd66bf555c561af7ebe281759ed25785330d4adc13d9a8bccfb6f",
+               "ccf58feb9f384602aefd6acc76f7ca357673e7795daf8258ef857c68b128729f",
+               "3b63754a274525858490badde2542eb9c23f20c56a36f22dc7daa428a1ff815f",
+               "3b64fff46f7f097f8bec779342dab278fb26ca5c578f162460d7ded73fd172ff"),
+    (MID, 3): ("7dd8e608dd1acc04b7a0e4c9e5897d66fec18043aaa4509162260fcb203fd33d",
+               "f8fb30599dae2e3d1cc157a9ef7a48712025ee36814eab16874eee758e175ec9",
+               "55d143cef0a709f39995ed3e2155484fa779ab255ed211daf6f8ad4545234593",
+               "5273271c29c3a4b6962e24700f02c21df91e7cefc82ffa8511a0e25551d32efa"),
+    (MID, 4): ("68be961587601a919d10dbb4341dfe0ed680d22994f8398b6a5b88113d0a25c9",
+               "fc5eab6329a030417e365c68937db8e13dc05cf2342e58d8728c70fd4b900ac8",
+               "60dd725e0a61a4a5eb022dac37d861f2f9ec1d380679dc4ffdf8ed6fea49c2aa",
+               "7b68520dd156e65985f1b4b113b31b14f2e05d57872a2a195d81e1a42a8f3031"),
 }
 
 # (profile, keygen seed) -> sha256 of ser_message for the payload
 # b"golden <s>" signcrypted with default_rng(s), s = 10, 11, 12.
 MESSAGE_DIGESTS = {
-    (TOY, 1): ("25fc3e0d912e21040bc67f1e66f771bfa8e0bc858577b83b2b4daa6bb24020dc",
-               "0cde3e36b0a8919b3196523e451301e9108bb303b98e684a1872403690e81c6e",
-               "2260fab3a9bd7abf672b3eb93f03e80d8f70b6c9de7985f20b3f5c610c8c0b4c"),
-    (TOY, 2): ("94526ab8d3c7d5252c0dc43a71c30d5efa25f9f6d56a4254315f608b5792861b",
-               "346871659c1ba5b316e7fb5ac4e1227d95a7d3a178df17363b9db0415271bb3b",
-               "85a7bb11f74c7b18af4edecab3c659b2fdea099381bda53cdd38b09dee8f1200"),
-    (MID, 3): ("71fbbfbd743596ff336042b6178888f83360d8af0670cfb88abe0963b8f7ba98",
-               "1c366996b60648ffc8c8d3e68af68a083c2eeb795d0c37065d7760d1102f4c60",
-               "cfa043ab00109c3e4c863d80a4eb7675d400fd10772ab03cf9fabb5c747c085e"),
-    (MID, 4): ("81a79330b00ebb3b6ba55db297b6343a31f375ad3c9e26dd88bf56c267b59f8f",
-               "b06f4a78305a4f0709be3afb024f211f874992d26ea78c3805578a3ae796d019",
-               "edcbb632d50a50224d2d80f59b5b7f60e29c997213643b35597565171ee729b9"),
+    (TOY, 1): ("dd913cf78d23f7dec8a792b2e6ee3f9ed5ec26ae494ed87d35434445513723db",
+               "f5e93872dfb001ae19e6df9cb0360c026625a2a2e9ba2252097a75f4407405ac",
+               "6e53fc34e67473acd8620ab521c62fbe8f28fc9b67ae298ffe018efd7daa819d"),
+    (TOY, 2): ("388eedc937aaf76530c6c05faeb8acd1a06c6b7eaf955f023632b733e26cd9f5",
+               "b0572cc5c9770a7592fc1b2205e01a5e26ea85e552d37bc45c4143d0c96ec8c0",
+               "7ac6d53432949936581d66611b2db0e33665a28d8ee3a4767c904f82d653751d"),
+    (MID, 3): ("aad93d5c0ff8257f4d8d7eaff20beda9eceaf1e64b698f4fbb04f2c523655c68",
+               "e274ef11fe2ec2f457325db1171f374ada5d5b77688ddf734a17b4c18c061bd9",
+               "b038c720d5c02acbedaabcc4123711080189bfe3edecd4ac765ec8ff246078db"),
+    (MID, 4): ("a8a0a81acd396c44fab745be2b076b0042c6ce7acbfb140395f03b3e1a371a9e",
+               "705a670667f7279d679490857b13cd296e53b25a2ca9ff85459fb681152c77ee",
+               "80e259beaa303e221130bf79dcdf85c7d66170f18dafc77990fc91717188190d"),
 }
 
 

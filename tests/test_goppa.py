@@ -155,10 +155,8 @@ def test_decode_permuted_roundtrip(receiver_keys, toy_params):
         cw = vecmat(r, pk.G, 2)
         err = np.zeros(p.n_r, dtype=np.uint8)
         err[rng.choice(p.n_r, size=p.t, replace=False)] = 1
-        res = decode_permuted(sk, cw ^ err)
-        assert res is not None
-        got_cw, got_err = res
-        assert np.array_equal(got_cw, cw)
+        got_err = decode_permuted(sk, cw ^ err)
+        assert got_err is not None
         assert np.array_equal(got_err, err)
 
 

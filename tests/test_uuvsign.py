@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from cbsc import linalg, uuvsign
-from cbsc.linalg import mat_mono, mat_rank, matmul, vecmat
+from cbsc.linalg import mat_rank, matmul, vecmat
 from cbsc.params import TOY
 from cbsc.sctkem import keygen_receiver_params, keygen_sender_params
 from cbsc.uuvsign import (
@@ -20,7 +20,7 @@ from cbsc.uuvsign import (
     verify_syndrome,
 )
 
-from oracles import mono_to_matrix, steered_free_values
+from oracles import mat_mono, mono_to_matrix, steered_free_values
 
 
 def test_parity_check_block_structure():
@@ -50,10 +50,13 @@ def test_parity_check_block_structure():
 def test_keygen_relations(sender_keys, toy_params):
     sk, pk = sender_keys
     p = toy_params
-    assert sk.H_sk.shape == (p.r_s, p.n_s)
+    half = p.n_s // 2
+    assert sk.H_U.shape == (half - p.k_U, half)
+    assert sk.H_V.shape == (half - p.k_V, half)
+    assert (sk.n_s, sk.r_s) == (p.n_s, p.r_s)
     assert pk.A.shape == (p.r_s, p.n_s - p.r_s)
     # S_inv = the first r_s columns of H_sk P, and H_sk P = S_inv [I | A]
-    HP = mat_mono(sk.H_sk, sk.P, 3)
+    HP = mat_mono(build_uuv_parity_check(sk.H_U, sk.H_V), sk.P, 3)
     assert np.array_equal(sk.S_inv, HP[:, :p.r_s])
     assert mat_rank(sk.S_inv, 3) == p.r_s
     I_A = np.concatenate([np.eye(p.r_s, dtype=np.uint8), pk.A], axis=1)
@@ -140,12 +143,13 @@ def test_free_values_draws_one_uniform_per_coordinate():
 def test_uuv_decode_meets_syndrome_and_weight(sender_keys, toy_params):
     sk, _ = sender_keys
     p = toy_params
+    H_sk = build_uuv_parity_check(sk.H_U, sk.H_V)
     rng = np.random.default_rng(2)
     for _ in range(30):
         s = rng.integers(0, 3, size=p.r_s, dtype=np.uint8)
         e = uuv_decode(sk, s, p.omega, rng)
         assert int(np.count_nonzero(e)) == p.omega
-        assert np.array_equal(vecmat(e, sk.H_sk.T, 3), s)
+        assert np.array_equal(vecmat(e, H_sk.T, 3), s)
 
 
 def test_uuv_decode_extreme_weights(sender_keys, toy_params):
