@@ -12,9 +12,13 @@ steps of interest are:
     receiver keygen  fields.random_irreducible (irreducible search),
                      goppa.goppa_parity_check (parity check),
                      goppa.generator_matrix self (kernel),
-                     linalg.random_full_rank (S), linalg.matmul (S·G)
+                     linalg.mat_rank (the full-row-rank check of S in
+                     goppa.receiver_secret_key, once per drawn S),
+                     linalg.matmul (S·G over the mt columns of G that
+                     are not unit columns; the others are gathered
+                     from S)
     receiver load    fields.poly_is_irreducible, the parity check, the
-                     kernel and S·G again
+                     kernel, the rank check of S and S·G again
     sender keygen    uuvsign.keygen_sender self (one untraced
                      mat_reduce of H_sk·P per draw whose H_V has no
                      zero column, H_sk built from the drawn H_U and

@@ -47,8 +47,9 @@ class Tables:
     ``0 <= i < zero = 2(q-1)``; ``exp[i] = 0`` for ``zero <= i <= 2 zero``.
     ``log[0] = zero`` and ``log[a]`` is the discrete log of a otherwise,
     so a sum of two logs always indexes `exp` correctly.  ``sqrt[a]`` is
-    the square root and ``square[a]`` the square of a.  The ``*_np``
-    arrays are the same tables as numpy arrays for vector work.
+    the square root of a.  The ``*_np`` arrays are numpy arrays for
+    vector work: `exp` and `log` again, and ``square_np[a]``, the square
+    of a.
     """
 
     def __init__(self, m: int):
@@ -72,9 +73,9 @@ class Tables:
         self.log = log
         half = (order + 1) // 2        # 1/2 mod (q - 1)
         self.sqrt = [0] + [powers[(log[a] * half) % order] for a in range(1, q)]
-        self.square = [0] + [powers[(2 * log[a]) % order] for a in range(1, q)]
         self.exp_np = np.array(self.exp, dtype=np.intp)
         self.log_np = np.array(log, dtype=np.intp)
+        self.square_np = self.exp_np[2 * self.log_np]  # exp[2 zero] = 0
 
 
 def _mul_by(a: int, b: int, m: int, mod: int) -> int:
@@ -216,39 +217,44 @@ def poly_eval_many(p: list[int], xs: np.ndarray, m: int) -> np.ndarray:
     return r
 
 
-def poly_square_mod(p: list[int], mod: list[int], m: int) -> list[int]:
-    # (sum a_i x^i)^2 = sum a_i^2 x^(2i) in characteristic 2
-    sq = tables(m).square
-    r = [0] * (2 * len(p) - 1) if p else []
-    r[::2] = [sq[c] for c in p]
-    return poly_mod(r, mod, m)
-
-
-def poly_pow_q_mod(p: list[int], mod: list[int], m: int) -> list[int]:
-    """p^(2^m) mod `mod`, i.e. one Frobenius power over GF(2^m)."""
-    r = list(p)
-    for _ in range(m):
-        r = poly_square_mod(r, mod, m)
-    return r
-
-
 def poly_is_irreducible(p: list[int], m: int) -> bool:
-    """Deterministic irreducibility test over GF(2^m).
+    """Deterministic irreducibility test over GF(2^m) (Ben-Or).
 
-    A reducible polynomial of degree t has an irreducible factor of
-    degree <= t // 2, so it is caught by gcd(p, x^(q^i) - x).
+    A reducible p of degree t has an irreducible factor of some degree
+    d <= t // 2, and then gcd(p, x^(q^d) - x) != 1, q = 2^m.  For d = 1
+    that gcd is 1 exactly when p has no root in GF(q), which one
+    `poly_eval_many` over the field decides (alone for t = 2 and 3).
+    Later rounds square their way to x^(q^d) mod p: the terms of degree
+    t + j of sum r_i^2 x^(2i) are reduced with the rows x^(t+j) mod p,
+    j = 0..t-2, built once per call, as one table product with the rows
+    and an XOR down the columns.
     """
     t = poly_deg(p)
     if t <= 0:
         return False
-    if t == 1:
+    if not poly_eval_many(p, np.arange(1 << m), m).all():
+        return t == 1
+    if t < 4:
         return True
-    x = [0, 1]
-    r = x
-    for _ in range(t // 2):
-        r = poly_pow_q_mod(r, p, m)
-        g = poly_gcd(poly_add(r, x), p, m)
-        if poly_deg(g) != 0:
+    p = poly_scale(p, gf_inv(p[-1], m), m)
+    T = tables(m)
+    exp, log = T.exp_np, T.log_np
+    rows = np.empty((t - 1, t), dtype=np.intp)
+    rows[0] = p[:t]  # x^t = p - x^t for a monic p in characteristic 2
+    for j in range(1, t - 1):
+        rows[j, 0] = 0
+        rows[j, 1:] = rows[j - 1, :-1]
+        rows[j] ^= exp[log[rows[j - 1, -1]] + log[rows[0]]]
+    log_rows = log[rows]
+    square = np.zeros(2 * t - 1, dtype=np.intp)
+    r = np.zeros(t, dtype=np.intp)
+    r[1] = 1
+    for d in range(1, t // 2 + 1):
+        for _ in range(m):  # r = r^2 mod p, m times: r^q
+            square[::2] = T.square_np[r]
+            r = square[:t] ^ np.bitwise_xor.reduce(
+                exp[log[square[t:], None] + log_rows], axis=0)
+        if d > 1 and poly_deg(poly_gcd(poly_add(r.tolist(), [0, 1]), p, m)) != 0:
             return False
     return True
 

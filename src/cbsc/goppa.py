@@ -30,10 +30,11 @@ from . import fields as F
 from .linalg import (
     Monomial,
     kernel_basis,
+    mat_rank,
     matmul,
     mono_apply,
     mono_apply_inv,
-    random_full_rank,
+    random_matrix,
     random_permutation,
 )
 
@@ -162,7 +163,7 @@ def patterson_decode(code: GoppaCode, word: np.ndarray):
 @dataclass
 class ReceiverSecretKey:
     code: GoppaCode
-    S: np.ndarray          # k-tilde x k_r, full rank
+    S: np.ndarray          # k-tilde x k_r, full row rank
     P: Monomial            # permutation on n_r coordinates
     G_pk: np.ndarray       # public generator S·G·P, kept for re-encryption checks
 
@@ -182,20 +183,35 @@ def keygen_receiver(m: int, n_r: int, t: int, k_tilde: int, rng):
         G = generator_matrix(code)
         if len(G) == k_r:
             break
-    S = random_full_rank(k_tilde, k_r, 2, rng)
-    sk = receiver_secret_key(code, G, S, random_permutation(n_r, rng))
-    return sk, ReceiverPublicKey(G=sk.G_pk)
+    while True:  # redraw S and P until the key is valid
+        S = random_matrix(k_tilde, k_r, 2, rng)
+        try:
+            sk = receiver_secret_key(code, G, S, random_permutation(n_r, rng))
+        except ValueError:
+            continue
+        return sk, ReceiverPublicKey(G=sk.G_pk)
 
 
 def receiver_secret_key(code: GoppaCode, G: np.ndarray, S: np.ndarray,
                         P: Monomial) -> ReceiverSecretKey:
     """The secret key of (code, S, P), with its public generator S·G·P,
     where G is the generator of the code.  Raises ValueError unless S
-    has one column per row of G."""
+    has one column per row of G and full row rank.
+
+    A unit column e_i of G makes column S[:, i] of S·G, so those columns
+    are gathered from S and only the others are multiplied: the k free
+    columns of a `kernel_basis` are unit columns, which leaves the mt
+    pivot columns to `matmul`.
+    """
     if len(G) != S.shape[1]:
         raise ValueError(f"code has dimension {len(G)}, S has {S.shape[1]} columns")
-    G_pk = mono_apply(matmul(S, G, 2), P, 2)
-    return ReceiverSecretKey(code=code, S=S, P=P, G_pk=G_pk)
+    if mat_rank(S, 2) != len(S):
+        raise ValueError("S does not have full row rank")
+    unit = np.count_nonzero(G, axis=0) == 1
+    SG = np.empty((len(S), G.shape[1]), dtype=np.uint8)
+    SG[:, unit] = S[:, G[:, unit].argmax(axis=0)]
+    SG[:, ~unit] = matmul(S, G[:, ~unit], 2)
+    return ReceiverSecretKey(code=code, S=S, P=P, G_pk=mono_apply(SG, P, 2))
 
 
 def decode_permuted(sk: ReceiverSecretKey, word: np.ndarray):

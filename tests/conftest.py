@@ -63,3 +63,16 @@ def malformed_sender_secs():
             "zero-column": dataclasses.replace(sk, H_V=zero_column),
             "singular-first-columns": dataclasses.replace(sk, P=right_half_first)}
     return {name: serial.ser_sender_sec(TOY, key) for name, key in keys.items()}
+
+
+@pytest.fixture(scope="session")
+def malformed_receiver_secs(receiver_keys, toy_params):
+    """Well-formed receiver secret keys whose S lacks full row rank, from
+    the toy receiver key: S zeroed (a zero public generator, so c0 would
+    be the encoded coin in the clear) and row 1 of S equal to row 0."""
+    sk, _ = receiver_keys
+    repeated_row = sk.S.copy()
+    repeated_row[1] = repeated_row[0]
+    keys = {"zero-S": dataclasses.replace(sk, S=np.zeros_like(sk.S)),
+            "repeated-row": dataclasses.replace(sk, S=repeated_row)}
+    return {name: serial.ser_receiver_sec(toy_params, key) for name, key in keys.items()}

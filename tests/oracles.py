@@ -5,8 +5,10 @@ coordinate loops that the numpy monomial gathers and the DEM replaced;
 Gauss-Jordan elimination on unpacked uint8 rows and the int64 product,
 which the packed eliminator and the float64 products of `cbsc.linalg`
 replaced; the per-trit loops that the table sampler of `cbsc.uuvsign`
-and the vector trit decoding of `cbsc.hashes` replaced; and helpers
-that only tests need.
+and the vector trit decoding of `cbsc.hashes` replaced; the Ben-Or
+loop that the root check and reduction rows of
+`cbsc.fields.poly_is_irreducible` replaced; and helpers that only tests
+need.
 
 They are slow and simple on purpose; tests compare the library against
 them.  Polynomials are lists of ints, index = degree, no trailing zeros.
@@ -18,6 +20,7 @@ import math
 
 import numpy as np
 
+from cbsc import fields as F
 from cbsc.fields import IRREDUCIBLE_POLY
 from cbsc.hashes import H2, hash_bytes, keystream
 from cbsc.linalg import (
@@ -133,6 +136,27 @@ def poly_sqrt_mod(p: list[int], mod: list[int], m: int) -> list[int]:
     for _ in range(m * (len(mod) - 1) - 1):
         r = poly_square_mod(r, mod, m)
     return r
+
+
+def poly_is_irreducible(p: list[int], m: int) -> bool:
+    """Ben-Or's test as `cbsc.fields` ran it before its root check and
+    reduction rows: p of degree t is irreducible when gcd(p, x^(q^i) - x)
+    = 1 for i = 1..t//2, each x^(q^i) reached by m squarings reduced
+    with `poly_mod`.  The reductions and the gcd are the library's table
+    arithmetic (checked above against the bit-serial one), since
+    bit-serial reductions would take minutes at t = 64."""
+    t = len(p) - 1
+    if t <= 0:
+        return False
+    r = [0, 1]
+    for _ in range(t // 2):
+        for _ in range(m):
+            sq = [0] * (2 * len(r) - 1)
+            sq[::2] = [gf_mul(c, c, m) for c in r]
+            r = F.poly_mod(sq, p, m)
+        if len(F.poly_gcd(poly_add(r, [0, 1]), p, m)) != 1:
+            return False
+    return True
 
 
 def syndrome_poly(g: list[int], support, word, m: int) -> list[int]:

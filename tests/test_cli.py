@@ -116,6 +116,19 @@ def test_rank_deficient_receiver_key_exit4(keyset, rank_deficient_receiver_sec):
     assert rc == EXIT_CRYPTO
 
 
+@pytest.mark.parametrize("kind", ["zero-S", "repeated-row"])
+def test_malformed_receiver_key_exit4(keyset, malformed_receiver_secs, kind, capsys):
+    key = keyset / "bad.sec"
+    key.write_bytes(malformed_receiver_secs[kind])
+    ct = keyset / "c"
+    ct.write_bytes(b"")
+    rc = main(["unsigncrypt", "--receiver-sec", str(key),
+               "--sender-pub", str(keyset / "snd.pub"),
+               "--in", str(ct), "--out", str(keyset / "o")])
+    assert rc == EXIT_CRYPTO
+    assert "bad receiver-sec key file" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("kind", ["repeated-row", "zero-column",
                                   "singular-first-columns"])
 def test_malformed_sender_key_exit4(keyset, malformed_sender_secs, kind, capsys):

@@ -1,6 +1,7 @@
 """GF(2^m) and polynomial arithmetic, checked against independent
 reference implementations (naive GF(2)[x] arithmetic on ints)."""
 
+import itertools
 import random
 
 import numpy as np
@@ -147,14 +148,42 @@ def test_poly_sqrt_mod():
     for _ in range(30):
         p = F.poly_trim([rnd.randrange(32) for _ in range(3)])
         s = F.poly_sqrt_mod(p, g, m, sqrt_x)
-        assert F.poly_square_mod(s, g, m) == F.poly_mod(p, g, m)
+        assert O.poly_square_mod(s, g, m) == F.poly_mod(p, g, m)
 
 
-def test_irreducible_count_deg2_gf4():
-    # monic x^2 + bx + c over GF(4): (q^2 - q)/2 = 6 irreducibles
-    count = sum(F.poly_is_irreducible([c, b, 1], 2)
-                for b in range(4) for c in range(4))
-    assert count == 6
+def _mobius(n: int) -> int:
+    sign, d = 1, 2
+    while d * d <= n:
+        if n % d == 0:
+            n //= d
+            if n % d == 0:
+                return 0
+            sign = -sign
+        d += 1
+    return -sign if n > 1 else sign
+
+
+def test_irreducible_count_matches_formula():
+    # every monic polynomial of degree t over GF(q): the irreducible ones
+    # number (1/t) sum over d | t of mu(d) q^(t/d); degrees from 4 up
+    # take the squaring rounds, 2 and 3 only the root check
+    for m, t in [(2, 2), (2, 3), (2, 4), (2, 5), (2, 6), (3, 2), (3, 3),
+                 (3, 4), (4, 2), (4, 3)]:
+        q = 1 << m
+        count = sum(F.poly_is_irreducible(list(low) + [1], m)
+                    for low in itertools.product(range(q), repeat=t))
+        want = sum(_mobius(d) * q ** (t // d) for d in range(1, t + 1) if t % d == 0)
+        assert count == want // t, (m, t)
+
+
+def test_irreducible_matches_oracle():
+    rng = np.random.default_rng(20)
+    for t, m, n in [(20, 10, 150), (64, 12, 6)]:
+        cases = [[int(c) for c in rng.integers(0, 1 << m, size=t + 1)] for _ in range(n)]
+        cases += [F.random_irreducible(t, m, rng)]
+        for p in cases:
+            p = F.poly_trim(p)  # leading coefficients other than 1 too
+            assert F.poly_is_irreducible(p, m) == O.poly_is_irreducible(p, m), p
 
 
 def test_reducible_detected():

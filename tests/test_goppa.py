@@ -14,10 +14,24 @@ from cbsc.goppa import (
     keygen_receiver,
     patterson_decode,
     random_goppa_code,
+    receiver_secret_key,
 )
-from cbsc.linalg import matmul, mono_apply_inv, mat_rank, vecmat
+from cbsc.linalg import (
+    mat_rank,
+    mat_reduce,
+    matmul,
+    mono_apply,
+    mono_apply_inv,
+    random_matrix,
+    random_permutation,
+    vecmat,
+)
+from cbsc.params import TOY
 
+import oracles as O
 from oracles import mat_mono
+from test_golden import MID
+from test_serial import L1_20
 
 
 def _code(seed=0, m=5, n=32, t=2):
@@ -158,6 +172,41 @@ def test_decode_permuted_roundtrip(receiver_keys, toy_params):
         got_err = decode_permuted(sk, cw ^ err)
         assert got_err is not None
         assert np.array_equal(got_err, err)
+
+
+def _code_and_generator(params, rng):
+    while True:
+        code = random_goppa_code(params.m, params.n_r, params.t, rng)
+        G = generator_matrix(code)
+        if len(G) == params.k_r:
+            return code, G
+
+
+@pytest.mark.parametrize("params", [TOY, MID, L1_20], ids=["toy", "mid", "l1-20"])
+def test_public_generator_matches_oracle_product(params):
+    rng = np.random.default_rng(8)
+    code, G = _code_and_generator(params, rng)
+    _, _, pivots = mat_reduce(goppa_parity_check(code), 2)
+    free = np.setdiff1d(np.arange(params.n_r), pivots)
+    assert np.array_equal(G[:, free], np.eye(len(G), dtype=np.uint8))
+    S = random_matrix(params.k_tilde, params.k_r, 2, rng)
+    P = random_permutation(params.n_r, rng)
+    sk = receiver_secret_key(code, G, S, P)
+    assert np.array_equal(sk.G_pk, mono_apply(O.matmul(S, G, 2), P, 2))
+
+
+def test_public_generator_with_a_unit_pivot_column():
+    # a pivot column of G made e_1, so that two columns of G are e_1,
+    # and another made zero
+    rng = np.random.default_rng(9)
+    code, G = _code_and_generator(MID, rng)
+    _, _, pivots = mat_reduce(goppa_parity_check(code), 2)
+    G[:, pivots[:2]] = 0
+    G[1, pivots[0]] = 1
+    S = random_matrix(MID.k_tilde, MID.k_r, 2, rng)
+    P = random_permutation(MID.n_r, rng)
+    sk = receiver_secret_key(code, G, S, P)
+    assert np.array_equal(sk.G_pk, mono_apply(O.matmul(S, G, 2), P, 2))
 
 
 def test_keygen_rejects_bad_dims():

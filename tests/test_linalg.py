@@ -120,12 +120,50 @@ def _matrix(kind: str, rows: int, cols: int, p: int, rng) -> np.ndarray:
        st.sampled_from(["random", "zero", "low_rank", "tall", "augmented"]),
        st.integers(0, 2**32 - 1))
 def test_mat_reduce_matches_oracle(p, rows, cols, kind, seed):
-    M = _matrix(kind, rows, cols, p, _rng(seed))
+    _assert_reduces_like_oracle(_matrix(kind, rows, cols, p, _rng(seed)), p)
+
+
+def _assert_reduces_like_oracle(M, p):
     R, rank, pivots = L.mat_reduce(M, p)
     R_want, rank_want, pivots_want = O.mat_reduce(M, p)
     assert R.dtype == np.uint8
     assert np.array_equal(R, R_want)
     assert (rank, pivots) == (rank_want, pivots_want)
+
+
+# From 32 rows up mat_reduce clears 4 to 8 columns per block, so these
+# shapes reach the blocked elimination; column counts sit around
+# multiples of 64.
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from([2, 3]), st.integers(64, 300),
+       st.sampled_from([63, 64, 65, 127, 128, 129, 191, 256, 321]),
+       st.sampled_from(["random", "zero", "low_rank", "tall", "augmented"]),
+       st.integers(0, 2**32 - 1))
+def test_blocked_mat_reduce_matches_oracle(p, rows, cols, kind, seed):
+    _assert_reduces_like_oracle(_matrix(kind, rows, cols, p, _rng(seed)), p)
+
+
+@pytest.mark.parametrize("p", [2, 3])
+@pytest.mark.parametrize("rows", [31, 32, 64, 200])
+@pytest.mark.parametrize("kind", ["no-pivot-columns", "narrow-last-block",
+                                  "duplicated-rows"])
+def test_blocked_mat_reduce_edge_cases(p, rows, kind):
+    rng = _rng(rows)
+    if kind == "no-pivot-columns":
+        # a zero column and a nonzero dependent one, in the first block
+        # and in a later one
+        M = L.random_matrix(rows, 2 * rows, p, rng)
+        for c in (2, rows // 2):
+            M[:, c] = 0
+            M[:, c + 3] = (M[:, c + 1] + 2 * M[:, c + 2]) % p
+    elif kind == "narrow-last-block":
+        # rows - 1 columns, all pivots, and 31, 63 and 199 are not
+        # multiples of the block widths 4, 5 and 6
+        M = L.random_matrix(rows, rows - 1, p, rng)
+    else:
+        M = L.random_matrix(rows, rows + 9, p, rng)
+        M[1::2] = M[0::2][: rows // 2]
+    _assert_reduces_like_oracle(M, p)
 
 
 @settings(max_examples=150, deadline=None)

@@ -275,6 +275,12 @@ def test_receiver_sec_with_rank_deficient_code_rejected(rank_deficient_receiver_
         serial.par_receiver_sec(rank_deficient_receiver_sec)
 
 
+@pytest.mark.parametrize("kind", ["zero-S", "repeated-row"])
+def test_receiver_sec_with_singular_S_rejected(malformed_receiver_secs, kind):
+    with pytest.raises(serial.FormatError, match="S does not have full row rank"):
+        serial.par_receiver_sec(malformed_receiver_secs[kind])
+
+
 @pytest.mark.parametrize("kind,reason", [
     pytest.param("repeated-row", "first r_s columns of H_sk P are singular",
                  id="repeated-row"),
