@@ -13,20 +13,25 @@ that, the key digests pinned that moving GF(2^m) arithmetic to
 log/antilog tables left the field representation, the randomness each
 key generator consumes and the formats unchanged.  The mid-size profile (m=8, n_r=256, t=10) exercises a multi-step key
 equation and the square root in GF(2^m)[x]/(g), which t = 2 does not.
+The L1/20 profile of the benchmark (n_s = 424) pins signatures of the
+L1 shape, with a few hundred free variables per solver, where the other
+profiles have n_s = 16.
 """
 
 import hashlib
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from cbsc import serial
 from cbsc.hybrid import signcrypt, unsigncrypt
-from cbsc.params import TOY, custom_params
+from cbsc.params import TOY, custom_params, setup
 from cbsc.sctkem import keygen_receiver_params, keygen_sender_params
 
 MID = custom_params(dict(n_s=16, k_U=4, k_V=4, omega=14, m=8, n_r=256, t=10,
                          k_tilde=100, ell=16, salt_bits=16))
+L1_20 = setup(str(Path(__file__).resolve().parent.parent / "perfbench" / "l1-20.profile"))
 
 # (profile, keygen seed) -> sha256 of (receiver-pub, receiver-sec,
 # sender-pub, sender-sec); the receiver key is drawn first from the
@@ -48,6 +53,14 @@ KEY_DIGESTS = {
                "fc5eab6329a030417e365c68937db8e13dc05cf2342e58d8728c70fd4b900ac8",
                "60dd725e0a61a4a5eb022dac37d861f2f9ec1d380679dc4ffdf8ed6fea49c2aa",
                "7b68520dd156e65985f1b4b113b31b14f2e05d57872a2a195d81e1a42a8f3031"),
+    (L1_20, 5): ("5831aea7e218eb7422a624604e56957028b157814785b5993ce0c478ace29d6b",
+                 "412a08ab7cf451ee83bbabf779f31745d89035ea9976210cc7bc58393ca463d0",
+                 "0f7363d42a682d206de185a354718b0aa7f817273c1578dcb81814aeb5b18da6",
+                 "3068dffc6f614e7814d7626518d302b66e966e7515c16bb378f3cbbd6125963d"),
+    (L1_20, 6): ("0c66823f9ccb66b87a3a2e1b36e0dd59d5d11a6aac91fadae0576081a3029f3d",
+                 "4da8f31d6bf45bc2a4806485a4afca570e22c7e76a5aada61423547ef9a8ddaa",
+                 "f354d941045ff55fe2701512acb6e5785ffc29d2e2629684aeff18466338e118",
+                 "1607b1c9dc0bd12a4ecac10a6bb180145ba0cf95ed20b1349ec5f67331e0fc40"),
 }
 
 # (profile, keygen seed) -> sha256 of ser_message for the payload
@@ -65,6 +78,12 @@ MESSAGE_DIGESTS = {
     (MID, 4): ("a8a0a81acd396c44fab745be2b076b0042c6ce7acbfb140395f03b3e1a371a9e",
                "705a670667f7279d679490857b13cd296e53b25a2ca9ff85459fb681152c77ee",
                "80e259beaa303e221130bf79dcdf85c7d66170f18dafc77990fc91717188190d"),
+    (L1_20, 5): ("807532e5497da74654f01c90678ed584feeca220d443848f9126c9ad8203607f",
+                 "41bec811f7c59f1cf7e8724d2924aad56d83190349a1fa188c33b99305451926",
+                 "48f08c8917124ce8c104d5138f4133cd111abc32122cd6f34c36619e945d15c8"),
+    (L1_20, 6): ("37f42fd6e88637c2f67dca9a620dc73d8c5791b2c8b4a7f7b030d756d8bce276",
+                 "a8e9a09d86b1b42c8cbeabb87707f500d8e089dcd7614870540dddd07b523443",
+                 "2dbc43c4a4d332b81fbe71154b63c21eab00d4a5f85822ef7af3b7ee6ba44b0e"),
 }
 
 
