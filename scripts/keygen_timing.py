@@ -1,13 +1,17 @@
 #!/usr/bin/env python3
-"""Per-step times of key generation and key loading, with key sizes.
+"""Per-step times of key generation, key loading and signing attempts,
+with key sizes and the peak RSS.
 
 Usage: keygen_timing.py PROFILE     (a profile name or a profile file)
 
 For each role, generates a key pair at a fixed seed, serialises it and
-loads both keys back from their bytes.  Every traced function called
-inside each of these four phases is listed with its call count, its
-inclusive time and its self time (inclusive minus traced callees).  The
-steps of interest are:
+loads both keys back from their bytes.  Then the loaded sender key runs
+the signer's decoder, `uuv_decode`, on a random word with at most
+SIGN_ATTEMPTS attempts, and the ms per attempt are printed; an attempt
+is two `AffineSolver.solve` calls.  Every traced function called inside
+each of these five phases is listed with its call count, its inclusive
+time and its self time (inclusive minus traced callees).  The steps of
+interest are:
 
     receiver keygen  fields.random_irreducible (irreducible search),
                      goppa.goppa_parity_check (parity check),
@@ -26,13 +30,17 @@ steps of interest are:
                      linalg.AffineSolver (the two solvers)
     sender load      serial.par_sender_sec self (unpacking H_U and H_V
                      and the same mat_reduce), linalg.AffineSolver
+    signing attempts linalg.AffineSolver.solve (a product with each
+                     solver's R_free), uuvsign.uuv_decode self (drawing
+                     the free values and the weight check)
 
 The functions are timed by the span tracer of perfbench/spans.py.  Then
 the serialised key sizes are printed next to the `estimator.sizes` rows
 they correspond to.  The two need not agree: files carry a header and
 store five trits per byte where the formulas count log2(3) bits per
 trit, and the sender secret key formula counts S, H_sk and a dense P,
-where the file holds only H_U, H_V, perm and scalars.
+where the file holds only H_U, H_V, perm and scalars.  Last comes the
+peak RSS of the process, which holds one sender key at a time.
 
 Run from anywhere with `src` on PYTHONPATH:
 
@@ -46,6 +54,7 @@ import os
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ.setdefault(_var, "1")
 
+import resource
 import sys
 from collections import defaultdict
 from pathlib import Path
@@ -53,7 +62,7 @@ from time import perf_counter
 
 import numpy as np
 
-from cbsc import estimator, serial
+from cbsc import estimator, serial, uuvsign
 from cbsc.params import setup
 from cbsc.sctkem import keygen_receiver_params, keygen_sender_params
 
@@ -61,6 +70,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 import spans  # noqa: E402
 
 SEED = 0
+SIGN_ATTEMPTS = 20
 
 
 def phase_tables(tracer: spans.Tracer, roots: dict[str, int]) -> dict[str, list]:
@@ -102,8 +112,19 @@ def main(argv: list[str]) -> int:
         sk_s, pk_s = phase("sender keygen", lambda: keygen_sender_params(params, rng))
         blobs |= {"sender_sec": serial.ser_sender_sec(params, sk_s),
                   "sender_pub": serial.ser_sender_pub(params, pk_s)}
-        phase("sender load", lambda: (serial.par_sender_sec(blobs["sender_sec"]),
+        del sk_s, pk_s  # the loaded key signs, and one key is held at a time
+        (_, sk_s), _ = phase("sender load",
+                             lambda: (serial.par_sender_sec(blobs["sender_sec"]),
                                       serial.par_sender_pub(blobs["sender_pub"])))
+        word = rng.integers(0, 3, size=params.n_s, dtype=np.uint8)
+
+        def attempts():
+            try:
+                uuvsign.uuv_decode(sk_s, word, params.omega, rng,
+                                   max_attempts=SIGN_ATTEMPTS)
+            except uuvsign.RetryExhausted:
+                pass
+        phase("signing attempts", attempts)
     finally:
         tracer.uninstall()
 
@@ -116,12 +137,18 @@ def main(argv: list[str]) -> int:
         print(f"  {'step':34s} {'calls':>6s} {'incl s':>9s} {'self s':>9s}")
         for name, calls, incl, self_s in tables[title]:
             print(f"  {name:34s} {calls:6d} {incl:9.3f} {self_s:9.3f}")
+    solves = {name: calls for name, calls, *_ in tables["signing attempts"]}
+    attempts_run = solves["linalg.AffineSolver.solve"] // 2
+    print(f"\n{attempts_run} signing attempts (of at most {SIGN_ATTEMPTS}): "
+          f"{1e3 * phases[-1][2] / attempts_run:.2f} ms per attempt")
 
     formula = {r.name: r.value for r in estimator.sizes(params)}
     print(f"\n{'key':14s} {'file bytes':>11s} {'file bits':>11s} {'estimator bits':>15s}")
     for key, blob in blobs.items():
         print(f"{key:14s} {len(blob):11d} {8 * len(blob):11d} "
               f"{formula[key + '_bits']:15.0f}")
+    # ru_maxrss is in KiB on Linux
+    print(f"\npeak RSS {resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024:.0f} MiB")
     return 0
 
 

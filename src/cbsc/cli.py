@@ -61,6 +61,8 @@ def _setup(profile: str):
         return setup(profile)
     except ParameterError as exc:
         raise CliError(EXIT_USAGE, f"bad profile: {exc}") from exc
+    except OSError as exc:
+        raise CliError(EXIT_IO, f"cannot read profile {profile}: {exc}") from exc
 
 
 def _load_key(path: str, role_name: str):

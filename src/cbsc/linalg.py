@@ -31,7 +31,7 @@ saves (1.2 to 1.6 times slower at 4 to 20 rows, even at 24), so each
 column is one pivot step that visits every row.  One core of a shared
 2-vCPU VM, single steps -> blocks: GF(2) 64 x 128 0.76 -> 0.40 ms,
 200 x 1024 7.3 -> 3.6 ms, 300 x 824 14.7 -> 5.2 ms, 768 x 3488 94 ->
-52 ms; GF(3) 145 x 424 11.4 -> 7.2 ms, [H | I] 110 x 322 6.0 -> 4.4 ms,
+52 ms; GF(3) 145 x 424 11.4 -> 7.2 ms, 110 x 322 6.0 -> 4.4 ms,
 2199 x 4246 3.4 -> 1.4 s.
 
 Integers hold the rows, not numpy uint64 word arrays: a pivot step on
@@ -250,32 +250,27 @@ def kernel_basis(M: np.ndarray, p: int) -> np.ndarray:
 
 
 class AffineSolver:
-    """Repeated solves H @ x = s for a fixed H, with caller-chosen free variables."""
+    """The coset {x : H @ x = H @ w} of any word w, one x per choice of
+    x[free].  H alone is reduced to its RREF R, and for any H, R @ x =
+    R @ w exactly when H @ x = H @ w: x[pivots] = w[pivots] + R_free @
+    (w[free] - x[free]).  R_free is kept in float64 for the product."""
 
     def __init__(self, H: np.ndarray, p: int):
         self.p = p
-        self.rows, self.cols = H.shape
-        aug = np.concatenate([H % p, np.eye(self.rows, dtype=np.uint8)], axis=1)
-        R, rank, piv = mat_reduce(aug, p)
-        # pivots landing in the identity part mean dependent rows of H
-        self.pivots = [c for c in piv if c < self.cols]
-        self.rank = len(self.pivots)
-        self.free = _free_columns(self.cols, self.pivots).tolist()
-        self.R_free = R[: self.rank, self.free]  # free columns of the RREF of H
-        self.E = R[:, self.cols:]  # row-operation matrix: E @ H = [R; 0]
+        R, rank, pivots = mat_reduce(H, p)
+        self.pivots = np.array(pivots, dtype=np.intp)
+        self.free = _free_columns(H.shape[1], pivots)
+        self.R_free = R[:rank, self.free].astype(np.float64)
 
-    def solve(self, s: np.ndarray, free_values: np.ndarray | None = None) -> np.ndarray | None:
+    def solve(self, w: np.ndarray, free_values: np.ndarray) -> np.ndarray:
+        """The x with H @ x = H @ w and x[free] = free_values."""
         p = self.p
-        rhs = _product(self.E, np.asarray(s, dtype=np.uint8) % p, p)
-        if np.any(rhs[self.rank:]):
-            return None
-        x = np.zeros(self.cols, dtype=np.uint8)
-        rhs = rhs[: self.rank]
-        if self.free and free_values is not None:
-            fv = np.asarray(free_values, dtype=np.uint8) % p
-            x[self.free] = fv
-            rhs = rhs + (p - _product(self.R_free, fv, p))
-        x[self.pivots] = rhs % p
+        w = np.asarray(w, dtype=np.uint8) % p
+        fv = np.asarray(free_values, dtype=np.uint8) % p
+        x = np.empty_like(w)
+        x[self.free] = fv
+        shift = _product(self.R_free, (w[self.free] + p - fv) % p, p)
+        x[self.pivots] = (w[self.pivots] + shift) % p
         return x
 
 
@@ -309,7 +304,8 @@ def _product(A: np.ndarray, B: np.ndarray, p: int) -> np.ndarray:
     if inner * (p - 1) ** 2 >= _EXACT:
         raise ValueError(f"inner dimension {inner} is too large for an exact "
                          f"float64 product modulo {p}")
-    return (A.astype(np.float64) @ B.astype(np.float64) % p).astype(np.uint8)
+    return (A.astype(np.float64, copy=False) @ B.astype(np.float64, copy=False)
+            % p).astype(np.uint8)
 
 
 def matmul(A: np.ndarray, B: np.ndarray, p: int) -> np.ndarray:

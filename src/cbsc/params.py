@@ -110,7 +110,11 @@ def custom_params(values: dict[str, int], name: str = "custom") -> CommonParams:
 def load_profile_file(path) -> CommonParams:
     """Custom profile as key=value lines; '#' starts a comment."""
     values: dict[str, int] = {}
-    for raw in Path(path).read_text().splitlines():
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParameterError(f"profile is not UTF-8 text: {exc}") from exc
+    for raw in text.splitlines():
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue

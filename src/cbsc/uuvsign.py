@@ -1,20 +1,19 @@
 """Ternary (U, U+V) trapdoor signatures with prescribed high weight.
 
 The secret parity check H_sk = [[H_U, 0], [-H_V, H_V]] is built from
-two codes, U = ker H_U and V = ker H_V.  The trapdoor decodes a syndrome
-to an error (u, u + v) of exact weight omega, retrying until the weight
-lands.  Each attempt draws p, omega/n plus N(0, 0.15) noise clipped to
-[0, 1], and solves the V half and then the U half with free variables
-from one sampler, `_free_values`: one uniform per free coordinate,
-looked up in a table by the other half's trit there (zero for the V
-half, v for the U half), gives the pair (x, x + other) weight 2 with
-probability p and the weight of `other` alone otherwise.
+two codes, U = ker H_U and V = ker H_V.  The trapdoor decodes the coset
+of a word (w1, w2) to a word (u, u + v) of exact weight omega, retrying
+until the weight lands.  Each attempt draws p, omega/n plus N(0, 0.15)
+noise clipped to [0, 1], and solves v in the coset of w2 - w1 under H_V,
+then u in that of w1 under H_U, with free variables from one sampler,
+`_free_values`: one uniform per free coordinate, looked up in a table by
+the other half's trit there (zero for v, v for u), gives the pair
+(x, x + other) weight 2 with probability p, else the weight of `other`.
 
 A sender secret key is what key generation draws, (H_U, H_V, P), and
 H_sk is built from it.  Its public key is the systematic form [I | A]
-of H_sk·P, so the S of H_pk = S·H_sk·P is implied: the inverse of the
-first r_s columns of H_sk·P, which must be invertible.  Signing maps a
-syndrome y to s = y·S^-T, where S^-1 is those columns themselves.
+of H_sk·P, whose first r_s columns must be invertible.  [y | 0] has
+syndrome y under [I | A], so signing decodes the coset of [y | 0]·P^-1.
 """
 
 from __future__ import annotations
@@ -29,6 +28,7 @@ from .linalg import (
     Monomial,
     mat_reduce,
     mono_apply,
+    mono_apply_inv,
     random_matrix,
     random_monomial,
     vecmat,
@@ -46,7 +46,6 @@ class SenderSecretKey:
     P: Monomial            # monomial over GF(3)
     solver_U: AffineSolver  # for H_U, built with the key
     solver_V: AffineSolver  # for H_V
-    S_inv: np.ndarray      # the first r_s columns of H_sk·P
 
     @property
     def n_s(self) -> int:
@@ -102,7 +101,7 @@ def sender_keys(H_U: np.ndarray, H_V: np.ndarray,
     if pivots != list(range(r_s)):
         raise ValueError("the first r_s columns of H_sk P are singular")
     sk = SenderSecretKey(H_U=H_U, H_V=H_V, P=P, solver_U=AffineSolver(H_U, 3),
-                         solver_V=AffineSolver(H_V, 3), S_inv=HP[:, :r_s].copy())
+                         solver_V=AffineSolver(H_V, 3))
     return sk, SenderPublicKey(A=R[:, r_s:])
 
 
@@ -136,24 +135,23 @@ def _free_values(other: np.ndarray, p_two: float, rng) -> np.ndarray:
     return _FREE_TABLE[other, np.searchsorted(edges, rng.random(len(other)), "right")]
 
 
-def uuv_decode(sk: SenderSecretKey, s: np.ndarray, omega: int, rng,
+def uuv_decode(sk: SenderSecretKey, w: np.ndarray, omega: int, rng,
                max_attempts: int = 10_000) -> np.ndarray:
-    """e with e @ H_sk.T = s and wt(e) = omega exactly."""
+    """e with e @ H_sk.T = w @ H_sk.T and wt(e) = omega exactly."""
     n_s = sk.n_s
     if not 0 <= omega <= n_s:
         raise ValueError("omega out of range")
-    s = np.asarray(s, dtype=np.uint8) % 3
-    if len(s) != sk.r_s:
-        raise ValueError("syndrome length mismatch")
+    w = np.asarray(w, dtype=np.uint8) % 3
+    if len(w) != n_s:
+        raise ValueError("word length mismatch")
     solver_U, solver_V = sk.solver_U, sk.solver_V
-    s_U, s_V = s[:solver_U.rows], s[solver_U.rows:]
+    w_U, w_V = w[:n_s // 2], (w[n_s // 2:] + 3 - w[:n_s // 2]) % 3
     zeros_V = np.zeros(len(solver_V.free), dtype=np.uint8)
     target = omega / n_s
     for _ in range(max_attempts):
         p = min(1.0, max(0.0, target + rng.normal(0.0, 0.15)))
-        # both blocks have full row rank, so neither solve returns None
-        e_V = solver_V.solve(s_V, _free_values(zeros_V, p, rng))
-        e1 = solver_U.solve(s_U, _free_values(e_V[solver_U.free], p, rng))
+        e_V = solver_V.solve(w_V, _free_values(zeros_V, p, rng))
+        e1 = solver_U.solve(w_U, _free_values(e_V[solver_U.free], p, rng))
         e2 = (e1 + e_V) % 3
         e = np.concatenate([e1, e2]).astype(np.uint8)
         if int(np.count_nonzero(e)) == omega:
@@ -162,9 +160,9 @@ def uuv_decode(sk: SenderSecretKey, s: np.ndarray, omega: int, rng,
 
 
 def sign_syndrome(sk: SenderSecretKey, y: np.ndarray, omega: int, rng) -> np.ndarray:
-    """e with e @ H_pk.T = y and wt(e) = omega: S^-T, the trapdoor decode, P."""
-    e_inner = uuv_decode(sk, vecmat(y, sk.S_inv.T, 3), omega, rng)
-    return mono_apply(e_inner, sk.P, 3)
+    """e with e @ [I | A].T = y and wt(e) = omega: P^-1, the decode, P."""
+    w = np.concatenate([y, np.zeros(sk.n_s - sk.r_s, dtype=np.uint8)])
+    return mono_apply(uuv_decode(sk, mono_apply_inv(w, sk.P, 3), omega, rng), sk.P, 3)
 
 
 def verify_syndrome(pk: SenderPublicKey, e: np.ndarray, y: np.ndarray,

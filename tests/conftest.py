@@ -45,11 +45,11 @@ def rank_deficient_receiver_sec():
 @pytest.fixture(scope="session")
 def malformed_sender_secs():
     """Well-formed sender secret keys that are not a valid trapdoor, from
-    the toy sender key of default_rng(7): row 1 of H_U equal to row 0 (a
-    U system that most syndromes leave without a solution), column 3 of
-    H_V zeroed (a malleable signature trit), and a P that sends the right
-    half of H_sk to the first r_s columns, which are zero in the top r_U
-    rows (no S^-1)."""
+    the toy sender key of default_rng(7): row 1 of H_U equal to row 0 (an
+    H_U without full row rank), column 3 of H_V zeroed (a malleable
+    signature trit), and a P that sends the right half of H_sk to the
+    first r_s columns, which are zero in the top r_U rows (no systematic
+    form [I | A])."""
     rng = np.random.default_rng(7)
     keygen_receiver_params(TOY, rng)
     sk, _ = keygen_sender_params(TOY, rng)

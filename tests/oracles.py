@@ -24,7 +24,6 @@ from cbsc import fields as F
 from cbsc.fields import IRREDUCIBLE_POLY
 from cbsc.hashes import H2, hash_bytes, keystream
 from cbsc.linalg import (
-    AffineSolver,
     Monomial,
     invert_matrix,
     random_full_rank,
@@ -352,28 +351,6 @@ def random_invertible(n: int, p: int, rng) -> np.ndarray:
 
 def bits_from_bytes(data: bytes) -> np.ndarray:
     return unpack_bits(data, 8 * len(data))
-
-
-def solve_affine(H: np.ndarray, s: np.ndarray, p: int,
-                 fixed: dict[int, int] | None = None) -> np.ndarray | None:
-    """One x with H @ x = s (mod p) honoring `fixed`, or None if inconsistent.
-    Free variables are 0."""
-    H = np.asarray(H, dtype=np.uint8) % p
-    s = np.asarray(s, dtype=np.uint8) % p
-    fixed = fixed or {}
-    keep = [c for c in range(H.shape[1]) if c not in fixed]
-    if fixed:
-        idx = sorted(fixed)
-        vals = np.array([fixed[c] for c in idx], dtype=np.int64) % p
-        s = (s.astype(np.int64) - H[:, idx] @ vals) % p
-    sub = AffineSolver(H[:, keep], p).solve(s)
-    if sub is None:
-        return None
-    x = np.zeros(H.shape[1], dtype=np.uint8)
-    x[keep] = sub
-    for c, v in fixed.items():
-        x[c] = v % p
-    return x
 
 
 def recover_message(G_pk: np.ndarray, c0: np.ndarray, sigma: np.ndarray) -> np.ndarray:

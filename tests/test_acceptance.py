@@ -214,10 +214,12 @@ def test_criterion_8_signature_soundness(toy_keys):
         honest += verify(pk_s, msg, sig, TOY.omega)
     assert honest == 50
 
-    # syndrome-correct vectors of the wrong weight: solve the public
-    # system directly without steering toward omega
+    # syndrome-correct vectors of the wrong weight: random words of the
+    # coset of [target | 0] under the public [I | A], not steered toward
+    # omega
     H_pk = np.concatenate([np.eye(TOY.r_s, dtype=np.uint8), pk_s.A], axis=1)
     solver = AffineSolver(H_pk, 3)
+    zeros = np.zeros(TOY.n_s - TOY.r_s, dtype=np.uint8)
     weight_wrong = 0
     for i in range(50):
         msg = b"wrong-weight-%d" % i
@@ -225,8 +227,7 @@ def test_criterion_8_signature_soundness(toy_keys):
         target = hash_trits([msg, salt], TOY.r_s)
         while True:
             fv = rng.integers(0, 3, size=len(solver.free), dtype=np.uint8)
-            e = solver.solve(target, fv)
-            assert e is not None
+            e = solver.solve(np.concatenate([target, zeros]), fv)
             if int(np.count_nonzero(e)) != TOY.omega:
                 break
         assert np.array_equal(vecmat(e, H_pk.T, 3), target)

@@ -186,6 +186,17 @@ def test_custom_profile_file(tmp_path):
     assert main(["estimate", "--profile", str(prof)]) == EXIT_OK
 
 
+def test_unreadable_profile_exit3(tmp_path):
+    # a directory passes setup's exists() check, then cannot be read
+    assert main(["estimate", "--profile", str(tmp_path)]) == EXIT_IO
+
+
+def test_non_utf8_profile_exit2(tmp_path):
+    prof = tmp_path / "latin1.params"
+    prof.write_bytes("# profil \xe9t\xe9\nn_s = 16\n".encode("latin-1"))
+    assert main(["estimate", "--profile", str(prof)]) == EXIT_USAGE
+
+
 def test_profile_with_too_few_H_V_rows_exit2(tmp_path):
     # L1/20 with k_V = 211 leaves H_V one row, so a draw of H_V has no
     # zero column with probability (2/3)^212 and sender keygen would not end

@@ -56,41 +56,29 @@ def test_invert_singular_raises():
 
 
 def test_affine_solver_against_enumeration():
-    # exhaustive oracle over GF(3)^5: solvable iff s is in the column space
-    rng = _rng(42)
-    for trial in range(5):
-        H = L.random_matrix(3, 5, 3, rng)
-        image = {tuple(L.vecmat(np.array(x, dtype=np.uint8), H.T, 3))
-                 for x in itertools.product(range(3), repeat=5)}
-        solver = L.AffineSolver(H, 3)
-        for s in itertools.product(range(3), repeat=3):
-            sv = np.array(s, dtype=np.uint8)
-            x = solver.solve(sv)
-            if tuple(s) in image:
-                assert x is not None
-                assert np.array_equal(L.vecmat(x, H.T, 3), sv)
-            else:
-                assert x is None
-
-
-def test_affine_solver_free_values_respected():
-    rng = _rng(9)
-    H = L.random_full_rank(3, 7, 3, rng)
-    solver = L.AffineSolver(H, 3)
-    s = np.array([1, 2, 0], dtype=np.uint8)
-    fv = rng.integers(0, 3, size=len(solver.free), dtype=np.uint8)
-    x = solver.solve(s, fv)
-    assert np.array_equal(x[solver.free], fv)
-    assert np.array_equal(L.vecmat(x, H.T, 3), s)
-
-
-def test_solve_affine_fixed_coordinates():
-    rng = _rng(17)
-    H = L.random_full_rank(2, 6, 2, rng)
-    s = np.array([1, 1], dtype=np.uint8)
-    x = O.solve_affine(H, s, 2, fixed={0: 1, 5: 0})
-    assert x is not None and x[0] == 1 and x[5] == 0
-    assert np.array_equal(L.vecmat(x, H.T, 2), s)
+    # exhaustive oracle over GF(3)^5 and GF(2)^6, for H of full rank,
+    # with a dependent row and zero: over all free values, solve(w, .)
+    # gives exactly the coset {x : H x = H w}, with x[free] the values
+    for p, rows, cols in ((3, 3, 5), (2, 4, 6)):
+        rng = _rng(40 + p)
+        space = np.array(list(itertools.product(range(p), repeat=cols)), dtype=np.uint8)
+        for trial in range(6):
+            H = L.random_matrix(rows, cols, p, rng)
+            if trial % 3 == 1:
+                H[-1] = (H[0] + H[1]) % p
+            elif trial % 3 == 2:
+                H[:] = 0
+            syndromes = O.matmul(space, H.T, p)
+            solver = L.AffineSolver(H, p)
+            for i in rng.choice(len(space), 6, replace=False):
+                coset = {tuple(x) for x, s in zip(space, syndromes)
+                         if np.array_equal(s, syndromes[i])}
+                solutions = set()
+                for fv in itertools.product(range(p), repeat=len(solver.free)):
+                    x = solver.solve(space[i], np.array(fv, dtype=np.uint8))
+                    assert tuple(x[solver.free]) == fv
+                    solutions.add(tuple(x))
+                assert solutions == coset
 
 
 # --- packed elimination and float64 products against the uint8/int64 oracles --
@@ -108,7 +96,7 @@ def _matrix(kind: str, rows: int, cols: int, p: int, rng) -> np.ndarray:
     if kind == "tall":
         rows = cols + rows + 1
     M = L.random_matrix(rows, cols, p, rng)
-    if kind == "augmented":  # [H | I] with a dependent row, as AffineSolver reduces
+    if kind == "augmented":  # [M | I] with a dependent row, as invert_matrix reduces
         if rows > 1:
             M[-1] = M[0] * 2 % p
         M = np.concatenate([M, np.eye(rows, dtype=np.uint8)], axis=1)

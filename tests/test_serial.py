@@ -56,7 +56,6 @@ def test_sender_sec_roundtrip(toy_params, sender_keys):
     params, sk2 = serial.par_sender_sec(blob)
     assert np.array_equal(sk2.H_U, sk.H_U)
     assert np.array_equal(sk2.H_V, sk.H_V)
-    assert np.array_equal(sk2.S_inv, sk.S_inv)
     assert np.array_equal(sk2.P.perm, sk.P.perm)
     assert np.array_equal(sk2.P.scalars, sk.P.scalars)
     assert serial.ser_sender_sec(params, sk2) == blob

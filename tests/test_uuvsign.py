@@ -55,12 +55,11 @@ def test_keygen_relations(sender_keys, toy_params):
     assert sk.H_V.shape == (half - p.k_V, half)
     assert (sk.n_s, sk.r_s) == (p.n_s, p.r_s)
     assert pk.A.shape == (p.r_s, p.n_s - p.r_s)
-    # S_inv = the first r_s columns of H_sk P, and H_sk P = S_inv [I | A]
+    # H_sk P = HP[:, :r_s] [I | A], with HP[:, :r_s] invertible
     HP = mat_mono(build_uuv_parity_check(sk.H_U, sk.H_V), sk.P, 3)
-    assert np.array_equal(sk.S_inv, HP[:, :p.r_s])
-    assert mat_rank(sk.S_inv, 3) == p.r_s
+    assert mat_rank(HP[:, :p.r_s], 3) == p.r_s
     I_A = np.concatenate([np.eye(p.r_s, dtype=np.uint8), pk.A], axis=1)
-    assert np.array_equal(matmul(sk.S_inv, I_A, 3), HP)
+    assert np.array_equal(matmul(HP[:, :p.r_s], I_A, 3), HP)
     M = mono_to_matrix(sk.P)
     assert np.array_equal(matmul(M, M.T, 3), np.eye(p.n_s, dtype=np.uint8))
     assert set(sk.P.scalars) <= {1, 2}
@@ -91,8 +90,8 @@ def test_keygen_sender_eliminates_each_matrix_once(monkeypatch, seed):
     monkeypatch.setattr(uuvsign, "mat_reduce", counting_reduce)
     keygen_sender_params(TOY, rng)
     r_U, r_V = TOY.n_s // 2 - TOY.k_U, TOY.n_s // 2 - TOY.k_V
-    assert calls == [(TOY.r_s, TOY.n_s), (r_U, TOY.n_s // 2 + r_U),
-                     (r_V, TOY.n_s // 2 + r_V)], calls
+    assert calls == [(TOY.r_s, TOY.n_s), (r_U, TOY.n_s // 2),
+                     (r_V, TOY.n_s // 2)], calls
 
 
 def test_keygen_validation():
@@ -146,28 +145,29 @@ def test_uuv_decode_meets_syndrome_and_weight(sender_keys, toy_params):
     H_sk = build_uuv_parity_check(sk.H_U, sk.H_V)
     rng = np.random.default_rng(2)
     for _ in range(30):
-        s = rng.integers(0, 3, size=p.r_s, dtype=np.uint8)
-        e = uuv_decode(sk, s, p.omega, rng)
+        w = rng.integers(0, 3, size=p.n_s, dtype=np.uint8)
+        e = uuv_decode(sk, w, p.omega, rng)
         assert int(np.count_nonzero(e)) == p.omega
-        assert np.array_equal(vecmat(e, H_sk.T, 3), s)
+        assert np.array_equal(vecmat(e, H_sk.T, 3), vecmat(w, H_sk.T, 3))
 
 
 def test_uuv_decode_extreme_weights(sender_keys, toy_params):
     sk, _ = sender_keys
     rng = np.random.default_rng(3)
-    s = rng.integers(0, 3, size=toy_params.r_s, dtype=np.uint8)
-    e = uuv_decode(sk, s, toy_params.n_s, rng)   # full weight
+    w = rng.integers(0, 3, size=toy_params.n_s, dtype=np.uint8)
+    e = uuv_decode(sk, w, toy_params.n_s, rng)   # full weight
     assert int(np.count_nonzero(e)) == toy_params.n_s
 
 
 def test_uuv_decode_retry_budget():
-    # weight 0 with a nonzero syndrome is unsatisfiable
+    # weight 0 is unsatisfiable in the coset of a unit word: its
+    # syndrome is a column of H_sk, nonzero as H_V has no zero column
     rng = np.random.default_rng(4)
     sk, _ = keygen_sender(8, 2, 2, rng)
-    s = np.zeros(4, dtype=np.uint8)
-    s[0] = 1
+    w = np.zeros(8, dtype=np.uint8)
+    w[0] = 1
     with pytest.raises(RetryExhausted):
-        uuv_decode(sk, s, 0, rng, max_attempts=50)
+        uuv_decode(sk, w, 0, rng, max_attempts=50)
 
 
 def test_sign_verify(sender_keys, toy_params):
