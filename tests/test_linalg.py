@@ -81,6 +81,17 @@ def test_affine_solver_against_enumeration():
                 assert solutions == coset
 
 
+def test_affine_solver_free_values_respected():
+    rng = _rng(9)
+    H = L.random_full_rank(3, 7, 3, rng)
+    solver = L.AffineSolver(H, 3)
+    w = rng.integers(0, 3, size=7, dtype=np.uint8)
+    fv = rng.integers(0, 3, size=len(solver.free), dtype=np.uint8)
+    x = solver.solve(w, fv)
+    assert np.array_equal(x[solver.free], fv)
+    assert np.array_equal(L.vecmat(x, H.T, 3), L.vecmat(w, H.T, 3))
+
+
 # --- packed elimination and float64 products against the uint8/int64 oracles --
 
 # column counts on both sides of 64-bit word boundaries
