@@ -26,13 +26,25 @@ their 2^k sums, T[s] the sum of the pivot rows whose columns are set
 in s, and one lookup clears the block from every other row:
 x ^ T[(x >> c0) & mask] over GF(2).  Over GF(3) a row takes two
 lookups, subtracting T[s] for its X-slice s and adding T[u] for its
-Y-slice u, since 2 = -1.  Below 32 rows the table costs more than it
-saves (1.2 to 1.6 times slower at 4 to 20 rows, even at 24), so each
-column is one pivot step that visits every row.  One core of a shared
-2-vCPU VM, single steps -> blocks: GF(2) 64 x 128 0.76 -> 0.40 ms,
-200 x 1024 7.3 -> 3.6 ms, 300 x 824 14.7 -> 5.2 ms, 768 x 3488 94 ->
-52 ms; GF(3) 145 x 424 11.4 -> 7.2 ms, 110 x 322 6.0 -> 4.4 ms,
-2199 x 4246 3.4 -> 1.4 s.
+Y-slice u, since 2 = -1.  One core of a shared 2-vCPU VM, one pivot
+column per step -> blocks: GF(2) 64 x 128 0.76 -> 0.40 ms, 200 x 1024
+7.3 -> 3.6 ms, 300 x 824 14.7 -> 5.2 ms, 768 x 3488 94 -> 52 ms; GF(3)
+145 x 424 11.4 -> 7.2 ms, 110 x 322 6.0 -> 4.4 ms, 2199 x 4246 3.4 ->
+1.4 s.
+
+Below 32 rows the whole matrix is one block, and its table is never
+built.  The table of a last block that follows no earlier pivot is
+skipped: the pivot search has already put the block's pivot rows in
+RREF, and the table would only clear the rows without a pivot, which
+`mat_reduce` drops.  One pivot column per step -> one block, on the
+same VM (us per random matrix, best of 40 interleaved runs): the toy
+keys' GF(3) 4 x 8 28 -> 28 and 8 x 16 44 -> 48, GF(2) 10 x 32 36 ->
+37 and the 16 x 22 S 54 -> 60; GF(3) 16 x 32 131 -> 155.  From 17 to
+31 rows one block is 1.3 to 1.4 times slower (GF(3) 24 x 48 217 ->
+290, 31 x 62 366 -> 490; GF(2) 31 x 62 167 -> 230), but no key of the
+toy or L1/20 profiles has such a matrix: toy's largest is the 16 x 22
+S, L1/20's smallest the 35 x 212 H_U.  `mat_rank` stops after the
+elimination and unpacks nothing: 52 us on the 16 x 22 S.
 
 Integers hold the rows, not numpy uint64 word arrays: a pivot step on
 word arrays is some fifteen numpy calls, so on the 4- to 16-row
@@ -75,75 +87,40 @@ def _add3(a1: int, a2: int, b1: int, b2: int) -> tuple[int, int]:
     return (a2 | b2) ^ t, (a1 | b1) ^ t
 
 
-def mat_reduce(M: np.ndarray, p: int) -> tuple[np.ndarray, int, list[int]]:
-    """Reduced row echelon form modulo p. Returns (rref, rank, pivot columns).
-
-    Gauss-Jordan on packed rows, k columns at a time from 32 rows up and
-    one column at a time below (see the module docstring).  Rows are not
-    swapped: each pivot row is taken from the rows that hold no pivot
-    yet, and the rows are put in pivot order when unpacked.  The RREF of
-    a matrix is unique, so neither the choice of pivot rows nor k
-    changes it.
-    """
+def _eliminate(M: np.ndarray, p: int):
+    """Gauss-Jordan on the packed rows of M modulo p, k columns at a time
+    (see the module docstring).  Returns the reduced bit-planes X and Y
+    (None over GF(2)), the pivot rows in pivot order and the pivot
+    columns."""
     M = np.asarray(M, dtype=np.uint8) % p
     rows, cols = M.shape
     X = _rows_to_ints(M == 1)
     Y = _rows_to_ints(M == 2) if p == 3 else None
     k = min(8, rows.bit_length() - 2)
-    if k < 4:
-        order, pivots = _reduce_columns(X, Y, cols)
-    else:
-        order, pivots = _reduce_blocks(X, Y, cols, k)
+    # below 32 rows the whole matrix is one block (at least one column
+    # wide: range needs a nonzero step)
+    order, pivots = _reduce_blocks(X, Y, cols, k if k >= 4 else max(cols, 1))
+    return X, Y, order, pivots
+
+
+def mat_reduce(M: np.ndarray, p: int) -> tuple[np.ndarray, int, list[int]]:
+    """Reduced row echelon form modulo p. Returns (rref, rank, pivot columns).
+
+    Gauss-Jordan on packed rows, k columns per block from 32 rows up and
+    all columns in one block below (see the module docstring).  Rows are
+    not swapped: each pivot row is taken from the rows that hold no pivot
+    yet, and the rows are put in pivot order when unpacked.  The RREF of
+    a matrix is unique, so neither the choice of pivot rows nor k
+    changes it.
+    """
+    X, Y, order, pivots = _eliminate(M, p)
     rank = len(pivots)
-    R = np.zeros((rows, cols), dtype=np.uint8)
+    R = np.zeros(np.shape(M), dtype=np.uint8)
+    cols = R.shape[1]
     R[:rank] = _ints_to_rows([X[i] for i in order], cols)
     if Y is not None:
         R[:rank] += 2 * _ints_to_rows([Y[i] for i in order], cols)
     return R, rank, pivots
-
-
-def _reduce_columns(X: list[int], Y: list[int] | None, cols: int):
-    """Single-pivot Gauss-Jordan in place: for each column, the pivot row
-    is scaled to 1 and added, with the coefficient each row needs, to
-    every other row that is nonzero there.  Returns (pivot rows, pivot
-    columns)."""
-    rows = len(X)
-    free = list(range(rows))  # rows that hold no pivot yet
-    order: list[int] = []
-    pivots: list[int] = []
-    for c in range(cols):
-        if not free:
-            break
-        bit = 1 << c
-        if Y is None:
-            sel = next((i for i in free if X[i] & bit), None)
-            if sel is None:
-                continue
-            q = X[sel]
-            X[:] = [r ^ q if r & bit else r for r in X]
-            X[sel] = q
-        else:
-            sel = next((i for i in free if X[i] & bit or Y[i] & bit), None)
-            if sel is None:
-                continue
-            if Y[sel] & bit:  # scale the pivot row by 2
-                X[sel], Y[sel] = Y[sel], X[sel]
-            q1, q2 = X[sel], Y[sel]
-            for i in range(rows):
-                a1, a2 = X[i], Y[i]
-                if a1 & bit:    # entry 1: add the pivot row negated
-                    b1, b2 = q2, q1
-                elif a2 & bit:  # entry 2: add the pivot row
-                    b1, b2 = q1, q2
-                else:
-                    continue
-                t = (a1 | b2) ^ (a2 | b1)
-                X[i], Y[i] = (a2 | b2) ^ t, (a1 | b1) ^ t
-            X[sel], Y[sel] = q1, q2
-        free.remove(sel)
-        order.append(sel)
-        pivots.append(c)
-    return order, pivots
 
 
 def _clear(X: list[int], Y: list[int] | None, i: int, j: int, c: int) -> None:
@@ -189,6 +166,13 @@ def _reduce_blocks(X: list[int], Y: list[int] | None, cols: int, k: int):
             held |= bit
         if not block:
             continue
+        order += block.values()
+        pivots += block
+        if len(order) == len(block) and c0 + width == cols:
+            # the last block and no earlier pivot rows: the pivot search
+            # left the pivot rows in RREF, and the table would only clear
+            # the rows without a pivot, which are dropped
+            break
         # the table T[s] is the sum of the pivot rows whose columns are
         # set in s; clearing the block turns the pivot rows to zero, so
         # they are put back after it
@@ -224,13 +208,11 @@ def _reduce_blocks(X: list[int], Y: list[int] | None, cols: int, k: int):
                 X[i], Y[i] = a1, a2
             for j, q1, q2 in keep:
                 X[j], Y[j] = q1, q2
-        order += block.values()
-        pivots += block
     return order, pivots
 
 
 def mat_rank(M: np.ndarray, p: int) -> int:
-    return mat_reduce(M, p)[1]
+    return len(_eliminate(M, p)[3])
 
 
 def _free_columns(cols: int, pivots: list[int]) -> np.ndarray:

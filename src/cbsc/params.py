@@ -97,14 +97,14 @@ CUSTOM_FIELDS = ("n_s", "k_U", "k_V", "omega", "m", "n_r", "t",
                  "k_tilde", "ell", "salt_bits")
 
 
-def custom_params(values: dict[str, int], name: str = "custom") -> CommonParams:
+def custom_params(values: dict[str, int]) -> CommonParams:
     unknown = set(values) - set(CUSTOM_FIELDS)
     if unknown:
         raise ParameterError(f"unknown parameters: {sorted(unknown)}")
     missing = set(CUSTOM_FIELDS) - set(values)
     if missing:
         raise ParameterError(f"missing parameters: {sorted(missing)}")
-    return CommonParams(name=name, **{k: int(values[k]) for k in CUSTOM_FIELDS}).validate()
+    return CommonParams(name="custom", **{k: int(values[k]) for k in CUSTOM_FIELDS}).validate()
 
 
 def load_profile_file(path) -> CommonParams:

@@ -114,8 +114,10 @@ def _matrix(kind: str, rows: int, cols: int, p: int, rng) -> np.ndarray:
     return M
 
 
+# Below 32 rows mat_reduce takes all columns as one block; 0 to 40 rows
+# cover that block and both sides of the 32-row boundary.
 @settings(max_examples=300, deadline=None)
-@given(st.sampled_from([2, 3]), st.integers(0, 12), st.sampled_from(_COLS),
+@given(st.sampled_from([2, 3]), st.integers(0, 40), st.sampled_from(_COLS),
        st.sampled_from(["random", "zero", "low_rank", "tall", "augmented"]),
        st.integers(0, 2**32 - 1))
 def test_mat_reduce_matches_oracle(p, rows, cols, kind, seed):
@@ -142,6 +144,8 @@ def test_blocked_mat_reduce_matches_oracle(p, rows, cols, kind, seed):
     _assert_reduces_like_oracle(_matrix(kind, rows, cols, p, _rng(seed)), p)
 
 
+# 31 rows is the largest matrix reduced as one block, 32 the smallest
+# reduced k columns at a time
 @pytest.mark.parametrize("p", [2, 3])
 @pytest.mark.parametrize("rows", [31, 32, 64, 200])
 @pytest.mark.parametrize("kind", ["no-pivot-columns", "narrow-last-block",
