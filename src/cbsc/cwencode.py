@@ -4,10 +4,14 @@ The encoding is the colexicographic combinadic: a t-subset
 {c_0 < c_1 < ... < c_{t-1}} of [0, n) has rank sum(C(c_i, i+1)).  Ranks
 below 2^kappa are exactly the encodable bit strings; weight-t vectors
 whose rank is >= 2^kappa are outside the image and decode to None.
+Unranking takes the elements from the largest down, each by bisection
+over the binomials, so it makes O(t log n) `comb` calls, not one per
+position.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from math import comb
 
 import numpy as np
@@ -28,18 +32,20 @@ def rank_support(support) -> int:
 
 
 def unrank_support(r: int, n: int, t: int) -> list[int]:
-    """t-subset of [0, n) with colex rank r."""
+    """t-subset of [0, n) with colex rank r.
+
+    Greedy from the largest element down: for k = t, ..., 1 it is the
+    largest c below the previous one with C(c, k) <= r, and r drops by
+    C(c, k).  C(c, k) grows with c, so bisection finds each c in
+    O(log n) binomials rather than one per position.
+    """
     if not 0 <= r < comb(n, t):
         raise ValueError("rank out of range")
     support = [0] * t
-    k = t
-    while k > 0:
-        n -= 1
-        offset = comb(n, k)
-        if r >= offset:
-            r -= offset
-            k -= 1
-            support[k] = n
+    for k in range(t, 0, -1):
+        n = bisect_right(range(n), r, key=lambda c: comb(c, k)) - 1
+        r -= comb(n, k)
+        support[k - 1] = n
     return support
 
 

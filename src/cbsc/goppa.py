@@ -46,7 +46,9 @@ class GoppaCode:
     support holds n distinct field elements that are not roots of g.
     The constructor checks all of this except irreducibility, which
     key generation guarantees and key loading checks, then builds
-    `syndrome_matrix` (read-only, t x n) and `sqrt_x`.
+    `syndrome_matrix` (read-only, t x n) and `sqrt_x`; for a reducible
+    g, x may have no square root and the constructor raises
+    ZeroDivisionError.
     """
 
     def __init__(self, m: int, t: int, g: list[int], support: list[int]):
@@ -124,9 +126,14 @@ def patterson_decode(code: GoppaCode, word: np.ndarray):
     """Correct up to t errors. Returns (codeword, error) or None.
 
     Error-locator construction: invert the syndrome, split off x, take a
-    square root in GF(2^m)[x]/(g), and solve the key equation; roots of
-    sigma over the support mark error positions.  The result is verified
-    by re-checking the syndrome, so inputs beyond distance t fail cleanly.
+    square root in GF(2^m)[x]/(g), and solve the key equation for a and
+    b; the locator is sigma = a^2 + x b^2.  In characteristic 2 squaring
+    a polynomial squares each coefficient, so sigma interleaves the
+    squared coefficients of a (even powers) and of b (odd powers).  b is
+    never zero, so 1 <= deg sigma <= t, and sigma locates the error only
+    when it has deg sigma roots over the support.  The result is
+    verified by re-checking the syndrome, so inputs beyond distance t
+    fail cleanly.
     """
     word = np.asarray(word, dtype=np.uint8) % 2
     if len(word) != code.n:
@@ -135,21 +142,14 @@ def patterson_decode(code: GoppaCode, word: np.ndarray):
     S = code.syndrome_poly(word)
     if not S:
         return word.copy(), np.zeros(code.n, dtype=np.uint8)
-    T = F.poly_inv_mod(S, code.g, m)
-    R2 = F.poly_add(T, [0, 1])
-    if not R2:
-        sigma = [0, 1]
-    else:
-        R = F.poly_sqrt_mod(R2, code.g, m, code.sqrt_x)
-        a, b = _key_equation(code.g, R, t, m)
-        a2 = F.poly_mul(a, a, m)
-        b2 = F.poly_mul(b, b, m)
-        sigma = F.poly_add(a2, F.poly_mul([0, 1], b2, m))
-    if not sigma:
-        return None
+    R2 = F.poly_add(F.poly_inv_mod(S, code.g, m), [0, 1])
+    a, b = _key_equation(code.g, F.poly_sqrt_mod(R2, code.g, m, code.sqrt_x), t, m)
+    T = F.tables(m)
+    sigma = [0] * max(2 * len(a) - 1, 2 * len(b))
+    sigma[0:2 * len(a):2] = [T.exp[2 * T.log[c]] for c in a]
+    sigma[1:2 * len(b):2] = [T.exp[2 * T.log[c]] for c in b]
     error = (F.poly_eval_many(sigma, code._alpha, m) == 0).astype(np.uint8)
-    nroots = int(error.sum())
-    if nroots == 0 or nroots > t or nroots != F.poly_deg(sigma):
+    if int(error.sum()) != F.poly_deg(sigma):
         return None
     corrected = word ^ error
     if code.syndrome_poly(corrected):

@@ -54,9 +54,14 @@ than either.  From about 150 rows up word arrays won over single pivot
 steps by at most 1.6x on the sizes measured.  Results are unpacked to
 uint8 before they leave the module; no key keeps a packed copy.
 
-Products run as float64 BLAS, `A @ B % p`.  Every partial sum is an
-integer of at most inner * (p - 1)**2, so the result is exact while that
-bound is below 2**53; `matmul` refuses larger inner dimensions.
+Products run as float32 BLAS, `A @ B % p`.  Every partial sum is an
+integer of at most inner * (p - 1)**2, and float32 holds every integer
+below 2**24 exactly, so the result is exact, in any summation order,
+while that bound is below 2**24; `matmul` refuses larger inner
+dimensions.  The largest product of any profile, at `paper-l1`, has
+partial sums of at most 5605 * 4.  Against float64, float32 halves the
+memory a product reads: `R_free @ v` on the `paper-l1` V solver's 2199 x
+2047 `R_free` took 0.83-0.90 ms, not 1.8-2.1 ms (one BLAS thread).
 """
 
 from __future__ import annotations
@@ -65,7 +70,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-_EXACT = 2 ** 53
+_EXACT = 2 ** 24
 
 
 def _rows_to_ints(bits: np.ndarray) -> list[int]:
@@ -235,14 +240,14 @@ class AffineSolver:
     """The coset {x : H @ x = H @ w} of any word w, one x per choice of
     x[free].  H alone is reduced to its RREF R, and for any H, R @ x =
     R @ w exactly when H @ x = H @ w: x[pivots] = w[pivots] + R_free @
-    (w[free] - x[free]).  R_free is kept in float64 for the product."""
+    (w[free] - x[free]).  R_free is kept in float32 for the product."""
 
     def __init__(self, H: np.ndarray, p: int):
         self.p = p
         R, rank, pivots = mat_reduce(H, p)
         self.pivots = np.array(pivots, dtype=np.intp)
         self.free = _free_columns(H.shape[1], pivots)
-        self.R_free = R[:rank, self.free].astype(np.float64)
+        self.R_free = R[:rank, self.free].astype(np.float32)
 
     def solve(self, w: np.ndarray, free_values: np.ndarray) -> np.ndarray:
         """The x with H @ x = H @ w and x[free] = free_values."""
@@ -285,14 +290,14 @@ def _product(A: np.ndarray, B: np.ndarray, p: int) -> np.ndarray:
     inner = A.shape[-1]
     if inner * (p - 1) ** 2 >= _EXACT:
         raise ValueError(f"inner dimension {inner} is too large for an exact "
-                         f"float64 product modulo {p}")
-    return (A.astype(np.float64, copy=False) @ B.astype(np.float64, copy=False)
+                         f"float32 product modulo {p}")
+    return (A.astype(np.float32, copy=False) @ B.astype(np.float32, copy=False)
             % p).astype(np.uint8)
 
 
 def matmul(A: np.ndarray, B: np.ndarray, p: int) -> np.ndarray:
-    """A @ B mod p, as an exact float64 BLAS product.  Raises ValueError
-    when A.shape[-1] * (p - 1)**2 reaches 2**53."""
+    """A @ B mod p, as an exact float32 BLAS product.  Raises ValueError
+    when A.shape[-1] * (p - 1)**2 reaches 2**24."""
     return _product(A, B, p)
 
 

@@ -203,15 +203,16 @@ def ser_receiver_sec(params: CommonParams, sk: ReceiverSecretKey) -> bytes:
 
 def par_receiver_sec(data: bytes) -> tuple[CommonParams, ReceiverSecretKey]:
     params, v = _par_key(ROLE_RECEIVER_SEC, data)
-    m, g = params.m, v["g"].tolist()
     _check_perm(v["perm"])
-    # Patterson's square root is only correct for an irreducible g
-    if g[-1] != 1 or max(g) >> m or not F.poly_is_irreducible(g, m):
-        raise FormatError("g is not monic irreducible of degree t over GF(2^m)")
+    # GoppaCode checks g and the support, except for irreducibility; a
+    # reducible g can leave x without a square root modulo g
     try:
-        code = GoppaCode(m, params.t, g, v["support"].tolist())
-    except ValueError as exc:
+        code = GoppaCode(params.m, params.t, v["g"].tolist(), v["support"].tolist())
+    except (ValueError, ZeroDivisionError) as exc:
         raise FormatError(f"invalid Goppa code: {exc}") from exc
+    # Patterson's square root is only correct for an irreducible g
+    if not F.poly_is_irreducible(code.g, params.m):
+        raise FormatError("g is not irreducible over GF(2^m)")
     P = Monomial(v["perm"], np.ones(params.n_r, dtype=np.uint8))
     try:
         return params, receiver_secret_key(code, generator_matrix(code), v["S"], P)

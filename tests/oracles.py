@@ -3,12 +3,13 @@ Patterson decoding, written independently of the log/antilog tables and
 the key-time decoding material in `cbsc.fields` and `cbsc.goppa`; the
 coordinate loops that the numpy monomial gathers and the DEM replaced;
 Gauss-Jordan elimination on unpacked uint8 rows and the int64 product,
-which the packed eliminator and the float64 products of `cbsc.linalg`
+which the packed eliminator and the float32 products of `cbsc.linalg`
 replaced; the per-trit loops that the table sampler of `cbsc.uuvsign`
 and the vector trit decoding of `cbsc.hashes` replaced; the Ben-Or
 loop that the root check and reduction rows of
-`cbsc.fields.poly_is_irreducible` replaced; and helpers that only tests
-need.
+`cbsc.fields.poly_is_irreducible` replaced; the scan over every
+position that the bisection of `cbsc.cwencode.unrank_support` replaced;
+and helpers that only tests need.
 
 They are slow and simple on purpose; tests compare the library against
 them.  Polynomials are lists of ints, index = degree, no trailing zeros.
@@ -194,6 +195,22 @@ def patterson_decode(g: list[int], support, word, m: int):
     if syndrome_poly(g, support, corrected, m):
         return None
     return corrected, error
+
+
+def unrank_support(r: int, n: int, t: int) -> list[int]:
+    """t-subset of [0, n) with colex rank r, scanning the positions down
+    from n - 1: position c is taken when C(c, k) <= r, with k the number
+    of elements still to place."""
+    support = [0] * t
+    k = t
+    while k > 0:
+        n -= 1
+        offset = math.comb(n, k)
+        if r >= offset:
+            r -= offset
+            k -= 1
+            support[k] = n
+    return support
 
 
 def gf_mul_many(a: np.ndarray, b: np.ndarray, m: int) -> np.ndarray:

@@ -1,6 +1,7 @@
 """Constant-weight encoding, checked against an exhaustive colex oracle."""
 
 import itertools
+import random
 from math import comb
 
 import numpy as np
@@ -8,6 +9,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from cbsc import cwencode as cw
+
+import oracles as O
 
 
 def _colex_order(n, t):
@@ -21,6 +24,15 @@ def test_rank_matches_colex_enumeration(n, t):
     for r, subset in enumerate(_colex_order(n, t)):
         assert cw.rank_support(subset) == r
         assert cw.unrank_support(r, n, t) == list(subset)
+
+
+@pytest.mark.parametrize("n,t", [(32, 2), (1024, 20), (3488, 64)])
+def test_unrank_matches_scan_oracle(n, t):
+    # the receiver shapes of toy, L1/20 and paper-l1, both ends included
+    rnd = random.Random(n + t)
+    top = comb(n, t) - 1
+    for r in [0, top] + [rnd.randint(0, top) for _ in range(60)]:
+        assert cw.unrank_support(r, n, t) == O.unrank_support(r, n, t)
 
 
 def test_unrank_out_of_range():

@@ -92,7 +92,7 @@ def test_affine_solver_free_values_respected():
     assert np.array_equal(L.vecmat(x, H.T, 3), L.vecmat(w, H.T, 3))
 
 
-# --- packed elimination and float64 products against the uint8/int64 oracles --
+# --- packed elimination and float32 products against the uint8/int64 oracles --
 
 # column counts on both sides of 64-bit word boundaries
 _COLS = [1, 63, 64, 65, 128, 129]
@@ -188,8 +188,9 @@ def test_products_match_oracle(p, rows, inner, cols, seed):
 
 @pytest.mark.parametrize("p", [2, 3])
 def test_matmul_refuses_inexact_inner_dimension(p):
-    # the first inner dimension whose partial sums may reach 2**53;
-    # broadcast views, so nothing of that size is allocated
+    # an inner dimension far past the float32 bound of 2**24; broadcast
+    # views, and the refusal comes before any conversion, so nothing of
+    # that size is allocated
     inner = 2**53 // (p - 1) ** 2
     A = np.broadcast_to(np.uint8(1), (1, inner))
     B = np.broadcast_to(np.uint8(1), (inner, 1))
@@ -198,6 +199,20 @@ def test_matmul_refuses_inexact_inner_dimension(p):
     if p == 3:
         with pytest.raises(ValueError, match="exact"):
             L.vecmat(A[0], B, p)
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_matmul_exact_up_to_float32_bound(p):
+    # inner * (p - 1)**2 = 2**24 is refused, since float32 may round a
+    # partial sum from there on; one less, with every entry p - 1, every
+    # partial sum is exact and so is the result
+    inner = 2**24 // (p - 1) ** 2
+    A = np.broadcast_to(np.uint8(p - 1), (1, inner))
+    B = np.broadcast_to(np.uint8(p - 1), (inner, 1))
+    with pytest.raises(ValueError, match="exact"):
+        L.matmul(A, B, p)
+    A, B = A[:, 1:], B[1:]
+    assert L.matmul(A, B, p).tolist() == [[(inner - 1) * (p - 1) ** 2 % p]]
 
 
 # --- monomial matrices -------------------------------------------------------

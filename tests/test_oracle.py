@@ -1,6 +1,6 @@
 """Differential tests: table arithmetic and the key-time Patterson decoder
 against the bit-serial, list-based oracles in `oracles.py`, at the L1/20
-receiver code shape (m=10, n=1024, t=20)."""
+receiver code shape (m=10, n=1024, t=20) and at m=8, n=256, t=9 and 10."""
 
 import random
 
@@ -118,3 +118,25 @@ def test_patterson_agrees_with_oracle_on_small_codes():
             assert np.array_equal(got[1], want[1])
         outcomes.add(got is None)
     assert outcomes == {True, False}
+
+
+@pytest.mark.parametrize("t", [10, 9])
+def test_patterson_agrees_with_oracle_at_every_weight(t):
+    # the key equation's a and b reach degrees t // 2 and (t - 1) // 2, so
+    # the interleaved locator has all its coefficients in play; the
+    # support is all of GF(256), 0 included
+    rng = np.random.default_rng(800 + t)
+    code = random_goppa_code(8, 256, t, rng)
+    G = generator_matrix(code)
+    for i in range(42):
+        w = i % (t + 3)
+        cw = vecmat(rng.integers(0, 2, size=G.shape[0], dtype=np.uint8), G, 2)
+        err = np.zeros(code.n, dtype=np.uint8)
+        err[rng.choice(code.n, size=w, replace=False)] = 1
+        got = patterson_decode(code, cw ^ err)
+        want = O.patterson_decode(code.g, code.support, cw ^ err, 8)
+        assert (got is None) == (want is None)
+        if w <= t:
+            assert got is not None and np.array_equal(got[1], err)
+        if got is not None:
+            assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])

@@ -256,6 +256,23 @@ def test_receiver_sec_with_reducible_g_rejected():
         serial.par_receiver_sec(bytes(blob))
 
 
+def test_receiver_sec_with_square_g_rejected():
+    # g = h^2 for an irreducible quadratic h has no root in GF(32) and no
+    # odd coefficient, so x has no square root modulo g and the code
+    # cannot be built; the parser still raises FormatError
+    params = custom_params(dict(_TOY_VALUES, t=4, k_tilde=8))
+    rng = np.random.default_rng(21)
+    sk, _ = keygen_receiver_params(params, rng)
+    h = F.random_irreducible(2, 5, rng)
+    g = F.poly_mul(h, h, 5)
+    assert all(O.poly_eval(g, a, 5) for a in range(32)) and not any(g[1::2])
+    blob = bytearray(serial.ser_receiver_sec(params, sk))
+    off = 7 + 40
+    blob[off: off + 10] = b"".join(c.to_bytes(2, "big") for c in g)
+    with pytest.raises(serial.FormatError):
+        serial.par_receiver_sec(bytes(blob))
+
+
 def test_receiver_sec_declaring_t_above_128_rejected(receiver_keys):
     # m = 16 and n_r = 4096 leave room for t = 129, so only the cap on t
     # rejects it, before any irreducibility test runs
