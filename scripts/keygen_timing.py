@@ -7,8 +7,10 @@ Usage: keygen_timing.py PROFILE     (a profile name or a profile file)
 For each role, generates a key pair at a fixed seed, serialises it and
 loads both keys back from their bytes.  Then the loaded sender key runs
 the signer's decoder, `uuv_decode`, on a random word with at most
-SIGN_ATTEMPTS attempts, and the ms per attempt are printed; an attempt
-is two `AffineSolver.solve` calls.  Every traced function called inside
+SIGN_ATTEMPTS attempts, and the ms per attempt are printed.  The decoder
+runs its attempts in batches, one row of free values per attempt and
+half, so the attempts are counted as the rows that `uuvsign._free_values`
+draws, halved.  Every traced function called inside
 each of these five phases is listed with its call count, its inclusive
 time and its self time (inclusive minus traced callees).  The steps of
 interest are:
@@ -28,11 +30,12 @@ interest are:
                      zero column, H_sk built from the drawn H_U and
                      H_V: the pivot check and A),
                      linalg.AffineSolver (the two solvers)
-    sender load      serial.par_sender_sec self (unpacking H_U and H_V
-                     and the same mat_reduce), linalg.AffineSolver
+    sender load      serial.par_sender_sec self (unpacking H_U and H_V),
+                     linalg.mat_rank (the rank of the first r_s columns
+                     of H_sk·P; A is not recomputed), linalg.AffineSolver
     signing attempts linalg.AffineSolver.solve (a product with each
-                     solver's R_free), uuvsign.uuv_decode self (drawing
-                     the free values and the weight check)
+                     solver's R_free per batch), uuvsign.uuv_decode self
+                     (drawing the free values and the weight check)
 
 The functions are timed by the span tracer of perfbench/spans.py.  Then
 the serialised key sizes are printed next to the `estimator.sizes` rows
@@ -70,7 +73,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 import spans  # noqa: E402
 
 SEED = 0
-SIGN_ATTEMPTS = 20
+SIGN_ATTEMPTS = 2 * uuvsign.BATCH
 
 
 def phase_tables(tracer: spans.Tracer, roots: dict[str, int]) -> dict[str, list]:
@@ -117,13 +120,21 @@ def main(argv: list[str]) -> int:
                              lambda: (serial.par_sender_sec(blobs["sender_sec"]),
                                       serial.par_sender_pub(blobs["sender_pub"])))
         word = rng.integers(0, 3, size=params.n_s, dtype=np.uint8)
+        free_values, rows = uuvsign._free_values, []
+
+        def counting_free_values(other, p_two, rng):
+            rows.append(len(other))
+            return free_values(other, p_two, rng)
 
         def attempts():
+            uuvsign._free_values = counting_free_values
             try:
                 uuvsign.uuv_decode(sk_s, word, params.omega, rng,
                                    max_attempts=SIGN_ATTEMPTS)
             except uuvsign.RetryExhausted:
                 pass
+            finally:
+                uuvsign._free_values = free_values
         phase("signing attempts", attempts)
     finally:
         tracer.uninstall()
@@ -137,8 +148,7 @@ def main(argv: list[str]) -> int:
         print(f"  {'step':34s} {'calls':>6s} {'incl s':>9s} {'self s':>9s}")
         for name, calls, incl, self_s in tables[title]:
             print(f"  {name:34s} {calls:6d} {incl:9.3f} {self_s:9.3f}")
-    solves = {name: calls for name, calls, *_ in tables["signing attempts"]}
-    attempts_run = solves["linalg.AffineSolver.solve"] // 2
+    attempts_run = sum(rows) // 2
     print(f"\n{attempts_run} signing attempts (of at most {SIGN_ATTEMPTS}): "
           f"{1e3 * phases[-1][2] / attempts_run:.2f} ms per attempt")
 

@@ -240,7 +240,8 @@ class AffineSolver:
     """The coset {x : H @ x = H @ w} of any word w, one x per choice of
     x[free].  H alone is reduced to its RREF R, and for any H, R @ x =
     R @ w exactly when H @ x = H @ w: x[pivots] = w[pivots] + R_free @
-    (w[free] - x[free]).  R_free is kept in float32 for the product."""
+    (w[free] - x[free]).  R_free is kept in float32 for the product.
+    A batch of free values, one row each, is solved in one product."""
 
     def __init__(self, H: np.ndarray, p: int):
         self.p = p
@@ -250,14 +251,15 @@ class AffineSolver:
         self.R_free = R[:rank, self.free].astype(np.float32)
 
     def solve(self, w: np.ndarray, free_values: np.ndarray) -> np.ndarray:
-        """The x with H @ x = H @ w and x[free] = free_values."""
+        """The x with H @ x = H @ w and x[free] = free_values; for free
+        values of shape (B, f), the B such x as rows."""
         p = self.p
         w = np.asarray(w, dtype=np.uint8) % p
         fv = np.asarray(free_values, dtype=np.uint8) % p
-        x = np.empty_like(w)
-        x[self.free] = fv
-        shift = _product(self.R_free, (w[self.free] + p - fv) % p, p)
-        x[self.pivots] = (w[self.pivots] + shift) % p
+        x = np.empty(fv.shape[:-1] + w.shape, dtype=np.uint8)
+        x[..., self.free] = fv
+        shift = _product((w[self.free] + p - fv) % p, self.R_free.T, p)
+        x[..., self.pivots] = (w[self.pivots] + shift) % p
         return x
 
 

@@ -47,7 +47,7 @@ from .params import (
 )
 from .sctkem import Encapsulation
 from .mceliece import PkeCiphertext
-from .uuvsign import SenderPublicKey, SenderSecretKey, sender_keys
+from .uuvsign import SenderPublicKey, SenderSecretKey, sender_secret_key
 from .hybrid import SigncryptedMessage
 
 MAGIC = b"CBSC"
@@ -238,7 +238,7 @@ def par_sender_sec(data: bytes) -> tuple[CommonParams, SenderSecretKey]:
     _check_perm(v["perm"])
     P = Monomial(v["perm"], v["scalars"] + 1)
     try:
-        return params, sender_keys(v["H_U"], v["H_V"], P)[0]
+        return params, sender_secret_key(v["H_U"], v["H_V"], P)
     except ValueError as exc:
         raise FormatError(f"sender secret key: {exc}") from exc
 

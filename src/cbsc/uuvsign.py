@@ -9,6 +9,13 @@ then u in that of w1 under H_U, with free variables from one sampler,
 `_free_values`: one uniform per free coordinate, looked up in a table by
 the other half's trit there (zero for v, v for u), gives the pair
 (x, x + other) weight 2 with probability p, else the weight of `other`.
+Attempts run BATCH at a time, each half of a batch one solver product:
+B values of p, then a B-row matrix of uniforms for v, then one for u.
+The rows are independent attempts, each with the law of a lone attempt,
+and the decoder returns the first row, in batch order, of weight omega.
+The first success of independent attempts has the same law whether they
+are drawn one at a time or in batches, so batching changes the
+generator's consumption, not the law of a signature.
 
 A sender secret key is what key generation draws, (H_U, H_V, P), and
 H_sk is built from it.  Its public key is the systematic form [I | A]
@@ -26,6 +33,7 @@ from .hashes import hash_trits
 from .linalg import (
     AffineSolver,
     Monomial,
+    mat_rank,
     mat_reduce,
     mono_apply,
     mono_apply_inv,
@@ -86,23 +94,44 @@ def build_uuv_parity_check(H_U: np.ndarray, H_V: np.ndarray) -> np.ndarray:
     return H
 
 
+def _checked_HP(H_U: np.ndarray, H_V: np.ndarray, P: Monomial) -> np.ndarray:
+    """H_sk·P.  Raises ValueError if H_V has a zero column."""
+    # a zero column of H_V, hence of H_pk, makes a signature trit malleable
+    if not H_V.any(axis=0).all():
+        raise ValueError("H_V has a zero column")
+    return mono_apply(build_uuv_parity_check(H_U, H_V), P, 3)
+
+
+def _secret_key(H_U: np.ndarray, H_V: np.ndarray, P: Monomial) -> SenderSecretKey:
+    return SenderSecretKey(H_U=H_U, H_V=H_V, P=P, solver_U=AffineSolver(H_U, 3),
+                           solver_V=AffineSolver(H_V, 3))
+
+
+_SINGULAR = "the first r_s columns of H_sk P are singular"
+
+
 def sender_keys(H_U: np.ndarray, H_V: np.ndarray,
                 P: Monomial) -> tuple[SenderSecretKey, SenderPublicKey]:
     """Both halves of the sender key (H_U, H_V, P).  Raises ValueError
     unless H_V has no zero column and the first r_s columns of H_sk·P are
     invertible.  The last rule makes H_sk, hence H_U and H_V, of full row
-    rank."""
-    # a zero column of H_V, hence of H_pk, makes a signature trit malleable
-    if not H_V.any(axis=0).all():
-        raise ValueError("H_V has a zero column")
-    HP = mono_apply(build_uuv_parity_check(H_U, H_V), P, 3)
+    rank.  One elimination of H_sk·P checks it and gives A."""
+    HP = _checked_HP(H_U, H_V, P)
     r_s = len(HP)
     R, _, pivots = mat_reduce(HP, 3)
     if pivots != list(range(r_s)):
-        raise ValueError("the first r_s columns of H_sk P are singular")
-    sk = SenderSecretKey(H_U=H_U, H_V=H_V, P=P, solver_U=AffineSolver(H_U, 3),
-                         solver_V=AffineSolver(H_V, 3))
-    return sk, SenderPublicKey(A=R[:, r_s:])
+        raise ValueError(_SINGULAR)
+    return _secret_key(H_U, H_V, P), SenderPublicKey(A=R[:, r_s:])
+
+
+def sender_secret_key(H_U: np.ndarray, H_V: np.ndarray, P: Monomial) -> SenderSecretKey:
+    """The secret half of `sender_keys`, under the same rules, checked on
+    the r_s x r_s square of H_sk·P alone, since A is not needed."""
+    HP = _checked_HP(H_U, H_V, P)
+    r_s = len(HP)
+    if mat_rank(HP[:, :r_s], 3) != r_s:
+        raise ValueError(_SINGULAR)
+    return _secret_key(H_U, H_V, P)
 
 
 def keygen_sender(n_s: int, k_U: int, k_V: int, rng):
@@ -127,35 +156,51 @@ def keygen_sender(n_s: int, k_U: int, k_V: int, rng):
 # (x, x + other) has weight 2; from p on, the weight of `other` alone.
 _FREE_TABLE = np.array([[1, 2, 0, 0], [1, 1, 2, 0], [2, 2, 1, 0]], dtype=np.uint8)
 
+# decoding attempts per solver product
+BATCH = 32
 
-def _free_values(other: np.ndarray, p_two: float, rng) -> np.ndarray:
+
+def _free_values(other: np.ndarray, p_two: float | np.ndarray, rng) -> np.ndarray:
     """One free value x per trit of `other`: (x, x + other) has weight 2
-    with probability p_two, and the weight of `other` otherwise."""
-    edges = np.array([p_two / 2, p_two, (1 + p_two) / 2])
-    return _FREE_TABLE[other, np.searchsorted(edges, rng.random(len(other)), "right")]
+    with probability p_two, and the weight of `other` otherwise.  For a
+    batch, `other` has one row per attempt and p_two one entry per row."""
+    p = np.asarray(p_two)[..., None]
+    u = rng.random(other.shape)
+    interval = (u >= p / 2).astype(np.uint8) + (u >= p) + (u >= (1 + p) / 2)
+    return _FREE_TABLE[other, interval]
+
+
+def _attempts(sk: SenderSecretKey, w: np.ndarray, p_two: np.ndarray, rng) -> np.ndarray:
+    """One decoding attempt of the coset of w per entry of p_two, as the
+    rows of e = (u, u + v): v in the coset of w2 - w1 under H_V, then u
+    in that of w1 under H_U, each half's free values from one
+    `_free_values` batch."""
+    half = sk.n_s // 2
+    w_U, w_V = w[:half], (w[half:] + 3 - w[:half]) % 3
+    zeros_V = np.zeros((len(p_two), len(sk.solver_V.free)), dtype=np.uint8)
+    e_V = sk.solver_V.solve(w_V, _free_values(zeros_V, p_two, rng))
+    e1 = sk.solver_U.solve(w_U, _free_values(e_V[:, sk.solver_U.free], p_two, rng))
+    return np.concatenate([e1, (e1 + e_V) % 3], axis=1)
 
 
 def uuv_decode(sk: SenderSecretKey, w: np.ndarray, omega: int, rng,
                max_attempts: int = 10_000) -> np.ndarray:
-    """e with e @ H_sk.T = w @ H_sk.T and wt(e) = omega exactly."""
+    """e with e @ H_sk.T = w @ H_sk.T and wt(e) = omega exactly.  The
+    attempts run BATCH at a time and the first row of weight omega, in
+    batch order, is returned; the last batch is cut so that exactly
+    max_attempts attempts are made before RetryExhausted."""
     n_s = sk.n_s
     if not 0 <= omega <= n_s:
         raise ValueError("omega out of range")
     w = np.asarray(w, dtype=np.uint8) % 3
     if len(w) != n_s:
         raise ValueError("word length mismatch")
-    solver_U, solver_V = sk.solver_U, sk.solver_V
-    w_U, w_V = w[:n_s // 2], (w[n_s // 2:] + 3 - w[:n_s // 2]) % 3
-    zeros_V = np.zeros(len(solver_V.free), dtype=np.uint8)
-    target = omega / n_s
-    for _ in range(max_attempts):
-        p = min(1.0, max(0.0, target + rng.normal(0.0, 0.15)))
-        e_V = solver_V.solve(w_V, _free_values(zeros_V, p, rng))
-        e1 = solver_U.solve(w_U, _free_values(e_V[solver_U.free], p, rng))
-        e2 = (e1 + e_V) % 3
-        e = np.concatenate([e1, e2]).astype(np.uint8)
-        if int(np.count_nonzero(e)) == omega:
-            return e
+    for done in range(0, max_attempts, BATCH):
+        noise = rng.normal(0.0, 0.15, min(BATCH, max_attempts - done))
+        e = _attempts(sk, w, np.clip(omega / n_s + noise, 0.0, 1.0), rng)
+        hits = np.flatnonzero(np.count_nonzero(e, axis=1) == omega)
+        if len(hits):
+            return e[hits[0]]
     raise RetryExhausted(f"no weight-{omega} solution in {max_attempts} attempts")
 
 

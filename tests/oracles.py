@@ -5,7 +5,9 @@ coordinate loops that the numpy monomial gathers and the DEM replaced;
 Gauss-Jordan elimination on unpacked uint8 rows and the int64 product,
 which the packed eliminator and the float32 products of `cbsc.linalg`
 replaced; the per-trit loops that the table sampler of `cbsc.uuvsign`
-and the vector trit decoding of `cbsc.hashes` replaced; the Ben-Or
+and the vector trit decoding of `cbsc.hashes` replaced; the decoder's
+loop of single attempts that the batched attempts of `cbsc.uuvsign`
+replaced; the Ben-Or
 loop that the root check and reduction rows of
 `cbsc.fields.poly_is_irreducible` replaced; the scan over every
 position that the bisection of `cbsc.cwencode.unrank_support` replaced;
@@ -31,6 +33,7 @@ from cbsc.linalg import (
     unpack_bits,
     vecmat,
 )
+from cbsc.uuvsign import _FREE_TABLE
 
 
 def gf_mul(a: int, b: int, m: int) -> int:
@@ -331,6 +334,39 @@ def steered_free_values(other: np.ndarray, p_two: float, rng) -> np.ndarray:
         else:
             vals[k] = 0 if o == 0 else (0, (3 - o) % 3)[rng.integers(0, 2)]
     return vals
+
+
+def table_free_values(other: np.ndarray, p_two: float, rng) -> np.ndarray:
+    """The table sampler for one attempt, as the signer ran it before it
+    batched its attempts: one uniform per trit of `other`, its interval
+    found by searching the three edges."""
+    edges = np.array([p_two / 2, p_two, (1 + p_two) / 2])
+    return _FREE_TABLE[other, np.searchsorted(edges, rng.random(len(other)), "right")]
+
+
+def uuv_attempt(sk, w: np.ndarray, p_two: float, rng) -> np.ndarray:
+    """One attempt of the UUV decoder on the coset of w, one half at a
+    time: v in the coset of w2 - w1 under H_V, then u in that of w1
+    under H_U; e = (u, u + v)."""
+    half = sk.n_s // 2
+    w = np.asarray(w, dtype=np.uint8) % 3
+    w_U, w_V = w[:half], (w[half:] + 3 - w[:half]) % 3
+    zeros_V = np.zeros(len(sk.solver_V.free), dtype=np.uint8)
+    e_V = sk.solver_V.solve(w_V, table_free_values(zeros_V, p_two, rng))
+    e1 = sk.solver_U.solve(w_U, table_free_values(e_V[sk.solver_U.free], p_two, rng))
+    return np.concatenate([e1, (e1 + e_V) % 3])
+
+
+def uuv_decode(sk, w: np.ndarray, omega: int, rng, max_attempts: int = 10_000):
+    """The UUV decoder's loop of single attempts, each drawing its p and
+    then its free values: the first e of weight omega, or None when
+    max_attempts attempts miss."""
+    for _ in range(max_attempts):
+        p_two = min(1.0, max(0.0, omega / sk.n_s + rng.normal(0.0, 0.15)))
+        e = uuv_attempt(sk, w, p_two, rng)
+        if int(np.count_nonzero(e)) == omega:
+            return e
+    return None
 
 
 def hash_trits(fields, r_s: int) -> np.ndarray:

@@ -1,5 +1,14 @@
 """Golden vectors: serialised keys and signcrypted messages at fixed seeds.
 
+The message digests were re-recorded when the signer began to run its
+decoding attempts 32 at a time: a batch draws its 32 values of p, then
+the uniforms of every attempt's V half, then those of the U halves, so
+a seeded generator's numbers go to other attempts than when each
+attempt drew its own in turn, and seeded signatures change.  Each row
+is an attempt with the old law, and the first row of the right weight
+is returned, so the law of a signature is unchanged; key generation
+draws no attempt, and the key digests pass unmodified.
+
 Every digest was re-recorded for format version 0x03, in which a sender
 secret key file holds the draws H_U, H_V and P in place of the block
 matrix H_sk = [[H_U, 0], [-H_V, H_V]], which held H_V twice and a zero
@@ -66,24 +75,24 @@ KEY_DIGESTS = {
 # (profile, keygen seed) -> sha256 of ser_message for the payload
 # b"golden <s>" signcrypted with default_rng(s), s = 10, 11, 12.
 MESSAGE_DIGESTS = {
-    (TOY, 1): ("dd913cf78d23f7dec8a792b2e6ee3f9ed5ec26ae494ed87d35434445513723db",
-               "f5e93872dfb001ae19e6df9cb0360c026625a2a2e9ba2252097a75f4407405ac",
-               "6e53fc34e67473acd8620ab521c62fbe8f28fc9b67ae298ffe018efd7daa819d"),
-    (TOY, 2): ("388eedc937aaf76530c6c05faeb8acd1a06c6b7eaf955f023632b733e26cd9f5",
-               "b0572cc5c9770a7592fc1b2205e01a5e26ea85e552d37bc45c4143d0c96ec8c0",
-               "7ac6d53432949936581d66611b2db0e33665a28d8ee3a4767c904f82d653751d"),
-    (MID, 3): ("aad93d5c0ff8257f4d8d7eaff20beda9eceaf1e64b698f4fbb04f2c523655c68",
-               "e274ef11fe2ec2f457325db1171f374ada5d5b77688ddf734a17b4c18c061bd9",
-               "b038c720d5c02acbedaabcc4123711080189bfe3edecd4ac765ec8ff246078db"),
-    (MID, 4): ("a8a0a81acd396c44fab745be2b076b0042c6ce7acbfb140395f03b3e1a371a9e",
-               "705a670667f7279d679490857b13cd296e53b25a2ca9ff85459fb681152c77ee",
-               "80e259beaa303e221130bf79dcdf85c7d66170f18dafc77990fc91717188190d"),
-    (L1_20, 5): ("807532e5497da74654f01c90678ed584feeca220d443848f9126c9ad8203607f",
-                 "41bec811f7c59f1cf7e8724d2924aad56d83190349a1fa188c33b99305451926",
-                 "48f08c8917124ce8c104d5138f4133cd111abc32122cd6f34c36619e945d15c8"),
-    (L1_20, 6): ("37f42fd6e88637c2f67dca9a620dc73d8c5791b2c8b4a7f7b030d756d8bce276",
-                 "a8e9a09d86b1b42c8cbeabb87707f500d8e089dcd7614870540dddd07b523443",
-                 "2dbc43c4a4d332b81fbe71154b63c21eab00d4a5f85822ef7af3b7ee6ba44b0e"),
+    (TOY, 1): ("6bedad40a11c6375fcb4ff46aa6a44d75ec28a84465a9d9c02ade48653ca0598",
+               "2e6fc686d0d5bd4319de502c6383de6472ad15bc3ddab57f9ce82ee63306d162",
+               "9e584bcb0786c8bd43ecc11ca3766f292e29d54c21903d8c68a0d62815895628"),
+    (TOY, 2): ("15cb6c12b0d7ef697dd0b03efa36c136e66fa9e804f882824923b0ca18c77784",
+               "d7971c01db6c8450e949cfe48cbf860ccb6db919e50fead0157e37d608d1f9dd",
+               "d8c17d1e2f30851daf291ffa98576b90b059a01a2b86e01560c44bc3e671f806"),
+    (MID, 3): ("cfa35b20dfe81314519453c676fb3126028c1cb5ea4dea75d8cc281a191a3c75",
+               "1c0f3a6bdc1adee0834e97619554fb3c41809828ad3f0cf5b773ccfa146a8737",
+               "c7634d51a0564b7162649dc12cc6ef1ccbb8876ff717ba64ad3fc2d20fbe37cd"),
+    (MID, 4): ("0ce9ffdc4488ac07abae6203ef197424cae495871b93624cfa0bbbd690d01bc2",
+               "d47fa0e94a1b7da8b3b10f38c581a42ff89a62f174f5641f09c8ed5f0b522e26",
+               "16c698541ca028e6f6a47d9eb8b44d5123a4983fdab395174b9c1f8198821c67"),
+    (L1_20, 5): ("ed5ca3a0c3494552a8dd8fbacad2b8a9d53e8f8ba8b06250dec8bc5659edf789",
+                 "64fcf2f58b91a75b37930fd4c56f233a3eb416003e31e2a00dc70105d0dca434",
+                 "f2814d5d6fbab6e99b21ea34e0171a0ecbc53d5c391916c780eaf1adb4dd4eca"),
+    (L1_20, 6): ("be345228c3c31130055dc18312a365ea7f896715b7774a86e6aa086930304da1",
+                 "f85f81212117646e5b6a9f8db8ff7419ad5a52df5565a999ef40599377147dc8",
+                 "22a6c1a01898ca456e23588a792719041a528270aa02a69134549c534dd08d6b"),
 }
 
 

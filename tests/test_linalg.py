@@ -58,7 +58,8 @@ def test_invert_singular_raises():
 def test_affine_solver_against_enumeration():
     # exhaustive oracle over GF(3)^5 and GF(2)^6, for H of full rank,
     # with a dependent row and zero: over all free values, solve(w, .)
-    # gives exactly the coset {x : H x = H w}, with x[free] the values
+    # gives exactly the coset {x : H x = H w}, with x[free] the values,
+    # one vector at a time or all of them as the rows of one batch
     for p, rows, cols in ((3, 3, 5), (2, 4, 6)):
         rng = _rng(40 + p)
         space = np.array(list(itertools.product(range(p), repeat=cols)), dtype=np.uint8)
@@ -70,15 +71,16 @@ def test_affine_solver_against_enumeration():
                 H[:] = 0
             syndromes = O.matmul(space, H.T, p)
             solver = L.AffineSolver(H, p)
+            free_values = np.array(list(itertools.product(range(p), repeat=len(solver.free))),
+                                   dtype=np.uint8).reshape(-1, len(solver.free))
             for i in rng.choice(len(space), 6, replace=False):
                 coset = {tuple(x) for x, s in zip(space, syndromes)
                          if np.array_equal(s, syndromes[i])}
-                solutions = set()
-                for fv in itertools.product(range(p), repeat=len(solver.free)):
-                    x = solver.solve(space[i], np.array(fv, dtype=np.uint8))
-                    assert tuple(x[solver.free]) == fv
-                    solutions.add(tuple(x))
-                assert solutions == coset
+                xs = np.array([solver.solve(space[i], fv) for fv in free_values])
+                assert np.array_equal(xs[:, solver.free], free_values)
+                assert {tuple(x) for x in xs} == coset
+                # all free values as one batch: the same x, row by row
+                assert np.array_equal(solver.solve(space[i], free_values), xs)
 
 
 def test_affine_solver_free_values_respected():

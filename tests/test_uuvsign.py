@@ -1,15 +1,20 @@
 """Ternary (U, U+V) trapdoor: key structure, syndrome decoding with an
 exact weight target, and signature contract."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from cbsc import linalg, uuvsign
+import oracles as O
+from cbsc import linalg, serial, uuvsign
 from cbsc.linalg import mat_rank, matmul, vecmat
-from cbsc.params import TOY
+from cbsc.params import TOY, setup
 from cbsc.sctkem import keygen_receiver_params, keygen_sender_params
 from cbsc.uuvsign import (
+    BATCH,
     RetryExhausted,
+    _attempts,
     _free_values,
     build_uuv_parity_check,
     keygen_sender,
@@ -94,6 +99,27 @@ def test_keygen_sender_eliminates_each_matrix_once(monkeypatch, seed):
                      (r_V, TOY.n_s // 2)], calls
 
 
+def test_sender_key_load_eliminates_the_square_only(monkeypatch, sender_keys):
+    # loading needs no A: the pivot rule is the rank of the r_s x r_s
+    # square of H_sk P, then one elimination per solver
+    blob = serial.ser_sender_sec(TOY, sender_keys[0])
+    calls = []
+
+    def counting(name, fn):
+        def wrapper(M, p):
+            calls.append((name, M.shape))
+            return fn(M, p)
+        return wrapper
+
+    monkeypatch.setattr(linalg, "mat_reduce", counting("reduce", linalg.mat_reduce))
+    monkeypatch.setattr(uuvsign, "mat_reduce", counting("reduce", uuvsign.mat_reduce))
+    monkeypatch.setattr(uuvsign, "mat_rank", counting("rank", uuvsign.mat_rank))
+    serial.par_sender_sec(blob)
+    r_U, r_V = TOY.n_s // 2 - TOY.k_U, TOY.n_s // 2 - TOY.k_V
+    assert calls == [("rank", (TOY.r_s, TOY.r_s)), ("reduce", (r_U, TOY.n_s // 2)),
+                     ("reduce", (r_V, TOY.n_s // 2))], calls
+
+
 def test_keygen_validation():
     rng = np.random.default_rng(1)
     with pytest.raises(ValueError):
@@ -124,8 +150,20 @@ def test_free_values_law_matches_oracle():
                               _pair_counts(other, x_oracle) > 0)
     # p_two = 0.3: the same frequency of each (other, x), by a chi-square
     # homogeneity test per value of other (6 dof, rejected at p = 0.001)
-    a = _pair_counts(other, _free_values(other, 0.3, np.random.default_rng(22)))
-    b = _pair_counts(other, steered_free_values(other, 0.3, np.random.default_rng(23)))
+    _assert_same_pair_law(other, _free_values(other, 0.3, np.random.default_rng(22)),
+                          steered_free_values(other, 0.3, np.random.default_rng(23)))
+    # a batch: one row of `other` per attempt, with its own p_two
+    others = np.random.default_rng(25).integers(0, 3, (3, 30_000), dtype=np.uint8)
+    x = _free_values(others, np.array([0.0, 0.3, 1.0]), np.random.default_rng(26))
+    assert x.shape == others.shape
+    assert np.all(_pair_weights(others[0], x[0]) == (others[0] != 0))
+    assert np.all(_pair_weights(others[2], x[2]) == 2)
+    _assert_same_pair_law(others[1], x[1],
+                          steered_free_values(others[1], 0.3, np.random.default_rng(27)))
+
+
+def _assert_same_pair_law(other, x, x_oracle):
+    a, b = _pair_counts(other, x), _pair_counts(other, x_oracle)
     expected = (a + b) / 2   # both samples share the same other
     stat = float((((a - expected) ** 2 + (b - expected) ** 2) / expected).sum())
     assert stat < 22.46, (stat, a, b)
@@ -137,6 +175,96 @@ def test_free_values_draws_one_uniform_per_coordinate():
     _free_values(other, 0.4, rng)
     reference.random(len(other))
     assert rng.random() == reference.random()
+
+
+class _Replay:
+    """A generator stand-in that hands out numbers drawn beforehand:
+    normal() the entries of `noise` in order, random() the rows of u_V
+    and of u_U in turn, V half first, one row per attempt."""
+
+    def __init__(self, noise, u_V, u_U):
+        self.noise, self.rows, self.taken = noise, (u_V, u_U), [0, 0, 0]
+
+    def normal(self, loc, scale, size=None):
+        i = self.taken[2]
+        self.taken[2] += 1 if size is None else size
+        return self.noise[i] if size is None else self.noise[i:self.taken[2]]
+
+    def random(self, shape):
+        half = int(self.taken[0] > self.taken[1])
+        rows, i = self.rows[half], self.taken[half]
+        if isinstance(shape, tuple):
+            self.taken[half] += shape[0]
+            out = rows[i:self.taken[half]]
+        else:
+            self.taken[half] += 1
+            out = rows[i]
+        assert out.shape == (shape if isinstance(shape, tuple) else (shape,))
+        return out
+
+
+def _draws(sk, count, seed):
+    rng = np.random.default_rng(seed)
+    return (rng.normal(0.0, 0.15, count),
+            rng.random((count, len(sk.solver_V.free))),
+            rng.random((count, len(sk.solver_U.free))))
+
+
+@pytest.fixture(scope="module")
+def l1_20_sender_key():
+    params = setup(str(Path(__file__).resolve().parent.parent / "perfbench" / "l1-20.profile"))
+    sk, _ = keygen_sender(params.n_s, params.k_U, params.k_V, np.random.default_rng(31))
+    return sk, params.omega
+
+
+def test_batched_attempts_match_oracle_row_for_row(sender_keys, l1_20_sender_key):
+    # the same p and uniforms give the same e, row by row, as the loop of
+    # single attempts; p covers both ends of [0, 1]
+    for sk in (sender_keys[0], l1_20_sender_key[0]):
+        _, u_V, u_U = _draws(sk, 45, 32)
+        p_two = np.random.default_rng(33).random(45)
+        p_two[:2] = 0.0, 1.0
+        for w in np.random.default_rng(34).integers(0, 3, (4, sk.n_s), dtype=np.uint8):
+            e = _attempts(sk, w, p_two, _Replay(None, u_V, u_U))
+            for i in range(45):
+                row = O.uuv_attempt(sk, w, p_two[i], _Replay(None, u_V[i:], u_U[i:]))
+                assert np.array_equal(e[i], row), i
+
+
+def test_uuv_decode_matches_oracle_loop(sender_keys, toy_params, l1_20_sender_key):
+    # fed the same numbers, the batched decoder and the loop of single
+    # attempts return the same word, or both run out of attempts.  At
+    # L1/20 the 40 attempts are a batch and a cut one; at these seeds
+    # one word is found in the second batch and two in neither.
+    toy = ((sender_keys[0], toy_params.omega), range(40, 60), 70)
+    for (sk, omega), seeds, budget in (toy, (l1_20_sender_key, range(60, 70), 40)):
+        for seed in seeds:
+            w = np.random.default_rng(seed).integers(0, 3, sk.n_s, dtype=np.uint8)
+            draws = _draws(sk, budget, seed)
+            expected = O.uuv_decode(sk, w, omega, _Replay(*draws), max_attempts=budget)
+            if expected is None:
+                with pytest.raises(RetryExhausted):
+                    uuv_decode(sk, w, omega, _Replay(*draws), max_attempts=budget)
+            else:
+                assert np.array_equal(
+                    uuv_decode(sk, w, omega, _Replay(*draws), max_attempts=budget), expected)
+
+
+def test_uuv_decode_returns_first_hit_of_batch(l1_20_sender_key):
+    # the first batch, redrawn from the decoder's seed in its order (its
+    # p, then the V and U uniforms), has several rows of weight omega
+    sk, omega = l1_20_sender_key
+    w = np.random.default_rng(35).integers(0, 3, sk.n_s, dtype=np.uint8)
+    for seed in range(100):
+        rng = np.random.default_rng(seed)
+        p_two = np.clip(omega / sk.n_s + rng.normal(0.0, 0.15, BATCH), 0.0, 1.0)
+        e = _attempts(sk, w, p_two, rng)
+        hits = np.flatnonzero(np.count_nonzero(e, axis=1) == omega)
+        if len(hits) >= 2 and not np.array_equal(e[hits[0]], e[hits[-1]]):
+            break
+    else:
+        pytest.fail("no seed gives a batch with two different hits")
+    assert np.array_equal(uuv_decode(sk, w, omega, np.random.default_rng(seed)), e[hits[0]])
 
 
 def test_uuv_decode_meets_syndrome_and_weight(sender_keys, toy_params):
@@ -159,15 +287,27 @@ def test_uuv_decode_extreme_weights(sender_keys, toy_params):
     assert int(np.count_nonzero(e)) == toy_params.n_s
 
 
-def test_uuv_decode_retry_budget():
+def test_uuv_decode_retry_budget(monkeypatch):
     # weight 0 is unsatisfiable in the coset of a unit word: its
-    # syndrome is a column of H_sk, nonzero as H_V has no zero column
+    # syndrome is a column of H_sk, nonzero as H_V has no zero column.
+    # Each attempt draws one row of free values per half, and the last
+    # batch is cut, so exactly max_attempts attempts are made.
     rng = np.random.default_rng(4)
     sk, _ = keygen_sender(8, 2, 2, rng)
     w = np.zeros(8, dtype=np.uint8)
     w[0] = 1
-    with pytest.raises(RetryExhausted):
-        uuv_decode(sk, w, 0, rng, max_attempts=50)
+    rows = []
+
+    def spy(other, p_two, rng):
+        rows.append(len(other))
+        return _free_values(other, p_two, rng)
+
+    monkeypatch.setattr(uuvsign, "_free_values", spy)
+    for max_attempts in (1, BATCH - 1, BATCH, BATCH + 1, 50):
+        rows.clear()
+        with pytest.raises(RetryExhausted):
+            uuv_decode(sk, w, 0, rng, max_attempts=max_attempts)
+        assert sum(rows) == 2 * max_attempts, (max_attempts, rows)
 
 
 def test_sign_verify(sender_keys, toy_params):
