@@ -88,8 +88,6 @@ class GoppaCode:
 
 
 def random_goppa_code(m: int, n: int, t: int, rng) -> GoppaCode:
-    if n > (1 << m):
-        raise ValueError("support cannot exceed field size")
     g = F.random_irreducible(t, m, rng)
     elems = np.nonzero(F.poly_eval_many(g, np.arange(1 << m), m))[0]
     if len(elems) < n:
@@ -123,17 +121,25 @@ def _key_equation(g: list[int], R: list[int], t: int, m: int) -> tuple[list[int]
 
 
 def patterson_decode(code: GoppaCode, word: np.ndarray):
-    """Correct up to t errors. Returns (codeword, error) or None.
+    """The error of weight at most t whose syndrome is the word's, or
+    None.
 
-    Error-locator construction: invert the syndrome, split off x, take a
-    square root in GF(2^m)[x]/(g), and solve the key equation for a and
-    b; the locator is sigma = a^2 + x b^2.  In characteristic 2 squaring
-    a polynomial squares each coefficient, so sigma interleaves the
-    squared coefficients of a (even powers) and of b (odd powers).  b is
-    never zero, so 1 <= deg sigma <= t, and sigma locates the error only
-    when it has deg sigma roots over the support.  The result is
-    verified by re-checking the syndrome, so inputs beyond distance t
-    fail cleanly.
+    Error-locator construction: invert the syndrome S, split off x, take
+    a square root in GF(2^m)[x]/(g), and solve the key equation for a
+    and b; the locator is sigma = a^2 + x b^2.  In characteristic 2
+    squaring a polynomial squares each coefficient, so sigma interleaves
+    the squared coefficients of a (even powers) and of b (odd powers).
+    b is never zero, so 1 <= deg sigma <= t, and sigma is accepted only
+    when it has deg sigma roots alpha_j over the support; they are
+    distinct, as the support is.
+
+    An accepted sigma locates an error of syndrome S, so the syndrome is
+    not checked again: with a = b R and R^2 = 1/S + x (mod g), sigma =
+    a^2 + x b^2 = b^2 / S (mod g) and sigma' = b^2, so sigma' = sigma S
+    (mod g).  For sigma = c prod (x - alpha_j), sigma' / sigma = sum
+    1/(x - alpha_j), the syndrome of the error, which therefore is S.
+    Words beyond distance t fail cleanly or decode to a codeword within
+    distance t.
     """
     word = np.asarray(word, dtype=np.uint8) % 2
     if len(word) != code.n:
@@ -141,7 +147,7 @@ def patterson_decode(code: GoppaCode, word: np.ndarray):
     m, t = code.m, code.t
     S = code.syndrome_poly(word)
     if not S:
-        return word.copy(), np.zeros(code.n, dtype=np.uint8)
+        return np.zeros(code.n, dtype=np.uint8)
     R2 = F.poly_add(F.poly_inv_mod(S, code.g, m), [0, 1])
     a, b = _key_equation(code.g, F.poly_sqrt_mod(R2, code.g, m, code.sqrt_x), t, m)
     T = F.tables(m)
@@ -151,10 +157,7 @@ def patterson_decode(code: GoppaCode, word: np.ndarray):
     error = (F.poly_eval_many(sigma, code._alpha, m) == 0).astype(np.uint8)
     if int(error.sum()) != F.poly_deg(sigma):
         return None
-    corrected = word ^ error
-    if code.syndrome_poly(corrected):
-        return None
-    return corrected, error
+    return error
 
 
 # ---------------------------------------------------------------------------
@@ -216,7 +219,7 @@ def receiver_secret_key(code: GoppaCode, G: np.ndarray, S: np.ndarray,
 
 def decode_permuted(sk: ReceiverSecretKey, word: np.ndarray):
     """The error of a word of the permuted subcode, in public coordinates,
-    or None: un-permute, Patterson-decode, re-permute the error.  The
+    or None: un-permute, Patterson-decode, map the error back.  The
     codeword is the word XOR this error."""
-    res = patterson_decode(sk.code, mono_apply_inv(word, sk.P, 2))
-    return None if res is None else mono_apply(res[1], sk.P, 2)
+    error = patterson_decode(sk.code, mono_apply_inv(word, sk.P, 2))
+    return None if error is None else mono_apply(error, sk.P, 2)

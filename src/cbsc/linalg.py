@@ -108,8 +108,11 @@ def _eliminate(M: np.ndarray, p: int):
     return X, Y, order, pivots
 
 
-def mat_reduce(M: np.ndarray, p: int) -> tuple[np.ndarray, int, list[int]]:
-    """Reduced row echelon form modulo p. Returns (rref, rank, pivot columns).
+def mat_reduce(M: np.ndarray, p: int) -> tuple[list[int], np.ndarray, np.ndarray]:
+    """Reduced row echelon form R modulo p, as (pivot columns, free
+    columns, R_free).  R_free is R[:rank, free]: its row i is pivot row i
+    on the free columns, and the pivot columns of R are the identity, so
+    R_free is all of R that is not implied.
 
     Gauss-Jordan on packed rows, k columns per block from 32 rows up and
     all columns in one block below (see the module docstring).  Rows are
@@ -119,13 +122,14 @@ def mat_reduce(M: np.ndarray, p: int) -> tuple[np.ndarray, int, list[int]]:
     changes it.
     """
     X, Y, order, pivots = _eliminate(M, p)
-    rank = len(pivots)
-    R = np.zeros(np.shape(M), dtype=np.uint8)
-    cols = R.shape[1]
-    R[:rank] = _ints_to_rows([X[i] for i in order], cols)
+    cols = np.shape(M)[1]
+    free = np.flatnonzero(np.bincount(pivots, minlength=cols) == 0)
+    # each plane is cut to the free columns as it is unpacked, so the
+    # whole R is never held
+    R_free = _ints_to_rows([X[i] for i in order], cols).take(free, axis=1)
     if Y is not None:
-        R[:rank] += 2 * _ints_to_rows([Y[i] for i in order], cols)
-    return R, rank, pivots
+        R_free += 2 * _ints_to_rows([Y[i] for i in order], cols).take(free, axis=1)
+    return pivots, free, R_free
 
 
 def _clear(X: list[int], Y: list[int] | None, i: int, j: int, c: int) -> None:
@@ -220,35 +224,30 @@ def mat_rank(M: np.ndarray, p: int) -> int:
     return len(_eliminate(M, p)[3])
 
 
-def _free_columns(cols: int, pivots: list[int]) -> np.ndarray:
-    is_free = np.ones(cols, dtype=bool)
-    is_free[pivots] = False
-    return np.flatnonzero(is_free)
-
-
 def kernel_basis(M: np.ndarray, p: int) -> np.ndarray:
-    """Rows span the right kernel: every row k satisfies M @ k == 0 (mod p)."""
-    R, rank, pivots = mat_reduce(M, p)
-    free = _free_columns(M.shape[1], pivots)
+    """Rows span the right kernel: every row k satisfies M @ k == 0 (mod p).
+    Row i is 1 at free column i, -R_free[:, i] at the pivot columns and 0
+    elsewhere."""
+    pivots, free, R_free = mat_reduce(M, p)
     basis = np.zeros((len(free), M.shape[1]), dtype=np.uint8)
     basis[np.arange(len(free)), free] = 1
-    basis[:, pivots] = (p - R[:rank, free].T) % p
+    basis[:, pivots] = (p - R_free.T) % p
     return basis
 
 
 class AffineSolver:
     """The coset {x : H @ x = H @ w} of any word w, one x per choice of
     x[free].  H alone is reduced to its RREF R, and for any H, R @ x =
-    R @ w exactly when H @ x = H @ w: x[pivots] = w[pivots] + R_free @
-    (w[free] - x[free]).  R_free is kept in float32 for the product.
-    A batch of free values, one row each, is solved in one product."""
+    R @ w exactly when H @ x = H @ w; as R is the identity on the pivot
+    columns, x[pivots] = w[pivots] + R_free @ (w[free] - x[free]) with
+    the R_free of `mat_reduce`, kept in float32 for the product.  A batch
+    of free values, one row each, is solved in one product."""
 
     def __init__(self, H: np.ndarray, p: int):
         self.p = p
-        R, rank, pivots = mat_reduce(H, p)
+        pivots, self.free, R_free = mat_reduce(H, p)
         self.pivots = np.array(pivots, dtype=np.intp)
-        self.free = _free_columns(H.shape[1], pivots)
-        self.R_free = R[:rank, self.free].astype(np.float32)
+        self.R_free = R_free.astype(np.float32)
 
     def solve(self, w: np.ndarray, free_values: np.ndarray) -> np.ndarray:
         """The x with H @ x = H @ w and x[free] = free_values; for free
@@ -280,10 +279,11 @@ def random_full_rank(rows: int, cols: int, p: int, rng) -> np.ndarray:
 def invert_matrix(M: np.ndarray, p: int) -> np.ndarray:
     n = M.shape[0]
     aug = np.concatenate([M % p, np.eye(n, dtype=np.uint8)], axis=1)
-    R, rank, piv = mat_reduce(aug, p)
-    if piv[:n] != list(range(n)):
+    pivots, _, inverse = mat_reduce(aug, p)
+    # pivots 0..n-1 leave the last n columns free, where R holds M^-1
+    if pivots[:n] != list(range(n)):
         raise ValueError("matrix not invertible")
-    return R[:, n:]
+    return inverse
 
 
 # vecmat and AffineSolver.solve call _product, not matmul, so that a
@@ -319,7 +319,8 @@ class Monomial:
 
     Scalars are 1 for the binary/permutation case and in {1, 2} over GF(3),
     so M @ M.T = I in both cases.  `perm` (intp) and `scalars` (uint8) are
-    read-only numpy arrays.
+    read-only numpy arrays.  Raises ValueError unless `perm` is a
+    permutation of 0..n-1.
     """
     perm: np.ndarray
     scalars: np.ndarray
@@ -329,10 +330,8 @@ class Monomial:
             arr = np.array(getattr(self, name), dtype=dtype)
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
-
-    @property
-    def n(self) -> int:
-        return len(self.perm)
+        if (np.sort(self.perm) != np.arange(len(self.perm))).any():
+            raise ValueError("P is not a permutation of the coordinates")
 
 
 def random_permutation(n: int, rng) -> Monomial:

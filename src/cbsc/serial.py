@@ -10,11 +10,11 @@ Every parser is total: a byte string either parses or raises
 to its own bytes, so padding bits and trits are zero and no trit byte
 exceeds 242.  Payload lengths are checked before anything is unpacked,
 and a receiver secret key is checked (g monic irreducible of degree t,
-support of distinct field elements, a true permutation) before its
-decoding material is built.  A sender secret key file holds what key
-generation draws, H_U, H_V and P (perm and scalars), and is checked by
-the same builder that key generation uses; a sender public key file
-holds the A of the public [I | A].
+support of distinct field elements) before its decoding material is
+built.  A `Monomial` refuses a P that is not a permutation.  A sender
+secret key file holds what key generation draws, H_U, H_V and P (perm
+and scalars), and is checked by the same builder that key generation
+uses; a sender public key file holds the A of the public [I | A].
 """
 
 from __future__ import annotations
@@ -183,11 +183,6 @@ def _par_key(role: int, data: bytes) -> tuple[CommonParams, dict[str, np.ndarray
     return params, _unpack(role, params, data[off:])
 
 
-def _check_perm(perm: np.ndarray) -> None:
-    if not np.array_equal(np.sort(perm), np.arange(len(perm))):
-        raise FormatError("P is not a permutation of the coordinates")
-
-
 def ser_receiver_pub(params: CommonParams, pk: ReceiverPublicKey) -> bytes:
     return _ser_key(ROLE_RECEIVER_PUB, params, pk)
 
@@ -203,7 +198,6 @@ def ser_receiver_sec(params: CommonParams, sk: ReceiverSecretKey) -> bytes:
 
 def par_receiver_sec(data: bytes) -> tuple[CommonParams, ReceiverSecretKey]:
     params, v = _par_key(ROLE_RECEIVER_SEC, data)
-    _check_perm(v["perm"])
     # GoppaCode checks g and the support, except for irreducibility; a
     # reducible g can leave x without a square root modulo g
     try:
@@ -213,8 +207,8 @@ def par_receiver_sec(data: bytes) -> tuple[CommonParams, ReceiverSecretKey]:
     # Patterson's square root is only correct for an irreducible g
     if not F.poly_is_irreducible(code.g, params.m):
         raise FormatError("g is not irreducible over GF(2^m)")
-    P = Monomial(v["perm"], np.ones(params.n_r, dtype=np.uint8))
     try:
+        P = Monomial(v["perm"], np.ones(params.n_r, dtype=np.uint8))
         return params, receiver_secret_key(code, generator_matrix(code), v["S"], P)
     except ValueError as exc:
         raise FormatError(f"receiver secret key: {exc}") from exc
@@ -235,9 +229,8 @@ def ser_sender_sec(params: CommonParams, sk: SenderSecretKey) -> bytes:
 
 def par_sender_sec(data: bytes) -> tuple[CommonParams, SenderSecretKey]:
     params, v = _par_key(ROLE_SENDER_SEC, data)
-    _check_perm(v["perm"])
-    P = Monomial(v["perm"], v["scalars"] + 1)
     try:
+        P = Monomial(v["perm"], v["scalars"] + 1)
         return params, sender_secret_key(v["H_U"], v["H_V"], P)
     except ValueError as exc:
         raise FormatError(f"sender secret key: {exc}") from exc

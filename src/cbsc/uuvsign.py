@@ -115,13 +115,13 @@ def sender_keys(H_U: np.ndarray, H_V: np.ndarray,
     """Both halves of the sender key (H_U, H_V, P).  Raises ValueError
     unless H_V has no zero column and the first r_s columns of H_sk·P are
     invertible.  The last rule makes H_sk, hence H_U and H_V, of full row
-    rank.  One elimination of H_sk·P checks it and gives A."""
+    rank.  One elimination of H_sk·P checks it and gives A, the R_free
+    of its RREF [I | A]."""
     HP = _checked_HP(H_U, H_V, P)
-    r_s = len(HP)
-    R, _, pivots = mat_reduce(HP, 3)
-    if pivots != list(range(r_s)):
+    pivots, _, A = mat_reduce(HP, 3)
+    if pivots != list(range(len(HP))):
         raise ValueError(_SINGULAR)
-    return _secret_key(H_U, H_V, P), SenderPublicKey(A=R[:, r_s:])
+    return _secret_key(H_U, H_V, P), SenderPublicKey(A=A)
 
 
 def sender_secret_key(H_U: np.ndarray, H_V: np.ndarray, P: Monomial) -> SenderSecretKey:

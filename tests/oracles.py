@@ -310,7 +310,8 @@ def mat_mono(A: np.ndarray, M: Monomial, p: int) -> np.ndarray:
 
 
 def mono_to_matrix(M: Monomial) -> np.ndarray:
-    A = np.zeros((M.n, M.n), dtype=np.uint8)
+    n = len(M.perm)
+    A = np.zeros((n, n), dtype=np.uint8)
     for i, (j, s) in enumerate(zip(M.perm, M.scalars)):
         A[i, j] = s
     return A

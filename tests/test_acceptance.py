@@ -113,8 +113,8 @@ def test_criterion_3_patterson_exhaustive():
         for pat in patterns:
             err = np.zeros(32, dtype=np.uint8)
             err[list(pat)] = 1
-            res = patterson_decode(code, cw ^ err)
-            if res is None or not np.array_equal(res[1], err):
+            got = patterson_decode(code, cw ^ err)
+            if got is None or not np.array_equal(got, err):
                 failures += 1
     elapsed = time.perf_counter() - start
     _report(3, failures == 0 and elapsed < 30,

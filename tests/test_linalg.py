@@ -18,15 +18,20 @@ def test_rref_shape_and_rank(p):
     rng = _rng(p)
     for _ in range(20):
         M = L.random_matrix(5, 8, p, rng)
-        R, rank, piv = L.mat_reduce(M, p)
-        assert rank == len(piv)
-        # pivots are 1 with zeros elsewhere in their column
-        for ri, c in enumerate(piv):
-            col = np.zeros(5, dtype=np.uint8)
-            col[ri] = 1
-            assert np.array_equal(R[:, c], col)
-        # row space preserved: every row of M is a combination of R rows
-        assert L.mat_rank(np.concatenate([M, R[:rank]]), p) == rank
+        pivots, free, R_free = L.mat_reduce(M, p)
+        rank = len(pivots)
+        assert rank == L.mat_rank(M, p)
+        assert sorted(pivots + free.tolist()) == list(range(8))
+        assert R_free.shape == (rank, 8 - rank)
+        # echelon: pivots increase, and each row is zero left of its pivot
+        assert pivots == sorted(pivots)
+        assert not np.any(R_free[free[None, :] < np.array(pivots)[:, None]])
+        # row space preserved: every row of M is a combination of the rows
+        # of R, the identity on the pivot columns and R_free on the free
+        R = np.zeros((rank, 8), dtype=np.uint8)
+        R[np.arange(rank), pivots] = 1
+        R[:, free] = R_free
+        assert L.mat_rank(np.concatenate([M, R]), p) == rank
 
 
 @pytest.mark.parametrize("p", [2, 3])
@@ -127,11 +132,13 @@ def test_mat_reduce_matches_oracle(p, rows, cols, kind, seed):
 
 
 def _assert_reduces_like_oracle(M, p):
-    R, rank, pivots = L.mat_reduce(M, p)
-    R_want, rank_want, pivots_want = O.mat_reduce(M, p)
-    assert R.dtype == np.uint8
-    assert np.array_equal(R, R_want)
-    assert (rank, pivots) == (rank_want, pivots_want)
+    pivots, free, R_free = L.mat_reduce(M, p)
+    R_want, rank, pivots_want = O.mat_reduce(M, p)
+    free_want = [c for c in range(M.shape[1]) if c not in pivots_want]
+    assert pivots == pivots_want
+    assert free.tolist() == free_want
+    assert R_free.dtype == np.uint8
+    assert np.array_equal(R_free, R_want[:rank, free_want])
 
 
 # From 32 rows up mat_reduce clears 4 to 8 columns per block, so these
@@ -269,6 +276,12 @@ def test_mono_gathers_match_coordinate_loops_random(p, n, seed):
     assert np.array_equal(L.mono_apply(v, M, p), O.mono_apply(v, M, p))
     assert np.array_equal(L.mono_apply_inv(v, M, p), O.mono_apply_inv(v, M, p))
     assert np.array_equal(L.mono_apply(A, M, p), O.mat_mono(A, M, p))
+
+
+@pytest.mark.parametrize("perm", [[0, 0, 1], [0, 1, 3], [-1, 0, 1]])
+def test_monomial_rejects_a_non_permutation(perm):
+    with pytest.raises(ValueError, match="not a permutation"):
+        L.Monomial(perm, [1, 1, 1])
 
 
 def test_monomial_arrays_are_read_only():

@@ -73,9 +73,10 @@ def test_parity_check_has_the_textbook_row_space():
     # the binary expansion of the syndrome matrix and of (alpha_j^i / g(alpha_j))
     # reduce to the same echelon form, so keys built from either are identical
     code = random_goppa_code(6, 50, 4, np.random.default_rng(3))
-    ours = mat_reduce(goppa_parity_check(code), 2)[0]
-    textbook = mat_reduce(O.parity_check_vandermonde(code.g, code.support, 6), 2)[0]
-    assert np.array_equal(ours, textbook)
+    pivots, _, R_free = mat_reduce(goppa_parity_check(code), 2)
+    pivots_tb, _, R_free_tb = mat_reduce(O.parity_check_vandermonde(code.g, code.support, 6), 2)
+    assert pivots == pivots_tb
+    assert np.array_equal(R_free, R_free_tb)
 
 
 def test_patterson_recovers_every_weight(code):
@@ -85,9 +86,9 @@ def test_patterson_recovers_every_weight(code):
         cw = vecmat(rng.integers(0, 2, size=G.shape[0], dtype=np.uint8), G, 2)
         err = np.zeros(N, dtype=np.uint8)
         err[rng.choice(N, size=w, replace=False)] = 1
-        res = patterson_decode(code, cw ^ err)
-        assert res is not None, f"weight {w}"
-        assert np.array_equal(res[0], cw) and np.array_equal(res[1], err)
+        got = patterson_decode(code, cw ^ err)
+        assert got is not None, f"weight {w}"
+        assert np.array_equal(got, err)
 
 
 def test_patterson_agrees_with_oracle_beyond_radius(code):
@@ -99,7 +100,7 @@ def test_patterson_agrees_with_oracle_beyond_radius(code):
         want = O.patterson_decode(code.g, code.support, word, M)
         assert (got is None) == (want is None)
         if got is not None:
-            assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+            assert np.array_equal(got, want[1])
 
 
 def test_patterson_agrees_with_oracle_on_small_codes():
@@ -115,7 +116,7 @@ def test_patterson_agrees_with_oracle_on_small_codes():
         want = O.patterson_decode(code.g, code.support, word, 5)
         assert (got is None) == (want is None)
         if got is not None:
-            assert np.array_equal(got[1], want[1])
+            assert np.array_equal(got, want[1])
         outcomes.add(got is None)
     assert outcomes == {True, False}
 
@@ -137,6 +138,6 @@ def test_patterson_agrees_with_oracle_at_every_weight(t):
         want = O.patterson_decode(code.g, code.support, cw ^ err, 8)
         assert (got is None) == (want is None)
         if w <= t:
-            assert got is not None and np.array_equal(got[1], err)
+            assert got is not None and np.array_equal(got, err)
         if got is not None:
-            assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+            assert np.array_equal(got, want[1])

@@ -120,6 +120,29 @@ def test_sender_key_load_eliminates_the_square_only(monkeypatch, sender_keys):
                      ("reduce", (r_V, TOY.n_s // 2))], calls
 
 
+@pytest.mark.parametrize("n_s,k_U,k_V", [(16, 4, 4), (8, 2, 2), (24, 6, 8)])
+def test_keygen_and_load_accept_the_same_draws(n_s, k_U, k_V):
+    # keygen decides the pivot rule by eliminating all of H_sk P, the load
+    # by the rank of its r_s x r_s square; both must give one verdict
+    rng = np.random.default_rng(n_s)
+    half = n_s // 2
+    verdicts = set()
+    for _ in range(1500):
+        draw = (linalg.random_matrix(half - k_U, half, 3, rng),
+                linalg.random_matrix(half - k_V, half, 3, rng),
+                linalg.random_monomial(n_s, 3, rng))
+        seen = []
+        for build in (uuvsign.sender_keys, uuvsign.sender_secret_key):
+            try:
+                build(*draw)
+                seen.append("accepted")
+            except ValueError as exc:
+                seen.append(str(exc))
+        assert seen[0] == seen[1], seen
+        verdicts.add(seen[0])
+    assert verdicts == {"accepted", "H_V has a zero column", uuvsign._SINGULAR}
+
+
 def test_keygen_validation():
     rng = np.random.default_rng(1)
     with pytest.raises(ValueError):
