@@ -24,8 +24,6 @@ EXIT_USAGE = 2
 EXIT_IO = 3
 EXIT_CRYPTO = 4
 
-_ROLE_BY_NAME = {name: role for role, name in serial.ROLE_NAMES.items()}
-
 
 class CliError(Exception):
     def __init__(self, code: int, message: str):
@@ -65,10 +63,10 @@ def _setup(profile: str):
         raise CliError(EXIT_IO, f"cannot read profile {profile}: {exc}") from exc
 
 
-def _load_key(path: str, role_name: str):
+def _load_key(path: str, parse, role_name: str):
     data = _read_file(path)
     try:
-        return serial.KEY_PARSERS[_ROLE_BY_NAME[role_name]](data)
+        return parse(data)
     except serial.FormatError as exc:
         raise CliError(EXIT_CRYPTO, f"bad {role_name} key file {path}: {exc}") from exc
 
@@ -76,22 +74,24 @@ def _load_key(path: str, role_name: str):
 def _cmd_keygen(args) -> int:
     params = _setup(args.profile)
     rng = _rng(args.seed)
-    role = args.role
-    if role == "receiver":
-        sk, pk = keygen_receiver_params(params, rng)
-        _write_file(args.out + ".pub", serial.ser_receiver_pub(params, pk))
-        _write_file(args.out + ".sec", serial.ser_receiver_sec(params, sk))
-    else:
-        sk, pk = keygen_sender_params(params, rng)
-        _write_file(args.out + ".pub", serial.ser_sender_pub(params, pk))
-        _write_file(args.out + ".sec", serial.ser_sender_sec(params, sk))
-    print(f"wrote {args.out}.pub and {args.out}.sec ({role}, {params.name})")
+    try:
+        if args.role == "receiver":
+            sk, pk = keygen_receiver_params(params, rng)
+            pub, sec = serial.ser_receiver_pub(params, pk), serial.ser_receiver_sec(params, sk)
+        else:
+            sk, pk = keygen_sender_params(params, rng)
+            pub, sec = serial.ser_sender_pub(params, pk), serial.ser_sender_sec(params, sk)
+    except ParameterError as exc:
+        raise CliError(EXIT_USAGE, f"bad profile: {exc}") from exc
+    _write_file(args.out + ".pub", pub)
+    _write_file(args.out + ".sec", sec)
+    print(f"wrote {args.out}.pub and {args.out}.sec ({args.role}, {params.name})")
     return EXIT_OK
 
 
 def _cmd_signcrypt(args) -> int:
-    params_s, sk_s = _load_key(args.sender_sec, "sender-sec")
-    params_r, pk_r = _load_key(args.receiver_pub, "receiver-pub")
+    params_s, sk_s = _load_key(args.sender_sec, serial.par_sender_sec, "sender-sec")
+    params_r, pk_r = _load_key(args.receiver_pub, serial.par_receiver_pub, "receiver-pub")
     if params_s != params_r:
         raise CliError(EXIT_USAGE, "sender and receiver keys use different profiles")
     m = _read_file(args.infile)
@@ -105,8 +105,8 @@ def _cmd_signcrypt(args) -> int:
 
 
 def _cmd_unsigncrypt(args) -> int:
-    params_r, sk_r = _load_key(args.receiver_sec, "receiver-sec")
-    params_s, pk_s = _load_key(args.sender_pub, "sender-pub")
+    params_r, sk_r = _load_key(args.receiver_sec, serial.par_receiver_sec, "receiver-sec")
+    params_s, pk_s = _load_key(args.sender_pub, serial.par_sender_pub, "sender-pub")
     if params_s != params_r:
         raise CliError(EXIT_USAGE, "sender and receiver keys use different profiles")
     data = _read_file(args.infile)

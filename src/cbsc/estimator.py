@@ -45,7 +45,38 @@ def isd_ratio(n: int, k: int, omega: int) -> CostReport:
         ratio = Fraction(math.comb(n - omega, k), math.comb(n, k))
     return CostReport(name=f"isd_ratio(n={n},k={k},w={omega})",
                       exact=ratio, log2=_log2_fraction(ratio),
-                      value=float(ratio))
+                      value=float(ratio),
+                      note="low-weight Prange: the share of information sets "
+                           "that avoid a weight-w error; 0 when k > n - w")
+
+
+def prange_large_weight(n: int, k: int, omega: int) -> CostReport:
+    """Success probability of one large-weight ternary Prange step,
+    C(n-k, omega-k) 2^(omega-k) / 3^(n-k), where omega >= k: the k
+    coordinates of an information set get nonzero trits, and the other
+    n - k, uniform for a uniform syndrome, must hold omega - k nonzeros.
+    This is the regime of Wave's signatures, where `isd_ratio` is 0.
+    Bricout, Chailloux, Debris-Alazard and Lequesne, "Ternary Syndrome
+    Decoding with Large Weight" (SAC 2019), give faster algorithms for
+    it, which are not evaluated here.  0 when omega < k."""
+    if not (0 <= omega <= n and 0 <= k <= n):
+        raise ValueError("need 0 <= omega, k <= n")
+    r, extra = n - k, omega - k
+    p = Fraction(math.comb(r, extra) * 2 ** extra, 3 ** r) if extra >= 0 else Fraction(0)
+    return CostReport(name=f"prange_large_weight(n={n},k={k},w={omega})",
+                      exact=p, log2=_log2_fraction(p),
+                      note="ternary Prange at large weight, one iteration")
+
+
+def solutions_per_syndrome(n: int, k: int, omega: int) -> CostReport:
+    """Mean number of weight-omega solutions of a ternary syndrome of an
+    [n, k] code with a full-rank parity check: C(n, omega) 2^omega words
+    spread over 3^(n-k) syndromes."""
+    if not (0 <= omega <= n and 0 <= k <= n):
+        raise ValueError("need 0 <= omega, k <= n")
+    mean = Fraction(math.comb(n, omega) * 2 ** omega, 3 ** (n - k))
+    return CostReport(name=f"solutions_per_syndrome(n={n},k={k},w={omega})",
+                      exact=mean, log2=_log2_fraction(mean))
 
 
 def _mobius(n: int) -> int:
@@ -150,6 +181,8 @@ def full_report(params: CommonParams) -> list[CostReport]:
     rows = [
         isd_ratio(p.n_r, p.k_tilde, p.t),
         isd_ratio(p.n_s, p.k_s, p.omega),
+        prange_large_weight(p.n_s, p.k_s, p.omega),
+        solutions_per_syndrome(p.n_s, p.k_s, p.omega),
         goppa_poly_count(1 << p.m, p.t),
         georgiades_wf(p.n_r, p.k_tilde),
         paiva_terada_wf(p.n_r, p.m, p.t, p.k_tilde),

@@ -37,6 +37,7 @@ from .linalg import (
     random_matrix,
     random_permutation,
 )
+from .params import CommonParams
 
 
 class GoppaCode:
@@ -90,8 +91,6 @@ class GoppaCode:
 def random_goppa_code(m: int, n: int, t: int, rng) -> GoppaCode:
     g = F.random_irreducible(t, m, rng)
     elems = np.nonzero(F.poly_eval_many(g, np.arange(1 << m), m))[0]
-    if len(elems) < n:
-        raise ValueError("not enough non-root support elements")
     idx = rng.choice(len(elems), size=n, replace=False)
     return GoppaCode(m, t, g, elems[idx].tolist())
 
@@ -176,20 +175,18 @@ class ReceiverPublicKey:
     G: np.ndarray          # k-tilde x n_r
 
 
-def keygen_receiver(m: int, n_r: int, t: int, k_tilde: int, rng):
-    k_r = n_r - m * t
-    if not 1 <= k_tilde <= k_r:
-        raise ValueError("need 1 <= k_tilde <= n_r - m*t")
+def keygen_receiver(params: CommonParams, rng):
+    """A receiver key pair of the validated profile `params`."""
     while True:
         # the parity check has full rank mt exactly when G has n - mt rows
-        code = random_goppa_code(m, n_r, t, rng)
+        code = random_goppa_code(params.m, params.n_r, params.t, rng)
         G = generator_matrix(code)
-        if len(G) == k_r:
+        if len(G) == params.k_r:
             break
     while True:  # redraw S and P until the key is valid
-        S = random_matrix(k_tilde, k_r, 2, rng)
+        S = random_matrix(params.k_tilde, params.k_r, 2, rng)
         try:
-            sk = receiver_secret_key(code, G, S, random_permutation(n_r, rng))
+            sk = receiver_secret_key(code, G, S, random_permutation(params.n_r, rng))
         except ValueError:
             continue
         return sk, ReceiverPublicKey(G=sk.G_pk)

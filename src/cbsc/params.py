@@ -59,8 +59,10 @@ class CommonParams:
             raise ParameterError("need 0 < omega <= n_s")
         if not 2 <= self.m <= 16:
             raise ParameterError("extension degree must be in [2, 16]")
-        if self.n_r > (1 << self.m):
-            raise ParameterError("n_r exceeds 2^m")
+        # the support must avoid the roots of g: an irreducible g of degree
+        # t >= 2 has none in GF(2^m), and g of degree 1 has exactly one
+        if self.n_r > (1 << self.m) - (self.t == 1):
+            raise ParameterError("n_r exceeds 2^m (2^m - 1 when t = 1)")
         # 128 is the largest t of Classic McEliece; it also bounds the
         # O(m t^3) irreducibility test that loading a receiver key runs
         if not 1 <= self.t <= 128:

@@ -14,14 +14,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .goppa import ReceiverPublicKey, ReceiverSecretKey, keygen_receiver
+from .goppa import ReceiverPublicKey, ReceiverSecretKey, keygen_receiver as keygen_receiver_params
 from .hashes import H0, H1, hash_bits, hash_trits
 from .mceliece import PkeCiphertext, pke_decrypt, pke_encrypt
 from .params import CommonParams, setup
 from .uuvsign import (
     SenderPublicKey,
     SenderSecretKey,
-    keygen_sender,
+    keygen_sender as keygen_sender_params,
     sign_syndrome,
     verify_syndrome,
 )
@@ -36,14 +36,6 @@ __all__ = [
 class Encapsulation:
     e: np.ndarray          # n_s trits, weight omega
     c: PkeCiphertext
-
-
-def keygen_receiver_params(params: CommonParams, rng):
-    return keygen_receiver(params.m, params.n_r, params.t, params.k_tilde, rng)
-
-
-def keygen_sender_params(params: CommonParams, rng):
-    return keygen_sender(params.n_s, params.k_U, params.k_V, rng)
 
 
 def sym(params: CommonParams, rng) -> tuple[np.ndarray, np.ndarray]:

@@ -236,14 +236,6 @@ def par_sender_sec(data: bytes) -> tuple[CommonParams, SenderSecretKey]:
         raise FormatError(f"sender secret key: {exc}") from exc
 
 
-KEY_PARSERS = {
-    ROLE_RECEIVER_PUB: par_receiver_pub,
-    ROLE_RECEIVER_SEC: par_receiver_sec,
-    ROLE_SENDER_PUB: par_sender_pub,
-    ROLE_SENDER_SEC: par_sender_sec,
-}
-
-
 # ---------------------------------------------------------------------------
 # encapsulations and signcrypted messages
 

@@ -41,6 +41,7 @@ from .linalg import (
     random_monomial,
     vecmat,
 )
+from .params import CommonParams, ParameterError
 
 
 class RetryExhausted(RuntimeError):
@@ -134,20 +135,26 @@ def sender_secret_key(H_U: np.ndarray, H_V: np.ndarray, P: Monomial) -> SenderSe
     return _secret_key(H_U, H_V, P)
 
 
-def keygen_sender(n_s: int, k_U: int, k_V: int, rng):
-    """Draws H_U, H_V and P until `sender_keys` accepts them.  Its rules
-    are on the draws only, so the key is uniform on valid ones."""
-    half = n_s // 2
-    if n_s % 2 or not (0 < k_U < half and 0 < k_V < half):
-        raise ValueError("need n_s even and 0 < k_U, k_V < n_s/2")
-    while True:
-        H_U = random_matrix(half - k_U, half, 3, rng)
-        H_V = random_matrix(half - k_V, half, 3, rng)
-        P = random_monomial(n_s, 3, rng)
+# draws of (H_U, H_V, P) that sender key generation makes before it gives up
+KEYGEN_DRAWS = 1000
+
+
+def keygen_sender(params: CommonParams, rng):
+    """A sender key pair of the validated profile `params`: draws H_U,
+    H_V and P until `sender_keys` accepts them.  Its rules are on the
+    draws only, so the key is uniform on valid ones.  Raises
+    ParameterError after KEYGEN_DRAWS rejected draws: some profiles
+    almost never make the first r_s columns of H_sk·P invertible."""
+    half = params.n_s // 2
+    for _ in range(KEYGEN_DRAWS):
+        H_U = random_matrix(half - params.k_U, half, 3, rng)
+        H_V = random_matrix(half - params.k_V, half, 3, rng)
+        P = random_monomial(params.n_s, 3, rng)
         try:
             return sender_keys(H_U, H_V, P)
         except ValueError:
             continue
+    raise ParameterError(f"no valid sender key in {KEYGEN_DRAWS} draws")
 
 
 # The free value x, by the other half's trit at its coordinate (row) and

@@ -11,7 +11,8 @@ replaced; the Ben-Or
 loop that the root check and reduction rows of
 `cbsc.fields.poly_is_irreducible` replaced; the scan over every
 position that the bisection of `cbsc.cwencode.unrank_support` replaced;
-and helpers that only tests need.
+the enumeration of a whole signature coset; and helpers that only tests
+need.
 
 They are slow and simple on purpose; tests compare the library against
 them.  Polynomials are lists of ints, index = degree, no trailing zeros.
@@ -33,6 +34,7 @@ from cbsc.linalg import (
     unpack_bits,
     vecmat,
 )
+from cbsc.params import CUSTOM_FIELDS, TOY, CommonParams, custom_params
 from cbsc.uuvsign import _FREE_TABLE
 
 
@@ -391,8 +393,27 @@ def hash_trits(fields, r_s: int) -> np.ndarray:
     return np.array(trits[:r_s], dtype=np.uint8)
 
 
+def coset_solutions(pk, y: np.ndarray, omega: int) -> np.ndarray:
+    """Every e of weight omega with e @ [I | A].T = y, one per row: the
+    words (y - A z, z) over all z in F_3^k, k = n_s - r_s, that have
+    weight omega.  There are 3^k candidates, so k must be small."""
+    k = pk.A.shape[1]
+    Z = (np.arange(3 ** k)[:, None] // 3 ** np.arange(k)).astype(np.int16) % 3
+    X = (np.asarray(y, dtype=np.int16) - Z @ pk.A.T.astype(np.int16)) % 3
+    E = np.concatenate([X, Z], axis=1).astype(np.uint8)
+    return E[np.count_nonzero(E, axis=1) == omega]
+
+
 # ---------------------------------------------------------------------------
 # helpers only tests use
+
+TOY_FIELDS = {f: getattr(TOY, f) for f in CUSTOM_FIELDS}
+
+
+def toy_with(**fields) -> CommonParams:
+    """TOY with `fields` changed, validated as a custom profile."""
+    return custom_params(TOY_FIELDS | fields)
+
 
 def georgiades_log2_lgamma(n: int, k_tilde: int) -> float:
     """Independent log-gamma evaluation of log2(n!/k_tilde!)."""

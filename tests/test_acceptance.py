@@ -32,6 +32,8 @@ from cbsc.params import PAPER_L1, TOY
 from cbsc.sctkem import Encapsulation, keygen_receiver_params, keygen_sender_params
 from cbsc.uuvsign import Signature, sign, verify
 
+from oracles import toy_with
+
 
 def _report(n, ok, detail):
     print(f"[criterion {n}] {'PASS' if ok else 'FAIL'}: {detail}")
@@ -127,7 +129,7 @@ def test_criterion_4_subcode_invariant():
     """Rows of G_pk P^-1 have zero secret syndrome for 50 fresh keys."""
     rng = np.random.default_rng(4)
     for i in range(50):
-        sk, pk = keygen_receiver(TOY.m, TOY.n_r, TOY.t, TOY.k_tilde, rng)
+        sk, pk = keygen_receiver(TOY, rng)
         H = goppa_parity_check(sk.code)
         for row in pk.G:
             inner = mono_apply_inv(row, sk.P, 2)
@@ -247,7 +249,7 @@ def test_criterion_8_signature_soundness(toy_keys):
 def test_criterion_9_gamma_uniformity():
     """All 2^kappa coins at (k~=8, n_r=16, t=2) give distinct ciphertexts."""
     rng = np.random.default_rng(9)
-    sk, pk = keygen_receiver(4, 16, 2, 8, rng)
+    sk, pk = keygen_receiver(toy_with(m=4, n_r=16, t=2, k_tilde=8), rng)
     k = kappa(16, 2)
     assert k == 6
     x = rng.integers(0, 2, size=8 + 8, dtype=np.uint8)  # fixed plaintext

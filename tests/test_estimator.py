@@ -5,6 +5,7 @@ import math
 from fractions import Fraction
 from math import comb
 
+import numpy as np
 import pytest
 
 from cbsc import fields as F
@@ -18,11 +19,14 @@ from cbsc.estimator import (
     goppa_poly_count,
     isd_ratio,
     paiva_terada_wf,
+    prange_large_weight,
     sizes,
+    solutions_per_syndrome,
 )
 from cbsc.params import PAPER_L1, TOY
+from cbsc.uuvsign import keygen_sender
 
-from oracles import georgiades_log2_lgamma
+from oracles import coset_solutions, georgiades_log2_lgamma, toy_with
 
 
 def test_isd_ratio_exhaustive_oracle():
@@ -40,6 +44,46 @@ def test_isd_ratio_exhaustive_oracle():
 def test_isd_ratio_zero_when_k_too_large():
     r = isd_ratio(10, 9, 2)
     assert r.exact == 0 and r.log2 == float("-inf")
+
+
+def test_large_weight_rows_at_toy():
+    # r = 8 redundancy trits, omega - k = 6 of them nonzero
+    assert prange_large_weight(16, 8, 14).exact == Fraction(1792, 6561)
+    assert solutions_per_syndrome(16, 8, 14).exact == Fraction(120 * 2**14, 3**8)
+    assert prange_large_weight(16, 8, 14).log2 == pytest.approx(-1.8723, abs=1e-4)
+    assert solutions_per_syndrome(16, 8, 14).log2 == pytest.approx(8.2272, abs=1e-4)
+    assert prange_large_weight(16, 8, 7).exact == 0     # omega < k
+
+
+def test_large_weight_rows_at_paper_l1():
+    # the sender forgery rows are finite where isd_ratio is 0
+    n, k, omega = PAPER_L1.n_s, PAPER_L1.k_s, PAPER_L1.omega
+    assert isd_ratio(n, k, omega).exact == 0
+    prange = prange_large_weight(n, k, omega)
+    assert prange.exact == Fraction(comb(2887, 2375) * 2**2375, 3**2887)
+    assert prange.log2 == pytest.approx(-259.95, abs=0.01)
+    mean = solutions_per_syndrome(n, k, omega)
+    assert mean.exact == Fraction(comb(8492, 7980) * 2**7980, 3**2887)
+    assert mean.log2 == pytest.approx(6188.93, abs=0.01)
+    names = [r.name for r in full_report(PAPER_L1)]
+    assert names.index(prange.name) == names.index(isd_ratio(n, k, omega).name) + 1
+    assert names.index(mean.name) == names.index(prange.name) + 1
+
+
+def test_large_weight_rows_against_enumeration():
+    # an n_s = 8 key, k_s = 4: every syndrome's weight-omega solutions,
+    # and one Prange step on the last k coordinates set to ones, whose
+    # redundancy part y - A 1 runs over all of F_3^4 with y
+    params = toy_with(n_s=8, k_U=2, k_V=2, omega=6)
+    _, pk = keygen_sender(params, np.random.default_rng(11))
+    n, k, r = params.n_s, params.k_s, params.r_s
+    syndromes = (np.arange(3 ** r)[:, None] // 3 ** np.arange(r)) % 3
+    redundancy = (syndromes - pk.A.sum(axis=1, dtype=np.int64)) % 3
+    for omega in range(n + 1):
+        found = sum(len(coset_solutions(pk, y, omega)) for y in syndromes)
+        assert Fraction(found, 3 ** r) == solutions_per_syndrome(n, k, omega).exact
+        hits = int((np.count_nonzero(redundancy, axis=1) == omega - k).sum())
+        assert Fraction(hits, 3 ** r) == prange_large_weight(n, k, omega).exact
 
 
 def test_goppa_poly_count_gf4_exhaustive():

@@ -26,10 +26,10 @@ from cbsc.linalg import (
     random_permutation,
     vecmat,
 )
-from cbsc.params import TOY
+from cbsc.params import TOY, ParameterError
 
 import oracles as O
-from oracles import mat_mono
+from oracles import mat_mono, toy_with
 from test_golden import MID
 from test_serial import L1_20
 
@@ -228,8 +228,22 @@ def test_public_generator_with_a_unit_pivot_column():
 
 
 def test_keygen_rejects_bad_dims():
-    rng = np.random.default_rng(0)
-    with pytest.raises(ValueError):
-        keygen_receiver(4, 32, 2, 4, rng)      # n_r > 2^m
-    with pytest.raises(ValueError):
-        keygen_receiver(5, 32, 2, 23, rng)     # k_tilde > k_r
+    # keygen takes a validated profile: the shapes it cannot key are
+    # rejected by CommonParams.validate
+    for fields in (dict(m=4, n_r=32, t=2, k_tilde=4),     # n_r > 2^m
+                   dict(m=5, n_r=32, t=2, k_tilde=23),    # k_tilde > k_r
+                   dict(m=4, n_r=16, t=1, k_tilde=8)):    # t = 1: g has a root
+        with pytest.raises(ParameterError):
+            toy_with(**fields)
+
+
+@pytest.mark.parametrize("m,t", [(2, 1), (4, 1), (5, 1), (4, 3), (5, 2)])
+def test_keygen_receiver_at_the_largest_support(m, t):
+    # the largest n_r that validate accepts: the whole field for t >= 2,
+    # and all of it but the root of g for t = 1
+    params = toy_with(m=m, n_r=(1 << m) - (t == 1), t=t, k_tilde=1)
+    sk, pk = keygen_receiver(params, np.random.default_rng(m + t))
+    roots = [a for a in range(1 << m) if O.poly_eval(sk.code.g, a, m) == 0]
+    assert sorted(sk.code.support + roots) == list(range(1 << m))
+    assert len(roots) == (t == 1)
+    assert pk.G.shape == (1, params.n_r)

@@ -9,7 +9,7 @@ import pytest
 import oracles as O
 from cbsc import linalg, serial, uuvsign
 from cbsc.linalg import mat_rank, matmul, vecmat
-from cbsc.params import TOY, setup
+from cbsc.params import TOY, ParameterError, setup
 from cbsc.sctkem import keygen_receiver_params, keygen_sender_params
 from cbsc.uuvsign import (
     BATCH,
@@ -75,7 +75,7 @@ def test_keygen_sender_public_keys_have_no_zero_column():
     # column in H_V, hence in H_pk, where a signature trit is malleable;
     # the identity columns of [I | A] are never zero, so A's are checked
     for seed in range(400):
-        sk, pk = keygen_sender(16, 4, 4, np.random.default_rng(seed))
+        sk, pk = keygen_sender(TOY, np.random.default_rng(seed))
         assert pk.A.any(axis=0).all(), seed
 
 
@@ -144,11 +144,41 @@ def test_keygen_and_load_accept_the_same_draws(n_s, k_U, k_V):
 
 
 def test_keygen_validation():
-    rng = np.random.default_rng(1)
-    with pytest.raises(ValueError):
-        keygen_sender(15, 4, 4, rng)
-    with pytest.raises(ValueError):
-        keygen_sender(16, 8, 4, rng)
+    # keygen takes a validated profile: the shapes it cannot key are
+    # rejected by CommonParams.validate
+    for fields in (dict(n_s=15), dict(k_U=8), dict(k_V=0)):
+        with pytest.raises(ParameterError):
+            O.toy_with(**fields)
+
+
+def test_keygen_sender_gives_up_after_its_draw_budget(monkeypatch):
+    # right-half columns of H_sk span at most r_V = 6 dimensions, so the
+    # first r_s = 20 columns of H_sk P are invertible only if at least 14
+    # of them come from the 16 left-half ones, which almost no P does
+    params = O.toy_with(n_s=32, k_U=2, k_V=10, omega=30)
+    monkeypatch.setattr(uuvsign, "KEYGEN_DRAWS", 20)
+    with pytest.raises(ParameterError, match="20 draws"):
+        keygen_sender(params, np.random.default_rng(0))
+
+
+def test_coset_solutions_match_brute_force():
+    # all 3^8 words of an n_s = 8 code by syndrome and weight, against the
+    # oracle's 3^4 candidates per syndrome
+    params = O.toy_with(n_s=8, k_U=2, k_V=2, omega=6)
+    _, pk = keygen_sender(params, np.random.default_rng(10))
+    words = ((np.arange(3 ** 8)[:, None] // 3 ** np.arange(8)) % 3).astype(np.uint8)
+    I_A = np.concatenate([np.eye(params.r_s, dtype=np.uint8), pk.A], axis=1)
+    syndromes = O.matmul(words, I_A.T, 3)
+    weights = np.count_nonzero(words, axis=1)
+    total = 0
+    for y in np.unique(syndromes, axis=0):
+        in_coset = (syndromes == y).all(axis=1)
+        for omega in range(9):
+            got = O.coset_solutions(pk, y, omega)
+            want = words[in_coset & (weights == omega)]
+            assert sorted(map(bytes, got)) == sorted(map(bytes, want)), (y, omega)
+            total += len(got)
+    assert total == 3 ** 8
 
 
 def _pair_weights(other, x):
@@ -236,7 +266,7 @@ def _draws(sk, count, seed):
 @pytest.fixture(scope="module")
 def l1_20_sender_key():
     params = setup(str(Path(__file__).resolve().parent.parent / "perfbench" / "l1-20.profile"))
-    sk, _ = keygen_sender(params.n_s, params.k_U, params.k_V, np.random.default_rng(31))
+    sk, _ = keygen_sender(params, np.random.default_rng(31))
     return sk, params.omega
 
 
@@ -316,7 +346,7 @@ def test_uuv_decode_retry_budget(monkeypatch):
     # Each attempt draws one row of free values per half, and the last
     # batch is cut, so exactly max_attempts attempts are made.
     rng = np.random.default_rng(4)
-    sk, _ = keygen_sender(8, 2, 2, rng)
+    sk, _ = keygen_sender(O.toy_with(n_s=8, k_U=2, k_V=2, omega=6), rng)
     w = np.zeros(8, dtype=np.uint8)
     w[0] = 1
     rows = []
