@@ -1,20 +1,23 @@
 """Command-line interface: keygen, signcrypt, unsigncrypt, estimate.
 
-Exit codes: 0 success, 2 usage or parameter errors, 3 file I/O errors,
-4 cryptographic rejection (verification failure, malformed or truncated
-cryptographic payloads).
+Exit codes: 0 success, 2 usage or parameter errors, 3 file I/O errors
+(a closed stdout included), 4 cryptographic rejection (verification
+failure, malformed or truncated cryptographic payloads).  The commands
+only raise; `main` prints one `error:` line and picks the code from
+EXIT_CODES.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from pathlib import Path
 
 import numpy as np
 
 from . import estimator, serial
-from .hybrid import SigncryptedMessage, signcrypt, unsigncrypt
+from .hybrid import signcrypt, unsigncrypt
 from .params import ParameterError, setup
 from .sctkem import keygen_receiver_params, keygen_sender_params
 from .uuvsign import RetryExhausted
@@ -25,113 +28,85 @@ EXIT_IO = 3
 EXIT_CRYPTO = 4
 
 
-class CliError(Exception):
-    def __init__(self, code: int, message: str):
-        super().__init__(message)
-        self.code = code
+class Rejected(Exception):
+    """Unsigncryption returned the paper's rejection symbol."""
 
 
-def _read_file(path: str) -> bytes:
-    try:
-        return Path(path).read_bytes()
-    except OSError as exc:
-        raise CliError(EXIT_IO, f"cannot read {path}: {exc}") from exc
-
-
-def _write_file(path: str, data: bytes) -> None:
-    try:
-        Path(path).write_bytes(data)
-    except OSError as exc:
-        raise CliError(EXIT_IO, f"cannot write {path}: {exc}") from exc
+# The one place where a failure becomes an exit code; the most specific
+# class in an exception's MRO wins.  Any other exception is a bug and
+# propagates.
+EXIT_CODES = {
+    ParameterError: EXIT_USAGE,
+    OSError: EXIT_IO,                   # BrokenPipeError included
+    serial.FormatError: EXIT_CRYPTO,
+    RetryExhausted: EXIT_CRYPTO,
+    Rejected: EXIT_CRYPTO,
+}
 
 
 def _rng(seed: str | None):
-    if seed is None:
-        return np.random.default_rng()
     try:
-        return np.random.default_rng(int(seed, 16))
+        return np.random.default_rng(None if seed is None else int(seed, 16))
     except ValueError as exc:
-        raise CliError(EXIT_USAGE, f"seed must be hex: {seed!r}") from exc
+        raise ParameterError(f"seed must be hex: {seed!r}") from exc
 
 
-def _setup(profile: str):
-    try:
-        return setup(profile)
-    except ParameterError as exc:
-        raise CliError(EXIT_USAGE, f"bad profile: {exc}") from exc
-    except OSError as exc:
-        raise CliError(EXIT_IO, f"cannot read profile {profile}: {exc}") from exc
+def _load(*files):
+    """(params, objects) parsed from (path, parse, role) files that must
+    share one profile; FormatError and ParameterError name the file."""
+    loaded = []
+    for path, parse, role in files:
+        try:
+            loaded.append(parse(Path(path).read_bytes()))
+        except serial.FormatError as exc:
+            raise serial.FormatError(f"bad {role} file {path}: {exc}") from exc
+        if loaded[-1][0] != loaded[0][0]:
+            raise ParameterError(f"{role} file {path} and {files[0][2]} file "
+                                 f"{files[0][0]} use different profiles")
+    return loaded[0][0], [obj for _, obj in loaded]
 
 
-def _load_key(path: str, parse, role_name: str):
-    data = _read_file(path)
-    try:
-        return parse(data)
-    except serial.FormatError as exc:
-        raise CliError(EXIT_CRYPTO, f"bad {role_name} key file {path}: {exc}") from exc
-
-
-def _cmd_keygen(args) -> int:
-    params = _setup(args.profile)
-    rng = _rng(args.seed)
-    try:
-        if args.role == "receiver":
-            sk, pk = keygen_receiver_params(params, rng)
-            pub, sec = serial.ser_receiver_pub(params, pk), serial.ser_receiver_sec(params, sk)
-        else:
-            sk, pk = keygen_sender_params(params, rng)
-            pub, sec = serial.ser_sender_pub(params, pk), serial.ser_sender_sec(params, sk)
-    except ParameterError as exc:
-        raise CliError(EXIT_USAGE, f"bad profile: {exc}") from exc
-    _write_file(args.out + ".pub", pub)
-    _write_file(args.out + ".sec", sec)
+def _cmd_keygen(args) -> None:
+    params = setup(args.profile)
+    if args.role == "receiver":
+        sk, pk = keygen_receiver_params(params, _rng(args.seed))
+        pub, sec = serial.ser_receiver_pub(params, pk), serial.ser_receiver_sec(params, sk)
+    else:
+        sk, pk = keygen_sender_params(params, _rng(args.seed))
+        pub, sec = serial.ser_sender_pub(params, pk), serial.ser_sender_sec(params, sk)
+    Path(args.out + ".pub").write_bytes(pub)
+    Path(args.out + ".sec").write_bytes(sec)
     print(f"wrote {args.out}.pub and {args.out}.sec ({args.role}, {params.name})")
-    return EXIT_OK
 
 
-def _cmd_signcrypt(args) -> int:
-    params_s, sk_s = _load_key(args.sender_sec, serial.par_sender_sec, "sender-sec")
-    params_r, pk_r = _load_key(args.receiver_pub, serial.par_receiver_pub, "receiver-pub")
-    if params_s != params_r:
-        raise CliError(EXIT_USAGE, "sender and receiver keys use different profiles")
-    m = _read_file(args.infile)
-    try:
-        sc = signcrypt(params_s, sk_s, pk_r, m, _rng(args.seed))
-    except RetryExhausted as exc:
-        raise CliError(EXIT_CRYPTO, f"signing failed: {exc}") from exc
-    _write_file(args.out, serial.ser_message(params_s, sc))
+def _cmd_signcrypt(args) -> None:
+    params, (sk_s, pk_r) = _load(
+        (args.sender_sec, serial.par_sender_sec, "sender-sec key"),
+        (args.receiver_pub, serial.par_receiver_pub, "receiver-pub key"))
+    m = Path(args.infile).read_bytes()
+    sc = signcrypt(params, sk_s, pk_r, m, _rng(args.seed))
+    Path(args.out).write_bytes(serial.ser_message(params, sc))
     print(f"signcrypted {len(m)} bytes -> {args.out}")
-    return EXIT_OK
 
 
-def _cmd_unsigncrypt(args) -> int:
-    params_r, sk_r = _load_key(args.receiver_sec, serial.par_receiver_sec, "receiver-sec")
-    params_s, pk_s = _load_key(args.sender_pub, serial.par_sender_pub, "sender-pub")
-    if params_s != params_r:
-        raise CliError(EXIT_USAGE, "sender and receiver keys use different profiles")
-    data = _read_file(args.infile)
-    try:
-        params_m, sc = serial.par_message(data)
-    except serial.FormatError as exc:
-        raise CliError(EXIT_CRYPTO, f"malformed ciphertext: {exc}") from exc
-    if params_m != params_r:
-        raise CliError(EXIT_USAGE, "ciphertext profile does not match keys")
-    m = unsigncrypt(params_r, sk_r, pk_s, sc)
+def _cmd_unsigncrypt(args) -> None:
+    params, (sk_r, pk_s, sc) = _load(
+        (args.receiver_sec, serial.par_receiver_sec, "receiver-sec key"),
+        (args.sender_pub, serial.par_sender_pub, "sender-pub key"),
+        (args.infile, serial.par_message, "message"))
+    m = unsigncrypt(params, sk_r, pk_s, sc)
     if m is None:
-        raise CliError(EXIT_CRYPTO, "rejected: decapsulation failed")
-    _write_file(args.out, m)
+        raise Rejected(f"message file {args.infile} rejected: decapsulation failed")
+    Path(args.out).write_bytes(m)
     print(f"recovered {len(m)} bytes -> {args.out}")
-    return EXIT_OK
 
 
-def _cmd_estimate(args) -> int:
-    params = _setup(args.profile)
-    rows = estimator.full_report(params)
+def _cmd_estimate(args) -> None:
+    rows = estimator.full_report(setup(args.profile))
     if args.report == "csv":
         sys.stdout.write(estimator.format_csv(rows))
     else:
         print(estimator.format_text(rows))
-    return EXIT_OK
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -168,16 +143,21 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
-    try:
-        return args.func(args)
-    except CliError as exc:
+        try:
+            args = build_parser().parse_args(argv)
+            args.func(args)
+            code = EXIT_OK
+        except SystemExit as exc:       # --help, or a usage error
+            code = EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
+        sys.stdout.flush()              # a closed stdout fails here, not at exit
+        return code
+    except tuple(EXIT_CODES) as exc:
+        if isinstance(exc, BrokenPipeError):
+            # the interpreter flushes stdout again at exit
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         print(f"error: {exc}", file=sys.stderr)
-        return exc.code
+        return next(EXIT_CODES[cls] for cls in type(exc).__mro__ if cls in EXIT_CODES)
 
 
 if __name__ == "__main__":

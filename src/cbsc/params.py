@@ -115,19 +115,24 @@ def load_profile_file(path) -> CommonParams:
     try:
         text = Path(path).read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
-        raise ParameterError(f"profile is not UTF-8 text: {exc}") from exc
+        raise ParameterError(f"profile {path} is not UTF-8 text: {exc}") from exc
     for raw in text.splitlines():
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         if "=" not in line:
-            raise ParameterError(f"bad profile line: {raw!r}")
+            raise ParameterError(f"bad line in profile {path}: {raw!r}")
         key, val = (part.strip() for part in line.split("=", 1))
+        if key in values:
+            raise ParameterError(f"{key!r} given twice in profile {path}")
         try:
             values[key] = int(val)
         except ValueError as exc:
-            raise ParameterError(f"bad integer for {key!r}: {val!r}") from exc
-    return custom_params(values)
+            raise ParameterError(f"bad integer for {key!r} in profile {path}: {val!r}") from exc
+    try:
+        return custom_params(values)
+    except ParameterError as exc:
+        raise ParameterError(f"profile {path}: {exc}") from exc
 
 
 def setup(profile) -> CommonParams:

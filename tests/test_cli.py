@@ -197,6 +197,16 @@ def test_non_utf8_profile_exit2(tmp_path):
     assert main(["estimate", "--profile", str(prof)]) == EXIT_USAGE
 
 
+def test_profile_key_given_twice_exit2(tmp_path, capsys):
+    # both values of n_s are valid, so a last-one-wins parser would exit 0
+    prof = tmp_path / "twice.params"
+    prof.write_text(
+        "n_s = 16\nk_U = 4\nk_V = 4\nomega = 14\nn_s = 18\n"
+        "m = 5\nn_r = 32\nt = 2\nk_tilde = 16\nell = 16\nsalt_bits = 16\n")
+    assert main(["estimate", "--profile", str(prof)]) == EXIT_USAGE
+    assert f"'n_s' given twice in profile {prof}" in capsys.readouterr().err
+
+
 def test_profile_with_too_few_H_V_rows_exit2(tmp_path):
     # L1/20 with k_V = 211 leaves H_V one row, so a draw of H_V has no
     # zero column with probability (2/3)^212 and sender keygen would not end

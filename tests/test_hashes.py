@@ -4,6 +4,7 @@ statistical sanity of the uniform trit extraction."""
 import numpy as np
 import pytest
 
+from cbsc import hashes
 from cbsc.hashes import (
     DEM,
     H0,
@@ -97,8 +98,8 @@ def test_hash_trits_uniform_chi_square():
 
 
 def test_hash_trits_matches_oracle():
-    # at r_s = 2887 the first (r_s + 4) // 5 + 8 bytes seldom hold enough
-    # accepted ones, so the digest-doubling path is taken too
+    # at r_s = 2887 the oracle's first (r_s + 4) // 5 + 8 bytes seldom hold
+    # enough accepted ones, so its digest-doubling path is taken too
     doubled = 0
     for r_s in (1, 2, 5, 24, 145, 500, 2887):
         for i in range(300):
@@ -108,6 +109,44 @@ def test_hash_trits_matches_oracle():
             head = np.frombuffer(hash_bytes(H2, fields, (r_s + 4) // 5 + 8), np.uint8)
             doubled += 5 * int(np.count_nonzero(head < 243)) < r_s
     assert doubled > 0
+
+
+class _Reads:
+    """Stands in for the H2 XOF: serves digests of `source`, counting them."""
+
+    def __init__(self, source):
+        self.source, self.reads = source, 0
+
+    def digest(self, n):
+        self.reads += 1
+        return self.source(n)
+
+
+@pytest.mark.parametrize("r_s", [145, 688, 2887])
+def test_hash_trits_reads_once(monkeypatch, r_s):
+    # a first read of (r_s + 4) // 5 + 8 bytes was read again on a third of
+    # these inputs at r_s = 688 and on all of them at 2887
+    real, xofs = hashes._shake, []
+
+    def shake(domain, fields):
+        xofs.append(_Reads(real(domain, fields).digest))
+        return xofs[-1]
+
+    monkeypatch.setattr(hashes, "_shake", shake)
+    for i in range(300):
+        hash_trits([b"reads", i.to_bytes(2, "big")], r_s)
+    assert len(xofs) == 300
+    assert sum(xof.reads > 1 for xof in xofs) <= 3        # at most 1%
+
+
+def test_hash_trits_reads_again_until_enough_accepted(monkeypatch):
+    # a stream in which three bytes in four are rejected
+    stream = bytes(x for i in range(4096) for x in (i % 243, 243, 250, 255))
+    xof = _Reads(lambda n: stream[:n])
+    monkeypatch.setattr(hashes, "_shake", lambda domain, fields: xof)
+    expected = [(i % 243) // 3**j % 3 for i in range(100) for j in range(5)]
+    assert hash_trits([b"short"], 500).tolist() == expected
+    assert xof.reads > 1
 
 
 def test_hash_trits_rejects_bad_length():
