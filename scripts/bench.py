@@ -1,0 +1,300 @@
+#!/usr/bin/env python3
+"""Per-layer costs of cbsc at fixed seeds, printed and written as JSON.
+
+Usage: bench.py [--out FILE] [PROFILE ...]
+
+PROFILE is one of the bench profiles `toy`, `l1-20`, `l1-8` and
+`paper-l1`, or any profile name or file that `params.setup` accepts; the
+default is the four bench profiles, smallest first.  L1/20 is
+perfbench/l1-20.profile, and L1/8 the custom profile L1_8 below.  Each
+profile starts from its own generator, seeded with SEED, and records:
+
+  phases           the five phases below, each with its wall time and
+                   every traced function called inside it: calls,
+                   inclusive time and self time (inclusive minus traced
+                   callees)
+  batch_products   one signing batch's two solver products, V then U:
+                   `linalg._product` of BATCH rows of free-value
+                   differences by the solver's R_free, and the bare
+                   float32 BLAS product of the same operands, so the
+                   difference is the reduction
+  mono_apply_ms    `mono_apply` of the sender's H_sk by P
+  phi_ms           `cwencode.phi` of kappa random bits at (n_r, t)
+  signatures       SIGNATURES whole signatures of random syndromes with
+                   the loaded sender key: attempts per signature, counted
+                   as the rows of free values drawn, halved, and ms per
+                   signature
+  sizes            the serialised key sizes next to the `estimator.sizes`
+                   rows they correspond to
+  peak_rss_mib     the peak RSS of the process so far; the profiles run
+                   in the order given, holding one profile's keys at a
+                   time
+
+Timed pieces outside the phases are the median of REPEATS runs.  The
+phases are:
+
+    receiver keygen  fields.random_irreducible (irreducible search),
+                     goppa.goppa_parity_check (parity check),
+                     goppa.generator_matrix self (kernel),
+                     linalg.mat_rank (the full-row-rank check of S in
+                     goppa.receiver_secret_key, once per drawn S),
+                     linalg.matmul (S·G over the mt columns of G that
+                     are not unit columns; the others are gathered
+                     from S), linalg.mono_apply (S·G·P)
+    receiver load    fields.poly_is_irreducible, the parity check, the
+                     kernel, the rank check of S and S·G·P again
+    sender keygen    uuvsign.keygen_sender self (one untraced
+                     mat_reduce of H_sk·P per draw whose H_V has no
+                     zero column: the pivot check and A),
+                     linalg.mono_apply (H_sk·P), linalg.AffineSolver
+                     (the two solvers)
+    sender load      serial.par_sender_sec self (unpacking H_U and H_V),
+                     linalg.mat_rank (the rank of the first r_s columns
+                     of H_sk·P; A is not recomputed), linalg.mono_apply,
+                     linalg.AffineSolver
+    signing attempts at most SIGN_ATTEMPTS attempts of `uuv_decode` on a
+                     random word: linalg.AffineSolver.solve (a product
+                     with each solver's R_free per batch) and
+                     uuvsign.uuv_decode self (drawing the free values
+                     and the weight check)
+
+The functions are timed by the span tracer of perfbench/spans.py.  File
+sizes and estimator rows need not agree: files carry a header and store
+five trits per byte where the formulas count log2(3) bits per trit, and
+the sender secret key formula counts S, H_sk and a dense P, where the
+file holds only H_U, H_V, perm and scalars.
+
+Run from the repository root with `src` on PYTHONPATH:
+
+    PYTHONPATH=src python scripts/bench.py --out BENCH.json
+    PYTHONPATH=src python scripts/bench.py paper-l1
+"""
+
+import os
+
+# One BLAS thread, as in the benchmark: the products are timed, and
+# threads would contend on a small machine.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
+import argparse
+import json
+import platform
+import resource
+import sys
+from collections import defaultdict
+from pathlib import Path
+from statistics import median
+from time import perf_counter
+
+import numpy as np
+
+from cbsc import cwencode, estimator, linalg, sctkem, serial, uuvsign
+from cbsc.params import custom_params, setup
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "perfbench"))
+import spans  # noqa: E402
+
+SEED = 0
+SIGN_ATTEMPTS = 2 * uuvsign.BATCH
+SIGNATURES = 20
+REPEATS = 11
+
+L1_8 = dict(n_s=1018, k_U=426, k_V=245, omega=957, m=11, n_r=2048, t=40,
+            k_tilde=900, ell=128, salt_bits=128)
+BENCH_PROFILES = {
+    "toy": lambda: setup("toy"),
+    "l1-20": lambda: setup(ROOT / "perfbench" / "l1-20.profile"),
+    "l1-8": lambda: custom_params(L1_8),
+    "paper-l1": lambda: setup("paper-l1"),
+}
+
+
+def median_ms(fn) -> float:
+    times = []
+    for _ in range(REPEATS):
+        t0 = perf_counter()
+        fn()
+        times.append(perf_counter() - t0)
+    return 1e3 * median(times)
+
+
+def phase_tables(tracer: spans.Tracer, roots: dict[str, int]) -> dict[str, list]:
+    """{phase: [(span name, calls, inclusive s, self s), ...]} for the
+    spans under each phase's root span, largest self time first."""
+    agg = spans.aggregate(tracer.spans, {root: 1.0 for root in roots.values()})
+    tables = {title: defaultdict(lambda: [0, 0.0, 0.0]) for title in roots}
+    for (phase, _top, name, _parent), values in agg.items():
+        if name != phase:
+            row = tables[phase][name]
+            for k, v in enumerate(values):
+                row[k] += v
+    return {title: sorted(((name, *v) for name, v in rows.items()), key=lambda r: -r[3])
+            for title, rows in tables.items()}
+
+
+class RowCounter:
+    """Counts the rows of free values the signer draws, two per attempt,
+    while installed in place of `uuvsign._free_values`."""
+
+    def __init__(self):
+        self.rows = 0
+        self._free_values = uuvsign._free_values
+
+    def __call__(self, other, p_two, rng):
+        self.rows += len(other)
+        return self._free_values(other, p_two, rng)
+
+    def __enter__(self):
+        uuvsign._free_values = self
+        return self
+
+    def __exit__(self, *exc):
+        uuvsign._free_values = self._free_values
+
+
+def run_phases(params, rng) -> tuple[dict, dict, object]:
+    """The five traced phases; returns their record, the key blobs and
+    the loaded sender secret key."""
+    tracer = spans.Tracer()
+    # the tracer patches module attributes, so keygen is called through
+    # sctkem, where its wrappers are seen
+    tracer.install()
+    phases = []  # (title, root span id, seconds)
+    try:
+        def phase(title, fn):
+            t0 = perf_counter()
+            with tracer.root(title) as root:
+                out = fn()
+            phases.append((title, root, perf_counter() - t0))
+            return out
+
+        sk_r, pk_r = phase("receiver keygen",
+                           lambda: sctkem.keygen_receiver_params(params, rng))
+        blobs = {"receiver_sec": serial.ser_receiver_sec(params, sk_r),
+                 "receiver_pub": serial.ser_receiver_pub(params, pk_r)}
+        del sk_r, pk_r
+        phase("receiver load", lambda: (serial.par_receiver_sec(blobs["receiver_sec"]),
+                                        serial.par_receiver_pub(blobs["receiver_pub"])))
+        sk_s, pk_s = phase("sender keygen", lambda: sctkem.keygen_sender_params(params, rng))
+        blobs |= {"sender_sec": serial.ser_sender_sec(params, sk_s),
+                  "sender_pub": serial.ser_sender_pub(params, pk_s)}
+        del sk_s, pk_s  # the loaded key signs, and one key is held at a time
+        (_, sk_s), _ = phase("sender load",
+                             lambda: (serial.par_sender_sec(blobs["sender_sec"]),
+                                      serial.par_sender_pub(blobs["sender_pub"])))
+        word = rng.integers(0, 3, size=params.n_s, dtype=np.uint8)
+
+        def attempts():
+            try:
+                uuvsign.uuv_decode(sk_s, word, params.omega, rng, max_attempts=SIGN_ATTEMPTS)
+            except uuvsign.RetryExhausted:
+                pass
+        with RowCounter() as counter:
+            phase("signing attempts", attempts)
+    finally:
+        tracer.uninstall()
+    tables = phase_tables(tracer, {title: root for title, root, _ in phases})
+    record = {title: {"s": seconds,
+                      "steps": [{"name": name, "calls": calls, "incl_s": incl, "self_s": self_s}
+                                for name, calls, incl, self_s in tables[title]]}
+              for title, _, seconds in phases}
+    record["signing attempts"]["attempts"] = counter.rows // 2
+    return record, blobs, sk_s
+
+
+def batch_products(sk, rng) -> dict:
+    out = {}
+    for half, solver in (("V", sk.solver_V), ("U", sk.solver_U)):
+        diff = rng.integers(0, 3, size=(uuvsign.BATCH, len(solver.free)), dtype=np.uint8)
+        R_T, diff32 = solver.R_free.T, diff.astype(np.float32)
+        out[half] = {"shape": [*diff.shape, R_T.shape[1]],
+                     "product_ms": median_ms(lambda: linalg._product(diff, R_T, 3)),
+                     "blas_ms": median_ms(lambda: diff32 @ R_T)}
+    return out
+
+
+def signatures(params, sk, rng) -> dict:
+    attempts, ms, failed = [], [], 0
+    for _ in range(SIGNATURES):
+        y = rng.integers(0, 3, size=params.r_s, dtype=np.uint8)
+        with RowCounter() as counter:
+            t0 = perf_counter()
+            try:
+                uuvsign.sign_syndrome(sk, y, params.omega, rng)
+            except uuvsign.RetryExhausted:
+                failed += 1
+            ms.append(1e3 * (perf_counter() - t0))
+        attempts.append(counter.rows // 2)
+    return {"count": SIGNATURES, "failed": failed, "attempts": attempts,
+            "mean_attempts": float(np.mean(attempts)), "median_attempts": median(attempts),
+            "median_ms": median(ms), "max_ms": max(ms)}
+
+
+def bench(params, rng) -> dict:
+    record = {"params": {f: getattr(params, f) for f in
+                         ("n_s", "k_U", "k_V", "omega", "m", "n_r", "t", "k_tilde")}}
+    record["phases"], blobs, sk = run_phases(params, rng)
+    record["batch_products"] = batch_products(sk, rng)
+    H = uuvsign.build_uuv_parity_check(sk.H_U, sk.H_V)
+    record["mono_apply_ms"] = median_ms(lambda: linalg.mono_apply(H, sk.P, 3))
+    del H
+    bits = rng.integers(0, 2, size=params.kappa, dtype=np.uint8)
+    record["phi_ms"] = median_ms(lambda: cwencode.phi(bits, params.n_r, params.t))
+    record["signatures"] = signatures(params, sk, rng)
+    formula = {r.name: r.value for r in estimator.sizes(params)}
+    record["sizes"] = [{"key": key, "file_bytes": len(blob),
+                        "estimator_bits": formula[key + "_bits"]} for key, blob in blobs.items()]
+    # ru_maxrss is in KiB on Linux
+    record["peak_rss_mib"] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+    return record
+
+
+def report(name: str, rec: dict) -> None:
+    print(f"\n== {name}: " + " ".join(f"{k}={v}" for k, v in rec["params"].items())
+          + f", seed {SEED}")
+    for title, ph in rec["phases"].items():
+        print(f"\n{title}: {ph['s']:.3f} s")
+        print(f"  {'step':34s} {'calls':>6s} {'incl ms':>10s} {'self ms':>10s}")
+        for st in ph["steps"]:
+            print(f"  {st['name']:34s} {st['calls']:6d} {1e3 * st['incl_s']:10.2f} "
+                  f"{1e3 * st['self_s']:10.2f}")
+    att = rec["phases"]["signing attempts"]
+    print(f"\n{att['attempts']} signing attempts (of at most {SIGN_ATTEMPTS}): "
+          f"{1e3 * att['s'] / att['attempts']:.2f} ms per attempt")
+    for half, bp in rec["batch_products"].items():
+        print(f"batch product {half} {bp['shape']}: {bp['product_ms']:.3f} ms "
+              f"(BLAS alone {bp['blas_ms']:.3f} ms)")
+    print(f"mono_apply of H_sk by P: {rec['mono_apply_ms']:.2f} ms; "
+          f"phi: {rec['phi_ms']:.3f} ms")
+    sig = rec["signatures"]
+    print(f"{sig['count']} signatures, {sig['failed']} failed: attempts mean "
+          f"{sig['mean_attempts']:.1f}, median {sig['median_attempts']}, max "
+          f"{max(sig['attempts'])}; median {sig['median_ms']:.1f} ms, max {sig['max_ms']:.1f} ms")
+    print(f"\n{'key':14s} {'file bytes':>11s} {'file bits':>11s} {'estimator bits':>15s}")
+    for s in rec["sizes"]:
+        print(f"{s['key']:14s} {s['file_bytes']:11d} {8 * s['file_bytes']:11d} "
+              f"{s['estimator_bits']:15.0f}")
+    print(f"\npeak RSS so far {rec['peak_rss_mib']:.0f} MiB")
+
+
+def main(argv: list[str]) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("--out", help="write the records to this JSON file")
+    ap.add_argument("profiles", nargs="*", default=list(BENCH_PROFILES))
+    args = ap.parse_args(argv)
+    out = {"seed": SEED, "python": platform.python_version(), "numpy": np.__version__,
+           "machine": platform.machine(), "cpus": os.cpu_count(),
+           "blas_threads": os.environ["OPENBLAS_NUM_THREADS"], "profiles": {}}
+    for name in args.profiles:
+        params = BENCH_PROFILES[name]() if name in BENCH_PROFILES else setup(name)
+        rec = out["profiles"][name] = bench(params, np.random.default_rng(SEED))
+        report(name, rec)
+    if args.out:
+        Path(args.out).write_text(json.dumps(out, indent=1) + "\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

@@ -54,19 +54,35 @@ than either.  From about 150 rows up word arrays won over single pivot
 steps by at most 1.6x on the sizes measured.  Results are unpacked to
 uint8 before they leave the module; no key keeps a packed copy.
 
-Products run as float32 BLAS, `A @ B % p`.  Every partial sum is an
-integer of at most inner * (p - 1)**2, and float32 holds every integer
-below 2**24 exactly, so the result is exact, in any summation order,
-while that bound is below 2**24; `matmul` refuses larger inner
-dimensions.  The largest product of any profile, at `paper-l1`, has
-partial sums of at most 5605 * 4.  Against float64, float32 halves the
-memory a product reads: `R_free @ v` on the `paper-l1` V solver's 2199 x
-2047 `R_free` took 0.83-0.90 ms, not 1.8-2.1 ms (one BLAS thread).
+Products run as float32 BLAS, C = A @ B, then one exact reduction by
+floor: q = floor(C / p), C - p*q.  Every partial sum is an integer of
+at most inner * (p - 1)**2, and float32 holds every integer below 2**24
+exactly, so C is exact, in any summation order, while that bound is
+below 2**24; `matmul` refuses larger inner dimensions.  The largest
+product of any profile, at `paper-l1`, has partial sums of at most
+5605 * 4.  The floor is exact too: C / p is below 2**23, where float32
+rounds by at most 1/4, a non-multiple of p lies at least 1/3 from every
+integer, and a multiple divides exactly; p*q and C - p*q are integers
+below 2**24.  A test checks every C below 2**24 at p = 2 and 3.  On one
+BLAS thread of a shared 2-vCPU VM the reduction of the 32 x 110 L1/20
+V-batch product takes 7.5 us, where `% 3` took 72 us and the product
+itself 11 us; on the 32 x 2199 `paper-l1` V batch 64 us against 1.75 ms,
+next to a 4.7 ms product.  Against float64, float32 halves the memory a
+product reads: `R_free @ v` on the `paper-l1` V solver's 2199 x 2047
+`R_free` took 0.83-0.90 ms, not 1.8-2.1 ms.  A uint8 right operand is
+converted SLAB columns at a time, so no product holds a float32 copy of
+a whole key: `verify_syndrome` at `paper-l1` allocated 62 MiB for its
+2887 x 5605 A and now 11 MiB, and its product fell from 27 to 8 ms.
+A float32 operand, such as a solver's R_free, is used whole.
+
+Sums of two reduced uint8 values are reduced by `_mod_small`, the
+minimum of x and the wrapped x - p: 4 us on 32 x 212, where `% 3` took
+19 us.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -251,14 +267,15 @@ class AffineSolver:
 
     def solve(self, w: np.ndarray, free_values: np.ndarray) -> np.ndarray:
         """The x with H @ x = H @ w and x[free] = free_values; for free
-        values of shape (B, f), the B such x as rows."""
+        values of shape (B, f), the B such x as rows.  w may be any
+        uint8 word; the free values must already be in 0..p-1."""
         p = self.p
         w = np.asarray(w, dtype=np.uint8) % p
-        fv = np.asarray(free_values, dtype=np.uint8) % p
+        fv = np.asarray(free_values, dtype=np.uint8)
         x = np.empty(fv.shape[:-1] + w.shape, dtype=np.uint8)
         x[..., self.free] = fv
-        shift = _product((w[self.free] + p - fv) % p, self.R_free.T, p)
-        x[..., self.pivots] = (w[self.pivots] + shift) % p
+        shift = _product(_mod_small(w[self.free] + p - fv, p), self.R_free.T, p)
+        x[..., self.pivots] = _mod_small(shift + w[self.pivots], p)
         return x
 
 
@@ -286,6 +303,28 @@ def invert_matrix(M: np.ndarray, p: int) -> np.ndarray:
     return inverse
 
 
+# the columns of a uint8 right operand that one float32 copy holds
+SLAB = 512
+
+
+def _floor_mod(C: np.ndarray, p: int) -> np.ndarray:
+    """C mod p in place, for a float32 C of integers in [0, 2**24) (see
+    the module docstring)."""
+    q = C / p
+    np.floor(q, out=q)
+    q *= p
+    C -= q
+    return C
+
+
+def _mod_small(x: np.ndarray, p: int) -> np.ndarray:
+    """x mod p in place, for a uint8 array x whose entries are below 2p:
+    where x < p, x - p wraps to at least 256 - p > x, so the minimum of
+    the two is x mod p.  Two ufuncs, where `%` on uint8 is a division
+    per entry."""
+    return np.minimum(x, x - np.uint8(p), out=x)
+
+
 # vecmat and AffineSolver.solve call _product, not matmul, so that a
 # timer wrapped around matmul sees only the key-sized products
 def _product(A: np.ndarray, B: np.ndarray, p: int) -> np.ndarray:
@@ -293,8 +332,11 @@ def _product(A: np.ndarray, B: np.ndarray, p: int) -> np.ndarray:
     if inner * (p - 1) ** 2 >= _EXACT:
         raise ValueError(f"inner dimension {inner} is too large for an exact "
                          f"float32 product modulo {p}")
-    return (A.astype(np.float32, copy=False) @ B.astype(np.float32, copy=False)
-            % p).astype(np.uint8)
+    A = A.astype(np.float32, copy=False)
+    if B.dtype != np.float32 and B.ndim == 2 and B.shape[1] > SLAB:
+        return np.concatenate([_product(A, B[:, c:c + SLAB], p)
+                               for c in range(0, B.shape[1], SLAB)], axis=-1)
+    return _floor_mod(A @ B.astype(np.float32, copy=False), p).astype(np.uint8)
 
 
 def matmul(A: np.ndarray, B: np.ndarray, p: int) -> np.ndarray:
@@ -319,19 +361,28 @@ class Monomial:
 
     Scalars are 1 for the binary/permutation case and in {1, 2} over GF(3),
     so M @ M.T = I in both cases.  `perm` (intp) and `scalars` (uint8) are
-    read-only numpy arrays.  Raises ValueError unless `perm` is a
-    permutation of 0..n-1.
+    read-only numpy arrays, and so are `inv`, the inverse permutation,
+    and `inv_scalars`, the scalars in output order (scalars[inv]), which
+    the gathers of `mono_apply` read.  Raises ValueError unless `perm`
+    is a permutation of 0..n-1.
     """
     perm: np.ndarray
     scalars: np.ndarray
+    inv: np.ndarray = field(init=False, repr=False)
+    inv_scalars: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        for name, dtype in (("perm", np.intp), ("scalars", np.uint8)):
-            arr = np.array(getattr(self, name), dtype=dtype)
+        perm = np.array(self.perm, dtype=np.intp)
+        scalars = np.array(self.scalars, dtype=np.uint8)
+        inv = np.argsort(perm)
+        # argsort inverts a permutation, and only a permutation p has
+        # p[argsort(p)] = 0..n-1
+        if (perm[inv] != np.arange(len(perm))).any():
+            raise ValueError("P is not a permutation of the coordinates")
+        for name, arr in (("perm", perm), ("scalars", scalars), ("inv", inv),
+                          ("inv_scalars", scalars[inv])):
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
-        if (np.sort(self.perm) != np.arange(len(self.perm))).any():
-            raise ValueError("P is not a permutation of the coordinates")
 
 
 def random_permutation(n: int, rng) -> Monomial:
@@ -343,16 +394,18 @@ def random_monomial(n: int, p: int, rng) -> Monomial:
 
 
 def mono_apply(v: np.ndarray, M: Monomial, p: int) -> np.ndarray:
-    """v @ M: output[..., perm[i]] = v[..., i] * scalars[i], for a vector
-    or each row of a matrix."""
-    out = np.empty_like(v)
-    out[..., M.perm] = v * M.scalars % p
-    return out
+    """v @ M: output[..., perm[i]] = v[..., i] * scalars[i], for a
+    reduced uint8 vector or each row of a matrix: one gather by `inv`,
+    then the scalars, which are all 1 over GF(2)."""
+    out = v.take(M.inv, axis=-1)
+    return out if p == 2 else _mod_small(np.multiply(out, M.inv_scalars, out=out), p)
 
 
 def mono_apply_inv(v: np.ndarray, M: Monomial, p: int) -> np.ndarray:
-    """v @ M^-1: output[i] = v[perm[i]] / scalars[i] (scalars are self-inverse)."""
-    return v[M.perm] * M.scalars % p
+    """v @ M^-1: output[..., i] = v[..., perm[i]] / scalars[i] (scalars
+    are self-inverse)."""
+    out = v.take(M.perm, axis=-1)
+    return out if p == 2 else _mod_small(np.multiply(out, M.scalars, out=out), p)
 
 
 # ---------------------------------------------------------------------------

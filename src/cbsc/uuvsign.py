@@ -33,6 +33,7 @@ from .hashes import hash_trits
 from .linalg import (
     AffineSolver,
     Monomial,
+    _mod_small,
     mat_rank,
     mat_reduce,
     mono_apply,
@@ -173,8 +174,12 @@ def _free_values(other: np.ndarray, p_two: float | np.ndarray, rng) -> np.ndarra
     batch, `other` has one row per attempt and p_two one entry per row."""
     p = np.asarray(p_two)[..., None]
     u = rng.random(other.shape)
-    interval = (u >= p / 2).astype(np.uint8) + (u >= p) + (u >= (1 + p) / 2)
-    return _FREE_TABLE[other, interval]
+    # the flat index of _FREE_TABLE[other, interval], built in place
+    index = other * np.uint8(4)
+    index += u >= p / 2
+    index += u >= p
+    index += u >= (1 + p) / 2
+    return _FREE_TABLE.take(index)
 
 
 def _attempts(sk: SenderSecretKey, w: np.ndarray, p_two: np.ndarray, rng) -> np.ndarray:
@@ -183,11 +188,11 @@ def _attempts(sk: SenderSecretKey, w: np.ndarray, p_two: np.ndarray, rng) -> np.
     in that of w1 under H_U, each half's free values from one
     `_free_values` batch."""
     half = sk.n_s // 2
-    w_U, w_V = w[:half], (w[half:] + 3 - w[:half]) % 3
+    w_U, w_V = w[:half], _mod_small(w[half:] + 3 - w[:half], 3)
     zeros_V = np.zeros((len(p_two), len(sk.solver_V.free)), dtype=np.uint8)
     e_V = sk.solver_V.solve(w_V, _free_values(zeros_V, p_two, rng))
     e1 = sk.solver_U.solve(w_U, _free_values(e_V[:, sk.solver_U.free], p_two, rng))
-    return np.concatenate([e1, (e1 + e_V) % 3], axis=1)
+    return np.concatenate([e1, _mod_small(e1 + e_V, 3)], axis=1)
 
 
 def uuv_decode(sk: SenderSecretKey, w: np.ndarray, omega: int, rng,

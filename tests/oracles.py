@@ -10,7 +10,8 @@ loop of single attempts that the batched attempts of `cbsc.uuvsign`
 replaced; the Ben-Or
 loop that the root check and reduction rows of
 `cbsc.fields.poly_is_irreducible` replaced; the scan over every
-position that the bisection of `cbsc.cwencode.unrank_support` replaced;
+position that the estimate-and-correct walk of
+`cbsc.cwencode.unrank_support` replaced;
 the enumeration of a whole signature coset; and helpers that only tests
 need.
 

@@ -26,12 +26,28 @@ def test_rank_matches_colex_enumeration(n, t):
         assert cw.unrank_support(r, n, t) == list(subset)
 
 
-@pytest.mark.parametrize("n,t", [(32, 2), (1024, 20), (3488, 64)])
+def _boundary_ranks(n, t, rnd):
+    """Ranks where the unranking's float estimate is tightest: for a
+    random support whose j lowest elements are 0..j-1, the remainder at
+    the next level is exactly C(c, j + 1), so the rank and the one below
+    it sit on either side of that boundary; about 16 levels j."""
+    ranks = []
+    for j in range(0, t, max(1, t // 16)):
+        top = sorted(rnd.sample(range(j, n), t - j))
+        r = cw.rank_support(list(range(j)) + top)
+        ranks += [r, r - 1] if r else [r]
+    return ranks
+
+
+@pytest.mark.parametrize("n,t", [(32, 2), (1024, 20), (2048, 40), (3488, 64)])
 def test_unrank_matches_scan_oracle(n, t):
-    # the receiver shapes of toy, L1/20 and paper-l1, both ends included
+    # the receiver shapes of toy, L1/20, L1/8 and paper-l1: both ends,
+    # the top encodable rank, level boundaries, and random ranks
     rnd = random.Random(n + t)
     top = comb(n, t) - 1
-    for r in [0, top] + [rnd.randint(0, top) for _ in range(60)]:
+    ranks = [0, top, (1 << cw.kappa(n, t)) - 1] + _boundary_ranks(n, t, rnd)
+    ranks += [comb(c, t) - d for c in rnd.sample(range(t, n), 10) for d in (0, 1)]
+    for r in ranks + [rnd.randint(0, top) for _ in range(60)]:
         assert cw.unrank_support(r, n, t) == O.unrank_support(r, n, t)
 
 

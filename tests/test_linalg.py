@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -224,6 +225,54 @@ def test_matmul_exact_up_to_float32_bound(p):
     assert L.matmul(A, B, p).tolist() == [[(inner - 1) * (p - 1) ** 2 % p]]
 
 
+@pytest.mark.parametrize("p", [2, 3])
+def test_floor_reduction_exact_below_float32_bound(p):
+    # every integer a product can hold, in chunks of 2**20
+    chunk = 2**20
+    for start in range(0, 2**24, chunk):
+        ints = np.arange(start, start + chunk, dtype=np.int64)
+        got = L._floor_mod(ints.astype(np.float32), p)
+        assert np.array_equal(got, ints % p)
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_mod_small_on_every_sum_below_2p(p):
+    x = np.arange(2 * p, dtype=np.uint8)
+    assert L._mod_small(x.copy(), p).tolist() == (x % p).tolist()
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_products_in_column_slabs_match_oracle(p):
+    # more columns than two slabs, the last one ragged; the third right
+    # operand is column-major, like the A.T that verify_syndrome passes
+    rng = _rng(50 + p)
+    cols = 2 * L.SLAB + 7
+    A = L.random_matrix(3, 40, p, rng)
+    B = L.random_matrix(40, cols, p, rng)
+    v = L.random_matrix(1, 40, p, rng)[0]
+    for got, want in ((L.matmul(A, B, p), O.matmul(A, B, p)),
+                      (L.vecmat(v, B, p), O.matmul(v, B, p)),
+                      (L.vecmat(v, B.T.copy().T, p), O.matmul(v, B, p))):
+        assert got.dtype == np.uint8
+        assert np.array_equal(got, want)
+
+
+def test_vecmat_converts_a_large_operand_in_slabs():
+    # a whole float32 copy of M would be 4 times its uint8 size; column
+    # slabs keep what numpy allocates below M's own size
+    rng = _rng(60)
+    M = L.random_matrix(4000, 3000, 3, rng)
+    v = L.random_matrix(1, 4000, 3, rng)[0]
+    tracemalloc.start()
+    try:
+        got = L.vecmat(v, M, 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < M.nbytes
+    assert np.array_equal(got, O.matmul(v, M, 3))
+
+
 # --- monomial matrices -------------------------------------------------------
 
 @pytest.mark.parametrize("p", [2, 3])
@@ -233,10 +282,12 @@ def test_mono_apply_matches_matrix(p):
         M = L.random_monomial(8, p, rng)
         A = O.mono_to_matrix(M)
         v = rng.integers(0, p, size=8, dtype=np.uint8)
-        assert np.array_equal(L.mono_apply(v, M, p), L.vecmat(v, A, p))
-        assert np.array_equal(L.mono_apply_inv(L.mono_apply(v, M, p), M, p), v)
         B = L.random_matrix(3, 8, p, rng)
-        assert np.array_equal(L.mono_apply(B, M, p), L.matmul(B, A, p))
+        # M^-1 = M.T, as the scalars are self-inverse
+        for x in (v, B):
+            assert np.array_equal(L.mono_apply(x, M, p), O.matmul(x, A, p))
+            assert np.array_equal(L.mono_apply_inv(x, M, p), O.matmul(x, A.T, p))
+            assert np.array_equal(L.mono_apply_inv(L.mono_apply(x, M, p), M, p), x)
 
 
 def test_monomial_self_transpose_inverse():
@@ -287,10 +338,10 @@ def test_monomial_rejects_a_non_permutation(perm):
 def test_monomial_arrays_are_read_only():
     M = L.Monomial([2, 0, 1], [1, 2, 1])
     assert M.perm.dtype == np.intp and M.scalars.dtype == np.uint8
-    with pytest.raises(ValueError):
-        M.perm[0] = 0
-    with pytest.raises(ValueError):
-        M.scalars[0] = 2
+    for arr in (M.perm, M.scalars, M.inv, M.inv_scalars):
+        with pytest.raises(ValueError):
+            arr[0] = 0
+    assert M.inv.tolist() == [1, 2, 0] and M.inv_scalars.tolist() == [2, 1, 1]
 
 
 # --- packing -----------------------------------------------------------------
