@@ -6,13 +6,23 @@ Usage: bench.py [--out FILE] [PROFILE ...]
 PROFILE is one of the bench profiles `toy`, `l1-20`, `l1-8` and
 `paper-l1`, or any profile name or file that `params.setup` accepts; the
 default is the four bench profiles, smallest first.  L1/20 is
-perfbench/l1-20.profile, and L1/8 the custom profile L1_8 below.  Each
-profile starts from its own generator, seeded with SEED, and records:
+perfbench/l1-20.profile, and L1/8 the custom profile L1_8 below, which
+the CLI reads from a profile file written for it.  Each profile starts
+from its own generator, seeded with SEED, and records:
 
-  phases           the five phases below, each with its wall time and
-                   every traced function called inside it: calls,
-                   inclusive time and self time (inclusive minus traced
-                   callees)
+  cli              the CLI sequence, in a temporary directory: keygen of
+                   both roles at seeds 0a and 0b, `signcrypt` of MESSAGE
+                   at seed 0c, `unsigncrypt`, whose output must equal
+                   MESSAGE, and `unsigncrypt` of the message with its
+                   last byte flipped, which must exit 4; per command its
+                   exit code, wall time and the child's peak RSS, from
+                   its own rusage.  An unexpected exit code or output
+                   raises.  Every profile's sequence runs before any
+                   profile is benched in this process (see `run_cli`).
+  phases           the six phases below, each with its wall time and
+                   every traced function called inside it, per caller:
+                   calls, inclusive time and self time (inclusive minus
+                   traced callees)
   batch_products   one signing batch's two solver products, V then U:
                    `linalg._product` of BATCH rows of free-value
                    differences by the solver's R_free, and the bare
@@ -26,6 +36,10 @@ profile starts from its own generator, seeded with SEED, and records:
                    signature
   sizes            the serialised key sizes next to the `estimator.sizes`
                    rows they correspond to
+  receiver_secret_key_peak_mib
+                   what `tracemalloc` sees allocated while
+                   `goppa.receiver_secret_key` derives the loaded
+                   receiver key's S·G·P again
   peak_rss_mib     the peak RSS of the process so far; the profiles run
                    in the order given, holding one profile's keys at a
                    time
@@ -57,6 +71,19 @@ phases are:
                      with each solver's R_free per batch) and
                      uuvsign.uuv_decode self (drawing the free values
                      and the weight check)
+    roundtrip        `signcrypt` of MESSAGE, `ser_message`, `par_message`
+                     and `unsigncrypt` with the loaded keys of both
+                     roles, whose output must equal MESSAGE.  Its rows
+                     hold PKE encryption and decryption, the DEM, the
+                     hashes, (de)serialisation, the three `vecmat`s
+                     (under mceliece.pke_encrypt, the re-encryption check
+                     under mceliece.pke_decrypt, and the verification
+                     under sctkem.decap) and the Patterson steps: the
+                     syndrome (named goppa.syndrome_table, as the tracer
+                     names a code's first syndrome), fields.poly_inv_mod,
+                     fields.poly_sqrt_mod, goppa._key_equation and
+                     goppa.patterson_decode self, which is mostly root
+                     finding
 
 The functions are timed by the span tracer of perfbench/spans.py.  File
 sizes and estimator rows need not agree: files carry a header and store
@@ -73,7 +100,7 @@ Run from the repository root with `src` on PYTHONPATH:
 import os
 
 # One BLAS thread, as in the benchmark: the products are timed, and
-# threads would contend on a small machine.
+# threads would contend on a small machine.  The CLI children inherit it.
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ.setdefault(_var, "1")
 
@@ -82,6 +109,8 @@ import json
 import platform
 import resource
 import sys
+import tempfile
+import tracemalloc
 from collections import defaultdict
 from pathlib import Path
 from statistics import median
@@ -89,7 +118,7 @@ from time import perf_counter
 
 import numpy as np
 
-from cbsc import cwencode, estimator, linalg, sctkem, serial, uuvsign
+from cbsc import cwencode, estimator, goppa, hybrid, linalg, sctkem, serial, uuvsign
 from cbsc.params import custom_params, setup
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -100,14 +129,16 @@ SEED = 0
 SIGN_ATTEMPTS = 2 * uuvsign.BATCH
 SIGNATURES = 20
 REPEATS = 11
+MESSAGE = bytes(range(256)) * 4
 
 L1_8 = dict(n_s=1018, k_U=426, k_V=245, omega=957, m=11, n_r=2048, t=40,
             k_tilde=900, ell=128, salt_bits=128)
+# a profile name or file for `setup` and the CLI, or a custom dict
 BENCH_PROFILES = {
-    "toy": lambda: setup("toy"),
-    "l1-20": lambda: setup(ROOT / "perfbench" / "l1-20.profile"),
-    "l1-8": lambda: custom_params(L1_8),
-    "paper-l1": lambda: setup("paper-l1"),
+    "toy": "toy",
+    "l1-20": str(ROOT / "perfbench" / "l1-20.profile"),
+    "l1-8": L1_8,
+    "paper-l1": "paper-l1",
 }
 
 
@@ -121,16 +152,16 @@ def median_ms(fn) -> float:
 
 
 def phase_tables(tracer: spans.Tracer, roots: dict[str, int]) -> dict[str, list]:
-    """{phase: [(span name, calls, inclusive s, self s), ...]} for the
-    spans under each phase's root span, largest self time first."""
+    """{phase: [(span name, caller, calls, inclusive s, self s), ...]} for
+    the spans under each phase's root span, largest self time first."""
     agg = spans.aggregate(tracer.spans, {root: 1.0 for root in roots.values()})
     tables = {title: defaultdict(lambda: [0, 0.0, 0.0]) for title in roots}
-    for (phase, _top, name, _parent), values in agg.items():
+    for (phase, _top, name, parent), values in agg.items():
         if name != phase:
-            row = tables[phase][name]
+            row = tables[phase][name, parent]
             for k, v in enumerate(values):
                 row[k] += v
-    return {title: sorted(((name, *v) for name, v in rows.items()), key=lambda r: -r[3])
+    return {title: sorted(((*key, *v) for key, v in rows.items()), key=lambda r: -r[4])
             for title, rows in tables.items()}
 
 
@@ -154,9 +185,9 @@ class RowCounter:
         uuvsign._free_values = self._free_values
 
 
-def run_phases(params, rng) -> tuple[dict, dict, object]:
-    """The five traced phases; returns their record, the key blobs and
-    the loaded sender secret key."""
+def run_phases(params, rng) -> tuple[dict, dict, object, object]:
+    """The six traced phases; returns their record, the key blobs and
+    the loaded receiver and sender secret keys."""
     tracer = spans.Tracer()
     # the tracer patches module attributes, so keygen is called through
     # sctkem, where its wrappers are seen
@@ -174,16 +205,17 @@ def run_phases(params, rng) -> tuple[dict, dict, object]:
                            lambda: sctkem.keygen_receiver_params(params, rng))
         blobs = {"receiver_sec": serial.ser_receiver_sec(params, sk_r),
                  "receiver_pub": serial.ser_receiver_pub(params, pk_r)}
-        del sk_r, pk_r
-        phase("receiver load", lambda: (serial.par_receiver_sec(blobs["receiver_sec"]),
-                                        serial.par_receiver_pub(blobs["receiver_pub"])))
+        del sk_r, pk_r  # the loaded keys are used, and one copy is held
+        (_, sk_r), (_, pk_r) = phase(
+            "receiver load", lambda: (serial.par_receiver_sec(blobs["receiver_sec"]),
+                                      serial.par_receiver_pub(blobs["receiver_pub"])))
         sk_s, pk_s = phase("sender keygen", lambda: sctkem.keygen_sender_params(params, rng))
         blobs |= {"sender_sec": serial.ser_sender_sec(params, sk_s),
                   "sender_pub": serial.ser_sender_pub(params, pk_s)}
-        del sk_s, pk_s  # the loaded key signs, and one key is held at a time
-        (_, sk_s), _ = phase("sender load",
-                             lambda: (serial.par_sender_sec(blobs["sender_sec"]),
-                                      serial.par_sender_pub(blobs["sender_pub"])))
+        del sk_s, pk_s
+        (_, sk_s), (_, pk_s) = phase(
+            "sender load", lambda: (serial.par_sender_sec(blobs["sender_sec"]),
+                                    serial.par_sender_pub(blobs["sender_pub"])))
         word = rng.integers(0, 3, size=params.n_s, dtype=np.uint8)
 
         def attempts():
@@ -193,15 +225,82 @@ def run_phases(params, rng) -> tuple[dict, dict, object]:
                 pass
         with RowCounter() as counter:
             phase("signing attempts", attempts)
+
+        def roundtrip():
+            sc = hybrid.signcrypt(params, sk_s, pk_r, MESSAGE, rng)
+            _, sc = serial.par_message(serial.ser_message(params, sc))
+            return hybrid.unsigncrypt(params, sk_r, pk_s, sc)
+        if phase("roundtrip", roundtrip) != MESSAGE:
+            raise RuntimeError("the roundtrip returned other bytes")
     finally:
         tracer.uninstall()
     tables = phase_tables(tracer, {title: root for title, root, _ in phases})
     record = {title: {"s": seconds,
-                      "steps": [{"name": name, "calls": calls, "incl_s": incl, "self_s": self_s}
-                                for name, calls, incl, self_s in tables[title]]}
+                      "steps": [{"name": name, "caller": caller, "calls": calls,
+                                 "incl_s": incl, "self_s": self_s}
+                                for name, caller, calls, incl, self_s in tables[title]]}
               for title, _, seconds in phases}
     record["signing attempts"]["attempts"] = counter.rows // 2
-    return record, blobs, sk_s
+    return record, blobs, sk_r, sk_s
+
+
+def receiver_key_peak_mib(sk) -> float:
+    G = goppa.generator_matrix(sk.code)
+    tracemalloc.start()
+    try:
+        goppa.receiver_secret_key(sk.code, G, sk.S, sk.P)
+        return tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+
+
+def run_cli(*args) -> dict:
+    """One `cbsc` command in a child process: its exit code, wall time
+    and peak RSS.  Linux starts a child's ru_maxrss at its parent's peak
+    RSS, copied at exec, so the reading is the child's own only while
+    this process is smaller than the child: `main` runs the CLI before
+    it benches any profile."""
+    argv = [sys.executable, "-m", "cbsc.cli", *map(str, args)]
+    t0 = perf_counter()
+    _, status, usage = os.wait4(os.posix_spawn(sys.executable, argv, os.environ), 0)
+    # ru_maxrss is in KiB on Linux
+    return {"exit": os.waitstatus_to_exitcode(status), "s": perf_counter() - t0,
+            "peak_rss_mib": usage.ru_maxrss / 1024}
+
+
+def cli_sequence(profile) -> list[dict]:
+    """The CLI sequence of the module docstring; raises on an unexpected
+    exit code or output."""
+    rows = []
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        if isinstance(profile, dict):
+            (tmp / "custom.profile").write_text(
+                "".join(f"{k} = {v}\n" for k, v in profile.items()))
+            profile = tmp / "custom.profile"
+        (tmp / "msg.bin").write_bytes(MESSAGE)
+
+        def cbsc_cli(command, expect, *args):
+            rows.append({"command": command} | run_cli(*args))
+            if rows[-1]["exit"] != expect:
+                raise RuntimeError(f"cbsc {command} exited {rows[-1]['exit']}, not {expect}")
+        for role, seed in (("receiver", "0a"), ("sender", "0b")):
+            cbsc_cli(f"keygen {role}", 0, "keygen", "--role", role, "--profile", profile,
+                     "--out", tmp / role, "--seed", seed)
+        cbsc_cli("signcrypt", 0, "signcrypt", "--sender-sec", tmp / "sender.sec",
+                 "--receiver-pub", tmp / "receiver.pub", "--in", tmp / "msg.bin",
+                 "--out", tmp / "msg.cbsc", "--seed", "0c")
+        keys = ("--receiver-sec", tmp / "receiver.sec", "--sender-pub", tmp / "sender.pub")
+        cbsc_cli("unsigncrypt", 0, "unsigncrypt", *keys, "--in", tmp / "msg.cbsc",
+                 "--out", tmp / "msg.out")
+        if (tmp / "msg.out").read_bytes() != MESSAGE:
+            raise RuntimeError("cbsc unsigncrypt returned other bytes")
+        blob = bytearray((tmp / "msg.cbsc").read_bytes())
+        blob[-1] ^= 1
+        (tmp / "bad.cbsc").write_bytes(blob)
+        cbsc_cli("unsigncrypt tampered", 4, "unsigncrypt", *keys, "--in", tmp / "bad.cbsc",
+                 "--out", tmp / "bad.out")
+    return rows
 
 
 def batch_products(sk, rng) -> dict:
@@ -235,7 +334,9 @@ def signatures(params, sk, rng) -> dict:
 def bench(params, rng) -> dict:
     record = {"params": {f: getattr(params, f) for f in
                          ("n_s", "k_U", "k_V", "omega", "m", "n_r", "t", "k_tilde")}}
-    record["phases"], blobs, sk = run_phases(params, rng)
+    record["phases"], blobs, sk_r, sk = run_phases(params, rng)
+    record["receiver_secret_key_peak_mib"] = receiver_key_peak_mib(sk_r)
+    del sk_r
     record["batch_products"] = batch_products(sk, rng)
     H = uuvsign.build_uuv_parity_check(sk.H_U, sk.H_V)
     record["mono_apply_ms"] = median_ms(lambda: linalg.mono_apply(H, sk.P, 3))
@@ -254,12 +355,16 @@ def bench(params, rng) -> dict:
 def report(name: str, rec: dict) -> None:
     print(f"\n== {name}: " + " ".join(f"{k}={v}" for k, v in rec["params"].items())
           + f", seed {SEED}")
+    print(f"\n  {'cbsc command':22s} {'exit':>4s} {'s':>7s} {'peak RSS MiB':>13s}")
+    for row in rec["cli"]:
+        print(f"  {row['command']:22s} {row['exit']:4d} {row['s']:7.2f} "
+              f"{row['peak_rss_mib']:13.1f}")
     for title, ph in rec["phases"].items():
         print(f"\n{title}: {ph['s']:.3f} s")
-        print(f"  {'step':34s} {'calls':>6s} {'incl ms':>10s} {'self ms':>10s}")
+        print(f"  {'step':30s} {'caller':30s} {'calls':>6s} {'incl ms':>10s} {'self ms':>10s}")
         for st in ph["steps"]:
-            print(f"  {st['name']:34s} {st['calls']:6d} {1e3 * st['incl_s']:10.2f} "
-                  f"{1e3 * st['self_s']:10.2f}")
+            print(f"  {st['name']:30s} {st['caller']:30s} {st['calls']:6d} "
+                  f"{1e3 * st['incl_s']:10.2f} {1e3 * st['self_s']:10.2f}")
     att = rec["phases"]["signing attempts"]
     print(f"\n{att['attempts']} signing attempts (of at most {SIGN_ATTEMPTS}): "
           f"{1e3 * att['s'] / att['attempts']:.2f} ms per attempt")
@@ -276,7 +381,8 @@ def report(name: str, rec: dict) -> None:
     for s in rec["sizes"]:
         print(f"{s['key']:14s} {s['file_bytes']:11d} {8 * s['file_bytes']:11d} "
               f"{s['estimator_bits']:15.0f}")
-    print(f"\npeak RSS so far {rec['peak_rss_mib']:.0f} MiB")
+    print(f"\nreceiver_secret_key allocates {rec['receiver_secret_key_peak_mib']:.1f} MiB; "
+          f"peak RSS so far {rec['peak_rss_mib']:.0f} MiB")
 
 
 def main(argv: list[str]) -> int:
@@ -287,9 +393,12 @@ def main(argv: list[str]) -> int:
     out = {"seed": SEED, "python": platform.python_version(), "numpy": np.__version__,
            "machine": platform.machine(), "cpus": os.cpu_count(),
            "blas_threads": os.environ["OPENBLAS_NUM_THREADS"], "profiles": {}}
-    for name in args.profiles:
-        params = BENCH_PROFILES[name]() if name in BENCH_PROFILES else setup(name)
+    profiles = {name: BENCH_PROFILES.get(name, name) for name in args.profiles}
+    cli = {name: cli_sequence(profile) for name, profile in profiles.items()}
+    for name, profile in profiles.items():
+        params = custom_params(profile) if isinstance(profile, dict) else setup(profile)
         rec = out["profiles"][name] = bench(params, np.random.default_rng(SEED))
+        rec["cli"] = cli[name]
         report(name, rec)
     if args.out:
         Path(args.out).write_text(json.dumps(out, indent=1) + "\n")

@@ -21,33 +21,36 @@ LOG2_3 = math.log2(3.0)
 
 @dataclass
 class CostReport:
+    """One report row.  `log2` is derived from `exact`, or from `value`
+    when `exact` is None, unless the row is only an exponent."""
     name: str
-    log2: float
     exact: object | None = None   # int or Fraction when exactly representable
     value: float | None = None    # linear-scale value when meaningful
-    provenance: str = "formula"
     note: str = ""
+    log2: float | None = None
+
+    def __post_init__(self):
+        if self.log2 is None:
+            # a Fraction's two parts may lie beyond float range, so each
+            # gets its own log2; an int or float is its own numerator
+            x = self.exact if self.exact is not None else self.value
+            self.log2 = (math.log2(getattr(x, "numerator", x))
+                         - math.log2(getattr(x, "denominator", 1))
+                         if x else float("-inf"))
 
 
-def _log2_fraction(f: Fraction) -> float:
-    if f == 0:
-        return float("-inf")
-    return math.log2(f.numerator) - math.log2(f.denominator)
+def _check(n: int, k: int, omega: int) -> None:
+    if not (0 <= omega <= n and 0 <= k <= n):
+        raise ValueError("need 0 <= omega, k <= n")
 
 
 def isd_ratio(n: int, k: int, omega: int) -> CostReport:
     """Fraction of error-free information sets, C(n-omega, k) / C(n, k)."""
-    if not (0 <= omega <= n and 0 <= k <= n):
-        raise ValueError("need 0 <= omega, k <= n")
-    if k > n - omega:
-        ratio = Fraction(0)
-    else:
-        ratio = Fraction(math.comb(n - omega, k), math.comb(n, k))
-    return CostReport(name=f"isd_ratio(n={n},k={k},w={omega})",
-                      exact=ratio, log2=_log2_fraction(ratio),
-                      value=float(ratio),
-                      note="low-weight Prange: the share of information sets "
-                           "that avoid a weight-w error; 0 when k > n - w")
+    _check(n, k, omega)
+    ratio = Fraction(math.comb(n - omega, k), math.comb(n, k))
+    return CostReport(f"isd_ratio(n={n},k={k},w={omega})", ratio, float(ratio),
+                      "low-weight Prange: the share of information sets "
+                      "that avoid a weight-w error; 0 when k > n - w")
 
 
 def prange_large_weight(n: int, k: int, omega: int) -> CostReport:
@@ -59,12 +62,10 @@ def prange_large_weight(n: int, k: int, omega: int) -> CostReport:
     Bricout, Chailloux, Debris-Alazard and Lequesne, "Ternary Syndrome
     Decoding with Large Weight" (SAC 2019), give faster algorithms for
     it, which are not evaluated here.  0 when omega < k."""
-    if not (0 <= omega <= n and 0 <= k <= n):
-        raise ValueError("need 0 <= omega, k <= n")
+    _check(n, k, omega)
     r, extra = n - k, omega - k
     p = Fraction(math.comb(r, extra) * 2 ** extra, 3 ** r) if extra >= 0 else Fraction(0)
-    return CostReport(name=f"prange_large_weight(n={n},k={k},w={omega})",
-                      exact=p, log2=_log2_fraction(p),
+    return CostReport(f"prange_large_weight(n={n},k={k},w={omega})", p,
                       note="ternary Prange at large weight, one iteration")
 
 
@@ -72,44 +73,29 @@ def solutions_per_syndrome(n: int, k: int, omega: int) -> CostReport:
     """Mean number of weight-omega solutions of a ternary syndrome of an
     [n, k] code with a full-rank parity check: C(n, omega) 2^omega words
     spread over 3^(n-k) syndromes."""
-    if not (0 <= omega <= n and 0 <= k <= n):
-        raise ValueError("need 0 <= omega, k <= n")
+    _check(n, k, omega)
     mean = Fraction(math.comb(n, omega) * 2 ** omega, 3 ** (n - k))
-    return CostReport(name=f"solutions_per_syndrome(n={n},k={k},w={omega})",
-                      exact=mean, log2=_log2_fraction(mean))
-
-
-def _mobius(n: int) -> int:
-    mu, d = 1, 2
-    while d * d <= n:
-        if n % d == 0:
-            n //= d
-            if n % d == 0:
-                return 0
-            mu = -mu
-        d += 1
-    if n > 1:
-        mu = -mu
-    return mu
+    return CostReport(f"solutions_per_syndrome(n={n},k={k},w={omega})", mean)
 
 
 def goppa_poly_count(q: int, t: int) -> CostReport:
-    """Number of monic irreducible degree-t polynomials over GF(q)."""
+    """Number of monic irreducible degree-t polynomials over GF(q), by
+    Gauss's identity q^n = sum over d | n of d N(d), solved for N(n) at
+    each divisor n of t in increasing order."""
     if t < 1:
         raise ValueError("t must be >= 1")
-    total = sum(_mobius(d) * q ** (t // d) for d in range(1, t + 1) if t % d == 0)
-    count = total // t
-    return CostReport(name=f"goppa_poly_count(q={q},t={t})",
-                      exact=count, log2=math.log2(count))
+    count: dict[int, int] = {}
+    for n in (d for d in range(1, t + 1) if t % d == 0):
+        count[n] = (q ** n - sum(d * c for d, c in count.items() if n % d == 0)) // n
+    return CostReport(f"goppa_poly_count(q={q},t={t})", count[t])
 
 
 def georgiades_wf(n: int, k_tilde: int) -> CostReport:
     """Permutation-search workfactor n! / k_tilde!."""
     if not 0 <= k_tilde <= n:
         raise ValueError("need 0 <= k_tilde <= n")
-    exact = math.perm(n, n - k_tilde)  # == n! / k_tilde!
-    return CostReport(name=f"georgiades_wf(n={n},k={k_tilde})",
-                      exact=exact, log2=math.log2(exact) if exact > 1 else 0.0,
+    return CostReport(f"georgiades_wf(n={n},k={k_tilde})",
+                      math.perm(n, n - k_tilde),  # == n! / k_tilde!
                       note="asymptotic exponent, constants dropped")
 
 
@@ -121,9 +107,8 @@ def paiva_terada_wf(n: int, m: int, t: int, k_tilde: int) -> CostReport:
     exponent = ((n - m * t - k_tilde * n ** (-1.0 / 5.0))
                 * (math.ceil(math.log2(n)) - 1)
                 - 0.91 * n + math.log2(n) / 2.0)
-    return CostReport(name=f"paiva_terada_wf(n={n},m={m},t={t},k={k_tilde})",
-                      log2=exponent,
-                      note="asymptotic exponent, constants dropped")
+    return CostReport(f"paiva_terada_wf(n={n},m={m},t={t},k={k_tilde})",
+                      note="asymptotic exponent, constants dropped", log2=exponent)
 
 
 def gamma_uniformity(k_tilde: int, n: int, t: int) -> Fraction:
@@ -131,12 +116,6 @@ def gamma_uniformity(k_tilde: int, n: int, t: int) -> Fraction:
     if not 0 <= t <= n:
         raise ValueError("need 0 <= t <= n")
     return Fraction(1, (1 << k_tilde) * math.comb(n, t))
-
-
-def gamma_uniformity_report(k_tilde: int, n: int, t: int) -> CostReport:
-    g = gamma_uniformity(k_tilde, n, t)
-    return CostReport(name=f"gamma_uniformity(k={k_tilde},n={n},t={t})",
-                      exact=g, log2=_log2_fraction(g))
 
 
 def sizes(params: CommonParams) -> list[CostReport]:
@@ -150,10 +129,8 @@ def sizes(params: CommonParams) -> list[CostReport]:
     p = params
     rows: list[CostReport] = []
 
-    def add(name, bits, exact=None, provenance="formula", note=""):
-        rows.append(CostReport(name=name, value=float(bits), exact=exact,
-                               log2=math.log2(bits) if bits > 0 else float("-inf"),
-                               provenance=provenance, note=note))
+    def add(name, bits, exact=None, note=""):
+        rows.append(CostReport(name, exact, float(bits), note))
 
     enc_bits = 2 * p.n_s + p.n_r + p.k_tilde + p.ell
     add("encapsulation_bits", enc_bits, exact=enc_bits)
@@ -186,7 +163,8 @@ def full_report(params: CommonParams) -> list[CostReport]:
         goppa_poly_count(1 << p.m, p.t),
         georgiades_wf(p.n_r, p.k_tilde),
         paiva_terada_wf(p.n_r, p.m, p.t, p.k_tilde),
-        gamma_uniformity_report(p.k_tilde, p.n_r, p.t),
+        CostReport(f"gamma_uniformity(k={p.k_tilde},n={p.n_r},t={p.t})",
+                   gamma_uniformity(p.k_tilde, p.n_r, p.t)),
     ]
     rows.extend(sizes(p))
     return rows
@@ -211,21 +189,20 @@ def _fmt_exact(x) -> str:
 
 
 def format_text(rows: list[CostReport]) -> str:
-    widths = (max(len(r.name) for r in rows), 24, 18)
-    out = [f"{'quantity':<{widths[0]}}  {'exact':<{widths[1]}}  "
-           f"{'log2':<{widths[2]}}  provenance"]
+    widths = (max(len(r.name) for r in rows), 24)
+    out = [f"{'quantity':<{widths[0]}}  {'exact':<{widths[1]}}  log2"]
     for r in rows:
         out.append(f"{r.name:<{widths[0]}}  {_fmt_exact(r.exact):<{widths[1]}}  "
-                   f"{r.log2:<{widths[2]}.10g}  {r.provenance}")
+                   f"{r.log2:.10g}")
     return "\n".join(out)
 
 
 def format_csv(rows: list[CostReport]) -> str:
     buf = io.StringIO()
     w = csv.writer(buf)
-    w.writerow(["quantity", "exact", "value", "log2", "provenance", "note"])
+    w.writerow(["quantity", "exact", "value", "log2", "note"])
     for r in rows:
         w.writerow([r.name, _fmt_exact(r.exact),
                     "" if r.value is None else repr(r.value),
-                    f"{r.log2:.10g}", r.provenance, r.note])
+                    f"{r.log2:.10g}", r.note])
     return buf.getvalue()

@@ -70,9 +70,12 @@ itself 11 us; on the 32 x 2199 `paper-l1` V batch 64 us against 1.75 ms,
 next to a 4.7 ms product.  Against float64, float32 halves the memory a
 product reads: `R_free @ v` on the `paper-l1` V solver's 2199 x 2047
 `R_free` took 0.83-0.90 ms, not 1.8-2.1 ms.  A uint8 right operand is
-converted SLAB columns at a time, so no product holds a float32 copy of
-a whole key: `verify_syndrome` at `paper-l1` allocated 62 MiB for its
-2887 x 5605 A and now 11 MiB, and its product fell from 27 to 8 ms.
+converted SLAB columns at a time, and a uint8 left operand SLAB rows at
+a time, so no product holds a float32 copy of a whole key:
+`verify_syndrome` at `paper-l1` allocated 62 MiB for its 2887 x 5605 A
+and now 11 MiB, and its product fell from 27 to 8 ms;
+`receiver_secret_key` there allocated 35.7 MiB with its 1815 x 2720 S
+and now 20.4 MiB.
 A float32 operand, such as a solver's R_free, is used whole.
 
 Sums of two reduced uint8 values are reduced by `_mod_small`, the
@@ -303,7 +306,8 @@ def invert_matrix(M: np.ndarray, p: int) -> np.ndarray:
     return inverse
 
 
-# the columns of a uint8 right operand that one float32 copy holds
+# the rows of a uint8 left operand, or the columns of a uint8 right
+# operand, that one float32 copy holds
 SLAB = 512
 
 
@@ -332,6 +336,9 @@ def _product(A: np.ndarray, B: np.ndarray, p: int) -> np.ndarray:
     if inner * (p - 1) ** 2 >= _EXACT:
         raise ValueError(f"inner dimension {inner} is too large for an exact "
                          f"float32 product modulo {p}")
+    if A.dtype != np.float32 and A.ndim == 2 and A.shape[0] > SLAB:
+        return np.concatenate([_product(A[r:r + SLAB], B, p)
+                               for r in range(0, A.shape[0], SLAB)])
     A = A.astype(np.float32, copy=False)
     if B.dtype != np.float32 and B.ndim == 2 and B.shape[1] > SLAB:
         return np.concatenate([_product(A, B[:, c:c + SLAB], p)

@@ -11,7 +11,8 @@ replaced; the Ben-Or
 loop that the root check and reduction rows of
 `cbsc.fields.poly_is_irreducible` replaced; the scan over every
 position that the estimate-and-correct walk of
-`cbsc.cwencode.unrank_support` replaced;
+`cbsc.cwencode.unrank_support` replaced; the Möbius sum that Gauss's
+recursion in `cbsc.estimator.goppa_poly_count` replaced;
 the enumeration of a whole signature coset; and helpers that only tests
 need.
 
@@ -414,6 +415,24 @@ TOY_FIELDS = {f: getattr(TOY, f) for f in CUSTOM_FIELDS}
 def toy_with(**fields) -> CommonParams:
     """TOY with `fields` changed, validated as a custom profile."""
     return custom_params(TOY_FIELDS | fields)
+
+
+def mobius(n: int) -> int:
+    sign, d = 1, 2
+    while d * d <= n:
+        if n % d == 0:
+            n //= d
+            if n % d == 0:
+                return 0
+            sign = -sign
+        d += 1
+    return -sign if n > 1 else sign
+
+
+def irreducible_count(q: int, t: int) -> int:
+    """Monic irreducible degree-t polynomials over GF(q), by the Möbius
+    sum (1/t) sum over d | t of mu(d) q^(t/d)."""
+    return sum(mobius(d) * q ** (t // d) for d in range(1, t + 1) if t % d == 0) // t
 
 
 def georgiades_log2_lgamma(n: int, k_tilde: int) -> float:

@@ -26,7 +26,8 @@ from cbsc.estimator import (
 from cbsc.params import PAPER_L1, TOY
 from cbsc.uuvsign import keygen_sender
 
-from oracles import coset_solutions, georgiades_log2_lgamma, toy_with
+from oracles import coset_solutions, georgiades_log2_lgamma, irreducible_count, toy_with
+from test_serial import L1_20
 
 
 def test_isd_ratio_exhaustive_oracle():
@@ -104,6 +105,26 @@ def test_goppa_poly_count_known_values():
     assert rep.log2 == pytest.approx(762, abs=1)
 
 
+def test_goppa_poly_count_matches_mobius_oracle():
+    for q in (2, 3, 4, 32, 4096):
+        for t in range(1, 71):
+            assert goppa_poly_count(q, t).exact == irreducible_count(q, t), (q, t)
+
+
+@pytest.mark.parametrize("params", [TOY, L1_20, PAPER_L1], ids=["toy", "l1-20", "paper-l1"])
+def test_every_row_log2_is_that_of_its_number(params):
+    for row in full_report(params):
+        if row.exact is None and row.value is None:
+            assert row.name.startswith("paiva_terada_wf")   # only an exponent
+            continue
+        x = Fraction(row.exact if row.exact is not None else row.value)
+        if x == 0:
+            assert row.log2 == float("-inf"), row.name
+        else:
+            want = math.log2(x.numerator) - math.log2(x.denominator)
+            assert row.log2 == pytest.approx(want, rel=1e-14, abs=1e-12), row.name
+
+
 def test_georgiades_exact_and_lgamma_agree():
     for n, k in [(10, 3), (32, 16), (3488, 1815)]:
         rep = georgiades_wf(n, k)
@@ -146,8 +167,9 @@ def test_report_formats():
     rows = full_report(TOY)
     text = format_text(rows)
     assert "receiver_pub_bits" in text
+    assert text.splitlines()[0].split() == ["quantity", "exact", "log2"]
     csv_out = format_csv(rows)
-    assert csv_out.splitlines()[0].startswith("quantity,")
+    assert csv_out.splitlines()[0] == "quantity,exact,value,log2,note"
     assert len(csv_out.splitlines()) == len(rows) + 1
     # level-1 report must render despite astronomically large exact values
     assert "georgiades" in format_text(full_report(PAPER_L1))

@@ -244,33 +244,39 @@ def test_mod_small_on_every_sum_below_2p(p):
 @pytest.mark.parametrize("p", [2, 3])
 def test_products_in_column_slabs_match_oracle(p):
     # more columns than two slabs, the last one ragged; the third right
-    # operand is column-major, like the A.T that verify_syndrome passes
+    # operand is column-major, like the A.T that verify_syndrome passes;
+    # the last left operand has more rows than two slabs, the last ragged
     rng = _rng(50 + p)
     cols = 2 * L.SLAB + 7
     A = L.random_matrix(3, 40, p, rng)
     B = L.random_matrix(40, cols, p, rng)
     v = L.random_matrix(1, 40, p, rng)[0]
+    tall = L.random_matrix(2 * L.SLAB + 5, 40, p, rng)
     for got, want in ((L.matmul(A, B, p), O.matmul(A, B, p)),
                       (L.vecmat(v, B, p), O.matmul(v, B, p)),
-                      (L.vecmat(v, B.T.copy().T, p), O.matmul(v, B, p))):
+                      (L.vecmat(v, B.T.copy().T, p), O.matmul(v, B, p)),
+                      (L.matmul(tall, B, p), O.matmul(tall, B, p))):
         assert got.dtype == np.uint8
         assert np.array_equal(got, want)
 
 
 def test_vecmat_converts_a_large_operand_in_slabs():
     # a whole float32 copy of M would be 4 times its uint8 size; column
-    # slabs keep what numpy allocates below M's own size
+    # slabs of a right operand and row slabs of a left one keep what
+    # numpy allocates below M's own size
     rng = _rng(60)
     M = L.random_matrix(4000, 3000, 3, rng)
     v = L.random_matrix(1, 4000, 3, rng)[0]
-    tracemalloc.start()
-    try:
-        got = L.vecmat(v, M, 3)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < M.nbytes
-    assert np.array_equal(got, O.matmul(v, M, 3))
+    B = L.random_matrix(3000, 4, 3, rng)
+    for product, left, right in ((L.vecmat, v, M), (L.matmul, M, B)):
+        tracemalloc.start()
+        try:
+            got = product(left, right, 3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < M.nbytes
+        assert np.array_equal(got, O.matmul(left, right, 3))
 
 
 # --- monomial matrices -------------------------------------------------------
