@@ -36,6 +36,15 @@ from its own generator, seeded with SEED, and records:
                    signature
   sizes            the serialised key sizes next to the `estimator.sizes`
                    rows they correspond to
+  patterson        DECODES Patterson decodings with the loaded receiver
+                   key, each of a random public codeword plus a random
+                   error of weight t: the median and the largest time of
+                   each step (see PATTERSON_STEPS) and of the whole
+                   `goppa.decode_permuted`, in ms, by the span tracer.
+                   Each decoded error must equal the one drawn, or the
+                   script raises.  The words come from their own
+                   generator, seeded with (SEED, 1), so the records
+                   after this one draw what they drew without it
   receiver_secret_key_peak_mib
                    what `tracemalloc` sees allocated while
                    `goppa.receiver_secret_key` derives the loaded
@@ -128,6 +137,7 @@ import spans  # noqa: E402
 SEED = 0
 SIGN_ATTEMPTS = 2 * uuvsign.BATCH
 SIGNATURES = 20
+DECODES = 50
 REPEATS = 11
 MESSAGE = bytes(range(256)) * 4
 
@@ -244,6 +254,52 @@ def run_phases(params, rng) -> tuple[dict, dict, object, object]:
     return record, blobs, sk_r, sk_s
 
 
+# Patterson steps: record key -> (span names, inclusive or self time).
+# The tracer names a code's first syndrome goppa.syndrome_table; root
+# finding is what patterson_decode does outside its traced callees.
+PATTERSON_STEPS = {
+    "syndrome": (("goppa.syndrome_table", "goppa.syndrome_poly"), spans.INCL),
+    "inverse": (("fields.poly_inv_mod",), spans.INCL),
+    "sqrt": (("fields.poly_sqrt_mod",), spans.INCL),
+    "key_equation": (("goppa._key_equation",), spans.INCL),
+    "root_find": (("goppa.patterson_decode",), spans.SELF),
+    "decode_permuted": (("goppa.decode_permuted",), spans.INCL),
+}
+
+
+def patterson(params, sk) -> dict:
+    """The `patterson` record of the module docstring."""
+    rng = np.random.default_rng((SEED, 1))
+    errors = np.zeros((DECODES, params.n_r), dtype=np.uint8)
+    for error in errors:
+        error[rng.choice(params.n_r, size=params.t, replace=False)] = 1
+    msgs = rng.integers(0, 2, size=(DECODES, params.k_tilde), dtype=np.uint8)
+    words = linalg.matmul(msgs, sk.G_pk, 2) ^ errors
+    tracer = spans.Tracer()
+    tracer.install()
+    roots = []
+    try:
+        for i, word in enumerate(words):
+            with tracer.root(i) as root:
+                got = goppa.decode_permuted(sk, word)
+            if got is None or not np.array_equal(got, errors[i]):
+                raise RuntimeError("decode_permuted did not return the error drawn")
+            roots.append(root)
+    finally:
+        tracer.uninstall()
+    seconds = defaultdict(float)  # (decode, step) -> s
+    for (i, _top, name, _parent), values in spans.aggregate(
+            tracer.spans, {root: 1.0 for root in roots}).items():
+        for step, (names, field) in PATTERSON_STEPS.items():
+            if name in names:
+                seconds[i, step] += values[field]
+    out = {"decodes": DECODES}
+    for step in PATTERSON_STEPS:
+        ms = [1e3 * seconds[i, step] for i in range(DECODES)]
+        out[step] = {"median_ms": median(ms), "max_ms": max(ms)}
+    return out
+
+
 def receiver_key_peak_mib(sk) -> float:
     G = goppa.generator_matrix(sk.code)
     tracemalloc.start()
@@ -335,6 +391,7 @@ def bench(params, rng) -> dict:
     record = {"params": {f: getattr(params, f) for f in
                          ("n_s", "k_U", "k_V", "omega", "m", "n_r", "t", "k_tilde")}}
     record["phases"], blobs, sk_r, sk = run_phases(params, rng)
+    record["patterson"] = patterson(params, sk_r)
     record["receiver_secret_key_peak_mib"] = receiver_key_peak_mib(sk_r)
     del sk_r
     record["batch_products"] = batch_products(sk, rng)
@@ -377,6 +434,11 @@ def report(name: str, rec: dict) -> None:
     print(f"{sig['count']} signatures, {sig['failed']} failed: attempts mean "
           f"{sig['mean_attempts']:.1f}, median {sig['median_attempts']}, max "
           f"{max(sig['attempts'])}; median {sig['median_ms']:.1f} ms, max {sig['max_ms']:.1f} ms")
+    pat = rec["patterson"]
+    print(f"\n{pat['decodes']} Patterson decodings, ms:")
+    print(f"  {'step':16s} {'median':>8s} {'max':>8s}")
+    for step in PATTERSON_STEPS:
+        print(f"  {step:16s} {pat[step]['median_ms']:8.3f} {pat[step]['max_ms']:8.3f}")
     print(f"\n{'key':14s} {'file bytes':>11s} {'file bits':>11s} {'estimator bits':>15s}")
     for s in rec["sizes"]:
         print(f"{s['key']:14s} {s['file_bytes']:11d} {8 * s['file_bytes']:11d} "

@@ -10,6 +10,9 @@ the first time that m is used.  `log[0]` points into a run of zeros at
 the end of `exp`, so ``exp[log[a] + log[b]] == a * b`` holds for every
 pair, zero included, with no branch; callers multiply by that lookup.
 `poly_eval_many` evaluates one polynomial over a whole support at once.
+`poly_euclid` runs the extended Euclidean algorithm as one in-place
+loop, and `poly_sqrt_mod` takes square roots modulo a fixed polynomial
+with the table that `poly_sqrt_table` builds for it once.
 """
 
 from __future__ import annotations
@@ -187,13 +190,38 @@ def poly_gcd(p: list[int], q: list[int], m: int) -> list[int]:
 
 def poly_euclid(a: list[int], b: list[int], stop: int, m: int):
     """Extended Euclid on (a, b) until deg r1 <= stop: (r0, r1, u0, u1),
-    the last two remainders with r_i = u_i * b modulo a."""
+    the last two remainders with r_i = u_i * b modulo a.
+
+    One loop, in place, with no quotient, product or sum list: each step
+    takes the logs of r1 and u1 once, then clears r0's coefficients from
+    the top down to degree deg r1: a coefficient c at degree deg r1 + s
+    is cleared by adding (c / lead r1) x^s r1 to r0, and the same
+    multiple of u1 is added to u0.  r0 is then the remainder of r0 by
+    r1, u0 has gained the quotient times u1, and the pairs swap.
+    """
+    T = tables(m)
+    exp, log, order = T.exp, T.log, T.order
     r0, r1 = list(a), list(b)
     u0, u1 = [], [1]
-    while poly_deg(r1) > stop:
-        q, rem = poly_divmod(r0, r1, m)
-        r0, r1 = r1, rem
-        u0, u1 = u1, poly_add(u0, poly_mul(q, u1, m))
+    while len(r1) - 1 > stop:
+        lr = [log[c] for c in r1]
+        lu = [log[c] for c in u1]
+        llead = lr.pop()
+        dn = len(lr)
+        u0 += [0] * (len(r0) - 1 - dn + len(u1) - len(u0))
+        while len(r0) > dn:
+            c = r0.pop()
+            if c:
+                lc = log[c] - llead
+                if lc < 0:
+                    lc += order
+                s = len(r0) - dn
+                for i, li in enumerate(lr, s):
+                    r0[i] ^= exp[lc + li]
+                for i, li in enumerate(lu, s):
+                    u0[i] ^= exp[lc + li]
+        r0, r1 = r1, poly_trim(r0)
+        u0, u1 = u1, poly_trim(u0)
     return r0, r1, u0, u1
 
 
@@ -215,6 +243,22 @@ def poly_eval_many(p: list[int], xs: np.ndarray, m: int) -> np.ndarray:
         r = exp[log[r] + lx]
         r ^= c
     return r
+
+
+def _times_x_rows(first: list[int], mod: list[int], count: int, m: int) -> np.ndarray:
+    """count x t array, t = deg mod, mod monic: row 0 holds the
+    coefficients of `first` (deg first < t), and row j those of x times
+    row j - 1, modulo mod: x^j first mod mod."""
+    T = tables(m)
+    exp, log = T.exp_np, T.log_np
+    t = poly_deg(mod)
+    log_low = log[mod[:t]]
+    rows = np.zeros((count, t), dtype=np.intp)
+    rows[0, :len(first)] = first
+    for j in range(1, count):
+        rows[j, 1:] = rows[j - 1, :-1]
+        rows[j] ^= exp[log[rows[j - 1, -1]] + log_low]
+    return rows
 
 
 def poly_is_irreducible(p: list[int], m: int) -> bool:
@@ -239,13 +283,8 @@ def poly_is_irreducible(p: list[int], m: int) -> bool:
     p = poly_scale(p, gf_inv(p[-1], m), m)
     T = tables(m)
     exp, log = T.exp_np, T.log_np
-    rows = np.empty((t - 1, t), dtype=np.intp)
-    rows[0] = p[:t]  # x^t = p - x^t for a monic p in characteristic 2
-    for j in range(1, t - 1):
-        rows[j, 0] = 0
-        rows[j, 1:] = rows[j - 1, :-1]
-        rows[j] ^= exp[log[rows[j - 1, -1]] + log[rows[0]]]
-    log_rows = log[rows]
+    # x^t = p - x^t for a monic p in characteristic 2
+    log_rows = log[_times_x_rows(p[:t], p, t - 1, m)]
     square = np.zeros(2 * t - 1, dtype=np.intp)
     r = np.zeros(t, dtype=np.intp)
     r[1] = 1
@@ -271,19 +310,29 @@ def poly_sqrt_x(mod: list[int], m: int) -> list[int]:
     return poly_mod(poly_mul(A, poly_inv_mod(B, mod, m), m), mod, m)
 
 
-def poly_sqrt_mod(p: list[int], mod: list[int], m: int,
-                  sqrt_x: list[int]) -> list[int]:
-    """Square root in the field GF(2^m)[x]/(mod), mod irreducible.
+def poly_sqrt_table(mod: list[int], m: int) -> np.ndarray:
+    """The logs of sqrt(x) x^i mod `mod`, i < ceil(t/2): a ceil(t/2) x t
+    array, for `poly_sqrt_mod`.  mod is monic irreducible of degree t."""
+    t = poly_deg(mod)
+    return tables(m).log_np[_times_x_rows(poly_sqrt_x(mod, m), mod, (t + 1) // 2, m)]
 
-    With u = sum u_i x^i: sqrt(u) = sum_even sqrt(u_i) x^(i/2)
-    + sqrt(x) * sum_odd sqrt(u_i) x^((i-1)/2), one multiply and one
-    reduction.  `sqrt_x` is `poly_sqrt_x(mod, m)`.
+
+def poly_sqrt_mod(p: list[int], mod: list[int], m: int,
+                  sqrt_table: np.ndarray) -> list[int]:
+    """Square root in the field GF(2^m)[x]/(mod), mod monic irreducible.
+
+    With u = p mod `mod` = sum u_i x^i: sqrt(u) = sum_even sqrt(u_i)
+    x^(i/2) + sum_odd sqrt(u_i) sqrt(x) x^((i-1)/2).  The odd terms are
+    one gather of their logs plus the rows of `sqrt_table`
+    (`poly_sqrt_table(mod, m)`) and one XOR down the columns.
     """
-    sqrt = tables(m).sqrt
-    u = poly_mod(p, mod, m)
-    even = poly_trim([sqrt[c] for c in u[0::2]])
-    odd = poly_trim([sqrt[c] for c in u[1::2]])
-    return poly_add(even, poly_mod(poly_mul(sqrt_x, odd, m), mod, m))
+    T = tables(m)
+    sqrt, log = T.sqrt, T.log
+    u = p if len(p) < len(mod) else poly_mod(p, mod, m)
+    odd = np.array([log[sqrt[c]] for c in u[1::2]], dtype=np.intp)
+    r = np.bitwise_xor.reduce(T.exp_np[odd[:, None] + sqrt_table[:len(odd)]], axis=0)
+    r[:(len(u) + 1) // 2] ^= np.array([sqrt[c] for c in u[0::2]], dtype=np.intp)
+    return poly_trim(r.tolist())
 
 
 def random_irreducible(t: int, m: int, rng) -> list[int]:

@@ -2,22 +2,27 @@
 and receiver key generation with a permuted-subcode public key.
 
 A `GoppaCode` builds its decoding material when it is constructed, so
-key generation and key loading pay for it and decoding does not:
+key generation and key loading pay for it and decoding does not.  All
+three tables are read-only numpy arrays:
 
-- the syndrome matrix, t x n over GF(2^m): column j holds the
+- ``syndrome_matrix``, t x n over GF(2^m): column j holds the
   coefficients of 1/(x + alpha_j) mod g, the syndrome of the j-th unit
   word.  It is built for the whole support at once by synthetic
   division, since 1/(x + a) = g(a)^-1 (g(x) + g(a))/(x + a) mod g.
   Expanded to its mt x n bits it is a binary parity-check matrix whose
   kernel is the code.
-- ``sqrt_x``, the square root of x modulo g, which turns every square
-  root in GF(2^m)[x]/(g) into one multiply and one reduction.
+- ``sqrt_table``, ceil(t/2) x t: the logs of sqrt(x) x^i mod g
+  (`fields.poly_sqrt_table`), which make every square root in
+  GF(2^m)[x]/(g) one gather and one XOR down the columns.
+- ``root_table``, (t+1) x n int32: the logs of alpha_j^i, with the
+  tables' zero sentinel where alpha_j = 0 and i > 0.
 
 Patterson decoding is then one GF(2) matrix-vector product for the
 syndrome (the XOR of the columns at the nonzero positions of the
-word), the extended Euclidean algorithm on table arithmetic for the
-inverse and the key equation, and one numpy Horner pass over the
-support for the roots of the error locator.
+word), the fused extended Euclidean loop of `fields.poly_euclid` on
+table arithmetic for the inverse and the key equation, the square-root
+table for the square root, and one gather from the root table for the
+roots of the error locator.
 """
 
 from __future__ import annotations
@@ -46,10 +51,10 @@ class GoppaCode:
     g is monic irreducible of degree t with coefficients in GF(2^m); the
     support holds n distinct field elements that are not roots of g.
     The constructor checks all of this except irreducibility, which
-    key generation guarantees and key loading checks, then builds
-    `syndrome_matrix` (read-only, t x n) and `sqrt_x`; for a reducible
-    g, x may have no square root and the constructor raises
-    ZeroDivisionError.
+    key generation guarantees and key loading checks, then builds the
+    read-only `syndrome_matrix`, `sqrt_table` and `root_table` of the
+    module docstring; for a reducible g, x may have no square root and
+    the constructor raises ZeroDivisionError.
     """
 
     def __init__(self, m: int, t: int, g: list[int], support: list[int]):
@@ -77,10 +82,13 @@ class GoppaCode:
         self.n = len(support)
         self.g = list(g)
         self.support = list(support)
-        self._alpha = alpha
         self.syndrome_matrix = exp[log[quot] + (T.order - log[b])].astype(np.uint16)
-        self.syndrome_matrix.setflags(write=False)
-        self.sqrt_x = F.poly_sqrt_x(self.g, m)
+        self.sqrt_table = F.poly_sqrt_table(self.g, m)
+        roots = np.outer(np.arange(t + 1), la) % T.order
+        roots[1:, alpha == 0] = log[0]
+        self.root_table = roots.astype(np.int32)
+        for table in (self.syndrome_matrix, self.sqrt_table, self.root_table):
+            table.setflags(write=False)
 
     def syndrome_poly(self, word: np.ndarray) -> list[int]:
         """sum over the nonzero positions j of 1/(x + alpha_j) mod g."""
@@ -130,7 +138,11 @@ def patterson_decode(code: GoppaCode, word: np.ndarray):
     the squared coefficients of a (even powers) and of b (odd powers).
     b is never zero, so 1 <= deg sigma <= t, and sigma is accepted only
     when it has deg sigma roots alpha_j over the support; they are
-    distinct, as the support is.
+    distinct, as the support is.  sigma(alpha_j) = XOR_i exp[log sigma_i
+    + log alpha_j^i], the gather of the logs of sigma plus the first
+    deg sigma + 1 rows of the root table, XORed down the columns: a zero
+    coefficient or a zero alpha_j^i sums to an index at or past the
+    zero sentinel, where exp is 0.
 
     An accepted sigma locates an error of syndrome S, so the syndrome is
     not checked again: with a = b R and R^2 = 1/S + x (mod g), sigma =
@@ -148,12 +160,14 @@ def patterson_decode(code: GoppaCode, word: np.ndarray):
     if not S:
         return np.zeros(code.n, dtype=np.uint8)
     R2 = F.poly_add(F.poly_inv_mod(S, code.g, m), [0, 1])
-    a, b = _key_equation(code.g, F.poly_sqrt_mod(R2, code.g, m, code.sqrt_x), t, m)
+    a, b = _key_equation(code.g, F.poly_sqrt_mod(R2, code.g, m, code.sqrt_table), t, m)
     T = F.tables(m)
     sigma = [0] * max(2 * len(a) - 1, 2 * len(b))
     sigma[0:2 * len(a):2] = [T.exp[2 * T.log[c]] for c in a]
     sigma[1:2 * len(b):2] = [T.exp[2 * T.log[c]] for c in b]
-    error = (F.poly_eval_many(sigma, code._alpha, m) == 0).astype(np.uint8)
+    log_sigma = np.array([T.log[c] for c in sigma], dtype=np.int32)
+    values = T.exp_np.take(log_sigma[:, None] + code.root_table[:len(sigma)])
+    error = (np.bitwise_xor.reduce(values, axis=0) == 0).astype(np.uint8)
     if int(error.sum()) != F.poly_deg(sigma):
         return None
     return error

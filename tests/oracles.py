@@ -12,8 +12,9 @@ loop that the root check and reduction rows of
 `cbsc.fields.poly_is_irreducible` replaced; the scan over every
 position that the estimate-and-correct walk of
 `cbsc.cwencode.unrank_support` replaced; the Möbius sum that Gauss's
-recursion in `cbsc.estimator.goppa_poly_count` replaced;
-the enumeration of a whole signature coset; and helpers that only tests
+recursion in `cbsc.estimator.goppa_poly_count` replaced; the quotient-based
+extended Euclid that the fused loop of `cbsc.fields.poly_euclid`
+replaced; the enumeration of a whole signature coset; and helpers that only tests
 need.
 
 They are slow and simple on purpose; tests compare the library against
@@ -129,6 +130,19 @@ def poly_inv_mod(p: list[int], mod: list[int], m: int) -> list[int]:
     if len(r0) != 1:
         raise ZeroDivisionError("element not invertible")
     return poly_mod(poly_mul(u0, [gf_inv(r0[0], m)], m), mod, m)
+
+
+def poly_euclid(a: list[int], b: list[int], stop: int, m: int):
+    """Extended Euclid as `cbsc.fields.poly_euclid` ran it before its
+    fused loop: one quotient, `poly_mul` and `poly_add` per step, on the
+    library's table arithmetic.  (r0, r1, u0, u1) once deg r1 <= stop."""
+    r0, r1 = list(a), list(b)
+    u0, u1 = [], [1]
+    while len(r1) - 1 > stop:
+        q, rem = F.poly_divmod(r0, r1, m)
+        r0, r1 = r1, rem
+        u0, u1 = u1, F.poly_add(u0, F.poly_mul(q, u1, m))
+    return r0, r1, u0, u1
 
 
 def poly_square_mod(p: list[int], mod: list[int], m: int) -> list[int]:

@@ -144,10 +144,10 @@ def test_poly_sqrt_mod():
     m = 5
     rnd = random.Random(11)
     g = F.random_irreducible(3, m, _NumpyLike(rnd))
-    sqrt_x = F.poly_sqrt_x(g, m)
+    sqrt_table = F.poly_sqrt_table(g, m)
     for _ in range(30):
         p = F.poly_trim([rnd.randrange(32) for _ in range(3)])
-        s = F.poly_sqrt_mod(p, g, m, sqrt_x)
+        s = F.poly_sqrt_mod(p, g, m, sqrt_table)
         assert O.poly_square_mod(s, g, m) == F.poly_mod(p, g, m)
 
 

@@ -1,12 +1,16 @@
 """Randomness-recycling PKE over the permuted subcode."""
 
+import tracemalloc
+
 import numpy as np
 
 from cbsc.cwencode import phi
+from cbsc.goppa import keygen_receiver
 from cbsc.mceliece import PkeCiphertext, pke_decrypt, pke_encrypt
 from cbsc.linalg import vecmat
 
 from oracles import recover_message
+from test_serial import L1_20
 
 
 def _xy(params, rng):
@@ -79,3 +83,22 @@ def test_recover_message(receiver_keys, toy_params):
         sigma = phi(y, p.n_r, p.t)
         c0 = vecmat(r, pk.G, 2) ^ sigma
         assert np.array_equal(recover_message(pk.G, c0, sigma), r)
+
+
+def test_pke_decrypt_allocates_less_than_the_key():
+    # at L1/20 the receiver key's uint8 arrays, S and G_pk, hold 554,400
+    # bytes.  Measured peak of one decryption: 434,084 bytes, 0.78 times
+    # that, mostly root finding's 21 x 1024 gather from the root table
+    # and the rows of G_pk that c0's decoding selects.
+    rng = np.random.default_rng(5)
+    sk, pk = keygen_receiver(L1_20, rng)
+    x, y = _xy(L1_20, rng)
+    c = pke_encrypt(pk, x, y, L1_20.t)
+    tracemalloc.start()
+    try:
+        res = pke_decrypt(sk, c, L1_20.t)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res is not None and np.array_equal(res[0], x)
+    assert peak < sk.S.nbytes + sk.G_pk.nbytes

@@ -1,6 +1,7 @@
 """Ternary (U, U+V) trapdoor: key structure, syndrome decoding with an
 exact weight target, and signature contract."""
 
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -401,6 +402,25 @@ def test_verify_rejects_wrong_omega(sender_keys, toy_params):
     rng = np.random.default_rng(8)
     sig = sign(sk, b"msg", p.omega, p.salt_bits, rng)
     assert not verify(pk, b"msg", sig, p.omega - 1)
+
+
+def test_verify_syndrome_allocates_one_float32_copy_of_A(l1_20_sender_key):
+    # at L1/20 A is 145 x 279, narrower than one column slab, so the
+    # product converts it whole: 4 bytes per entry.  Measured peak:
+    # 165,180 bytes, 4.08 times A's 40,455 bytes.
+    sk, omega = l1_20_sender_key
+    _, pk = uuvsign.sender_keys(sk.H_U, sk.H_V, sk.P)
+    rng = np.random.default_rng(32)
+    y = rng.integers(0, 3, size=sk.r_s, dtype=np.uint8)
+    e = sign_syndrome(sk, y, omega, rng)
+    tracemalloc.start()
+    try:
+        ok = verify_syndrome(pk, e, y, omega)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert ok
+    assert peak < 5 * pk.A.nbytes
 
 
 def test_sign_syndrome_verify_syndrome(sender_keys, toy_params):
