@@ -45,6 +45,10 @@ from its own generator, seeded with SEED, and records:
                    script raises.  The words come from their own
                    generator, seeded with (SEED, 1), so the records
                    after this one draw what they drew without it
+  parse            the median ms of `serial.par_message` on the
+                   roundtrip's message (of REPEATS runs) and of each key
+                   parser on its file (of KEY_PARSE_REPEATS runs), and
+                   the `tracemalloc` peak of `serial.par_sender_pub`
   receiver_secret_key_peak_mib
                    what `tracemalloc` sees allocated while
                    `goppa.receiver_secret_key` derives the loaded
@@ -84,10 +88,12 @@ phases are:
                      and `unsigncrypt` with the loaded keys of both
                      roles, whose output must equal MESSAGE.  Its rows
                      hold PKE encryption and decryption, the DEM, the
-                     hashes, (de)serialisation, the three `vecmat`s
-                     (under mceliece.pke_encrypt, the re-encryption check
-                     under mceliece.pke_decrypt, and the verification
-                     under sctkem.decap) and the Patterson steps: the
+                     hashes, (de)serialisation, the `vecmat` of the
+                     verification under sctkem.decap (the products of
+                     encryption and of the re-encryption check are
+                     `linalg.xor_rows`, which is not traced, in
+                     mceliece.pke_encrypt and mceliece.pke_decrypt self)
+                     and the Patterson steps: the
                      syndrome (named goppa.syndrome_table, as the tracer
                      names a code's first syndrome), fields.poly_inv_mod,
                      fields.poly_sqrt_mod, goppa._key_equation and
@@ -139,6 +145,7 @@ SIGN_ATTEMPTS = 2 * uuvsign.BATCH
 SIGNATURES = 20
 DECODES = 50
 REPEATS = 11
+KEY_PARSE_REPEATS = 3
 MESSAGE = bytes(range(256)) * 4
 
 L1_8 = dict(n_s=1018, k_U=426, k_V=245, omega=957, m=11, n_r=2048, t=40,
@@ -152,9 +159,9 @@ BENCH_PROFILES = {
 }
 
 
-def median_ms(fn) -> float:
+def median_ms(fn, repeats: int = REPEATS) -> float:
     times = []
-    for _ in range(REPEATS):
+    for _ in range(repeats):
         t0 = perf_counter()
         fn()
         times.append(perf_counter() - t0)
@@ -195,9 +202,10 @@ class RowCounter:
         uuvsign._free_values = self._free_values
 
 
-def run_phases(params, rng) -> tuple[dict, dict, object, object]:
-    """The six traced phases; returns their record, the key blobs and
-    the loaded receiver and sender secret keys."""
+def run_phases(params, rng) -> tuple[dict, dict, bytes, object, object]:
+    """The six traced phases; returns their record, the key blobs, the
+    roundtrip's message and the loaded receiver and sender secret
+    keys."""
     tracer = spans.Tracer()
     # the tracer patches module attributes, so keygen is called through
     # sctkem, where its wrappers are seen
@@ -236,9 +244,12 @@ def run_phases(params, rng) -> tuple[dict, dict, object, object]:
         with RowCounter() as counter:
             phase("signing attempts", attempts)
 
+        wire = []
+
         def roundtrip():
             sc = hybrid.signcrypt(params, sk_s, pk_r, MESSAGE, rng)
-            _, sc = serial.par_message(serial.ser_message(params, sc))
+            wire.append(serial.ser_message(params, sc))
+            _, sc = serial.par_message(wire[0])
             return hybrid.unsigncrypt(params, sk_r, pk_s, sc)
         if phase("roundtrip", roundtrip) != MESSAGE:
             raise RuntimeError("the roundtrip returned other bytes")
@@ -251,7 +262,7 @@ def run_phases(params, rng) -> tuple[dict, dict, object, object]:
                                 for name, caller, calls, incl, self_s in tables[title]]}
               for title, _, seconds in phases}
     record["signing attempts"]["attempts"] = counter.rows // 2
-    return record, blobs, sk_r, sk_s
+    return record, blobs, wire[0], sk_r, sk_s
 
 
 # Patterson steps: record key -> (span names, inclusive or self time).
@@ -297,6 +308,21 @@ def patterson(params, sk) -> dict:
     for step in PATTERSON_STEPS:
         ms = [1e3 * seconds[i, step] for i in range(DECODES)]
         out[step] = {"median_ms": median(ms), "max_ms": max(ms)}
+    return out
+
+
+def parse_record(blobs: dict, wire: bytes) -> dict:
+    """The `parse` record of the module docstring."""
+    out = {"par_message_ms": median_ms(lambda: serial.par_message(wire))}
+    for key, blob in blobs.items():
+        parser = getattr(serial, f"par_{key}")
+        out[f"par_{key}_ms"] = median_ms(lambda: parser(blob), KEY_PARSE_REPEATS)
+    tracemalloc.start()
+    try:
+        serial.par_sender_pub(blobs["sender_pub"])
+        out["par_sender_pub_peak_mib"] = tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
     return out
 
 
@@ -390,7 +416,8 @@ def signatures(params, sk, rng) -> dict:
 def bench(params, rng) -> dict:
     record = {"params": {f: getattr(params, f) for f in
                          ("n_s", "k_U", "k_V", "omega", "m", "n_r", "t", "k_tilde")}}
-    record["phases"], blobs, sk_r, sk = run_phases(params, rng)
+    record["phases"], blobs, wire, sk_r, sk = run_phases(params, rng)
+    record["parse"] = parse_record(blobs, wire)
     record["patterson"] = patterson(params, sk_r)
     record["receiver_secret_key_peak_mib"] = receiver_key_peak_mib(sk_r)
     del sk_r
@@ -439,6 +466,10 @@ def report(name: str, rec: dict) -> None:
     print(f"  {'step':16s} {'median':>8s} {'max':>8s}")
     for step in PATTERSON_STEPS:
         print(f"  {step:16s} {pat[step]['median_ms']:8.3f} {pat[step]['max_ms']:8.3f}")
+    parse = rec["parse"]
+    print("\nparse, median ms: " + ", ".join(
+        f"{name[:-3]} {ms:.3f}" for name, ms in parse.items() if name.endswith("_ms"))
+        + f"; par_sender_pub allocates {parse['par_sender_pub_peak_mib']:.1f} MiB")
     print(f"\n{'key':14s} {'file bytes':>11s} {'file bits':>11s} {'estimator bits':>15s}")
     for s in rec["sizes"]:
         print(f"{s['key']:14s} {s['file_bytes']:11d} {8 * s['file_bytes']:11d} "

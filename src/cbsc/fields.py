@@ -52,7 +52,9 @@ class Tables:
     so a sum of two logs always indexes `exp` correctly.  ``sqrt[a]`` is
     the square root of a.  The ``*_np`` arrays are numpy arrays for
     vector work: `exp` and `log` again, and ``square_np[a]``, the square
-    of a.
+    of a.  ``exp_u16`` is `exp` as uint16, which holds every element of
+    GF(2^16), for gathers whose output is a quarter the size of an intp
+    one.
     """
 
     def __init__(self, m: int):
@@ -77,6 +79,7 @@ class Tables:
         half = (order + 1) // 2        # 1/2 mod (q - 1)
         self.sqrt = [0] + [powers[(log[a] * half) % order] for a in range(1, q)]
         self.exp_np = np.array(self.exp, dtype=np.intp)
+        self.exp_u16 = self.exp_np.astype(np.uint16)
         self.log_np = np.array(log, dtype=np.intp)
         self.square_np = self.exp_np[2 * self.log_np]  # exp[2 zero] = 0
 

@@ -27,7 +27,7 @@ roots of the error locator.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -39,6 +39,7 @@ from .linalg import (
     matmul,
     mono_apply,
     mono_apply_inv,
+    pack_rows,
     random_matrix,
     random_permutation,
 )
@@ -139,10 +140,10 @@ def patterson_decode(code: GoppaCode, word: np.ndarray):
     b is never zero, so 1 <= deg sigma <= t, and sigma is accepted only
     when it has deg sigma roots alpha_j over the support; they are
     distinct, as the support is.  sigma(alpha_j) = XOR_i exp[log sigma_i
-    + log alpha_j^i], the gather of the logs of sigma plus the first
-    deg sigma + 1 rows of the root table, XORed down the columns: a zero
-    coefficient or a zero alpha_j^i sums to an index at or past the
-    zero sentinel, where exp is 0.
+    + log alpha_j^i], the gather from the uint16 `exp_u16` at the logs
+    of sigma plus the first deg sigma + 1 rows of the root table, XORed
+    down the columns: a zero coefficient or a zero alpha_j^i sums to an
+    index at or past the zero sentinel, where exp is 0.
 
     An accepted sigma locates an error of syndrome S, so the syndrome is
     not checked again: with a = b R and R^2 = 1/S + x (mod g), sigma =
@@ -152,7 +153,7 @@ def patterson_decode(code: GoppaCode, word: np.ndarray):
     Words beyond distance t fail cleanly or decode to a codeword within
     distance t.
     """
-    word = np.asarray(word, dtype=np.uint8) % 2
+    word = np.asarray(word, dtype=np.uint8) & 1
     if len(word) != code.n:
         raise ValueError("word length mismatch")
     m, t = code.m, code.t
@@ -166,11 +167,11 @@ def patterson_decode(code: GoppaCode, word: np.ndarray):
     sigma[0:2 * len(a):2] = [T.exp[2 * T.log[c]] for c in a]
     sigma[1:2 * len(b):2] = [T.exp[2 * T.log[c]] for c in b]
     log_sigma = np.array([T.log[c] for c in sigma], dtype=np.int32)
-    values = T.exp_np.take(log_sigma[:, None] + code.root_table[:len(sigma)])
-    error = (np.bitwise_xor.reduce(values, axis=0) == 0).astype(np.uint8)
-    if int(error.sum()) != F.poly_deg(sigma):
+    values = T.exp_u16.take(log_sigma[:, None] + code.root_table[:len(sigma)])
+    error = np.bitwise_xor.reduce(values, axis=0) == 0
+    if np.count_nonzero(error) != F.poly_deg(sigma):
         return None
-    return error
+    return error.view(np.uint8)
 
 
 # ---------------------------------------------------------------------------
@@ -182,11 +183,19 @@ class ReceiverSecretKey:
     S: np.ndarray          # k-tilde x k_r, full row rank
     P: Monomial            # permutation on n_r coordinates
     G_pk: np.ndarray       # public generator S·G·P, kept for re-encryption checks
+    G_rows: np.ndarray = field(init=False, repr=False)  # pack_rows(G_pk)
+
+    def __post_init__(self):
+        self.G_rows = pack_rows(self.G_pk)
 
 
 @dataclass
 class ReceiverPublicKey:
     G: np.ndarray          # k-tilde x n_r
+    G_rows: np.ndarray = field(init=False, repr=False)  # pack_rows(G), for encryption
+
+    def __post_init__(self):
+        self.G_rows = pack_rows(self.G)
 
 
 def keygen_receiver(params: CommonParams, rng):

@@ -15,7 +15,7 @@ import struct
 
 import numpy as np
 
-from .linalg import pack_bits, unpack_bits, unpack_trits
+from .linalg import unpack_bits, unpack_trits
 
 H0 = 0  # session key derivation, output length ell
 H1 = 1  # k-tilde-bit oracle (tags, coins, PKE randomness)
@@ -24,24 +24,21 @@ H3 = 3  # (k-tilde + ell)-bit one-time pad over the PKE payload
 DEM = 4  # symmetric keystream
 
 _TRIT_REJECT = 243  # bytes >= 3^5 are rejected; acceptance rate 243/256
-
-
-def _encode_field(field) -> bytes:
-    if isinstance(field, (bytes, bytearray)):
-        nbits = 8 * len(field)
-        data = bytes(field)
-    else:
-        arr = np.asarray(field, dtype=np.uint8)
-        nbits = arr.size
-        data = pack_bits(arr)
-    return struct.pack(">Q", nbits) + data
+_BIT_COUNT = struct.Struct(">Q")  # a field's framing header
 
 
 def _shake(domain: int, fields) -> "hashlib._hashlib.HASHXOF":
-    xof = hashlib.shake_256()
-    xof.update(bytes([domain]))
+    """The XOF of the domain byte and the framed fields, each fed as its
+    bit count and then its bytes, without a framed copy."""
+    xof = hashlib.shake_256(bytes([domain]))
     for f in fields:
-        xof.update(_encode_field(f))
+        if isinstance(f, (bytes, bytearray)):
+            xof.update(_BIT_COUNT.pack(8 * len(f)))
+        else:
+            bits = np.asarray(f, dtype=np.uint8)
+            xof.update(_BIT_COUNT.pack(bits.size))
+            f = np.packbits(bits, bitorder="little")
+        xof.update(f)
     return xof
 
 
@@ -73,7 +70,7 @@ def hash_trits(fields, r_s: int) -> np.ndarray:
         stream = np.frombuffer(xof.digest(nbytes), dtype=np.uint8)
         accepted = stream[stream < _TRIT_REJECT]
         if 5 * len(accepted) >= r_s:
-            return unpack_trits(accepted.tobytes(), r_s)
+            return unpack_trits(accepted, r_s)
         nbytes *= 2
 
 

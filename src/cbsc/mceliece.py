@@ -14,7 +14,7 @@ import numpy as np
 from .cwencode import phi, phi_inv
 from .goppa import ReceiverPublicKey, ReceiverSecretKey, decode_permuted
 from .hashes import H1, H3, hash_bits
-from .linalg import vecmat
+from .linalg import xor_rows
 
 
 class PkeCiphertext(NamedTuple):
@@ -28,7 +28,7 @@ def pke_encrypt(pk: ReceiverPublicKey, x: np.ndarray, y: np.ndarray,
     k_tilde, n_r = pk.G.shape
     r = hash_bits(H1, [x, y], k_tilde)
     sigma = phi(y, n_r, t)
-    c0 = vecmat(r, pk.G, 2) ^ sigma
+    c0 = xor_rows(r, pk.G_rows, n_r) ^ sigma
     c1 = hash_bits(H3, [sigma], len(x)) ^ np.asarray(x, dtype=np.uint8)
     return PkeCiphertext(c0, c1)
 
@@ -43,9 +43,9 @@ def pke_decrypt(sk: ReceiverSecretKey, c: PkeCiphertext, t: int):
     if y is None:
         return None
     x = c.c1 ^ hash_bits(H3, [sigma], len(c.c1))
-    k_tilde = sk.G_pk.shape[0]
+    k_tilde, n_r = sk.G_pk.shape
     r = hash_bits(H1, [x, y], k_tilde)
-    if np.any(vecmat(r, sk.G_pk, 2) ^ sigma != c.c0):
+    if np.any(xor_rows(r, sk.G_rows, n_r) ^ sigma != c.c0):
         return None
     return x, y
 

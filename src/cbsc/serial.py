@@ -6,9 +6,15 @@ parameter block so files stay self-describing.  Bit vectors are packed
 row-major LSB-first; trit vectors five to a byte in base 3.
 
 Every parser is total: a byte string either parses or raises
-`FormatError`.  Encodings are canonical: a parsed field must re-encode
-to its own bytes, so padding bits and trits are zero and no trit byte
-exceeds 242.  Payload lengths are checked before anything is unpacked,
+`FormatError`.  Encodings are canonical, one encoding per value, and
+this is checked on the bytes before a field is unpacked: every trit
+byte is below 3^5 = 243, and the padding of a field's last byte, its
+trits beyond the field's length or its bits beyond it, is zero.  Any
+16-bit element field is canonical.  A field so checked re-encodes to
+its own bytes.  Fields are read through views of the input, so a
+parser copies no field before unpacking it.  A custom parameter block
+is parsed and validated once per distinct block and then looked up by
+its bytes.  Payload lengths are checked before anything is unpacked,
 and a receiver secret key is checked (g monic irreducible of degree t,
 support of distinct field elements) before its decoding material is
 built.  A `Monomial` refuses a P that is not a permutation.  A sender
@@ -19,6 +25,7 @@ uses; a sender public key file holds the A of the public [I | A].
 
 from __future__ import annotations
 
+import functools
 import math
 import struct
 from collections.abc import Callable
@@ -76,13 +83,26 @@ class Codec(NamedTuple):
     nbytes: Callable[[int], int]                 # bytes that hold n values
     pack: Callable[[np.ndarray], bytes]
     unpack: Callable[[bytes, int], np.ndarray]   # (bytes, n) -> n values
+    canonical: Callable[[bytes, int], bool]      # (bytes, n) -> the one encoding of n values?
 
 
-BITS = Codec(lambda n: (n + 7) // 8, pack_bits, unpack_bits)
-TRITS = Codec(lambda n: (n + 4) // 5, pack_trits, unpack_trits)
+def _bits_canonical(data, n: int) -> bool:
+    # the bits of the last byte beyond n are zero
+    return n % 8 == 0 or data[-1] >> n % 8 == 0
+
+
+def _trits_canonical(data, n: int) -> bool:
+    # the last byte holds n % 5 trits and zeros, and no byte reaches 3**5
+    return ((n % 5 == 0 or data[-1] < 3 ** (n % 5))
+            and (n == 0 or np.frombuffer(data, dtype=np.uint8).max() < 243))
+
+
+BITS = Codec(lambda n: (n + 7) // 8, pack_bits, unpack_bits, _bits_canonical)
+TRITS = Codec(lambda n: (n + 4) // 5, pack_trits, unpack_trits, _trits_canonical)
 ELEMS = Codec(lambda n: 2 * n,                   # big-endian 16-bit integers
               lambda a: np.asarray(a, dtype=">u2").tobytes(),
-              lambda b, n: np.frombuffer(b, dtype=">u2", count=n))
+              lambda b, n: np.frombuffer(b, dtype=">u2", count=n),
+              lambda b, n: True)
 
 
 class Field(NamedTuple):
@@ -122,21 +142,27 @@ def _pack(what, obj) -> bytes:
     return b"".join(f.codec.pack(f.get(obj)) for f in LAYOUTS[what])
 
 
-def _unpack(what, params: CommonParams, payload: bytes) -> dict[str, np.ndarray]:
+@functools.lru_cache(maxsize=64)
+def _sizes(what, params: CommonParams) -> tuple[tuple, int]:
+    """(field, shape, values, bytes) of each field of `what` under
+    `params`, and the payload's length."""
     shapes = [f.shape(params) for f in LAYOUTS[what]]
-    sizes = [f.codec.nbytes(math.prod(s)) for f, s in zip(LAYOUTS[what], shapes)]
-    if len(payload) != sum(sizes):
+    rows = tuple((f, shape, math.prod(shape), f.codec.nbytes(math.prod(shape)))
+                 for f, shape in zip(LAYOUTS[what], shapes))
+    return rows, sum(row[3] for row in rows)
+
+
+def _unpack(what, params: CommonParams, payload: memoryview) -> dict[str, np.ndarray]:
+    rows, length = _sizes(what, params)
+    if len(payload) != length:
         raise FormatError(f"{ROLE_NAMES.get(what, what)} payload length mismatch")
     values, off = {}, 0
-    for f, shape, size in zip(LAYOUTS[what], shapes, sizes):
+    for f, shape, n, size in rows:
         field = payload[off: off + size]
-        value = f.codec.unpack(field, math.prod(shape)).reshape(shape)
-        # one encoding per value: padding bits and trits are zero and
-        # every trit byte is below 3**5
-        if f.codec.pack(value) != field:
+        if not f.codec.canonical(field, n):
             raise FormatError(f"{ROLE_NAMES.get(what, what)} field {f.name} "
                               "is not canonically encoded")
-        values[f.name] = value
+        values[f.name] = f.codec.unpack(field, n).reshape(shape)
         off += size
     return values
 
@@ -147,16 +173,22 @@ def _params_block(params: CommonParams) -> bytes:
     return _CUSTOM_BLOCK.pack(*(getattr(params, f) for f in CUSTOM_FIELDS))
 
 
-def _read_params(pid: int, data: bytes, off: int) -> tuple[CommonParams, int]:
+@functools.lru_cache(maxsize=16)
+def _custom_block(block: bytes) -> CommonParams:
+    """The validated profile of a custom parameter block; a block that
+    raises is not cached."""
+    try:
+        return custom_params(dict(zip(CUSTOM_FIELDS, _CUSTOM_BLOCK.unpack(block))))
+    except ParameterError as exc:
+        raise FormatError(f"invalid custom parameter block: {exc}") from exc
+
+
+def _read_params(pid: int, data: bytes | memoryview, off: int) -> tuple[CommonParams, int]:
     if pid == PROFILE_IDS["custom"]:
-        try:
-            vals = _CUSTOM_BLOCK.unpack_from(data, off)
-        except struct.error as exc:
-            raise FormatError("custom parameter block truncated") from exc
-        try:
-            return custom_params(dict(zip(CUSTOM_FIELDS, vals))), off + _CUSTOM_BLOCK.size
-        except ParameterError as exc:
-            raise FormatError(f"invalid custom parameter block: {exc}") from exc
+        end = off + _CUSTOM_BLOCK.size
+        if len(data) < end:
+            raise FormatError("custom parameter block truncated")
+        return _custom_block(bytes(data[off:end])), end
     name = PROFILE_BY_ID.get(pid)
     if name is None or name == "custom":
         raise FormatError(f"unknown profile id {pid:#04x}")
@@ -180,7 +212,7 @@ def _par_key(role: int, data: bytes) -> tuple[CommonParams, dict[str, np.ndarray
         raise FormatError(f"expected {ROLE_NAMES[role]} key, got "
                           f"{ROLE_NAMES.get(data[5], hex(data[5]))}")
     params, off = _read_params(data[6], data, 7)
-    return params, _unpack(role, params, data[off:])
+    return params, _unpack(role, params, memoryview(data)[off:])
 
 
 def ser_receiver_pub(params: CommonParams, pk: ReceiverPublicKey) -> bytes:
@@ -244,13 +276,13 @@ def ser_encapsulation(params: CommonParams, E: Encapsulation) -> bytes:
             + _pack(ENCAPSULATION, E))
 
 
-def par_encapsulation(data: bytes) -> tuple[CommonParams, Encapsulation]:
+def par_encapsulation(data: bytes | memoryview) -> tuple[CommonParams, Encapsulation]:
     if len(data) < 2:
         raise FormatError("encapsulation truncated")
     if data[0] != VERSION:
         raise FormatError(f"unsupported format version {data[0]:#04x}")
     params, off = _read_params(data[1], data, 2)
-    v = _unpack(ENCAPSULATION, params, data[off:])
+    v = _unpack(ENCAPSULATION, params, memoryview(data)[off:])
     return params, Encapsulation(e=v["e"], c=PkeCiphertext(v["c0"], v["c1"]))
 
 
@@ -271,7 +303,7 @@ def par_message(data: bytes) -> tuple[CommonParams, SigncryptedMessage]:
     off = 14
     if len(data) < off + elen + 8:
         raise FormatError("message truncated")
-    eparams, E = par_encapsulation(data[off: off + elen])
+    eparams, E = par_encapsulation(memoryview(data)[off: off + elen])
     if profile_id(eparams) != pid:
         raise FormatError("profile mismatch between header and encapsulation")
     off += elen

@@ -14,8 +14,10 @@ position that the estimate-and-correct walk of
 `cbsc.cwencode.unrank_support` replaced; the Möbius sum that Gauss's
 recursion in `cbsc.estimator.goppa_poly_count` replaced; the quotient-based
 extended Euclid that the fused loop of `cbsc.fields.poly_euclid`
-replaced; the enumeration of a whole signature coset; and helpers that only tests
-need.
+replaced; the XOR of the selected unpacked rows, which the packed rows
+of `cbsc.linalg.xor_rows` replaced; the re-encoding check that the byte
+checks of the `cbsc.serial` codecs replaced; the enumeration of a whole
+signature coset; and helpers that only tests need.
 
 They are slow and simple on purpose; tests compare the library against
 them.  Polynomials are lists of ints, index = degree, no trailing zeros.
@@ -35,7 +37,6 @@ from cbsc.linalg import (
     invert_matrix,
     random_full_rank,
     unpack_bits,
-    vecmat,
 )
 from cbsc.params import CUSTOM_FIELDS, TOY, CommonParams, custom_params
 from cbsc.uuvsign import _FREE_TABLE
@@ -300,6 +301,16 @@ def matmul(A: np.ndarray, B: np.ndarray, p: int) -> np.ndarray:
     return (np.asarray(A).astype(np.int64) @ np.asarray(B).astype(np.int64) % p).astype(np.uint8)
 
 
+def xor_select_rows(v: np.ndarray, M: np.ndarray) -> np.ndarray:
+    """v @ M over GF(2): the XOR of the uint8 rows of M that v selects."""
+    return np.bitwise_xor.reduce(M[np.asarray(v) % 2 == 1], axis=0)
+
+
+def canonical_by_reencoding(codec, data: bytes, n: int) -> bool:
+    """Whether n values unpacked from `data` re-encode to `data`."""
+    return codec.pack(codec.unpack(data, n)) == bytes(data)
+
+
 # ---------------------------------------------------------------------------
 # monomial matrices and the DEM, one coordinate at a time
 
@@ -409,14 +420,20 @@ def hash_trits(fields, r_s: int) -> np.ndarray:
     return np.array(trits[:r_s], dtype=np.uint8)
 
 
-def coset_solutions(pk, y: np.ndarray, omega: int) -> np.ndarray:
-    """Every e of weight omega with e @ [I | A].T = y, one per row: the
-    words (y - A z, z) over all z in F_3^k, k = n_s - r_s, that have
-    weight omega.  There are 3^k candidates, so k must be small."""
+def coset_words(pk, y: np.ndarray) -> np.ndarray:
+    """Every e with e @ [I | A].T = y, one per row: the words (y - A z, z)
+    over all z in F_3^k, k = n_s - r_s.  There are 3^k of them, so k
+    must be small.  The digits of z are reduced before the int16 cast,
+    as their quotients reach 3^(k-1)."""
     k = pk.A.shape[1]
-    Z = (np.arange(3 ** k)[:, None] // 3 ** np.arange(k)).astype(np.int16) % 3
+    Z = ((np.arange(3 ** k)[:, None] // 3 ** np.arange(k)) % 3).astype(np.int16)
     X = (np.asarray(y, dtype=np.int16) - Z @ pk.A.T.astype(np.int16)) % 3
-    E = np.concatenate([X, Z], axis=1).astype(np.uint8)
+    return np.concatenate([X, Z], axis=1).astype(np.uint8)
+
+
+def coset_solutions(pk, y: np.ndarray, omega: int) -> np.ndarray:
+    """The rows of `coset_words` of weight omega."""
+    E = coset_words(pk, y)
     return E[np.count_nonzero(E, axis=1) == omega]
 
 
@@ -468,4 +485,4 @@ def recover_message(G_pk: np.ndarray, c0: np.ndarray, sigma: np.ndarray) -> np.n
     if rank != G_pk.shape[0]:
         raise ValueError("public generator not full rank")
     u = (np.asarray(c0, dtype=np.uint8) ^ np.asarray(sigma, dtype=np.uint8))[pivots]
-    return vecmat(u, invert_matrix(G_pk[:, pivots], 2), 2)
+    return xor_select_rows(u, invert_matrix(G_pk[:, pivots], 2))

@@ -279,6 +279,23 @@ def test_vecmat_converts_a_large_operand_in_slabs():
         assert np.array_equal(got, O.matmul(left, right, 3))
 
 
+@pytest.mark.parametrize("rows, cols", [(16, 32), (300, 1024), (1815, 3488), (15, 30)])
+def test_xor_rows_matches_vecmat(rows, cols):
+    # the public generators of toy and L1/20, a paper-l1-sized random
+    # one, whose 3488 columns end mid-word, and a 30-column one
+    rng = _rng(rows)
+    M = L.random_matrix(rows, cols, 2, rng)
+    packed = L.pack_rows(M)
+    assert packed.dtype == np.uint64 and packed.shape == (rows, -(-cols // 64))
+    vs = [np.zeros(rows, dtype=np.uint8), np.ones(rows, dtype=np.uint8),
+          *L.random_matrix(4, rows, 2, rng)]
+    for v in vs:
+        got = L.xor_rows(v, packed, cols)
+        assert got.dtype == np.uint8
+        assert np.array_equal(got, L.vecmat(v, M, 2))
+        assert np.array_equal(got, O.xor_select_rows(v, M))
+
+
 # --- monomial matrices -------------------------------------------------------
 
 @pytest.mark.parametrize("p", [2, 3])
@@ -375,7 +392,7 @@ def test_trits_roundtrip(trits):
 
 
 def test_unpack_trits_every_byte():
-    # bytes of 243 and up too: parsers reject them by re-packing
+    # bytes of 243 and up too: parsers reject them before unpacking
     digits = [(b // 3 ** d) % 3 for b in range(256) for d in range(5)]
     assert L.unpack_trits(bytes(range(256)), 1280).tolist() == digits
     assert L.unpack_trits(bytes(range(256)), 1277).tolist() == digits[:1277]

@@ -87,9 +87,9 @@ def test_recover_message(receiver_keys, toy_params):
 
 def test_pke_decrypt_allocates_less_than_the_key():
     # at L1/20 the receiver key's uint8 arrays, S and G_pk, hold 554,400
-    # bytes.  Measured peak of one decryption: 434,084 bytes, 0.78 times
-    # that, mostly root finding's 21 x 1024 gather from the root table
-    # and the rows of G_pk that c0's decoding selects.
+    # bytes.  Measured peak of one decryption: 306,356 bytes, 0.55 times
+    # that, mostly root finding's 21 x 1024 index sum and its gather
+    # from the uint16 exp table.
     rng = np.random.default_rng(5)
     sk, pk = keygen_receiver(L1_20, rng)
     x, y = _xy(L1_20, rng)

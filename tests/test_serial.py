@@ -232,6 +232,28 @@ def test_invalid_custom_block_is_a_format_error(receiver_keys, sender_keys):
         serial.par_receiver_pub(bytes(key))
 
 
+def test_custom_block_is_parsed_once(monkeypatch, receiver_keys, sender_keys):
+    """Messages and key files that carry one custom block share the
+    profile validated from its first parse; a block that fails raises
+    on every parse."""
+    serial._custom_block.cache_clear()
+    calls = []
+    monkeypatch.setattr(serial, "custom_params",
+                        lambda values: calls.append(values) or custom_params(values))
+    blob = _custom_message(receiver_keys, sender_keys)
+    _, pk = receiver_keys
+    key = serial.ser_receiver_pub(custom_params(_TOY_VALUES), pk)
+    parsed = [serial.par_message(blob)[0] for _ in range(3)]
+    parsed.append(serial.par_receiver_pub(key)[0])
+    assert len(calls) == 1 and all(p is parsed[0] for p in parsed)
+    bad = bytearray(blob)
+    bad[16:20] = (17).to_bytes(4, "big")                  # odd n_s
+    for _ in range(2):
+        with pytest.raises(serial.FormatError, match="n_s must be even"):
+            serial.par_message(bytes(bad))
+    assert len(calls) == 3
+
+
 def test_custom_block_with_too_few_H_V_rows_is_a_format_error(receiver_keys,
                                                               sender_keys):
     blob = bytearray(_custom_message(receiver_keys, sender_keys))
@@ -381,6 +403,60 @@ def test_non_canonical_fields_rejected():
     with pytest.raises(serial.FormatError, match="canonical"):
         serial.par_encapsulation(bytes(tampered))
     assert unsigncrypt(params, sk_r, pk_s, sc) == b"canonical"
+
+    # key files, after their 7-byte header: a byte of the sender's A at
+    # 243; nonzero padding trits in H_U, whose 4 x 8 = 32 trits leave two
+    # in the last byte; nonzero padding bits in a receiver's G, whose
+    # 15 x 30 = 450 bits leave two in the last byte, after a custom block
+    _, pk_s = keygen_sender_params(TOY, rng)
+    sender_pub = bytearray(serial.ser_sender_pub(TOY, pk_s))
+    sender_pub[7] = 243
+    sender_sec = bytearray(serial.ser_sender_sec(TOY, sk_s))
+    last_H_U = 7 + serial.TRITS.nbytes(sk_s.H_U.size) - 1
+    assert sender_sec[last_H_U] < 9
+    sender_sec[last_H_U] += 9
+    params = custom_params(dict(n_s=16, k_U=4, k_V=4, omega=14, m=5, n_r=30,
+                                t=2, k_tilde=15, ell=16, salt_bits=16))
+    _, pk_r = keygen_receiver_params(params, rng)
+    receiver_pub = bytearray(serial.ser_receiver_pub(params, pk_r))
+    assert len(receiver_pub) == 7 + 40 + 57 and receiver_pub[-1] < 4
+    receiver_pub[-1] |= 0x80
+    for parse, blob, name in ((serial.par_sender_pub, sender_pub, "A"),
+                              (serial.par_sender_sec, sender_sec, "H_U"),
+                              (serial.par_receiver_pub, receiver_pub, "G")):
+        with pytest.raises(serial.FormatError, match=f"field {name} is not canonical"):
+            parse(bytes(blob))
+
+
+# the largest value of one unpacked entry, by codec
+_CODEC_VALUES = {"BITS": 2, "TRITS": 3, "ELEMS": 1 << 16}
+
+
+@pytest.mark.parametrize("name", list(_CODEC_VALUES))
+def test_codec_checks_match_reencoding(name):
+    """At every n from 0 to 40, so at every residue mod 8 and mod 5, the
+    check on the bytes accepts a byte string exactly when the values
+    unpacked from it re-encode to it: canonical encodings, each with one
+    byte replaced, with its last byte replaced, or all bytes random."""
+    codec = getattr(serial, name)
+    rng = np.random.default_rng(26)
+    verdicts = set()
+    for n in range(41):
+        size = codec.nbytes(n)
+        for _ in range(40):
+            data = bytearray(codec.pack(rng.integers(0, _CODEC_VALUES[name], n)))
+            if size:
+                kind = rng.integers(4)
+                if kind == 1:
+                    data[rng.integers(size)] = rng.integers(256)
+                elif kind == 2:
+                    data[-1] = rng.integers(256)
+                elif kind == 3:
+                    data[:] = rng.integers(0, 256, size, dtype=np.uint8).tobytes()
+            want = O.canonical_by_reencoding(codec, bytes(data), n)
+            assert codec.canonical(memoryview(bytes(data)), n) == want, (n, bytes(data))
+            verdicts.add(want)
+    assert verdicts == ({True} if name == "ELEMS" else {True, False})
 
 
 @settings(max_examples=150, deadline=None)

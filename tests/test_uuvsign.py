@@ -15,6 +15,7 @@ from cbsc.sctkem import keygen_receiver_params, keygen_sender_params
 from cbsc.uuvsign import (
     BATCH,
     RetryExhausted,
+    SenderPublicKey,
     _attempts,
     _free_values,
     build_uuv_parity_check,
@@ -180,6 +181,20 @@ def test_coset_solutions_match_brute_force():
             assert sorted(map(bytes, got)) == sorted(map(bytes, want)), (y, omega)
             total += len(got)
     assert total == 3 ** 8
+
+
+def test_coset_words_are_distinct_at_k_10():
+    # base-3 digit quotients reach 3^9 = 19,683 and their products past
+    # 32,767; every candidate of a k = 10 coset is its own word, and all
+    # lie in the coset
+    rng = np.random.default_rng(12)
+    pk = SenderPublicKey(A=rng.integers(0, 3, size=(6, 10), dtype=np.uint8))
+    y = rng.integers(0, 3, size=6, dtype=np.uint8)
+    words = O.coset_words(pk, y)
+    assert len(words) == 3 ** 10
+    assert len(np.unique(words, axis=0)) == 3 ** 10
+    I_A = np.concatenate([np.eye(6, dtype=np.uint8), pk.A], axis=1)
+    assert (O.matmul(words, I_A.T, 3) == y).all()
 
 
 def _pair_weights(other, x):
