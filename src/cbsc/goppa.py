@@ -153,7 +153,7 @@ def patterson_decode(code: GoppaCode, word: np.ndarray):
     Words beyond distance t fail cleanly or decode to a codeword within
     distance t.
     """
-    word = np.asarray(word, dtype=np.uint8) & 1
+    word = np.asarray(word, dtype=np.uint8) % 2
     if len(word) != code.n:
         raise ValueError("word length mismatch")
     m, t = code.m, code.t
@@ -168,10 +168,10 @@ def patterson_decode(code: GoppaCode, word: np.ndarray):
     sigma[1:2 * len(b):2] = [T.exp[2 * T.log[c]] for c in b]
     log_sigma = np.array([T.log[c] for c in sigma], dtype=np.int32)
     values = T.exp_u16.take(log_sigma[:, None] + code.root_table[:len(sigma)])
-    error = np.bitwise_xor.reduce(values, axis=0) == 0
-    if np.count_nonzero(error) != F.poly_deg(sigma):
+    error = (np.bitwise_xor.reduce(values, axis=0) == 0).astype(np.uint8)
+    if int(error.sum()) != F.poly_deg(sigma):
         return None
-    return error.view(np.uint8)
+    return error
 
 
 # ---------------------------------------------------------------------------
@@ -182,8 +182,8 @@ class ReceiverSecretKey:
     code: GoppaCode
     S: np.ndarray          # k-tilde x k_r, full row rank
     P: Monomial            # permutation on n_r coordinates
-    G_pk: np.ndarray       # public generator S·G·P, kept for re-encryption checks
-    G_rows: np.ndarray = field(init=False, repr=False)  # pack_rows(G_pk)
+    G_pk: np.ndarray       # public generator S·G·P
+    G_rows: np.ndarray = field(init=False, repr=False)  # pack_rows(G_pk), for re-encryption checks
 
     def __post_init__(self):
         self.G_rows = pack_rows(self.G_pk)
@@ -192,10 +192,11 @@ class ReceiverSecretKey:
 @dataclass
 class ReceiverPublicKey:
     G: np.ndarray          # k-tilde x n_r
-    G_rows: np.ndarray = field(init=False, repr=False)  # pack_rows(G), for encryption
+    G_rows: np.ndarray = field(default=None, repr=False)  # pack_rows(G), for encryption
 
     def __post_init__(self):
-        self.G_rows = pack_rows(self.G)
+        if self.G_rows is None:
+            self.G_rows = pack_rows(self.G)
 
 
 def keygen_receiver(params: CommonParams, rng):
@@ -212,7 +213,7 @@ def keygen_receiver(params: CommonParams, rng):
             sk = receiver_secret_key(code, G, S, random_permutation(params.n_r, rng))
         except ValueError:
             continue
-        return sk, ReceiverPublicKey(G=sk.G_pk)
+        return sk, ReceiverPublicKey(G=sk.G_pk, G_rows=sk.G_rows)
 
 
 def receiver_secret_key(code: GoppaCode, G: np.ndarray, S: np.ndarray,

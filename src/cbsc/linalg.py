@@ -482,11 +482,12 @@ TRIT_SLAB = 1 << 14
 
 def unpack_trits(data, n: int) -> np.ndarray:
     """The first n trits of `pack_trits` bytes, in one gather of whole
-    items, into the output TRIT_SLAB bytes at a time."""
+    items, into the output TRIT_SLAB bytes at a time.  A byte indexes
+    one of the table's 256 items, so `take` clips nothing, and with a
+    mode other than "raise" it writes straight into `out` instead of
+    through a buffer of its own."""
     packed = np.frombuffer(data, dtype=np.uint8)
-    if len(packed) <= TRIT_SLAB:
-        return _BYTE_TRITS.take(packed).view(np.uint8)[:n]
     out = np.empty(len(packed), dtype=_BYTE_TRITS.dtype)
     for s in range(0, len(packed), TRIT_SLAB):
-        _BYTE_TRITS.take(packed[s:s + TRIT_SLAB], out=out[s:s + TRIT_SLAB])
+        _BYTE_TRITS.take(packed[s:s + TRIT_SLAB], out=out[s:s + TRIT_SLAB], mode="clip")
     return out.view(np.uint8)[:n]

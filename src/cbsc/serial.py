@@ -142,23 +142,14 @@ def _pack(what, obj) -> bytes:
     return b"".join(f.codec.pack(f.get(obj)) for f in LAYOUTS[what])
 
 
-@functools.lru_cache(maxsize=64)
-def _sizes(what, params: CommonParams) -> tuple[tuple, int]:
-    """(field, shape, values, bytes) of each field of `what` under
-    `params`, and the payload's length."""
-    shapes = [f.shape(params) for f in LAYOUTS[what]]
-    rows = tuple((f, shape, math.prod(shape), f.codec.nbytes(math.prod(shape)))
-                 for f, shape in zip(LAYOUTS[what], shapes))
-    return rows, sum(row[3] for row in rows)
-
-
 def _unpack(what, params: CommonParams, payload: memoryview) -> dict[str, np.ndarray]:
-    rows, length = _sizes(what, params)
-    if len(payload) != length:
+    shapes = [f.shape(params) for f in LAYOUTS[what]]
+    sizes = [f.codec.nbytes(math.prod(s)) for f, s in zip(LAYOUTS[what], shapes)]
+    if len(payload) != sum(sizes):
         raise FormatError(f"{ROLE_NAMES.get(what, what)} payload length mismatch")
     values, off = {}, 0
-    for f, shape, n, size in rows:
-        field = payload[off: off + size]
+    for f, shape, size in zip(LAYOUTS[what], shapes, sizes):
+        field, n = payload[off: off + size], math.prod(shape)
         if not f.codec.canonical(field, n):
             raise FormatError(f"{ROLE_NAMES.get(what, what)} field {f.name} "
                               "is not canonically encoded")

@@ -228,7 +228,7 @@ def verify_syndrome(pk: SenderPublicKey, e: np.ndarray, y: np.ndarray,
     e = np.asarray(e, dtype=np.uint8) % 3
     r = pk.r_s
     return (len(e) == pk.n_s and int(np.count_nonzero(e)) == omega
-            and bool(np.array_equal(_mod_small(e[:r] + vecmat(e[r:], pk.A.T, 3), 3), y)))
+            and bool(np.array_equal((e[:r] + vecmat(e[r:], pk.A.T, 3)) % 3, y)))
 
 
 def sign(sk: SenderSecretKey, msg: bytes, omega: int, salt_bits: int, rng) -> Signature:

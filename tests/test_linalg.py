@@ -398,6 +398,18 @@ def test_unpack_trits_every_byte():
     assert L.unpack_trits(bytes(range(256)), 1277).tolist() == digits[:1277]
 
 
+def test_unpack_trits_across_slabs():
+    # two whole slabs and a partial last one, against the digit table
+    data = np.random.default_rng(26).integers(0, 256, 2 * L.TRIT_SLAB + 7,
+                                              dtype=np.uint8).tobytes()
+    table = np.array([[(b // 3 ** d) % 3 for d in range(5)] for b in range(256)],
+                     dtype=np.uint8)
+    want = table[np.frombuffer(data, dtype=np.uint8)].ravel()
+    n = 5 * len(data) - 3
+    assert np.array_equal(L.unpack_trits(data, n), want[:n])
+    assert np.array_equal(L.unpack_trits(data, 5 * len(data)), want)
+
+
 def test_bits_from_bytes():
     assert np.array_equal(O.bits_from_bytes(b"\x03"),
                           np.array([1, 1, 0, 0, 0, 0, 0, 0], dtype=np.uint8))

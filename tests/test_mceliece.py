@@ -87,7 +87,7 @@ def test_recover_message(receiver_keys, toy_params):
 
 def test_pke_decrypt_allocates_less_than_the_key():
     # at L1/20 the receiver key's uint8 arrays, S and G_pk, hold 554,400
-    # bytes.  Measured peak of one decryption: 306,356 bytes, 0.55 times
+    # bytes.  Measured peak of one decryption: 306,100 bytes, 0.55 times
     # that, mostly root finding's 21 x 1024 index sum and its gather
     # from the uint16 exp table.
     rng = np.random.default_rng(5)
