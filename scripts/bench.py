@@ -285,7 +285,7 @@ def patterson(params, sk) -> dict:
     for error in errors:
         error[rng.choice(params.n_r, size=params.t, replace=False)] = 1
     msgs = rng.integers(0, 2, size=(DECODES, params.k_tilde), dtype=np.uint8)
-    words = linalg.matmul(msgs, sk.G_pk, 2) ^ errors
+    words = linalg.matmul(msgs, sk.pk.G, 2) ^ errors
     tracer = spans.Tracer()
     tracer.install()
     roots = []

@@ -30,7 +30,7 @@ def kappa(n: int, t: int) -> int:
 
 def rank_support(support) -> int:
     """Colex rank of a strictly increasing index sequence."""
-    return sum(comb(int(c), i + 1) for i, c in enumerate(support))
+    return sum(comb(c, i + 1) for i, c in enumerate(support))
 
 
 def unrank_support(r: int, n: int, t: int) -> list[int]:
@@ -87,7 +87,7 @@ def phi(y: np.ndarray, n: int, t: int) -> np.ndarray:
 def phi_inv(sigma: np.ndarray, t: int) -> np.ndarray | None:
     """Left inverse of phi; None when the vector is outside phi's image."""
     sigma = np.asarray(sigma, dtype=np.uint8)
-    support = np.nonzero(sigma)[0]
+    support = np.flatnonzero(sigma).tolist()
     if len(support) != t:
         return None
     n = len(sigma)

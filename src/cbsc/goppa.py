@@ -27,7 +27,7 @@ roots of the error locator.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -42,6 +42,7 @@ from .linalg import (
     pack_rows,
     random_matrix,
     random_permutation,
+    unpack_rows,
 )
 from .params import CommonParams
 
@@ -178,25 +179,22 @@ def patterson_decode(code: GoppaCode, word: np.ndarray):
 # receiver keys (permuted Goppa subcode)
 
 @dataclass
+class ReceiverPublicKey:
+    G_rows: np.ndarray     # pack_rows(S·G·P): k-tilde rows of uint64 words
+    n: int                 # n_r, the columns of S·G·P
+
+    @property
+    def G(self) -> np.ndarray:
+        """S·G·P as a k-tilde x n_r 0/1 matrix, unpacked on each read."""
+        return unpack_rows(self.G_rows, self.n)
+
+
+@dataclass
 class ReceiverSecretKey:
     code: GoppaCode
     S: np.ndarray          # k-tilde x k_r, full row rank
     P: Monomial            # permutation on n_r coordinates
-    G_pk: np.ndarray       # public generator S·G·P
-    G_rows: np.ndarray = field(init=False, repr=False)  # pack_rows(G_pk), for re-encryption checks
-
-    def __post_init__(self):
-        self.G_rows = pack_rows(self.G_pk)
-
-
-@dataclass
-class ReceiverPublicKey:
-    G: np.ndarray          # k-tilde x n_r
-    G_rows: np.ndarray = field(default=None, repr=False)  # pack_rows(G), for encryption
-
-    def __post_init__(self):
-        if self.G_rows is None:
-            self.G_rows = pack_rows(self.G)
+    pk: ReceiverPublicKey  # the public key, S·G·P, for re-encryption checks
 
 
 def keygen_receiver(params: CommonParams, rng):
@@ -213,14 +211,14 @@ def keygen_receiver(params: CommonParams, rng):
             sk = receiver_secret_key(code, G, S, random_permutation(params.n_r, rng))
         except ValueError:
             continue
-        return sk, ReceiverPublicKey(G=sk.G_pk, G_rows=sk.G_rows)
+        return sk, sk.pk
 
 
 def receiver_secret_key(code: GoppaCode, G: np.ndarray, S: np.ndarray,
                         P: Monomial) -> ReceiverSecretKey:
-    """The secret key of (code, S, P), with its public generator S·G·P,
-    where G is the generator of the code.  Raises ValueError unless S
-    has one column per row of G and full row rank.
+    """The secret key of (code, S, P), with its public key, the packed
+    rows of S·G·P, where G is the generator of the code.  Raises
+    ValueError unless S has one column per row of G and full row rank.
 
     A unit column e_i of G makes column S[:, i] of S·G, so those columns
     are gathered from S and only the others are multiplied: the k free
@@ -235,7 +233,8 @@ def receiver_secret_key(code: GoppaCode, G: np.ndarray, S: np.ndarray,
     SG = np.empty((len(S), G.shape[1]), dtype=np.uint8)
     SG[:, unit] = S[:, G[:, unit].argmax(axis=0)]
     SG[:, ~unit] = matmul(S, G[:, ~unit], 2)
-    return ReceiverSecretKey(code=code, S=S, P=P, G_pk=mono_apply(SG, P, 2))
+    pk = ReceiverPublicKey(pack_rows(mono_apply(SG, P, 2)), G.shape[1])
+    return ReceiverSecretKey(code, S, P, pk)
 
 
 def decode_permuted(sk: ReceiverSecretKey, word: np.ndarray):

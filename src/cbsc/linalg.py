@@ -56,12 +56,13 @@ are unpacked to uint8 before they leave the module.
 
 A GF(2) product of a vector by a fixed matrix, which PKE encryption and
 the re-encryption check take with a receiver key's public generator,
-runs on that matrix's rows as uint64 words, `pack_rows`, which the key
-packs once when it is built: `xor_rows` XORs the words of the rows the
-vector selects and unpacks the n bits of the sum.  Against the XOR of
-the unpacked uint8 rows, on one core of a shared 2-vCPU VM: 20 -> 11 us
-for the 300 x 1024 L1/20 generator, 533 -> 130 us for the 1815 x 3488
-`paper-l1` one.
+runs on that matrix's rows as uint64 words, `pack_rows`, the only form
+in which a key holds its generator: `xor_rows` XORs the words of the
+rows the vector selects and unpacks the n bits of the sum with
+`unpack_rows`, which also gives the whole matrix back.  Against the
+XOR of the unpacked uint8 rows, on one core of a shared 2-vCPU VM:
+20 -> 11 us for the 300 x 1024 L1/20 generator, 533 -> 130 us for the
+1815 x 3488 `paper-l1` one.
 
 Products run as float32 BLAS, C = A @ B, then one exact reduction by
 floor: q = floor(C / p), C - p*q.  Every partial sum is an integer of
@@ -377,12 +378,17 @@ def pack_rows(M: np.ndarray) -> np.ndarray:
     return words
 
 
+def unpack_rows(words: np.ndarray, n: int) -> np.ndarray:
+    """The n-column 0/1 uint8 rows of `pack_rows` words, or of one row's
+    words."""
+    return np.unpackbits(words.view(np.uint8), axis=-1, count=n, bitorder="little")
+
+
 def xor_rows(v: np.ndarray, rows: np.ndarray, n: int) -> np.ndarray:
     """v @ M over GF(2), as n bits, for a 0/1 vector v and the words
     `pack_rows(M)` of an n-column M: the XOR of the packed rows that v
     selects."""
-    words = np.bitwise_xor.reduce(np.compress(v, rows, axis=0), axis=0)
-    return np.unpackbits(words.view(np.uint8), count=n, bitorder="little")
+    return unpack_rows(np.bitwise_xor.reduce(np.compress(v, rows, axis=0), axis=0), n)
 
 
 # ---------------------------------------------------------------------------

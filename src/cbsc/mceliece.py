@@ -22,20 +22,25 @@ class PkeCiphertext(NamedTuple):
     c1: np.ndarray  # k_tilde + ell bits
 
 
+def _c0(pk: ReceiverPublicKey, x: np.ndarray, y: np.ndarray,
+        sigma: np.ndarray) -> np.ndarray:
+    """c0 = H1(x, y)·G ⊕ sigma, over the packed rows of the public G."""
+    return xor_rows(hash_bits(H1, [x, y], len(pk.G_rows)), pk.G_rows, pk.n) ^ sigma
+
+
 def pke_encrypt(pk: ReceiverPublicKey, x: np.ndarray, y: np.ndarray,
                 t: int) -> PkeCiphertext:
     """Encrypt x (k_tilde + ell bits) under coin y (kappa bits)."""
-    k_tilde, n_r = pk.G.shape
-    r = hash_bits(H1, [x, y], k_tilde)
-    sigma = phi(y, n_r, t)
-    c0 = xor_rows(r, pk.G_rows, n_r) ^ sigma
+    sigma = phi(y, pk.n, t)
     c1 = hash_bits(H3, [sigma], len(x)) ^ np.asarray(x, dtype=np.uint8)
-    return PkeCiphertext(c0, c1)
+    return PkeCiphertext(_c0(pk, x, y, sigma), c1)
 
 
 def pke_decrypt(sk: ReceiverSecretKey, c: PkeCiphertext, t: int):
     """Recover (x, y) or None.  Fails on decoding failure, a non-encodable
-    error vector, or a failed re-encryption check."""
+    error vector, or a failed re-encryption check: encryption's c0,
+    computed again from (x, y) under the secret key's public key `sk.pk`,
+    must equal c0."""
     sigma = decode_permuted(sk, c.c0)
     if sigma is None:
         return None
@@ -43,9 +48,6 @@ def pke_decrypt(sk: ReceiverSecretKey, c: PkeCiphertext, t: int):
     if y is None:
         return None
     x = c.c1 ^ hash_bits(H3, [sigma], len(c.c1))
-    k_tilde, n_r = sk.G_pk.shape
-    r = hash_bits(H1, [x, y], k_tilde)
-    if np.any(xor_rows(r, sk.G_rows, n_r) ^ sigma != c.c0):
+    if np.any(_c0(sk.pk, x, y, sigma) != c.c0):
         return None
     return x, y
-

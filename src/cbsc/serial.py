@@ -41,7 +41,7 @@ from .goppa import (
     generator_matrix,
     receiver_secret_key,
 )
-from .linalg import Monomial, pack_bits, pack_trits, unpack_bits, unpack_trits
+from .linalg import Monomial, pack_bits, pack_rows, pack_trits, unpack_bits, unpack_trits
 from .params import (
     CUSTOM_FIELDS,
     PROFILE_BY_ID,
@@ -212,7 +212,7 @@ def ser_receiver_pub(params: CommonParams, pk: ReceiverPublicKey) -> bytes:
 
 def par_receiver_pub(data: bytes) -> tuple[CommonParams, ReceiverPublicKey]:
     params, v = _par_key(ROLE_RECEIVER_PUB, data)
-    return params, ReceiverPublicKey(G=v["G"])
+    return params, ReceiverPublicKey(pack_rows(v["G"]), params.n_r)
 
 
 def ser_receiver_sec(params: CommonParams, sk: ReceiverSecretKey) -> bytes:

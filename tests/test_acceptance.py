@@ -126,7 +126,7 @@ def test_criterion_3_patterson_exhaustive():
 
 
 def test_criterion_4_subcode_invariant():
-    """Rows of G_pk P^-1 have zero secret syndrome for 50 fresh keys."""
+    """Rows of pk.G P^-1 have zero secret syndrome for 50 fresh keys."""
     rng = np.random.default_rng(4)
     for i in range(50):
         sk, pk = keygen_receiver(TOY, rng)

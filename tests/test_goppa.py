@@ -165,10 +165,10 @@ def test_keygen_receiver_shapes(receiver_keys, toy_params):
     p = toy_params
     assert pk.G.shape == (p.k_tilde, p.n_r)
     assert mat_rank(pk.G, 2) == p.k_tilde
-    assert np.array_equal(sk.G_pk, pk.G)
+    assert pk is sk.pk
     G = generator_matrix(sk.code)
     assert G.shape == (p.k_r, p.n_r)
-    assert np.array_equal(sk.G_pk, mat_mono(matmul(sk.S, G, 2), sk.P, 2))
+    assert np.array_equal(sk.pk.G, mat_mono(matmul(sk.S, G, 2), sk.P, 2))
 
 
 def test_public_rows_in_permuted_code(receiver_keys):
@@ -210,7 +210,7 @@ def test_public_generator_matches_oracle_product(params):
     S = random_matrix(params.k_tilde, params.k_r, 2, rng)
     P = random_permutation(params.n_r, rng)
     sk = receiver_secret_key(code, G, S, P)
-    assert np.array_equal(sk.G_pk, mono_apply(O.matmul(S, G, 2), P, 2))
+    assert np.array_equal(sk.pk.G, mono_apply(O.matmul(S, G, 2), P, 2))
 
 
 def test_public_generator_with_a_unit_pivot_column():
@@ -224,7 +224,7 @@ def test_public_generator_with_a_unit_pivot_column():
     S = random_matrix(MID.k_tilde, MID.k_r, 2, rng)
     P = random_permutation(MID.n_r, rng)
     sk = receiver_secret_key(code, G, S, P)
-    assert np.array_equal(sk.G_pk, mono_apply(O.matmul(S, G, 2), P, 2))
+    assert np.array_equal(sk.pk.G, mono_apply(O.matmul(S, G, 2), P, 2))
 
 
 def test_keygen_rejects_bad_dims():

@@ -86,10 +86,11 @@ def test_recover_message(receiver_keys, toy_params):
 
 
 def test_pke_decrypt_allocates_less_than_the_key():
-    # at L1/20 the receiver key's uint8 arrays, S and G_pk, hold 554,400
-    # bytes.  Measured peak of one decryption: 306,100 bytes, 0.55 times
-    # that, mostly root finding's 21 x 1024 index sum and its gather
-    # from the uint16 exp table.
+    # the bound is the uint8 size of the k-tilde x k_r S and of the
+    # k-tilde x n_r public generator, 300 x (824 + 1024) = 554,400 bytes
+    # at L1/20.  Measured peak of one decryption: 306,084 bytes, 0.55
+    # times that, mostly root finding's 21 x 1024 index sum and its
+    # gather from the uint16 exp table.
     rng = np.random.default_rng(5)
     sk, pk = keygen_receiver(L1_20, rng)
     x, y = _xy(L1_20, rng)
@@ -101,4 +102,6 @@ def test_pke_decrypt_allocates_less_than_the_key():
     finally:
         tracemalloc.stop()
     assert res is not None and np.array_equal(res[0], x)
-    assert peak < sk.S.nbytes + sk.G_pk.nbytes
+    bound = L1_20.k_tilde * (L1_20.k_r + L1_20.n_r)
+    assert bound == 554_400
+    assert peak < bound

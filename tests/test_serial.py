@@ -38,7 +38,7 @@ def test_receiver_sec_roundtrip(toy_params, receiver_keys):
     assert np.array_equal(sk2.S, sk.S)
     assert np.array_equal(sk2.P.perm, sk.P.perm)
     assert np.array_equal(sk2.P.scalars, sk.P.scalars)
-    assert np.array_equal(sk2.G_pk, sk.G_pk)
+    assert np.array_equal(sk2.pk.G, sk.pk.G)
     assert serial.ser_receiver_sec(params, sk2) == blob
 
 
@@ -62,6 +62,21 @@ def test_sender_sec_roundtrip(toy_params, sender_keys):
 
 
 L1_20 = setup(str(Path(__file__).resolve().parent.parent / "perfbench" / "l1-20.profile"))
+
+
+# n_r = 30: each public row ends mid-byte, so the file's flat bit
+# packing and the key's packed rows differ
+N30 = custom_params(dict(n_s=16, k_U=4, k_V=4, omega=14, m=5, n_r=30,
+                         t=2, k_tilde=16, ell=16, salt_bits=16))
+
+
+@pytest.mark.parametrize("params", [TOY, N30, L1_20], ids=["toy", "n30", "l1-20"])
+def test_receiver_sec_file_rederives_the_pub_file(params):
+    """A receiver secret key file alone gives back the public key file."""
+    sk, pk = keygen_receiver_params(params, np.random.default_rng(0))
+    pub = serial.ser_receiver_pub(params, pk)
+    _, sk2 = serial.par_receiver_sec(serial.ser_receiver_sec(params, sk))
+    assert serial.ser_receiver_pub(params, sk2.pk) == pub
 
 
 @pytest.mark.parametrize("params", [TOY, MID, L1_20], ids=["toy", "mid", "l1-20"])
@@ -389,8 +404,7 @@ def test_non_canonical_fields_rejected():
             serial.par_message(bytes(tampered))
 
     # n_r = 30: the last byte of c0 holds two padding bits
-    params = custom_params(dict(n_s=16, k_U=4, k_V=4, omega=14, m=5, n_r=30,
-                                t=2, k_tilde=16, ell=16, salt_bits=16))
+    params = N30
     sk_r, pk_r = keygen_receiver_params(params, rng)
     sk_s, pk_s = keygen_sender_params(params, rng)
     sc = signcrypt(params, sk_s, pk_r, b"canonical", rng)
