@@ -52,7 +52,8 @@ from its own generator, seeded with SEED, and records:
   receiver_secret_key_peak_mib
                    what `tracemalloc` sees allocated while
                    `goppa.receiver_secret_key` derives the loaded
-                   receiver key's S·G·P again
+                   receiver key's S·G·P again from the RREF of its
+                   parity check, reduced before the count starts
   peak_rss_mib     the peak RSS of the process so far; the profiles run
                    in the order given, holding one profile's keys at a
                    time
@@ -62,14 +63,18 @@ phases are:
 
     receiver keygen  fields.random_irreducible (irreducible search),
                      goppa.goppa_parity_check (parity check),
-                     goppa.generator_matrix self (kernel),
-                     linalg.mat_rank (the full-row-rank check of S in
-                     goppa.receiver_secret_key, once per drawn S),
-                     linalg.matmul (S·G over the mt columns of G that
-                     are not unit columns; the others are gathered
-                     from S), linalg.mono_apply (S·G·P)
-    receiver load    fields.poly_is_irreducible, the parity check, the
-                     kernel, the rank check of S and S·G·P again
+                     goppa.keygen_receiver self (mostly the untraced
+                     mat_reduce of the parity check, once per drawn
+                     code; no generator matrix is built),
+                     linalg.mat_rank (the forward-pass full-row-rank
+                     check of S in goppa.receiver_secret_key, once per
+                     drawn S), linalg.matmul (S·R_free^T, the mt pivot
+                     columns of S·G; its free columns are S itself),
+                     linalg.mono_apply (S·G·P: one gather that puts
+                     [S | S·R_free^T] in column order and applies P)
+    receiver load    fields.poly_is_irreducible, the parity check and
+                     its mat_reduce (in serial.par_receiver_sec self),
+                     the rank check of S and S·G·P again
     sender keygen    uuvsign.keygen_sender self (one untraced
                      mat_reduce of H_sk·P per draw whose H_V has no
                      zero column: the pivot check and A),
@@ -77,7 +82,8 @@ phases are:
                      (the two solvers)
     sender load      serial.par_sender_sec self (unpacking H_U and H_V),
                      linalg.mat_rank (the rank of the first r_s columns
-                     of H_sk·P; A is not recomputed), linalg.mono_apply,
+                     of H_sk·P, by the forward pass alone; A is not
+                     recomputed), linalg.mono_apply,
                      linalg.AffineSolver
     signing attempts at most SIGN_ATTEMPTS attempts of `uuv_decode` on a
                      random word: linalg.AffineSolver.solve (a product
@@ -327,10 +333,10 @@ def parse_record(blobs: dict, wire: bytes) -> dict:
 
 
 def receiver_key_peak_mib(sk) -> float:
-    G = goppa.generator_matrix(sk.code)
+    rref = linalg.mat_reduce(goppa.goppa_parity_check(sk.code), 2)
     tracemalloc.start()
     try:
-        goppa.receiver_secret_key(sk.code, G, sk.S, sk.P)
+        goppa.receiver_secret_key(sk.code, rref, sk.S, sk.P)
         return tracemalloc.get_traced_memory()[1] / 2**20
     finally:
         tracemalloc.stop()

@@ -183,12 +183,27 @@ def poly_mod(p: list[int], d: list[int], m: int) -> list[int]:
     return poly_divmod(p, d, m)[1]
 
 
-def poly_gcd(p: list[int], q: list[int], m: int) -> list[int]:
-    while q:
-        p, q = q, poly_mod(p, q, m)
-    if p:
-        p = poly_scale(p, gf_inv(p[-1], m), m)  # monic
-    return p
+def poly_gcd(a: list[int], b: list[int], m: int) -> list[int]:
+    """The monic gcd of a and b ([] if both are zero), by the remainder
+    loop of `poly_euclid` without its Bezout coefficient: r0 is reduced
+    by r1 in place, from the top down, and the pair swaps."""
+    T = tables(m)
+    exp, log, order = T.exp, T.log, T.order
+    r0, r1 = poly_trim(list(a)), poly_trim(list(b))
+    while r1:
+        lr = [log[c] for c in r1]
+        llead = lr.pop()
+        dn = len(lr)
+        while len(r0) > dn:
+            c = r0.pop()
+            if c:
+                lc = log[c] - llead
+                if lc < 0:
+                    lc += order
+                for i, li in enumerate(lr, len(r0) - dn):
+                    r0[i] ^= exp[lc + li]
+        r0, r1 = r1, poly_trim(r0)
+    return poly_scale(r0, gf_inv(r0[-1], m), m) if r0 else r0
 
 
 def poly_euclid(a: list[int], b: list[int], stop: int, m: int):

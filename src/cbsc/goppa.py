@@ -23,6 +23,13 @@ word), the fused extended Euclidean loop of `fields.poly_euclid` on
 table arithmetic for the inverse and the key equation, the square-root
 table for the square root, and one gather from the root table for the
 roots of the error locator.
+
+Receiver key generation reduces the parity check of each drawn code
+once, with `linalg.mat_reduce`, and loading a receiver secret key
+reduces the loaded code's.  The code has dimension k_r exactly when
+that RREF has k_r free columns, and `receiver_secret_key` builds the
+public generator S·G·P from it without forming the generator G of
+`generator_matrix`.
 """
 
 from __future__ import annotations
@@ -36,6 +43,7 @@ from .linalg import (
     Monomial,
     kernel_basis,
     mat_rank,
+    mat_reduce,
     matmul,
     mono_apply,
     mono_apply_inv,
@@ -200,41 +208,45 @@ class ReceiverSecretKey:
 def keygen_receiver(params: CommonParams, rng):
     """A receiver key pair of the validated profile `params`."""
     while True:
-        # the parity check has full rank mt exactly when G has n - mt rows
+        # the parity check has full rank mt exactly when the code has
+        # dimension n - mt, the number of free columns of its RREF
         code = random_goppa_code(params.m, params.n_r, params.t, rng)
-        G = generator_matrix(code)
-        if len(G) == params.k_r:
+        rref = mat_reduce(goppa_parity_check(code), 2)
+        if len(rref[1]) == params.k_r:
             break
     while True:  # redraw S and P until the key is valid
         S = random_matrix(params.k_tilde, params.k_r, 2, rng)
         try:
-            sk = receiver_secret_key(code, G, S, random_permutation(params.n_r, rng))
+            sk = receiver_secret_key(code, rref, S, random_permutation(params.n_r, rng))
         except ValueError:
             continue
         return sk, sk.pk
 
 
-def receiver_secret_key(code: GoppaCode, G: np.ndarray, S: np.ndarray,
+def receiver_secret_key(code: GoppaCode, rref: tuple, S: np.ndarray,
                         P: Monomial) -> ReceiverSecretKey:
     """The secret key of (code, S, P), with its public key, the packed
-    rows of S·G·P, where G is the generator of the code.  Raises
-    ValueError unless S has one column per row of G and full row rank.
+    rows of S·G·P, where G is the generator of the code.  `rref` is the
+    `mat_reduce` triple (pivots, free, R_free) of the code's parity
+    check.  Raises ValueError unless S has one column per free column
+    and full row rank.
 
-    A unit column e_i of G makes column S[:, i] of S·G, so those columns
-    are gathered from S and only the others are multiplied: the k free
-    columns of a `kernel_basis` are unit columns, which leaves the mt
-    pivot columns to `matmul`.
+    G, the `generator_matrix` of the code, is never built: it is the
+    identity on the free columns and R_free transposed on the pivot
+    columns, so S·G with its columns in the order (free, pivots) is
+    [S | S·R_free^T], and the mt pivot columns take the one product.
+    Putting the columns back in order and then applying P is one
+    permutation, so one gather makes S·G·P.
     """
-    if len(G) != S.shape[1]:
-        raise ValueError(f"code has dimension {len(G)}, S has {S.shape[1]} columns")
+    pivots, free, R_free = rref
+    if len(free) != S.shape[1]:
+        raise ValueError(f"code has dimension {len(free)}, S has {S.shape[1]} columns")
     if mat_rank(S, 2) != len(S):
         raise ValueError("S does not have full row rank")
-    unit = np.count_nonzero(G, axis=0) == 1
-    SG = np.empty((len(S), G.shape[1]), dtype=np.uint8)
-    SG[:, unit] = S[:, G[:, unit].argmax(axis=0)]
-    SG[:, ~unit] = matmul(S, G[:, ~unit], 2)
-    pk = ReceiverPublicKey(pack_rows(mono_apply(SG, P, 2)), G.shape[1])
-    return ReceiverSecretKey(code, S, P, pk)
+    order = free.tolist() + pivots
+    SG = np.concatenate([S, matmul(S, R_free.T, 2)], axis=1)
+    SGP = mono_apply(SG, Monomial(P.perm[order], P.scalars[order]), 2)
+    return ReceiverSecretKey(code, S, P, ReceiverPublicKey(pack_rows(SGP), code.n))
 
 
 def decode_permuted(sk: ReceiverSecretKey, word: np.ndarray):

@@ -43,8 +43,19 @@ keys' GF(3) 4 x 8 28 -> 28 and 8 x 16 44 -> 48, GF(2) 10 x 32 36 ->
 31 rows one block is 1.3 to 1.4 times slower (GF(3) 24 x 48 217 ->
 290, 31 x 62 366 -> 490; GF(2) 31 x 62 167 -> 230), but no key of the
 toy or L1/20 profiles has such a matrix: toy's largest is the 16 x 22
-S, L1/20's smallest the 35 x 212 H_U.  `mat_rank` stops after the
-elimination and unpacks nothing: 52 us on the 16 x 22 S.
+S, L1/20's smallest the 35 x 212 H_U.
+
+`mat_rank` runs only the forward pass of this elimination and unpacks
+nothing.  Its tables clear only the rows that hold no pivot yet, which
+are all that later pivot searches read; a block's pivot rows are still
+reduced against each other on the block, as its table needs them in
+RREF there.  The pass builds no table for the last block, stops once
+every row holds a pivot, and finds the pivots of `mat_reduce`.  Against
+the Gauss-Jordan it ran before, on one core of the same VM (interleaved
+runs of one random matrix): GF(3) 2887 x 2887, the `paper-l1` sender
+square, 1.39-1.92 -> 0.79-1.11 s; GF(3) 145 x 145 4.9 -> 3.2 ms; GF(2)
+300 x 824, the L1/20 S, 5.4 -> 3.9 ms.  The one block below 32 rows has
+no table to spare, so the 16 x 22 S of toy keys stays at 50-73 us.
 
 Integers hold the rows, not numpy uint64 word arrays: a pivot step on
 word arrays is some fifteen numpy calls, so on the 4- to 16-row
@@ -85,7 +96,7 @@ a time, so no product holds a float32 copy of a whole key:
 `verify_syndrome` at `paper-l1` allocated 62 MiB for its 2887 x 5605 A
 and now 11 MiB, and its product fell from 27 to 8 ms;
 `receiver_secret_key` there allocated 35.7 MiB with its 1815 x 2720 S
-and now 20.4 MiB.
+and then 20.4 MiB, and 13.7 MiB since it builds no dense generator.
 A float32 operand, such as a solver's R_free, is used whole.
 
 Sums of two reduced uint8 values are reduced by `_mod_small`, the
@@ -121,11 +132,11 @@ def _add3(a1: int, a2: int, b1: int, b2: int) -> tuple[int, int]:
     return (a2 | b2) ^ t, (a1 | b1) ^ t
 
 
-def _eliminate(M: np.ndarray, p: int):
-    """Gauss-Jordan on the packed rows of M modulo p, k columns at a time
-    (see the module docstring).  Returns the reduced bit-planes X and Y
-    (None over GF(2)), the pivot rows in pivot order and the pivot
-    columns."""
+def _eliminate(M: np.ndarray, p: int, full: bool):
+    """Elimination on the packed rows of M modulo p, k columns at a time
+    (see the module docstring): Gauss-Jordan if `full`, else the forward
+    pass of `mat_rank`.  Returns the bit-planes X and Y (None over
+    GF(2)), the pivot rows in pivot order and the pivot columns."""
     M = np.asarray(M, dtype=np.uint8) % p
     rows, cols = M.shape
     X = _rows_to_ints(M == 1)
@@ -133,7 +144,7 @@ def _eliminate(M: np.ndarray, p: int):
     k = min(8, rows.bit_length() - 2)
     # below 32 rows the whole matrix is one block (at least one column
     # wide: range needs a nonzero step)
-    order, pivots = _reduce_blocks(X, Y, cols, k if k >= 4 else max(cols, 1))
+    order, pivots = _reduce_blocks(X, Y, cols, k if k >= 4 else max(cols, 1), full)
     return X, Y, order, pivots
 
 
@@ -150,7 +161,7 @@ def mat_reduce(M: np.ndarray, p: int) -> tuple[list[int], np.ndarray, np.ndarray
     a matrix is unique, so neither the choice of pivot rows nor k
     changes it.
     """
-    X, Y, order, pivots = _eliminate(M, p)
+    X, Y, order, pivots = _eliminate(M, p, True)
     cols = np.shape(M)[1]
     free = np.flatnonzero(np.bincount(pivots, minlength=cols) == 0)
     # each plane is cut to the free columns as it is unpacked, so the
@@ -173,9 +184,12 @@ def _clear(X: list[int], Y: list[int] | None, i: int, j: int, c: int) -> None:
         X[i], Y[i] = _add3(X[i], Y[i], X[j], Y[j])
 
 
-def _reduce_blocks(X: list[int], Y: list[int] | None, cols: int, k: int):
-    """Gauss-Jordan in place, k columns at a time (see the module
-    docstring).  Returns (pivot rows, pivot columns)."""
+def _reduce_blocks(X: list[int], Y: list[int] | None, cols: int, k: int, full: bool):
+    """Elimination in place, k columns at a time (see the module
+    docstring).  Gauss-Jordan if `full`; otherwise each block's table
+    clears only the rows that hold no pivot yet, which is all that the
+    pivot search of the next blocks reads.  The pivots are the same
+    either way.  Returns (pivot rows, pivot columns)."""
     free = list(range(len(X)))  # rows that hold no pivot yet
     order: list[int] = []
     pivots: list[int] = []
@@ -206,31 +220,37 @@ def _reduce_blocks(X: list[int], Y: list[int] | None, cols: int, k: int):
             continue
         order += block.values()
         pivots += block
-        if len(order) == len(block) and c0 + width == cols:
-            # the last block and no earlier pivot rows: the pivot search
-            # left the pivot rows in RREF, and the table would only clear
-            # the rows without a pivot, which are dropped
+        if c0 + width == cols and (not full or len(order) == len(block)):
+            # the rows without a pivot are dropped after the last block,
+            # and the pivot search has left the block's pivot rows in
+            # RREF on it: only Gauss-Jordan's earlier pivot rows need
+            # its table
             break
         # the table T[s] is the sum of the pivot rows whose columns are
         # set in s; clearing the block turns the pivot rows to zero, so
-        # they are put back after it
+        # Gauss-Jordan puts them back after it
         mask = (1 << width) - 1
         if Y is None:
             T = [0]
             for c in range(c0, c0 + width):
                 j = block.get(c)
                 T += T if j is None else [t ^ X[j] for t in T]
-            keep = [(j, X[j]) for j in block.values()]
-            X[:] = [x ^ T[x >> c0 & mask] for x in X]
-            for j, q in keep:
-                X[j] = q
+            if full:
+                keep = [(j, X[j]) for j in block.values()]
+                X[:] = [x ^ T[x >> c0 & mask] for x in X]
+                for j, q in keep:
+                    X[j] = q
+            else:
+                for i in free:
+                    X[i] ^= T[X[i] >> c0 & mask]
         else:
             T = [(0, 0)]
             for c in range(c0, c0 + width):
                 j = block.get(c)
                 T += T if j is None else [_add3(t1, t2, X[j], Y[j]) for t1, t2 in T]
             keep = [(j, X[j], Y[j]) for j in block.values()]
-            for i, (a1, a2) in enumerate(zip(X, Y)):
+            for i in range(len(X)) if full else free:
+                a1, a2 = X[i], Y[i]
                 # entries 1 are cleared by subtracting T[s], entries 2 by
                 # adding T[u], as 2 = -1; negating a row swaps its planes.
                 # _add3 is inlined: this loop is most of the time.
@@ -250,7 +270,10 @@ def _reduce_blocks(X: list[int], Y: list[int] | None, cols: int, k: int):
 
 
 def mat_rank(M: np.ndarray, p: int) -> int:
-    return len(_eliminate(M, p)[3])
+    """The rank of M modulo p, by the forward pass of the elimination:
+    its pivots are those of `mat_reduce`, and no pivot row is reduced
+    against the blocks after its own."""
+    return len(_eliminate(M, p, False)[3])
 
 
 def kernel_basis(M: np.ndarray, p: int) -> np.ndarray:

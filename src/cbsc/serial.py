@@ -38,10 +38,11 @@ from .goppa import (
     GoppaCode,
     ReceiverPublicKey,
     ReceiverSecretKey,
-    generator_matrix,
+    goppa_parity_check,
     receiver_secret_key,
 )
-from .linalg import Monomial, pack_bits, pack_rows, pack_trits, unpack_bits, unpack_trits
+from .linalg import (Monomial, mat_reduce, pack_bits, pack_rows, pack_trits, unpack_bits,
+                     unpack_trits)
 from .params import (
     CUSTOM_FIELDS,
     PROFILE_BY_ID,
@@ -230,9 +231,10 @@ def par_receiver_sec(data: bytes) -> tuple[CommonParams, ReceiverSecretKey]:
     # Patterson's square root is only correct for an irreducible g
     if not F.poly_is_irreducible(code.g, params.m):
         raise FormatError("g is not irreducible over GF(2^m)")
+    rref = mat_reduce(goppa_parity_check(code), 2)
     try:
         P = Monomial(v["perm"], np.ones(params.n_r, dtype=np.uint8))
-        return params, receiver_secret_key(code, generator_matrix(code), v["S"], P)
+        return params, receiver_secret_key(code, rref, v["S"], P)
     except ValueError as exc:
         raise FormatError(f"receiver secret key: {exc}") from exc
 

@@ -14,7 +14,8 @@ position that the estimate-and-correct walk of
 `cbsc.cwencode.unrank_support` replaced; the Möbius sum that Gauss's
 recursion in `cbsc.estimator.goppa_poly_count` replaced; the quotient-based
 extended Euclid that the fused loop of `cbsc.fields.poly_euclid`
-replaced; the XOR of the selected unpacked rows, which the packed rows
+replaced, and the divmod chain that the in-place loop of
+`cbsc.fields.poly_gcd` replaced; the XOR of the selected unpacked rows, which the packed rows
 of `cbsc.linalg.xor_rows` replaced; the re-encoding check that the byte
 checks of the `cbsc.serial` codecs replaced; the enumeration of a whole
 signature coset; and helpers that only tests need.
@@ -133,6 +134,14 @@ def poly_inv_mod(p: list[int], mod: list[int], m: int) -> list[int]:
     return poly_mod(poly_mul(u0, [gf_inv(r0[0], m)], m), mod, m)
 
 
+def poly_gcd(p: list[int], q: list[int], m: int) -> list[int]:
+    """The monic gcd as `cbsc.fields.poly_gcd` ran it before its in-place
+    loop: one `poly_divmod` per step, on the library's table arithmetic."""
+    while q:
+        p, q = q, F.poly_mod(p, q, m)
+    return F.poly_scale(p, F.gf_inv(p[-1], m), m) if p else p
+
+
 def poly_euclid(a: list[int], b: list[int], stop: int, m: int):
     """Extended Euclid as `cbsc.fields.poly_euclid` ran it before its
     fused loop: one quotient, `poly_mul` and `poly_add` per step, on the
@@ -164,9 +173,9 @@ def poly_is_irreducible(p: list[int], m: int) -> bool:
     """Ben-Or's test as `cbsc.fields` ran it before its root check and
     reduction rows: p of degree t is irreducible when gcd(p, x^(q^i) - x)
     = 1 for i = 1..t//2, each x^(q^i) reached by m squarings reduced
-    with `poly_mod`.  The reductions and the gcd are the library's table
-    arithmetic (checked above against the bit-serial one), since
-    bit-serial reductions would take minutes at t = 64."""
+    with `poly_mod`.  The reductions and the gcd (`poly_gcd` above) are
+    the library's table arithmetic (checked above against the bit-serial
+    one), since bit-serial reductions would take minutes at t = 64."""
     t = len(p) - 1
     if t <= 0:
         return False
@@ -176,7 +185,7 @@ def poly_is_irreducible(p: list[int], m: int) -> bool:
             sq = [0] * (2 * len(r) - 1)
             sq[::2] = [gf_mul(c, c, m) for c in r]
             r = F.poly_mod(sq, p, m)
-        if len(F.poly_gcd(poly_add(r, [0, 1]), p, m)) != 1:
+        if len(poly_gcd(poly_add(r, [0, 1]), p, m)) != 1:
             return False
     return True
 

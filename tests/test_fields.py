@@ -140,6 +140,28 @@ def test_poly_inv_mod():
         assert F.poly_mod(F.poly_mul(p, inv, m), g, m) == [1]
 
 
+def test_poly_gcd_matches_the_divmod_chain():
+    # random pairs, a zero q (and p), deg q > deg p, and pairs with a
+    # common factor f, whose gcd f must divide
+    m = 10
+    rng = np.random.default_rng(28)
+
+    def rand(deg):
+        return F.poly_trim([int(c) for c in rng.integers(0, 1 << m, size=deg + 1)])
+    pairs = [(rand(20), rand(20)) for _ in range(50)]
+    pairs += [(rand(20), []), ([], rand(7)), ([], []), ([5], []), (rand(5), rand(20))]
+    factors = [rand(int(rng.integers(1, 8))) for _ in range(20)]
+    common = [(F.poly_mul(f, rand(12), m), F.poly_mul(f, rand(9), m)) for f in factors]
+    for p, q in pairs + common:
+        gcd = F.poly_gcd(p, q, m)
+        assert gcd == O.poly_gcd(p, q, m), (p, q)
+        assert not gcd or gcd[-1] == 1
+    for f, (p, q) in zip(factors, common):
+        gcd = F.poly_gcd(p, q, m)
+        assert F.poly_mod(gcd, f, m) == [] and F.poly_mod(p, gcd, m) == [] \
+            and F.poly_mod(q, gcd, m) == []
+
+
 def test_poly_sqrt_mod():
     m = 5
     rnd = random.Random(11)

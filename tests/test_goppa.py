@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from cbsc import fields as F
+from cbsc import goppa, linalg, serial
 from cbsc.goppa import (
     GoppaCode,
     decode_permuted,
@@ -193,38 +194,76 @@ def test_decode_permuted_roundtrip(receiver_keys, toy_params):
         assert np.array_equal(got_err, err)
 
 
-def _code_and_generator(params, rng):
+def _code_and_rref(params, rng):
     while True:
         code = random_goppa_code(params.m, params.n_r, params.t, rng)
-        G = generator_matrix(code)
-        if len(G) == params.k_r:
-            return code, G
+        rref = mat_reduce(goppa_parity_check(code), 2)
+        if len(rref[1]) == params.k_r:
+            return code, rref
+
+
+def _generator_of(rref, n):
+    """The G that an RREF triple stands for: the identity on the free
+    columns, R_free transposed on the pivot columns."""
+    pivots, free, R_free = rref
+    G = np.zeros((len(free), n), dtype=np.uint8)
+    G[np.arange(len(free)), free] = 1
+    G[:, pivots] = R_free.T
+    return G
 
 
 @pytest.mark.parametrize("params", [TOY, MID, L1_20], ids=["toy", "mid", "l1-20"])
 def test_public_generator_matches_oracle_product(params):
     rng = np.random.default_rng(8)
-    code, G = _code_and_generator(params, rng)
-    _, free, _ = mat_reduce(goppa_parity_check(code), 2)
-    assert np.array_equal(G[:, free], np.eye(len(G), dtype=np.uint8))
+    code, rref = _code_and_rref(params, rng)
+    G = generator_matrix(code)
+    assert np.array_equal(_generator_of(rref, params.n_r), G)
     S = random_matrix(params.k_tilde, params.k_r, 2, rng)
     P = random_permutation(params.n_r, rng)
-    sk = receiver_secret_key(code, G, S, P)
+    sk = receiver_secret_key(code, rref, S, P)
     assert np.array_equal(sk.pk.G, mono_apply(O.matmul(S, G, 2), P, 2))
 
 
 def test_public_generator_with_a_unit_pivot_column():
-    # a pivot column of G made e_1, so that two columns of G are e_1,
-    # and another made zero
+    # row 1 of R_free made e_1, so that pivot column 1 of G is e_1, as
+    # G's second free column is, and row 0 made zero, so that pivot
+    # column 0 of G is zero
     rng = np.random.default_rng(9)
-    code, G = _code_and_generator(MID, rng)
-    pivots, _, _ = mat_reduce(goppa_parity_check(code), 2)
-    G[:, pivots[:2]] = 0
-    G[1, pivots[0]] = 1
+    code, (pivots, free, R_free) = _code_and_rref(MID, rng)
+    R_free[:2] = 0
+    R_free[1, 1] = 1
+    rref = pivots, free, R_free
+    G = _generator_of(rref, MID.n_r)
+    assert not G[:, pivots[0]].any()
+    assert np.array_equal(G[:, pivots[1]], G[:, free[1]])
     S = random_matrix(MID.k_tilde, MID.k_r, 2, rng)
     P = random_permutation(MID.n_r, rng)
-    sk = receiver_secret_key(code, G, S, P)
+    sk = receiver_secret_key(code, rref, S, P)
     assert np.array_equal(sk.pk.G, mono_apply(O.matmul(S, G, 2), P, 2))
+
+
+@pytest.mark.parametrize("seed", [0, 5])
+def test_receiver_keys_reduce_the_parity_check_once(monkeypatch, seed):
+    # keygen and load build S·G·P from the RREF of the parity check: one
+    # elimination of the mt x n_r parity check (the first code drawn is
+    # accepted at these seeds), and no generator or kernel basis
+    blob = serial.ser_receiver_sec(TOY, keygen_receiver(TOY, np.random.default_rng(seed))[0])
+    reduce, calls = linalg.mat_reduce, []
+
+    def counting_reduce(M, p):
+        calls.append(M.shape)
+        return reduce(M, p)
+
+    def forbidden(*args):
+        raise AssertionError("a generator matrix was built")
+
+    for mod in (linalg, goppa, serial):
+        monkeypatch.setattr(mod, "mat_reduce", counting_reduce)
+        monkeypatch.setattr(mod, "generator_matrix", forbidden, raising=False)
+        monkeypatch.setattr(mod, "kernel_basis", forbidden, raising=False)
+    keygen_receiver(TOY, np.random.default_rng(seed))
+    serial.par_receiver_sec(blob)
+    assert calls == [(TOY.m * TOY.t, TOY.n_r)] * 2, calls
 
 
 def test_keygen_rejects_bad_dims():

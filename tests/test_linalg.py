@@ -137,6 +137,7 @@ def _assert_reduces_like_oracle(M, p):
     R_want, rank, pivots_want = O.mat_reduce(M, p)
     free_want = [c for c in range(M.shape[1]) if c not in pivots_want]
     assert pivots == pivots_want
+    assert L.mat_rank(M, p) == rank
     assert free.tolist() == free_want
     assert R_free.dtype == np.uint8
     assert np.array_equal(R_free, R_want[:rank, free_want])
@@ -177,6 +178,30 @@ def test_blocked_mat_reduce_edge_cases(p, rows, kind):
         M = L.random_matrix(rows, rows + 9, p, rng)
         M[1::2] = M[0::2][: rows // 2]
     _assert_reduces_like_oracle(M, p)
+
+
+# mat_rank runs only the forward pass: its tables clear the rows without
+# a pivot, and it stops once every row holds one.  Its pivots and rank
+# must still be those of Gauss-Jordan, on both sides of the 32-row
+# threshold and where the pass stops before the last column.
+@pytest.mark.parametrize("p", [2, 3])
+@pytest.mark.parametrize("rows", [1, 31, 32, 145, 300])
+@pytest.mark.parametrize("kind", ["square", "wide", "tall", "column", "duplicated-rows",
+                                  "zero-columns", "zero"])
+def test_mat_rank_matches_oracle(p, rows, kind):
+    rng = _rng(rows + p)
+    cols = {"square": rows, "wide": 2 * rows + 5, "tall": max(1, rows // 3),
+            "column": 1}.get(kind, rows + 9)
+    M = L.random_matrix(rows, cols, p, rng)
+    if kind == "duplicated-rows":
+        M[1::2] = M[0::2][: rows // 2]
+    elif kind == "zero-columns":
+        M[:, ::3] = 0
+    elif kind == "zero":
+        M[:] = 0
+    pivots, _, _ = L.mat_reduce(M, p)
+    assert L._eliminate(M, p, False)[3] == pivots
+    assert L.mat_rank(M, p) == len(pivots) == O.mat_reduce(M, p)[1]
 
 
 @settings(max_examples=150, deadline=None)
