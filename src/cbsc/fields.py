@@ -10,9 +10,17 @@ the first time that m is used.  `log[0]` points into a run of zeros at
 the end of `exp`, so ``exp[log[a] + log[b]] == a * b`` holds for every
 pair, zero included, with no branch; callers multiply by that lookup.
 `poly_eval_many` evaluates one polynomial over a whole support at once.
-`poly_euclid` runs the extended Euclidean algorithm as one in-place
-loop, and `poly_sqrt_mod` takes square roots modulo a fixed polynomial
-with the table that `poly_sqrt_table` builds for it once.
+
+Remainders run one in-place loop, `_remainder`, which clears a
+polynomial's top coefficients by multiples of the divisor; `poly_mod`
+and `poly_gcd` call it.  `poly_euclid` fuses the same loop with the
+Bezout coefficient and takes operands of any degree, so `poly_inv_mod`
+reduces neither its input nor its output.  There is no general product:
+a product modulo a fixed polynomial is a gather from the rows x^i f mod
+that polynomial (`_times_x_rows`) and an XOR down the columns, in
+`poly_sqrt_x`, `poly_sqrt_mod` and `poly_is_irreducible`.
+`poly_sqrt_mod` takes square roots modulo a fixed polynomial with the
+table that `poly_sqrt_table` builds for it once.
 """
 
 from __future__ import annotations
@@ -143,72 +151,45 @@ def poly_scale(p: list[int], c: int, m: int) -> list[int]:
     return [exp[log[x] + lc] for x in p]
 
 
-def poly_mul(p: list[int], q: list[int], m: int) -> list[int]:
-    if not p or not q:
-        return []
-    T = tables(m)
-    exp, log = T.exp, T.log
-    lq = [log[b] for b in q]
-    r = [0] * (len(p) + len(q) - 1)
-    for i, a in enumerate(p):
-        if a:
-            la = log[a]
-            for j, lb in enumerate(lq, i):
-                r[j] ^= exp[la + lb]
+def _remainder(r: list[int], d: list[int], T: Tables) -> list[int]:
+    """r mod d, d trimmed and nonzero, computed in place on the list r:
+    its coefficients are cleared from the top down to degree deg d, a
+    coefficient c at degree deg d + s by adding (c / lead d) x^s d."""
+    exp, log, order = T.exp, T.log, T.order
+    ld = [log[c] for c in d]
+    llead = ld.pop()
+    dn = len(ld)
+    while len(r) > dn:
+        c = r.pop()
+        if c:
+            lc = log[c] - llead
+            if lc < 0:
+                lc += order
+            for i, li in enumerate(ld, len(r) - dn):
+                r[i] ^= exp[lc + li]
     return poly_trim(r)
 
 
-def poly_divmod(p: list[int], d: list[int], m: int) -> tuple[list[int], list[int]]:
+def poly_mod(p: list[int], d: list[int], m: int) -> list[int]:
     if not d:
         raise ZeroDivisionError("polynomial division by zero")
-    T = tables(m)
-    exp, log, order = T.exp, T.log, T.order
-    ld = [log[c] for c in d]
-    dn = len(d) - 1
-    llead = ld.pop()
-    r = list(p)
-    q = [0] * max(0, len(p) - dn)
-    for s in range(len(r) - 1 - dn, -1, -1):
-        c = r[s + dn]
-        if c:
-            lc = (log[c] - llead) % order
-            q[s] = exp[lc]
-            for i, li in enumerate(ld, s):
-                r[i] ^= exp[lc + li]
-            r[s + dn] = 0
-    return poly_trim(q), poly_trim(r)
-
-
-def poly_mod(p: list[int], d: list[int], m: int) -> list[int]:
-    return poly_divmod(p, d, m)[1]
+    return _remainder(list(p), d, tables(m))
 
 
 def poly_gcd(a: list[int], b: list[int], m: int) -> list[int]:
-    """The monic gcd of a and b ([] if both are zero), by the remainder
-    loop of `poly_euclid` without its Bezout coefficient: r0 is reduced
-    by r1 in place, from the top down, and the pair swaps."""
+    """The monic gcd of a and b ([] if both are zero): r0 is reduced by
+    r1 in place, and the pair swaps."""
     T = tables(m)
-    exp, log, order = T.exp, T.log, T.order
     r0, r1 = poly_trim(list(a)), poly_trim(list(b))
     while r1:
-        lr = [log[c] for c in r1]
-        llead = lr.pop()
-        dn = len(lr)
-        while len(r0) > dn:
-            c = r0.pop()
-            if c:
-                lc = log[c] - llead
-                if lc < 0:
-                    lc += order
-                for i, li in enumerate(lr, len(r0) - dn):
-                    r0[i] ^= exp[lc + li]
-        r0, r1 = r1, poly_trim(r0)
+        r0, r1 = r1, _remainder(r0, r1, T)
     return poly_scale(r0, gf_inv(r0[-1], m), m) if r0 else r0
 
 
 def poly_euclid(a: list[int], b: list[int], stop: int, m: int):
     """Extended Euclid on (a, b) until deg r1 <= stop: (r0, r1, u0, u1),
-    the last two remainders with r_i = u_i * b modulo a.
+    the last two remainders with r_i = u_i * b modulo a.  b may have any
+    degree: when deg b > deg a, the first step only swaps the pairs.
 
     One loop, in place, with no quotient, product or sum list: each step
     takes the logs of r1 and u1 once, then clears r0's coefficients from
@@ -244,11 +225,13 @@ def poly_euclid(a: list[int], b: list[int], stop: int, m: int):
 
 
 def poly_inv_mod(p: list[int], mod: list[int], m: int) -> list[int]:
-    """Inverse of p modulo mod (mod irreducible, p nonzero mod mod)."""
-    r0, _, u0, _ = poly_euclid(mod, poly_mod(p, mod, m), -1, m)
+    """Inverse of p modulo mod (mod irreducible, p nonzero mod mod): the
+    Bezout coefficient of the gcd, which has degree < deg mod, scaled by
+    the inverse of the gcd."""
+    r0, _, u0, _ = poly_euclid(mod, p, -1, m)
     if poly_deg(r0) != 0:
         raise ZeroDivisionError("element not invertible")
-    return poly_mod(poly_scale(u0, gf_inv(r0[0], m), m), mod, m)
+    return poly_scale(u0, gf_inv(r0[0], m), m)
 
 
 def poly_eval_many(p: list[int], xs: np.ndarray, m: int) -> np.ndarray:
@@ -317,15 +300,20 @@ def poly_is_irreducible(p: list[int], m: int) -> bool:
 
 
 def poly_sqrt_x(mod: list[int], m: int) -> list[int]:
-    """sqrt(x) in GF(2^m)[x]/(mod), mod irreducible of degree t >= 1.
+    """sqrt(x) in GF(2^m)[x]/(mod), mod monic irreducible of degree t >= 1.
 
     Split mod = A(x)^2 + x B(x)^2 by even and odd coefficients; then
-    x = (A/B)^2 modulo mod, so sqrt(x) = A * B^-1.
+    x = (A/B)^2 modulo mod, so sqrt(x) = A * B^-1: the gather of the
+    logs of A's coefficients plus those of the rows x^i B^-1 mod `mod`,
+    XORed down the columns.
     """
-    sqrt = tables(m).sqrt
-    A = poly_trim([sqrt[c] for c in mod[0::2]])
+    T = tables(m)
+    sqrt, log = T.sqrt, T.log
+    log_A = np.array([log[sqrt[c]] for c in mod[0::2]], dtype=np.intp)
     B = poly_trim([sqrt[c] for c in mod[1::2]])
-    return poly_mod(poly_mul(A, poly_inv_mod(B, mod, m), m), mod, m)
+    rows = _times_x_rows(poly_inv_mod(B, mod, m), mod, len(log_A), m)
+    return poly_trim(np.bitwise_xor.reduce(
+        T.exp_np[log_A[:, None] + T.log_np[rows]], axis=0).tolist())
 
 
 def poly_sqrt_table(mod: list[int], m: int) -> np.ndarray:

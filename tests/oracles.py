@@ -7,16 +7,17 @@ which the packed eliminator and the float32 products of `cbsc.linalg`
 replaced; the per-trit loops that the table sampler of `cbsc.uuvsign`
 and the vector trit decoding of `cbsc.hashes` replaced; the decoder's
 loop of single attempts that the batched attempts of `cbsc.uuvsign`
-replaced; the Ben-Or
-loop that the root check and reduction rows of
+replaced; the Ben-Or loop that the root check and reduction rows of
 `cbsc.fields.poly_is_irreducible` replaced; the scan over every
 position that the estimate-and-correct walk of
 `cbsc.cwencode.unrank_support` replaced; the Möbius sum that Gauss's
-recursion in `cbsc.estimator.goppa_poly_count` replaced; the quotient-based
-extended Euclid that the fused loop of `cbsc.fields.poly_euclid`
-replaced, and the divmod chain that the in-place loop of
-`cbsc.fields.poly_gcd` replaced; the XOR of the selected unpacked rows, which the packed rows
-of `cbsc.linalg.xor_rows` replaced; the re-encoding check that the byte
+recursion in `cbsc.estimator.goppa_poly_count` replaced; the quotient
+chain on table arithmetic, `poly_divmod_tables`, which `cbsc.fields`
+no longer has, and the extended Euclid and gcd built on it, which the
+fused loop of `cbsc.fields.poly_euclid` and the in-place remainder loop
+of `cbsc.fields.poly_mod` and `poly_gcd` replaced; the XOR of the
+selected unpacked rows, which the packed rows of
+`cbsc.linalg.xor_rows` replaced; the re-encoding check that the byte
 checks of the `cbsc.serial` codecs replaced; the enumeration of a whole
 signature coset; and helpers that only tests need.
 
@@ -134,24 +135,47 @@ def poly_inv_mod(p: list[int], mod: list[int], m: int) -> list[int]:
     return poly_mod(poly_mul(u0, [gf_inv(r0[0], m)], m), mod, m)
 
 
+def poly_divmod_tables(p: list[int], d: list[int], m: int) -> tuple[list[int], list[int]]:
+    """Quotient and remainder on the library's log/antilog tables, as
+    `cbsc.fields.poly_divmod` computed them before its remainder loop
+    was shared and its quotient dropped."""
+    if not d:
+        raise ZeroDivisionError("polynomial division by zero")
+    T = F.tables(m)
+    exp, log, order = T.exp, T.log, T.order
+    ld = [log[c] for c in d]
+    dn = len(d) - 1
+    llead = ld.pop()
+    r = list(p)
+    q = [0] * max(0, len(p) - dn)
+    for s in range(len(r) - 1 - dn, -1, -1):
+        c = r[s + dn]
+        if c:
+            lc = (log[c] - llead) % order
+            q[s] = exp[lc]
+            for i, li in enumerate(ld, s):
+                r[i] ^= exp[lc + li]
+            r[s + dn] = 0
+    return _trim(q), _trim(r)
+
+
 def poly_gcd(p: list[int], q: list[int], m: int) -> list[int]:
-    """The monic gcd as `cbsc.fields.poly_gcd` ran it before its in-place
-    loop: one `poly_divmod` per step, on the library's table arithmetic."""
+    """The monic gcd by the chain of `poly_divmod_tables` remainders."""
     while q:
-        p, q = q, F.poly_mod(p, q, m)
-    return F.poly_scale(p, F.gf_inv(p[-1], m), m) if p else p
+        p, q = q, poly_divmod_tables(p, q, m)[1]
+    return poly_mul(p, [gf_inv(p[-1], m)], m) if p else p
 
 
 def poly_euclid(a: list[int], b: list[int], stop: int, m: int):
     """Extended Euclid as `cbsc.fields.poly_euclid` ran it before its
-    fused loop: one quotient, `poly_mul` and `poly_add` per step, on the
-    library's table arithmetic.  (r0, r1, u0, u1) once deg r1 <= stop."""
+    fused loop: one `poly_divmod_tables` quotient, `poly_mul` and
+    `poly_add` per step.  (r0, r1, u0, u1) once deg r1 <= stop."""
     r0, r1 = list(a), list(b)
     u0, u1 = [], [1]
     while len(r1) - 1 > stop:
-        q, rem = F.poly_divmod(r0, r1, m)
+        q, rem = poly_divmod_tables(r0, r1, m)
         r0, r1 = r1, rem
-        u0, u1 = u1, F.poly_add(u0, F.poly_mul(q, u1, m))
+        u0, u1 = u1, poly_add(u0, poly_mul(q, u1, m))
     return r0, r1, u0, u1
 
 
@@ -173,8 +197,8 @@ def poly_is_irreducible(p: list[int], m: int) -> bool:
     """Ben-Or's test as `cbsc.fields` ran it before its root check and
     reduction rows: p of degree t is irreducible when gcd(p, x^(q^i) - x)
     = 1 for i = 1..t//2, each x^(q^i) reached by m squarings reduced
-    with `poly_mod`.  The reductions and the gcd (`poly_gcd` above) are
-    the library's table arithmetic (checked above against the bit-serial
+    with `poly_divmod_tables`.  The reductions and the gcd (`poly_gcd`
+    above) use the table remainder (checked against the bit-serial
     one), since bit-serial reductions would take minutes at t = 64."""
     t = len(p) - 1
     if t <= 0:
@@ -184,7 +208,7 @@ def poly_is_irreducible(p: list[int], m: int) -> bool:
         for _ in range(m):
             sq = [0] * (2 * len(r) - 1)
             sq[::2] = [gf_mul(c, c, m) for c in r]
-            r = F.poly_mod(sq, p, m)
+            r = poly_divmod_tables(sq, p, m)[1]
         if len(poly_gcd(poly_add(r, [0, 1]), p, m)) != 1:
             return False
     return True

@@ -100,24 +100,18 @@ poly_st = st.lists(st.integers(0, 31), max_size=8)
 
 
 @given(poly_st, poly_st)
-def test_poly_divmod_identity(p, d):
+def test_poly_mod_matches_oracle_remainder(p, d):
     m = 5
     p = F.poly_trim(list(p))
     d = F.poly_trim(list(d))
     if not d:
+        with pytest.raises(ZeroDivisionError):
+            F.poly_mod(p, d, m)
         return
-    q, r = F.poly_divmod(p, d, m)
+    r = F.poly_mod(p, d, m)
     assert F.poly_deg(r) < F.poly_deg(d)
-    assert F.poly_add(F.poly_mul(q, d, m), r) == p
-
-
-@given(poly_st, poly_st, poly_st)
-def test_poly_mul_distributes(p, q, r):
-    m = 5
-    p, q, r = (F.poly_trim(list(x)) for x in (p, q, r))
-    lhs = F.poly_mul(p, F.poly_add(q, r), m)
-    rhs = F.poly_add(F.poly_mul(p, q, m), F.poly_mul(p, r, m))
-    assert lhs == rhs
+    assert r == O.poly_mod(p, d, m) == O.poly_divmod_tables(p, d, m)[1]
+    assert O.poly_divmod_tables(p, d, m) == O.poly_divmod(p, d, m)
 
 
 def test_poly_eval_on_known_values():
@@ -137,7 +131,29 @@ def test_poly_inv_mod():
         if not p:
             continue
         inv = F.poly_inv_mod(p, g, m)
-        assert F.poly_mod(F.poly_mul(p, inv, m), g, m) == [1]
+        assert F.poly_mod(O.poly_mul(p, inv, m), g, m) == [1]
+
+
+@pytest.mark.parametrize("m,t", [(5, 2), (8, 10)])
+def test_poly_inv_mod_any_degree_and_non_invertible(m, t):
+    # p of degree t to 2t + 1 is inverted without a reduction first; the
+    # zero polynomial and nonzero multiples of g have no inverse
+    rng = np.random.default_rng(29 + m)
+    g = F.random_irreducible(t, m, rng)
+    for deg in range(t, 2 * t + 2):
+        for _ in range(3):
+            p = rng.integers(0, 1 << m, size=deg + 1).tolist()
+            p[-1] = int(rng.integers(1, 1 << m))
+            if O.poly_mod(p, g, m):
+                inv = F.poly_inv_mod(p, g, m)
+                assert inv == O.poly_inv_mod(p, g, m)
+                assert F.poly_deg(inv) < t
+    multiples = [g, O.poly_mul(g, [0, 1], m)]
+    multiples += [O.poly_mul(g, [int(c) for c in rng.integers(1, 1 << m, size=k)], m)
+                  for k in (1, t, t + 2)]
+    for p in [[]] + multiples:
+        with pytest.raises(ZeroDivisionError):
+            F.poly_inv_mod(p, g, m)
 
 
 def test_poly_gcd_matches_the_divmod_chain():
@@ -151,7 +167,7 @@ def test_poly_gcd_matches_the_divmod_chain():
     pairs = [(rand(20), rand(20)) for _ in range(50)]
     pairs += [(rand(20), []), ([], rand(7)), ([], []), ([5], []), (rand(5), rand(20))]
     factors = [rand(int(rng.integers(1, 8))) for _ in range(20)]
-    common = [(F.poly_mul(f, rand(12), m), F.poly_mul(f, rand(9), m)) for f in factors]
+    common = [(O.poly_mul(f, rand(12), m), O.poly_mul(f, rand(9), m)) for f in factors]
     for p, q in pairs + common:
         gcd = F.poly_gcd(p, q, m)
         assert gcd == O.poly_gcd(p, q, m), (p, q)
@@ -197,7 +213,7 @@ def test_irreducible_matches_oracle():
 
 def test_reducible_detected():
     # (x + 1)(x + 2) over GF(4)
-    p = F.poly_mul([1, 1], [2, 1], 2)
+    p = O.poly_mul([1, 1], [2, 1], 2)
     assert not F.poly_is_irreducible(p, 2)
 
 

@@ -53,7 +53,7 @@ def test_gf_mul_inv_random_pairs(m):
 
 def test_sqrt_x_and_sqrt_match_oracle():
     rng = np.random.default_rng(5)
-    for m, t in [(5, 1), (5, 3), (8, 10), (10, 7)]:
+    for m, t in [(5, 1), (5, 2), (5, 3), (8, 10), (10, 7)]:
         g = F.random_irreducible(t, m, rng)
         sx = F.poly_sqrt_x(g, m)
         assert sx == O.poly_sqrt_mod([0, 1], g, m)
@@ -61,6 +61,11 @@ def test_sqrt_x_and_sqrt_match_oracle():
         for _ in range(5):
             u = F.poly_trim(rng.integers(0, 1 << m, size=t).tolist())
             assert F.poly_sqrt_mod(u, g, m, sqrt_table) == O.poly_sqrt_mod(u, g, m)
+    # the paper-l1 shape, where the oracle's m t - 1 squarings are too
+    # slow: one squaring checks the root
+    g = F.random_irreducible(64, 12, rng)
+    sx = F.poly_sqrt_x(g, 12)
+    assert F.poly_deg(sx) < 64 and O.poly_square_mod(sx, g, 12) == [0, 1]
 
 
 def test_syndrome_poly_matches_definition(code):

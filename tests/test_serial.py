@@ -283,7 +283,7 @@ def test_receiver_sec_with_reducible_g_rejected():
     params = custom_params(dict(_TOY_VALUES, t=4, k_tilde=8))
     rng = np.random.default_rng(21)
     sk, _ = keygen_receiver_params(params, rng)
-    g = F.poly_mul(F.random_irreducible(2, 5, rng), F.random_irreducible(2, 5, rng), 5)
+    g = O.poly_mul(F.random_irreducible(2, 5, rng), F.random_irreducible(2, 5, rng), 5)
     assert all(O.poly_eval(g, a, 5) for a in range(32))
     GoppaCode(5, 4, g, sk.code.support)      # the code itself would build
     blob = bytearray(serial.ser_receiver_sec(params, sk))
@@ -301,7 +301,7 @@ def test_receiver_sec_with_square_g_rejected():
     rng = np.random.default_rng(21)
     sk, _ = keygen_receiver_params(params, rng)
     h = F.random_irreducible(2, 5, rng)
-    g = F.poly_mul(h, h, 5)
+    g = O.poly_mul(h, h, 5)
     assert all(O.poly_eval(g, a, 5) for a in range(32)) and not any(g[1::2])
     blob = bytearray(serial.ser_receiver_sec(params, sk))
     off = 7 + 40
