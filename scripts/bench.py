@@ -75,15 +75,16 @@ phases are:
     receiver load    fields.poly_is_irreducible, the parity check and
                      its mat_reduce (in serial.par_receiver_sec self),
                      the rank check of S and S·G·P again
-    sender keygen    uuvsign.keygen_sender self (one untraced
-                     mat_reduce of H_sk·P per draw whose H_V has no
-                     zero column: the pivot check and A),
-                     linalg.mono_apply (H_sk·P), linalg.AffineSolver
-                     (the two solvers)
+    sender keygen    linalg.mat_rank (the forward-pass rank of the
+                     r_s x r_s square of H_sk·P, its first r_s columns,
+                     once per draw whose H_V has no zero column),
+                     linalg.AffineSolver (the two solvers of the
+                     accepted draw), linalg.mono_apply (H_sk·P, once)
+                     and uuvsign.keygen_sender self (the one untraced
+                     mat_reduce of H_sk·P, for A)
     sender load      serial.par_sender_sec self (unpacking H_U and H_V),
-                     linalg.mat_rank (the rank of the first r_s columns
-                     of H_sk·P, by the forward pass alone; A is not
-                     recomputed), linalg.mono_apply,
+                     linalg.mat_rank (the rank of the r_s x r_s square
+                     alone: neither H_sk·P nor A is formed),
                      linalg.AffineSolver
     signing attempts at most SIGN_ATTEMPTS attempts of `uuv_decode` on a
                      random word: linalg.AffineSolver.solve (a product

@@ -19,8 +19,10 @@ generator's consumption, not the law of a signature.
 
 A sender secret key is what key generation draws, (H_U, H_V, P), and
 H_sk is built from it.  Its public key is the systematic form [I | A]
-of H_sk·P, whose first r_s columns must be invertible.  [y | 0] has
-syndrome y under [I | A], so signing decodes the coset of [y | 0]·P^-1.
+of H_sk·P, whose first r_s columns must be invertible;
+`sender_secret_key` checks that rule for key generation and key loading
+alike, on those columns alone.  [y | 0] has syndrome y under [I | A],
+so signing decodes the coset of [y | 0]·P^-1.
 """
 
 from __future__ import annotations
@@ -96,44 +98,29 @@ def build_uuv_parity_check(H_U: np.ndarray, H_V: np.ndarray) -> np.ndarray:
     return H
 
 
-def _checked_HP(H_U: np.ndarray, H_V: np.ndarray, P: Monomial) -> np.ndarray:
-    """H_sk·P.  Raises ValueError if H_V has a zero column."""
-    # a zero column of H_V, hence of H_pk, makes a signature trit malleable
-    if not H_V.any(axis=0).all():
-        raise ValueError("H_V has a zero column")
-    return mono_apply(build_uuv_parity_check(H_U, H_V), P, 3)
-
-
-def _secret_key(H_U: np.ndarray, H_V: np.ndarray, P: Monomial) -> SenderSecretKey:
-    return SenderSecretKey(H_U=H_U, H_V=H_V, P=P, solver_U=AffineSolver(H_U, 3),
-                           solver_V=AffineSolver(H_V, 3))
-
-
 _SINGULAR = "the first r_s columns of H_sk P are singular"
 
 
-def sender_keys(H_U: np.ndarray, H_V: np.ndarray,
-                P: Monomial) -> tuple[SenderSecretKey, SenderPublicKey]:
-    """Both halves of the sender key (H_U, H_V, P).  Raises ValueError
-    unless H_V has no zero column and the first r_s columns of H_sk·P are
-    invertible.  The last rule makes H_sk, hence H_U and H_V, of full row
-    rank.  One elimination of H_sk·P checks it and gives A, the R_free
-    of its RREF [I | A]."""
-    HP = _checked_HP(H_U, H_V, P)
-    pivots, _, A = mat_reduce(HP, 3)
-    if pivots != list(range(len(HP))):
-        raise ValueError(_SINGULAR)
-    return _secret_key(H_U, H_V, P), SenderPublicKey(A=A)
-
-
 def sender_secret_key(H_U: np.ndarray, H_V: np.ndarray, P: Monomial) -> SenderSecretKey:
-    """The secret half of `sender_keys`, under the same rules, checked on
-    the r_s x r_s square of H_sk·P alone, since A is not needed."""
-    HP = _checked_HP(H_U, H_V, P)
-    r_s = len(HP)
-    if mat_rank(HP[:, :r_s], 3) != r_s:
+    """The secret key (H_U, H_V, P) with its two solvers.  Raises
+    ValueError unless H_V has no zero column and the first r_s columns of
+    H_sk·P are invertible.  The last rule makes H_sk, hence H_U and H_V,
+    of full row rank.  It is checked on that r_s x r_s square alone: the
+    columns of H_sk that P sends first, times their scalars."""
+    # a zero column of H_V, hence of H_pk, makes a signature trit malleable
+    if not H_V.any(axis=0).all():
+        raise ValueError("H_V has a zero column")
+    r_s, half = len(H_U) + len(H_V), H_U.shape[1]
+    # column c of H_sk is (H_U[:, c], -H_V[:, c]) on the left half and
+    # (0, H_V[:, c - half]) on the right, and -1 = 2 over GF(3)
+    cols = P.inv[:r_s]
+    left = (cols < half).astype(np.uint8)
+    square = np.concatenate([H_U[:, cols % half] * left,
+                             H_V[:, cols % half] * (left + 1)]) * P.inv_scalars[:r_s] % 3
+    if mat_rank(square, 3) != r_s:
         raise ValueError(_SINGULAR)
-    return _secret_key(H_U, H_V, P)
+    return SenderSecretKey(H_U=H_U, H_V=H_V, P=P, solver_U=AffineSolver(H_U, 3),
+                           solver_V=AffineSolver(H_V, 3))
 
 
 # draws of (H_U, H_V, P) that sender key generation makes before it gives up
@@ -142,19 +129,23 @@ KEYGEN_DRAWS = 1000
 
 def keygen_sender(params: CommonParams, rng):
     """A sender key pair of the validated profile `params`: draws H_U,
-    H_V and P until `sender_keys` accepts them.  Its rules are on the
-    draws only, so the key is uniform on valid ones.  Raises
-    ParameterError after KEYGEN_DRAWS rejected draws: some profiles
-    almost never make the first r_s columns of H_sk·P invertible."""
+    H_V and P until `sender_secret_key` accepts them, then reduces H_sk·P
+    once for A, the R_free of its RREF [I | A], whose pivots are the
+    first r_s columns.  The rules are on the draws only, so the key is
+    uniform on valid ones.  Raises ParameterError after KEYGEN_DRAWS
+    rejected draws: some profiles almost never make the first r_s
+    columns of H_sk·P invertible."""
     half = params.n_s // 2
     for _ in range(KEYGEN_DRAWS):
         H_U = random_matrix(half - params.k_U, half, 3, rng)
         H_V = random_matrix(half - params.k_V, half, 3, rng)
         P = random_monomial(params.n_s, 3, rng)
         try:
-            return sender_keys(H_U, H_V, P)
+            sk = sender_secret_key(H_U, H_V, P)
         except ValueError:
             continue
+        _, _, A = mat_reduce(mono_apply(build_uuv_parity_check(H_U, H_V), P, 3), 3)
+        return sk, SenderPublicKey(A=A)
     raise ParameterError(f"no valid sender key in {KEYGEN_DRAWS} draws")
 
 

@@ -81,67 +81,88 @@ def test_keygen_sender_public_keys_have_no_zero_column():
         assert pk.A.any(axis=0).all(), seed
 
 
-@pytest.mark.parametrize("seed", [2, 9])
+# sender draws after the receiver key: the first is accepted at seeds 2
+# and 9, and at seed 4 the first 7 have a singular r_s x r_s square
+SENDER_DRAWS = {2: 1, 9: 1, 4: 8}
+
+
+def _counting(calls, name, fn):
+    """fn, appending (name, its first argument) to calls."""
+    def wrapper(*args):
+        calls.append((name, args[0]))
+        return fn(*args)
+    return wrapper
+
+
+@pytest.mark.parametrize("seed", [2, 9, 4])
 def test_keygen_sender_eliminates_each_matrix_once(monkeypatch, seed):
-    # the first draw is accepted at these seeds: one elimination each
-    # for H_sk P (its pivots and A), the H_U solver and the H_V solver
+    # each draw's pivot rule is the rank of its r_s x r_s square; the
+    # accepted draw then builds the H_U and H_V solvers, and H_sk P is
+    # reduced once, for A
     rng = np.random.default_rng(seed)
     keygen_receiver_params(TOY, rng)
-    reduce, calls = linalg.mat_reduce, []
-
-    def counting_reduce(M, p):
-        calls.append(M.shape)
-        return reduce(M, p)
-
-    monkeypatch.setattr(linalg, "mat_reduce", counting_reduce)
-    monkeypatch.setattr(uuvsign, "mat_reduce", counting_reduce)
+    calls = []
+    for module, name, label in ((linalg, "mat_reduce", "reduce"),
+                                (uuvsign, "mat_reduce", "reduce"),
+                                (uuvsign, "mat_rank", "rank")):
+        monkeypatch.setattr(module, name, _counting(calls, label, getattr(module, name)))
     keygen_sender_params(TOY, rng)
     r_U, r_V = TOY.n_s // 2 - TOY.k_U, TOY.n_s // 2 - TOY.k_V
-    assert calls == [(TOY.r_s, TOY.n_s), (r_U, TOY.n_s // 2),
-                     (r_V, TOY.n_s // 2)], calls
+    shapes = [(name, M.shape) for name, M in calls]
+    assert shapes == [("rank", (TOY.r_s, TOY.r_s))] * SENDER_DRAWS[seed] + [
+        ("reduce", (r_U, TOY.n_s // 2)), ("reduce", (r_V, TOY.n_s // 2)),
+        ("reduce", (TOY.r_s, TOY.n_s))], shapes
 
 
 def test_sender_key_load_eliminates_the_square_only(monkeypatch, sender_keys):
     # loading needs no A: the pivot rule is the rank of the r_s x r_s
-    # square of H_sk P, then one elimination per solver
-    blob = serial.ser_sender_sec(TOY, sender_keys[0])
+    # square of H_sk P, then one elimination per solver; neither H_sk nor
+    # H_sk P is formed
+    sk = sender_keys[0]
+    blob = serial.ser_sender_sec(TOY, sk)
     calls = []
-
-    def counting(name, fn):
-        def wrapper(M, p):
-            calls.append((name, M.shape))
-            return fn(M, p)
-        return wrapper
-
-    monkeypatch.setattr(linalg, "mat_reduce", counting("reduce", linalg.mat_reduce))
-    monkeypatch.setattr(uuvsign, "mat_reduce", counting("reduce", uuvsign.mat_reduce))
-    monkeypatch.setattr(uuvsign, "mat_rank", counting("rank", uuvsign.mat_rank))
+    for module, name, label in ((linalg, "mat_reduce", "reduce"),
+                                (uuvsign, "mat_reduce", "reduce"),
+                                (uuvsign, "mat_rank", "rank"),
+                                (uuvsign, "mono_apply", "mono_apply"),
+                                (uuvsign, "build_uuv_parity_check", "H_sk")):
+        monkeypatch.setattr(module, name, _counting(calls, label, getattr(module, name)))
     serial.par_sender_sec(blob)
     r_U, r_V = TOY.n_s // 2 - TOY.k_U, TOY.n_s // 2 - TOY.k_V
-    assert calls == [("rank", (TOY.r_s, TOY.r_s)), ("reduce", (r_U, TOY.n_s // 2)),
-                     ("reduce", (r_V, TOY.n_s // 2))], calls
+    shapes = [(name, M.shape) for name, M in calls]
+    assert shapes == [("rank", (TOY.r_s, TOY.r_s)), ("reduce", (r_U, TOY.n_s // 2)),
+                      ("reduce", (r_V, TOY.n_s // 2))], shapes
+    HP = mat_mono(build_uuv_parity_check(sk.H_U, sk.H_V), sk.P, 3)
+    assert np.array_equal(calls[0][1], HP[:, :TOY.r_s])
 
 
 @pytest.mark.parametrize("n_s,k_U,k_V", [(16, 4, 4), (8, 2, 2), (24, 6, 8)])
 def test_keygen_and_load_accept_the_same_draws(n_s, k_U, k_V):
-    # keygen decides the pivot rule by eliminating all of H_sk P, the load
-    # by the rank of its r_s x r_s square; both must give one verdict
+    # keygen and load both decide by `sender_secret_key`, which reads the
+    # r_s x r_s square alone; its verdict must be the one that the oracle
+    # elimination of all of H_sk P, formed as a matrix product, gives
     rng = np.random.default_rng(n_s)
     half = n_s // 2
+    r_s = n_s - k_U - k_V
     verdicts = set()
     for _ in range(1500):
-        draw = (linalg.random_matrix(half - k_U, half, 3, rng),
-                linalg.random_matrix(half - k_V, half, 3, rng),
-                linalg.random_monomial(n_s, 3, rng))
-        seen = []
-        for build in (uuvsign.sender_keys, uuvsign.sender_secret_key):
-            try:
-                build(*draw)
-                seen.append("accepted")
-            except ValueError as exc:
-                seen.append(str(exc))
-        assert seen[0] == seen[1], seen
-        verdicts.add(seen[0])
+        H_U = linalg.random_matrix(half - k_U, half, 3, rng)
+        H_V = linalg.random_matrix(half - k_V, half, 3, rng)
+        P = linalg.random_monomial(n_s, 3, rng)
+        HP = O.matmul(build_uuv_parity_check(H_U, H_V), mono_to_matrix(P), 3)
+        if not H_V.any(axis=0).all():
+            expected = "H_V has a zero column"
+        elif O.mat_reduce(HP, 3)[2] != list(range(r_s)):
+            expected = uuvsign._SINGULAR
+        else:
+            expected = "accepted"
+        try:
+            uuvsign.sender_secret_key(H_U, H_V, P)
+            seen = "accepted"
+        except ValueError as exc:
+            seen = str(exc)
+        assert seen == expected
+        verdicts.add(expected)
     assert verdicts == {"accepted", "H_V has a zero column", uuvsign._SINGULAR}
 
 
@@ -281,9 +302,9 @@ def _draws(sk, count, seed):
 
 @pytest.fixture(scope="module")
 def l1_20_sender_key():
+    """The L1/20 sender key pair of seed 31, then the profile's omega."""
     params = setup(str(Path(__file__).resolve().parent.parent / "perfbench" / "l1-20.profile"))
-    sk, _ = keygen_sender(params, np.random.default_rng(31))
-    return sk, params.omega
+    return *keygen_sender(params, np.random.default_rng(31)), params.omega
 
 
 def test_batched_attempts_match_oracle_row_for_row(sender_keys, l1_20_sender_key):
@@ -305,8 +326,9 @@ def test_uuv_decode_matches_oracle_loop(sender_keys, toy_params, l1_20_sender_ke
     # attempts return the same word, or both run out of attempts.  At
     # L1/20 the 40 attempts are a batch and a cut one; at these seeds
     # one word is found in the second batch and two in neither.
-    toy = ((sender_keys[0], toy_params.omega), range(40, 60), 70)
-    for (sk, omega), seeds, budget in (toy, (l1_20_sender_key, range(60, 70), 40)):
+    l1_sk, _, l1_omega = l1_20_sender_key
+    for sk, omega, seeds, budget in ((sender_keys[0], toy_params.omega, range(40, 60), 70),
+                                     (l1_sk, l1_omega, range(60, 70), 40)):
         for seed in seeds:
             w = np.random.default_rng(seed).integers(0, 3, sk.n_s, dtype=np.uint8)
             draws = _draws(sk, budget, seed)
@@ -322,7 +344,7 @@ def test_uuv_decode_matches_oracle_loop(sender_keys, toy_params, l1_20_sender_ke
 def test_uuv_decode_returns_first_hit_of_batch(l1_20_sender_key):
     # the first batch, redrawn from the decoder's seed in its order (its
     # p, then the V and U uniforms), has several rows of weight omega
-    sk, omega = l1_20_sender_key
+    sk, _, omega = l1_20_sender_key
     w = np.random.default_rng(35).integers(0, 3, sk.n_s, dtype=np.uint8)
     for seed in range(100):
         rng = np.random.default_rng(seed)
@@ -423,8 +445,7 @@ def test_verify_syndrome_allocates_one_float32_copy_of_A(l1_20_sender_key):
     # at L1/20 A is 145 x 279, narrower than one column slab, so the
     # product converts it whole: 4 bytes per entry.  Measured peak:
     # 165,180 bytes, 4.08 times A's 40,455 bytes.
-    sk, omega = l1_20_sender_key
-    _, pk = uuvsign.sender_keys(sk.H_U, sk.H_V, sk.P)
+    sk, pk, omega = l1_20_sender_key
     rng = np.random.default_rng(32)
     y = rng.integers(0, 3, size=sk.r_s, dtype=np.uint8)
     e = sign_syndrome(sk, y, omega, rng)
