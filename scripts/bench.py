@@ -19,7 +19,7 @@ from its own generator, seeded with SEED, and records:
                    its own rusage.  An unexpected exit code or output
                    raises.  Every profile's sequence runs before any
                    profile is benched in this process (see `run_cli`).
-  phases           the six phases below, each with its wall time and
+  phases           the seven phases below, each with its wall time and
                    every traced function called inside it, per caller:
                    calls, inclusive time and self time (inclusive minus
                    traced callees)
@@ -78,14 +78,16 @@ phases are:
     sender keygen    linalg.mat_rank (the forward-pass rank of the
                      r_s x r_s square of H_sk·P, its first r_s columns,
                      once per draw whose H_V has no zero column),
-                     linalg.AffineSolver (the two solvers of the
-                     accepted draw), linalg.mono_apply (H_sk·P, once)
-                     and uuvsign.keygen_sender self (the one untraced
-                     mat_reduce of H_sk·P, for A)
-    sender load      serial.par_sender_sec self (unpacking H_U and H_V),
-                     linalg.mat_rank (the rank of the r_s x r_s square
-                     alone: neither H_sk·P nor A is formed),
-                     linalg.AffineSolver
+                     linalg.mono_apply (H_sk·P, once) and
+                     uuvsign.keygen_sender self (the one untraced
+                     mat_reduce of H_sk·P, for A); no solver is built
+    sender load      serial.par_sender_sec self (unpacking H_U and H_V)
+                     and linalg.mat_rank (the rank of the r_s x r_s
+                     square alone: neither H_sk·P, A nor a solver is
+                     formed)
+    sender solvers   `sk.solvers` of the loaded key: linalg.AffineSolver,
+                     the reductions of H_U and H_V, which a key makes at
+                     its first signature and keeps
     signing attempts at most SIGN_ATTEMPTS attempts of `uuv_decode` on a
                      random word: linalg.AffineSolver.solve (a product
                      with each solver's R_free per batch) and
@@ -210,7 +212,7 @@ class RowCounter:
 
 
 def run_phases(params, rng) -> tuple[dict, dict, bytes, object, object]:
-    """The six traced phases; returns their record, the key blobs, the
+    """The seven traced phases; returns their record, the key blobs, the
     roundtrip's message and the loaded receiver and sender secret
     keys."""
     tracer = spans.Tracer()
@@ -241,6 +243,7 @@ def run_phases(params, rng) -> tuple[dict, dict, bytes, object, object]:
         (_, sk_s), (_, pk_s) = phase(
             "sender load", lambda: (serial.par_sender_sec(blobs["sender_sec"]),
                                     serial.par_sender_pub(blobs["sender_pub"])))
+        phase("sender solvers", lambda: sk_s.solvers)
         word = rng.integers(0, 3, size=params.n_s, dtype=np.uint8)
 
         def attempts():
@@ -394,7 +397,8 @@ def cli_sequence(profile) -> list[dict]:
 
 def batch_products(sk, rng) -> dict:
     out = {}
-    for half, solver in (("V", sk.solver_V), ("U", sk.solver_U)):
+    solver_U, solver_V = sk.solvers
+    for half, solver in (("V", solver_V), ("U", solver_U)):
         diff = rng.integers(0, 3, size=(uuvsign.BATCH, len(solver.free)), dtype=np.uint8)
         R_T, diff32 = solver.R_free.T, diff.astype(np.float32)
         out[half] = {"shape": [*diff.shape, R_T.shape[1]],

@@ -63,7 +63,12 @@ matrices of the toy profile word arrays were slower than the unpacked
 uint8 code they replaced, where integers are two to three times faster
 than either.  From about 150 rows up word arrays won over single pivot
 steps by at most 1.6x on the sizes measured.  Results of elimination
-are unpacked to uint8 before they leave the module.
+are unpacked to uint8 before they leave the module.  Rows are packed
+and unpacked SLAB at a time, and `mat_reduce` keeps only the free
+columns of each unpacked slab, so it never holds a whole bit-plane:
+on a `paper-l1` H_sk·P (2887 x 8492, 23.4 MiB) `tracemalloc` saw it
+peak at 60.9 MiB when it unpacked whole planes, and at 32.3 MiB now,
+of which 15.4 MiB is the R_free it returns.
 
 A GF(2) product of a vector by a fixed matrix, which PKE encryption and
 the re-encryption check take with a receiver key's public generator,
@@ -113,17 +118,24 @@ import numpy as np
 _EXACT = 2 ** 24
 
 
+# the rows of a matrix that packing or unpacking, or a product's uint8
+# left operand, holds at a time, and the columns of a uint8 right operand
+SLAB = 512
+
+
 def _rows_to_ints(bits: np.ndarray) -> list[int]:
     """0/1 rows -> one integer per row, column c at bit c."""
     packed = np.packbits(bits, axis=1, bitorder="little")
     return [int.from_bytes(row.tobytes(), "little") for row in packed]
 
 
-def _ints_to_rows(ints: list[int], cols: int) -> np.ndarray:
+def _ints_to_rows(ints: list[int], cols: int, keep: np.ndarray) -> np.ndarray:
+    """The columns `keep` of the 0/1 rows whose column c is bit c of
+    `ints`."""
     nbytes = (cols + 7) // 8
     data = b"".join(v.to_bytes(nbytes, "little") for v in ints)
     packed = np.frombuffer(data, dtype=np.uint8).reshape(len(ints), nbytes)
-    return np.unpackbits(packed, axis=1, count=cols, bitorder="little")
+    return np.unpackbits(packed, axis=1, count=cols, bitorder="little").take(keep, axis=1)
 
 
 def _add3(a1: int, a2: int, b1: int, b2: int) -> tuple[int, int]:
@@ -137,10 +149,14 @@ def _eliminate(M: np.ndarray, p: int, full: bool):
     (see the module docstring): Gauss-Jordan if `full`, else the forward
     pass of `mat_rank`.  Returns the bit-planes X and Y (None over
     GF(2)), the pivot rows in pivot order and the pivot columns."""
-    M = np.asarray(M, dtype=np.uint8) % p
+    M = np.asarray(M, dtype=np.uint8)
     rows, cols = M.shape
-    X = _rows_to_ints(M == 1)
-    Y = _rows_to_ints(M == 2) if p == 3 else None
+    X, Y = [], ([] if p == 3 else None)
+    for r in range(0, rows, SLAB):
+        slab = M[r:r + SLAB] % p
+        X += _rows_to_ints(slab == 1)
+        if Y is not None:
+            Y += _rows_to_ints(slab == 2)
     k = min(8, rows.bit_length() - 2)
     # below 32 rows the whole matrix is one block (at least one column
     # wide: range needs a nonzero step)
@@ -164,11 +180,16 @@ def mat_reduce(M: np.ndarray, p: int) -> tuple[list[int], np.ndarray, np.ndarray
     X, Y, order, pivots = _eliminate(M, p, True)
     cols = np.shape(M)[1]
     free = np.flatnonzero(np.bincount(pivots, minlength=cols) == 0)
-    # each plane is cut to the free columns as it is unpacked, so the
-    # whole R is never held
-    R_free = _ints_to_rows([X[i] for i in order], cols).take(free, axis=1)
-    if Y is not None:
-        R_free += 2 * _ints_to_rows([Y[i] for i in order], cols).take(free, axis=1)
+    # R_free = X + 2Y on the free columns, unpacked SLAB rows at a time,
+    # so that neither R nor a whole plane is ever held
+    R_free = np.empty((len(order), len(free)), dtype=np.uint8)
+    for r in range(0, len(order), SLAB):
+        rows, out = order[r:r + SLAB], R_free[r:r + SLAB]
+        out[:] = _ints_to_rows([X[i] for i in rows], cols, free)
+        if Y is not None:
+            Y_free = _ints_to_rows([Y[i] for i in rows], cols, free)
+            out += Y_free
+            out += Y_free
     return pivots, free, R_free
 
 
@@ -337,11 +358,6 @@ def invert_matrix(M: np.ndarray, p: int) -> np.ndarray:
     if pivots[:n] != list(range(n)):
         raise ValueError("matrix not invertible")
     return inverse
-
-
-# the rows of a uint8 left operand, or the columns of a uint8 right
-# operand, that one float32 copy holds
-SLAB = 512
 
 
 def _floor_mod(C: np.ndarray, p: int) -> np.ndarray:

@@ -21,13 +21,16 @@ A sender secret key is what key generation draws, (H_U, H_V, P), and
 H_sk is built from it.  Its public key is the systematic form [I | A]
 of H_sk·P, whose first r_s columns must be invertible;
 `sender_secret_key` checks that rule for key generation and key loading
-alike, on those columns alone.  [y | 0] has syndrome y under [I | A],
-so signing decodes the coset of [y | 0]·P^-1.
+alike, on those columns alone.  The key builds its two solvers at its
+first signature and keeps them, so neither key generation nor loading
+reduces H_U or H_V.  [y | 0] has syndrome y under [I | A], so signing
+decodes the coset of [y | 0]·P^-1.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -56,8 +59,11 @@ class SenderSecretKey:
     H_U: np.ndarray        # (n_s/2 - k_U) x n_s/2 over GF(3)
     H_V: np.ndarray        # (n_s/2 - k_V) x n_s/2 over GF(3)
     P: Monomial            # monomial over GF(3)
-    solver_U: AffineSolver  # for H_U, built with the key
-    solver_V: AffineSolver  # for H_V
+
+    @cached_property
+    def solvers(self) -> tuple[AffineSolver, AffineSolver]:
+        """The solvers of H_U and H_V, built at the first signature."""
+        return AffineSolver(self.H_U, 3), AffineSolver(self.H_V, 3)
 
     @property
     def n_s(self) -> int:
@@ -102,11 +108,11 @@ _SINGULAR = "the first r_s columns of H_sk P are singular"
 
 
 def sender_secret_key(H_U: np.ndarray, H_V: np.ndarray, P: Monomial) -> SenderSecretKey:
-    """The secret key (H_U, H_V, P) with its two solvers.  Raises
-    ValueError unless H_V has no zero column and the first r_s columns of
-    H_sk·P are invertible.  The last rule makes H_sk, hence H_U and H_V,
-    of full row rank.  It is checked on that r_s x r_s square alone: the
-    columns of H_sk that P sends first, times their scalars."""
+    """The secret key (H_U, H_V, P).  Raises ValueError unless H_V has no
+    zero column and the first r_s columns of H_sk·P are invertible.  The
+    last rule makes H_sk, hence H_U and H_V, of full row rank.  It is
+    checked on that r_s x r_s square alone: the columns of H_sk that P
+    sends first, times their scalars."""
     # a zero column of H_V, hence of H_pk, makes a signature trit malleable
     if not H_V.any(axis=0).all():
         raise ValueError("H_V has a zero column")
@@ -119,8 +125,7 @@ def sender_secret_key(H_U: np.ndarray, H_V: np.ndarray, P: Monomial) -> SenderSe
                              H_V[:, cols % half] * (left + 1)]) * P.inv_scalars[:r_s] % 3
     if mat_rank(square, 3) != r_s:
         raise ValueError(_SINGULAR)
-    return SenderSecretKey(H_U=H_U, H_V=H_V, P=P, solver_U=AffineSolver(H_U, 3),
-                           solver_V=AffineSolver(H_V, 3))
+    return SenderSecretKey(H_U=H_U, H_V=H_V, P=P)
 
 
 # draws of (H_U, H_V, P) that sender key generation makes before it gives up
@@ -179,10 +184,11 @@ def _attempts(sk: SenderSecretKey, w: np.ndarray, p_two: np.ndarray, rng) -> np.
     in that of w1 under H_U, each half's free values from one
     `_free_values` batch."""
     half = sk.n_s // 2
+    solver_U, solver_V = sk.solvers
     w_U, w_V = w[:half], _mod_small(w[half:] + 3 - w[:half], 3)
-    zeros_V = np.zeros((len(p_two), len(sk.solver_V.free)), dtype=np.uint8)
-    e_V = sk.solver_V.solve(w_V, _free_values(zeros_V, p_two, rng))
-    e1 = sk.solver_U.solve(w_U, _free_values(e_V[:, sk.solver_U.free], p_two, rng))
+    zeros_V = np.zeros((len(p_two), len(solver_V.free)), dtype=np.uint8)
+    e_V = solver_V.solve(w_V, _free_values(zeros_V, p_two, rng))
+    e1 = solver_U.solve(w_U, _free_values(e_V[:, solver_U.free], p_two, rng))
     return np.concatenate([e1, _mod_small(e1 + e_V, 3)], axis=1)
 
 

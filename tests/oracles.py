@@ -414,9 +414,10 @@ def uuv_attempt(sk, w: np.ndarray, p_two: float, rng) -> np.ndarray:
     half = sk.n_s // 2
     w = np.asarray(w, dtype=np.uint8) % 3
     w_U, w_V = w[:half], (w[half:] + 3 - w[:half]) % 3
-    zeros_V = np.zeros(len(sk.solver_V.free), dtype=np.uint8)
-    e_V = sk.solver_V.solve(w_V, table_free_values(zeros_V, p_two, rng))
-    e1 = sk.solver_U.solve(w_U, table_free_values(e_V[sk.solver_U.free], p_two, rng))
+    solver_U, solver_V = sk.solvers
+    zeros_V = np.zeros(len(solver_V.free), dtype=np.uint8)
+    e_V = solver_V.solve(w_V, table_free_values(zeros_V, p_two, rng))
+    e1 = solver_U.solve(w_U, table_free_values(e_V[solver_U.free], p_two, rng))
     return np.concatenate([e1, (e1 + e_V) % 3])
 
 

@@ -1,0 +1,83 @@
+"""Games against what a signcrypted message binds, each with a named
+adversary, run at the toy profile and at L1/20.
+
+Each test asserts today's outcome, and its docstring names the model that
+the outcome speaks to.  The models are those of An, Dodis and Rabin, "On
+the security of joint signature and encryption" (Eurocrypt 2002): in the
+two-user setting one sender and one receiver are fixed, in the
+multi-user setting the adversary picks among many users' keys, and an
+insider holds one of the two parties' secret keys where an outsider
+holds neither.
+"""
+
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from cbsc import hybrid
+from cbsc.hybrid import SigncryptedMessage
+from cbsc.mceliece import pke_decrypt, pke_encrypt
+from cbsc.params import setup
+from cbsc.sctkem import Encapsulation, keygen_receiver_params, keygen_sender_params
+
+L1_20 = str(Path(__file__).resolve().parent.parent / "perfbench" / "l1-20.profile")
+
+
+@pytest.fixture(scope="module", params=["toy", L1_20], ids=["toy", "l1-20"])
+def users(request):
+    """A profile with two receivers and two senders, and a message from
+    sender 0 to receiver 0."""
+    params = setup(request.param)
+    rng = np.random.default_rng(2002)
+    receivers = [keygen_receiver_params(params, rng) for _ in range(2)]
+    senders = [keygen_sender_params(params, rng) for _ in range(2)]
+    return params, receivers, senders, rng
+
+
+def _signcrypt(users, m: bytes) -> SigncryptedMessage:
+    params, receivers, senders, rng = users
+    return hybrid.signcrypt(params, senders[0][0], receivers[0][1], m, rng)
+
+
+def test_receiver_re_addresses_a_message_to_another_receiver(users):
+    """Surreptitious forwarding, an insider attack of the multi-user
+    setting: receiver 0 decrypts the encapsulation's PKE ciphertext to
+    its (x, y), encrypts them again to receiver 1 under the same coin, and
+    keeps the signature e and the DEM ciphertext C.  Receiver 1 accepts
+    the result as sender 0's message, because the signed hash covers
+    neither public key nor the PKE ciphertext.  This succeeds today: the
+    scheme is not secure against this insider in the multi-user model,
+    whatever it gives in the two-user one."""
+    params, receivers, senders, _ = users
+    m = b"for receiver 0 only"
+    sc = _signcrypt(users, m)
+    x, y = pke_decrypt(receivers[0][0], sc.E.c, params.t)
+    forwarded = SigncryptedMessage(
+        E=Encapsulation(e=sc.E.e, c=pke_encrypt(receivers[1][1], x, y, params.t)), C=sc.C)
+    assert hybrid.unsigncrypt(params, receivers[1][0], senders[0][1], forwarded) == m
+
+
+def test_message_cannot_be_re_attributed_to_another_sender(users):
+    """Unforgeability in the multi-user setting, against an adversary
+    without sender 1's secret key: sender 0's message, unchanged, is
+    presented to its receiver as sender 1's.  The signature e verifies
+    only under sender 0's public key, so this fails."""
+    params, receivers, senders, _ = users
+    m = b"signed by sender 0"
+    sc = _signcrypt(users, m)
+    assert hybrid.unsigncrypt(params, receivers[0][0], senders[0][1], sc) == m
+    assert hybrid.unsigncrypt(params, receivers[0][0], senders[1][1], sc) is None
+
+
+def test_swapped_dem_ciphertexts_are_rejected(users):
+    """Integrity of the two-user outsider model: an adversary that holds
+    no secret key swaps the DEM ciphertexts of two messages from sender
+    0 to receiver 0.  The DEM ciphertext is the tag-KEM's tag, which
+    the signature and the PKE ciphertext both bind, so each mixed
+    message is rejected."""
+    params, receivers, senders, _ = users
+    first, second = _signcrypt(users, b"message one"), _signcrypt(users, b"message two")
+    for E, C in ((first.E, second.C), (second.E, first.C)):
+        mixed = SigncryptedMessage(E=E, C=C)
+        assert hybrid.unsigncrypt(params, receivers[0][0], senders[0][1], mixed) is None

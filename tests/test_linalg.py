@@ -180,6 +180,16 @@ def test_blocked_mat_reduce_edge_cases(p, rows, kind):
     _assert_reduces_like_oracle(M, p)
 
 
+# mat_reduce packs its input and unpacks R_free SLAB rows at a time: a
+# rank above SLAB runs both loops more than once, on unreduced entries
+@pytest.mark.parametrize("p", [2, 3])
+def test_mat_reduce_across_row_slabs(p):
+    rows = L.SLAB + 37
+    M = _rng(rows).integers(0, 2 * p, size=(rows, rows + 60), dtype=np.uint8)
+    M[5] = M[L.SLAB + 3]
+    _assert_reduces_like_oracle(M, p)
+
+
 # mat_rank runs only the forward pass: its tables clear the rows without
 # a pivot, and it stops once every row holds one.  Its pivots and rank
 # must still be those of Gauss-Jordan, on both sides of the 32-row

@@ -49,6 +49,9 @@ def test_traced_roundtrip_passes_through_the_metric_spans(
     spans = _spans_module()
     sk_r, pk_r = receiver_keys
     sk_s, pk_s = sender_keys
+    # a key builds its solvers at its first signature, which the
+    # benchmark's warm-up roundtrips make before any traced operation
+    hybrid.signcrypt(toy_params, sk_s, pk_r, b"warm-up", np.random.default_rng(0))
     tracer = spans.Tracer()
     tracer.install()
     try:
@@ -63,7 +66,7 @@ def test_traced_roundtrip_passes_through_the_metric_spans(
                  "hybrid.dem_encrypt", "goppa.decode_permuted", "sctkem.decap"):
         assert name in names
     assert names.count("linalg.AffineSolver.solve") % 2 == 0
-    # the solvers are key material: signing builds none
+    # a key that has signed keeps its solvers: signing builds none
     assert not [span for span in tracer.spans if span[0] == "linalg.AffineSolver"
                 and tracer.spans[span[3]][0] == "uuvsign.uuv_decode"]
     assert names.count("hybrid.dem_encrypt") == 2

@@ -96,9 +96,8 @@ def _counting(calls, name, fn):
 
 @pytest.mark.parametrize("seed", [2, 9, 4])
 def test_keygen_sender_eliminates_each_matrix_once(monkeypatch, seed):
-    # each draw's pivot rule is the rank of its r_s x r_s square; the
-    # accepted draw then builds the H_U and H_V solvers, and H_sk P is
-    # reduced once, for A
+    # each draw's pivot rule is the rank of its r_s x r_s square; H_sk P
+    # is then reduced once, for A, and no solver is built
     rng = np.random.default_rng(seed)
     keygen_receiver_params(TOY, rng)
     calls = []
@@ -107,17 +106,14 @@ def test_keygen_sender_eliminates_each_matrix_once(monkeypatch, seed):
                                 (uuvsign, "mat_rank", "rank")):
         monkeypatch.setattr(module, name, _counting(calls, label, getattr(module, name)))
     keygen_sender_params(TOY, rng)
-    r_U, r_V = TOY.n_s // 2 - TOY.k_U, TOY.n_s // 2 - TOY.k_V
     shapes = [(name, M.shape) for name, M in calls]
     assert shapes == [("rank", (TOY.r_s, TOY.r_s))] * SENDER_DRAWS[seed] + [
-        ("reduce", (r_U, TOY.n_s // 2)), ("reduce", (r_V, TOY.n_s // 2)),
         ("reduce", (TOY.r_s, TOY.n_s))], shapes
 
 
 def test_sender_key_load_eliminates_the_square_only(monkeypatch, sender_keys):
-    # loading needs no A: the pivot rule is the rank of the r_s x r_s
-    # square of H_sk P, then one elimination per solver; neither H_sk nor
-    # H_sk P is formed
+    # loading needs no A and no solver: the pivot rule is the rank of the
+    # r_s x r_s square of H_sk P; neither H_sk nor H_sk P is formed
     sk = sender_keys[0]
     blob = serial.ser_sender_sec(TOY, sk)
     calls = []
@@ -128,12 +124,26 @@ def test_sender_key_load_eliminates_the_square_only(monkeypatch, sender_keys):
                                 (uuvsign, "build_uuv_parity_check", "H_sk")):
         monkeypatch.setattr(module, name, _counting(calls, label, getattr(module, name)))
     serial.par_sender_sec(blob)
-    r_U, r_V = TOY.n_s // 2 - TOY.k_U, TOY.n_s // 2 - TOY.k_V
     shapes = [(name, M.shape) for name, M in calls]
-    assert shapes == [("rank", (TOY.r_s, TOY.r_s)), ("reduce", (r_U, TOY.n_s // 2)),
-                      ("reduce", (r_V, TOY.n_s // 2))], shapes
+    assert shapes == [("rank", (TOY.r_s, TOY.r_s))], shapes
     HP = mat_mono(build_uuv_parity_check(sk.H_U, sk.H_V), sk.P, 3)
     assert np.array_equal(calls[0][1], HP[:, :TOY.r_s])
+
+
+def test_sender_key_builds_its_solvers_at_its_first_signature(monkeypatch, sender_keys):
+    # a fresh key reduces H_U and H_V once each when it first signs, and
+    # keeps the solvers for every later signature
+    _, sk = serial.par_sender_sec(serial.ser_sender_sec(TOY, sender_keys[0]))
+    calls = []
+    monkeypatch.setattr(linalg, "mat_reduce", _counting(calls, "reduce", linalg.mat_reduce))
+    rng = np.random.default_rng(5)
+    y = rng.integers(0, 3, size=TOY.r_s, dtype=np.uint8)
+    sign_syndrome(sk, y, TOY.omega, rng)
+    assert [(name, M.shape) for name, M in calls] == [
+        ("reduce", sk.H_U.shape), ("reduce", sk.H_V.shape)]
+    assert np.array_equal(calls[0][1], sk.H_U) and np.array_equal(calls[1][1], sk.H_V)
+    sign_syndrome(sk, y, TOY.omega, rng)
+    assert len(calls) == 2
 
 
 @pytest.mark.parametrize("n_s,k_U,k_V", [(16, 4, 4), (8, 2, 2), (24, 6, 8)])
@@ -296,8 +306,8 @@ class _Replay:
 def _draws(sk, count, seed):
     rng = np.random.default_rng(seed)
     return (rng.normal(0.0, 0.15, count),
-            rng.random((count, len(sk.solver_V.free))),
-            rng.random((count, len(sk.solver_U.free))))
+            rng.random((count, len(sk.solvers[1].free))),
+            rng.random((count, len(sk.solvers[0].free))))
 
 
 @pytest.fixture(scope="module")
