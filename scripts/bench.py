@@ -28,7 +28,9 @@ from its own generator, seeded with SEED, and records:
                    differences by the solver's R_free, and the bare
                    float32 BLAS product of the same operands, so the
                    difference is the reduction
-  mono_apply_ms    `mono_apply` of the sender's H_sk by P
+  hsk_p_columns_ms `uuvsign.hsk_p_columns` of the loaded sender key: the
+                   gather of all n_s columns of H_sk·P that sender
+                   keygen reduces for A
   phi_ms           `cwencode.phi` of kappa random bits at (n_r, t)
   signatures       SIGNATURES whole signatures of random syndromes with
                    the loaded sender key: attempts per signature, counted
@@ -77,14 +79,16 @@ phases are:
                      the rank check of S and S·G·P again
     sender keygen    linalg.mat_rank (the forward-pass rank of the
                      r_s x r_s square of H_sk·P, its first r_s columns,
-                     once per draw whose H_V has no zero column),
-                     linalg.mono_apply (H_sk·P, once) and
+                     once per draw whose H_V has no zero column) and
                      uuvsign.keygen_sender self (the one untraced
-                     mat_reduce of H_sk·P, for A); no solver is built
-    sender load      serial.par_sender_sec self (unpacking H_U and H_V)
-                     and linalg.mat_rank (the rank of the r_s x r_s
-                     square alone: neither H_sk·P, A nor a solver is
-                     formed)
+                     mat_reduce of H_sk·P, for A, and the untraced
+                     gathers of `uuvsign.hsk_p_columns`: the square once
+                     per such draw, then all of H_sk·P once); H_sk is
+                     not formed and no solver is built
+    sender load      serial.par_sender_sec self (unpacking H_U and H_V,
+                     and the untraced gather of the square) and
+                     linalg.mat_rank (the rank of the r_s x r_s square
+                     alone: neither H_sk·P, A nor a solver is formed)
     sender solvers   `sk.solvers` of the loaded key: linalg.AffineSolver,
                      the reductions of H_U and H_V, which a key makes at
                      its first signature and keeps
@@ -433,9 +437,8 @@ def bench(params, rng) -> dict:
     record["receiver_secret_key_peak_mib"] = receiver_key_peak_mib(sk_r)
     del sk_r
     record["batch_products"] = batch_products(sk, rng)
-    H = uuvsign.build_uuv_parity_check(sk.H_U, sk.H_V)
-    record["mono_apply_ms"] = median_ms(lambda: linalg.mono_apply(H, sk.P, 3))
-    del H
+    record["hsk_p_columns_ms"] = median_ms(
+        lambda: uuvsign.hsk_p_columns(sk.H_U, sk.H_V, sk.P, params.n_s))
     bits = rng.integers(0, 2, size=params.kappa, dtype=np.uint8)
     record["phi_ms"] = median_ms(lambda: cwencode.phi(bits, params.n_r, params.t))
     record["signatures"] = signatures(params, sk, rng)
@@ -466,7 +469,7 @@ def report(name: str, rec: dict) -> None:
     for half, bp in rec["batch_products"].items():
         print(f"batch product {half} {bp['shape']}: {bp['product_ms']:.3f} ms "
               f"(BLAS alone {bp['blas_ms']:.3f} ms)")
-    print(f"mono_apply of H_sk by P: {rec['mono_apply_ms']:.2f} ms; "
+    print(f"hsk_p_columns of all n_s columns: {rec['hsk_p_columns_ms']:.2f} ms; "
           f"phi: {rec['phi_ms']:.3f} ms")
     sig = rec["signatures"]
     print(f"{sig['count']} signatures, {sig['failed']} failed: attempts mean "

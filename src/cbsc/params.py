@@ -12,6 +12,11 @@ class ParameterError(ValueError):
     pass
 
 
+# the largest n_s, and the largest ell and salt_bits, that validate accepts
+MAX_N_S = 1 << 14
+MAX_BITS = 1 << 16
+
+
 @dataclass(frozen=True)
 class CommonParams:
     name: str
@@ -48,6 +53,11 @@ class CommonParams:
     def validate(self) -> "CommonParams":
         if self.n_s % 2:
             raise ParameterError("n_s must be even")
+        # about twice paper-l1's n_s: H_sk·P has at most 2^28 entries, and
+        # with the bound on ell and salt_bits below, every field of a
+        # custom parameter block fits its 32 bits
+        if self.n_s > MAX_N_S:
+            raise ParameterError(f"n_s must be at most {MAX_N_S}")
         half = self.n_s // 2
         if not (0 < self.k_U < half and 0 < self.k_V < half):
             raise ParameterError("need 0 < k_U, k_V < n_s/2")
@@ -69,8 +79,8 @@ class CommonParams:
             raise ParameterError("t must be in [1, 128]")
         if not 1 <= self.k_tilde <= self.k_r:
             raise ParameterError("need 1 <= k_tilde <= n_r - m*t")
-        if self.ell < 1 or self.salt_bits < 1:
-            raise ParameterError("ell and salt_bits must be >= 1")
+        if not (1 <= self.ell <= MAX_BITS and 1 <= self.salt_bits <= MAX_BITS):
+            raise ParameterError(f"ell and salt_bits must be in [1, {MAX_BITS}]")
         return self
 
 

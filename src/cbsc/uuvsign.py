@@ -18,8 +18,9 @@ are drawn one at a time or in batches, so batching changes the
 generator's consumption, not the law of a signature.
 
 A sender secret key is what key generation draws, (H_U, H_V, P), and
-H_sk is built from it.  Its public key is the systematic form [I | A]
-of H_sk·P, whose first r_s columns must be invertible;
+H_sk is never formed: `hsk_p_columns` gathers the leading columns of
+H_sk·P from it.  Its public key is the systematic form [I | A] of
+H_sk·P, whose first r_s columns must be invertible;
 `sender_secret_key` checks that rule for key generation and key loading
 alike, on those columns alone.  The key builds its two solvers at its
 first signature and keeps them, so neither key generation nor loading
@@ -93,15 +94,24 @@ class Signature:
     salt: np.ndarray       # salt_bits bits
 
 
-def build_uuv_parity_check(H_U: np.ndarray, H_V: np.ndarray) -> np.ndarray:
-    """[[H_U, 0], [-H_V, H_V]]: checks u in U and (second - first) in V."""
-    rU, half = H_U.shape
-    rV = H_V.shape[0]
-    H = np.zeros((rU + rV, 2 * half), dtype=np.uint8)
-    H[:rU, :half] = H_U
-    H[rU:, :half] = (3 - H_V) % 3
-    H[rU:, half:] = H_V
-    return H
+def hsk_p_columns(H_U: np.ndarray, H_V: np.ndarray, P: Monomial, count: int) -> np.ndarray:
+    """The first `count` columns of H_sk·P, gathered from (H_U, H_V, P)
+    without forming H_sk: column j is column P.inv[j] of H_sk times
+    P.inv_scalars[j]."""
+    r_U, half = H_U.shape
+    cols, scalars = P.inv[:count], P.inv_scalars[:count]
+    index, left = cols % half, (cols < half).astype(np.uint8)
+    out = np.empty((r_U + len(H_V), count), dtype=np.uint8)
+    # column c of H_sk is (H_U[:, c], -H_V[:, c]) on the left half and
+    # (0, H_V[:, c - half]) on the right, and -1 = 2 over GF(3): one
+    # multiplier per column and block, each below 3, so every product is
+    # below 6.  The indices are in range, and mode="clip" writes straight
+    # into `out`, where the default mode would buffer.
+    for block, H, mult in ((out[:r_U], H_U, scalars * left),
+                           (out[r_U:], H_V, scalars * (left + 1) % 3)):
+        H.take(index, axis=1, out=block, mode="clip")
+        block *= mult
+    return _mod_small(out, 3)
 
 
 _SINGULAR = "the first r_s columns of H_sk P are singular"
@@ -111,19 +121,12 @@ def sender_secret_key(H_U: np.ndarray, H_V: np.ndarray, P: Monomial) -> SenderSe
     """The secret key (H_U, H_V, P).  Raises ValueError unless H_V has no
     zero column and the first r_s columns of H_sk·P are invertible.  The
     last rule makes H_sk, hence H_U and H_V, of full row rank.  It is
-    checked on that r_s x r_s square alone: the columns of H_sk that P
-    sends first, times their scalars."""
+    checked on that r_s x r_s square alone."""
     # a zero column of H_V, hence of H_pk, makes a signature trit malleable
     if not H_V.any(axis=0).all():
         raise ValueError("H_V has a zero column")
-    r_s, half = len(H_U) + len(H_V), H_U.shape[1]
-    # column c of H_sk is (H_U[:, c], -H_V[:, c]) on the left half and
-    # (0, H_V[:, c - half]) on the right, and -1 = 2 over GF(3)
-    cols = P.inv[:r_s]
-    left = (cols < half).astype(np.uint8)
-    square = np.concatenate([H_U[:, cols % half] * left,
-                             H_V[:, cols % half] * (left + 1)]) * P.inv_scalars[:r_s] % 3
-    if mat_rank(square, 3) != r_s:
+    r_s = len(H_U) + len(H_V)
+    if mat_rank(hsk_p_columns(H_U, H_V, P, r_s), 3) != r_s:
         raise ValueError(_SINGULAR)
     return SenderSecretKey(H_U=H_U, H_V=H_V, P=P)
 
@@ -149,7 +152,7 @@ def keygen_sender(params: CommonParams, rng):
             sk = sender_secret_key(H_U, H_V, P)
         except ValueError:
             continue
-        _, _, A = mat_reduce(mono_apply(build_uuv_parity_check(H_U, H_V), P, 3), 3)
+        _, _, A = mat_reduce(hsk_p_columns(H_U, H_V, P, params.n_s), 3)
         return sk, SenderPublicKey(A=A)
     raise ParameterError(f"no valid sender key in {KEYGEN_DRAWS} draws")
 

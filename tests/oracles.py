@@ -18,7 +18,9 @@ fused loop of `cbsc.fields.poly_euclid` and the in-place remainder loop
 of `cbsc.fields.poly_mod` and `poly_gcd` replaced; the XOR of the
 selected unpacked rows, which the packed rows of
 `cbsc.linalg.xor_rows` replaced; the re-encoding check that the byte
-checks of the `cbsc.serial` codecs replaced; the enumeration of a whole
+checks of the `cbsc.serial` codecs replaced; the sender's whole parity
+check H_sk, block by block, which the column gather of
+`cbsc.uuvsign.hsk_p_columns` replaced; the enumeration of a whole
 signature coset; and helpers that only tests need.
 
 They are slow and simple on purpose; tests compare the library against
@@ -381,6 +383,17 @@ def mono_to_matrix(M: Monomial) -> np.ndarray:
 
 def dem_encrypt(K: np.ndarray, m: bytes) -> bytes:
     return bytes(a ^ b for a, b in zip(m, keystream(K, len(m))))
+
+
+def uuv_parity_check(H_U: np.ndarray, H_V: np.ndarray) -> np.ndarray:
+    """H_sk = [[H_U, 0], [-H_V, H_V]]: checks u in U and (second - first)
+    in V."""
+    r_U, half = H_U.shape
+    H = np.zeros((r_U + len(H_V), 2 * half), dtype=np.uint8)
+    H[:r_U, :half] = H_U
+    H[r_U:, :half] = (3 - H_V) % 3
+    H[r_U:, half:] = H_V
+    return H
 
 
 def steered_free_values(other: np.ndarray, p_two: float, rng) -> np.ndarray:

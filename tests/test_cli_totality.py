@@ -15,6 +15,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 import cbsc
 from cbsc.cli import EXIT_IO, EXIT_OK, EXIT_USAGE, main
+from cbsc.params import MAX_BITS, MAX_N_S, custom_params
 
 from oracles import TOY_FIELDS
 
@@ -122,6 +123,26 @@ def test_profile_mismatches_exit2(keyset, tmp_path):
                            tmp_path))
     assert code == EXIT_USAGE
     assert f"message file {tmp_path / 'cmsg.cbsc'}" in err
+
+
+@pytest.mark.parametrize("field,bound,value", [("n_s", MAX_N_S, MAX_N_S + 2),
+                                               ("ell", MAX_BITS, MAX_BITS + 1),
+                                               ("salt_bits", MAX_BITS, MAX_BITS + 1)])
+def test_profile_one_past_a_size_bound_exits2(tmp_path, field, bound, value):
+    # unbounded, n_s = 2,000,000 made sender keygen die on a 931 GiB
+    # allocation and ell = 10^11 made receiver keygen die packing the
+    # custom block, whose fields are 32 bits; n_s is even past its bound.
+    # A profile at the bound validates, and is not keyed here.
+    assert getattr(custom_params(TOY_FIELDS | {field: bound}), field) == bound
+    profile = tmp_path / "big.profile"
+    profile.write_text("".join(f"{k} = {v}\n" for k, v in (TOY_FIELDS | {field: value}).items()))
+    for role in ("receiver", "sender"):
+        code, err = _run(["keygen", "--role", role, "--profile", str(profile),
+                          "--out", str(tmp_path / role), "--seed", "01"])
+        assert code == EXIT_USAGE
+        assert err.count("error:") == 1 and err.startswith("error:"), err
+        assert field in err and str(bound) in err, err
+        assert not list(tmp_path.glob(f"{role}.*"))
 
 
 def test_closed_stdout_exits_3_without_traceback():

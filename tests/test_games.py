@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cbsc import hybrid
+from cbsc import hybrid, linalg
 from cbsc.hybrid import SigncryptedMessage
 from cbsc.mceliece import pke_decrypt, pke_encrypt
 from cbsc.params import setup
@@ -81,3 +81,53 @@ def test_swapped_dem_ciphertexts_are_rejected(users):
     for E, C in ((first.E, second.C), (second.E, first.C)):
         mixed = SigncryptedMessage(E=E, C=C)
         assert hybrid.unsigncrypt(params, receivers[0][0], senders[0][1], mixed) is None
+
+
+def test_message_replays_to_its_own_receiver(users):
+    """Replay, in every model here: an adversary that holds no secret key
+    delivers a message from sender 0 to receiver 0 a second time.
+    Nothing in the scheme gives freshness (no counter, timestamp or
+    receiver state), so receiver 0 accepts it again, with the same
+    plaintext.  This succeeds today; freshness is left to the
+    application."""
+    params, receivers, senders, _ = users
+    m = b"pay 10 units"
+    sc = _signcrypt(users, m)
+    for _ in range(2):
+        assert hybrid.unsigncrypt(params, receivers[0][0], senders[0][1], sc) == m
+
+
+# random codewords that the mauling game adds to a signature
+MAUL_CODEWORDS = 40_000
+
+
+def test_outsider_mauls_e_by_a_public_codeword(users):
+    """Strong unforgeability (sUF-CMA, the paper's claim) in the two-user
+    outsider model: an adversary with the public keys only adds a random
+    codeword c = (-A x, x) of the sender's public code, whose syndrome
+    under [I | A] is zero, to the signature e of one message, signcrypted
+    at seed 31, and keeps c and C.  When wt(e + c) = omega the result
+    is a second valid encapsulation of the same message.  x is drawn
+    MAUL_CODEWORDS = 40,000 times at seed 32, and the zero draws are
+    dropped.  At toy, 1,427 of the 39,996 codewords keep the weight, so
+    toy sizes are not strongly unforgeable, and the first of them passes
+    `unsigncrypt`.  At L1/20 none of the 40,000 keeps it.  The cost of
+    the attack at real sizes is not measured here."""
+    params, receivers, senders, _ = users
+    pk = senders[0][1]
+    m = b"mauled"
+    sc = hybrid.signcrypt(params, senders[0][0], receivers[0][1], m,
+                          np.random.default_rng(31))
+    x = np.random.default_rng(32).integers(
+        0, 3, size=(MAUL_CODEWORDS, pk.n_s - pk.r_s), dtype=np.uint8)
+    x = x[x.any(axis=1)]
+    c = np.concatenate([(3 - linalg.matmul(x, pk.A.T, 3)) % 3, x], axis=1)
+    mauled = (sc.E.e + c) % 3
+    kept = mauled[np.count_nonzero(mauled, axis=1) == params.omega]
+    if params.name == "toy":
+        assert len(kept) > 0
+        forged = SigncryptedMessage(E=Encapsulation(e=kept[0], c=sc.E.c), C=sc.C)
+        assert not np.array_equal(kept[0], sc.E.e)
+        assert hybrid.unsigncrypt(params, receivers[0][0], pk, forged) == m
+    else:
+        assert len(kept) == 0

@@ -18,7 +18,7 @@ from cbsc.uuvsign import (
     SenderPublicKey,
     _attempts,
     _free_values,
-    build_uuv_parity_check,
+    hsk_p_columns,
     keygen_sender,
     sign,
     sign_syndrome,
@@ -31,10 +31,11 @@ from oracles import mat_mono, mono_to_matrix, steered_free_values
 
 
 def test_parity_check_block_structure():
+    # under the identity monomial the gather of all 16 columns is H_sk
     rng = np.random.default_rng(0)
     H_U = rng.integers(0, 3, size=(4, 8), dtype=np.uint8)
     H_V = rng.integers(0, 3, size=(5, 8), dtype=np.uint8)
-    H = build_uuv_parity_check(H_U, H_V)
+    H = hsk_p_columns(H_U, H_V, linalg.Monomial(np.arange(16), np.ones(16)), 16)
     assert H.shape == (9, 16)
     assert np.array_equal(H[:4, :8], H_U)
     assert not np.any(H[:4, 8:])
@@ -63,7 +64,7 @@ def test_keygen_relations(sender_keys, toy_params):
     assert (sk.n_s, sk.r_s) == (p.n_s, p.r_s)
     assert pk.A.shape == (p.r_s, p.n_s - p.r_s)
     # H_sk P = HP[:, :r_s] [I | A], with HP[:, :r_s] invertible
-    HP = mat_mono(build_uuv_parity_check(sk.H_U, sk.H_V), sk.P, 3)
+    HP = mat_mono(O.uuv_parity_check(sk.H_U, sk.H_V), sk.P, 3)
     assert mat_rank(HP[:, :p.r_s], 3) == p.r_s
     I_A = np.concatenate([np.eye(p.r_s, dtype=np.uint8), pk.A], axis=1)
     assert np.array_equal(matmul(HP[:, :p.r_s], I_A, 3), HP)
@@ -86,47 +87,57 @@ def test_keygen_sender_public_keys_have_no_zero_column():
 SENDER_DRAWS = {2: 1, 9: 1, 4: 8}
 
 
-def _counting(calls, name, fn):
-    """fn, appending (name, its first argument) to calls."""
+def _counting(calls, name, fn, result=False):
+    """fn, appending (name, its result if `result`, else its first
+    argument) to calls."""
     def wrapper(*args):
-        calls.append((name, args[0]))
-        return fn(*args)
+        out = fn(*args)
+        calls.append((name, out if result else args[0]))
+        return out
     return wrapper
 
 
-@pytest.mark.parametrize("seed", [2, 9, 4])
-def test_keygen_sender_eliminates_each_matrix_once(monkeypatch, seed):
-    # each draw's pivot rule is the rank of its r_s x r_s square; H_sk P
-    # is then reduced once, for A, and no solver is built
-    rng = np.random.default_rng(seed)
-    keygen_receiver_params(TOY, rng)
-    calls = []
-    for module, name, label in ((linalg, "mat_reduce", "reduce"),
-                                (uuvsign, "mat_reduce", "reduce"),
-                                (uuvsign, "mat_rank", "rank")):
-        monkeypatch.setattr(module, name, _counting(calls, label, getattr(module, name)))
-    keygen_sender_params(TOY, rng)
-    shapes = [(name, M.shape) for name, M in calls]
-    assert shapes == [("rank", (TOY.r_s, TOY.r_s))] * SENDER_DRAWS[seed] + [
-        ("reduce", (TOY.r_s, TOY.n_s))], shapes
-
-
-def test_sender_key_load_eliminates_the_square_only(monkeypatch, sender_keys):
-    # loading needs no A and no solver: the pivot rule is the rank of the
-    # r_s x r_s square of H_sk P; neither H_sk nor H_sk P is formed
-    sk = sender_keys[0]
-    blob = serial.ser_sender_sec(TOY, sk)
-    calls = []
+def _count_key_work(monkeypatch, calls):
+    """Counts the gathers of H_sk P columns (by their result), the
+    eliminations and the monomial products that uuvsign makes."""
     for module, name, label in ((linalg, "mat_reduce", "reduce"),
                                 (uuvsign, "mat_reduce", "reduce"),
                                 (uuvsign, "mat_rank", "rank"),
                                 (uuvsign, "mono_apply", "mono_apply"),
-                                (uuvsign, "build_uuv_parity_check", "H_sk")):
-        monkeypatch.setattr(module, name, _counting(calls, label, getattr(module, name)))
+                                (uuvsign, "hsk_p_columns", "gather")):
+        monkeypatch.setattr(module, name, _counting(calls, label, getattr(module, name),
+                                                    result=label == "gather"))
+
+
+@pytest.mark.parametrize("seed", [2, 9, 4])
+def test_keygen_sender_eliminates_each_matrix_once(monkeypatch, seed):
+    # each draw's pivot rule is the rank of its r_s x r_s square, one
+    # gather of r_s columns; H_sk P is then gathered whole and reduced
+    # once, for A; no solver is built and no monomial product is made
+    rng = np.random.default_rng(seed)
+    keygen_receiver_params(TOY, rng)
+    calls = []
+    _count_key_work(monkeypatch, calls)
+    keygen_sender_params(TOY, rng)
+    shapes = [(name, M.shape) for name, M in calls]
+    square = (TOY.r_s, TOY.r_s)
+    assert shapes == [("gather", square), ("rank", square)] * SENDER_DRAWS[seed] + [
+        ("gather", (TOY.r_s, TOY.n_s)), ("reduce", (TOY.r_s, TOY.n_s))], shapes
+
+
+def test_sender_key_load_eliminates_the_square_only(monkeypatch, sender_keys):
+    # loading needs no A and no solver: the pivot rule is the rank of the
+    # r_s x r_s square of H_sk P, one gather of r_s columns; neither H_sk
+    # nor H_sk P is formed
+    sk = sender_keys[0]
+    blob = serial.ser_sender_sec(TOY, sk)
+    calls = []
+    _count_key_work(monkeypatch, calls)
     serial.par_sender_sec(blob)
     shapes = [(name, M.shape) for name, M in calls]
-    assert shapes == [("rank", (TOY.r_s, TOY.r_s))], shapes
-    HP = mat_mono(build_uuv_parity_check(sk.H_U, sk.H_V), sk.P, 3)
+    assert shapes == [("gather", (TOY.r_s, TOY.r_s)), ("rank", (TOY.r_s, TOY.r_s))], shapes
+    HP = mat_mono(O.uuv_parity_check(sk.H_U, sk.H_V), sk.P, 3)
+    assert calls[1][1] is calls[0][1]
     assert np.array_equal(calls[0][1], HP[:, :TOY.r_s])
 
 
@@ -159,7 +170,7 @@ def test_keygen_and_load_accept_the_same_draws(n_s, k_U, k_V):
         H_U = linalg.random_matrix(half - k_U, half, 3, rng)
         H_V = linalg.random_matrix(half - k_V, half, 3, rng)
         P = linalg.random_monomial(n_s, 3, rng)
-        HP = O.matmul(build_uuv_parity_check(H_U, H_V), mono_to_matrix(P), 3)
+        HP = O.matmul(O.uuv_parity_check(H_U, H_V), mono_to_matrix(P), 3)
         if not H_V.any(axis=0).all():
             expected = "H_V has a zero column"
         elif O.mat_reduce(HP, 3)[2] != list(range(r_s)):
@@ -174,6 +185,24 @@ def test_keygen_and_load_accept_the_same_draws(n_s, k_U, k_V):
         assert seen == expected
         verdicts.add(expected)
     assert verdicts == {"accepted", "H_V has a zero column", uuvsign._SINGULAR}
+
+
+@pytest.mark.parametrize("n_s,k_U,k_V", [(16, 4, 4), (24, 6, 8), (424, 177, 102)])
+def test_hsk_p_columns_match_oracle(n_s, k_U, k_V):
+    # the first `count` columns of H_sk P, formed by the oracle as the
+    # product of H_sk and P's matrix, at the toy, n_s = 24 and L1/20
+    # shapes; every P drawn here has both scalars
+    rng = np.random.default_rng(n_s + 1)
+    half = n_s // 2
+    r_s = n_s - k_U - k_V
+    for _ in range(3):
+        H_U = linalg.random_matrix(half - k_U, half, 3, rng)
+        H_V = linalg.random_matrix(half - k_V, half, 3, rng)
+        P = linalg.random_monomial(n_s, 3, rng)
+        assert set(P.scalars) == {1, 2}
+        HP = O.matmul(O.uuv_parity_check(H_U, H_V), mono_to_matrix(P), 3)
+        for count in (1, r_s, n_s - 1, n_s):
+            assert np.array_equal(hsk_p_columns(H_U, H_V, P, count), HP[:, :count]), count
 
 
 def test_keygen_validation():
@@ -371,7 +400,7 @@ def test_uuv_decode_returns_first_hit_of_batch(l1_20_sender_key):
 def test_uuv_decode_meets_syndrome_and_weight(sender_keys, toy_params):
     sk, _ = sender_keys
     p = toy_params
-    H_sk = build_uuv_parity_check(sk.H_U, sk.H_V)
+    H_sk = O.uuv_parity_check(sk.H_U, sk.H_V)
     rng = np.random.default_rng(2)
     for _ in range(30):
         w = rng.integers(0, 3, size=p.n_s, dtype=np.uint8)
