@@ -11,14 +11,19 @@ the end of `exp`, so ``exp[log[a] + log[b]] == a * b`` holds for every
 pair, zero included, with no branch; callers multiply by that lookup.
 `poly_eval_many` evaluates one polynomial over a whole support at once.
 
-Remainders run one in-place loop, `_remainder`, which clears a
-polynomial's top coefficients by multiples of the divisor; `poly_mod`
-and `poly_gcd` call it.  `poly_euclid` fuses the same loop with the
-Bezout coefficient and takes operands of any degree, so `poly_inv_mod`
-reduces neither its input nor its output.  There is no general product:
-a product modulo a fixed polynomial is a gather from the rows x^i f mod
-that polynomial (`_times_x_rows`) and an XOR down the columns, in
-`poly_sqrt_x`, `poly_sqrt_mod` and `poly_is_irreducible`.
+Every remainder, gcd and inverse runs one in-place loop, `_euclid`:
+Euclid on a pair down to a stop degree, clearing the top coefficients
+of one polynomial by multiples of the other, with the Bezout
+coefficient carried only when the caller asks for it at entry
+(`poly_euclid`).  `poly_mod` is its first step, `poly_gcd` runs it to
+the zero remainder, Ben-Or's coprimality test in `poly_is_irreducible`
+stops at a constant and reads whether it is nonzero, and
+`poly_inv_mod` stops at the unit remainder.  Operands may have any
+degree, so `poly_inv_mod` reduces neither its input nor its output.
+There is no general product: a product modulo a fixed polynomial is a
+gather from the rows x^i f mod that polynomial (`_times_x_rows`) and an
+XOR down the columns, in `poly_sqrt_x`, `poly_sqrt_mod` and
+`poly_is_irreducible`.
 `poly_sqrt_mod` takes square roots modulo a fixed polynomial with the
 table that `poly_sqrt_table` builds for it once.
 """
@@ -151,63 +156,32 @@ def poly_scale(p: list[int], c: int, m: int) -> list[int]:
     return [exp[log[x] + lc] for x in p]
 
 
-def _remainder(r: list[int], d: list[int], T: Tables) -> list[int]:
-    """r mod d, d trimmed and nonzero, computed in place on the list r:
-    its coefficients are cleared from the top down to degree deg d, a
-    coefficient c at degree deg d + s by adding (c / lead d) x^s d."""
-    exp, log, order = T.exp, T.log, T.order
-    ld = [log[c] for c in d]
-    llead = ld.pop()
-    dn = len(ld)
-    while len(r) > dn:
-        c = r.pop()
-        if c:
-            lc = log[c] - llead
-            if lc < 0:
-                lc += order
-            for i, li in enumerate(ld, len(r) - dn):
-                r[i] ^= exp[lc + li]
-    return poly_trim(r)
+def _euclid(r0: list[int], r1: list[int], stop: int, T: Tables, track: bool):
+    """Euclid on (r0, r1), r1 trimmed, until deg r1 <= stop: the last
+    two remainders (r0, r1) and, when `track` is set, their Bezout
+    coefficients (u0, u1) with r_i = u_i * b modulo a for the entry
+    pair (a, b); else ([], []).  r0 and r1 may have any degrees: when
+    deg r1 > deg r0, the first step only swaps the pairs.
 
-
-def poly_mod(p: list[int], d: list[int], m: int) -> list[int]:
-    if not d:
-        raise ZeroDivisionError("polynomial division by zero")
-    return _remainder(list(p), d, tables(m))
-
-
-def poly_gcd(a: list[int], b: list[int], m: int) -> list[int]:
-    """The monic gcd of a and b ([] if both are zero): r0 is reduced by
-    r1 in place, and the pair swaps."""
-    T = tables(m)
-    r0, r1 = poly_trim(list(a)), poly_trim(list(b))
-    while r1:
-        r0, r1 = r1, _remainder(r0, r1, T)
-    return poly_scale(r0, gf_inv(r0[-1], m), m) if r0 else r0
-
-
-def poly_euclid(a: list[int], b: list[int], stop: int, m: int):
-    """Extended Euclid on (a, b) until deg r1 <= stop: (r0, r1, u0, u1),
-    the last two remainders with r_i = u_i * b modulo a.  b may have any
-    degree: when deg b > deg a, the first step only swaps the pairs.
-
-    One loop, in place, with no quotient, product or sum list: each step
-    takes the logs of r1 and u1 once, then clears r0's coefficients from
-    the top down to degree deg r1: a coefficient c at degree deg r1 + s
-    is cleared by adding (c / lead r1) x^s r1 to r0, and the same
-    multiple of u1 is added to u0.  r0 is then the remainder of r0 by
-    r1, u0 has gained the quotient times u1, and the pairs swap.
+    The only loop that clears coefficients, in place on the lists it is
+    given, with no quotient, product or sum list: each step takes the
+    logs of r1 (and of u1) once, then clears r0's coefficients from the
+    top down to degree deg r1: a coefficient c at degree deg r1 + s is
+    cleared by adding (c / lead r1) x^s r1 to r0, and the same multiple
+    of u1 to u0.  r0 is then the remainder of r0 by r1, u0 has gained
+    the quotient times u1, and the pairs swap.  `track` is fixed at
+    entry, not read from u1, which can be [] after a swap and must still
+    be carried.
     """
-    T = tables(m)
     exp, log, order = T.exp, T.log, T.order
-    r0, r1 = list(a), list(b)
-    u0, u1 = [], [1]
+    u0, u1 = [], [1] if track else []
     while len(r1) - 1 > stop:
         lr = [log[c] for c in r1]
-        lu = [log[c] for c in u1]
         llead = lr.pop()
         dn = len(lr)
-        u0 += [0] * (len(r0) - 1 - dn + len(u1) - len(u0))
+        if track:
+            lu = [log[c] for c in u1]
+            u0 += [0] * (len(r0) - 1 - dn + len(u1) - len(u0))
         while len(r0) > dn:
             c = r0.pop()
             if c:
@@ -217,21 +191,44 @@ def poly_euclid(a: list[int], b: list[int], stop: int, m: int):
                 s = len(r0) - dn
                 for i, li in enumerate(lr, s):
                     r0[i] ^= exp[lc + li]
-                for i, li in enumerate(lu, s):
-                    u0[i] ^= exp[lc + li]
+                if track:
+                    for i, li in enumerate(lu, s):
+                        u0[i] ^= exp[lc + li]
         r0, r1 = r1, poly_trim(r0)
-        u0, u1 = u1, poly_trim(u0)
+        if track:
+            u0, u1 = u1, poly_trim(u0)
     return r0, r1, u0, u1
 
 
+def poly_mod(p: list[int], d: list[int], m: int) -> list[int]:
+    """p mod d, d trimmed: one Euclid step, stopped below deg d."""
+    if not d:
+        raise ZeroDivisionError("polynomial division by zero")
+    return _euclid(list(p), list(d), len(d) - 2, tables(m), False)[1]
+
+
+def poly_gcd(a: list[int], b: list[int], m: int) -> list[int]:
+    """The monic gcd of a and b ([] if both are zero): the last nonzero
+    remainder of Euclid's chain, scaled."""
+    r0 = _euclid(poly_trim(list(a)), poly_trim(list(b)), -1, tables(m), False)[0]
+    return poly_scale(r0, gf_inv(r0[-1], m), m) if r0 else r0
+
+
+def poly_euclid(a: list[int], b: list[int], stop: int, m: int):
+    """Extended Euclid on (a, b), both trimmed, until deg r1 <= stop:
+    (r0, r1, u0, u1), the last two remainders with r_i = u_i * b modulo
+    a (`_euclid` with the Bezout coefficient)."""
+    return _euclid(list(a), list(b), stop, tables(m), True)
+
+
 def poly_inv_mod(p: list[int], mod: list[int], m: int) -> list[int]:
-    """Inverse of p modulo mod (mod irreducible, p nonzero mod mod): the
-    Bezout coefficient of the gcd, which has degree < deg mod, scaled by
-    the inverse of the gcd."""
-    r0, _, u0, _ = poly_euclid(mod, p, -1, m)
-    if poly_deg(r0) != 0:
+    """Inverse of p modulo mod (mod irreducible, p nonzero mod mod):
+    Euclid stops at the unit remainder r1 = u1 * p mod `mod`, and u1,
+    which has degree < deg mod, is scaled by its inverse."""
+    _, r1, _, u1 = poly_euclid(mod, p, 0, m)
+    if not r1:
         raise ZeroDivisionError("element not invertible")
-    return poly_scale(u0, gf_inv(r0[0], m), m)
+    return poly_scale(u1, gf_inv(r1[0], m), m)
 
 
 def poly_eval_many(p: list[int], xs: np.ndarray, m: int) -> np.ndarray:
@@ -294,7 +291,8 @@ def poly_is_irreducible(p: list[int], m: int) -> bool:
             square[::2] = T.square_np[r]
             r = square[:t] ^ np.bitwise_xor.reduce(
                 exp[log[square[t:], None] + log_rows], axis=0)
-        if d > 1 and poly_deg(poly_gcd(poly_add(r.tolist(), [0, 1]), p, m)) != 0:
+        # coprime exactly when Euclid's chain ends in a nonzero constant
+        if d > 1 and not _euclid(list(p), poly_add(r.tolist(), [0, 1]), 0, T, False)[1]:
             return False
     return True
 

@@ -19,10 +19,11 @@ three tables are read-only numpy arrays:
 
 Patterson decoding is then one GF(2) matrix-vector product for the
 syndrome (the XOR of the columns at the nonzero positions of the
-word), the fused extended Euclidean loop of `fields.poly_euclid` on
-table arithmetic for the inverse and the key equation, the square-root
-table for the square root, and one gather from the root table for the
-roots of the error locator.
+word), the one Euclidean loop of `fields` (`fields.poly_euclid`, on
+table arithmetic) for the inverse, stopped at the unit remainder, and
+for the key equation, stopped at degree t/2, the square-root table for
+the square root, and one gather from the root table for the roots of
+the error locator.
 
 Receiver key generation reduces the parity check of each drawn code
 once, with `linalg.mat_reduce`, and loading a receiver secret key

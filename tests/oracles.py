@@ -14,8 +14,7 @@ position that the estimate-and-correct walk of
 recursion in `cbsc.estimator.goppa_poly_count` replaced; the quotient
 chain on table arithmetic, `poly_divmod_tables`, which `cbsc.fields`
 no longer has, and the extended Euclid and gcd built on it, which the
-fused loop of `cbsc.fields.poly_euclid` and the in-place remainder loop
-of `cbsc.fields.poly_mod` and `poly_gcd` replaced; the XOR of the
+one in-place Euclidean loop of `cbsc.fields` replaced; the XOR of the
 selected unpacked rows, which the packed rows of
 `cbsc.linalg.xor_rows` replaced; the re-encoding check that the byte
 checks of the `cbsc.serial` codecs replaced; the sender's whole parity

@@ -203,9 +203,17 @@ def test_irreducible_count_matches_formula():
 
 def test_irreducible_matches_oracle():
     rng = np.random.default_rng(20)
-    for t, m, n in [(20, 10, 150), (64, 12, 6)]:
+    for t, m, n in [(20, 10, 150), (8, 4, 40), (64, 12, 6)]:
         cases = [[int(c) for c in rng.integers(0, 1 << m, size=t + 1)] for _ in range(n)]
         cases += [F.random_irreducible(t, m, rng)]
+        if t < 64:
+            # products of two distinct irreducibles of degree t/2, and
+            # squares of one: only the last coprimality test rejects them
+            for _ in range(3):
+                f, g = (F.random_irreducible(t // 2, m, rng) for _ in range(2))
+                assert f != g
+                c = [int(rng.integers(1, 1 << m))]
+                cases += [O.poly_mul(O.poly_mul(f, g, m), c, m), O.poly_mul(f, f, m)]
         for p in cases:
             p = F.poly_trim(p)  # leading coefficients other than 1 too
             assert F.poly_is_irreducible(p, m) == O.poly_is_irreducible(p, m), p

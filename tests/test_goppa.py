@@ -77,7 +77,10 @@ def test_syndrome_poly_matches_definition():
         assert code.syndrome_poly(word) == expected
 
 
-@pytest.mark.parametrize("m,n,t", [(4, 16, 2), (5, 32, 2), (5, 30, 3), (6, 40, 4)])
+# t = 1 is the one shape where poly_sqrt_mod reduces R^2 = 1/S + x, of
+# degree t, through poly_mod
+@pytest.mark.parametrize("m,n,t", [(5, 31, 1), (4, 15, 1), (4, 16, 2), (5, 32, 2),
+                                   (5, 30, 3), (6, 40, 4)])
 def test_patterson_corrects_random_errors(m, n, t):
     rng = np.random.default_rng(m * 100 + t)
     code = random_goppa_code(m, n, t, rng)

@@ -150,13 +150,14 @@ def test_patterson_agrees_with_oracle_at_every_weight(t):
 @pytest.mark.parametrize("m,t", [(4, 2), (4, 5), (10, 20), (12, 64)])
 def test_poly_euclid_matches_quotient_loop_and_oracle_inverse(m, t):
     # b of every degree from -1 (b = 0) to t + 2, so deg b >= deg a is
-    # covered, at both stops: -1 (the inverse) and t // 2 (the key equation)
+    # covered, at the stops -1 (the gcd), 0 (the inverse) and t // 2 (the
+    # key equation)
     rng = np.random.default_rng(900 + m + t)
     g = F.random_irreducible(t, m, rng)
     for deg_b in range(-1, t + 3):
         b = rng.integers(0, 1 << m, size=deg_b + 1).tolist()
         b[-1:] = [int(rng.integers(1, 1 << m))] if b else []
-        for stop in (-1, t // 2):
+        for stop in (-1, 0, t // 2):
             assert F.poly_euclid(g, b, stop, m) == O.poly_euclid(g, b, stop, m)
     for size in (1, t // 2, t, t + 3):
         p = F.poly_trim(rng.integers(0, 1 << m, size=size).tolist())
