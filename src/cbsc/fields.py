@@ -11,15 +11,15 @@ the end of `exp`, so ``exp[log[a] + log[b]] == a * b`` holds for every
 pair, zero included, with no branch; callers multiply by that lookup.
 `poly_eval_many` evaluates one polynomial over a whole support at once.
 
-Every remainder, gcd and inverse runs one in-place loop, `_euclid`:
-Euclid on a pair down to a stop degree, clearing the top coefficients
-of one polynomial by multiples of the other, with the Bezout
-coefficient carried only when the caller asks for it at entry
-(`poly_euclid`).  `poly_mod` is its first step, `poly_gcd` runs it to
-the zero remainder, Ben-Or's coprimality test in `poly_is_irreducible`
-stops at a constant and reads whether it is nonzero, and
-`poly_inv_mod` stops at the unit remainder.  Operands may have any
-degree, so `poly_inv_mod` reduces neither its input nor its output.
+Every remainder and inverse runs one in-place loop, `_euclid`: Euclid
+on a pair down to a stop degree, clearing the top coefficients of one
+polynomial by multiples of the other, with the Bezout coefficient
+carried only when the caller asks for it at entry (`poly_euclid`).
+Ben-Or's coprimality test in `poly_is_irreducible` stops at a constant
+and reads whether it is nonzero, `poly_inv_mod` stops at the unit
+remainder, and Patterson's key equation stops at degree t/2.  Operands
+may have any degree, so `poly_inv_mod` reduces neither its input nor
+its output.
 There is no general product: a product modulo a fixed polynomial is a
 gather from the rows x^i f mod that polynomial (`_times_x_rows`) and an
 XOR down the columns, in `poly_sqrt_x`, `poly_sqrt_mod` and
@@ -200,20 +200,6 @@ def _euclid(r0: list[int], r1: list[int], stop: int, T: Tables, track: bool):
     return r0, r1, u0, u1
 
 
-def poly_mod(p: list[int], d: list[int], m: int) -> list[int]:
-    """p mod d, d trimmed: one Euclid step, stopped below deg d."""
-    if not d:
-        raise ZeroDivisionError("polynomial division by zero")
-    return _euclid(list(p), list(d), len(d) - 2, tables(m), False)[1]
-
-
-def poly_gcd(a: list[int], b: list[int], m: int) -> list[int]:
-    """The monic gcd of a and b ([] if both are zero): the last nonzero
-    remainder of Euclid's chain, scaled."""
-    r0 = _euclid(poly_trim(list(a)), poly_trim(list(b)), -1, tables(m), False)[0]
-    return poly_scale(r0, gf_inv(r0[-1], m), m) if r0 else r0
-
-
 def poly_euclid(a: list[int], b: list[int], stop: int, m: int):
     """Extended Euclid on (a, b), both trimmed, until deg r1 <= stop:
     (r0, r1, u0, u1), the last two remainders with r_i = u_i * b modulo
@@ -321,21 +307,25 @@ def poly_sqrt_table(mod: list[int], m: int) -> np.ndarray:
     return tables(m).log_np[_times_x_rows(poly_sqrt_x(mod, m), mod, (t + 1) // 2, m)]
 
 
-def poly_sqrt_mod(p: list[int], mod: list[int], m: int,
-                  sqrt_table: np.ndarray) -> list[int]:
-    """Square root in the field GF(2^m)[x]/(mod), mod monic irreducible.
+def poly_sqrt_mod(p: list[int], m: int, sqrt_table: np.ndarray) -> list[int]:
+    """Square root of p in the field GF(2^m)[x]/(g), g monic irreducible
+    of degree t, with sqrt_table = `poly_sqrt_table(g, m)`.  p has degree
+    at most t and is taken as it is, unreduced.
 
-    With u = p mod `mod` = sum u_i x^i: sqrt(u) = sum_even sqrt(u_i)
-    x^(i/2) + sum_odd sqrt(u_i) sqrt(x) x^((i-1)/2).  The odd terms are
-    one gather of their logs plus the rows of `sqrt_table`
-    (`poly_sqrt_table(mod, m)`) and one XOR down the columns.
+    With p = sum p_i x^i: sqrt(p) = sum_even sqrt(p_i) x^(i/2) + sum_odd
+    sqrt(p_i) sqrt(x) x^((i-1)/2).  For i <= t, an even term lands at
+    x^(i/2), already reduced as i/2 < t, and an odd term reads table row
+    (i-1)/2 < ceil(t/2), so the table's ceil(t/2) rows cover every p of
+    degree at most t, Patterson's R^2 = 1/S + x included.  The odd terms
+    are one gather of their logs plus the table rows and one XOR down
+    the columns.  A higher degree is outside this contract: at t = 2, a
+    p of degree 3 comes out wrong without an error.
     """
     T = tables(m)
     sqrt, log = T.sqrt, T.log
-    u = p if len(p) < len(mod) else poly_mod(p, mod, m)
-    odd = np.array([log[sqrt[c]] for c in u[1::2]], dtype=np.intp)
+    odd = np.array([log[sqrt[c]] for c in p[1::2]], dtype=np.intp)
     r = np.bitwise_xor.reduce(T.exp_np[odd[:, None] + sqrt_table[:len(odd)]], axis=0)
-    r[:(len(u) + 1) // 2] ^= np.array([sqrt[c] for c in u[0::2]], dtype=np.intp)
+    r[:(len(p) + 1) // 2] ^= np.array([sqrt[c] for c in p[0::2]], dtype=np.intp)
     return poly_trim(r.tolist())
 
 

@@ -22,8 +22,9 @@ syndrome (the XOR of the columns at the nonzero positions of the
 word), the one Euclidean loop of `fields` (`fields.poly_euclid`, on
 table arithmetic) for the inverse, stopped at the unit remainder, and
 for the key equation, stopped at degree t/2, the square-root table for
-the square root, and one gather from the root table for the roots of
-the error locator.
+the square root of R^2 = 1/S + x, taken unreduced as its degree is at
+most t, and one gather from the root table for the roots of the error
+locator.
 
 Receiver key generation reduces the parity check of each drawn code
 once, with `linalg.mat_reduce`, and loading a receiver secret key
@@ -171,7 +172,7 @@ def patterson_decode(code: GoppaCode, word: np.ndarray):
     if not S:
         return np.zeros(code.n, dtype=np.uint8)
     R2 = F.poly_add(F.poly_inv_mod(S, code.g, m), [0, 1])
-    a, b = _key_equation(code.g, F.poly_sqrt_mod(R2, code.g, m, code.sqrt_table), t, m)
+    a, b = _key_equation(code.g, F.poly_sqrt_mod(R2, m, code.sqrt_table), t, m)
     T = F.tables(m)
     sigma = [0] * max(2 * len(a) - 1, 2 * len(b))
     sigma[0:2 * len(a):2] = [T.exp[2 * T.log[c]] for c in a]

@@ -101,16 +101,19 @@ poly_st = st.lists(st.integers(0, 31), max_size=8)
 
 @given(poly_st, poly_st)
 def test_poly_mod_matches_oracle_remainder(p, d):
+    # the two oracle divisions agree: bit-serial `poly_divmod`, behind
+    # O.poly_mod, and `poly_divmod_tables`, the reference of the Euclid
+    # test in test_oracle.py
     m = 5
     p = F.poly_trim(list(p))
     d = F.poly_trim(list(d))
     if not d:
         with pytest.raises(ZeroDivisionError):
-            F.poly_mod(p, d, m)
+            O.poly_divmod_tables(p, d, m)
         return
-    r = F.poly_mod(p, d, m)
+    r = O.poly_mod(p, d, m)
     assert F.poly_deg(r) < F.poly_deg(d)
-    assert r == O.poly_mod(p, d, m) == O.poly_divmod_tables(p, d, m)[1]
+    assert r == O.poly_divmod_tables(p, d, m)[1]
     assert O.poly_divmod_tables(p, d, m) == O.poly_divmod(p, d, m)
 
 
@@ -131,7 +134,7 @@ def test_poly_inv_mod():
         if not p:
             continue
         inv = F.poly_inv_mod(p, g, m)
-        assert F.poly_mod(O.poly_mul(p, inv, m), g, m) == [1]
+        assert O.poly_mod(O.poly_mul(p, inv, m), g, m) == [1]
 
 
 @pytest.mark.parametrize("m,t", [(5, 2), (8, 10)])
@@ -156,37 +159,21 @@ def test_poly_inv_mod_any_degree_and_non_invertible(m, t):
             F.poly_inv_mod(p, g, m)
 
 
-def test_poly_gcd_matches_the_divmod_chain():
-    # random pairs, a zero q (and p), deg q > deg p, and pairs with a
-    # common factor f, whose gcd f must divide
-    m = 10
-    rng = np.random.default_rng(28)
-
-    def rand(deg):
-        return F.poly_trim([int(c) for c in rng.integers(0, 1 << m, size=deg + 1)])
-    pairs = [(rand(20), rand(20)) for _ in range(50)]
-    pairs += [(rand(20), []), ([], rand(7)), ([], []), ([5], []), (rand(5), rand(20))]
-    factors = [rand(int(rng.integers(1, 8))) for _ in range(20)]
-    common = [(O.poly_mul(f, rand(12), m), O.poly_mul(f, rand(9), m)) for f in factors]
-    for p, q in pairs + common:
-        gcd = F.poly_gcd(p, q, m)
-        assert gcd == O.poly_gcd(p, q, m), (p, q)
-        assert not gcd or gcd[-1] == 1
-    for f, (p, q) in zip(factors, common):
-        gcd = F.poly_gcd(p, q, m)
-        assert F.poly_mod(gcd, f, m) == [] and F.poly_mod(p, gcd, m) == [] \
-            and F.poly_mod(q, gcd, m) == []
-
-
 def test_poly_sqrt_mod():
-    m = 5
-    rnd = random.Random(11)
-    g = F.random_irreducible(3, m, _NumpyLike(rnd))
-    sqrt_table = F.poly_sqrt_table(g, m)
-    for _ in range(30):
-        p = F.poly_trim([rnd.randrange(32) for _ in range(3)])
-        s = F.poly_sqrt_mod(p, g, m, sqrt_table)
-        assert O.poly_square_mod(s, g, m) == F.poly_mod(p, g, m)
+    # p of every degree from -1 (p = 0) to t, unreduced, as Patterson's
+    # R^2 = 1/S + x reaches degree t at t = 1; odd t >= 3 reads the last
+    # row of the ceil(t/2)-row table only at degree t
+    rng = np.random.default_rng(11)
+    for m, t in [(5, 1), (5, 2), (5, 3), (8, 7), (8, 10)]:
+        g = F.random_irreducible(t, m, rng)
+        sqrt_table = F.poly_sqrt_table(g, m)
+        for deg in range(-1, t + 1):
+            for _ in range(4):
+                p = rng.integers(0, 1 << m, size=deg + 1).tolist()
+                p[-1:] = [int(rng.integers(1, 1 << m))] if p else []
+                s = F.poly_sqrt_mod(p, m, sqrt_table)
+                assert F.poly_deg(s) < t
+                assert O.poly_square_mod(s, g, m) == O.poly_mod(p, g, m), (m, t, p)
 
 
 def test_irreducible_count_matches_formula():

@@ -77,8 +77,8 @@ def test_syndrome_poly_matches_definition():
         assert code.syndrome_poly(word) == expected
 
 
-# t = 1 is the one shape where poly_sqrt_mod reduces R^2 = 1/S + x, of
-# degree t, through poly_mod
+# t = 1 is the one shape where R^2 = 1/S + x reaches degree t, the
+# highest that poly_sqrt_mod takes
 @pytest.mark.parametrize("m,n,t", [(5, 31, 1), (4, 15, 1), (4, 16, 2), (5, 32, 2),
                                    (5, 30, 3), (6, 40, 4)])
 def test_patterson_corrects_random_errors(m, n, t):

@@ -58,9 +58,10 @@ def test_sqrt_x_and_sqrt_match_oracle():
         sx = F.poly_sqrt_x(g, m)
         assert sx == O.poly_sqrt_mod([0, 1], g, m)
         sqrt_table = F.poly_sqrt_table(g, m)
-        for _ in range(5):
-            u = F.poly_trim(rng.integers(0, 1 << m, size=t).tolist())
-            assert F.poly_sqrt_mod(u, g, m, sqrt_table) == O.poly_sqrt_mod(u, g, m)
+        for deg in range(-1, t + 1):  # every degree Patterson's R^2 can have
+            u = rng.integers(0, 1 << m, size=deg + 1).tolist()
+            u[-1:] = [int(rng.integers(1, 1 << m))] if u else []
+            assert F.poly_sqrt_mod(u, m, sqrt_table) == O.poly_sqrt_mod(u, g, m)
     # the paper-l1 shape, where the oracle's m t - 1 squarings are too
     # slow: one squaring checks the root
     g = F.random_irreducible(64, 12, rng)
@@ -161,7 +162,7 @@ def test_poly_euclid_matches_quotient_loop_and_oracle_inverse(m, t):
             assert F.poly_euclid(g, b, stop, m) == O.poly_euclid(g, b, stop, m)
     for size in (1, t // 2, t, t + 3):
         p = F.poly_trim(rng.integers(0, 1 << m, size=size).tolist())
-        if F.poly_mod(p, g, m):
+        if O.poly_mod(p, g, m):
             assert F.poly_inv_mod(p, g, m) == O.poly_inv_mod(p, g, m)
 
 

@@ -1,13 +1,18 @@
 """Profiles: CommonParams.validate is the one place where profile rules
 live, so every profile it accepts keys through the CLI, or exits 2 when
-no sender key is found within the draw budget, never with a traceback."""
+no sender key is found within the draw budget, never with a traceback.
+The receiver key that keygen writes loads back and decrypts, which runs
+Patterson decoding at every (m, n_r, t) the profiles reach."""
 
 import tempfile
 from pathlib import Path
 
+import numpy as np
 from hypothesis import example, given, settings, strategies as st
 
+from cbsc import serial
 from cbsc.cli import EXIT_OK, EXIT_USAGE, main
+from cbsc.mceliece import pke_decrypt, pke_encrypt
 from cbsc.params import ParameterError, custom_params
 
 from oracles import TOY_FIELDS
@@ -27,12 +32,18 @@ def small_profiles(draw):
                 ell=16, salt_bits=16)
 
 
-def _keygen(fields: dict, role: str, seed: int) -> int:
+def _keygen(fields: dict, role: str, seed: int) -> tuple[int, bytes, bytes]:
+    """keygen's exit code and, when it is EXIT_OK, the .pub and .sec
+    files it wrote (else b"", b"")."""
     with tempfile.TemporaryDirectory() as tmp:
         profile = Path(tmp) / "custom.profile"
         profile.write_text("".join(f"{k} = {v}\n" for k, v in fields.items()))
-        return main(["keygen", "--role", role, "--profile", str(profile),
-                     "--out", str(Path(tmp) / role), "--seed", f"{seed:x}"])
+        out = str(Path(tmp) / role)
+        code = main(["keygen", "--role", role, "--profile", str(profile),
+                     "--out", out, "--seed", f"{seed:x}"])
+        if code != EXIT_OK:
+            return code, b"", b""
+        return code, Path(out + ".pub").read_bytes(), Path(out + ".sec").read_bytes()
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)
@@ -47,7 +58,17 @@ def test_an_accepted_profile_keys_or_exits_2(fields, seed):
     try:
         custom_params(fields)
     except ParameterError:
-        assert _keygen(fields, "receiver", seed) == EXIT_USAGE
+        assert _keygen(fields, "receiver", seed)[0] == EXIT_USAGE
         return
-    assert _keygen(fields, "receiver", seed) == EXIT_OK
-    assert _keygen(fields, "sender", seed) in (EXIT_OK, EXIT_USAGE)
+    code, pub, sec = _keygen(fields, "receiver", seed)
+    assert code == EXIT_OK
+    _, pk = serial.par_receiver_pub(pub)
+    params, sk = serial.par_receiver_sec(sec)
+    rng = np.random.default_rng(seed)
+    for _ in range(3):
+        x = rng.integers(0, 2, size=params.k_tilde + params.ell, dtype=np.uint8)
+        y = rng.integers(0, 2, size=params.kappa, dtype=np.uint8)
+        got = pke_decrypt(sk, pke_encrypt(pk, x, y, params.t), params.t)
+        assert got is not None
+        assert np.array_equal(got[0], x) and np.array_equal(got[1], y)
+    assert _keygen(fields, "sender", seed)[0] in (EXIT_OK, EXIT_USAGE)
