@@ -16,9 +16,13 @@ from its own generator, seeded with SEED, and records:
                    MESSAGE, and `unsigncrypt` of the message with its
                    last byte flipped, which must exit 4; per command its
                    exit code, wall time and the child's peak RSS, from
-                   its own rusage.  An unexpected exit code or output
-                   raises.  Every profile's sequence runs before any
-                   profile is benched in this process (see `run_cli`).
+                   its own rusage, and the sha256 of each file in
+                   CLI_FILES.  An unexpected exit code or output raises,
+                   and so do digests other than CLI_SHA256's, for the
+                   bench profiles; a change that alters the bytes on
+                   purpose updates that table.  Every profile's sequence
+                   runs before any profile is benched in this process
+                   (see `run_cli`).
   phases           the seven phases below, each with its wall time and
                    every traced function called inside it, per caller:
                    calls, inclusive time and self time (inclusive minus
@@ -28,6 +32,13 @@ from its own generator, seeded with SEED, and records:
                    differences by the solver's R_free, and the bare
                    float32 BLAS product of the same operands, so the
                    difference is the reduction
+  elimination      the eliminations of key generation and loading, each
+                   on the loaded keys' own matrix: `mat_reduce` of the
+                   receiver's parity check, `mat_rank` of its S and of
+                   the sender's r_s x r_s square, and `mat_reduce` of
+                   H_U, H_V and all of H_sk·P; per matrix the call, the
+                   field, the shape and the median ms of
+                   KEY_PARSE_REPEATS runs
   hsk_p_columns_ms `uuvsign.hsk_p_columns` of the loaded sender key: the
                    gather of all n_s columns of H_sk·P that sender
                    keygen reduces for A
@@ -133,6 +144,7 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ.setdefault(_var, "1")
 
 import argparse
+import hashlib
 import json
 import platform
 import resource
@@ -169,6 +181,40 @@ BENCH_PROFILES = {
     "l1-20": str(ROOT / "perfbench" / "l1-20.profile"),
     "l1-8": L1_8,
     "paper-l1": "paper-l1",
+}
+
+# the files of the CLI sequence and their sha256 per bench profile, as
+# written at seeds 0a, 0b and 0c
+CLI_FILES = ("receiver.pub", "receiver.sec", "sender.pub", "sender.sec", "msg.cbsc")
+CLI_SHA256 = {
+    "toy": {
+        "receiver.pub": "47febc81e1e73e484a71a6fd65757ce6c47b007967223ba34dd1e8ab6c743cb2",
+        "receiver.sec": "5d1bdb77ee748138f4797644d21dd00e9edc04e9b2d7784116b13bf33c505746",
+        "sender.pub": "f8e960aef3e3ecda959656fa69b579f232da2c6de4b27ab6f0d0ce077ac52a78",
+        "sender.sec": "81af7bf1548bbd839b3503bb5816d749cb1c80e67cb29a9a5feb7a0850875c1a",
+        "msg.cbsc": "c95bad6091b80311233c16eca712f476b543020e213542e79dc4186fb4eeeca2",
+    },
+    "l1-20": {
+        "receiver.pub": "23dd16f20e440fe8667dc094fce489674e78c6a1740273f2ca7de8dffad58410",
+        "receiver.sec": "8c9aaf60b366060f92442b3996582c24b9aa22660e121167442215b6189c0ec6",
+        "sender.pub": "491786bdb05fd5d48b42c58c6119ce61332755326c02c14a68027d114798fef4",
+        "sender.sec": "fa6b4b91a17259263d15b730d948dd63aca2ed2ab113ba968570fd86dec5de7b",
+        "msg.cbsc": "c21ceea927fda7f5f33532a019a2442aee16a55e8883547f72b9bf340f642878",
+    },
+    "l1-8": {
+        "receiver.pub": "3578ae4cf6a9266a303529fe0dbf2831eb99f4134bbd4a63f795807ca92c3bbf",
+        "receiver.sec": "9dff39519b5295778e1bde12d5e4ddd6ab4c7db78a05d1864c186c9fc022930b",
+        "sender.pub": "035069b92849ea53532e04fb6743bb003dffd6787415a10894d960f7ff6292cb",
+        "sender.sec": "56e385288f0a603e4331e4b7b21f01fb2a6dd7929e7866f0392f261d793f9aaa",
+        "msg.cbsc": "a2e69f01a203f8f19d1ee7e11ea64acc18ef66cce6782902fecec4ecf3ed2d12",
+    },
+    "paper-l1": {
+        "receiver.pub": "e4399b3ef672dfce016e816d9df99920539c7d3948fc4e1acccb8b3e1ff185b5",
+        "receiver.sec": "0ac49920d76cd963241cbcd5c4b2c66cbe43dc7f374ae32e78b75629ff4619b7",
+        "sender.pub": "c790cf4c712e9d75d17907f2192ea3a831d2cf3a8eae2862f54fbd7765b38f53",
+        "sender.sec": "fe3f5c06e0e89540c3b70def47d52b29acbae48806a8c5dbbf924dbaa9ba0e21",
+        "msg.cbsc": "16f6d85b6e230940ccdcf95fab07f62fbee78094d49db74e682c4938e282a5a8",
+    },
 }
 
 
@@ -364,9 +410,9 @@ def run_cli(*args) -> dict:
             "peak_rss_mib": usage.ru_maxrss / 1024}
 
 
-def cli_sequence(profile) -> list[dict]:
+def cli_sequence(name: str, profile) -> dict:
     """The CLI sequence of the module docstring; raises on an unexpected
-    exit code or output."""
+    exit code, output or digest."""
     rows = []
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
@@ -396,7 +442,27 @@ def cli_sequence(profile) -> list[dict]:
         (tmp / "bad.cbsc").write_bytes(blob)
         cbsc_cli("unsigncrypt tampered", 4, "unsigncrypt", *keys, "--in", tmp / "bad.cbsc",
                  "--out", tmp / "bad.out")
-    return rows
+        digests = {f: hashlib.sha256((tmp / f).read_bytes()).hexdigest() for f in CLI_FILES}
+    if digests != CLI_SHA256.get(name, digests):
+        raise RuntimeError(f"the CLI sequence of {name} wrote other bytes: {digests}")
+    return {"commands": rows, "sha256": digests}
+
+
+def elimination(params, sk_r, sk) -> dict:
+    """The `elimination` record of the module docstring."""
+    out = {}
+    for name, (call, p, M) in {
+        "receiver parity check": (linalg.mat_reduce, 2, goppa.goppa_parity_check(sk_r.code)),
+        "S": (linalg.mat_rank, 2, sk_r.S),
+        "sender square": (linalg.mat_rank, 3,
+                          uuvsign.hsk_p_columns(sk.H_U, sk.H_V, sk.P, params.r_s)),
+        "H_U": (linalg.mat_reduce, 3, sk.H_U),
+        "H_V": (linalg.mat_reduce, 3, sk.H_V),
+        "H_sk·P": (linalg.mat_reduce, 3, uuvsign.hsk_p_columns(sk.H_U, sk.H_V, sk.P, params.n_s)),
+    }.items():
+        out[name] = {"call": call.__name__, "p": p, "shape": list(M.shape),
+                     "median_ms": median_ms(lambda: call(M, p), KEY_PARSE_REPEATS)}
+    return out
 
 
 def batch_products(sk, rng) -> dict:
@@ -435,6 +501,7 @@ def bench(params, rng) -> dict:
     record["parse"] = parse_record(blobs, wire)
     record["patterson"] = patterson(params, sk_r)
     record["receiver_secret_key_peak_mib"] = receiver_key_peak_mib(sk_r)
+    record["elimination"] = elimination(params, sk_r, sk)
     del sk_r
     record["batch_products"] = batch_products(sk, rng)
     record["hsk_p_columns_ms"] = median_ms(
@@ -454,9 +521,10 @@ def report(name: str, rec: dict) -> None:
     print(f"\n== {name}: " + " ".join(f"{k}={v}" for k, v in rec["params"].items())
           + f", seed {SEED}")
     print(f"\n  {'cbsc command':22s} {'exit':>4s} {'s':>7s} {'peak RSS MiB':>13s}")
-    for row in rec["cli"]:
+    for row in rec["cli"]["commands"]:
         print(f"  {row['command']:22s} {row['exit']:4d} {row['s']:7.2f} "
               f"{row['peak_rss_mib']:13.1f}")
+    print("  sha256: " + ", ".join(f"{f} {d[:12]}…" for f, d in rec["cli"]["sha256"].items()))
     for title, ph in rec["phases"].items():
         print(f"\n{title}: {ph['s']:.3f} s")
         print(f"  {'step':30s} {'caller':30s} {'calls':>6s} {'incl ms':>10s} {'self ms':>10s}")
@@ -469,6 +537,10 @@ def report(name: str, rec: dict) -> None:
     for half, bp in rec["batch_products"].items():
         print(f"batch product {half} {bp['shape']}: {bp['product_ms']:.3f} ms "
               f"(BLAS alone {bp['blas_ms']:.3f} ms)")
+    print(f"\n  {'elimination':22s} {'call':10s} {'p':>2s} {'shape':>12s} {'median ms':>10s}")
+    for name, el in rec["elimination"].items():
+        print(f"  {name:22s} {el['call']:10s} {el['p']:2d} {'x'.join(map(str, el['shape'])):>12s} "
+              f"{el['median_ms']:10.2f}")
     print(f"hsk_p_columns of all n_s columns: {rec['hsk_p_columns_ms']:.2f} ms; "
           f"phi: {rec['phi_ms']:.3f} ms")
     sig = rec["signatures"]
@@ -501,7 +573,7 @@ def main(argv: list[str]) -> int:
            "machine": platform.machine(), "cpus": os.cpu_count(),
            "blas_threads": os.environ["OPENBLAS_NUM_THREADS"], "profiles": {}}
     profiles = {name: BENCH_PROFILES.get(name, name) for name in args.profiles}
-    cli = {name: cli_sequence(profile) for name, profile in profiles.items()}
+    cli = {name: cli_sequence(name, profile) for name, profile in profiles.items()}
     for name, profile in profiles.items():
         params = custom_params(profile) if isinstance(profile, dict) else setup(profile)
         rec = out["profiles"][name] = bench(params, np.random.default_rng(SEED))

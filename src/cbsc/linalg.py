@@ -17,45 +17,42 @@ swaps its planes, and adding b to a takes six operations,
 
 This is the bitslicing of Boothby and Bradshaw (arXiv 0901.1413).
 
-From 32 rows up, `mat_reduce` takes its pivots k columns at a time, the
-Method of Four Russians of M4RI (Albrecht and Bard, arXiv 1111.6549),
-with k = bit_length(rows) - 2 capped at 8.  In each block of k columns
-it finds the pivot rows among the rows that hold none yet and reduces
-them against each other on the block.  Doubling builds the table T of
-their 2^k sums, T[s] the sum of the pivot rows whose columns are set
-in s, and one lookup clears the block from every other row:
-x ^ T[(x >> c0) & mask] over GF(2).  Over GF(3) a row takes two
-lookups, subtracting T[s] for its X-slice s and adding T[u] for its
-Y-slice u, since 2 = -1.  One core of a shared 2-vCPU VM, one pivot
-column per step -> blocks: GF(2) 64 x 128 0.76 -> 0.40 ms, 200 x 1024
-7.3 -> 3.6 ms, 300 x 824 14.7 -> 5.2 ms, 768 x 3488 94 -> 52 ms; GF(3)
-145 x 424 11.4 -> 7.2 ms, 110 x 322 6.0 -> 4.4 ms, 2199 x 4246 3.4 ->
-1.4 s.
+From 32 rows up, the elimination takes its pivots k columns at a time,
+the Method of Four Russians of M4RI (Albrecht and Bard, arXiv
+1111.6549), with k = bit_length(rows) - 2 capped at 8.  Uncapped, k
+would be 10 on the `paper-l1` sender matrices, and 10 read the same as
+8 within the noise of a shared 2-vCPU VM, with tables four times as
+large (three interleaved runs each: H_V, 2199 x 4246, 1.54-1.64 s at k
+8 and 1.42-1.63 s at 10; H_sk·P, 2887 x 8492, 4.95-5.41 and 4.81-5.51
+s).  In each block of k columns it finds the pivot rows among the rows
+that hold none yet and reduces them against each other on the block,
+which leaves them in RREF there.  Doubling builds the table T of their
+2^k sums, T[s] the sum of the pivot rows whose columns are set in s,
+and one lookup clears the block from a row: x ^ T[(x >> c0) & mask]
+over GF(2).  Over GF(3) a row takes two lookups, subtracting T[s] for
+its X-slice s and adding T[u] for its Y-slice u, since 2 = -1.
 
-Below 32 rows the whole matrix is one block, and its table is never
-built.  The table of a last block that follows no earlier pivot is
-skipped: the pivot search has already put the block's pivot rows in
-RREF, and the table would only clear the rows without a pivot, which
-`mat_reduce` drops.  One pivot column per step -> one block, on the
-same VM (us per random matrix, best of 40 interleaved runs): the toy
-keys' GF(3) 4 x 8 28 -> 28 and 8 x 16 44 -> 48, GF(2) 10 x 32 36 ->
-37 and the 16 x 22 S 54 -> 60; GF(3) 16 x 32 131 -> 155.  From 17 to
-31 rows one block is 1.3 to 1.4 times slower (GF(3) 24 x 48 217 ->
+One rule, the same in both fields, says which rows a block's table
+sweeps: those that still need it.  These are the earlier blocks' pivot
+rows under Gauss-Jordan (`mat_reduce`), and, unless the block is the
+last, the rows that hold no pivot yet, which the pivot search of the
+next blocks reads; after the last block they are dropped.  A block with
+no such row builds no table: the last block of the forward pass
+(`mat_rank`), a Gauss-Jordan whose last block follows no earlier pivot,
+and so every matrix that is one block.  The pivot search reads only the
+rows without a pivot, which both passes sweep alike, so `mat_rank` finds
+the pivots of `mat_reduce`; it unpacks nothing and stops once every row
+holds a pivot.
+
+Below 32 rows the whole matrix is one block.  One pivot column per step
+-> one block, measured when the threshold was set, on one core of a
+shared 2-vCPU VM (us per random matrix, best of 40 interleaved runs):
+the toy keys' GF(3) 4 x 8 28 -> 28 and 8 x 16 44 -> 48, GF(2) 10 x 32
+36 -> 37 and the 16 x 22 S 54 -> 60; GF(3) 16 x 32 131 -> 155.  From 17
+to 31 rows one block is 1.3 to 1.4 times slower (GF(3) 24 x 48 217 ->
 290, 31 x 62 366 -> 490; GF(2) 31 x 62 167 -> 230), but no key of the
 toy or L1/20 profiles has such a matrix: toy's largest is the 16 x 22
 S, L1/20's smallest the 35 x 212 H_U.
-
-`mat_rank` runs only the forward pass of this elimination and unpacks
-nothing.  Its tables clear only the rows that hold no pivot yet, which
-are all that later pivot searches read; a block's pivot rows are still
-reduced against each other on the block, as its table needs them in
-RREF there.  The pass builds no table for the last block, stops once
-every row holds a pivot, and finds the pivots of `mat_reduce`.  Against
-the Gauss-Jordan it ran before, on one core of the same VM (interleaved
-runs of one random matrix): GF(3) 2887 x 2887, the `paper-l1` sender
-square, 1.39-1.92 -> 0.79-1.11 s; GF(3) 145 x 145 4.9 -> 3.2 ms; GF(2)
-300 x 824, the L1/20 S, 5.4 -> 3.9 ms.  The one block below 32 rows has
-no table to spare, so the 16 x 22 S of toy keys stays at 50-73 us.
 
 Integers hold the rows, not numpy uint64 word arrays: a pivot step on
 word arrays is some fifteen numpy calls, so on the 4- to 16-row
@@ -67,8 +64,7 @@ are unpacked to uint8 before they leave the module.  Rows are packed
 and unpacked SLAB at a time, and `mat_reduce` keeps only the free
 columns of each unpacked slab, so it never holds a whole bit-plane:
 on a `paper-l1` H_sk·P (2887 x 8492, 23.4 MiB) `tracemalloc` saw it
-peak at 60.9 MiB when it unpacked whole planes, and at 32.3 MiB now,
-of which 15.4 MiB is the R_free it returns.
+peak at 32.3 MiB, of which 15.4 MiB is the R_free it returns.
 
 A GF(2) product of a vector by a fixed matrix, which PKE encryption and
 the re-encryption check take with a receiver key's public generator,
@@ -207,10 +203,11 @@ def _clear(X: list[int], Y: list[int] | None, i: int, j: int, c: int) -> None:
 
 def _reduce_blocks(X: list[int], Y: list[int] | None, cols: int, k: int, full: bool):
     """Elimination in place, k columns at a time (see the module
-    docstring).  Gauss-Jordan if `full`; otherwise each block's table
-    clears only the rows that hold no pivot yet, which is all that the
-    pivot search of the next blocks reads.  The pivots are the same
-    either way.  Returns (pivot rows, pivot columns)."""
+    docstring): Gauss-Jordan if `full`, else the forward pass.  Each
+    block's table sweeps only the rows that still need it: Gauss-Jordan's
+    earlier pivot rows, and the rows that hold no pivot yet, which the
+    pivot search of the next blocks reads, unless no block follows.
+    Returns (pivot rows, pivot columns)."""
     free = list(range(len(X)))  # rows that hold no pivot yet
     order: list[int] = []
     pivots: list[int] = []
@@ -237,40 +234,29 @@ def _reduce_blocks(X: list[int], Y: list[int] | None, cols: int, k: int, full: b
                 _clear(X, Y, j, i, c)
             block[c] = i
             held |= bit
-        if not block:
-            continue
+        # the pivot search has left the block's own pivot rows in RREF on
+        # it, and the rows without a pivot are dropped after the last block
+        sweep = (order if full else []) + (free if c0 + width < cols else [])
         order += block.values()
         pivots += block
-        if c0 + width == cols and (not full or len(order) == len(block)):
-            # the rows without a pivot are dropped after the last block,
-            # and the pivot search has left the block's pivot rows in
-            # RREF on it: only Gauss-Jordan's earlier pivot rows need
-            # its table
-            break
+        if not block or not sweep:
+            continue
         # the table T[s] is the sum of the pivot rows whose columns are
-        # set in s; clearing the block turns the pivot rows to zero, so
-        # Gauss-Jordan puts them back after it
+        # set in s
         mask = (1 << width) - 1
         if Y is None:
             T = [0]
             for c in range(c0, c0 + width):
                 j = block.get(c)
                 T += T if j is None else [t ^ X[j] for t in T]
-            if full:
-                keep = [(j, X[j]) for j in block.values()]
-                X[:] = [x ^ T[x >> c0 & mask] for x in X]
-                for j, q in keep:
-                    X[j] = q
-            else:
-                for i in free:
-                    X[i] ^= T[X[i] >> c0 & mask]
+            for i in sweep:
+                X[i] ^= T[X[i] >> c0 & mask]
         else:
             T = [(0, 0)]
             for c in range(c0, c0 + width):
                 j = block.get(c)
                 T += T if j is None else [_add3(t1, t2, X[j], Y[j]) for t1, t2 in T]
-            keep = [(j, X[j], Y[j]) for j in block.values()]
-            for i in range(len(X)) if full else free:
+            for i in sweep:
                 a1, a2 = X[i], Y[i]
                 # entries 1 are cleared by subtracting T[s], entries 2 by
                 # adding T[u], as 2 = -1; negating a row swaps its planes.
@@ -285,15 +271,14 @@ def _reduce_blocks(X: list[int], Y: list[int] | None, cols: int, k: int, full: b
                     t = (a1 | b2) ^ (a2 | b1)
                     a1, a2 = (a2 | b2) ^ t, (a1 | b1) ^ t
                 X[i], Y[i] = a1, a2
-            for j, q1, q2 in keep:
-                X[j], Y[j] = q1, q2
     return order, pivots
 
 
 def mat_rank(M: np.ndarray, p: int) -> int:
-    """The rank of M modulo p, by the forward pass of the elimination:
-    its pivots are those of `mat_reduce`, and no pivot row is reduced
-    against the blocks after its own."""
+    """The rank of M modulo p, by the forward pass of the elimination (see
+    the module docstring): each block's table sweeps only the rows that
+    hold no pivot yet, and the last block's none, so the pivots are
+    those of `mat_reduce`."""
     return len(_eliminate(M, p, False)[3])
 
 

@@ -1,5 +1,6 @@
 """Games against what a signcrypted message binds, each with a named
-adversary, run at the toy profile and at L1/20.
+adversary, run at the toy profile and at L1/20 (the passive outsider's
+game at toy only).
 
 Each test asserts today's outcome, and its docstring names the model that
 the outcome speaks to.  The models are those of An, Dodis and Rabin, "On
@@ -16,6 +17,8 @@ import numpy as np
 import pytest
 
 from cbsc import hybrid, linalg
+from cbsc.cwencode import phi_inv
+from cbsc.hashes import H0, H3, hash_bits
 from cbsc.hybrid import SigncryptedMessage
 from cbsc.mceliece import pke_decrypt, pke_encrypt
 from cbsc.params import setup
@@ -131,3 +134,48 @@ def test_outsider_mauls_e_by_a_public_codeword(users):
         assert hybrid.unsigncrypt(params, receivers[0][0], pk, forged) == m
     else:
         assert len(kept) == 0
+
+
+# Prange iterations the passive outsider may spend on one c0
+PRANGE_ITERATIONS = 1_000
+
+
+@pytest.mark.parametrize("users", ["toy"], indirect=True)
+def test_passive_outsider_reads_a_toy_message(users):
+    """Confidentiality against an outsider, in the two-user model: an
+    eavesdropper that holds only the public keys reads a message from
+    sender 0 to receiver 0, signcrypted at seed 19.  c0 is a codeword of
+    the receiver's public subcode plus sigma, of weight t, so Prange's
+    information-set decoding on the public S·G·P alone finds sigma: each
+    iteration (columns in random order, seed 20) takes the pivots of the
+    reordered generator's RREF as the information set and keeps the
+    candidate error when its weight is t.  A share
+    `isd_ratio(32, 16, 2)` = C(30, 16) / C(32, 16), about 2^-2.05, of
+    the information sets avoid sigma; at these seeds the ninth iteration
+    finds it.  Then y = phi^-1(sigma), x = c1 + H3(sigma), its last ell
+    bits are varpi, K = H0(varpi), and the DEM gives the plaintext.
+    This succeeds today: toy sizes are not confidential.  L1/20 falls
+    the same way in about 1,200 iterations, too slow for this suite."""
+    params, receivers, senders, _ = users
+    m = b"read by an eavesdropper"
+    sc = hybrid.signcrypt(params, senders[0][0], receivers[0][1], m,
+                          np.random.default_rng(19))
+    G, (c0, c1) = receivers[0][1].G, sc.E.c
+    rng = np.random.default_rng(20)
+    for _ in range(PRANGE_ITERATIONS):
+        perm = rng.permutation(params.n_r)
+        pivots, free, R_free = linalg.mat_reduce(G[:, perm], 2)
+        # c0 minus the codeword that agrees with c0 on the information set
+        error = c0[perm]
+        error[free] ^= linalg.vecmat(error[pivots], R_free, 2)
+        error[pivots] = 0
+        if np.count_nonzero(error) == params.t:
+            break
+    sigma = np.empty_like(error)
+    sigma[perm] = error
+    x, y = c1 ^ hash_bits(H3, [sigma], len(c1)), phi_inv(sigma, params.t)
+    # (x, y) is the PKE plaintext: it encrypts to c again
+    again = pke_encrypt(receivers[0][1], x, y, params.t)
+    assert np.array_equal(again.c0, c0) and np.array_equal(again.c1, c1)
+    K = hash_bits(H0, [x[params.k_tilde:]], params.ell)
+    assert hybrid.dem_encrypt(K, sc.C) == m
