@@ -64,9 +64,9 @@ from its own generator, seeded with SEED, and records:
                    the `tracemalloc` peak of `serial.par_sender_pub`
   receiver_secret_key_peak_mib
                    what `tracemalloc` sees allocated while
-                   `goppa.receiver_secret_key` derives the loaded
-                   receiver key's S·G·P again from the RREF of its
-                   parity check, reduced before the count starts
+                   `goppa.receiver_secret_key` builds the loaded
+                   receiver key again, the reduction of its parity
+                   check included
   peak_rss_mib     the peak RSS of the process so far; the profiles run
                    in the order given, holding one profile's keys at a
                    time
@@ -77,12 +77,13 @@ phases are:
     receiver keygen  fields.random_irreducible (irreducible search),
                      goppa.goppa_parity_check (parity check),
                      goppa.keygen_receiver self (mostly the untraced
-                     mat_reduce of the parity check, once per drawn
-                     code; no generator matrix is built),
-                     linalg.mat_rank (the forward-pass full-row-rank
-                     check of S in goppa.receiver_secret_key, once per
-                     drawn S), linalg.matmul (S·R_free^T, the mt pivot
-                     columns of S·G; its free columns are S itself),
+                     mat_reduce of the parity check in the untraced
+                     goppa.receiver_secret_key, once per drawn code; no
+                     generator matrix is built), linalg.mat_rank (its
+                     forward-pass full-row-rank check of S, once per
+                     drawn code of dimension k_r), linalg.matmul
+                     (S·R_free^T, the mt pivot columns of S·G; its free
+                     columns are S itself),
                      linalg.mono_apply (S·G·P: one gather that puts
                      [S | S·R_free^T] in column order and applies P)
     receiver load    fields.poly_is_irreducible, the parity check and
@@ -387,10 +388,9 @@ def parse_record(blobs: dict, wire: bytes) -> dict:
 
 
 def receiver_key_peak_mib(sk) -> float:
-    rref = linalg.mat_reduce(goppa.goppa_parity_check(sk.code), 2)
     tracemalloc.start()
     try:
-        goppa.receiver_secret_key(sk.code, rref, sk.S, sk.P)
+        goppa.receiver_secret_key(sk.code, sk.S, sk.P)
         return tracemalloc.get_traced_memory()[1] / 2**20
     finally:
         tracemalloc.stop()

@@ -26,12 +26,14 @@ the square root of R^2 = 1/S + x, taken unreduced as its degree is at
 most t, and one gather from the root table for the roots of the error
 locator.
 
-Receiver key generation reduces the parity check of each drawn code
-once, with `linalg.mat_reduce`, and loading a receiver secret key
-reduces the loaded code's.  The code has dimension k_r exactly when
-that RREF has k_r free columns, and `receiver_secret_key` builds the
-public generator S·G·P from it without forming the generator G of
-`generator_matrix`.
+A receiver key is valid exactly when `receiver_secret_key` accepts
+its code, S and P; key generation draws the three until it does, and
+key loading calls it on the loaded ones.  It reduces the code's parity
+check once, with `linalg.mat_reduce`: the code has dimension k_r
+exactly when that RREF has k_r free columns, and the public generator
+S·G·P is built from it without forming the generator G of
+`generator_matrix`.  The public key holds S·G·P as `linalg.pack_rows`
+bytes.
 """
 
 from __future__ import annotations
@@ -190,7 +192,7 @@ def patterson_decode(code: GoppaCode, word: np.ndarray):
 
 @dataclass
 class ReceiverPublicKey:
-    G_rows: np.ndarray     # pack_rows(S·G·P): k-tilde rows of uint64 words
+    G_rows: np.ndarray     # pack_rows(S·G·P): k-tilde rows of ceil(n_r/8) bytes
     n: int                 # n_r, the columns of S·G·P
 
     @property
@@ -208,30 +210,29 @@ class ReceiverSecretKey:
 
 
 def keygen_receiver(params: CommonParams, rng):
-    """A receiver key pair of the validated profile `params`."""
+    """A receiver key pair of the validated profile `params`: draws a
+    code, S and P, in that order, until `receiver_secret_key` accepts
+    them.  Each of its rules is on one of the three alone, so the key
+    is uniform on valid ones; a rejected draw consumes all three.
+    `random_goppa_code` draws g irreducible, so g is not tested again."""
     while True:
-        # the parity check has full rank mt exactly when the code has
-        # dimension n - mt, the number of free columns of its RREF
         code = random_goppa_code(params.m, params.n_r, params.t, rng)
-        rref = mat_reduce(goppa_parity_check(code), 2)
-        if len(rref[1]) == params.k_r:
-            break
-    while True:  # redraw S and P until the key is valid
         S = random_matrix(params.k_tilde, params.k_r, 2, rng)
         try:
-            sk = receiver_secret_key(code, rref, S, random_permutation(params.n_r, rng))
+            sk = receiver_secret_key(code, S, random_permutation(params.n_r, rng))
         except ValueError:
             continue
         return sk, sk.pk
 
 
-def receiver_secret_key(code: GoppaCode, rref: tuple, S: np.ndarray,
-                        P: Monomial) -> ReceiverSecretKey:
+def receiver_secret_key(code: GoppaCode, S: np.ndarray, P: Monomial) -> ReceiverSecretKey:
     """The secret key of (code, S, P), with its public key, the packed
-    rows of S·G·P, where G is the generator of the code.  `rref` is the
-    `mat_reduce` triple (pivots, free, R_free) of the code's parity
-    check.  Raises ValueError unless S has one column per free column
-    and full row rank.
+    rows of S·G·P, where G is the generator of the code.  This is the
+    one statement of a valid receiver key, which key generation and key
+    loading both use: it raises ValueError unless the code has dimension
+    S.shape[1], that is unless the RREF (pivots, free, R_free) of its
+    parity check, reduced here once, has one free column per column of
+    S, and unless S has full row rank.
 
     G, the `generator_matrix` of the code, is never built: it is the
     identity on the free columns and R_free transposed on the pivot
@@ -240,7 +241,7 @@ def receiver_secret_key(code: GoppaCode, rref: tuple, S: np.ndarray,
     Putting the columns back in order and then applying P is one
     permutation, so one gather makes S·G·P.
     """
-    pivots, free, R_free = rref
+    pivots, free, R_free = mat_reduce(goppa_parity_check(code), 2)
     if len(free) != S.shape[1]:
         raise ValueError(f"code has dimension {len(free)}, S has {S.shape[1]} columns")
     if mat_rank(S, 2) != len(S):

@@ -54,7 +54,7 @@ to 31 rows one block is 1.3 to 1.4 times slower (GF(3) 24 x 48 217 ->
 toy or L1/20 profiles has such a matrix: toy's largest is the 16 x 22
 S, L1/20's smallest the 35 x 212 H_U.
 
-Integers hold the rows, not numpy uint64 word arrays: a pivot step on
+Integers hold the rows, not numpy arrays of 64-bit words: a pivot step on
 word arrays is some fifteen numpy calls, so on the 4- to 16-row
 matrices of the toy profile word arrays were slower than the unpacked
 uint8 code they replaced, where integers are two to three times faster
@@ -68,13 +68,15 @@ peak at 32.3 MiB, of which 15.4 MiB is the R_free it returns.
 
 A GF(2) product of a vector by a fixed matrix, which PKE encryption and
 the re-encryption check take with a receiver key's public generator,
-runs on that matrix's rows as uint64 words, `pack_rows`, the only form
-in which a key holds its generator: `xor_rows` XORs the words of the
-rows the vector selects and unpacks the n bits of the sum with
-`unpack_rows`, which also gives the whole matrix back.  Against the
-XOR of the unpacked uint8 rows, on one core of a shared 2-vCPU VM:
-20 -> 11 us for the 300 x 1024 L1/20 generator, 533 -> 130 us for the
-1815 x 3488 `paper-l1` one.
+runs on that matrix's rows packed to bytes, `pack_rows`, in the layout
+of `pack_bits` and the only form in which a key holds its generator:
+`xor_rows` XORs the bytes of the rows the vector selects and unpacks
+the n bits of the sum with `unpack_rows`, which also gives the whole
+matrix back.  On one core of a shared 2-vCPU VM (median us per
+product, two runs): 15-17 -> 10 us against the XOR of the unpacked
+uint8 rows for the 300 x 1024 L1/20 generator, 473-510 -> 65-79 us for
+the 1815 x 3488 `paper-l1` one; rows of 64-bit words, which the bytes
+replaced, took 10-10.5 and 63-77 us.
 
 Products run as float32 BLAS, C = A @ B, then one exact reduction by
 floor: q = floor(C / p), C - p*q.  Every partial sum is an integer of
@@ -392,24 +394,20 @@ def vecmat(v: np.ndarray, M: np.ndarray, p: int) -> np.ndarray:
 
 
 def pack_rows(M: np.ndarray) -> np.ndarray:
-    """The rows of a 0/1 matrix as uint64 words: byte b of a row holds
+    """The rows of a 0/1 matrix as uint8 bytes: byte b of a row holds
     columns 8b to 8b + 7, LSB first, as `pack_bits` packs them, and the
-    last word of each row is padded with zero bytes.  XOR acts on each
-    bit alone, so the words' byte order never matters."""
-    packed = np.packbits(M, axis=1, bitorder="little")
-    words = np.zeros((len(packed), -(-packed.shape[1] // 8)), dtype=np.uint64)
-    words.view(np.uint8)[:, :packed.shape[1]] = packed
-    return words
+    last byte of each row is padded with zero bits."""
+    return np.packbits(M, axis=-1, bitorder="little")
 
 
-def unpack_rows(words: np.ndarray, n: int) -> np.ndarray:
-    """The n-column 0/1 uint8 rows of `pack_rows` words, or of one row's
-    words."""
-    return np.unpackbits(words.view(np.uint8), axis=-1, count=n, bitorder="little")
+def unpack_rows(rows: np.ndarray, n: int) -> np.ndarray:
+    """The n-column 0/1 uint8 rows of `pack_rows` bytes, or of one row's
+    bytes."""
+    return np.unpackbits(rows, axis=-1, count=n, bitorder="little")
 
 
 def xor_rows(v: np.ndarray, rows: np.ndarray, n: int) -> np.ndarray:
-    """v @ M over GF(2), as n bits, for a 0/1 vector v and the words
+    """v @ M over GF(2), as n bits, for a 0/1 vector v and the bytes
     `pack_rows(M)` of an n-column M: the XOR of the packed rows that v
     selects."""
     return unpack_rows(np.bitwise_xor.reduce(np.compress(v, rows, axis=0), axis=0), n)

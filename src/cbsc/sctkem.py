@@ -17,7 +17,7 @@ import numpy as np
 from .goppa import ReceiverPublicKey, ReceiverSecretKey, keygen_receiver as keygen_receiver_params
 from .hashes import H0, H1, hash_bits, hash_trits
 from .mceliece import PkeCiphertext, pke_decrypt, pke_encrypt
-from .params import CommonParams, setup
+from .params import CommonParams
 from .uuvsign import (
     SenderPublicKey,
     SenderSecretKey,
@@ -28,7 +28,7 @@ from .uuvsign import (
 
 __all__ = [
     "Encapsulation", "sym", "encap", "decap",
-    "keygen_receiver_params", "keygen_sender_params", "setup",
+    "keygen_receiver_params", "keygen_sender_params",
 ]
 
 

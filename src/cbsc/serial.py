@@ -17,10 +17,12 @@ is parsed and validated once per distinct block and then looked up by
 its bytes.  Payload lengths are checked before anything is unpacked,
 and a receiver secret key is checked (g monic irreducible of degree t,
 support of distinct field elements) before its decoding material is
-built.  A `Monomial` refuses a P that is not a permutation.  A sender
-secret key file holds what key generation draws, H_U, H_V and P (perm
-and scalars), and is checked by the same builder that key generation
-uses; a sender public key file holds the A of the public [I | A].
+built; then `goppa.receiver_secret_key`, the builder that key generation
+uses, checks S and the code's dimension.  A `Monomial` refuses a P that
+is not a permutation.  A sender secret key file holds what key
+generation draws, H_U, H_V and P (perm and scalars), and is checked by
+the same builder that key generation uses; a sender public key file
+holds the A of the public [I | A].
 """
 
 from __future__ import annotations
@@ -34,15 +36,8 @@ from typing import NamedTuple
 import numpy as np
 
 from . import fields as F
-from .goppa import (
-    GoppaCode,
-    ReceiverPublicKey,
-    ReceiverSecretKey,
-    goppa_parity_check,
-    receiver_secret_key,
-)
-from .linalg import (Monomial, mat_reduce, pack_bits, pack_rows, pack_trits, unpack_bits,
-                     unpack_trits)
+from .goppa import GoppaCode, ReceiverPublicKey, ReceiverSecretKey, receiver_secret_key
+from .linalg import Monomial, pack_bits, pack_rows, pack_trits, unpack_bits, unpack_trits
 from .params import (
     CUSTOM_FIELDS,
     PROFILE_BY_ID,
@@ -231,10 +226,9 @@ def par_receiver_sec(data: bytes) -> tuple[CommonParams, ReceiverSecretKey]:
     # Patterson's square root is only correct for an irreducible g
     if not F.poly_is_irreducible(code.g, params.m):
         raise FormatError("g is not irreducible over GF(2^m)")
-    rref = mat_reduce(goppa_parity_check(code), 2)
     try:
         P = Monomial(v["perm"], np.ones(params.n_r, dtype=np.uint8))
-        return params, receiver_secret_key(code, rref, v["S"], P)
+        return params, receiver_secret_key(code, v["S"], P)
     except ValueError as exc:
         raise FormatError(f"receiver secret key: {exc}") from exc
 

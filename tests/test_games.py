@@ -63,9 +63,12 @@ def test_receiver_re_addresses_a_message_to_another_receiver(users):
 
 def test_message_cannot_be_re_attributed_to_another_sender(users):
     """Unforgeability in the multi-user setting, against an adversary
-    without sender 1's secret key: sender 0's message, unchanged, is
-    presented to its receiver as sender 1's.  The signature e verifies
-    only under sender 0's public key, so this fails."""
+    without sender 1's secret key that does not search: sender 0's
+    message, unchanged, is presented to its receiver as sender 1's.  The
+    signature e verifies only under sender 0's public key, so this
+    fails.  It says nothing against a searching forger: at L1/20 a
+    large-weight Prange forger working from a sender's public key alone
+    got 3 of 3 messages that the sender never sent past `unsigncrypt`."""
     params, receivers, senders, _ = users
     m = b"signed by sender 0"
     sc = _signcrypt(users, m)

@@ -1,5 +1,6 @@
 """Goppa code construction, Patterson decoding, and receiver keys."""
 
+import hashlib
 import itertools
 
 import numpy as np
@@ -223,14 +224,15 @@ def test_public_generator_matches_oracle_product(params):
     assert np.array_equal(_generator_of(rref, params.n_r), G)
     S = random_matrix(params.k_tilde, params.k_r, 2, rng)
     P = random_permutation(params.n_r, rng)
-    sk = receiver_secret_key(code, rref, S, P)
+    sk = receiver_secret_key(code, S, P)
     assert np.array_equal(sk.pk.G, mono_apply(O.matmul(S, G, 2), P, 2))
 
 
-def test_public_generator_with_a_unit_pivot_column():
+def test_public_generator_with_a_unit_pivot_column(monkeypatch):
     # row 1 of R_free made e_1, so that pivot column 1 of G is e_1, as
     # G's second free column is, and row 0 made zero, so that pivot
-    # column 0 of G is zero
+    # column 0 of G is zero; the builder reduces the parity check
+    # itself, so the crafted RREF reaches it through goppa.mat_reduce
     rng = np.random.default_rng(9)
     code, (pivots, free, R_free) = _code_and_rref(MID, rng)
     R_free[:2] = 0
@@ -241,15 +243,17 @@ def test_public_generator_with_a_unit_pivot_column():
     assert np.array_equal(G[:, pivots[1]], G[:, free[1]])
     S = random_matrix(MID.k_tilde, MID.k_r, 2, rng)
     P = random_permutation(MID.n_r, rng)
-    sk = receiver_secret_key(code, rref, S, P)
+    monkeypatch.setattr(goppa, "mat_reduce", lambda M, p: rref)
+    sk = receiver_secret_key(code, S, P)
     assert np.array_equal(sk.pk.G, mono_apply(O.matmul(S, G, 2), P, 2))
 
 
 @pytest.mark.parametrize("seed", [0, 5])
 def test_receiver_keys_reduce_the_parity_check_once(monkeypatch, seed):
-    # keygen and load build S·G·P from the RREF of the parity check: one
-    # elimination of the mt x n_r parity check (the first code drawn is
-    # accepted at these seeds), and no generator or kernel basis
+    # keygen and load build S·G·P in receiver_secret_key from the RREF
+    # of the parity check: one elimination of the mt x n_r parity check
+    # each (the first draw is accepted at these seeds), and no generator
+    # or kernel basis
     blob = serial.ser_receiver_sec(TOY, keygen_receiver(TOY, np.random.default_rng(seed))[0])
     reduce, calls = linalg.mat_reduce, []
 
@@ -260,13 +264,51 @@ def test_receiver_keys_reduce_the_parity_check_once(monkeypatch, seed):
     def forbidden(*args):
         raise AssertionError("a generator matrix was built")
 
-    for mod in (linalg, goppa, serial):
+    for mod in (linalg, goppa):  # the modules that look mat_reduce up
         monkeypatch.setattr(mod, "mat_reduce", counting_reduce)
+    for mod in (linalg, goppa, serial):
         monkeypatch.setattr(mod, "generator_matrix", forbidden, raising=False)
         monkeypatch.setattr(mod, "kernel_basis", forbidden, raising=False)
     keygen_receiver(TOY, np.random.default_rng(seed))
     serial.par_receiver_sec(blob)
     assert calls == [(TOY.m * TOY.t, TOY.n_r)] * 2, calls
+
+
+def test_keygen_redraws_the_code_after_a_singular_s():
+    # at toy seed 48 the first draw's code has dimension k_r but its S
+    # has rank 15 < k_tilde, so keygen draws a second code, S and P from
+    # the stream and builds the key of those; the digests of the key
+    # files were recorded when keygen began to redraw all three
+    rng = np.random.default_rng(48)
+    draws = []
+    for _ in range(2):
+        code = random_goppa_code(TOY.m, TOY.n_r, TOY.t, rng)
+        S = random_matrix(TOY.k_tilde, TOY.k_r, 2, rng)
+        draws.append((code, S, random_permutation(TOY.n_r, rng)))
+    (code1, S1, P1), (code2, S2, P2) = draws
+    assert len(mat_reduce(goppa_parity_check(code1), 2)[1]) == TOY.k_r
+    assert mat_rank(S1, 2) == TOY.k_tilde - 1
+    with pytest.raises(ValueError, match="S does not have full row rank"):
+        receiver_secret_key(code1, S1, P1)
+    sk, pk = keygen_receiver(TOY, np.random.default_rng(48))
+    assert (sk.code.g, sk.code.support) == (code2.g, code2.support)
+    assert (code2.g, code2.support) != (code1.g, code1.support)
+    assert np.array_equal(sk.S, S2) and np.array_equal(sk.P.perm, P2.perm)
+    pub, sec = serial.ser_receiver_pub(TOY, pk), serial.ser_receiver_sec(TOY, sk)
+    assert hashlib.sha256(pub).hexdigest() == (
+        "c71e28b41bf081885a4e0c125eb98a18aba1fc565531a9f4075ef72493f05b29")
+    assert hashlib.sha256(sec).hexdigest() == (
+        "f9159d2ee074d9b2c2f60d7c1743c84e0247016c85333532f4808ef94cc79100")
+    # the key, and the key loaded from its file, decode a public
+    # codeword plus a weight-t error
+    loaded = serial.par_receiver_sec(sec)[1]
+    for r in range(10):
+        word_rng = np.random.default_rng(r)
+        err = np.zeros(TOY.n_r, dtype=np.uint8)
+        err[word_rng.choice(TOY.n_r, size=TOY.t, replace=False)] = 1
+        word = vecmat(word_rng.integers(0, 2, size=TOY.k_tilde, dtype=np.uint8), pk.G, 2) ^ err
+        for key in (sk, loaded):
+            assert np.array_equal(decode_permuted(key, word), err)
 
 
 def test_keygen_rejects_bad_dims():

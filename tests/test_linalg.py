@@ -318,12 +318,12 @@ def test_vecmat_converts_a_large_operand_in_slabs():
                                         (9, 1), (9, 64), (9, 65)])
 def test_xor_rows_matches_vecmat(rows, cols):
     # the public generators of toy and L1/20, a paper-l1-sized random
-    # one, whose 3488 columns end mid-word, a 30-column one, and rows of
-    # one bit, one whole word and one bit past it
+    # one, a 30-column one, whose rows end mid-byte, and rows of one
+    # bit, 64 bits and one bit past them
     rng = _rng(rows)
     M = L.random_matrix(rows, cols, 2, rng)
     packed = L.pack_rows(M)
-    assert packed.dtype == np.uint64 and packed.shape == (rows, -(-cols // 64))
+    assert all(row.tobytes() == L.pack_bits(bits) for row, bits in zip(packed, M))
     assert np.array_equal(L.unpack_rows(packed, cols), M)
     assert np.array_equal(L.unpack_rows(packed[-1], cols), M[-1])
     vs = [np.zeros(rows, dtype=np.uint8), np.ones(rows, dtype=np.uint8),
