@@ -30,10 +30,12 @@ A receiver key is valid exactly when `receiver_secret_key` accepts
 its code, S and P; key generation draws the three until it does, and
 key loading calls it on the loaded ones.  It reduces the code's parity
 check once, with `linalg.mat_reduce`: the code has dimension k_r
-exactly when that RREF has k_r free columns, and the public generator
-S·G·P is built from it without forming the generator G of
-`generator_matrix`.  The public key holds S·G·P as `linalg.pack_rows`
-bytes.
+exactly when that RREF has k_r free columns.  The code's generator G
+is the identity on those free columns and R_free transposed on the
+pivot columns, which is how `generator_matrix` reads it off the RREF;
+the public generator S·G·P is built from the same RREF without forming
+G.
+The public key holds S·G·P as `linalg.pack_rows` bytes.
 """
 
 from __future__ import annotations
@@ -45,7 +47,6 @@ import numpy as np
 from . import fields as F
 from .linalg import (
     Monomial,
-    kernel_basis,
     mat_rank,
     mat_reduce,
     matmul,
@@ -131,8 +132,16 @@ def goppa_parity_check(code: GoppaCode) -> np.ndarray:
 
 
 def generator_matrix(code: GoppaCode) -> np.ndarray:
-    """k x n generator (k = n - mt for a full-rank parity check)."""
-    return kernel_basis(goppa_parity_check(code), 2)
+    """The k x n generator of the code, read off the RREF (pivots, free,
+    R_free) of its parity check: the identity on the free columns and
+    R_free transposed on the pivot columns, as -x = x over GF(2).  k is
+    n minus the rank of the parity check, n - mt when it has full rank.
+    Key generation and loading never build it (`receiver_secret_key`)."""
+    pivots, free, R_free = mat_reduce(goppa_parity_check(code), 2)
+    G = np.zeros((len(free), code.n), dtype=np.uint8)
+    G[np.arange(len(free)), free] = 1
+    G[:, pivots] = R_free.T
+    return G
 
 
 def _key_equation(g: list[int], R: list[int], t: int, m: int) -> tuple[list[int], list[int]]:

@@ -15,7 +15,7 @@ import struct
 
 import numpy as np
 
-from .linalg import unpack_bits, unpack_trits
+from .linalg import pack_rows, unpack_bits, unpack_trits
 
 H0 = 0  # session key derivation, output length ell
 H1 = 1  # k-tilde-bit oracle (tags, coins, PKE randomness)
@@ -37,7 +37,7 @@ def _shake(domain: int, fields) -> "hashlib._hashlib.HASHXOF":
         else:
             bits = np.asarray(f, dtype=np.uint8)
             xof.update(_BIT_COUNT.pack(bits.size))
-            f = np.packbits(bits, bitorder="little")
+            f = pack_rows(bits.ravel())
         xof.update(f)
     return xof
 

@@ -68,11 +68,11 @@ peak at 32.3 MiB, of which 15.4 MiB is the R_free it returns.
 
 A GF(2) product of a vector by a fixed matrix, which PKE encryption and
 the re-encryption check take with a receiver key's public generator,
-runs on that matrix's rows packed to bytes, `pack_rows`, in the layout
-of `pack_bits` and the only form in which a key holds its generator:
-`xor_rows` XORs the bytes of the rows the vector selects and unpacks
-the n bits of the sum with `unpack_rows`, which also gives the whole
-matrix back.  On one core of a shared 2-vCPU VM (median us per
+runs on that matrix's rows packed to bytes, `pack_rows`, in the bit
+order of every packing here and the only form in which a key holds its
+generator: `xor_rows` XORs the bytes of the rows the vector selects
+and unpacks the n bits of the sum with `unpack_rows`, which also gives
+the whole matrix back.  On one core of a shared 2-vCPU VM (median us per
 product, two runs): 15-17 -> 10 us against the XOR of the unpacked
 uint8 rows for the 300 x 1024 L1/20 generator, 473-510 -> 65-79 us for
 the 1815 x 3488 `paper-l1` one; rows of 64-bit words, which the bytes
@@ -123,8 +123,7 @@ SLAB = 512
 
 def _rows_to_ints(bits: np.ndarray) -> list[int]:
     """0/1 rows -> one integer per row, column c at bit c."""
-    packed = np.packbits(bits, axis=1, bitorder="little")
-    return [int.from_bytes(row.tobytes(), "little") for row in packed]
+    return [int.from_bytes(row.tobytes(), "little") for row in pack_rows(bits)]
 
 
 def _ints_to_rows(ints: list[int], cols: int, keep: np.ndarray) -> np.ndarray:
@@ -133,7 +132,7 @@ def _ints_to_rows(ints: list[int], cols: int, keep: np.ndarray) -> np.ndarray:
     nbytes = (cols + 7) // 8
     data = b"".join(v.to_bytes(nbytes, "little") for v in ints)
     packed = np.frombuffer(data, dtype=np.uint8).reshape(len(ints), nbytes)
-    return np.unpackbits(packed, axis=1, count=cols, bitorder="little").take(keep, axis=1)
+    return unpack_rows(packed, cols).take(keep, axis=1)
 
 
 def _add3(a1: int, a2: int, b1: int, b2: int) -> tuple[int, int]:
@@ -284,17 +283,6 @@ def mat_rank(M: np.ndarray, p: int) -> int:
     return len(_eliminate(M, p, False)[3])
 
 
-def kernel_basis(M: np.ndarray, p: int) -> np.ndarray:
-    """Rows span the right kernel: every row k satisfies M @ k == 0 (mod p).
-    Row i is 1 at free column i, -R_free[:, i] at the pivot columns and 0
-    elsewhere."""
-    pivots, free, R_free = mat_reduce(M, p)
-    basis = np.zeros((len(free), M.shape[1]), dtype=np.uint8)
-    basis[np.arange(len(free)), free] = 1
-    basis[:, pivots] = (p - R_free.T) % p
-    return basis
-
-
 class AffineSolver:
     """The coset {x : H @ x = H @ w} of any word w, one x per choice of
     x[free].  H alone is reduced to its RREF R, and for any H, R @ x =
@@ -395,8 +383,11 @@ def vecmat(v: np.ndarray, M: np.ndarray, p: int) -> np.ndarray:
 
 def pack_rows(M: np.ndarray) -> np.ndarray:
     """The rows of a 0/1 matrix as uint8 bytes: byte b of a row holds
-    columns 8b to 8b + 7, LSB first, as `pack_bits` packs them, and the
-    last byte of each row is padded with zero bits."""
+    columns 8b to 8b + 7, LSB first, and the last byte of each row is
+    padded with zero bits.  This bit order, part of the wire format and
+    of the hash framing, is stated here and in `unpack_rows` only:
+    `pack_bits`, the hash fields and the packed elimination rows all
+    pack through these two."""
     return np.packbits(M, axis=-1, bitorder="little")
 
 
@@ -473,12 +464,11 @@ def mono_apply_inv(v: np.ndarray, M: Monomial, p: int) -> np.ndarray:
 # packing (wire format: row-major, LSB-first bits; 5 base-3 digits per byte)
 
 def pack_bits(bits: np.ndarray) -> bytes:
-    bits = np.asarray(bits, dtype=np.uint8).ravel()
-    return np.packbits(bits, bitorder="little").tobytes()
+    return pack_rows(np.asarray(bits, dtype=np.uint8).ravel()).tobytes()
 
 
 def unpack_bits(data, n: int) -> np.ndarray:
-    return np.unpackbits(np.frombuffer(data, dtype=np.uint8), bitorder="little", count=n)
+    return unpack_rows(np.frombuffer(data, dtype=np.uint8), n)
 
 
 # the base-3 weights of a packed trit byte's five digits; 2 * 121 = 242,

@@ -30,7 +30,10 @@ class CommonParams:
     n_r: int
     t: int
     k_tilde: int
-    # symmetric key bits and signature salt bits
+    # symmetric key bits, and signature salt bits: no scheme code reads
+    # salt_bits, as the tag-KEM signs H2(tag, varpi, z), which has no
+    # salt; it is validated and carried in custom parameter blocks, as
+    # part of the format
     ell: int
     salt_bits: int
 

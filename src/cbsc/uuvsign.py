@@ -35,7 +35,6 @@ from functools import cached_property
 
 import numpy as np
 
-from .hashes import hash_trits
 from .linalg import (
     AffineSolver,
     Monomial,
@@ -86,12 +85,6 @@ class SenderPublicKey:
     @property
     def r_s(self) -> int:
         return self.A.shape[0]
-
-
-@dataclass
-class Signature:
-    e: np.ndarray          # n_s trits, weight omega
-    salt: np.ndarray       # salt_bits bits
 
 
 def hsk_p_columns(H_U: np.ndarray, H_V: np.ndarray, P: Monomial, count: int) -> np.ndarray:
@@ -229,13 +222,3 @@ def verify_syndrome(pk: SenderPublicKey, e: np.ndarray, y: np.ndarray,
     r = pk.r_s
     return (len(e) == pk.n_s and int(np.count_nonzero(e)) == omega
             and bool(np.array_equal((e[:r] + vecmat(e[r:], pk.A.T, 3)) % 3, y)))
-
-
-def sign(sk: SenderSecretKey, msg: bytes, omega: int, salt_bits: int, rng) -> Signature:
-    salt = rng.integers(0, 2, size=salt_bits, dtype=np.uint8)
-    e = sign_syndrome(sk, hash_trits([msg, salt], sk.r_s), omega, rng)
-    return Signature(e=e, salt=salt)
-
-
-def verify(pk: SenderPublicKey, msg: bytes, sig: Signature, omega: int) -> bool:
-    return verify_syndrome(pk, sig.e, hash_trits([msg, sig.salt], pk.r_s), omega)

@@ -20,7 +20,10 @@ selected unpacked rows, which the packed rows of
 checks of the `cbsc.serial` codecs replaced; the sender's whole parity
 check H_sk, block by block, which the column gather of
 `cbsc.uuvsign.hsk_p_columns` replaced; the enumeration of a whole
-signature coset; and helpers that only tests need.
+signature coset; and helpers that only tests need, among them the
+kernel basis of a matrix, from the elimination on unpacked rows, and
+the salted standalone signature `sign`/`verify`, which the scheme does
+not run: its tag-KEM signs with `cbsc.uuvsign.sign_syndrome` alone.
 
 They are slow and simple on purpose; tests compare the library against
 them.  Polynomials are lists of ints, index = degree, no trailing zeros.
@@ -29,10 +32,12 @@ them.  Polynomials are lists of ints, index = degree, no trailing zeros.
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
 from cbsc import fields as F
+from cbsc import hashes
 from cbsc.fields import IRREDUCIBLE_POLY
 from cbsc.hashes import H2, hash_bytes, keystream
 from cbsc.linalg import (
@@ -42,7 +47,7 @@ from cbsc.linalg import (
     unpack_bits,
 )
 from cbsc.params import CUSTOM_FIELDS, TOY, CommonParams, custom_params
-from cbsc.uuvsign import _FREE_TABLE
+from cbsc.uuvsign import _FREE_TABLE, sign_syndrome, verify_syndrome
 
 
 def gf_mul(a: int, b: int, m: int) -> int:
@@ -515,6 +520,38 @@ def irreducible_count(q: int, t: int) -> int:
 def georgiades_log2_lgamma(n: int, k_tilde: int) -> float:
     """Independent log-gamma evaluation of log2(n!/k_tilde!)."""
     return (math.lgamma(n + 1) - math.lgamma(k_tilde + 1)) / math.log(2.0)
+
+
+def kernel_basis(M: np.ndarray, p: int) -> np.ndarray:
+    """Rows span the right kernel of M modulo p, by `mat_reduce` above:
+    row i is 1 at free column i, -R[:, free[i]] at the pivot columns
+    and 0 elsewhere, so M @ row == 0 (mod p)."""
+    R, rank, pivots = mat_reduce(M, p)
+    free = np.setdiff1d(np.arange(M.shape[1]), pivots)
+    basis = np.zeros((len(free), M.shape[1]), dtype=np.uint8)
+    basis[np.arange(len(free)), free] = 1
+    basis[:, pivots] = (p - R[:rank, free].T) % p
+    return basis
+
+
+@dataclass
+class Signature:
+    e: np.ndarray          # n_s trits, weight omega
+    salt: np.ndarray       # salt_bits bits
+
+
+def sign(sk, msg: bytes, omega: int, salt_bits: int, rng) -> Signature:
+    """The salted standalone signature of msg: a salt of salt_bits coins,
+    then `sign_syndrome` of the H2 trits of (msg, salt).  The scheme
+    signs inside the tag-KEM and has no salt; the acceptance criteria
+    judge the signer through this form."""
+    salt = rng.integers(0, 2, size=salt_bits, dtype=np.uint8)
+    e = sign_syndrome(sk, hashes.hash_trits([msg, salt], sk.r_s), omega, rng)
+    return Signature(e=e, salt=salt)
+
+
+def verify(pk, msg: bytes, sig: Signature, omega: int) -> bool:
+    return verify_syndrome(pk, sig.e, hashes.hash_trits([msg, sig.salt], pk.r_s), omega)
 
 
 def random_invertible(n: int, p: int, rng) -> np.ndarray:

@@ -30,9 +30,8 @@ from cbsc.linalg import AffineSolver, mono_apply_inv, vecmat
 from cbsc.mceliece import PkeCiphertext, pke_encrypt
 from cbsc.params import PAPER_L1, TOY
 from cbsc.sctkem import Encapsulation, keygen_receiver_params, keygen_sender_params
-from cbsc.uuvsign import Signature, sign, verify
 
-from oracles import toy_with
+from oracles import Signature, sign, toy_with, verify
 
 
 def _report(n, ok, detail):

@@ -59,10 +59,15 @@ def test_parity_check_annihilates_codewords():
 
 
 def test_generator_dimension():
-    code = _code(3)
-    G = generator_matrix(code)
-    assert G.shape == (32 - 5 * 2, 32)
-    assert mat_rank(G, 2) == G.shape[0]
+    # (5, 20, 4) at seed 0 and (4, 13, 3) at seed 2 draw parity checks
+    # of rank mt - 1, so their codes have dimension n - mt + 1, not n - mt
+    for m, n, t, seed, k in ((5, 32, 2, 3, 22), (5, 20, 4, 0, 1), (4, 13, 3, 2, 2)):
+        code = _code(seed, m, n, t)
+        H = goppa_parity_check(code)
+        G = generator_matrix(code)
+        assert G.shape == (k, n) and k == n - mat_rank(H, 2)
+        assert mat_rank(G, 2) == k
+        assert np.array_equal(G, O.kernel_basis(H, 2))
 
 
 def test_syndrome_poly_matches_definition():
@@ -206,22 +211,12 @@ def _code_and_rref(params, rng):
             return code, rref
 
 
-def _generator_of(rref, n):
-    """The G that an RREF triple stands for: the identity on the free
-    columns, R_free transposed on the pivot columns."""
-    pivots, free, R_free = rref
-    G = np.zeros((len(free), n), dtype=np.uint8)
-    G[np.arange(len(free)), free] = 1
-    G[:, pivots] = R_free.T
-    return G
-
-
 @pytest.mark.parametrize("params", [TOY, MID, L1_20], ids=["toy", "mid", "l1-20"])
 def test_public_generator_matches_oracle_product(params):
     rng = np.random.default_rng(8)
-    code, rref = _code_and_rref(params, rng)
+    code, _ = _code_and_rref(params, rng)
     G = generator_matrix(code)
-    assert np.array_equal(_generator_of(rref, params.n_r), G)
+    assert np.array_equal(G, O.kernel_basis(goppa_parity_check(code), 2))
     S = random_matrix(params.k_tilde, params.k_r, 2, rng)
     P = random_permutation(params.n_r, rng)
     sk = receiver_secret_key(code, S, P)
@@ -231,19 +226,20 @@ def test_public_generator_matches_oracle_product(params):
 def test_public_generator_with_a_unit_pivot_column(monkeypatch):
     # row 1 of R_free made e_1, so that pivot column 1 of G is e_1, as
     # G's second free column is, and row 0 made zero, so that pivot
-    # column 0 of G is zero; the builder reduces the parity check
-    # itself, so the crafted RREF reaches it through goppa.mat_reduce
+    # column 0 of G is zero; the builder and `generator_matrix` each
+    # reduce the parity check themselves, so the crafted RREF reaches
+    # both through goppa.mat_reduce
     rng = np.random.default_rng(9)
     code, (pivots, free, R_free) = _code_and_rref(MID, rng)
     R_free[:2] = 0
     R_free[1, 1] = 1
     rref = pivots, free, R_free
-    G = _generator_of(rref, MID.n_r)
+    monkeypatch.setattr(goppa, "mat_reduce", lambda M, p: rref)
+    G = generator_matrix(code)
     assert not G[:, pivots[0]].any()
     assert np.array_equal(G[:, pivots[1]], G[:, free[1]])
     S = random_matrix(MID.k_tilde, MID.k_r, 2, rng)
     P = random_permutation(MID.n_r, rng)
-    monkeypatch.setattr(goppa, "mat_reduce", lambda M, p: rref)
     sk = receiver_secret_key(code, S, P)
     assert np.array_equal(sk.pk.G, mono_apply(O.matmul(S, G, 2), P, 2))
 
@@ -253,7 +249,6 @@ def test_receiver_keys_reduce_the_parity_check_once(monkeypatch, seed):
     # keygen and load build S·G·P in receiver_secret_key from the RREF
     # of the parity check: one elimination of the mt x n_r parity check
     # each (the first draw is accepted at these seeds), and no generator
-    # or kernel basis
     blob = serial.ser_receiver_sec(TOY, keygen_receiver(TOY, np.random.default_rng(seed))[0])
     reduce, calls = linalg.mat_reduce, []
 
@@ -268,7 +263,6 @@ def test_receiver_keys_reduce_the_parity_check_once(monkeypatch, seed):
         monkeypatch.setattr(mod, "mat_reduce", counting_reduce)
     for mod in (linalg, goppa, serial):
         monkeypatch.setattr(mod, "generator_matrix", forbidden, raising=False)
-        monkeypatch.setattr(mod, "kernel_basis", forbidden, raising=False)
     keygen_receiver(TOY, np.random.default_rng(seed))
     serial.par_receiver_sec(blob)
     assert calls == [(TOY.m * TOY.t, TOY.n_r)] * 2, calls

@@ -40,7 +40,7 @@ def test_kernel_basis(p):
     rng = _rng(10 + p)
     for _ in range(20):
         M = L.random_matrix(4, 9, p, rng)
-        K = L.kernel_basis(M, p)
+        K = O.kernel_basis(M, p)
         rank = L.mat_rank(M, p)
         assert K.shape[0] == 9 - rank  # rank-nullity
         assert not np.any(L.matmul(M, K.T, p))

@@ -2,8 +2,11 @@
 and methods by name, and `Tracer.install` raises when one is missing.
 These tests make a renamed or dropped traced name fail here too, and
 check that a signcryption roundtrip still passes through the spans the
-per-layer metrics are derived from."""
+per-layer metrics are derived from.  They also hold `src/cbsc` to what
+the scheme runs: a public function or class that neither the package
+nor its scripts reference is kept only when the tracer names it."""
 
+import ast
 import importlib
 import importlib.util
 from pathlib import Path
@@ -12,7 +15,8 @@ import numpy as np
 
 from cbsc import hybrid, linalg
 
-SPANS_PATH = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
+ROOT = Path(__file__).resolve().parent.parent
+SPANS_PATH = ROOT / "perfbench" / "spans.py"
 
 
 def _spans_module():
@@ -70,3 +74,24 @@ def test_traced_roundtrip_passes_through_the_metric_spans(
     assert not [span for span in tracer.spans if span[0] == "linalg.AffineSolver"
                 and tracer.spans[span[3]][0] == "uuvsign.uuv_decode"]
     assert names.count("hybrid.dem_encrypt") == 2
+
+
+def test_every_public_cbsc_name_has_a_caller_or_is_traced():
+    # references are AST names, attributes and imported names, so a
+    # name that only a docstring or a comment mentions has no caller
+    defined, referenced = set(), set()
+    for path in sorted((ROOT / "src" / "cbsc").glob("*.py")):
+        defined |= {(path.stem, node.name) for node in ast.parse(path.read_text()).body
+                    if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                    and not node.name.startswith("_")}
+    for path in [*(ROOT / "src" / "cbsc").glob("*.py"), *(ROOT / "scripts").glob("*.py")]:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name):
+                referenced.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                referenced.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                referenced |= {alias.name for alias in node.names}
+    traced = {(mod, name) for mod, names in _spans_module().TRACED.items() for name in names}
+    unreferenced = {(mod, name) for mod, name in defined if name not in referenced}
+    assert unreferenced <= traced, sorted(unreferenced - traced)

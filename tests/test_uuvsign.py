@@ -20,14 +20,12 @@ from cbsc.uuvsign import (
     _free_values,
     hsk_p_columns,
     keygen_sender,
-    sign,
     sign_syndrome,
     uuv_decode,
-    verify,
     verify_syndrome,
 )
 
-from oracles import mat_mono, mono_to_matrix, steered_free_values
+from oracles import mat_mono, mono_to_matrix, sign, steered_free_values, verify
 
 
 def test_parity_check_block_structure():
@@ -46,9 +44,8 @@ def test_parity_check_block_structure():
         u = np.zeros(8, dtype=np.uint8)
         v = np.zeros(8, dtype=np.uint8)
         # sample u in ker H_U and v in ker H_V by brute randomization
-        from cbsc.linalg import kernel_basis
-        ku = kernel_basis(H_U, 3)
-        kv = kernel_basis(H_V, 3)
+        ku = O.kernel_basis(H_U, 3)
+        kv = O.kernel_basis(H_V, 3)
         u = vecmat(rng.integers(0, 3, size=ku.shape[0], dtype=np.uint8), ku, 3)
         v = vecmat(rng.integers(0, 3, size=kv.shape[0], dtype=np.uint8), kv, 3)
         word = np.concatenate([u, (u + v) % 3])
