@@ -6,9 +6,8 @@ Usage: bench.py [--out FILE] [PROFILE ...]
 PROFILE is one of the bench profiles `toy`, `l1-20`, `l1-8` and
 `paper-l1`, or any profile name or file that `params.setup` accepts; the
 default is the four bench profiles, smallest first.  L1/20 is
-perfbench/l1-20.profile, and L1/8 the custom profile L1_8 below, which
-the CLI reads from a profile file written for it.  Each profile starts
-from its own generator, seeded with SEED, and records:
+perfbench/l1-20.profile and L1/8 scripts/l1-8.profile.  Each profile
+starts from its own generator, seeded with SEED, and records:
 
   cli              the CLI sequence, in a temporary directory: keygen of
                    both roles at seeds 0a and 0b, `signcrypt` of MESSAGE
@@ -23,12 +22,12 @@ from its own generator, seeded with SEED, and records:
                    purpose updates that table.  Every profile's sequence
                    runs before any profile is benched in this process
                    (see `run_cli`).
-  phases           the seven phases below, each with its wall time and
+  phases           the six phases below, each with its wall time and
                    every traced function called inside it, per caller:
                    calls, inclusive time and self time (inclusive minus
                    traced callees)
   batch_products   one signing batch's two solver products, V then U:
-                   `linalg._product` of BATCH rows of free-value
+                   `linalg.matmul` of BATCH rows of free-value
                    differences by the solver's R_free, and the bare
                    float32 BLAS product of the same operands, so the
                    difference is the reduction
@@ -43,10 +42,12 @@ from its own generator, seeded with SEED, and records:
                    gather of all n_s columns of H_sk·P that sender
                    keygen reduces for A
   phi_ms           `cwencode.phi` of kappa random bits at (n_r, t)
-  signatures       SIGNATURES whole signatures of random syndromes with
-                   the loaded sender key: attempts per signature, counted
-                   as the rows of free values drawn, halved, and ms per
-                   signature
+  signatures       the signing record: SIGNATURES whole signatures of
+                   random syndromes with the loaded sender key, untraced:
+                   attempts per signature, counted as the rows of free
+                   values that `linalg.AffineSolver.solve` is given,
+                   halved (each attempt solves one row per half), and ms
+                   per signature
   sizes            the serialised key sizes next to the `estimator.sizes`
                    rows they correspond to
   patterson        DECODES Patterson decodings with the loaded receiver
@@ -104,16 +105,15 @@ phases are:
     sender solvers   `sk.solvers` of the loaded key: linalg.AffineSolver,
                      the reductions of H_U and H_V, which a key makes at
                      its first signature and keeps
-    signing attempts at most SIGN_ATTEMPTS attempts of `uuv_decode` on a
-                     random word: linalg.AffineSolver.solve (a product
-                     with each solver's R_free per batch) and
-                     uuvsign.uuv_decode self (drawing the free values
-                     and the weight check)
     roundtrip        `signcrypt` of MESSAGE, `ser_message`, `par_message`
                      and `unsigncrypt` with the loaded keys of both
                      roles, whose output must equal MESSAGE.  Its rows
                      hold PKE encryption and decryption, the DEM, the
-                     hashes, (de)serialisation, the `vecmat` of the
+                     hashes, (de)serialisation, the signature's
+                     linalg.AffineSolver.solve (a product with each
+                     solver's R_free per batch of attempts) and
+                     uuvsign.uuv_decode self (drawing the free values
+                     and the weight check), the `vecmat` of the
                      verification under sctkem.decap (the products of
                      encryption and of the re-encryption check are
                      `linalg.xor_rows`, which is not traced, in
@@ -153,6 +153,7 @@ import sys
 import tempfile
 import tracemalloc
 from collections import defaultdict
+from contextlib import contextmanager
 from pathlib import Path
 from statistics import median
 from time import perf_counter
@@ -160,27 +161,24 @@ from time import perf_counter
 import numpy as np
 
 from cbsc import cwencode, estimator, goppa, hybrid, linalg, sctkem, serial, uuvsign
-from cbsc.params import custom_params, setup
+from cbsc.params import setup
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "perfbench"))
 import spans  # noqa: E402
 
 SEED = 0
-SIGN_ATTEMPTS = 2 * uuvsign.BATCH
 SIGNATURES = 20
 DECODES = 50
 REPEATS = 11
 KEY_PARSE_REPEATS = 3
 MESSAGE = bytes(range(256)) * 4
 
-L1_8 = dict(n_s=1018, k_U=426, k_V=245, omega=957, m=11, n_r=2048, t=40,
-            k_tilde=900, ell=128, salt_bits=128)
-# a profile name or file for `setup` and the CLI, or a custom dict
+# a profile name or file for `setup` and the CLI
 BENCH_PROFILES = {
     "toy": "toy",
     "l1-20": str(ROOT / "perfbench" / "l1-20.profile"),
-    "l1-8": L1_8,
+    "l1-8": str(ROOT / "scripts" / "l1-8.profile"),
     "paper-l1": "paper-l1",
 }
 
@@ -228,83 +226,84 @@ def median_ms(fn, repeats: int = REPEATS) -> float:
     return 1e3 * median(times)
 
 
-def phase_tables(tracer: spans.Tracer, roots: dict[str, int]) -> dict[str, list]:
-    """{phase: [(span name, caller, calls, inclusive s, self s), ...]} for
-    the spans under each phase's root span, largest self time first."""
-    agg = spans.aggregate(tracer.spans, {root: 1.0 for root in roots.values()})
-    tables = {title: defaultdict(lambda: [0, 0.0, 0.0]) for title in roots}
-    for (phase, _top, name, parent), values in agg.items():
-        if name != phase:
-            row = tables[phase][name, parent]
-            for k, v in enumerate(values):
-                row[k] += v
-    return {title: sorted(((*key, *v) for key, v in rows.items()), key=lambda r: -r[4])
-            for title, rows in tables.items()}
+def peak_mib(fn) -> float:
+    """The peak that `tracemalloc` sees allocated while fn runs, in MiB."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
 
 
-class RowCounter:
-    """Counts the rows of free values the signer draws, two per attempt,
-    while installed in place of `uuvsign._free_values`."""
+class TracedRuns:
+    """One span-tracer session: installed on entry and uninstalled on
+    exit.  The tracer patches module attributes, so the runs reach cbsc
+    through its modules, where its wrappers are seen."""
 
     def __init__(self):
-        self.rows = 0
-        self._free_values = uuvsign._free_values
-
-    def __call__(self, other, p_two, rng):
-        self.rows += len(other)
-        return self._free_values(other, p_two, rng)
+        self.tracer = spans.Tracer()
+        self.seconds = {}  # run name -> wall s
 
     def __enter__(self):
-        uuvsign._free_values = self
+        self.tracer.install()
         return self
 
     def __exit__(self, *exc):
-        uuvsign._free_values = self._free_values
+        self.tracer.uninstall()
+
+    def run(self, name, fn):
+        """fn() under a root span named name, timed; returns its result."""
+        t0 = perf_counter()
+        with self.tracer.root(name):
+            out = fn()
+        self.seconds[name] = perf_counter() - t0
+        return out
+
+    def aggregate(self) -> dict:
+        """`spans.aggregate` of every run, keyed by the run's name."""
+        return spans.aggregate(self.tracer.spans, {span[4]: 1.0 for span in self.tracer.spans})
+
+
+@contextmanager
+def solve_rows():
+    """Counts, in the yielded [rows], the rows of free values that
+    `linalg.AffineSolver.solve` is given: two per signing attempt, one
+    per half."""
+    solve, rows = linalg.AffineSolver.solve, [0]
+
+    def counted(solver, w, free_values):
+        rows[0] += len(free_values)
+        return solve(solver, w, free_values)
+    linalg.AffineSolver.solve = counted
+    try:
+        yield rows
+    finally:
+        linalg.AffineSolver.solve = solve
 
 
 def run_phases(params, rng) -> tuple[dict, dict, bytes, object, object]:
-    """The seven traced phases; returns their record, the key blobs, the
+    """The six traced phases; returns their record, the key blobs, the
     roundtrip's message and the loaded receiver and sender secret
     keys."""
-    tracer = spans.Tracer()
-    # the tracer patches module attributes, so keygen is called through
-    # sctkem, where its wrappers are seen
-    tracer.install()
-    phases = []  # (title, root span id, seconds)
-    try:
-        def phase(title, fn):
-            t0 = perf_counter()
-            with tracer.root(title) as root:
-                out = fn()
-            phases.append((title, root, perf_counter() - t0))
-            return out
-
-        sk_r, pk_r = phase("receiver keygen",
-                           lambda: sctkem.keygen_receiver_params(params, rng))
+    with TracedRuns() as traced:
+        sk_r, pk_r = traced.run("receiver keygen",
+                                lambda: sctkem.keygen_receiver_params(params, rng))
         blobs = {"receiver_sec": serial.ser_receiver_sec(params, sk_r),
                  "receiver_pub": serial.ser_receiver_pub(params, pk_r)}
         del sk_r, pk_r  # the loaded keys are used, and one copy is held
-        (_, sk_r), (_, pk_r) = phase(
+        (_, sk_r), (_, pk_r) = traced.run(
             "receiver load", lambda: (serial.par_receiver_sec(blobs["receiver_sec"]),
                                       serial.par_receiver_pub(blobs["receiver_pub"])))
-        sk_s, pk_s = phase("sender keygen", lambda: sctkem.keygen_sender_params(params, rng))
+        sk_s, pk_s = traced.run("sender keygen",
+                                lambda: sctkem.keygen_sender_params(params, rng))
         blobs |= {"sender_sec": serial.ser_sender_sec(params, sk_s),
                   "sender_pub": serial.ser_sender_pub(params, pk_s)}
         del sk_s, pk_s
-        (_, sk_s), (_, pk_s) = phase(
+        (_, sk_s), (_, pk_s) = traced.run(
             "sender load", lambda: (serial.par_sender_sec(blobs["sender_sec"]),
                                     serial.par_sender_pub(blobs["sender_pub"])))
-        phase("sender solvers", lambda: sk_s.solvers)
-        word = rng.integers(0, 3, size=params.n_s, dtype=np.uint8)
-
-        def attempts():
-            try:
-                uuvsign.uuv_decode(sk_s, word, params.omega, rng, max_attempts=SIGN_ATTEMPTS)
-            except uuvsign.RetryExhausted:
-                pass
-        with RowCounter() as counter:
-            phase("signing attempts", attempts)
-
+        traced.run("sender solvers", lambda: sk_s.solvers)
         wire = []
 
         def roundtrip():
@@ -312,17 +311,22 @@ def run_phases(params, rng) -> tuple[dict, dict, bytes, object, object]:
             wire.append(serial.ser_message(params, sc))
             _, sc = serial.par_message(wire[0])
             return hybrid.unsigncrypt(params, sk_r, pk_s, sc)
-        if phase("roundtrip", roundtrip) != MESSAGE:
+        if traced.run("roundtrip", roundtrip) != MESSAGE:
             raise RuntimeError("the roundtrip returned other bytes")
-    finally:
-        tracer.uninstall()
-    tables = phase_tables(tracer, {title: root for title, root, _ in phases})
-    record = {title: {"s": seconds,
-                      "steps": [{"name": name, "caller": caller, "calls": calls,
-                                 "incl_s": incl, "self_s": self_s}
-                                for name, caller, calls, incl, self_s in tables[title]]}
-              for title, _, seconds in phases}
-    record["signing attempts"]["attempts"] = counter.rows // 2
+    # {phase: {(span name, caller): [calls, inclusive s, self s]}}
+    tables = defaultdict(lambda: defaultdict(lambda: [0, 0.0, 0.0]))
+    for (phase, _top, name, caller), values in traced.aggregate().items():
+        if name != phase:
+            row = tables[phase][name, caller]
+            for k, v in enumerate(values):
+                row[k] += v
+    record = {}
+    for title, seconds in traced.seconds.items():
+        steps = sorted(((*key, *v) for key, v in tables[title].items()), key=lambda r: -r[4])
+        record[title] = {"s": seconds,
+                         "steps": [{"name": name, "caller": caller, "calls": calls,
+                                    "incl_s": incl, "self_s": self_s}
+                                   for name, caller, calls, incl, self_s in steps]}
     return record, blobs, wire[0], sk_r, sk_s
 
 
@@ -347,21 +351,13 @@ def patterson(params, sk) -> dict:
         error[rng.choice(params.n_r, size=params.t, replace=False)] = 1
     msgs = rng.integers(0, 2, size=(DECODES, params.k_tilde), dtype=np.uint8)
     words = linalg.matmul(msgs, sk.pk.G, 2) ^ errors
-    tracer = spans.Tracer()
-    tracer.install()
-    roots = []
-    try:
+    with TracedRuns() as traced:
         for i, word in enumerate(words):
-            with tracer.root(i) as root:
-                got = goppa.decode_permuted(sk, word)
+            got = traced.run(i, lambda: goppa.decode_permuted(sk, word))
             if got is None or not np.array_equal(got, errors[i]):
                 raise RuntimeError("decode_permuted did not return the error drawn")
-            roots.append(root)
-    finally:
-        tracer.uninstall()
     seconds = defaultdict(float)  # (decode, step) -> s
-    for (i, _top, name, _parent), values in spans.aggregate(
-            tracer.spans, {root: 1.0 for root in roots}).items():
+    for (i, _top, name, _parent), values in traced.aggregate().items():
         for step, (names, field) in PATTERSON_STEPS.items():
             if name in names:
                 seconds[i, step] += values[field]
@@ -378,22 +374,9 @@ def parse_record(blobs: dict, wire: bytes) -> dict:
     for key, blob in blobs.items():
         parser = getattr(serial, f"par_{key}")
         out[f"par_{key}_ms"] = median_ms(lambda: parser(blob), KEY_PARSE_REPEATS)
-    tracemalloc.start()
-    try:
-        serial.par_sender_pub(blobs["sender_pub"])
-        out["par_sender_pub_peak_mib"] = tracemalloc.get_traced_memory()[1] / 2**20
-    finally:
-        tracemalloc.stop()
+    out["par_sender_pub_peak_mib"] = peak_mib(
+        lambda: serial.par_sender_pub(blobs["sender_pub"]))
     return out
-
-
-def receiver_key_peak_mib(sk) -> float:
-    tracemalloc.start()
-    try:
-        goppa.receiver_secret_key(sk.code, sk.S, sk.P)
-        return tracemalloc.get_traced_memory()[1] / 2**20
-    finally:
-        tracemalloc.stop()
 
 
 def run_cli(*args) -> dict:
@@ -416,10 +399,6 @@ def cli_sequence(name: str, profile) -> dict:
     rows = []
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
-        if isinstance(profile, dict):
-            (tmp / "custom.profile").write_text(
-                "".join(f"{k} = {v}\n" for k, v in profile.items()))
-            profile = tmp / "custom.profile"
         (tmp / "msg.bin").write_bytes(MESSAGE)
 
         def cbsc_cli(command, expect, *args):
@@ -472,7 +451,7 @@ def batch_products(sk, rng) -> dict:
         diff = rng.integers(0, 3, size=(uuvsign.BATCH, len(solver.free)), dtype=np.uint8)
         R_T, diff32 = solver.R_free.T, diff.astype(np.float32)
         out[half] = {"shape": [*diff.shape, R_T.shape[1]],
-                     "product_ms": median_ms(lambda: linalg._product(diff, R_T, 3)),
+                     "product_ms": median_ms(lambda: linalg.matmul(diff, R_T, 3)),
                      "blas_ms": median_ms(lambda: diff32 @ R_T)}
     return out
 
@@ -481,14 +460,14 @@ def signatures(params, sk, rng) -> dict:
     attempts, ms, failed = [], [], 0
     for _ in range(SIGNATURES):
         y = rng.integers(0, 3, size=params.r_s, dtype=np.uint8)
-        with RowCounter() as counter:
+        with solve_rows() as rows:
             t0 = perf_counter()
             try:
                 uuvsign.sign_syndrome(sk, y, params.omega, rng)
             except uuvsign.RetryExhausted:
                 failed += 1
             ms.append(1e3 * (perf_counter() - t0))
-        attempts.append(counter.rows // 2)
+        attempts.append(rows[0] // 2)
     return {"count": SIGNATURES, "failed": failed, "attempts": attempts,
             "mean_attempts": float(np.mean(attempts)), "median_attempts": median(attempts),
             "median_ms": median(ms), "max_ms": max(ms)}
@@ -500,7 +479,8 @@ def bench(params, rng) -> dict:
     record["phases"], blobs, wire, sk_r, sk = run_phases(params, rng)
     record["parse"] = parse_record(blobs, wire)
     record["patterson"] = patterson(params, sk_r)
-    record["receiver_secret_key_peak_mib"] = receiver_key_peak_mib(sk_r)
+    record["receiver_secret_key_peak_mib"] = peak_mib(
+        lambda: goppa.receiver_secret_key(sk_r.code, sk_r.S, sk_r.P))
     record["elimination"] = elimination(params, sk_r, sk)
     del sk_r
     record["batch_products"] = batch_products(sk, rng)
@@ -531,9 +511,7 @@ def report(name: str, rec: dict) -> None:
         for st in ph["steps"]:
             print(f"  {st['name']:30s} {st['caller']:30s} {st['calls']:6d} "
                   f"{1e3 * st['incl_s']:10.2f} {1e3 * st['self_s']:10.2f}")
-    att = rec["phases"]["signing attempts"]
-    print(f"\n{att['attempts']} signing attempts (of at most {SIGN_ATTEMPTS}): "
-          f"{1e3 * att['s'] / att['attempts']:.2f} ms per attempt")
+    print()
     for half, bp in rec["batch_products"].items():
         print(f"batch product {half} {bp['shape']}: {bp['product_ms']:.3f} ms "
               f"(BLAS alone {bp['blas_ms']:.3f} ms)")
@@ -575,8 +553,7 @@ def main(argv: list[str]) -> int:
     profiles = {name: BENCH_PROFILES.get(name, name) for name in args.profiles}
     cli = {name: cli_sequence(name, profile) for name, profile in profiles.items()}
     for name, profile in profiles.items():
-        params = custom_params(profile) if isinstance(profile, dict) else setup(profile)
-        rec = out["profiles"][name] = bench(params, np.random.default_rng(SEED))
+        rec = out["profiles"][name] = bench(setup(profile), np.random.default_rng(SEED))
         rec["cli"] = cli[name]
         report(name, rec)
     if args.out:

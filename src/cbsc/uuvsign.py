@@ -220,5 +220,6 @@ def verify_syndrome(pk: SenderPublicKey, e: np.ndarray, y: np.ndarray,
     """Whether e has length n_s, weight omega, and e @ [I | A].T = y."""
     e = np.asarray(e, dtype=np.uint8) % 3
     r = pk.r_s
+    # vecmat beats summing the columns of A that e selects, and a float32 A is 4x its size
     return (len(e) == pk.n_s and int(np.count_nonzero(e)) == omega
             and bool(np.array_equal((e[:r] + vecmat(e[r:], pk.A.T, 3)) % 3, y)))

@@ -418,23 +418,33 @@ def test_uuv_decode_retry_budget(monkeypatch):
     # weight 0 is unsatisfiable in the coset of a unit word: its
     # syndrome is a column of H_sk, nonzero as H_V has no zero column.
     # Each attempt draws one row of free values per half, and the last
-    # batch is cut, so exactly max_attempts attempts are made.
+    # batch is cut, so exactly max_attempts attempts are made.  The
+    # solvers are given the same rows, which is how scripts/bench.py
+    # counts attempts.
     rng = np.random.default_rng(4)
     sk, _ = keygen_sender(O.toy_with(n_s=8, k_U=2, k_V=2, omega=6), rng)
     w = np.zeros(8, dtype=np.uint8)
     w[0] = 1
-    rows = []
+    rows, solved = [], []
+    solve = linalg.AffineSolver.solve
 
     def spy(other, p_two, rng):
         rows.append(len(other))
         return _free_values(other, p_two, rng)
 
+    def solve_spy(solver, w, free_values):
+        solved.append(len(free_values))
+        return solve(solver, w, free_values)
+
     monkeypatch.setattr(uuvsign, "_free_values", spy)
+    monkeypatch.setattr(linalg.AffineSolver, "solve", solve_spy)
     for max_attempts in (1, BATCH - 1, BATCH, BATCH + 1, 50):
         rows.clear()
+        solved.clear()
         with pytest.raises(RetryExhausted):
             uuv_decode(sk, w, 0, rng, max_attempts=max_attempts)
         assert sum(rows) == 2 * max_attempts, (max_attempts, rows)
+        assert sum(solved) == 2 * max_attempts, (max_attempts, solved)
 
 
 def test_sign_verify(sender_keys, toy_params):
