@@ -2,8 +2,10 @@
 
 The encoding is the colexicographic combinadic: a t-subset
 {c_0 < c_1 < ... < c_{t-1}} of [0, n) has rank sum(C(c_i, i+1)).  Ranks
-below 2^kappa are exactly the encodable bit strings; weight-t vectors
-whose rank is >= 2^kappa are outside the image and decode to None.
+below 2^kappa are exactly the encodable bit strings, each read as the
+integer whose bit c is its bit c (`linalg.rows_to_ints`); weight-t
+vectors whose rank is >= 2^kappa are outside the image and decode to
+None.
 Unranking takes the elements from the largest down.  Each element c is
 first estimated in floating point from C(c, k) ~ (c - (k-1)/2)^k / k!,
 then corrected by stepping until C(c, k) <= r < C(c + 1, k), so it
@@ -18,7 +20,7 @@ from math import comb, exp, lgamma, log
 
 import numpy as np
 
-from .linalg import pack_bits, unpack_bits
+from .linalg import ints_to_rows, rows_to_ints
 
 
 def kappa(n: int, t: int) -> int:
@@ -63,22 +65,11 @@ def unrank_support(r: int, n: int, t: int) -> list[int]:
     return support
 
 
-def bits_to_int(bits: np.ndarray) -> int:
-    """LSB-first bit vector to integer."""
-    return int.from_bytes(pack_bits(bits), "little")
-
-
-def int_to_bits(v: int, nbits: int) -> np.ndarray:
-    """The low nbits bits of v, LSB first."""
-    v &= (1 << nbits) - 1
-    return unpack_bits(v.to_bytes((nbits + 7) // 8, "little"), nbits)
-
-
 def phi(y: np.ndarray, n: int, t: int) -> np.ndarray:
     """Encode kappa(n, t) bits into a length-n weight-t binary vector."""
     if len(y) != kappa(n, t):
         raise ValueError("input must have exactly kappa(n, t) bits")
-    support = unrank_support(bits_to_int(y), n, t)
+    support = unrank_support(rows_to_ints(np.reshape(y, (1, -1)))[0], n, t)
     sigma = np.zeros(n, dtype=np.uint8)
     sigma[support] = 1
     return sigma
@@ -90,9 +81,8 @@ def phi_inv(sigma: np.ndarray, t: int) -> np.ndarray | None:
     support = np.flatnonzero(sigma).tolist()
     if len(support) != t:
         return None
-    n = len(sigma)
-    k = kappa(n, t)
+    k = kappa(len(sigma), t)
     r = rank_support(support)
     if r >= (1 << k):
         return None
-    return int_to_bits(r, k)
+    return ints_to_rows([r], k)[0]

@@ -144,9 +144,10 @@ def generator_matrix(code: GoppaCode) -> np.ndarray:
     return G
 
 
-def _key_equation(g: list[int], R: list[int], t: int, m: int) -> tuple[list[int], list[int]]:
-    # partial EEA: a = b*R mod g with deg a <= t//2, deg b <= (t-1)//2
-    _, a, _, b = F.poly_euclid(g, R, t // 2, m)
+def _key_equation(g: list[int], R: list[int], m: int) -> tuple[list[int], list[int]]:
+    # partial EEA: a = b*R mod g with deg a <= t//2, deg b <= (t-1)//2,
+    # for g of degree t
+    _, a, _, b = F.poly_euclid(g, R, (len(g) - 1) // 2, m)
     return a, b
 
 
@@ -178,12 +179,12 @@ def patterson_decode(code: GoppaCode, word: np.ndarray):
     word = np.asarray(word, dtype=np.uint8) % 2
     if len(word) != code.n:
         raise ValueError("word length mismatch")
-    m, t = code.m, code.t
+    m = code.m
     S = code.syndrome_poly(word)
     if not S:
         return np.zeros(code.n, dtype=np.uint8)
     R2 = F.poly_add(F.poly_inv_mod(S, code.g, m), [0, 1])
-    a, b = _key_equation(code.g, F.poly_sqrt_mod(R2, m, code.sqrt_table), t, m)
+    a, b = _key_equation(code.g, F.poly_sqrt_mod(R2, m, code.sqrt_table), m)
     T = F.tables(m)
     sigma = [0] * max(2 * len(a) - 1, 2 * len(b))
     sigma[0:2 * len(a):2] = [T.exp[2 * T.log[c]] for c in a]

@@ -7,10 +7,13 @@ numpy Generator.
 
 Elimination runs on packed rows: a row is a Python integer whose bit c
 is column c, so one machine word holds many columns and a row operation
-is a few bitwise operations on whole rows.  A GF(2) row is one such
-integer, and adding a row is a XOR.  A GF(3) row is two bit-planes, X
-(entries equal to 1) and Y (entries equal to 2): scaling a row by 2
-swaps its planes, and adding b to a takes six operations,
+is a few bitwise operations on whole rows.  `rows_to_ints` and
+`ints_to_rows` are the one statement of this layout, in which the
+constant-weight encoding of `cwencode` also reads a bit string.  A
+GF(2) row is one such integer, and adding a row is a XOR.  A GF(3) row
+is two bit-planes, X (entries equal to 1) and Y (entries equal to 2):
+scaling a row by 2 swaps its planes, and adding b to a takes six
+operations,
 
     t = (a_X | b_Y) ^ (a_Y | b_X),  (a + b)_X = (a_Y | b_Y) ^ t,
                                     (a + b)_Y = (a_X | b_X) ^ t.
@@ -121,18 +124,18 @@ _EXACT = 2 ** 24
 SLAB = 512
 
 
-def _rows_to_ints(bits: np.ndarray) -> list[int]:
-    """0/1 rows -> one integer per row, column c at bit c."""
+def rows_to_ints(bits: np.ndarray) -> list[int]:
+    """The 0/1 rows of a matrix as one integer each, column c at bit c."""
     return [int.from_bytes(row.tobytes(), "little") for row in pack_rows(bits)]
 
 
-def _ints_to_rows(ints: list[int], cols: int, keep: np.ndarray) -> np.ndarray:
-    """The columns `keep` of the 0/1 rows whose column c is bit c of
-    `ints`."""
+def ints_to_rows(ints: list[int], cols: int) -> np.ndarray:
+    """The cols-column 0/1 rows whose column c is bit c of each of
+    `ints`, which must be below 2**cols."""
     nbytes = (cols + 7) // 8
     data = b"".join(v.to_bytes(nbytes, "little") for v in ints)
     packed = np.frombuffer(data, dtype=np.uint8).reshape(len(ints), nbytes)
-    return unpack_rows(packed, cols).take(keep, axis=1)
+    return unpack_rows(packed, cols)
 
 
 def _add3(a1: int, a2: int, b1: int, b2: int) -> tuple[int, int]:
@@ -151,9 +154,9 @@ def _eliminate(M: np.ndarray, p: int, full: bool):
     X, Y = [], ([] if p == 3 else None)
     for r in range(0, rows, SLAB):
         slab = M[r:r + SLAB] % p
-        X += _rows_to_ints(slab == 1)
+        X += rows_to_ints(slab == 1)
         if Y is not None:
-            Y += _rows_to_ints(slab == 2)
+            Y += rows_to_ints(slab == 2)
     k = min(8, rows.bit_length() - 2)
     # below 32 rows the whole matrix is one block (at least one column
     # wide: range needs a nonzero step)
@@ -182,9 +185,9 @@ def mat_reduce(M: np.ndarray, p: int) -> tuple[list[int], np.ndarray, np.ndarray
     R_free = np.empty((len(order), len(free)), dtype=np.uint8)
     for r in range(0, len(order), SLAB):
         rows, out = order[r:r + SLAB], R_free[r:r + SLAB]
-        out[:] = _ints_to_rows([X[i] for i in rows], cols, free)
+        out[:] = ints_to_rows([X[i] for i in rows], cols).take(free, axis=1)
         if Y is not None:
-            Y_free = _ints_to_rows([Y[i] for i in rows], cols, free)
+            Y_free = ints_to_rows([Y[i] for i in rows], cols).take(free, axis=1)
             out += Y_free
             out += Y_free
     return pivots, free, R_free

@@ -36,15 +36,15 @@ def pke_encrypt(pk: ReceiverPublicKey, x: np.ndarray, y: np.ndarray,
     return PkeCiphertext(_c0(pk, x, y, sigma), c1)
 
 
-def pke_decrypt(sk: ReceiverSecretKey, c: PkeCiphertext, t: int):
-    """Recover (x, y) or None.  Fails on decoding failure, a non-encodable
-    error vector, or a failed re-encryption check: encryption's c0,
-    computed again from (x, y) under the secret key's public key `sk.pk`,
-    must equal c0."""
+def pke_decrypt(sk: ReceiverSecretKey, c: PkeCiphertext):
+    """Recover (x, y) or None, with the t of the secret key's code.
+    Fails on decoding failure, a non-encodable error vector, or a failed
+    re-encryption check: encryption's c0, computed again from (x, y)
+    under the secret key's public key `sk.pk`, must equal c0."""
     sigma = decode_permuted(sk, c.c0)
     if sigma is None:
         return None
-    y = phi_inv(sigma, t)
+    y = phi_inv(sigma, sk.code.t)
     if y is None:
         return None
     x = c.c1 ^ hash_bits(H3, [sigma], len(c.c1))

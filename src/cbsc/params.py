@@ -103,9 +103,11 @@ PAPER_L1 = CommonParams(
     ell=512, salt_bits=256,
 )
 
-PROFILES = {"toy": TOY, "paper-l1": PAPER_L1}
-PROFILE_IDS = {"toy": 0x01, "paper-l1": 0x02, "custom": 0x7F}
-PROFILE_BY_ID = {v: k for k, v in PROFILE_IDS.items()}
+# the profile byte of the wire format: a named profile's id, or
+# CUSTOM_ID before an embedded parameter block
+PROFILE_IDS = {0x01: TOY, 0x02: PAPER_L1}
+CUSTOM_ID = 0x7F
+PROFILES = {p.name: p for p in PROFILE_IDS.values()}
 
 # the fields of a custom profile, in the order of the serialised block
 CUSTOM_FIELDS = ("n_s", "k_U", "k_V", "omega", "m", "n_r", "t",
@@ -159,4 +161,4 @@ def setup(profile) -> CommonParams:
 
 
 def profile_id(params: CommonParams) -> int:
-    return PROFILE_IDS.get(params.name, PROFILE_IDS["custom"])
+    return next((pid for pid, p in PROFILE_IDS.items() if p.name == params.name), CUSTOM_ID)

@@ -60,7 +60,7 @@ def encap(params: CommonParams, sk_s: SenderSecretKey, pk_r: ReceiverPublicKey,
 def decap(params: CommonParams, sk_r: ReceiverSecretKey, pk_s: SenderPublicKey,
           E: Encapsulation, tag: bytes):
     """Session key, or None on any rejection."""
-    res = pke_decrypt(sk_r, E.c, params.t)
+    res = pke_decrypt(sk_r, E.c)
     if res is None:
         return None
     x, y = res

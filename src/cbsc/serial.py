@@ -14,15 +14,16 @@ trits beyond the field's length or its bits beyond it, is zero.  Any
 its own bytes.  Fields are read through views of the input, so a
 parser copies no field before unpacking it.  A custom parameter block
 is parsed and validated once per distinct block and then looked up by
-its bytes.  Payload lengths are checked before anything is unpacked,
-and a receiver secret key is checked (g monic irreducible of degree t,
-support of distinct field elements) before its decoding material is
-built; then `goppa.receiver_secret_key`, the builder that key generation
-uses, checks S and the code's dimension.  A `Monomial` refuses a P that
-is not a permutation.  A sender secret key file holds what key
-generation draws, H_U, H_V and P (perm and scalars), and is checked by
-the same builder that key generation uses; a sender public key file
-holds the A of the public [I | A].
+its bytes.  Payload lengths are checked before anything is unpacked.
+A receiver secret key's `GoppaCode` checks that g is monic of degree t
+and the support holds distinct field elements, then builds its
+decoding material; only then is g checked irreducible, and
+`goppa.receiver_secret_key`, which key generation also calls, checks S
+and the code's dimension.  A `Monomial` refuses a P that is not a
+permutation.  A sender secret key file holds what key generation
+draws, H_U, H_V and P (perm and scalars), and is checked by
+`uuvsign.sender_secret_key`, which key generation also calls; a sender
+public key file holds the A of the public [I | A].
 """
 
 from __future__ import annotations
@@ -40,9 +41,8 @@ from .goppa import GoppaCode, ReceiverPublicKey, ReceiverSecretKey, receiver_sec
 from .linalg import Monomial, pack_bits, pack_rows, pack_trits, unpack_bits, unpack_trits
 from .params import (
     CUSTOM_FIELDS,
-    PROFILE_BY_ID,
+    CUSTOM_ID,
     PROFILE_IDS,
-    PROFILES,
     CommonParams,
     ParameterError,
     custom_params,
@@ -155,7 +155,7 @@ def _unpack(what, params: CommonParams, payload: memoryview) -> dict[str, np.nda
 
 
 def _params_block(params: CommonParams) -> bytes:
-    if profile_id(params) != PROFILE_IDS["custom"]:
+    if profile_id(params) != CUSTOM_ID:
         return b""
     return _CUSTOM_BLOCK.pack(*(getattr(params, f) for f in CUSTOM_FIELDS))
 
@@ -170,16 +170,25 @@ def _custom_block(block: bytes) -> CommonParams:
         raise FormatError(f"invalid custom parameter block: {exc}") from exc
 
 
+def _check_header(data: bytes, size: int, what: str) -> None:
+    """Raise FormatError unless `data` starts with MAGIC and holds the
+    `size` bytes of a `what` header; a correct prefix of the magic is a
+    truncation."""
+    if not MAGIC.startswith(data[:4]):
+        raise FormatError("bad magic")
+    if len(data) < size:
+        raise FormatError(f"{what} header truncated")
+
+
 def _read_params(pid: int, data: bytes | memoryview, off: int) -> tuple[CommonParams, int]:
-    if pid == PROFILE_IDS["custom"]:
+    if pid == CUSTOM_ID:
         end = off + _CUSTOM_BLOCK.size
         if len(data) < end:
             raise FormatError("custom parameter block truncated")
         return _custom_block(bytes(data[off:end])), end
-    name = PROFILE_BY_ID.get(pid)
-    if name is None or name == "custom":
+    if pid not in PROFILE_IDS:
         raise FormatError(f"unknown profile id {pid:#04x}")
-    return PROFILES[name], off
+    return PROFILE_IDS[pid], off
 
 
 # ---------------------------------------------------------------------------
@@ -191,8 +200,7 @@ def _ser_key(role: int, params: CommonParams, key) -> bytes:
 
 
 def _par_key(role: int, data: bytes) -> tuple[CommonParams, dict[str, np.ndarray]]:
-    if len(data) < 7 or data[:4] != MAGIC:
-        raise FormatError("bad magic")
+    _check_header(data, 7, "key")
     if data[4] != VERSION:
         raise FormatError(f"unsupported format version {data[4]:#04x}")
     if data[5] != role:
@@ -281,8 +289,7 @@ def ser_message(params: CommonParams, sc: SigncryptedMessage) -> bytes:
 
 
 def par_message(data: bytes) -> tuple[CommonParams, SigncryptedMessage]:
-    if len(data) < 14 or data[:4] != MAGIC:
-        raise FormatError("bad magic")
+    _check_header(data, 14, "message")
     if data[4] != VERSION:
         raise FormatError(f"unsupported format version {data[4]:#04x}")
     pid = data[5]

@@ -156,8 +156,10 @@ def keygen_sender(params: CommonParams, rng):
 # (x, x + other) has weight 2; from p on, the weight of `other` alone.
 _FREE_TABLE = np.array([[1, 2, 0, 0], [1, 1, 2, 0], [2, 2, 1, 0]], dtype=np.uint8)
 
-# decoding attempts per solver product
+# decoding attempts per solver product, and per signature before
+# RetryExhausted
 BATCH = 32
+SIGN_ATTEMPTS = 10_000
 
 
 def _free_values(other: np.ndarray, p_two: float | np.ndarray, rng) -> np.ndarray:
@@ -188,25 +190,19 @@ def _attempts(sk: SenderSecretKey, w: np.ndarray, p_two: np.ndarray, rng) -> np.
     return np.concatenate([e1, _mod_small(e1 + e_V, 3)], axis=1)
 
 
-def uuv_decode(sk: SenderSecretKey, w: np.ndarray, omega: int, rng,
-               max_attempts: int = 10_000) -> np.ndarray:
-    """e with e @ H_sk.T = w @ H_sk.T and wt(e) = omega exactly.  The
-    attempts run BATCH at a time and the first row of weight omega, in
-    batch order, is returned; the last batch is cut so that exactly
-    max_attempts attempts are made before RetryExhausted."""
-    n_s = sk.n_s
-    if not 0 <= omega <= n_s:
-        raise ValueError("omega out of range")
-    w = np.asarray(w, dtype=np.uint8) % 3
-    if len(w) != n_s:
-        raise ValueError("word length mismatch")
-    for done in range(0, max_attempts, BATCH):
-        noise = rng.normal(0.0, 0.15, min(BATCH, max_attempts - done))
-        e = _attempts(sk, w, np.clip(omega / n_s + noise, 0.0, 1.0), rng)
+def uuv_decode(sk: SenderSecretKey, w: np.ndarray, omega: int, rng) -> np.ndarray:
+    """e with e @ H_sk.T = w @ H_sk.T and wt(e) = omega exactly, for a
+    reduced uint8 word w of length n_s and the omega of a validated
+    profile.  The attempts run BATCH at a time and the first row of
+    weight omega, in batch order, is returned; the last batch is cut so
+    that exactly SIGN_ATTEMPTS attempts are made before RetryExhausted."""
+    for done in range(0, SIGN_ATTEMPTS, BATCH):
+        noise = rng.normal(0.0, 0.15, min(BATCH, SIGN_ATTEMPTS - done))
+        e = _attempts(sk, w, np.clip(omega / sk.n_s + noise, 0.0, 1.0), rng)
         hits = np.flatnonzero(np.count_nonzero(e, axis=1) == omega)
         if len(hits):
             return e[hits[0]]
-    raise RetryExhausted(f"no weight-{omega} solution in {max_attempts} attempts")
+    raise RetryExhausted(f"no weight-{omega} solution in {SIGN_ATTEMPTS} attempts")
 
 
 def sign_syndrome(sk: SenderSecretKey, y: np.ndarray, omega: int, rng) -> np.ndarray:

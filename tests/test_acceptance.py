@@ -16,7 +16,7 @@ from math import comb
 import numpy as np
 import pytest
 
-from cbsc.cwencode import int_to_bits, kappa, phi, phi_inv, rank_support
+from cbsc.cwencode import kappa, phi, phi_inv, rank_support
 from cbsc.estimator import LOG2_3, goppa_poly_count, isd_ratio, sizes
 from cbsc.goppa import (
     generator_matrix,
@@ -26,7 +26,7 @@ from cbsc.goppa import (
     random_goppa_code,
 )
 from cbsc.hybrid import signcrypt, unsigncrypt
-from cbsc.linalg import AffineSolver, mono_apply_inv, vecmat
+from cbsc.linalg import AffineSolver, ints_to_rows, mono_apply_inv, vecmat
 from cbsc.mceliece import PkeCiphertext, pke_encrypt
 from cbsc.params import PAPER_L1, TOY
 from cbsc.sctkem import Encapsulation, keygen_receiver_params, keygen_sender_params
@@ -142,7 +142,7 @@ def test_criterion_5_combinadic_bijection():
     k = kappa(n, t)
     images = set()
     for v in range(1 << k):
-        y = int_to_bits(v, k)
+        y = ints_to_rows([v], k)[0]
         sigma = phi(y, n, t)
         back = phi_inv(sigma, t)
         assert back is not None and np.array_equal(back, y)
@@ -254,7 +254,7 @@ def test_criterion_9_gamma_uniformity():
     x = rng.integers(0, 2, size=8 + 8, dtype=np.uint8)  # fixed plaintext
     seen = {}
     for v in range(1 << k):
-        y = int_to_bits(v, k)
+        y = ints_to_rows([v], k)[0]
         c = pke_encrypt(pk, x, y, 2)
         key = (tuple(c.c0), tuple(c.c1))
         seen[key] = seen.get(key, 0) + 1

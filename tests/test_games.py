@@ -55,7 +55,7 @@ def test_receiver_re_addresses_a_message_to_another_receiver(users):
     params, receivers, senders, _ = users
     m = b"for receiver 0 only"
     sc = _signcrypt(users, m)
-    x, y = pke_decrypt(receivers[0][0], sc.E.c, params.t)
+    x, y = pke_decrypt(receivers[0][0], sc.E.c)
     forwarded = SigncryptedMessage(
         E=Encapsulation(e=sc.E.e, c=pke_encrypt(receivers[1][1], x, y, params.t)), C=sc.C)
     assert hybrid.unsigncrypt(params, receivers[1][0], senders[0][1], forwarded) == m

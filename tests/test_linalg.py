@@ -418,6 +418,24 @@ def test_pack_trits_base3_little_endian():
     assert L.pack_trits(np.array([0, 0, 0, 0, 2], dtype=np.uint8)) == bytes([162])
 
 
+@pytest.mark.parametrize("cols", [1, 7, 8, 9, 64, 65])
+def test_rows_ints_roundtrip(cols):
+    # column c of a row is bit c of its integer, around byte boundaries
+    bits = np.random.default_rng(cols).integers(0, 2, (6, cols), dtype=np.uint8)
+    bits[0], bits[1] = 0, 1
+    ints = L.rows_to_ints(bits)
+    assert ints == [sum(int(b) << c for c, b in enumerate(row)) for row in bits]
+    assert ints[:2] == [0, (1 << cols) - 1]
+    assert np.array_equal(L.ints_to_rows(ints, cols), bits)
+
+
+@given(st.lists(st.integers(0, 2**65 - 1), min_size=1, max_size=5))
+def test_ints_rows_roundtrip(ints):
+    rows = L.ints_to_rows(ints, 65)
+    assert rows.shape == (len(ints), 65)
+    assert L.rows_to_ints(rows) == ints
+
+
 @given(st.lists(st.integers(0, 1), max_size=64))
 def test_bits_roundtrip(bits):
     arr = np.array(bits, dtype=np.uint8)

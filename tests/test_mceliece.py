@@ -25,7 +25,7 @@ def test_encrypt_decrypt_roundtrip(receiver_keys, toy_params):
     for _ in range(30):
         x, y = _xy(toy_params, rng)
         c = pke_encrypt(pk, x, y, toy_params.t)
-        res = pke_decrypt(sk, c, toy_params.t)
+        res = pke_decrypt(sk, c)
         assert res is not None
         got_x, got_y = res
         assert np.array_equal(got_x, x)
@@ -58,7 +58,7 @@ def test_tampered_c0_rejected(receiver_keys, toy_params):
         i = int(rng.integers(0, len(c.c0)))
         c0 = c.c0.copy()
         c0[i] ^= 1
-        assert pke_decrypt(sk, PkeCiphertext(c0, c.c1), toy_params.t) is None
+        assert pke_decrypt(sk, PkeCiphertext(c0, c.c1)) is None
 
 
 def test_tampered_c1_rejected(receiver_keys, toy_params):
@@ -70,7 +70,7 @@ def test_tampered_c1_rejected(receiver_keys, toy_params):
         i = int(rng.integers(0, len(c.c1)))
         c1 = c.c1.copy()
         c1[i] ^= 1
-        assert pke_decrypt(sk, PkeCiphertext(c.c0, c1), toy_params.t) is None
+        assert pke_decrypt(sk, PkeCiphertext(c.c0, c1)) is None
 
 
 def test_recover_message(receiver_keys, toy_params):
@@ -97,7 +97,7 @@ def test_pke_decrypt_allocates_less_than_the_key():
     c = pke_encrypt(pk, x, y, L1_20.t)
     tracemalloc.start()
     try:
-        res = pke_decrypt(sk, c, L1_20.t)
+        res = pke_decrypt(sk, c)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

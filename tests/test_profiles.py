@@ -68,7 +68,7 @@ def test_an_accepted_profile_keys_or_exits_2(fields, seed):
     for _ in range(3):
         x = rng.integers(0, 2, size=params.k_tilde + params.ell, dtype=np.uint8)
         y = rng.integers(0, 2, size=params.kappa, dtype=np.uint8)
-        got = pke_decrypt(sk, pke_encrypt(pk, x, y, params.t), params.t)
+        got = pke_decrypt(sk, pke_encrypt(pk, x, y, params.t))
         assert got is not None
         assert np.array_equal(got[0], x) and np.array_equal(got[1], y)
     assert _keygen(fields, "sender", seed)[0] in (EXIT_OK, EXIT_USAGE)

@@ -160,8 +160,10 @@ def test_custom_profile_embedded(receiver_keys):
 def test_bad_magic(toy_params, receiver_keys):
     _, pk = receiver_keys
     blob = serial.ser_receiver_pub(toy_params, pk)
-    with pytest.raises(serial.FormatError):
+    with pytest.raises(serial.FormatError, match="bad magic"):
         serial.par_receiver_pub(b"XXXX" + blob[4:])
+    with pytest.raises(serial.FormatError, match="bad magic"):
+        serial.par_message(b"XXXX" + blob[4:])
 
 
 def test_bad_version(toy_params, receiver_keys, sender_keys):
@@ -185,12 +187,18 @@ def test_role_mismatch(toy_params, receiver_keys):
         serial.par_sender_pub(blob)
 
 
-def test_unknown_profile_id(toy_params, receiver_keys):
+@pytest.mark.parametrize("pid", range(256))
+def test_unknown_profile_id(toy_params, receiver_keys, pid):
+    # only the toy id parses a toy payload: paper-l1's expects another
+    # length, and 0x7F reads the payload as a custom parameter block
     _, pk = receiver_keys
     blob = bytearray(serial.ser_receiver_pub(toy_params, pk))
-    blob[6] = 0x55
-    with pytest.raises(serial.FormatError):
-        serial.par_receiver_pub(bytes(blob))
+    blob[6] = pid
+    if pid == 0x01:
+        assert serial.par_receiver_pub(bytes(blob))[0] is TOY
+    else:
+        with pytest.raises(serial.FormatError):
+            serial.par_receiver_pub(bytes(blob))
 
 
 def test_truncated_payloads_rejected(toy_params, receiver_keys, sender_keys):
@@ -214,6 +222,10 @@ def test_truncated_payloads_rejected(toy_params, receiver_keys, sender_keys):
                 parse(blob[:cut])
         with pytest.raises(serial.FormatError):
             parse(blob + b"\x00")
+    # a header cut after a correct magic is a truncation, not bad magic
+    for parse in (serial.par_receiver_pub, serial.par_message):
+        with pytest.raises(serial.FormatError, match="header truncated"):
+            parse(b"CBSC\x03\x03")
 
 
 # --- total parsers ------------------------------------------------------------

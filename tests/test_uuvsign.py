@@ -357,7 +357,8 @@ def test_batched_attempts_match_oracle_row_for_row(sender_keys, l1_20_sender_key
                 assert np.array_equal(e[i], row), i
 
 
-def test_uuv_decode_matches_oracle_loop(sender_keys, toy_params, l1_20_sender_key):
+def test_uuv_decode_matches_oracle_loop(monkeypatch, sender_keys, toy_params,
+                                       l1_20_sender_key):
     # fed the same numbers, the batched decoder and the loop of single
     # attempts return the same word, or both run out of attempts.  At
     # L1/20 the 40 attempts are a batch and a cut one; at these seeds
@@ -365,16 +366,16 @@ def test_uuv_decode_matches_oracle_loop(sender_keys, toy_params, l1_20_sender_ke
     l1_sk, _, l1_omega = l1_20_sender_key
     for sk, omega, seeds, budget in ((sender_keys[0], toy_params.omega, range(40, 60), 70),
                                      (l1_sk, l1_omega, range(60, 70), 40)):
+        monkeypatch.setattr(uuvsign, "SIGN_ATTEMPTS", budget)
         for seed in seeds:
             w = np.random.default_rng(seed).integers(0, 3, sk.n_s, dtype=np.uint8)
             draws = _draws(sk, budget, seed)
             expected = O.uuv_decode(sk, w, omega, _Replay(*draws), max_attempts=budget)
             if expected is None:
                 with pytest.raises(RetryExhausted):
-                    uuv_decode(sk, w, omega, _Replay(*draws), max_attempts=budget)
+                    uuv_decode(sk, w, omega, _Replay(*draws))
             else:
-                assert np.array_equal(
-                    uuv_decode(sk, w, omega, _Replay(*draws), max_attempts=budget), expected)
+                assert np.array_equal(uuv_decode(sk, w, omega, _Replay(*draws)), expected)
 
 
 def test_uuv_decode_returns_first_hit_of_batch(l1_20_sender_key):
@@ -418,7 +419,7 @@ def test_uuv_decode_retry_budget(monkeypatch):
     # weight 0 is unsatisfiable in the coset of a unit word: its
     # syndrome is a column of H_sk, nonzero as H_V has no zero column.
     # Each attempt draws one row of free values per half, and the last
-    # batch is cut, so exactly max_attempts attempts are made.  The
+    # batch is cut, so exactly SIGN_ATTEMPTS attempts are made.  The
     # solvers are given the same rows, which is how scripts/bench.py
     # counts attempts.
     rng = np.random.default_rng(4)
@@ -438,13 +439,16 @@ def test_uuv_decode_retry_budget(monkeypatch):
 
     monkeypatch.setattr(uuvsign, "_free_values", spy)
     monkeypatch.setattr(linalg.AffineSolver, "solve", solve_spy)
-    for max_attempts in (1, BATCH - 1, BATCH, BATCH + 1, 50):
+    # the budget that perfbench/workloads.py states
+    assert uuvsign.SIGN_ATTEMPTS == 10_000
+    for budget in (1, BATCH - 1, BATCH, BATCH + 1, 50):
+        monkeypatch.setattr(uuvsign, "SIGN_ATTEMPTS", budget)
         rows.clear()
         solved.clear()
         with pytest.raises(RetryExhausted):
-            uuv_decode(sk, w, 0, rng, max_attempts=max_attempts)
-        assert sum(rows) == 2 * max_attempts, (max_attempts, rows)
-        assert sum(solved) == 2 * max_attempts, (max_attempts, solved)
+            uuv_decode(sk, w, 0, rng)
+        assert sum(rows) == 2 * budget, (budget, rows)
+        assert sum(solved) == 2 * budget, (budget, solved)
 
 
 def test_sign_verify(sender_keys, toy_params):
