@@ -50,15 +50,19 @@ starts from its own generator, seeded with SEED, and records:
                    per signature
   sizes            the serialised key sizes next to the `estimator.sizes`
                    rows they correspond to
-  patterson        DECODES Patterson decodings with the loaded receiver
-                   key, each of a random public codeword plus a random
-                   error of weight t: the median and the largest time of
-                   each step (see PATTERSON_STEPS) and of the whole
-                   `goppa.decode_permuted`, in ms, by the span tracer.
-                   Each decoded error must equal the one drawn, or the
-                   script raises.  The words come from their own
-                   generator, seeded with (SEED, 1), so the records
-                   after this one draw what they drew without it
+  decoder          DECODES words, each a random public codeword plus a
+                   random error of weight t, decoded with the loaded
+                   receiver key twice, untraced: by
+                   `goppa.decode_permuted`, which the scheme runs
+                   (Berlekamp-Massey between the two permutations), and
+                   by `goppa.patterson_decode`, the reference, on the
+                   word already un-permuted; per decoder the median and
+                   the largest time in ms.  Each decoded error must
+                   equal the one drawn, or the script raises, so the
+                   two decoders cannot disagree unseen.  The words come
+                   from their own generator, seeded with (SEED, 1), so
+                   the records after this one draw what they drew
+                   without it
   parse            the median ms of `serial.par_message` on the
                    roundtrip's message (of REPEATS runs) and of each key
                    parser on its file (of KEY_PARSE_REPEATS runs), and
@@ -118,12 +122,8 @@ phases are:
                      encryption and of the re-encryption check are
                      `linalg.xor_rows`, which is not traced, in
                      mceliece.pke_encrypt and mceliece.pke_decrypt self)
-                     and the Patterson steps: the
-                     syndrome (named goppa.syndrome_table, as the tracer
-                     names a code's first syndrome), fields.poly_inv_mod,
-                     fields.poly_sqrt_mod, goppa._key_equation and
-                     goppa.patterson_decode self, which is mostly root
-                     finding
+                     and goppa.decode_permuted, whose self time is the
+                     untraced Berlekamp-Massey decoding
 
 The functions are timed by the span tracer of perfbench/spans.py.  File
 sizes and estimator rows need not agree: files carry a header and store
@@ -330,42 +330,28 @@ def run_phases(params, rng) -> tuple[dict, dict, bytes, object, object]:
     return record, blobs, wire[0], sk_r, sk_s
 
 
-# Patterson steps: record key -> (span names, inclusive or self time).
-# The tracer names a code's first syndrome goppa.syndrome_table; root
-# finding is what patterson_decode does outside its traced callees.
-PATTERSON_STEPS = {
-    "syndrome": (("goppa.syndrome_table", "goppa.syndrome_poly"), spans.INCL),
-    "inverse": (("fields.poly_inv_mod",), spans.INCL),
-    "sqrt": (("fields.poly_sqrt_mod",), spans.INCL),
-    "key_equation": (("goppa._key_equation",), spans.INCL),
-    "root_find": (("goppa.patterson_decode",), spans.SELF),
-    "decode_permuted": (("goppa.decode_permuted",), spans.INCL),
-}
-
-
-def patterson(params, sk) -> dict:
-    """The `patterson` record of the module docstring."""
+def decoder(params, sk) -> dict:
+    """The `decoder` record of the module docstring."""
     rng = np.random.default_rng((SEED, 1))
     errors = np.zeros((DECODES, params.n_r), dtype=np.uint8)
     for error in errors:
         error[rng.choice(params.n_r, size=params.t, replace=False)] = 1
     msgs = rng.integers(0, 2, size=(DECODES, params.k_tilde), dtype=np.uint8)
     words = linalg.matmul(msgs, sk.pk.G, 2) ^ errors
-    with TracedRuns() as traced:
-        for i, word in enumerate(words):
-            got = traced.run(i, lambda: goppa.decode_permuted(sk, word))
-            if got is None or not np.array_equal(got, errors[i]):
-                raise RuntimeError("decode_permuted did not return the error drawn")
-    seconds = defaultdict(float)  # (decode, step) -> s
-    for (i, _top, name, _parent), values in traced.aggregate().items():
-        for step, (names, field) in PATTERSON_STEPS.items():
-            if name in names:
-                seconds[i, step] += values[field]
-    out = {"decodes": DECODES}
-    for step in PATTERSON_STEPS:
-        ms = [1e3 * seconds[i, step] for i in range(DECODES)]
-        out[step] = {"median_ms": median(ms), "max_ms": max(ms)}
-    return out
+    ms = defaultdict(list)
+    for word, error in zip(words, errors):
+        inner = linalg.mono_apply_inv(word, sk.P, 2)
+        for name, decode, want in (
+                ("decode_permuted", lambda: goppa.decode_permuted(sk, word), error),
+                ("patterson_decode", lambda: goppa.patterson_decode(sk.code, inner),
+                 linalg.mono_apply_inv(error, sk.P, 2))):
+            t0 = perf_counter()
+            got = decode()
+            ms[name].append(1e3 * (perf_counter() - t0))
+            if got is None or not np.array_equal(got, want):
+                raise RuntimeError(f"{name} did not return the error drawn")
+    return {"decodes": DECODES} | {name: {"median_ms": median(v), "max_ms": max(v)}
+                                   for name, v in ms.items()}
 
 
 def parse_record(blobs: dict, wire: bytes) -> dict:
@@ -478,7 +464,7 @@ def bench(params, rng) -> dict:
                          ("n_s", "k_U", "k_V", "omega", "m", "n_r", "t", "k_tilde")}}
     record["phases"], blobs, wire, sk_r, sk = run_phases(params, rng)
     record["parse"] = parse_record(blobs, wire)
-    record["patterson"] = patterson(params, sk_r)
+    record["decoder"] = decoder(params, sk_r)
     record["receiver_secret_key_peak_mib"] = peak_mib(
         lambda: goppa.receiver_secret_key(sk_r.code, sk_r.S, sk_r.P))
     record["elimination"] = elimination(params, sk_r, sk)
@@ -525,11 +511,12 @@ def report(name: str, rec: dict) -> None:
     print(f"{sig['count']} signatures, {sig['failed']} failed: attempts mean "
           f"{sig['mean_attempts']:.1f}, median {sig['median_attempts']}, max "
           f"{max(sig['attempts'])}; median {sig['median_ms']:.1f} ms, max {sig['max_ms']:.1f} ms")
-    pat = rec["patterson"]
-    print(f"\n{pat['decodes']} Patterson decodings, ms:")
-    print(f"  {'step':16s} {'median':>8s} {'max':>8s}")
-    for step in PATTERSON_STEPS:
-        print(f"  {step:16s} {pat[step]['median_ms']:8.3f} {pat[step]['max_ms']:8.3f}")
+    dec = rec["decoder"]
+    print(f"\n{dec['decodes']} decodings of weight-t errors, ms:")
+    print(f"  {'decoder':16s} {'median':>8s} {'max':>8s}")
+    for name, row in dec.items():
+        if name != "decodes":
+            print(f"  {name:16s} {row['median_ms']:8.3f} {row['max_ms']:8.3f}")
     parse = rec["parse"]
     print("\nparse, median ms: " + ", ".join(
         f"{name[:-3]} {ms:.3f}" for name, ms in parse.items() if name.endswith("_ms"))

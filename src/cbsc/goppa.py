@@ -1,9 +1,10 @@
-"""Binary irreducible Goppa codes: construction, Patterson decoding,
-and receiver key generation with a permuted-subcode public key.
+"""Binary irreducible Goppa codes: construction, decoding by
+Berlekamp-Massey, Patterson's decoder as the reference, and receiver key
+generation with a permuted-subcode public key.
 
 A `GoppaCode` builds its decoding material when it is constructed, so
 key generation and key loading pay for it and decoding does not.  All
-three tables are read-only numpy arrays:
+tables are read-only numpy arrays:
 
 - ``syndrome_matrix``, t x n over GF(2^m): column j holds the
   coefficients of 1/(x + alpha_j) mod g, the syndrome of the j-th unit
@@ -11,20 +12,38 @@ three tables are read-only numpy arrays:
   division, since 1/(x + a) = g(a)^-1 (g(x) + g(a))/(x + a) mod g.
   Expanded to its mt x n bits it is a binary parity-check matrix whose
   kernel is the code.
-- ``sqrt_table``, ceil(t/2) x t: the logs of sqrt(x) x^i mod g
-  (`fields.poly_sqrt_table`), which make every square root in
-  GF(2^m)[x]/(g) one gather and one XOR down the columns.
+- ``alternant_table``, n x 2t uint16: row j holds alpha_j^i /
+  g(alpha_j)^2, i < 2t, with 0^0 = 1, from the g(alpha_j) that the
+  synthetic division leaves.  For a square-free g the binary codes
+  Gamma(L, g) and Gamma(L, g^2) are equal, so its transpose is a parity
+  check of the code as the alternant code of g^2, with 2t syndromes
+  where `syndrome_matrix` has t.  It is held by rows, one per support
+  element, because a syndrome gathers whole rows, which takes less than
+  half the time of gathering the same columns of the 2t x n matrix at
+  n = 3488.
 - ``root_table``, (t+1) x n int32: the logs of alpha_j^i, with the
   tables' zero sentinel where alpha_j = 0 and i > 0.
+- ``sqrt_table``, ceil(t/2) x t, built at the first Patterson decoding
+  of the code: the logs of sqrt(x) x^i mod g (`fields.poly_sqrt_table`),
+  which make every square root in GF(2^m)[x]/(g) one gather and one XOR
+  down the columns.
 
-Patterson decoding is then one GF(2) matrix-vector product for the
-syndrome (the XOR of the columns at the nonzero positions of the
-word), the one Euclidean loop of `fields` (`fields.poly_euclid`, on
-table arithmetic) for the inverse, stopped at the unit remainder, and
-for the key equation, stopped at degree t/2, the square-root table for
-the square root of R^2 = 1/S + x, taken unreduced as its degree is at
-most t, and one gather from the root table for the roots of the error
-locator.
+The scheme decodes with `bm_decode`, as McBits does (Bernstein, Chou
+and Schwabe, CHES 2013): the XOR of the alternant rows at the
+nonzero positions of the word gives its 2t syndromes, Berlekamp-Massey
+(Massey, IEEE Trans. IT 1969) on the field's log/antilog lists gives
+the error locator, one gather from the root table finds its roots, and
+one XOR of their rows checks the syndrome.
+
+`patterson_decode` is kept as the reference that tests compare
+`bm_decode` against: one GF(2) matrix-vector product for the syndrome
+(the XOR of the columns of `syndrome_matrix` at the nonzero positions
+of the word), the one Euclidean loop of `fields` (`fields.poly_euclid`,
+on table arithmetic) for the inverse, stopped at the unit remainder,
+and for the key equation, stopped at degree t/2, the square-root table
+for the square root of R^2 = 1/S + x, taken unreduced as its degree is
+at most t, and one gather from the root table for the roots of the
+error locator.
 
 A receiver key is valid exactly when `receiver_secret_key` accepts
 its code, S and P; key generation draws the three until it does, and
@@ -40,6 +59,7 @@ The public key holds S·G·P as `linalg.pack_rows` bytes.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -67,9 +87,8 @@ class GoppaCode:
     support holds n distinct field elements that are not roots of g.
     The constructor checks all of this except irreducibility, which
     key generation guarantees and key loading checks, then builds the
-    read-only `syndrome_matrix`, `sqrt_table` and `root_table` of the
-    module docstring; for a reducible g, x may have no square root and
-    the constructor raises ZeroDivisionError.
+    read-only `syndrome_matrix`, `alternant_table` and `root_table` of
+    the module docstring; `sqrt_table` waits for Patterson.
     """
 
     def __init__(self, m: int, t: int, g: list[int], support: list[int]):
@@ -98,12 +117,24 @@ class GoppaCode:
         self.g = list(g)
         self.support = list(support)
         self.syndrome_matrix = exp[log[quot] + (T.order - log[b])].astype(np.uint16)
-        self.sqrt_table = F.poly_sqrt_table(self.g, m)
-        roots = np.outer(np.arange(t + 1), la) % T.order
-        roots[1:, alpha == 0] = log[0]
-        self.root_table = roots.astype(np.int32)
-        for table in (self.syndrome_matrix, self.sqrt_table, self.root_table):
+        # the logs of alpha_j^i, i < 2t; the first t + 1 <= 2t rows are
+        # the root table
+        powers = np.outer(np.arange(2 * t, dtype=np.int32), la.astype(np.int32)) % T.order
+        powers[1:, alpha == 0] = log[0]
+        self.root_table = powers[:t + 1].copy()  # not a view that keeps all 2t rows
+        self.alternant_table = np.ascontiguousarray(
+            T.exp_u16[powers + ((-2 * log[b]) % T.order).astype(np.int32)].T)
+        for table in (self.syndrome_matrix, self.alternant_table, self.root_table):
             table.setflags(write=False)
+
+    @functools.cached_property
+    def sqrt_table(self) -> np.ndarray:
+        """`fields.poly_sqrt_table` of g, for Patterson only.  For a
+        reducible g, x may have no square root and this raises
+        ZeroDivisionError."""
+        table = F.poly_sqrt_table(self.g, self.m)
+        table.setflags(write=False)
+        return table
 
     def syndrome_poly(self, word: np.ndarray) -> list[int]:
         """sum over the nonzero positions j of 1/(x + alpha_j) mod g."""
@@ -197,6 +228,66 @@ def patterson_decode(code: GoppaCode, word: np.ndarray):
     return error
 
 
+def bm_decode(code: GoppaCode, word: np.ndarray):
+    """The error of weight at most t whose syndrome is the word's, or
+    None; the decoder of the scheme, with `patterson_decode`'s contract.
+
+    The 2t syndromes s_i = sum over the nonzero positions j of alpha_j^i
+    / g(alpha_j)^2 are the XOR of the word's rows of `alternant_table`.
+    For an error of weight w <= t they form a sequence of linear
+    complexity w whose connection polynomial is
+    Lambda(x) = prod (1 - alpha_j x), so Berlekamp-Massey on 2t terms
+    finds it, with its length L = w.  The locator sigma(x) = x^L
+    Lambda(1/x) = prod (x - alpha_j) then has the error positions as its
+    roots, alpha_j = 0 included, where Lambda has degree L - 1.  Its
+    values at the support are the gather from the uint16 `exp_u16` at
+    the logs of sigma plus the first L + 1 rows of the root table, XORed
+    down the columns, as in `patterson_decode`.
+
+    Beyond distance t a locator does not certify itself: its roots can
+    fit the syndromes with weights other than 1/g(alpha)^2.  So the
+    located error is returned only when its syndrome, the XOR of its
+    rows, is the word's; it then has weight at most deg sigma = L <=
+    t, and is the word's unique such error.
+    """
+    word = np.asarray(word, dtype=np.uint8) % 2
+    if len(word) != code.n:
+        raise ValueError("word length mismatch")
+    H = code.alternant_table
+    syndrome = np.bitwise_xor.reduce(H.take(np.flatnonzero(word), axis=0), axis=0)
+    T = F.tables(code.m)
+    exp, log, order = T.exp, T.log, T.order
+    s = syndrome.tolist()
+    log_s = [log[x] for x in s]
+    # C is the connection polynomial, B the one before the last change of
+    # the length L, and log_b the log of the discrepancy at that change
+    C, B, L, shift, log_b = [1], [1], 0, 1, 0
+    for k, d in enumerate(s):
+        for c, ls in zip(C[1:], reversed(log_s[:k])):
+            d ^= exp[log[c] + ls]
+        if not d:
+            shift += 1
+            continue
+        lq = log[d] - log_b
+        if lq < 0:
+            lq += order
+        new = C + [0] * (len(B) + shift - len(C))
+        for i, x in enumerate(B, shift):
+            new[i] ^= exp[lq + log[x]]
+        if 2 * L <= k:
+            B, L, shift, log_b = C, k + 1 - L, 1, log[d]
+        else:
+            shift += 1
+        C = new
+    if L > code.t:  # the root table holds t + 1 rows
+        return None
+    log_sigma = np.array([log[c] for c in (C + [0] * L)[L::-1]], dtype=np.int32)
+    values = T.exp_u16.take(log_sigma[:, None] + code.root_table[:L + 1])
+    error = (np.bitwise_xor.reduce(values, axis=0) == 0).astype(np.uint8)
+    located = np.bitwise_xor.reduce(H.take(np.flatnonzero(error), axis=0), axis=0)
+    return error if np.array_equal(located, syndrome) else None
+
+
 # ---------------------------------------------------------------------------
 # receiver keys (permuted Goppa subcode)
 
@@ -264,7 +355,7 @@ def receiver_secret_key(code: GoppaCode, S: np.ndarray, P: Monomial) -> Receiver
 
 def decode_permuted(sk: ReceiverSecretKey, word: np.ndarray):
     """The error of a word of the permuted subcode, in public coordinates,
-    or None: un-permute, Patterson-decode, map the error back.  The
-    codeword is the word XOR this error."""
-    error = patterson_decode(sk.code, mono_apply_inv(word, sk.P, 2))
+    or None: un-permute, decode with `bm_decode`, map the error back.
+    The codeword is the word XOR this error."""
+    error = bm_decode(sk.code, mono_apply_inv(word, sk.P, 2))
     return None if error is None else mono_apply(error, sk.P, 2)

@@ -161,4 +161,6 @@ def setup(profile) -> CommonParams:
 
 
 def profile_id(params: CommonParams) -> int:
-    return next((pid for pid, p in PROFILE_IDS.items() if p.name == params.name), CUSTOM_ID)
+    """The id of the named profile equal to params in every field, or
+    CUSTOM_ID: a profile that keeps a name but not its values is custom."""
+    return next((pid for pid, p in PROFILE_IDS.items() if p == params), CUSTOM_ID)

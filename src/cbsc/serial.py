@@ -225,13 +225,14 @@ def ser_receiver_sec(params: CommonParams, sk: ReceiverSecretKey) -> bytes:
 
 def par_receiver_sec(data: bytes) -> tuple[CommonParams, ReceiverSecretKey]:
     params, v = _par_key(ROLE_RECEIVER_SEC, data)
-    # GoppaCode checks g and the support, except for irreducibility; a
-    # reducible g can leave x without a square root modulo g
+    # GoppaCode checks g and the support, except for irreducibility
     try:
         code = GoppaCode(params.m, params.t, v["g"].tolist(), v["support"].tolist())
-    except (ValueError, ZeroDivisionError) as exc:
+    except ValueError as exc:
         raise FormatError(f"invalid Goppa code: {exc}") from exc
-    # Patterson's square root is only correct for an irreducible g
+    # the decoder reads the code as Gamma(L, g^2), which is Gamma(L, g)
+    # only for a square-free g, and Patterson's square root needs an
+    # irreducible one
     if not F.poly_is_irreducible(code.g, params.m):
         raise FormatError("g is not irreducible over GF(2^m)")
     try:

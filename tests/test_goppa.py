@@ -1,15 +1,18 @@
-"""Goppa code construction, Patterson decoding, and receiver keys."""
+"""Goppa code construction, Berlekamp-Massey and Patterson decoding, and
+receiver keys."""
 
 import hashlib
 import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cbsc import fields as F
 from cbsc import goppa, linalg, serial
 from cbsc.goppa import (
     GoppaCode,
+    bm_decode,
     decode_permuted,
     generator_matrix,
     goppa_parity_check,
@@ -154,6 +157,7 @@ def test_patterson_decodes_exactly_the_words_within_radius():
     for word, syndrome in zip(words, matmul(words, H.T, 2)):
         want = leaders.get(syndrome.tobytes())
         got = patterson_decode(code, word)
+        assert _same_result(bm_decode(code, word), got), word
         if want is None:
             assert got is None, word
         else:
@@ -164,8 +168,101 @@ def test_patterson_decodes_exactly_the_words_within_radius():
 
 def test_word_length_mismatch():
     code = _code(8)
-    with pytest.raises(ValueError):
-        patterson_decode(code, np.zeros(31, dtype=np.uint8))
+    for decode in (patterson_decode, bm_decode):
+        with pytest.raises(ValueError):
+            decode(code, np.zeros(31, dtype=np.uint8))
+
+
+# --- Berlekamp-Massey, against Patterson --------------------------------------
+
+def _same_result(got, want) -> bool:
+    """Both decoders said None, or both returned the same error."""
+    if got is None or want is None:
+        return got is None and want is None
+    return np.array_equal(got, want)
+
+
+def _bm_agrees(code, word, oracle: bool = True):
+    """bm_decode's answer for word, checked against patterson_decode and,
+    when `oracle` is set, against the oracle decoder."""
+    got = bm_decode(code, word)
+    assert _same_result(got, patterson_decode(code, word))
+    if oracle:
+        want = O.patterson_decode(code.g, code.support, word, code.m)
+        assert _same_result(got, None if want is None else want[1])
+    return got
+
+
+def _word(rng, G, n, w):
+    """A random codeword plus an error of weight w, and the error; for
+    w = None a uniform word and None."""
+    if w is None:
+        return rng.integers(0, 2, size=n, dtype=np.uint8), None
+    err = np.zeros(n, dtype=np.uint8)
+    err[rng.choice(n, size=w, replace=False)] = 1
+    return vecmat(rng.integers(0, 2, size=G.shape[0], dtype=np.uint8), G, 2) ^ err, err
+
+
+# The oracle decoder takes about 0.2 s a word at L1/20 and far longer at
+# paper-l1 (its square root is m t - 1 squarings), so it checks every
+# toy word, the L1/20 words of weight t and t + 1, and no paper-l1 word.
+@pytest.mark.parametrize("m,n,t,oracle_weights", [(5, 32, 2, None), (10, 1024, 20, (20, 21)),
+                                                  (12, 3488, 64, ())],
+                         ids=["toy", "l1-20", "paper-l1"])
+def test_bm_decode_agrees_with_patterson(m, n, t, oracle_weights):
+    # weights 0 to t + 3, twice each, then uniform words: exactly the
+    # error up to weight t, and beyond it Patterson's answer (None, or
+    # the same error of weight at most t)
+    rng = np.random.default_rng(4100 + t)
+    code = random_goppa_code(m, n, t, rng)
+    G = generator_matrix(code)
+    outcomes = set()
+    for w in [*range(t + 4), *range(t + 4), None, None, None, None]:
+        word, err = _word(rng, G, n, w)
+        got = _bm_agrees(code, word, oracle_weights is None or w in oracle_weights)
+        if w is not None and w <= t:
+            assert got is not None and np.array_equal(got, err), f"weight {w}"
+        else:
+            outcomes.add(got is None)
+    assert True in outcomes
+    if t == 2:  # beyond distance t, toy words also reach other codewords
+        assert outcomes == {True, False}
+
+
+def test_bm_decode_with_an_error_at_zero():
+    # L1/20's support is all of GF(2^10), so alpha = 0 is a position; an
+    # error there makes Lambda of degree L - 1 and sigma a multiple of x
+    rng = np.random.default_rng(4200)
+    code = random_goppa_code(10, 1024, 20, rng)
+    zero = code.support.index(0)
+    G = generator_matrix(code)
+    others = np.delete(np.arange(code.n), zero)
+    for w in (1, 2, 7, 19, 20, 21, 22):
+        err = np.zeros(code.n, dtype=np.uint8)
+        err[zero] = 1
+        err[rng.choice(others, size=w - 1, replace=False)] = 1
+        word = vecmat(rng.integers(0, 2, size=G.shape[0], dtype=np.uint8), G, 2) ^ err
+        got = _bm_agrees(code, word, oracle=w in (20, 21))
+        if w <= code.t:
+            assert np.array_equal(got, err), f"weight {w}"
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_bm_decode_agrees_with_patterson_on_small_codes(data):
+    # m from 3 to 6, every t with n = m t + 1 <= 2^m - [t = 1] in reach,
+    # t = 1 included, and n up to the whole field
+    m = data.draw(st.integers(3, 6), label="m")
+    t = data.draw(st.integers(1, min(8, (2 ** m - 2) // m)), label="t")
+    n = data.draw(st.integers(m * t + 1, 2 ** m - (t == 1)), label="n")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1), label="seed"))
+    code = random_goppa_code(m, n, t, rng)
+    G = generator_matrix(code)
+    for w in [*range(min(t + 3, n) + 1), None, None]:
+        word, err = _word(rng, G, n, w)
+        got = _bm_agrees(code, word)
+        if w is not None and w <= t:
+            assert got is not None and np.array_equal(got, err)
 
 
 # --- receiver keys -----------------------------------------------------------

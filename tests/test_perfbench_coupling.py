@@ -74,6 +74,9 @@ def test_traced_roundtrip_passes_through_the_metric_spans(
     assert not [span for span in tracer.spans if span[0] == "linalg.AffineSolver"
                 and tracer.spans[span[3]][0] == "uuvsign.uuv_decode"]
     assert names.count("hybrid.dem_encrypt") == 2
+    # the receiver decodes with Berlekamp-Massey; Patterson is the
+    # reference that tests compare it against, off the scheme's path
+    assert "goppa.patterson_decode" not in names
 
 
 def test_every_public_cbsc_name_has_a_caller_or_is_traced():

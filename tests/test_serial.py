@@ -157,6 +157,29 @@ def test_custom_profile_embedded(receiver_keys):
     assert len(blob) == len(serial.ser_receiver_pub(TOY, pk)) + 40
 
 
+def test_named_profile_with_other_values_is_custom(receiver_keys, sender_keys):
+    # a profile that keeps the name "toy" with omega = 12 is written with
+    # the custom id and its block, so its key and message files parse
+    # back with omega = 12, not as TOY with omega = 14
+    params = dataclasses.replace(TOY, omega=12)
+    sk_r, pk_r = receiver_keys
+    sk_s, pk_s = sender_keys
+    key = serial.ser_sender_pub(params, pk_s)
+    assert key[6] == 0x7F
+    parsed, pk2 = serial.par_sender_pub(key)
+    assert parsed.omega == 12 and parsed != TOY
+    assert serial.ser_sender_pub(parsed, pk2) == key
+    sc = signcrypt(params, sk_s, pk_r, b"omega 12", np.random.default_rng(5))
+    assert int(np.count_nonzero(sc.E.e)) == 12
+    blob = serial.ser_message(params, sc)
+    assert blob[5] == 0x7F
+    parsed, sc2 = serial.par_message(blob)
+    assert parsed.omega == 12
+    assert serial.ser_message(parsed, sc2) == blob
+    assert unsigncrypt(parsed, sk_r, pk_s, sc2) == b"omega 12"
+    assert serial.ser_message(TOY, sc)[5] == 0x01
+
+
 def test_bad_magic(toy_params, receiver_keys):
     _, pk = receiver_keys
     blob = serial.ser_receiver_pub(toy_params, pk)
@@ -307,8 +330,10 @@ def test_receiver_sec_with_reducible_g_rejected():
 
 def test_receiver_sec_with_square_g_rejected():
     # g = h^2 for an irreducible quadratic h has no root in GF(32) and no
-    # odd coefficient, so x has no square root modulo g and the code
-    # cannot be built; the parser still raises FormatError
+    # odd coefficient, so x has no square root modulo g, and the
+    # decoder's reading of the code as Gamma(L, g^2) needs a square-free
+    # g; the code's tables still build, and the irreducibility check
+    # rejects it
     params = custom_params(dict(_TOY_VALUES, t=4, k_tilde=8))
     rng = np.random.default_rng(21)
     sk, _ = keygen_receiver_params(params, rng)
@@ -318,7 +343,7 @@ def test_receiver_sec_with_square_g_rejected():
     blob = bytearray(serial.ser_receiver_sec(params, sk))
     off = 7 + 40
     blob[off: off + 10] = b"".join(c.to_bytes(2, "big") for c in g)
-    with pytest.raises(serial.FormatError):
+    with pytest.raises(serial.FormatError, match="irreducible"):
         serial.par_receiver_sec(bytes(blob))
 
 
