@@ -59,10 +59,15 @@ starts from its own generator, seeded with SEED, and records:
                    word already un-permuted; per decoder the median and
                    the largest time in ms.  Each decoded error must
                    equal the one drawn, or the script raises, so the
-                   two decoders cannot disagree unseen.  The words come
-                   from their own generator, seeded with (SEED, 1), so
-                   the records after this one draw what they drew
-                   without it
+                   two decoders cannot disagree unseen.  Then DECODES
+                   uniform words, almost all beyond distance t, decoded
+                   the same two ways; the script raises unless the two
+                   answers agree (both None, or the same error), which
+                   also runs Berlekamp-Massey's length bound L <= t
+                   beyond the radius, and records per decoder how many
+                   of them gave None.  The words come from their own
+                   generator, seeded with (SEED, 1), so the records
+                   after this one draw what they drew without it
   parse            the median ms of `serial.par_message` on the
                    roundtrip's message (of REPEATS runs) and of each key
                    parser on its file (of KEY_PARSE_REPEATS runs), and
@@ -350,7 +355,17 @@ def decoder(params, sk) -> dict:
             ms[name].append(1e3 * (perf_counter() - t0))
             if got is None or not np.array_equal(got, want):
                 raise RuntimeError(f"{name} did not return the error drawn")
-    return {"decodes": DECODES} | {name: {"median_ms": median(v), "max_ms": max(v)}
+    nones = dict.fromkeys(ms, 0)
+    for word in rng.integers(0, 2, size=(DECODES, params.n_r), dtype=np.uint8):
+        got = goppa.decode_permuted(sk, word)
+        want = goppa.patterson_decode(sk.code, linalg.mono_apply_inv(word, sk.P, 2))
+        if (got is None) != (want is None) or (
+                got is not None and not np.array_equal(got, linalg.mono_apply(want, sk.P, 2))):
+            raise RuntimeError("decode_permuted and patterson_decode disagree")
+        nones["decode_permuted"] += got is None
+        nones["patterson_decode"] += want is None
+    return {"decodes": DECODES} | {name: {"median_ms": median(v), "max_ms": max(v),
+                                          "uniform_none": nones[name]}
                                    for name, v in ms.items()}
 
 
@@ -516,7 +531,8 @@ def report(name: str, rec: dict) -> None:
     print(f"  {'decoder':16s} {'median':>8s} {'max':>8s}")
     for name, row in dec.items():
         if name != "decodes":
-            print(f"  {name:16s} {row['median_ms']:8.3f} {row['max_ms']:8.3f}")
+            print(f"  {name:16s} {row['median_ms']:8.3f} {row['max_ms']:8.3f}"
+                  f"   None on {row['uniform_none']} of {dec['decodes']} uniform words")
     parse = rec["parse"]
     print("\nparse, median ms: " + ", ".join(
         f"{name[:-3]} {ms:.3f}" for name, ms in parse.items() if name.endswith("_ms"))

@@ -9,7 +9,10 @@ Multiplication runs on log/antilog tables (`tables`), built once per m
 the first time that m is used.  `log[0]` points into a run of zeros at
 the end of `exp`, so ``exp[log[a] + log[b]] == a * b`` holds for every
 pair, zero included, with no branch; callers multiply by that lookup.
-`poly_eval_many` evaluates one polynomial over a whole support at once.
+Vector code gathers from one antilog array, `Tables.exp_u16`, the same
+list as uint16: `poly_eval_many`, which evaluates one polynomial over a
+whole support at once, the row tables below, Ben-Or's squarings, and
+the key-time tables and decoders of `goppa`.
 
 Every remainder and inverse runs one in-place loop, `_euclid`: Euclid
 on a pair down to a stop degree, clearing the top coefficients of one
@@ -63,11 +66,10 @@ class Tables:
     ``0 <= i < zero = 2(q-1)``; ``exp[i] = 0`` for ``zero <= i <= 2 zero``.
     ``log[0] = zero`` and ``log[a]`` is the discrete log of a otherwise,
     so a sum of two logs always indexes `exp` correctly.  ``sqrt[a]`` is
-    the square root of a.  The ``*_np`` arrays are numpy arrays for
-    vector work: `exp` and `log` again, and ``square_np[a]``, the square
-    of a.  ``exp_u16`` is `exp` as uint16, which holds every element of
-    GF(2^16), for gathers whose output is a quarter the size of an intp
-    one.
+    the square root of a.  For vector work there is one antilog array,
+    ``exp_u16``, `exp` as uint16, which holds every element of GF(2^16),
+    so every gather from it returns a quarter of an intp array's bytes;
+    ``log_np`` is `log` as intp, and ``square_np[a]`` is the square of a.
     """
 
     def __init__(self, m: int):
@@ -91,10 +93,9 @@ class Tables:
         self.log = log
         half = (order + 1) // 2        # 1/2 mod (q - 1)
         self.sqrt = [0] + [powers[(log[a] * half) % order] for a in range(1, q)]
-        self.exp_np = np.array(self.exp, dtype=np.intp)
-        self.exp_u16 = self.exp_np.astype(np.uint16)
+        self.exp_u16 = np.array(self.exp, dtype=np.uint16)
         self.log_np = np.array(log, dtype=np.intp)
-        self.square_np = self.exp_np[2 * self.log_np]  # exp[2 zero] = 0
+        self.square_np = self.exp_u16[2 * self.log_np]  # exp[2 zero] = 0
 
 
 def _mul_by(a: int, b: int, m: int, mod: int) -> int:
@@ -220,7 +221,7 @@ def poly_inv_mod(p: list[int], mod: list[int], m: int) -> list[int]:
 def poly_eval_many(p: list[int], xs: np.ndarray, m: int) -> np.ndarray:
     """p(x) for every x in xs, by one numpy Horner pass over the tables."""
     T = tables(m)
-    exp, log = T.exp_np, T.log_np
+    exp, log = T.exp_u16, T.log_np
     lx = log[np.asarray(xs, dtype=np.intp)]
     r = np.full(len(lx), p[-1] if p else 0, dtype=np.intp)
     for c in reversed(p[:-1]):
@@ -234,7 +235,7 @@ def _times_x_rows(first: list[int], mod: list[int], count: int, m: int) -> np.nd
     coefficients of `first` (deg first < t), and row j those of x times
     row j - 1, modulo mod: x^j first mod mod."""
     T = tables(m)
-    exp, log = T.exp_np, T.log_np
+    exp, log = T.exp_u16, T.log_np
     t = poly_deg(mod)
     log_low = log[mod[:t]]
     rows = np.zeros((count, t), dtype=np.intp)
@@ -266,7 +267,7 @@ def poly_is_irreducible(p: list[int], m: int) -> bool:
         return True
     p = poly_scale(p, gf_inv(p[-1], m), m)
     T = tables(m)
-    exp, log = T.exp_np, T.log_np
+    exp, log = T.exp_u16, T.log_np
     # x^t = p - x^t for a monic p in characteristic 2
     log_rows = log[_times_x_rows(p[:t], p, t - 1, m)]
     square = np.zeros(2 * t - 1, dtype=np.intp)
@@ -297,7 +298,7 @@ def poly_sqrt_x(mod: list[int], m: int) -> list[int]:
     B = poly_trim([sqrt[c] for c in mod[1::2]])
     rows = _times_x_rows(poly_inv_mod(B, mod, m), mod, len(log_A), m)
     return poly_trim(np.bitwise_xor.reduce(
-        T.exp_np[log_A[:, None] + T.log_np[rows]], axis=0).tolist())
+        T.exp_u16[log_A[:, None] + T.log_np[rows]], axis=0).tolist())
 
 
 def poly_sqrt_table(mod: list[int], m: int) -> np.ndarray:
@@ -324,8 +325,8 @@ def poly_sqrt_mod(p: list[int], m: int, sqrt_table: np.ndarray) -> list[int]:
     T = tables(m)
     sqrt, log = T.sqrt, T.log
     odd = np.array([log[sqrt[c]] for c in p[1::2]], dtype=np.intp)
-    r = np.bitwise_xor.reduce(T.exp_np[odd[:, None] + sqrt_table[:len(odd)]], axis=0)
-    r[:(len(p) + 1) // 2] ^= np.array([sqrt[c] for c in p[0::2]], dtype=np.intp)
+    r = np.bitwise_xor.reduce(T.exp_u16[odd[:, None] + sqrt_table[:len(odd)]], axis=0)
+    r[:(len(p) + 1) // 2] ^= np.array([sqrt[c] for c in p[0::2]], dtype=np.uint16)
     return poly_trim(r.tolist())
 
 

@@ -4,7 +4,8 @@ generation with a permuted-subcode public key.
 
 A `GoppaCode` builds its decoding material when it is constructed, so
 key generation and key loading pay for it and decoding does not.  All
-tables are read-only numpy arrays:
+tables are read-only numpy arrays, and every field element in them
+comes from a gather from the one antilog array, `fields.Tables.exp_u16`:
 
 - ``syndrome_matrix``, t x n over GF(2^m): column j holds the
   coefficients of 1/(x + alpha_j) mod g, the syndrome of the j-th unit
@@ -32,8 +33,10 @@ The scheme decodes with `bm_decode`, as McBits does (Bernstein, Chou
 and Schwabe, CHES 2013): the XOR of the alternant rows at the
 nonzero positions of the word gives its 2t syndromes, Berlekamp-Massey
 (Massey, IEEE Trans. IT 1969) on the field's log/antilog lists gives
-the error locator, one gather from the root table finds its roots, and
-one XOR of their rows checks the syndrome.
+the error locator, of length at most t on every word as g is
+irreducible, one gather from the root table finds its roots, and one
+XOR of their rows checks the syndrome, which is the decoder's one
+failure exit.
 
 `patterson_decode` is kept as the reference that tests compare
 `bm_decode` against: one GF(2) matrix-vector product for the syndrome
@@ -74,7 +77,7 @@ from .linalg import (
     mono_apply_inv,
     pack_rows,
     random_matrix,
-    random_permutation,
+    random_monomial,
     unpack_rows,
 )
 from .params import CommonParams
@@ -100,7 +103,7 @@ class GoppaCode:
         if len(set(support)) != len(support):
             raise ValueError("support elements must be distinct")
         T = F.tables(m)
-        exp, log = T.exp_np, T.log_np
+        exp, log = T.exp_u16, T.log_np
         alpha = np.array(support, dtype=np.intp)
         la = log[alpha]
         # synthetic division of g(x) + g(a) by x + a, for every a at once
@@ -116,14 +119,14 @@ class GoppaCode:
         self.n = len(support)
         self.g = list(g)
         self.support = list(support)
-        self.syndrome_matrix = exp[log[quot] + (T.order - log[b])].astype(np.uint16)
+        self.syndrome_matrix = exp[log[quot] + (T.order - log[b])]
         # the logs of alpha_j^i, i < 2t; the first t + 1 <= 2t rows are
         # the root table
         powers = np.outer(np.arange(2 * t, dtype=np.int32), la.astype(np.int32)) % T.order
         powers[1:, alpha == 0] = log[0]
         self.root_table = powers[:t + 1].copy()  # not a view that keeps all 2t rows
         self.alternant_table = np.ascontiguousarray(
-            T.exp_u16[powers + ((-2 * log[b]) % T.order).astype(np.int32)].T)
+            exp[powers + ((-2 * log[b]) % T.order).astype(np.int32)].T)
         for table in (self.syndrome_matrix, self.alternant_table, self.root_table):
             table.setflags(write=False)
 
@@ -244,11 +247,23 @@ def bm_decode(code: GoppaCode, word: np.ndarray):
     the logs of sigma plus the first L + 1 rows of the root table, XORed
     down the columns, as in `patterson_decode`.
 
+    L <= t holds for every word, not only within distance t, as g is
+    irreducible.  With S the word's syndrome modulo g, Patterson's
+    locator tau = a^2 + x b^2 has degree at most t and tau S = tau'
+    (mod g), and the word's own locator w = A^2 + x B^2, the product of
+    x - alpha_j over its nonzero positions, has w S = w' (mod g).  So g
+    divides tau w' + tau' w = (a B + b A)^2, hence g^2 does, and tau is
+    a locator of the word's syndrome modulo g^2: x^(t - deg tau) tau is
+    a connection polynomial of length t of the 2t alternant syndromes,
+    and Berlekamp-Massey returns the least length.  The gather thus
+    stays within the root table's t + 1 rows.
+
     Beyond distance t a locator does not certify itself: its roots can
     fit the syndromes with weights other than 1/g(alpha)^2.  So the
     located error is returned only when its syndrome, the XOR of its
-    rows, is the word's; it then has weight at most deg sigma = L <=
-    t, and is the word's unique such error.
+    rows, is the word's, which is the one way to return None; the error
+    then has weight at most deg sigma = L <= t, and is the word's unique
+    such error.
     """
     word = np.asarray(word, dtype=np.uint8) % 2
     if len(word) != code.n:
@@ -279,8 +294,6 @@ def bm_decode(code: GoppaCode, word: np.ndarray):
         else:
             shift += 1
         C = new
-    if L > code.t:  # the root table holds t + 1 rows
-        return None
     log_sigma = np.array([log[c] for c in (C + [0] * L)[L::-1]], dtype=np.int32)
     values = T.exp_u16.take(log_sigma[:, None] + code.root_table[:L + 1])
     error = (np.bitwise_xor.reduce(values, axis=0) == 0).astype(np.uint8)
@@ -320,7 +333,7 @@ def keygen_receiver(params: CommonParams, rng):
         code = random_goppa_code(params.m, params.n_r, params.t, rng)
         S = random_matrix(params.k_tilde, params.k_r, 2, rng)
         try:
-            sk = receiver_secret_key(code, S, random_permutation(params.n_r, rng))
+            sk = receiver_secret_key(code, S, random_monomial(params.n_r, 2, rng))
         except ValueError:
             continue
         return sk, sk.pk

@@ -440,11 +440,10 @@ class Monomial:
             object.__setattr__(self, name, arr)
 
 
-def random_permutation(n: int, rng) -> Monomial:
-    return Monomial(rng.permutation(n), np.ones(n, dtype=np.uint8))
-
-
 def random_monomial(n: int, p: int, rng) -> Monomial:
+    """A uniform monomial matrix over GF(p).  For p = 2 its scalars are
+    all 1, and `rng.integers(1, 2)` draws no random numbers, so it draws
+    exactly `rng.permutation(n)`."""
     return Monomial(rng.permutation(n), rng.integers(1, p, size=n))
 
 

@@ -171,13 +171,15 @@ def _custom_block(block: bytes) -> CommonParams:
 
 
 def _check_header(data: bytes, size: int, what: str) -> None:
-    """Raise FormatError unless `data` starts with MAGIC and holds the
-    `size` bytes of a `what` header; a correct prefix of the magic is a
-    truncation."""
+    """Raise FormatError unless `data` starts with MAGIC and VERSION and
+    holds the `size` bytes of a `what` header; a correct prefix of the
+    magic is a truncation."""
     if not MAGIC.startswith(data[:4]):
         raise FormatError("bad magic")
     if len(data) < size:
         raise FormatError(f"{what} header truncated")
+    if data[4] != VERSION:
+        raise FormatError(f"unsupported format version {data[4]:#04x}")
 
 
 def _read_params(pid: int, data: bytes | memoryview, off: int) -> tuple[CommonParams, int]:
@@ -201,8 +203,6 @@ def _ser_key(role: int, params: CommonParams, key) -> bytes:
 
 def _par_key(role: int, data: bytes) -> tuple[CommonParams, dict[str, np.ndarray]]:
     _check_header(data, 7, "key")
-    if data[4] != VERSION:
-        raise FormatError(f"unsupported format version {data[4]:#04x}")
     if data[5] != role:
         raise FormatError(f"expected {ROLE_NAMES[role]} key, got "
                           f"{ROLE_NAMES.get(data[5], hex(data[5]))}")
@@ -291,8 +291,6 @@ def ser_message(params: CommonParams, sc: SigncryptedMessage) -> bytes:
 
 def par_message(data: bytes) -> tuple[CommonParams, SigncryptedMessage]:
     _check_header(data, 14, "message")
-    if data[4] != VERSION:
-        raise FormatError(f"unsupported format version {data[4]:#04x}")
     pid = data[5]
     (elen,) = struct.unpack_from(">Q", data, 6)
     off = 14

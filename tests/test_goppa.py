@@ -3,6 +3,7 @@ receiver keys."""
 
 import hashlib
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -28,7 +29,7 @@ from cbsc.linalg import (
     mono_apply,
     mono_apply_inv,
     random_matrix,
-    random_permutation,
+    random_monomial,
     vecmat,
 )
 from cbsc.params import TOY, ParameterError
@@ -265,6 +266,45 @@ def test_bm_decode_agrees_with_patterson_on_small_codes(data):
             assert got is not None and np.array_equal(got, err)
 
 
+def _decodes_within_radius(code, H, word) -> bool:
+    """bm_decode's answer for word is Patterson's, and None or an error
+    of weight at most t with the word's syndrome under H; it raises if
+    Berlekamp-Massey's locator overruns the root table's t + 1 rows."""
+    got = _bm_agrees(code, word, oracle=False)
+    if got is None:
+        return False
+    assert got.sum() <= code.t
+    assert np.array_equal(matmul(H, got, 2), matmul(H, word, 2))
+    return True
+
+
+@pytest.mark.parametrize("m,n,t", [(4, 16, 3), (5, 32, 2), (5, 32, 3)])
+def test_bm_decode_on_every_coset(m, n, t):
+    # one word per coset: the pivot columns of the parity check's RREF
+    # are unit columns there, so their 2^rank subsets have 2^rank
+    # distinct syndromes.  Berlekamp-Massey returns L <= t on every word
+    # (see bm_decode), and exactly the cosets of the errors of weight
+    # <= t decode
+    code = random_goppa_code(m, n, t, np.random.default_rng(4300 + m + t))
+    H = goppa_parity_check(code)
+    pivots = mat_reduce(H, 2)[0]
+    assert len(pivots) == m * t
+    subsets = np.arange(2 ** len(pivots))
+    words = np.zeros((len(subsets), n), dtype=np.uint8)
+    words[:, pivots] = (subsets[:, None] >> np.arange(len(pivots))) & 1
+    assert len({s.tobytes() for s in matmul(words, H.T, 2)}) == len(words)
+    decoded = sum(_decodes_within_radius(code, H, word) for word in words)
+    assert decoded == sum(math.comb(n, w) for w in range(t + 1))
+
+
+def test_bm_decode_on_uniform_words_at_l1_20():
+    rng = np.random.default_rng(4400)
+    code = random_goppa_code(10, 1024, 20, rng)
+    H = goppa_parity_check(code)
+    for _ in range(200):
+        _decodes_within_radius(code, H, rng.integers(0, 2, size=code.n, dtype=np.uint8))
+
+
 # --- receiver keys -----------------------------------------------------------
 
 def test_keygen_receiver_shapes(receiver_keys, toy_params):
@@ -315,7 +355,7 @@ def test_public_generator_matches_oracle_product(params):
     G = generator_matrix(code)
     assert np.array_equal(G, O.kernel_basis(goppa_parity_check(code), 2))
     S = random_matrix(params.k_tilde, params.k_r, 2, rng)
-    P = random_permutation(params.n_r, rng)
+    P = random_monomial(params.n_r, 2, rng)
     sk = receiver_secret_key(code, S, P)
     assert np.array_equal(sk.pk.G, mono_apply(O.matmul(S, G, 2), P, 2))
 
@@ -336,7 +376,7 @@ def test_public_generator_with_a_unit_pivot_column(monkeypatch):
     assert not G[:, pivots[0]].any()
     assert np.array_equal(G[:, pivots[1]], G[:, free[1]])
     S = random_matrix(MID.k_tilde, MID.k_r, 2, rng)
-    P = random_permutation(MID.n_r, rng)
+    P = random_monomial(MID.n_r, 2, rng)
     sk = receiver_secret_key(code, S, P)
     assert np.array_equal(sk.pk.G, mono_apply(O.matmul(S, G, 2), P, 2))
 
@@ -375,7 +415,7 @@ def test_keygen_redraws_the_code_after_a_singular_s():
     for _ in range(2):
         code = random_goppa_code(TOY.m, TOY.n_r, TOY.t, rng)
         S = random_matrix(TOY.k_tilde, TOY.k_r, 2, rng)
-        draws.append((code, S, random_permutation(TOY.n_r, rng)))
+        draws.append((code, S, random_monomial(TOY.n_r, 2, rng)))
     (code1, S1, P1), (code2, S2, P2) = draws
     assert len(mat_reduce(goppa_parity_check(code1), 2)[1]) == TOY.k_r
     assert mat_rank(S1, 2) == TOY.k_tilde - 1

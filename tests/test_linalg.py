@@ -359,10 +359,16 @@ def test_monomial_self_transpose_inverse():
     assert np.array_equal(L.matmul(A, A.T, 3), np.eye(10, dtype=np.uint8))
 
 
-def test_random_permutation_scalars_are_one():
-    M = L.random_permutation(12, _rng(1))
-    assert np.array_equal(M.scalars, np.ones(12, dtype=np.uint8))
-    assert np.array_equal(np.sort(M.perm), np.arange(12))
+@pytest.mark.parametrize("n", [1, 12, 1024])
+def test_binary_random_monomial_draws_one_permutation(n):
+    # over GF(2) the scalars come from rng.integers(1, 2), which draws no
+    # random numbers: twin generators stay in step after a monomial and
+    # a bare permutation
+    rng, twin = _rng(1), _rng(1)
+    M = L.random_monomial(n, 2, rng)
+    assert np.array_equal(M.scalars, np.ones(n, dtype=np.uint8))
+    assert np.array_equal(M.perm, twin.permutation(n))
+    assert rng.integers(0, 2 ** 63) == twin.integers(0, 2 ** 63)
 
 
 @pytest.mark.parametrize("p", [2, 3])
