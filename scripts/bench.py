@@ -38,6 +38,12 @@ starts from its own generator, seeded with SEED, and records:
                    H_U, H_V and all of H_sk·P; per matrix the call, the
                    field, the shape and the median ms of
                    KEY_PARSE_REPEATS runs
+  code_tables_ms   the median ms of REPEATS runs of `goppa.GoppaCode` on
+                   the loaded receiver key's m, t, g and support, which
+                   builds the code's two tables, and of
+                   `goppa.goppa_parity_check` of that code: the key-time
+                   work of key generation and loading besides the
+                   reduction in `elimination`
   hsk_p_columns_ms `uuvsign.hsk_p_columns` of the loaded sender key: the
                    gather of all n_s columns of H_sk·P that sender
                    keygen reduces for A
@@ -483,7 +489,11 @@ def bench(params, rng) -> dict:
     record["receiver_secret_key_peak_mib"] = peak_mib(
         lambda: goppa.receiver_secret_key(sk_r.code, sk_r.S, sk_r.P))
     record["elimination"] = elimination(params, sk_r, sk)
-    del sk_r
+    code = sk_r.code
+    record["code_tables_ms"] = {
+        "GoppaCode": median_ms(lambda: goppa.GoppaCode(code.m, code.t, code.g, code.support)),
+        "goppa_parity_check": median_ms(lambda: goppa.goppa_parity_check(code))}
+    del sk_r, code
     record["batch_products"] = batch_products(sk, rng)
     record["hsk_p_columns_ms"] = median_ms(
         lambda: uuvsign.hsk_p_columns(sk.H_U, sk.H_V, sk.P, params.n_s))
@@ -520,6 +530,9 @@ def report(name: str, rec: dict) -> None:
     for name, el in rec["elimination"].items():
         print(f"  {name:22s} {el['call']:10s} {el['p']:2d} {'x'.join(map(str, el['shape'])):>12s} "
               f"{el['median_ms']:10.2f}")
+    tables = rec["code_tables_ms"]
+    print(f"receiver code tables: GoppaCode {tables['GoppaCode']:.2f} ms, "
+          f"goppa_parity_check {tables['goppa_parity_check']:.2f} ms")
     print(f"hsk_p_columns of all n_s columns: {rec['hsk_p_columns_ms']:.2f} ms; "
           f"phi: {rec['phi_ms']:.3f} ms")
     sig = rec["signatures"]

@@ -10,8 +10,10 @@ the first time that m is used.  `log[0]` points into a run of zeros at
 the end of `exp`, so ``exp[log[a] + log[b]] == a * b`` holds for every
 pair, zero included, with no branch; callers multiply by that lookup.
 Vector code gathers from one antilog array, `Tables.exp_u16`, the same
-list as uint16: `poly_eval_many`, which evaluates one polynomial over a
-whole support at once, the row tables below, Ben-Or's squarings, and
+list as uint16: `poly_eval_many`, the one Horner loop, which evaluates
+one polynomial at many points at once (a candidate g at every field
+element, and g at the support when a `goppa.GoppaCode` builds its
+tables at key set-up), the row tables below, Ben-Or's squarings, and
 the key-time tables and decoders of `goppa`.
 
 Every remainder and inverse runs one in-place loop, `_euclid`: Euclid

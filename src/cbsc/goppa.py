@@ -3,31 +3,36 @@ Berlekamp-Massey, Patterson's decoder as the reference, and receiver key
 generation with a permuted-subcode public key.
 
 A `GoppaCode` builds its decoding material when it is constructed, so
-key generation and key loading pay for it and decoding does not.  All
-tables are read-only numpy arrays, and every field element in them
-comes from a gather from the one antilog array, `fields.Tables.exp_u16`:
+key generation and key loading pay for it and decoding does not.  A
+code holds two tables, both read-only numpy arrays; every field element
+in them comes from a gather from the one antilog array,
+`fields.Tables.exp_u16`, and g(alpha_j) comes from `fields.poly_eval_many`
+over the support:
 
-- ``syndrome_matrix``, t x n over GF(2^m): column j holds the
-  coefficients of 1/(x + alpha_j) mod g, the syndrome of the j-th unit
-  word.  It is built for the whole support at once by synthetic
-  division, since 1/(x + a) = g(a)^-1 (g(x) + g(a))/(x + a) mod g.
-  Expanded to its mt x n bits it is a binary parity-check matrix whose
-  kernel is the code.
 - ``alternant_table``, n x 2t uint16: row j holds alpha_j^i /
-  g(alpha_j)^2, i < 2t, with 0^0 = 1, from the g(alpha_j) that the
-  synthetic division leaves.  For a square-free g the binary codes
-  Gamma(L, g) and Gamma(L, g^2) are equal, so its transpose is a parity
-  check of the code as the alternant code of g^2, with 2t syndromes
-  where `syndrome_matrix` has t.  It is held by rows, one per support
-  element, because a syndrome gathers whole rows, which takes less than
-  half the time of gathering the same columns of the 2t x n matrix at
-  n = 3488.
+  g(alpha_j)^2, i < 2t, with 0^0 = 1.  For a square-free g the binary
+  codes Gamma(L, g) and Gamma(L, g^2) are equal, so its transpose is a
+  parity check of the code as the alternant code of g^2, with 2t
+  syndromes.  It is held by rows, one per support element, because a
+  syndrome gathers whole rows, which takes less than half the time of
+  gathering the same columns of the 2t x n matrix at n = 3488.
 - ``root_table``, (t+1) x n int32: the logs of alpha_j^i, with the
   tables' zero sentinel where alpha_j = 0 and i > 0.
-- ``sqrt_table``, ceil(t/2) x t, built at the first Patterson decoding
-  of the code: the logs of sqrt(x) x^i mod g (`fields.poly_sqrt_table`),
-  which make every square root in GF(2^m)[x]/(g) one gather and one XOR
-  down the columns.
+
+``sqrt_table``, ceil(t/2) x t, is built at the first Patterson decoding
+of the code: the logs of sqrt(x) x^i mod g (`fields.poly_sqrt_table`),
+which make every square root in GF(2^m)[x]/(g) one gather and one XOR
+down the columns.
+
+The binary parity check, `goppa_parity_check`, is the bit expansion of
+the even columns of the alternant table, alpha_j^(2i) / g(alpha_j)^2 =
+(alpha_j^i / g(alpha_j))^2 for i < t: mt rows, as many as the textbook
+check of the rows alpha_j^i / g(alpha_j) has.  On a binary word e the
+syndromes of the even columns are the squares of the textbook ones, and
+every GF(2)-linear form on GF(2^m) is a trace Tr(lambda z), with
+Tr(lambda z^2) = Tr(sqrt(lambda) z); so the two bit expansions have the
+same row space, hence the same kernel and the same reduced row echelon
+form, from which `receiver_secret_key` builds S·G·P.
 
 The scheme decodes with `bm_decode`, as McBits does (Bernstein, Chou
 and Schwabe, CHES 2013): the XOR of the alternant rows at the
@@ -39,14 +44,18 @@ XOR of their rows checks the syndrome, which is the decoder's one
 failure exit.
 
 `patterson_decode` is kept as the reference that tests compare
-`bm_decode` against: one GF(2) matrix-vector product for the syndrome
-(the XOR of the columns of `syndrome_matrix` at the nonzero positions
-of the word), the one Euclidean loop of `fields` (`fields.poly_euclid`,
-on table arithmetic) for the inverse, stopped at the unit remainder,
-and for the key equation, stopped at degree t/2, the square-root table
-for the square root of R^2 = 1/S + x, taken unreduced as its degree is
-at most t, and one gather from the root table for the roots of the
-error locator.
+`bm_decode` against.  Its syndrome S(x) = sum 1/(x + alpha_j) mod g
+comes from the word's 2t alternant syndromes s_i (`syndrome_poly`):
+u_i = sqrt(s_2i), i < t, are the textbook syndromes sum alpha_j^i /
+g(alpha_j), and as 1/(x + a) = (g(x) + g(a)) / ((x + a) g(a)) mod g,
+S_l = sum over k > l of g_k u_(k-l-1), a polynomial of degree < t, so
+one t x t gather gives S(x) with no reduction.  This derivation leaves
+`src` with Patterson.  Patterson then runs the one Euclidean loop of
+`fields` (`fields.poly_euclid`, on table arithmetic) for the inverse,
+stopped at the unit remainder, and for the key equation, stopped at
+degree t/2, the square-root table for the square root of R^2 = 1/S + x,
+taken unreduced as its degree is at most t, and one gather from the
+root table for the roots of the error locator.
 
 A receiver key is valid exactly when `receiver_secret_key` accepts
 its code, S and P; key generation draws the three until it does, and
@@ -90,7 +99,7 @@ class GoppaCode:
     support holds n distinct field elements that are not roots of g.
     The constructor checks all of this except irreducibility, which
     key generation guarantees and key loading checks, then builds the
-    read-only `syndrome_matrix`, `alternant_table` and `root_table` of
+    code's two read-only tables, `alternant_table` and `root_table`, of
     the module docstring; `sqrt_table` waits for Patterson.
     """
 
@@ -106,28 +115,22 @@ class GoppaCode:
         exp, log = T.exp_u16, T.log_np
         alpha = np.array(support, dtype=np.intp)
         la = log[alpha]
-        # synthetic division of g(x) + g(a) by x + a, for every a at once
-        quot = np.empty((t, len(support)), dtype=np.intp)
-        b = np.ones(len(support), dtype=np.intp)
-        for i in range(t - 1, -1, -1):
-            quot[i] = b
-            b = exp[log[b] + la] ^ g[i]
-        if not b.all():                     # b = g(alpha)
+        g_alpha = F.poly_eval_many(g, alpha, m)
+        if not g_alpha.all():
             raise ValueError("support element is a root of g")
         self.m = m
         self.t = t
         self.n = len(support)
         self.g = list(g)
         self.support = list(support)
-        self.syndrome_matrix = exp[log[quot] + (T.order - log[b])]
         # the logs of alpha_j^i, i < 2t; the first t + 1 <= 2t rows are
         # the root table
         powers = np.outer(np.arange(2 * t, dtype=np.int32), la.astype(np.int32)) % T.order
         powers[1:, alpha == 0] = log[0]
         self.root_table = powers[:t + 1].copy()  # not a view that keeps all 2t rows
         self.alternant_table = np.ascontiguousarray(
-            exp[powers + ((-2 * log[b]) % T.order).astype(np.int32)].T)
-        for table in (self.syndrome_matrix, self.alternant_table, self.root_table):
+            exp[powers + ((-2 * log[g_alpha]) % T.order).astype(np.int32)].T)
+        for table in (self.alternant_table, self.root_table):
             table.setflags(write=False)
 
     @functools.cached_property
@@ -140,9 +143,15 @@ class GoppaCode:
         return table
 
     def syndrome_poly(self, word: np.ndarray) -> list[int]:
-        """sum over the nonzero positions j of 1/(x + alpha_j) mod g."""
-        cols = np.compress(np.asarray(word, dtype=np.uint8), self.syndrome_matrix, axis=1)
-        return F.poly_trim(np.bitwise_xor.reduce(cols, axis=1).tolist())
+        """sum over the nonzero positions j of 1/(x + alpha_j) mod g,
+        from the square roots u_i of the word's even alternant syndromes
+        (module docstring), for Patterson only."""
+        rows = self.alternant_table.take(np.flatnonzero(word), axis=0)
+        T, t = F.tables(self.m), self.t
+        log_u = [T.log[T.sqrt[s]] for s in np.bitwise_xor.reduce(rows, axis=0)[::2].tolist()]
+        # row l of the gather holds the logs of g_(l+1+i), i < t, zero past g_t
+        log_g = T.log_np[self.g[1:] + [0] * t][np.add.outer(np.arange(t), np.arange(t))]
+        return F.poly_trim(np.bitwise_xor.reduce(T.exp_u16[log_g + log_u], axis=1).tolist())
 
 
 def random_goppa_code(m: int, n: int, t: int, rng) -> GoppaCode:
@@ -155,12 +164,15 @@ def random_goppa_code(m: int, n: int, t: int, rng) -> GoppaCode:
 def goppa_parity_check(code: GoppaCode) -> np.ndarray:
     """mt x n binary parity-check matrix; its right kernel is the code.
 
-    This is the bit expansion of the syndrome matrix (bit b of
-    coefficient i in row i*m + b).  Every parity-check matrix of the
-    code has the same row space, so ranks and kernels computed from it
-    do not depend on which one is used.
+    This is the bit expansion of the even columns of the alternant
+    table, alpha_j^(2i) / g(alpha_j)^2 for i < t (bit b of column 2i in
+    row i*m + b).  Its row space is that of the textbook check
+    alpha_j^i / g(alpha_j) (module docstring), so its rank, kernel and
+    reduced row echelon form are the textbook ones.
     """
-    Y = code.syndrome_matrix
+    # expanding a contiguous copy is about 4x faster than expanding the
+    # strided view at n = 3488
+    Y = np.ascontiguousarray(code.alternant_table[:, ::2].T)
     bits = (Y[:, None, :] >> np.arange(code.m, dtype=np.uint16)[None, :, None]) & 1
     return bits.reshape(code.m * code.t, code.n).astype(np.uint8)
 

@@ -74,17 +74,18 @@ def test_generator_dimension():
         assert np.array_equal(G, O.kernel_basis(H, 2))
 
 
-def test_syndrome_poly_matches_definition():
-    # syndrome = sum over error positions of 1/(x - alpha_j) mod g
-    code = _code(4, m=4, n=12, t=3)
+# (4, 16, 2) has all of GF(16) as its support, alpha = 0 included
+@pytest.mark.parametrize("m,n,t", [(4, 15, 1), (4, 12, 2), (4, 12, 3), (4, 16, 2)])
+def test_syndrome_poly_matches_definition(m, n, t):
+    # syndrome = sum over error positions of 1/(x - alpha_j) mod g, which
+    # syndrome_poly derives from the even alternant syndromes
+    code = _code(4, m, n, t)
+    assert n < 16 or 0 in code.support
     rng = np.random.default_rng(9)
-    for _ in range(10):
-        word = rng.integers(0, 2, size=code.n, dtype=np.uint8)
-        expected = []
-        for j in np.nonzero(word)[0]:
-            inv = F.poly_inv_mod([code.support[j], 1], code.g, code.m)
-            expected = F.poly_add(expected, inv)
-        assert code.syndrome_poly(word) == expected
+    words = [np.zeros(n, dtype=np.uint8), *np.eye(n, dtype=np.uint8),
+             *rng.integers(0, 2, size=(20, n), dtype=np.uint8)]
+    for word in words:
+        assert code.syndrome_poly(word) == O.syndrome_poly(code.g, code.support, word, m)
 
 
 # t = 1 is the one shape where R^2 = 1/S + x reaches degree t, the

@@ -77,12 +77,19 @@ def test_syndrome_poly_matches_definition(code):
         assert code.syndrome_poly(word) == O.syndrome_poly(code.g, code.support, word, M)
 
 
-def test_parity_check_has_the_textbook_row_space():
-    # the binary expansion of the syndrome matrix and of (alpha_j^i / g(alpha_j))
-    # reduce to the same echelon form, so keys built from either are identical
-    code = random_goppa_code(6, 50, 4, np.random.default_rng(3))
-    pivots, _, R_free = mat_reduce(goppa_parity_check(code), 2)
-    pivots_tb, _, R_free_tb = mat_reduce(O.parity_check_vandermonde(code.g, code.support, 6), 2)
+# t = 1; a support that holds alpha = 0 (all 16 elements); the two draws
+# of test_generator_dimension whose checks have rank mt - 1; and L1/20
+@pytest.mark.parametrize("m,n,t,seed", [(4, 15, 1, 0), (4, 16, 2, 1), (5, 20, 4, 0),
+                                        (4, 13, 3, 2), (6, 50, 4, 3), (M, N, T, 2024)])
+def test_parity_check_has_the_textbook_row_space(m, n, t, seed):
+    # the bit expansion of the even alternant columns (alpha_j^i / g(alpha_j))^2
+    # and that of the textbook alpha_j^i / g(alpha_j) reduce to the same
+    # echelon form, in as many rows, so keys built from either are identical
+    code = random_goppa_code(m, n, t, np.random.default_rng(seed))
+    H = goppa_parity_check(code)
+    assert H.shape == (m * t, n)
+    pivots, _, R_free = mat_reduce(H, 2)
+    pivots_tb, _, R_free_tb = mat_reduce(O.parity_check_vandermonde(code.g, code.support, m), 2)
     assert pivots == pivots_tb
     assert np.array_equal(R_free, R_free_tb)
 
