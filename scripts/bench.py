@@ -44,6 +44,14 @@ starts from its own generator, seeded with SEED, and records:
                    `goppa.goppa_parity_check` of that code: the key-time
                    work of key generation and loading besides the
                    reduction in `elimination`
+  irreducible      REPEATS irreducible searches, `fields.random_irreducible`
+                   at the profile's t and m, each from its own generator
+                   seeded with (SEED, 2, i), so the other records draw
+                   what they drew without it: per search the candidates
+                   that `fields.poly_is_irreducible` tested and the ms,
+                   the mean ms per search, and the median ms of one load
+                   check, `fields.poly_is_irreducible` of the loaded
+                   receiver key's g, of REPEATS runs
   hsk_p_columns_ms `uuvsign.hsk_p_columns` of the loaded sender key: the
                    gather of all n_s columns of H_sk·P that sender
                    keygen reduces for A
@@ -171,7 +179,7 @@ from time import perf_counter
 
 import numpy as np
 
-from cbsc import cwencode, estimator, goppa, hybrid, linalg, sctkem, serial, uuvsign
+from cbsc import cwencode, estimator, fields, goppa, hybrid, linalg, sctkem, serial, uuvsign
 from cbsc.params import setup
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -463,6 +471,27 @@ def batch_products(sk, rng) -> dict:
     return out
 
 
+def irreducible(params, g) -> dict:
+    """The `irreducible` record of the module docstring."""
+    is_irreducible, candidates, ms = fields.poly_is_irreducible, [], []
+
+    def counted(p, m):
+        candidates[-1] += 1
+        return is_irreducible(p, m)
+    fields.poly_is_irreducible = counted
+    try:
+        for i in range(REPEATS):
+            candidates.append(0)
+            rng = np.random.default_rng((SEED, 2, i))
+            t0 = perf_counter()
+            fields.random_irreducible(params.t, params.m, rng)
+            ms.append(1e3 * (perf_counter() - t0))
+    finally:
+        fields.poly_is_irreducible = is_irreducible
+    return {"candidates": candidates, "ms": ms, "ms_per_search": sum(ms) / len(ms),
+            "load_check_ms": median_ms(lambda: is_irreducible(g, params.m))}
+
+
 def signatures(params, sk, rng) -> dict:
     attempts, ms, failed = [], [], 0
     for _ in range(SIGNATURES):
@@ -493,6 +522,7 @@ def bench(params, rng) -> dict:
     record["code_tables_ms"] = {
         "GoppaCode": median_ms(lambda: goppa.GoppaCode(code.m, code.t, code.g, code.support)),
         "goppa_parity_check": median_ms(lambda: goppa.goppa_parity_check(code))}
+    record["irreducible"] = irreducible(params, code.g)
     del sk_r, code
     record["batch_products"] = batch_products(sk, rng)
     record["hsk_p_columns_ms"] = median_ms(
@@ -533,6 +563,10 @@ def report(name: str, rec: dict) -> None:
     tables = rec["code_tables_ms"]
     print(f"receiver code tables: GoppaCode {tables['GoppaCode']:.2f} ms, "
           f"goppa_parity_check {tables['goppa_parity_check']:.2f} ms")
+    irr = rec["irreducible"]
+    print(f"{len(irr['ms'])} irreducible searches: {sum(irr['candidates'])} candidates, "
+          f"{irr['ms_per_search']:.2f} ms per search; load check of g "
+          f"{irr['load_check_ms']:.2f} ms")
     print(f"hsk_p_columns of all n_s columns: {rec['hsk_p_columns_ms']:.2f} ms; "
           f"phi: {rec['phi_ms']:.3f} ms")
     sig = rec["signatures"]

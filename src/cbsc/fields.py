@@ -10,11 +10,10 @@ the first time that m is used.  `log[0]` points into a run of zeros at
 the end of `exp`, so ``exp[log[a] + log[b]] == a * b`` holds for every
 pair, zero included, with no branch; callers multiply by that lookup.
 Vector code gathers from one antilog array, `Tables.exp_u16`, the same
-list as uint16: `poly_eval_many`, the one Horner loop, which evaluates
-one polynomial at many points at once (a candidate g at every field
-element, and g at the support when a `goppa.GoppaCode` builds its
-tables at key set-up), the row tables below, Ben-Or's squarings, and
-the key-time tables and decoders of `goppa`.
+list as uint16: the row tables below, Ben-Or's squarings, and the
+key-time tables and decoders of `goppa`, where a polynomial's values at
+a code's support, g(alpha_j) and the roots of an error locator, are
+one gather from the code's table of the powers alpha_j^i.
 
 Every remainder and inverse runs one in-place loop, `_euclid`: Euclid
 on a pair down to a stop degree, clearing the top coefficients of one
@@ -220,18 +219,6 @@ def poly_inv_mod(p: list[int], mod: list[int], m: int) -> list[int]:
     return poly_scale(u1, gf_inv(r1[0], m), m)
 
 
-def poly_eval_many(p: list[int], xs: np.ndarray, m: int) -> np.ndarray:
-    """p(x) for every x in xs, by one numpy Horner pass over the tables."""
-    T = tables(m)
-    exp, log = T.exp_u16, T.log_np
-    lx = log[np.asarray(xs, dtype=np.intp)]
-    r = np.full(len(lx), p[-1] if p else 0, dtype=np.intp)
-    for c in reversed(p[:-1]):
-        r = exp[log[r] + lx]
-        r ^= c
-    return r
-
-
 def _times_x_rows(first: list[int], mod: list[int], count: int, m: int) -> np.ndarray:
     """count x t array, t = deg mod, mod monic: row 0 holds the
     coefficients of `first` (deg first < t), and row j those of x times
@@ -251,22 +238,20 @@ def _times_x_rows(first: list[int], mod: list[int], count: int, m: int) -> np.nd
 def poly_is_irreducible(p: list[int], m: int) -> bool:
     """Deterministic irreducibility test over GF(2^m) (Ben-Or).
 
-    A reducible p of degree t has an irreducible factor of some degree
-    d <= t // 2, and then gcd(p, x^(q^d) - x) != 1, q = 2^m.  For d = 1
-    that gcd is 1 exactly when p has no root in GF(q), which one
-    `poly_eval_many` over the field decides (alone for t = 2 and 3).
-    Later rounds square their way to x^(q^d) mod p: the terms of degree
-    t + j of sum r_i^2 x^(2i) are reduced with the rows x^(t+j) mod p,
-    j = 0..t-2, built once per call, as one table product with the rows
-    and an XOR down the columns.
+    A p of degree 1 is irreducible and one of degree 0 or less is not.
+    A reducible p of degree t >= 2 has an irreducible factor of some
+    degree d <= t // 2, and then gcd(p, x^(q^d) - x) != 1, q = 2^m; so
+    p is irreducible exactly when that gcd is 1 at every round d =
+    1..t//2.  Round d squares x^(q^(d-1)) mod p m times, to x^(q^d) mod
+    p: the terms of degree t + j of sum r_i^2 x^(2i) are reduced with
+    the rows x^(t+j) mod p, j = 0..t-2, built once per call, as one
+    table product with the rows and an XOR down the columns.  Round 1
+    finds the roots in GF(q): its gcd is 1 exactly when p has none,
+    which alone decides degrees 2 and 3.
     """
     t = poly_deg(p)
-    if t <= 0:
-        return False
-    if not poly_eval_many(p, np.arange(1 << m), m).all():
+    if t < 2:
         return t == 1
-    if t < 4:
-        return True
     p = poly_scale(p, gf_inv(p[-1], m), m)
     T = tables(m)
     exp, log = T.exp_u16, T.log_np
@@ -275,13 +260,13 @@ def poly_is_irreducible(p: list[int], m: int) -> bool:
     square = np.zeros(2 * t - 1, dtype=np.intp)
     r = np.zeros(t, dtype=np.intp)
     r[1] = 1
-    for d in range(1, t // 2 + 1):
+    for _ in range(t // 2):
         for _ in range(m):  # r = r^2 mod p, m times: r^q
             square[::2] = T.square_np[r]
             r = square[:t] ^ np.bitwise_xor.reduce(
                 exp[log[square[t:], None] + log_rows], axis=0)
         # coprime exactly when Euclid's chain ends in a nonzero constant
-        if d > 1 and not _euclid(list(p), poly_add(r.tolist(), [0, 1]), 0, T, False)[1]:
+        if not _euclid(list(p), poly_add(r.tolist(), [0, 1]), 0, T, False)[1]:
             return False
     return True
 

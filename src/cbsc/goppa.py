@@ -6,8 +6,9 @@ A `GoppaCode` builds its decoding material when it is constructed, so
 key generation and key loading pay for it and decoding does not.  A
 code holds two tables, both read-only numpy arrays; every field element
 in them comes from a gather from the one antilog array,
-`fields.Tables.exp_u16`, and g(alpha_j) comes from `fields.poly_eval_many`
-over the support:
+`fields.Tables.exp_u16`, and g(alpha_j) comes from the code's own table
+of the logs of alpha_j^i, i <= t, by the gather that also finds the
+roots of an error locator (`_at_support`):
 
 - ``alternant_table``, n x 2t uint16: row j holds alpha_j^i /
   g(alpha_j)^2, i < 2t, with 0^0 = 1.  For a square-free g the binary
@@ -114,8 +115,11 @@ class GoppaCode:
         T = F.tables(m)
         exp, log = T.exp_u16, T.log_np
         alpha = np.array(support, dtype=np.intp)
-        la = log[alpha]
-        g_alpha = F.poly_eval_many(g, alpha, m)
+        # the logs of alpha_j^i, i < 2t; the first t + 1 <= 2t rows are
+        # the root table
+        powers = np.outer(np.arange(2 * t, dtype=np.int32), log[alpha].astype(np.int32)) % T.order
+        powers[1:, alpha == 0] = log[0]
+        g_alpha = _at_support(T, log[g], powers)
         if not g_alpha.all():
             raise ValueError("support element is a root of g")
         self.m = m
@@ -123,10 +127,6 @@ class GoppaCode:
         self.n = len(support)
         self.g = list(g)
         self.support = list(support)
-        # the logs of alpha_j^i, i < 2t; the first t + 1 <= 2t rows are
-        # the root table
-        powers = np.outer(np.arange(2 * t, dtype=np.int32), la.astype(np.int32)) % T.order
-        powers[1:, alpha == 0] = log[0]
         self.root_table = powers[:t + 1].copy()  # not a view that keeps all 2t rows
         self.alternant_table = np.ascontiguousarray(
             exp[powers + ((-2 * log[g_alpha]) % T.order).astype(np.int32)].T)
@@ -154,9 +154,25 @@ class GoppaCode:
         return F.poly_trim(np.bitwise_xor.reduce(T.exp_u16[log_g + log_u], axis=1).tolist())
 
 
+def _at_support(T: F.Tables, log_p: np.ndarray, powers: np.ndarray) -> np.ndarray:
+    """The values p(alpha_j) at a code's support, as uint16, of the
+    polynomial p whose coefficients have the logs log_p, from the first
+    len(log_p) rows of `powers`, the logs of alpha_j^i: XOR_i exp[log
+    p_i + log alpha_j^i], one gather from `exp_u16` XORed down the
+    columns.  A zero coefficient or a zero alpha_j^i sums to an index at
+    or past the zero sentinel, where exp is 0."""
+    return np.bitwise_xor.reduce(T.exp_u16.take(log_p[:, None] + powers[:len(log_p)]), axis=0)
+
+
 def random_goppa_code(m: int, n: int, t: int, rng) -> GoppaCode:
+    """A code with an irreducible g of degree t drawn by
+    `fields.random_irreducible` and n support elements drawn from the
+    field without g's roots: g has none for t >= 2, and x + g_0 has
+    g_0."""
     g = F.random_irreducible(t, m, rng)
-    elems = np.nonzero(F.poly_eval_many(g, np.arange(1 << m), m))[0]
+    elems = np.arange(1 << m)
+    if t == 1:
+        elems = np.delete(elems, g[0])
     idx = rng.choice(len(elems), size=n, replace=False)
     return GoppaCode(m, t, g, elems[idx].tolist())
 
@@ -208,11 +224,8 @@ def patterson_decode(code: GoppaCode, word: np.ndarray):
     the squared coefficients of a (even powers) and of b (odd powers).
     b is never zero, so 1 <= deg sigma <= t, and sigma is accepted only
     when it has deg sigma roots alpha_j over the support; they are
-    distinct, as the support is.  sigma(alpha_j) = XOR_i exp[log sigma_i
-    + log alpha_j^i], the gather from the uint16 `exp_u16` at the logs
-    of sigma plus the first deg sigma + 1 rows of the root table, XORed
-    down the columns: a zero coefficient or a zero alpha_j^i sums to an
-    index at or past the zero sentinel, where exp is 0.
+    distinct, as the support is.  sigma(alpha_j) is `_at_support` of the
+    logs of sigma and the root table.
 
     An accepted sigma locates an error of syndrome S, so the syndrome is
     not checked again: with a = b R and R^2 = 1/S + x (mod g), sigma =
@@ -236,8 +249,7 @@ def patterson_decode(code: GoppaCode, word: np.ndarray):
     sigma[0:2 * len(a):2] = [T.exp[2 * T.log[c]] for c in a]
     sigma[1:2 * len(b):2] = [T.exp[2 * T.log[c]] for c in b]
     log_sigma = np.array([T.log[c] for c in sigma], dtype=np.int32)
-    values = T.exp_u16.take(log_sigma[:, None] + code.root_table[:len(sigma)])
-    error = (np.bitwise_xor.reduce(values, axis=0) == 0).astype(np.uint8)
+    error = (_at_support(T, log_sigma, code.root_table) == 0).astype(np.uint8)
     if int(error.sum()) != F.poly_deg(sigma):
         return None
     return error
@@ -255,9 +267,8 @@ def bm_decode(code: GoppaCode, word: np.ndarray):
     finds it, with its length L = w.  The locator sigma(x) = x^L
     Lambda(1/x) = prod (x - alpha_j) then has the error positions as its
     roots, alpha_j = 0 included, where Lambda has degree L - 1.  Its
-    values at the support are the gather from the uint16 `exp_u16` at
-    the logs of sigma plus the first L + 1 rows of the root table, XORed
-    down the columns, as in `patterson_decode`.
+    values at the support are `_at_support` of its logs and the first
+    L + 1 rows of the root table, as in `patterson_decode`.
 
     L <= t holds for every word, not only within distance t, as g is
     irreducible.  With S the word's syndrome modulo g, Patterson's
@@ -307,8 +318,7 @@ def bm_decode(code: GoppaCode, word: np.ndarray):
             shift += 1
         C = new
     log_sigma = np.array([log[c] for c in (C + [0] * L)[L::-1]], dtype=np.int32)
-    values = T.exp_u16.take(log_sigma[:, None] + code.root_table[:L + 1])
-    error = (np.bitwise_xor.reduce(values, axis=0) == 0).astype(np.uint8)
+    error = (_at_support(T, log_sigma, code.root_table) == 0).astype(np.uint8)
     located = np.bitwise_xor.reduce(H.take(np.flatnonzero(error), axis=0), axis=0)
     return error if np.array_equal(located, syndrome) else None
 

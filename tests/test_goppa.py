@@ -53,6 +53,21 @@ def test_constructor_validation():
         GoppaCode(4, 2, g, [1, 1, 2])        # repeated support
 
 
+@pytest.mark.parametrize("m,n,t", [(TOY.m, TOY.n_r, TOY.t), (10, 1024, 20), (4, 15, 1)],
+                         ids=["toy", "l1-20", "t1"])
+def test_g_at_the_support_matches_oracle(m, n, t):
+    # the root-table gather that gives GoppaCode its g(alpha_j); the
+    # L1/20 support is the whole field, alpha = 0 included
+    code = _code(3, m, n, t)
+    T = F.tables(m)
+    g_alpha = goppa._at_support(T, T.log_np[code.g], code.root_table)
+    want = [O.poly_eval(code.g, a, m) for a in code.support]
+    assert g_alpha.tolist() == want
+    assert n < 1 << m or 0 in code.support
+    # row j of the alternant table starts with 1 / g(alpha_j)^2
+    assert code.alternant_table[:, 0].tolist() == [O.gf_inv(O.gf_mul(v, v, m), m) for v in want]
+
+
 def test_parity_check_annihilates_codewords():
     code = _code(2)
     H = goppa_parity_check(code)
