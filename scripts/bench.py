@@ -64,9 +64,10 @@ starts from its own generator, seeded with SEED, and records:
                    per signature
   sizes            the serialised key sizes next to the `estimator.sizes`
                    rows they correspond to
-  decoder          DECODES words, each a random public codeword plus a
-                   random error of weight t, decoded with the loaded
-                   receiver key twice, untraced: by
+  decoder          DECODES words, each a random codeword of the loaded
+                   receiver public key plus a random error of weight t,
+                   decoded with the loaded receiver secret key twice,
+                   untraced: by
                    `goppa.decode_permuted`, which the scheme runs
                    (Berlekamp-Massey between the two permutations), and
                    by `goppa.patterson_decode`, the reference, on the
@@ -89,8 +90,8 @@ starts from its own generator, seeded with SEED, and records:
   receiver_secret_key_peak_mib
                    what `tracemalloc` sees allocated while
                    `goppa.receiver_secret_key` builds the loaded
-                   receiver key again, the reduction of its parity
-                   check included
+                   receiver secret key again, the reduction of its
+                   parity check included; it builds no S·G·P
   peak_rss_mib     the peak RSS of the process so far; the profiles run
                    in the order given, holding one profile's keys at a
                    time
@@ -102,17 +103,18 @@ phases are:
                      goppa.goppa_parity_check (parity check),
                      goppa.keygen_receiver self (mostly the untraced
                      mat_reduce of the parity check in the untraced
-                     goppa.receiver_secret_key, once per drawn code; no
-                     generator matrix is built), linalg.mat_rank (its
+                     goppa._receiver_key, once per drawn code; no
+                     generator matrix is built, and the two column
+                     scatters that make S·G·P), linalg.mat_rank (its
                      forward-pass full-row-rank check of S, once per
-                     drawn code of dimension k_r), linalg.matmul
+                     drawn code of dimension k_r) and linalg.matmul
                      (S·R_free^T, the mt pivot columns of S·G; its free
-                     columns are S itself),
-                     linalg.mono_apply (S·G·P: one gather that puts
-                     [S | S·R_free^T] in column order and applies P)
+                     columns are S itself)
     receiver load    fields.poly_is_irreducible, the parity check and
-                     its mat_reduce (in serial.par_receiver_sec self),
-                     the rank check of S and S·G·P again
+                     its mat_reduce (in serial.par_receiver_sec self)
+                     and the rank check of S; the secret key holds S
+                     and its information set, not S·G·P, so no product
+                     is made
     sender keygen    linalg.mat_rank (the forward-pass rank of the
                      r_s x r_s square of H_sk·P, its first r_s columns,
                      once per draw whose H_V has no zero column) and
@@ -349,14 +351,14 @@ def run_phases(params, rng) -> tuple[dict, dict, bytes, object, object]:
     return record, blobs, wire[0], sk_r, sk_s
 
 
-def decoder(params, sk) -> dict:
+def decoder(params, sk, pk) -> dict:
     """The `decoder` record of the module docstring."""
     rng = np.random.default_rng((SEED, 1))
     errors = np.zeros((DECODES, params.n_r), dtype=np.uint8)
     for error in errors:
         error[rng.choice(params.n_r, size=params.t, replace=False)] = 1
     msgs = rng.integers(0, 2, size=(DECODES, params.k_tilde), dtype=np.uint8)
-    words = linalg.matmul(msgs, sk.pk.G, 2) ^ errors
+    words = linalg.matmul(msgs, pk.G, 2) ^ errors
     ms = defaultdict(list)
     for word, error in zip(words, errors):
         inner = linalg.mono_apply_inv(word, sk.P, 2)
@@ -447,7 +449,7 @@ def elimination(params, sk_r, sk) -> dict:
     out = {}
     for name, (call, p, M) in {
         "receiver parity check": (linalg.mat_reduce, 2, goppa.goppa_parity_check(sk_r.code)),
-        "S": (linalg.mat_rank, 2, sk_r.S),
+        "S": (linalg.mat_rank, 2, linalg.unpack_rows(sk_r.S_rows, params.k_r)),
         "sender square": (linalg.mat_rank, 3,
                           uuvsign.hsk_p_columns(sk.H_U, sk.H_V, sk.P, params.r_s)),
         "H_U": (linalg.mat_reduce, 3, sk.H_U),
@@ -514,16 +516,17 @@ def bench(params, rng) -> dict:
                          ("n_s", "k_U", "k_V", "omega", "m", "n_r", "t", "k_tilde")}}
     record["phases"], blobs, wire, sk_r, sk = run_phases(params, rng)
     record["parse"] = parse_record(blobs, wire)
-    record["decoder"] = decoder(params, sk_r)
+    record["decoder"] = decoder(params, sk_r, serial.par_receiver_pub(blobs["receiver_pub"])[1])
+    S = linalg.unpack_rows(sk_r.S_rows, params.k_r)
     record["receiver_secret_key_peak_mib"] = peak_mib(
-        lambda: goppa.receiver_secret_key(sk_r.code, sk_r.S, sk_r.P))
+        lambda: goppa.receiver_secret_key(sk_r.code, S, sk_r.P))
     record["elimination"] = elimination(params, sk_r, sk)
     code = sk_r.code
     record["code_tables_ms"] = {
         "GoppaCode": median_ms(lambda: goppa.GoppaCode(code.m, code.t, code.g, code.support)),
         "goppa_parity_check": median_ms(lambda: goppa.goppa_parity_check(code))}
     record["irreducible"] = irreducible(params, code.g)
-    del sk_r, code
+    del sk_r, code, S
     record["batch_products"] = batch_products(sk, rng)
     record["hsk_p_columns_ms"] = median_ms(
         lambda: uuvsign.hsk_p_columns(sk.H_U, sk.H_V, sk.P, params.n_s))

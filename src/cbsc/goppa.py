@@ -33,7 +33,7 @@ syndromes of the even columns are the squares of the textbook ones, and
 every GF(2)-linear form on GF(2^m) is a trace Tr(lambda z), with
 Tr(lambda z^2) = Tr(sqrt(lambda) z); so the two bit expansions have the
 same row space, hence the same kernel and the same reduced row echelon
-form, from which `receiver_secret_key` builds S·G·P.
+form, from which key generation builds S·G·P.
 
 The scheme decodes with `bm_decode`, as McBits does (Bernstein, Chou
 and Schwabe, CHES 2013): the XOR of the alternant rows at the
@@ -59,19 +59,22 @@ taken unreduced as its degree is at most t, and one gather from the
 root table for the roots of the error locator.
 
 A receiver key is valid exactly when `receiver_secret_key` accepts
-its code, S and P; key generation draws the three until it does, and
-key loading calls it on the loaded ones.  It reduces the code's parity
-check once, with `linalg.mat_reduce`: the code has dimension k_r
-exactly when that RREF has k_r free columns.  The code's generator G
-is the identity on those free columns and R_free transposed on the
-pivot columns, which is how `generator_matrix` reads it off the RREF;
-the public generator S·G·P is built from the same RREF without forming
-G.
-The public key holds S·G·P as `linalg.pack_rows` bytes.
+its code, S and P; key generation draws the three until they pass the
+same checks, and key loading calls it on the loaded ones.  Both reduce
+the code's parity check once, with `linalg.mat_reduce`: the code has
+dimension k_r exactly when that RREF has k_r free columns.  The code's
+generator G is the identity on those free columns and R_free transposed
+on the pivot columns, which is how `generator_matrix` reads it off the
+RREF.  Key generation builds the public generator S·G·P from the same
+RREF without forming G, and the public key holds it as
+`linalg.pack_rows` bytes.  The secret key holds no copy of it: S·G·P
+is S on the information set P.perm[free], which is all that the
+re-encryption check of `mceliece.pke_decrypt` reads.
 """
 
 from __future__ import annotations
 
+import contextlib
 import functools
 from dataclasses import dataclass
 
@@ -339,58 +342,69 @@ class ReceiverPublicKey:
 
 @dataclass
 class ReceiverSecretKey:
+    """What a receiver secret key file holds, the code, S and P, and the
+    information set of S·G·P.  S is held once, as the packed rows that
+    the re-encryption check XORs; `unpack_rows(S_rows, len(info))` gives
+    it back as a k-tilde x k_r 0/1 matrix, for the file."""
     code: GoppaCode
-    S: np.ndarray          # k-tilde x k_r, full row rank
+    S_rows: np.ndarray     # pack_rows(S): S is k-tilde x k_r, full row rank
     P: Monomial            # permutation on n_r coordinates
-    pk: ReceiverPublicKey  # the public key, S·G·P, for re-encryption checks
+    info: np.ndarray       # P.perm[free]: the k_r columns on which S·G·P is S
 
 
 def keygen_receiver(params: CommonParams, rng):
     """A receiver key pair of the validated profile `params`: draws a
-    code, S and P, in that order, until `receiver_secret_key` accepts
-    them.  Each of its rules is on one of the three alone, so the key
-    is uniform on valid ones; a rejected draw consumes all three.
+    code, S and P, in that order, until `_key_pair` accepts them.  Each
+    of its rules is on one of the three alone, so the key is uniform on
+    valid ones; a rejected draw consumes all three.
     `random_goppa_code` draws g irreducible, so g is not tested again."""
     while True:
         code = random_goppa_code(params.m, params.n_r, params.t, rng)
         S = random_matrix(params.k_tilde, params.k_r, 2, rng)
-        try:
-            sk = receiver_secret_key(code, S, random_monomial(params.n_r, 2, rng))
-        except ValueError:
-            continue
-        return sk, sk.pk
+        with contextlib.suppress(ValueError):
+            return _key_pair(code, S, random_monomial(params.n_r, 2, rng))
+
+
+def _key_pair(code: GoppaCode, S: np.ndarray, P: Monomial):
+    """The secret key of (code, S, P) and its public key S·G·P, from the
+    one reduction of `_receiver_key`, which raises ValueError unless the
+    key is valid.  G, the `generator_matrix` of the code, is never built:
+    it is the identity on the free columns and R_free transposed on the
+    pivot columns, so S·G is S on the free columns and S·R_free^T, the
+    one product, on the mt pivot columns, and P moves column j to column
+    P.perm[j]."""
+    sk, (pivots, _, R_free) = _receiver_key(code, S, P)
+    SGP = np.empty((len(S), code.n), dtype=np.uint8)
+    SGP[:, sk.info] = S
+    SGP[:, P.perm[pivots]] = matmul(S, R_free.T, 2)
+    return sk, ReceiverPublicKey(pack_rows(SGP), code.n)
+
+
+def _receiver_key(code: GoppaCode, S: np.ndarray, P: Monomial):
+    """The secret key of (code, S, P) and the RREF (pivots, free, R_free)
+    of the code's parity check, reduced here once.  This is the one
+    statement of a valid receiver key: it raises ValueError unless the
+    code has dimension S.shape[1], that is unless the RREF has one free
+    column per column of S, and unless S has full row rank."""
+    rref = mat_reduce(goppa_parity_check(code), 2)
+    if len(rref[1]) != S.shape[1]:
+        raise ValueError(f"code has dimension {len(rref[1])}, S has {S.shape[1]} columns")
+    if mat_rank(S, 2) != len(S):
+        raise ValueError("S does not have full row rank")
+    return ReceiverSecretKey(code, pack_rows(S), P, P.perm[rref[1]]), rref
 
 
 def receiver_secret_key(code: GoppaCode, S: np.ndarray, P: Monomial) -> ReceiverSecretKey:
-    """The secret key of (code, S, P), with its public key, the packed
-    rows of S·G·P, where G is the generator of the code.  This is the
-    one statement of a valid receiver key, which key generation and key
-    loading both use: it raises ValueError unless the code has dimension
-    S.shape[1], that is unless the RREF (pivots, free, R_free) of its
-    parity check, reduced here once, has one free column per column of
-    S, and unless S has full row rank.
-
-    G, the `generator_matrix` of the code, is never built: it is the
-    identity on the free columns and R_free transposed on the pivot
-    columns, so S·G with its columns in the order (free, pivots) is
-    [S | S·R_free^T], and the mt pivot columns take the one product.
-    Putting the columns back in order and then applying P is one
-    permutation, so one gather makes S·G·P.
-    """
-    pivots, free, R_free = mat_reduce(goppa_parity_check(code), 2)
-    if len(free) != S.shape[1]:
-        raise ValueError(f"code has dimension {len(free)}, S has {S.shape[1]} columns")
-    if mat_rank(S, 2) != len(S):
-        raise ValueError("S does not have full row rank")
-    order = free.tolist() + pivots
-    SG = np.concatenate([S, matmul(S, R_free.T, 2)], axis=1)
-    SGP = mono_apply(SG, Monomial(P.perm[order], P.scalars[order]), 2)
-    return ReceiverSecretKey(code, S, P, ReceiverPublicKey(pack_rows(SGP), code.n))
+    """The secret key of (code, S, P), which key loading builds; raises
+    ValueError as `_receiver_key` does.  Nothing public is built."""
+    return _receiver_key(code, S, P)[0]
 
 
 def decode_permuted(sk: ReceiverSecretKey, word: np.ndarray):
-    """The error of a word of the permuted subcode, in public coordinates,
+    """The error of a word of the permuted code, in public coordinates,
     or None: un-permute, decode with `bm_decode`, map the error back.
-    The codeword is the word XOR this error."""
+    The word XOR this error is a codeword of the permuted code G·P, as
+    `bm_decode`'s syndrome re-check certifies it as one of Gamma(L, g^2),
+    which is Gamma(L, g) for the irreducible g of every valid key."""
     error = bm_decode(sk.code, mono_apply_inv(word, sk.P, 2))
     return None if error is None else mono_apply(error, sk.P, 2)

@@ -22,25 +22,28 @@ class PkeCiphertext(NamedTuple):
     c1: np.ndarray  # k_tilde + ell bits
 
 
-def _c0(pk: ReceiverPublicKey, x: np.ndarray, y: np.ndarray,
-        sigma: np.ndarray) -> np.ndarray:
-    """c0 = H1(x, y)·G ⊕ sigma, over the packed rows of the public G."""
-    return xor_rows(hash_bits(H1, [x, y], len(pk.G_rows)), pk.G_rows, pk.n) ^ sigma
-
-
 def pke_encrypt(pk: ReceiverPublicKey, x: np.ndarray, y: np.ndarray,
                 t: int) -> PkeCiphertext:
-    """Encrypt x (k_tilde + ell bits) under coin y (kappa bits)."""
+    """Encrypt x (k_tilde + ell bits) under coin y (kappa bits):
+    c0 = H1(x, y)·S·G·P ⊕ sigma, over the packed rows of the public
+    generator, and c1 = H3(sigma) ⊕ x."""
     sigma = phi(y, pk.n, t)
     c1 = hash_bits(H3, [sigma], len(x)) ^ np.asarray(x, dtype=np.uint8)
-    return PkeCiphertext(_c0(pk, x, y, sigma), c1)
+    c0 = xor_rows(hash_bits(H1, [x, y], len(pk.G_rows)), pk.G_rows, pk.n) ^ sigma
+    return PkeCiphertext(c0, c1)
 
 
 def pke_decrypt(sk: ReceiverSecretKey, c: PkeCiphertext):
     """Recover (x, y) or None, with the t of the secret key's code.
     Fails on decoding failure, a non-encodable error vector, or a failed
-    re-encryption check: encryption's c0, computed again from (x, y)
-    under the secret key's public key `sk.pk`, must equal c0."""
+    re-encryption check: c0 must be encryption's c0 of (x, y).
+
+    The check reads k_r bits, not n_r.  After decoding, c0 ⊕ sigma is a
+    codeword m·G·P of the permuted code (`decode_permuted`), and a
+    codeword is fixed by its bits on an information set: on `sk.info`,
+    where S·G·P is S, m·G·P is m.  So c0 = H1(x, y)·S·G·P ⊕ sigma
+    exactly when (c0 ⊕ sigma)[info] = H1(x, y)·S, which XORs the packed
+    rows of S."""
     sigma = decode_permuted(sk, c.c0)
     if sigma is None:
         return None
@@ -48,6 +51,7 @@ def pke_decrypt(sk: ReceiverSecretKey, c: PkeCiphertext):
     if y is None:
         return None
     x = c.c1 ^ hash_bits(H3, [sigma], len(c.c1))
-    if np.any(_c0(sk.pk, x, y, sigma) != c.c0):
+    h = hash_bits(H1, [x, y], len(sk.S_rows))
+    if np.any(xor_rows(h, sk.S_rows, len(sk.info)) != (c.c0 ^ sigma)[sk.info]):
         return None
     return x, y

@@ -18,10 +18,10 @@ its bytes.  Payload lengths are checked before anything is unpacked.
 A receiver secret key's `GoppaCode` checks that g is monic of degree t
 and the support holds distinct field elements, then builds its
 decoding material; only then is g checked irreducible, and
-`goppa.receiver_secret_key`, which key generation also calls, checks S
-and the code's dimension.  A `Monomial` refuses a P that is not a
-permutation.  A sender secret key file holds what key generation
-draws, H_U, H_V and P (perm and scalars), and is checked by
+`goppa.receiver_secret_key` checks S and the code's dimension by the
+rules that key generation also applies.  A `Monomial` refuses a P that
+is not a permutation.  A sender secret key file holds what key
+generation draws, H_U, H_V and P (perm and scalars), and is checked by
 `uuvsign.sender_secret_key`, which key generation also calls; a sender
 public key file holds the A of the public [I | A].
 """
@@ -38,7 +38,8 @@ import numpy as np
 
 from . import fields as F
 from .goppa import GoppaCode, ReceiverPublicKey, ReceiverSecretKey, receiver_secret_key
-from .linalg import Monomial, pack_bits, pack_rows, pack_trits, unpack_bits, unpack_trits
+from .linalg import Monomial, pack_bits, pack_rows, pack_trits
+from .linalg import unpack_bits, unpack_rows, unpack_trits
 from .params import (
     CUSTOM_FIELDS,
     CUSTOM_ID,
@@ -118,7 +119,8 @@ LAYOUTS = {
     ROLE_RECEIVER_SEC: (
         Field("g", ELEMS, lambda p: (p.t + 1,), lambda sk: sk.code.g),
         Field("support", ELEMS, lambda p: (p.n_r,), lambda sk: sk.code.support),
-        Field("S", BITS, lambda p: (p.k_tilde, p.k_r), lambda sk: sk.S),
+        Field("S", BITS, lambda p: (p.k_tilde, p.k_r),
+              lambda sk: unpack_rows(sk.S_rows, len(sk.info))),
         Field("perm", ELEMS, lambda p: (p.n_r,), lambda sk: sk.P.perm)),
     ROLE_SENDER_PUB: (
         Field("A", TRITS, lambda p: (p.r_s, p.n_s - p.r_s), lambda pk: pk.A),),
@@ -230,9 +232,10 @@ def par_receiver_sec(data: bytes) -> tuple[CommonParams, ReceiverSecretKey]:
         code = GoppaCode(params.m, params.t, v["g"].tolist(), v["support"].tolist())
     except ValueError as exc:
         raise FormatError(f"invalid Goppa code: {exc}") from exc
-    # the decoder reads the code as Gamma(L, g^2), which is Gamma(L, g)
-    # only for a square-free g, and Patterson's square root needs an
-    # irreducible one
+    # bm_decode reads the code as Gamma(L, g^2), which is Gamma(L, g) for
+    # an irreducible g, and so does the re-encryption check, which takes
+    # a decoded word for a codeword of Gamma(L, g); bm_decode's bound
+    # L <= t needs an irreducible g too
     if not F.poly_is_irreducible(code.g, params.m):
         raise FormatError("g is not irreducible over GF(2^m)")
     try:

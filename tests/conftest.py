@@ -71,8 +71,8 @@ def malformed_receiver_secs(receiver_keys, toy_params):
     the toy receiver key: S zeroed (a zero public generator, so c0 would
     be the encoded coin in the clear) and row 1 of S equal to row 0."""
     sk, _ = receiver_keys
-    repeated_row = sk.S.copy()
+    repeated_row = sk.S_rows.copy()
     repeated_row[1] = repeated_row[0]
-    keys = {"zero-S": dataclasses.replace(sk, S=np.zeros_like(sk.S)),
-            "repeated-row": dataclasses.replace(sk, S=repeated_row)}
+    keys = {"zero-S": dataclasses.replace(sk, S_rows=np.zeros_like(sk.S_rows)),
+            "repeated-row": dataclasses.replace(sk, S_rows=repeated_row)}
     return {name: serial.ser_receiver_sec(toy_params, key) for name, key in keys.items()}

@@ -28,8 +28,10 @@ from cbsc.linalg import (
     matmul,
     mono_apply,
     mono_apply_inv,
+    pack_rows,
     random_matrix,
     random_monomial,
+    unpack_rows,
     vecmat,
 )
 from cbsc.params import TOY, ParameterError
@@ -328,10 +330,11 @@ def test_keygen_receiver_shapes(receiver_keys, toy_params):
     p = toy_params
     assert pk.G.shape == (p.k_tilde, p.n_r)
     assert mat_rank(pk.G, 2) == p.k_tilde
-    assert pk is sk.pk
+    S = unpack_rows(sk.S_rows, p.k_r)
+    assert np.array_equal(pk.G[:, sk.info], S)
     G = generator_matrix(sk.code)
     assert G.shape == (p.k_r, p.n_r)
-    assert np.array_equal(sk.pk.G, mat_mono(matmul(sk.S, G, 2), sk.P, 2))
+    assert np.array_equal(pk.G, mat_mono(matmul(S, G, 2), sk.P, 2))
 
 
 def test_public_rows_in_permuted_code(receiver_keys):
@@ -372,16 +375,16 @@ def test_public_generator_matches_oracle_product(params):
     assert np.array_equal(G, O.kernel_basis(goppa_parity_check(code), 2))
     S = random_matrix(params.k_tilde, params.k_r, 2, rng)
     P = random_monomial(params.n_r, 2, rng)
-    sk = receiver_secret_key(code, S, P)
-    assert np.array_equal(sk.pk.G, mono_apply(O.matmul(S, G, 2), P, 2))
+    _, pk = goppa._key_pair(code, S, P)
+    assert np.array_equal(pk.G, mono_apply(O.matmul(S, G, 2), P, 2))
 
 
 def test_public_generator_with_a_unit_pivot_column(monkeypatch):
     # row 1 of R_free made e_1, so that pivot column 1 of G is e_1, as
     # G's second free column is, and row 0 made zero, so that pivot
-    # column 0 of G is zero; the builder and `generator_matrix` each
-    # reduce the parity check themselves, so the crafted RREF reaches
-    # both through goppa.mat_reduce
+    # column 0 of G is zero; keygen's builder and `generator_matrix`
+    # each reduce the parity check themselves, so the crafted RREF
+    # reaches both through goppa.mat_reduce
     rng = np.random.default_rng(9)
     code, (pivots, free, R_free) = _code_and_rref(MID, rng)
     R_free[:2] = 0
@@ -393,15 +396,16 @@ def test_public_generator_with_a_unit_pivot_column(monkeypatch):
     assert np.array_equal(G[:, pivots[1]], G[:, free[1]])
     S = random_matrix(MID.k_tilde, MID.k_r, 2, rng)
     P = random_monomial(MID.n_r, 2, rng)
-    sk = receiver_secret_key(code, S, P)
-    assert np.array_equal(sk.pk.G, mono_apply(O.matmul(S, G, 2), P, 2))
+    _, pk = goppa._key_pair(code, S, P)
+    assert np.array_equal(pk.G, mono_apply(O.matmul(S, G, 2), P, 2))
 
 
 @pytest.mark.parametrize("seed", [0, 5])
 def test_receiver_keys_reduce_the_parity_check_once(monkeypatch, seed):
-    # keygen and load build S·G·P in receiver_secret_key from the RREF
-    # of the parity check: one elimination of the mt x n_r parity check
-    # each (the first draw is accepted at these seeds), and no generator
+    # keygen reduces the mt x n_r parity check once per draw and builds
+    # S·G·P from that RREF, and loading reduces it once and builds
+    # nothing public: one elimination each (the first draw is accepted
+    # at these seeds), and no generator
     blob = serial.ser_receiver_sec(TOY, keygen_receiver(TOY, np.random.default_rng(seed))[0])
     reduce, calls = linalg.mat_reduce, []
 
@@ -419,6 +423,25 @@ def test_receiver_keys_reduce_the_parity_check_once(monkeypatch, seed):
     keygen_receiver(TOY, np.random.default_rng(seed))
     serial.par_receiver_sec(blob)
     assert calls == [(TOY.m * TOY.t, TOY.n_r)] * 2, calls
+
+
+@pytest.mark.parametrize("seed", [0, 5])
+def test_loading_a_receiver_key_multiplies_nothing(monkeypatch, seed):
+    # the secret key holds S and its information set, not S·G·P, so
+    # loading makes no product; keygen makes the one, S·R_free^T
+    blob = serial.ser_receiver_sec(TOY, keygen_receiver(TOY, np.random.default_rng(seed))[0])
+    product, calls = linalg.matmul, []
+
+    def counting_matmul(A, B, p):
+        calls.append((A.shape, B.shape))
+        return product(A, B, p)
+
+    for mod in (linalg, goppa, serial):
+        monkeypatch.setattr(mod, "matmul", counting_matmul, raising=False)
+    serial.par_receiver_sec(blob)
+    assert calls == []
+    keygen_receiver(TOY, np.random.default_rng(seed))
+    assert calls == [((TOY.k_tilde, TOY.k_r), (TOY.k_r, TOY.m * TOY.t))]
 
 
 def test_keygen_redraws_the_code_after_a_singular_s():
@@ -440,7 +463,7 @@ def test_keygen_redraws_the_code_after_a_singular_s():
     sk, pk = keygen_receiver(TOY, np.random.default_rng(48))
     assert (sk.code.g, sk.code.support) == (code2.g, code2.support)
     assert (code2.g, code2.support) != (code1.g, code1.support)
-    assert np.array_equal(sk.S, S2) and np.array_equal(sk.P.perm, P2.perm)
+    assert np.array_equal(sk.S_rows, pack_rows(S2)) and np.array_equal(sk.P.perm, P2.perm)
     pub, sec = serial.ser_receiver_pub(TOY, pk), serial.ser_receiver_sec(TOY, sk)
     assert hashlib.sha256(pub).hexdigest() == (
         "c71e28b41bf081885a4e0c125eb98a18aba1fc565531a9f4075ef72493f05b29")
