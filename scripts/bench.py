@@ -90,8 +90,10 @@ starts from its own generator, seeded with SEED, and records:
   receiver_secret_key_peak_mib
                    what `tracemalloc` sees allocated while
                    `goppa.receiver_secret_key` builds the loaded
-                   receiver secret key again, the reduction of its
-                   parity check included; it builds no S·G·P
+                   receiver secret key again from its fields: the
+                   code's tables, the irreducibility check of g and the
+                   reduction of the parity check included; it builds
+                   no S·G·P
   peak_rss_mib     the peak RSS of the process so far; the profiles run
                    in the order given, holding one profile's keys at a
                    time
@@ -111,7 +113,8 @@ phases are:
                      (S·R_free^T, the mt pivot columns of S·G; its free
                      columns are S itself)
     receiver load    fields.poly_is_irreducible, the parity check and
-                     its mat_reduce (in serial.par_receiver_sec self)
+                     its mat_reduce (in serial.par_receiver_sec self,
+                     through the untraced goppa.receiver_secret_key)
                      and the rank check of S; the secret key holds S
                      and its information set, not S·G·P, so no product
                      is made
@@ -517,11 +520,10 @@ def bench(params, rng) -> dict:
     record["phases"], blobs, wire, sk_r, sk = run_phases(params, rng)
     record["parse"] = parse_record(blobs, wire)
     record["decoder"] = decoder(params, sk_r, serial.par_receiver_pub(blobs["receiver_pub"])[1])
-    S = linalg.unpack_rows(sk_r.S_rows, params.k_r)
-    record["receiver_secret_key_peak_mib"] = peak_mib(
-        lambda: goppa.receiver_secret_key(sk_r.code, S, sk_r.P))
+    S, code = linalg.unpack_rows(sk_r.S_rows, params.k_r), sk_r.code
+    record["receiver_secret_key_peak_mib"] = peak_mib(lambda: goppa.receiver_secret_key(
+        code.m, code.t, code.g, code.support, S, sk_r.P))
     record["elimination"] = elimination(params, sk_r, sk)
-    code = sk_r.code
     record["code_tables_ms"] = {
         "GoppaCode": median_ms(lambda: goppa.GoppaCode(code.m, code.t, code.g, code.support)),
         "goppa_parity_check": median_ms(lambda: goppa.goppa_parity_check(code))}

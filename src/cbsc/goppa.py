@@ -58,11 +58,13 @@ degree t/2, the square-root table for the square root of R^2 = 1/S + x,
 taken unreduced as its degree is at most t, and one gather from the
 root table for the roots of the error locator.
 
-A receiver key is valid exactly when `receiver_secret_key` accepts
-its code, S and P; key generation draws the three until they pass the
-same checks, and key loading calls it on the loaded ones.  Both reduce
-the code's parity check once, with `linalg.mat_reduce`: the code has
-dimension k_r exactly when that RREF has k_r free columns.  The code's
+A receiver secret key is valid exactly when `receiver_secret_key`
+accepts its fields, g, the support, S and P: it builds the code, checks
+that g is irreducible and then applies `_receiver_key`'s rules, and key
+loading calls it on a file's fields.  Key generation draws a code, with
+an irreducible g, S and P until `_receiver_key` accepts them.  Both
+reduce the code's parity check once, with `linalg.mat_reduce`: the code
+has dimension k_r exactly when that RREF has k_r free columns.  The code's
 generator G is the identity on those free columns and R_free transposed
 on the pivot columns, which is how `generator_matrix` reads it off the
 RREF.  Key generation builds the public generator S·G·P from the same
@@ -102,9 +104,10 @@ class GoppaCode:
     g is monic irreducible of degree t with coefficients in GF(2^m); the
     support holds n distinct field elements that are not roots of g.
     The constructor checks all of this except irreducibility, which
-    key generation guarantees and key loading checks, then builds the
-    code's two read-only tables, `alternant_table` and `root_table`, of
-    the module docstring; `sqrt_table` waits for Patterson.
+    `random_goppa_code` draws and `receiver_secret_key` checks, then
+    builds the code's two read-only tables, `alternant_table` and
+    `root_table`, of the module docstring; `sqrt_table` waits for
+    Patterson.
     """
 
     def __init__(self, m: int, t: int, g: list[int], support: list[int]):
@@ -357,7 +360,8 @@ def keygen_receiver(params: CommonParams, rng):
     code, S and P, in that order, until `_key_pair` accepts them.  Each
     of its rules is on one of the three alone, so the key is uniform on
     valid ones; a rejected draw consumes all three.
-    `random_goppa_code` draws g irreducible, so g is not tested again."""
+    `random_goppa_code` draws g irreducible, so g is not tested again,
+    as `receiver_secret_key` tests a loaded one."""
     while True:
         code = random_goppa_code(params.m, params.n_r, params.t, rng)
         S = random_matrix(params.k_tilde, params.k_r, 2, rng)
@@ -382,10 +386,11 @@ def _key_pair(code: GoppaCode, S: np.ndarray, P: Monomial):
 
 def _receiver_key(code: GoppaCode, S: np.ndarray, P: Monomial):
     """The secret key of (code, S, P) and the RREF (pivots, free, R_free)
-    of the code's parity check, reduced here once.  This is the one
-    statement of a valid receiver key: it raises ValueError unless the
-    code has dimension S.shape[1], that is unless the RREF has one free
-    column per column of S, and unless S has full row rank."""
+    of the code's parity check, reduced here once.  It raises ValueError
+    unless the code has dimension S.shape[1], that is unless the RREF has
+    one free column per column of S, and unless S has full row rank.  g
+    is taken to be irreducible: keygen draws it so, and
+    `receiver_secret_key` checks a loaded one."""
     rref = mat_reduce(goppa_parity_check(code), 2)
     if len(rref[1]) != S.shape[1]:
         raise ValueError(f"code has dimension {len(rref[1])}, S has {S.shape[1]} columns")
@@ -394,9 +399,21 @@ def _receiver_key(code: GoppaCode, S: np.ndarray, P: Monomial):
     return ReceiverSecretKey(code, pack_rows(S), P, P.perm[rref[1]]), rref
 
 
-def receiver_secret_key(code: GoppaCode, S: np.ndarray, P: Monomial) -> ReceiverSecretKey:
-    """The secret key of (code, S, P), which key loading builds; raises
-    ValueError as `_receiver_key` does.  Nothing public is built."""
+def receiver_secret_key(m: int, t: int, g: list[int], support: list[int],
+                        S: np.ndarray, P: Monomial) -> ReceiverSecretKey:
+    """The secret key of a key file's fields: the code of g and the
+    support over GF(2^m), S and P.  A receiver secret key is valid
+    exactly when this accepts it: it raises ValueError when `GoppaCode`
+    rejects g or the support, when g is not irreducible, and when
+    `_receiver_key` rejects the code's dimension or S.  Nothing public
+    is built."""
+    code = GoppaCode(m, t, g, support)
+    # bm_decode reads the code as Gamma(L, g^2), which is Gamma(L, g) for
+    # an irreducible g, and so does the re-encryption check, which takes
+    # a decoded word for a codeword of Gamma(L, g); bm_decode's bound
+    # L <= t needs an irreducible g too
+    if not F.poly_is_irreducible(code.g, m):
+        raise ValueError("g is not irreducible over GF(2^m)")
     return _receiver_key(code, S, P)[0]
 
 

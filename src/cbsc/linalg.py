@@ -100,10 +100,11 @@ product reads: `R_free @ v` on the `paper-l1` V solver's 2199 x 2047
 converted SLAB columns at a time, and a uint8 left operand SLAB rows at
 a time, so no product holds a float32 copy of a whole key:
 `verify_syndrome` at `paper-l1` allocated 62 MiB for its 2887 x 5605 A
-and now 11 MiB, and its product fell from 27 to 8 ms;
-`receiver_secret_key` there allocated 35.7 MiB with its 1815 x 2720 S
-and then 20.4 MiB, and 13.7 MiB since it builds no dense generator.
-A float32 operand, such as a solver's R_free, is used whole.
+and now 11 MiB, and its product fell from 27 to 8 ms; key
+generation's S·R_free^T there (`goppa._key_pair`), the 1815 x 2720 S by
+the 2720 x 768 transposed R_free, allocates 12.4 MiB, where converting
+both operands whole allocates 32.1 MiB.  A float32 operand, such as a
+solver's R_free, is used whole.
 
 Sums of two reduced uint8 values are reduced by `_mod_small`, the
 minimum of x and the wrapped x - p: 4 us on 32 x 212, where `% 3` took

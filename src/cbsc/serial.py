@@ -15,15 +15,17 @@ its own bytes.  Fields are read through views of the input, so a
 parser copies no field before unpacking it.  A custom parameter block
 is parsed and validated once per distinct block and then looked up by
 its bytes.  Payload lengths are checked before anything is unpacked.
-A receiver secret key's `GoppaCode` checks that g is monic of degree t
-and the support holds distinct field elements, then builds its
-decoding material; only then is g checked irreducible, and
-`goppa.receiver_secret_key` checks S and the code's dimension by the
-rules that key generation also applies.  A `Monomial` refuses a P that
-is not a permutation.  A sender secret key file holds what key
-generation draws, H_U, H_V and P (perm and scalars), and is checked by
-`uuvsign.sender_secret_key`, which key generation also calls; a sender
-public key file holds the A of the public [I | A].
+A secret key file's P is then built as a `Monomial`, which refuses a
+P that is not a permutation, and its fields go to the one rule of a
+valid key of its role, which key generation also applies; either
+rejection is a `FormatError` with the role's one prefix.  A receiver
+secret key file holds g, the support, S and P's permutation (its
+scalars are 1 and not stored), and `goppa.receiver_secret_key` builds
+the code, checks that g is irreducible, then checks the code's
+dimension and S.  A sender secret key file holds what key generation
+draws, H_U, H_V and P (perm and scalars), and is checked by
+`uuvsign.sender_secret_key`; a sender public key file holds the A of
+the public [I | A].
 """
 
 from __future__ import annotations
@@ -36,8 +38,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import fields as F
-from .goppa import GoppaCode, ReceiverPublicKey, ReceiverSecretKey, receiver_secret_key
+from .goppa import ReceiverPublicKey, ReceiverSecretKey, receiver_secret_key
 from .linalg import Monomial, pack_bits, pack_rows, pack_trits
 from .linalg import unpack_bits, unpack_rows, unpack_trits
 from .params import (
@@ -227,20 +228,10 @@ def ser_receiver_sec(params: CommonParams, sk: ReceiverSecretKey) -> bytes:
 
 def par_receiver_sec(data: bytes) -> tuple[CommonParams, ReceiverSecretKey]:
     params, v = _par_key(ROLE_RECEIVER_SEC, data)
-    # GoppaCode checks g and the support, except for irreducibility
-    try:
-        code = GoppaCode(params.m, params.t, v["g"].tolist(), v["support"].tolist())
-    except ValueError as exc:
-        raise FormatError(f"invalid Goppa code: {exc}") from exc
-    # bm_decode reads the code as Gamma(L, g^2), which is Gamma(L, g) for
-    # an irreducible g, and so does the re-encryption check, which takes
-    # a decoded word for a codeword of Gamma(L, g); bm_decode's bound
-    # L <= t needs an irreducible g too
-    if not F.poly_is_irreducible(code.g, params.m):
-        raise FormatError("g is not irreducible over GF(2^m)")
     try:
         P = Monomial(v["perm"], np.ones(params.n_r, dtype=np.uint8))
-        return params, receiver_secret_key(code, v["S"], P)
+        return params, receiver_secret_key(params.m, params.t, v["g"].tolist(),
+                                           v["support"].tolist(), v["S"], P)
     except ValueError as exc:
         raise FormatError(f"receiver secret key: {exc}") from exc
 

@@ -34,12 +34,12 @@ from cbsc.linalg import (
     unpack_rows,
     vecmat,
 )
-from cbsc.params import TOY, ParameterError
+from cbsc.params import TOY, ParameterError, custom_params
 
 import oracles as O
 from oracles import mat_mono, toy_with
 from test_golden import MID
-from test_serial import L1_20
+from test_serial import _TOY_VALUES, L1_20
 
 
 def _code(seed=0, m=5, n=32, t=2):
@@ -425,6 +425,26 @@ def test_receiver_keys_reduce_the_parity_check_once(monkeypatch, seed):
     assert calls == [(TOY.m * TOY.t, TOY.n_r)] * 2, calls
 
 
+def test_receiver_secret_key_is_the_rule_of_a_loaded_key():
+    # the builder gives a keygen key back from its own fields, and it
+    # rejects the two reducible g's of test_serial.py, whose codes build:
+    # a product of two irreducible quadratics, and the square of one
+    params = custom_params(dict(_TOY_VALUES, t=4, k_tilde=8))
+    rng = np.random.default_rng(21)
+    sk, _ = keygen_receiver(params, rng)
+    rest = (sk.code.support, unpack_rows(sk.S_rows, params.k_r), sk.P)
+    loaded = receiver_secret_key(params.m, params.t, sk.code.g, *rest)
+    assert np.array_equal(loaded.S_rows, sk.S_rows) and np.array_equal(loaded.info, sk.info)
+    assert np.array_equal(loaded.P.perm, sk.P.perm)
+    assert (loaded.code.g, loaded.code.support) == (sk.code.g, sk.code.support)
+    h1, h2 = F.random_irreducible(2, 5, rng), F.random_irreducible(2, 5, rng)
+    assert h1 != h2
+    for g in (O.poly_mul(h1, h2, 5), O.poly_mul(h1, h1, 5)):
+        GoppaCode(params.m, params.t, g, sk.code.support)
+        with pytest.raises(ValueError, match="irreducible"):
+            receiver_secret_key(params.m, params.t, g, *rest)
+
+
 @pytest.mark.parametrize("seed", [0, 5])
 def test_loading_a_receiver_key_multiplies_nothing(monkeypatch, seed):
     # the secret key holds S and its information set, not S·G·P, so
@@ -459,7 +479,7 @@ def test_keygen_redraws_the_code_after_a_singular_s():
     assert len(mat_reduce(goppa_parity_check(code1), 2)[1]) == TOY.k_r
     assert mat_rank(S1, 2) == TOY.k_tilde - 1
     with pytest.raises(ValueError, match="S does not have full row rank"):
-        receiver_secret_key(code1, S1, P1)
+        receiver_secret_key(TOY.m, TOY.t, code1.g, code1.support, S1, P1)
     sk, pk = keygen_receiver(TOY, np.random.default_rng(48))
     assert (sk.code.g, sk.code.support) == (code2.g, code2.support)
     assert (code2.g, code2.support) != (code1.g, code1.support)

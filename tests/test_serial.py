@@ -395,19 +395,20 @@ def _patched_receiver_sec(blob, field, index, value, t=2):
     return bytes(out)
 
 
-@pytest.mark.parametrize("field,index,value", [
-    pytest.param("g", 2, 3, id="g-not-monic"),
-    pytest.param("g", 0, 40, id="g-coefficient-outside-field"),
-    pytest.param("support", 5, 40, id="support-outside-field"),
-    pytest.param("support", 1, None, id="support-duplicate"),
+@pytest.mark.parametrize("field,index,value,reason", [
+    pytest.param("g", 2, 3, "g must be monic", id="g-not-monic"),
+    pytest.param("g", 0, 40, r"must lie in GF\(2\^m\)", id="g-coefficient-outside-field"),
+    pytest.param("support", 5, 40, r"must lie in GF\(2\^m\)", id="support-outside-field"),
+    pytest.param("support", 1, None, "support elements must be distinct",
+                 id="support-duplicate"),
 ])
 def test_receiver_sec_bad_code_rejected(toy_params, receiver_keys, field, index,
-                                        value):
+                                        value, reason):
     sk, _ = receiver_keys
     blob = serial.ser_receiver_sec(toy_params, sk)
     if value is None:
         value = sk.code.support[0]
-    with pytest.raises(serial.FormatError):
+    with pytest.raises(serial.FormatError, match=reason):
         serial.par_receiver_sec(_patched_receiver_sec(blob, field, index, value))
 
 
