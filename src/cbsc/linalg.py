@@ -69,17 +69,18 @@ columns of each unpacked slab, so it never holds a whole bit-plane:
 on a `paper-l1` H_sk·P (2887 x 8492, 23.4 MiB) `tracemalloc` saw it
 peak at 32.3 MiB, of which 15.4 MiB is the R_free it returns.
 
-A GF(2) product of a vector by a fixed matrix, which PKE encryption and
-the re-encryption check take with a receiver key's public generator,
-runs on that matrix's rows packed to bytes, `pack_rows`, in the bit
-order of every packing here and the only form in which a key holds its
-generator: `xor_rows` XORs the bytes of the rows the vector selects
-and unpacks the n bits of the sum with `unpack_rows`, which also gives
-the whole matrix back.  On one core of a shared 2-vCPU VM (median us per
-product, two runs): 15-17 -> 10 us against the XOR of the unpacked
-uint8 rows for the 300 x 1024 L1/20 generator, 473-510 -> 65-79 us for
-the 1815 x 3488 `paper-l1` one; rows of 64-bit words, which the bytes
-replaced, took 10-10.5 and 63-77 us.
+A GF(2) product of a vector by a fixed matrix runs on that matrix's
+rows packed to bytes, `pack_rows`, in the bit order of every packing
+here and the only form in which a receiver key holds it: PKE encryption
+multiplies by the public generator S·G·P, and the re-encryption check
+by S alone, whose product it compares with the ciphertext on the code's
+information set.  `xor_rows` XORs the bytes of the rows the vector
+selects and unpacks the n bits of the sum with `unpack_rows`, which
+also gives the whole matrix back.  On one core of a shared 2-vCPU VM
+(median us per product, two runs): 15-17 -> 10 us against the XOR of
+the unpacked uint8 rows for the 300 x 1024 L1/20 generator, 473-510 ->
+65-79 us for the 1815 x 3488 `paper-l1` one; rows of 64-bit words,
+which the bytes replaced, took 10-10.5 and 63-77 us.
 
 Products run as float32 BLAS, C = A @ B, then one exact reduction by
 floor: q = floor(C / p), C - p*q.  Every partial sum is an integer of

@@ -2,8 +2,11 @@
 
 All files start with the magic "CBSC" and a format version byte.  Key
 files add a role byte and a profile byte; custom profiles embed their
-parameter block so files stay self-describing.  Bit vectors are packed
-row-major LSB-first; trit vectors five to a byte in base 3.
+parameter block so files stay self-describing.  A message embeds an
+encapsulation, which starts with the version byte and no magic; one
+header check reads the version of keys, messages and encapsulations.
+Bit vectors are packed row-major LSB-first; trit vectors five to a
+byte in base 3.
 
 Every parser is total: a byte string either parses or raises
 `FormatError`.  Encodings are canonical, one encoding per value, and
@@ -173,16 +176,17 @@ def _custom_block(block: bytes) -> CommonParams:
         raise FormatError(f"invalid custom parameter block: {exc}") from exc
 
 
-def _check_header(data: bytes, size: int, what: str) -> None:
-    """Raise FormatError unless `data` starts with MAGIC and VERSION and
+def _check_header(data: bytes, size: int, what: str, magic: bytes = MAGIC) -> None:
+    """Raise FormatError unless `data` starts with `magic` and VERSION and
     holds the `size` bytes of a `what` header; a correct prefix of the
-    magic is a truncation."""
-    if not MAGIC.startswith(data[:4]):
+    magic is a truncation.  An encapsulation, which has no magic,
+    passes b""."""
+    if not magic.startswith(data[:len(magic)]):
         raise FormatError("bad magic")
     if len(data) < size:
         raise FormatError(f"{what} header truncated")
-    if data[4] != VERSION:
-        raise FormatError(f"unsupported format version {data[4]:#04x}")
+    if data[len(magic)] != VERSION:
+        raise FormatError(f"unsupported format version {data[len(magic)]:#04x}")
 
 
 def _read_params(pid: int, data: bytes | memoryview, off: int) -> tuple[CommonParams, int]:
@@ -267,10 +271,7 @@ def ser_encapsulation(params: CommonParams, E: Encapsulation) -> bytes:
 
 
 def par_encapsulation(data: bytes | memoryview) -> tuple[CommonParams, Encapsulation]:
-    if len(data) < 2:
-        raise FormatError("encapsulation truncated")
-    if data[0] != VERSION:
-        raise FormatError(f"unsupported format version {data[0]:#04x}")
+    _check_header(data, 2, "encapsulation", magic=b"")
     params, off = _read_params(data[1], data, 2)
     v = _unpack(ENCAPSULATION, params, memoryview(data)[off:])
     return params, Encapsulation(e=v["e"], c=PkeCiphertext(v["c0"], v["c1"]))

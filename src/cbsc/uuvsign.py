@@ -65,26 +65,10 @@ class SenderSecretKey:
         """The solvers of H_U and H_V, built at the first signature."""
         return AffineSolver(self.H_U, 3), AffineSolver(self.H_V, 3)
 
-    @property
-    def n_s(self) -> int:
-        return 2 * self.H_U.shape[1]
-
-    @property
-    def r_s(self) -> int:
-        return len(self.H_U) + len(self.H_V)
-
 
 @dataclass
 class SenderPublicKey:
     A: np.ndarray          # r_s x (n_s - r_s) over GF(3): H_pk = [I | A]
-
-    @property
-    def n_s(self) -> int:
-        return sum(self.A.shape)
-
-    @property
-    def r_s(self) -> int:
-        return self.A.shape[0]
 
 
 def hsk_p_columns(H_U: np.ndarray, H_V: np.ndarray, P: Monomial, count: int) -> np.ndarray:
@@ -181,7 +165,7 @@ def _attempts(sk: SenderSecretKey, w: np.ndarray, p_two: np.ndarray, rng) -> np.
     rows of e = (u, u + v): v in the coset of w2 - w1 under H_V, then u
     in that of w1 under H_U, each half's free values from one
     `_free_values` batch."""
-    half = sk.n_s // 2
+    half = len(w) // 2
     solver_U, solver_V = sk.solvers
     w_U, w_V = w[:half], _mod_small(w[half:] + 3 - w[:half], 3)
     zeros_V = np.zeros((len(p_two), len(solver_V.free)), dtype=np.uint8)
@@ -198,7 +182,7 @@ def uuv_decode(sk: SenderSecretKey, w: np.ndarray, omega: int, rng) -> np.ndarra
     that exactly SIGN_ATTEMPTS attempts are made before RetryExhausted."""
     for done in range(0, SIGN_ATTEMPTS, BATCH):
         noise = rng.normal(0.0, 0.15, min(BATCH, SIGN_ATTEMPTS - done))
-        e = _attempts(sk, w, np.clip(omega / sk.n_s + noise, 0.0, 1.0), rng)
+        e = _attempts(sk, w, np.clip(omega / len(w) + noise, 0.0, 1.0), rng)
         hits = np.flatnonzero(np.count_nonzero(e, axis=1) == omega)
         if len(hits):
             return e[hits[0]]
@@ -207,7 +191,7 @@ def uuv_decode(sk: SenderSecretKey, w: np.ndarray, omega: int, rng) -> np.ndarra
 
 def sign_syndrome(sk: SenderSecretKey, y: np.ndarray, omega: int, rng) -> np.ndarray:
     """e with e @ [I | A].T = y and wt(e) = omega: P^-1, the decode, P."""
-    w = np.concatenate([y, np.zeros(sk.n_s - sk.r_s, dtype=np.uint8)])
+    w = np.concatenate([y, np.zeros(len(sk.P.perm) - len(y), dtype=np.uint8)])
     return mono_apply(uuv_decode(sk, mono_apply_inv(w, sk.P, 3), omega, rng), sk.P, 3)
 
 
@@ -215,7 +199,7 @@ def verify_syndrome(pk: SenderPublicKey, e: np.ndarray, y: np.ndarray,
                     omega: int) -> bool:
     """Whether e has length n_s, weight omega, and e @ [I | A].T = y."""
     e = np.asarray(e, dtype=np.uint8) % 3
-    r = pk.r_s
+    r = len(pk.A)
     # vecmat beats summing the columns of A that e selects, and a float32 A is 4x its size
-    return (len(e) == pk.n_s and int(np.count_nonzero(e)) == omega
+    return (len(e) == r + pk.A.shape[1] and int(np.count_nonzero(e)) == omega
             and bool(np.array_equal((e[:r] + vecmat(e[r:], pk.A.T, 3)) % 3, y)))

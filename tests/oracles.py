@@ -428,7 +428,7 @@ def uuv_attempt(sk, w: np.ndarray, p_two: float, rng) -> np.ndarray:
     """One attempt of the UUV decoder on the coset of w, one half at a
     time: v in the coset of w2 - w1 under H_V, then u in that of w1
     under H_U; e = (u, u + v)."""
-    half = sk.n_s // 2
+    half = len(w) // 2
     w = np.asarray(w, dtype=np.uint8) % 3
     w_U, w_V = w[:half], (w[half:] + 3 - w[:half]) % 3
     solver_U, solver_V = sk.solvers
@@ -443,7 +443,7 @@ def uuv_decode(sk, w: np.ndarray, omega: int, rng, max_attempts: int = 10_000):
     then its free values: the first e of weight omega, or None when
     max_attempts attempts miss."""
     for _ in range(max_attempts):
-        p_two = min(1.0, max(0.0, omega / sk.n_s + rng.normal(0.0, 0.15)))
+        p_two = min(1.0, max(0.0, omega / len(w) + rng.normal(0.0, 0.15)))
         e = uuv_attempt(sk, w, p_two, rng)
         if int(np.count_nonzero(e)) == omega:
             return e
@@ -546,12 +546,13 @@ def sign(sk, msg: bytes, omega: int, salt_bits: int, rng) -> Signature:
     signs inside the tag-KEM and has no salt; the acceptance criteria
     judge the signer through this form."""
     salt = rng.integers(0, 2, size=salt_bits, dtype=np.uint8)
-    e = sign_syndrome(sk, hashes.hash_trits([msg, salt], sk.r_s), omega, rng)
+    r_s = len(sk.H_U) + len(sk.H_V)
+    e = sign_syndrome(sk, hashes.hash_trits([msg, salt], r_s), omega, rng)
     return Signature(e=e, salt=salt)
 
 
 def verify(pk, msg: bytes, sig: Signature, omega: int) -> bool:
-    return verify_syndrome(pk, sig.e, hashes.hash_trits([msg, sig.salt], pk.r_s), omega)
+    return verify_syndrome(pk, sig.e, hashes.hash_trits([msg, sig.salt], len(pk.A)), omega)
 
 
 def random_invertible(n: int, p: int, rng) -> np.ndarray:

@@ -125,7 +125,7 @@ def test_outsider_mauls_e_by_a_public_codeword(users):
     sc = hybrid.signcrypt(params, senders[0][0], receivers[0][1], m,
                           np.random.default_rng(31))
     x = np.random.default_rng(32).integers(
-        0, 3, size=(MAUL_CODEWORDS, pk.n_s - pk.r_s), dtype=np.uint8)
+        0, 3, size=(MAUL_CODEWORDS, pk.A.shape[1]), dtype=np.uint8)
     x = x[x.any(axis=1)]
     c = np.concatenate([(3 - linalg.matmul(x, pk.A.T, 3)) % 3, x], axis=1)
     mauled = (sc.E.e + c) % 3

@@ -194,14 +194,19 @@ def test_bad_magic(toy_params, receiver_keys):
 
 def test_bad_version(toy_params, receiver_keys, sender_keys):
     # 0x01 is the format whose sender keys held S and the full S H_sk P,
-    # 0x02 the one whose sender secret key held H_sk
-    blobs = {serial.par_receiver_pub: serial.ser_receiver_pub(toy_params, receiver_keys[1]),
-             serial.par_sender_pub: serial.ser_sender_pub(toy_params, sender_keys[1]),
-             serial.par_sender_sec: serial.ser_sender_sec(toy_params, sender_keys[0])}
-    for parse, blob in blobs.items():
+    # 0x02 the one whose sender secret key held H_sk.  A message carries
+    # two version bytes: its own at 4 and its encapsulation's at 14.
+    message = serial.ser_message(toy_params, signcrypt(
+        toy_params, sender_keys[0], receiver_keys[1], b"version", np.random.default_rng(5)))
+    cases = [(serial.par_receiver_pub, serial.ser_receiver_pub(toy_params, receiver_keys[1]), 4),
+             (serial.par_sender_pub, serial.ser_sender_pub(toy_params, sender_keys[1]), 4),
+             (serial.par_sender_sec, serial.ser_sender_sec(toy_params, sender_keys[0]), 4),
+             (serial.par_message, message, 4),
+             (serial.par_message, message, 14)]
+    for parse, blob, offset in cases:
         for version in (0x01, 0x02, 0x99):
             old = bytearray(blob)
-            old[4] = version
+            old[offset] = version
             with pytest.raises(serial.FormatError, match="unsupported format version"):
                 parse(bytes(old))
 

@@ -58,7 +58,6 @@ def test_keygen_relations(sender_keys, toy_params):
     half = p.n_s // 2
     assert sk.H_U.shape == (half - p.k_U, half)
     assert sk.H_V.shape == (half - p.k_V, half)
-    assert (sk.n_s, sk.r_s) == (p.n_s, p.r_s)
     assert pk.A.shape == (p.r_s, p.n_s - p.r_s)
     # H_sk P = HP[:, :r_s] [I | A], with HP[:, :r_s] invertible
     HP = mat_mono(O.uuv_parity_check(sk.H_U, sk.H_V), sk.P, 3)
@@ -350,7 +349,7 @@ def test_batched_attempts_match_oracle_row_for_row(sender_keys, l1_20_sender_key
         _, u_V, u_U = _draws(sk, 45, 32)
         p_two = np.random.default_rng(33).random(45)
         p_two[:2] = 0.0, 1.0
-        for w in np.random.default_rng(34).integers(0, 3, (4, sk.n_s), dtype=np.uint8):
+        for w in np.random.default_rng(34).integers(0, 3, (4, len(sk.P.perm)), dtype=np.uint8):
             e = _attempts(sk, w, p_two, _Replay(None, u_V, u_U))
             for i in range(45):
                 row = O.uuv_attempt(sk, w, p_two[i], _Replay(None, u_V[i:], u_U[i:]))
@@ -368,7 +367,7 @@ def test_uuv_decode_matches_oracle_loop(monkeypatch, sender_keys, toy_params,
                                      (l1_sk, l1_omega, range(60, 70), 40)):
         monkeypatch.setattr(uuvsign, "SIGN_ATTEMPTS", budget)
         for seed in seeds:
-            w = np.random.default_rng(seed).integers(0, 3, sk.n_s, dtype=np.uint8)
+            w = np.random.default_rng(seed).integers(0, 3, len(sk.P.perm), dtype=np.uint8)
             draws = _draws(sk, budget, seed)
             expected = O.uuv_decode(sk, w, omega, _Replay(*draws), max_attempts=budget)
             if expected is None:
@@ -382,10 +381,10 @@ def test_uuv_decode_returns_first_hit_of_batch(l1_20_sender_key):
     # the first batch, redrawn from the decoder's seed in its order (its
     # p, then the V and U uniforms), has several rows of weight omega
     sk, _, omega = l1_20_sender_key
-    w = np.random.default_rng(35).integers(0, 3, sk.n_s, dtype=np.uint8)
+    w = np.random.default_rng(35).integers(0, 3, len(sk.P.perm), dtype=np.uint8)
     for seed in range(100):
         rng = np.random.default_rng(seed)
-        p_two = np.clip(omega / sk.n_s + rng.normal(0.0, 0.15, BATCH), 0.0, 1.0)
+        p_two = np.clip(omega / len(w) + rng.normal(0.0, 0.15, BATCH), 0.0, 1.0)
         e = _attempts(sk, w, p_two, rng)
         hits = np.flatnonzero(np.count_nonzero(e, axis=1) == omega)
         if len(hits) >= 2 and not np.array_equal(e[hits[0]], e[hits[-1]]):
@@ -497,7 +496,7 @@ def test_verify_syndrome_allocates_one_float32_copy_of_A(l1_20_sender_key):
     # 165,180 bytes, 4.08 times A's 40,455 bytes.
     sk, pk, omega = l1_20_sender_key
     rng = np.random.default_rng(32)
-    y = rng.integers(0, 3, size=sk.r_s, dtype=np.uint8)
+    y = rng.integers(0, 3, size=len(pk.A), dtype=np.uint8)
     e = sign_syndrome(sk, y, omega, rng)
     tracemalloc.start()
     try:
@@ -520,5 +519,8 @@ def test_sign_syndrome_verify_syndrome(sender_keys, toy_params):
     assert verify_syndrome(pk, e, y, p.omega)
     assert not verify_syndrome(pk, e, (y + 1) % 3, p.omega)
     assert not verify_syndrome(pk, e, y, p.omega - 1)
-    for bad in (e[:-1], np.concatenate([e, [0]])):
+    # a valid signature one zero trit short, or with one appended, keeps
+    # its weight: only the length rule rejects it
+    zero = np.flatnonzero(e == 0)[-1]
+    for bad in (np.delete(e, zero), np.concatenate([e, [0]])):
         assert not verify_syndrome(pk, bad, y, p.omega)
