@@ -46,14 +46,20 @@ def sym(params: CommonParams, rng) -> tuple[np.ndarray, np.ndarray]:
     return K, varpi
 
 
+def _bound(params: CommonParams, tag: bytes, varpi: np.ndarray, y: np.ndarray):
+    """What an encapsulation binds, as the pair (syndrome signed, tag
+    hash): the syndrome is H2(tag, varpi, H1(y)), and H1(tag) is
+    encrypted before varpi.  Encap and decap both derive them here."""
+    z = hash_bits(H1, [y], params.k_tilde)
+    return hash_trits([tag, varpi, z], params.r_s), hash_bits(H1, [tag], params.k_tilde)
+
+
 def encap(params: CommonParams, sk_s: SenderSecretKey, pk_r: ReceiverPublicKey,
           varpi: np.ndarray, tag: bytes, rng) -> Encapsulation:
     y = rng.integers(0, 2, size=params.kappa, dtype=np.uint8)
-    z = hash_bits(H1, [y], params.k_tilde)
-    e = sign_syndrome(sk_s, hash_trits([tag, varpi, z], params.r_s), params.omega, rng)
-    tau_prime = hash_bits(H1, [tag], params.k_tilde)
-    x = np.concatenate([tau_prime, varpi])
-    c = pke_encrypt(pk_r, x, y, params.t)
+    target, tau_prime = _bound(params, tag, varpi, y)
+    e = sign_syndrome(sk_s, target, params.omega, rng)
+    c = pke_encrypt(pk_r, np.concatenate([tau_prime, varpi]), y, params.t)
     return Encapsulation(e=e, c=c)
 
 
@@ -65,10 +71,7 @@ def decap(params: CommonParams, sk_r: ReceiverSecretKey, pk_s: SenderPublicKey,
         return None
     x, y = res
     tau_tilde, varpi_tilde = x[: params.k_tilde], x[params.k_tilde:]
-    z = hash_bits(H1, [y], params.k_tilde)
-    target = hash_trits([tag, varpi_tilde, z], params.r_s)
-    if not verify_syndrome(pk_s, E.e, target, params.omega):
-        return None
-    if not np.array_equal(tau_tilde, hash_bits(H1, [tag], params.k_tilde)):
+    target, tau = _bound(params, tag, varpi_tilde, y)
+    if not verify_syndrome(pk_s, E.e, target, params.omega) or not np.array_equal(tau_tilde, tau):
         return None
     return hash_bits(H0, [varpi_tilde], params.ell)

@@ -2,7 +2,9 @@
 
 All files start with the magic "CBSC" and a format version byte.  Key
 files add a role byte and a profile byte; custom profiles embed their
-parameter block so files stay self-describing.  A message embeds an
+parameter block so files stay self-describing.  `_write_params` and
+`_read_params` are the one statement of how a profile is written: the
+id byte, then the block when the id is CUSTOM_ID.  A message embeds an
 encapsulation, which starts with the version byte and no magic; one
 header check reads the version of keys, messages and encapsulations.
 Bit vectors are packed row-major LSB-first; trit vectors five to a
@@ -18,17 +20,19 @@ its own bytes.  Fields are read through views of the input, so a
 parser copies no field before unpacking it.  A custom parameter block
 is parsed and validated once per distinct block and then looked up by
 its bytes.  Payload lengths are checked before anything is unpacked.
-A secret key file's P is then built as a `Monomial`, which refuses a
-P that is not a permutation, and its fields go to the one rule of a
-valid key of its role, which key generation also applies; either
-rejection is a `FormatError` with the role's one prefix.  A receiver
-secret key file holds g, the support, S and P's permutation (its
-scalars are 1 and not stored), and `goppa.receiver_secret_key` builds
-the code, checks that g is irreducible, then checks the code's
-dimension and S.  A sender secret key file holds what key generation
-draws, H_U, H_V and P (perm and scalars), and is checked by
-`uuvsign.sender_secret_key`; a sender public key file holds the A of
-the public [I | A].
+Every key file, public or secret, is read by `_par_key`, which passes
+its profile and fields to the role's builder in one guarded call: a
+ValueError of the build is a `FormatError` with the role's one prefix,
+"receiver-sec key:" and so on.  A secret key's builder makes P as a
+`Monomial`, which refuses a P that is not a permutation, and applies
+the one rule of a valid key of its role, which key generation also
+applies.  A receiver secret key file holds g, the support, S and P's
+permutation (its scalars are 1 and not stored), and
+`goppa.receiver_secret_key` builds the code, checks that g is
+irreducible, then checks the code's dimension and S.  A sender secret
+key file holds what key generation draws, H_U, H_V and P (perm and
+scalars), and is checked by `uuvsign.sender_secret_key`; a sender
+public key file holds the A of the public [I | A].
 """
 
 from __future__ import annotations
@@ -160,10 +164,12 @@ def _unpack(what, params: CommonParams, payload: memoryview) -> dict[str, np.nda
     return values
 
 
-def _params_block(params: CommonParams) -> bytes:
-    if profile_id(params) != CUSTOM_ID:
-        return b""
-    return _CUSTOM_BLOCK.pack(*(getattr(params, f) for f in CUSTOM_FIELDS))
+def _write_params(params: CommonParams) -> bytes:
+    """The profile id byte, then the parameter block of a custom profile."""
+    pid = profile_id(params)
+    if pid != CUSTOM_ID:
+        return bytes([pid])
+    return bytes([pid]) + _CUSTOM_BLOCK.pack(*(getattr(params, f) for f in CUSTOM_FIELDS))
 
 
 @functools.lru_cache(maxsize=16)
@@ -189,7 +195,10 @@ def _check_header(data: bytes, size: int, what: str, magic: bytes = MAGIC) -> No
         raise FormatError(f"unsupported format version {data[len(magic)]:#04x}")
 
 
-def _read_params(pid: int, data: bytes | memoryview, off: int) -> tuple[CommonParams, int]:
+def _read_params(data: bytes | memoryview, off: int) -> tuple[CommonParams, int]:
+    """The profile written by `_write_params` at `off`, and the offset
+    past it."""
+    pid, off = data[off], off + 1
     if pid == CUSTOM_ID:
         end = off + _CUSTOM_BLOCK.size
         if len(data) < end:
@@ -204,17 +213,23 @@ def _read_params(pid: int, data: bytes | memoryview, off: int) -> tuple[CommonPa
 # keys: magic, version, role, profile id, custom block, payload
 
 def _ser_key(role: int, params: CommonParams, key) -> bytes:
-    return (MAGIC + bytes([VERSION, role, profile_id(params)])
-            + _params_block(params) + _pack(role, key))
+    return MAGIC + bytes([VERSION, role]) + _write_params(params) + _pack(role, key)
 
 
-def _par_key(role: int, data: bytes) -> tuple[CommonParams, dict[str, np.ndarray]]:
+def _par_key(role: int, data: bytes, build) -> tuple[CommonParams, object]:
+    """The profile of a `role` key file and the key that `build(params,
+    fields)` makes of its payload; the one guard of every key's build
+    turns its ValueError into a FormatError with the role's prefix."""
     _check_header(data, 7, "key")
     if data[5] != role:
         raise FormatError(f"expected {ROLE_NAMES[role]} key, got "
                           f"{ROLE_NAMES.get(data[5], hex(data[5]))}")
-    params, off = _read_params(data[6], data, 7)
-    return params, _unpack(role, params, memoryview(data)[off:])
+    params, off = _read_params(data, 6)
+    fields = _unpack(role, params, memoryview(data)[off:])
+    try:
+        return params, build(params, fields)
+    except ValueError as exc:
+        raise FormatError(f"{ROLE_NAMES[role]} key: {exc}") from exc
 
 
 def ser_receiver_pub(params: CommonParams, pk: ReceiverPublicKey) -> bytes:
@@ -222,8 +237,8 @@ def ser_receiver_pub(params: CommonParams, pk: ReceiverPublicKey) -> bytes:
 
 
 def par_receiver_pub(data: bytes) -> tuple[CommonParams, ReceiverPublicKey]:
-    params, v = _par_key(ROLE_RECEIVER_PUB, data)
-    return params, ReceiverPublicKey(pack_rows(v["G"]), params.n_r)
+    return _par_key(ROLE_RECEIVER_PUB, data,
+                    lambda p, v: ReceiverPublicKey(pack_rows(v["G"]), p.n_r))
 
 
 def ser_receiver_sec(params: CommonParams, sk: ReceiverSecretKey) -> bytes:
@@ -231,13 +246,9 @@ def ser_receiver_sec(params: CommonParams, sk: ReceiverSecretKey) -> bytes:
 
 
 def par_receiver_sec(data: bytes) -> tuple[CommonParams, ReceiverSecretKey]:
-    params, v = _par_key(ROLE_RECEIVER_SEC, data)
-    try:
-        P = Monomial(v["perm"], np.ones(params.n_r, dtype=np.uint8))
-        return params, receiver_secret_key(params.m, params.t, v["g"].tolist(),
-                                           v["support"].tolist(), v["S"], P)
-    except ValueError as exc:
-        raise FormatError(f"receiver secret key: {exc}") from exc
+    return _par_key(ROLE_RECEIVER_SEC, data, lambda p, v: receiver_secret_key(
+        p.m, p.t, v["g"].tolist(), v["support"].tolist(), v["S"],
+        Monomial(v["perm"], np.ones(p.n_r, dtype=np.uint8))))
 
 
 def ser_sender_pub(params: CommonParams, pk: SenderPublicKey) -> bytes:
@@ -245,8 +256,7 @@ def ser_sender_pub(params: CommonParams, pk: SenderPublicKey) -> bytes:
 
 
 def par_sender_pub(data: bytes) -> tuple[CommonParams, SenderPublicKey]:
-    params, v = _par_key(ROLE_SENDER_PUB, data)
-    return params, SenderPublicKey(A=v["A"])
+    return _par_key(ROLE_SENDER_PUB, data, lambda p, v: SenderPublicKey(A=v["A"]))
 
 
 def ser_sender_sec(params: CommonParams, sk: SenderSecretKey) -> bytes:
@@ -254,25 +264,20 @@ def ser_sender_sec(params: CommonParams, sk: SenderSecretKey) -> bytes:
 
 
 def par_sender_sec(data: bytes) -> tuple[CommonParams, SenderSecretKey]:
-    params, v = _par_key(ROLE_SENDER_SEC, data)
-    try:
-        P = Monomial(v["perm"], v["scalars"] + 1)
-        return params, sender_secret_key(v["H_U"], v["H_V"], P)
-    except ValueError as exc:
-        raise FormatError(f"sender secret key: {exc}") from exc
+    return _par_key(ROLE_SENDER_SEC, data, lambda p, v: sender_secret_key(
+        v["H_U"], v["H_V"], Monomial(v["perm"], v["scalars"] + 1)))
 
 
 # ---------------------------------------------------------------------------
 # encapsulations and signcrypted messages
 
 def ser_encapsulation(params: CommonParams, E: Encapsulation) -> bytes:
-    return (bytes([VERSION, profile_id(params)]) + _params_block(params)
-            + _pack(ENCAPSULATION, E))
+    return bytes([VERSION]) + _write_params(params) + _pack(ENCAPSULATION, E)
 
 
 def par_encapsulation(data: bytes | memoryview) -> tuple[CommonParams, Encapsulation]:
     _check_header(data, 2, "encapsulation", magic=b"")
-    params, off = _read_params(data[1], data, 2)
+    params, off = _read_params(data, 1)
     v = _unpack(ENCAPSULATION, params, memoryview(data)[off:])
     return params, Encapsulation(e=v["e"], c=PkeCiphertext(v["c0"], v["c1"]))
 

@@ -2,7 +2,7 @@
 
 import itertools
 import random
-from math import comb
+from math import comb, exp
 
 import numpy as np
 import pytest
@@ -39,10 +39,15 @@ def _boundary_ranks(n, t, rnd):
     return ranks
 
 
-@pytest.mark.parametrize("n,t", [(32, 2), (1024, 20), (2048, 40), (3488, 64)])
-def test_unrank_matches_scan_oracle(n, t):
+@pytest.mark.parametrize("n,t,overshoot", [
+    pytest.param(n, t, over, id=f"{n}-{t}" + (f"-estimate-plus-{over}" if over else ""))
+    for over in (0, 3) for n, t in [(32, 2), (1024, 20), (2048, 40), (3488, 64)]])
+def test_unrank_matches_scan_oracle(monkeypatch, n, t, overshoot):
     # the receiver shapes of toy, L1/20, L1/8 and paper-l1: both ends,
-    # the top encodable rank, level boundaries, and random ranks
+    # the top encodable rank, level boundaries, and random ranks.  The
+    # float estimate never overshoots but by rounding, so the walk down
+    # to C(c, k) <= r runs only when the estimate is raised on purpose
+    monkeypatch.setattr(cw, "exp", lambda x: exp(x) + overshoot)
     rnd = random.Random(n + t)
     top = comb(n, t) - 1
     ranks = [0, top, (1 << cw.kappa(n, t)) - 1] + _boundary_ranks(n, t, rnd)

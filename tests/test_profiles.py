@@ -8,12 +8,13 @@ import tempfile
 from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from cbsc import serial
 from cbsc.cli import EXIT_OK, EXIT_USAGE, main
 from cbsc.mceliece import pke_decrypt, pke_encrypt
-from cbsc.params import ParameterError, custom_params
+from cbsc.params import ParameterError, custom_params, load_profile_file
 
 from oracles import TOY_FIELDS
 
@@ -72,3 +73,34 @@ def test_an_accepted_profile_keys_or_exits_2(fields, seed):
         assert got is not None
         assert np.array_equal(got[0], x) and np.array_equal(got[1], y)
     assert _keygen(fields, "sender", seed)[0] in (EXIT_OK, EXIT_USAGE)
+
+
+@pytest.mark.parametrize("change,reason", [
+    pytest.param({"omega": 0}, r"need 0 < omega <= n_s", id="omega-0"),
+    pytest.param({"omega": 17}, r"need 0 < omega <= n_s", id="omega-n_s-plus-1"),
+    pytest.param({"m": 1}, r"extension degree must be in \[2, 16\]", id="m-1"),
+    pytest.param({"m": 17}, r"extension degree must be in \[2, 16\]", id="m-17"),
+    pytest.param({"q": 3}, r"unknown parameters: \['q'\]", id="unknown-field"),
+    pytest.param({"ell": None}, r"missing parameters: \['ell'\]", id="missing-field"),
+])
+def test_custom_params_rejects_with_its_rule(change, reason):
+    # one past either end of the omega and m rules of validate, which the
+    # drawn profiles above do not reach, and the field names of a block
+    fields = {k: v for k, v in (TOY_FIELDS | change).items() if v is not None}
+    with pytest.raises(ParameterError, match=reason):
+        custom_params(fields)
+
+
+@pytest.mark.parametrize("line,reason", [
+    pytest.param("n_s 16", r"bad line in profile .*: 'n_s 16'", id="bad-line"),
+    pytest.param("n_s = sixteen", r"bad integer for 'n_s' in profile .*: 'sixteen'",
+                 id="bad-integer"),
+])
+def test_profile_file_rejects_a_bad_line(tmp_path, line, reason):
+    rest = "".join(f"{k} = {v}\n" for k, v in TOY_FIELDS.items() if k != "n_s")
+    path = tmp_path / "custom.profile"
+    path.write_text(rest + "n_s = 16\n")
+    assert load_profile_file(path).n_s == 16
+    path.write_text(rest + line + "\n")
+    with pytest.raises(ParameterError, match=reason):
+        load_profile_file(path)

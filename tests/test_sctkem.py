@@ -2,9 +2,11 @@
 
 import numpy as np
 
+from cbsc.hashes import H1, hash_bits, hash_trits
 from cbsc.linalg import vecmat
-from cbsc.mceliece import PkeCiphertext
+from cbsc.mceliece import PkeCiphertext, pke_encrypt
 from cbsc.sctkem import Encapsulation, decap, encap, sym
+from cbsc.uuvsign import sign_syndrome
 
 
 def test_sym_shapes(toy_params):
@@ -95,3 +97,23 @@ def test_signature_binds_to_key(toy_params, receiver_keys, sender_keys):
     K, varpi = sym(toy_params, rng)
     E = encap(toy_params, sk_s, pk_r, varpi, b"tag", rng)
     assert decap(toy_params, sk_r, other_pk, E, b"tag") is None
+
+
+def test_decap_rejects_encrypted_tag_hash_of_another_tag(toy_params, receiver_keys,
+                                                          sender_keys):
+    """An insider sender signs H2(T, varpi, H1(y)) for the tag T but
+    encrypts H1(T') || varpi: the signature verifies under T, and only
+    the comparison of the decrypted tag hash with H1(T) rejects it."""
+    sk_r, pk_r = receiver_keys
+    sk_s, pk_s = sender_keys
+    p, rng = toy_params, np.random.default_rng(8)
+    K, varpi = sym(p, rng)
+    y = rng.integers(0, 2, size=p.kappa, dtype=np.uint8)
+    target = hash_trits([b"tag", varpi, hash_bits(H1, [y], p.k_tilde)], p.r_s)
+    e = sign_syndrome(sk_s, target, p.omega, rng)
+    honest = np.concatenate([hash_bits(H1, [b"tag"], p.k_tilde), varpi])
+    E = Encapsulation(e=e, c=pke_encrypt(pk_r, honest, y, p.t))
+    assert np.array_equal(decap(p, sk_r, pk_s, E, b"tag"), K)
+    forged = np.concatenate([hash_bits(H1, [b"other"], p.k_tilde), varpi])
+    E = Encapsulation(e=e, c=pke_encrypt(pk_r, forged, y, p.t))
+    assert decap(p, sk_r, pk_s, E, b"tag") is None

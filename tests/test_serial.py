@@ -90,7 +90,7 @@ def test_sender_pub_file_matches_size_formula(params):
     the last byte."""
     _, pk = keygen_sender_params(params, np.random.default_rng(0))
     blob = serial.ser_sender_pub(params, pk)
-    payload_bits = 8 * (len(blob) - 7 - len(serial._params_block(params)))
+    payload_bits = 8 * (len(blob) - 6 - len(serial._write_params(params)))
     formula = next(r.value for r in sizes(params) if r.name == "sender_pub_bits")
     assert formula <= payload_bits <= formula * 1.0095 + 8
 
@@ -102,7 +102,7 @@ def test_sender_sec_file_holds_the_draws(params):
     repeat H_V and add a zero block."""
     sk, _ = keygen_sender_params(params, np.random.default_rng(0))
     blob = serial.ser_sender_sec(params, sk)
-    payload = blob[7 + len(serial._params_block(params)):]
+    payload = blob[6 + len(serial._write_params(params)):]
     assert payload == (pack_trits(sk.H_U) + pack_trits(sk.H_V)
                        + np.asarray(sk.P.perm, dtype=">u2").tobytes()
                        + pack_bits(sk.P.scalars - 1))
@@ -211,6 +211,16 @@ def test_bad_version(toy_params, receiver_keys, sender_keys):
                 parse(bytes(old))
 
 
+def test_message_profile_mismatch_rejected(toy_params, receiver_keys, sender_keys):
+    # the header's profile id is paper-l1's, its encapsulation's is toy's
+    blob = bytearray(serial.ser_message(toy_params, signcrypt(
+        toy_params, sender_keys[0], receiver_keys[1], b"profile", np.random.default_rng(5))))
+    assert blob[5] == 0x01
+    blob[5] = 0x02
+    with pytest.raises(serial.FormatError, match="profile mismatch between header"):
+        serial.par_message(bytes(blob))
+
+
 def test_role_mismatch(toy_params, receiver_keys):
     _, pk = receiver_keys
     blob = serial.ser_receiver_pub(toy_params, pk)
@@ -257,6 +267,22 @@ def test_truncated_payloads_rejected(toy_params, receiver_keys, sender_keys):
     for parse in (serial.par_receiver_pub, serial.par_message):
         with pytest.raises(serial.FormatError, match="header truncated"):
             parse(b"CBSC\x03\x03")
+
+
+def test_cut_inside_custom_parameter_block_rejected():
+    # an L1/20 key file has its 40-byte block after 7 header bytes, an
+    # encapsulation after 2
+    rng = np.random.default_rng(9)
+    sk_r, pk_r = keygen_receiver_params(L1_20, rng)
+    sk_s, _ = keygen_sender_params(L1_20, rng)
+    _, varpi = sym(L1_20, rng)
+    E = encap(L1_20, sk_s, pk_r, varpi, b"cut", rng)
+    for parse, blob, start in ((serial.par_receiver_pub, serial.ser_receiver_pub(L1_20, pk_r), 7),
+                               (serial.par_encapsulation, serial.ser_encapsulation(L1_20, E), 2)):
+        assert parse(blob)[0] == L1_20
+        for cut in (start, start + 20, start + 39):
+            with pytest.raises(serial.FormatError, match="custom parameter block truncated"):
+                parse(blob[:cut])
 
 
 # --- total parsers ------------------------------------------------------------
@@ -353,6 +379,19 @@ def test_receiver_sec_with_square_g_rejected():
     blob[off: off + 10] = b"".join(c.to_bytes(2, "big") for c in g)
     with pytest.raises(serial.FormatError, match="irreducible"):
         serial.par_receiver_sec(bytes(blob))
+
+
+def test_receiver_sec_with_support_on_the_root_of_g_rejected():
+    # at t = 1, g = x + g_0 has the root g_0 in GF(32), which key
+    # generation leaves out of the support; a file may put it back
+    params = custom_params(dict(_TOY_VALUES, n_r=31, t=1))
+    sk, _ = keygen_receiver_params(params, np.random.default_rng(22))
+    blob = serial.ser_receiver_sec(params, sk)
+    assert serial.par_receiver_sec(blob)[0] == params
+    g0, off = int(sk.code.g[0]), 7 + 40 + 2 * 2 + 2 * 3      # support[3]
+    bad = blob[:off] + g0.to_bytes(2, "big") + blob[off + 2:]
+    with pytest.raises(serial.FormatError, match="support element is a root of g"):
+        serial.par_receiver_sec(bad)
 
 
 def test_receiver_sec_declaring_t_above_128_rejected(receiver_keys):
