@@ -5,12 +5,23 @@ oracles (bit output for roles 0, 1, 3; trit output for role 2) and the
 DEM keystream (role 4).  Inputs are sequences of fields; each field is
 framed as an 8-byte big-endian bit count followed by its LSB-first byte
 packing, so variable-length concatenations are unambiguous.
+
+Every hash runs on the calling thread except the absorption that
+`hash_bits_later` hands to one worker thread when a bytes field is at
+least `_BESIDE_BYTES` long: `sctkem._bound` absorbs a long tag for
+H1(tag) there while it computes H2(tag, varpi, H1(y)) itself, so a long
+payload is hashed on two cores.  The worker runs only `_shake` and the
+caller takes the digest, so the output is the same bytes as on the
+calling thread.  Shorter inputs start no thread and import no
+`concurrent.futures`; a forked child starts a worker of its own.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import math
+import os
 import struct
 
 import numpy as np
@@ -25,6 +36,14 @@ DEM = 4  # symmetric keystream
 
 _TRIT_REJECT = 243  # bytes >= 3^5 are rejected; acceptance rate 243/256
 _BIT_COUNT = struct.Struct(">Q")  # a field's framing header
+# A bytes field at least this long is absorbed on the worker thread by
+# `hash_bits_later`.  hashlib releases the GIL in update() from 2 KiB on,
+# but a hand-off to the worker costs tens of microseconds.  In interleaved
+# sweeps of sctkem._bound at toy, in both of the VM's speed modes
+# (CHANGES.md), the worker lost at 16 KiB in every sweep, at 32 and at
+# 64 KiB in one of four, and won at 128 KiB and up in every sweep (0.63 to
+# 0.70 of the serial time at 128 KiB).
+_BESIDE_BYTES = 128 * 1024
 
 
 def _shake(domain: int, fields) -> "hashlib._hashlib.HASHXOF":
@@ -40,6 +59,34 @@ def _shake(domain: int, fields) -> "hashlib._hashlib.HASHXOF":
             f = pack_rows(bits.ravel())
         xof.update(f)
     return xof
+
+
+@functools.cache
+def _worker():
+    """The one worker thread, started at the first long field (two threads
+    that get there at once may each start one; either serves)."""
+    from concurrent.futures import ThreadPoolExecutor
+    return ThreadPoolExecutor(max_workers=1, thread_name_prefix="cbsc-hash")
+
+
+# a pool inherited across fork() has no thread behind it in the child,
+# so a job submitted there would never run
+os.register_at_fork(after_in_child=_worker.cache_clear)
+
+
+def hash_bits_later(domain: int, fields, out_len_bits: int):
+    """A zero-argument call returning hash_bits(domain, fields, out_len_bits).
+
+    When a bytes field is at least `_BESIDE_BYTES` long, the fields are
+    absorbed now on the worker thread, so the caller can hash something
+    else meanwhile; the call waits for them and takes the digest.
+    Otherwise the call computes hash_bits itself.  The output is the same
+    either way."""
+    if not any(isinstance(f, (bytes, bytearray)) and len(f) >= _BESIDE_BYTES
+               for f in fields):
+        return lambda: hash_bits(domain, fields, out_len_bits)
+    xof = _worker().submit(_shake, domain, fields)
+    return lambda: unpack_bits(xof.result().digest((out_len_bits + 7) // 8), out_len_bits)
 
 
 def hash_bytes(domain: int, fields, nbytes: int) -> bytes:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .goppa import ReceiverPublicKey, ReceiverSecretKey, keygen_receiver as keygen_receiver_params
-from .hashes import H0, H1, hash_bits, hash_trits
+from .hashes import H0, H1, hash_bits, hash_bits_later, hash_trits
 from .mceliece import PkeCiphertext, pke_decrypt, pke_encrypt
 from .params import CommonParams
 from .uuvsign import (
@@ -50,8 +50,9 @@ def _bound(params: CommonParams, tag: bytes, varpi: np.ndarray, y: np.ndarray):
     """What an encapsulation binds, as the pair (syndrome signed, tag
     hash): the syndrome is H2(tag, varpi, H1(y)), and H1(tag) is
     encrypted before varpi.  Encap and decap both derive them here."""
+    tau = hash_bits_later(H1, [tag], params.k_tilde)
     z = hash_bits(H1, [y], params.k_tilde)
-    return hash_trits([tag, varpi, z], params.r_s), hash_bits(H1, [tag], params.k_tilde)
+    return hash_trits([tag, varpi, z], params.r_s), tau()
 
 
 def encap(params: CommonParams, sk_s: SenderSecretKey, pk_r: ReceiverPublicKey,

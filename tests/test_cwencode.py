@@ -66,6 +66,9 @@ def test_kappa_values():
     assert cw.kappa(16, 2) == 6    # C(16,2) = 120
     assert cw.kappa(3488, 64) == comb(3488, 64).bit_length() - 1
     assert cw.kappa(4, 4) == 0
+    for t in (5, -1):
+        with pytest.raises(ValueError, match="need 0 <= t <= n"):
+            cw.kappa(4, t)
 
 
 def test_phi_bijection_exhaustive_16_2():

@@ -140,6 +140,14 @@ def test_paiva_terada_formula_value():
     assert paiva_terada_wf(n, m, t, k).log2 == pytest.approx(expected)
 
 
+@pytest.mark.parametrize("zero", range(4))
+def test_paiva_terada_rejects_a_zero_argument(zero):
+    args = [3488, 12, 64, 1815]
+    args[zero] = 0
+    with pytest.raises(ValueError, match="arguments must be positive"):
+        paiva_terada_wf(*args)
+
+
 def test_gamma_uniformity_fraction():
     assert gamma_uniformity(8, 16, 2) == Fraction(1, 256 * 120)
     assert gamma_uniformity(16, 32, 2) == Fraction(1, (1 << 16) * 496)

@@ -80,6 +80,19 @@ def test_gf_inv_exhaustive_m5():
         assert _mul(a, F.gf_inv(a, 5), 5) == 1
 
 
+def test_tables_only_for_a_tabulated_modulus():
+    for m in (1, 17):
+        with pytest.raises(ValueError, match=f"no field GF\\(2\\^{m}\\)"):
+            F.tables(m)
+
+
+def test_poly_scale_matches_coefficientwise_mul():
+    p = [3, 0, 17, 31, 1]
+    assert F.poly_scale(p, 0, 5) == []
+    for c in range(1, 32):
+        assert F.poly_scale(p, c, 5) == [_mul(x, c, 5) for x in p]
+
+
 def test_gf_inv_zero_raises():
     with pytest.raises(ZeroDivisionError):
         F.gf_inv(0, 5)

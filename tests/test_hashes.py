@@ -12,6 +12,7 @@ from cbsc.hashes import (
     H2,
     H3,
     hash_bits,
+    hash_bits_later,
     hash_bytes,
     hash_trits,
     keystream,
@@ -158,3 +159,21 @@ def test_keystream_matches_dem_domain():
     K = np.array([1, 0, 1, 1, 0, 0, 1, 0], dtype=np.uint8)
     assert keystream(K, 32) == hash_bytes(DEM, [K], 32)
     assert keystream(K, 32)[:8] == keystream(K, 8)
+
+
+def test_hash_bits_later_uses_the_worker_from_the_threshold(monkeypatch):
+    # the worker runs only the untraced _shake, and only for a field of
+    # at least _BESIDE_BYTES bytes; the output is hash_bits' either way
+    submitted, worker = [], hashes._worker()
+
+    class Spy:
+        def submit(self, fn, *args):
+            submitted.append(fn)
+            return worker.submit(fn, *args)
+
+    monkeypatch.setattr(hashes, "_worker", Spy)
+    bits = np.array([1, 0, 1], dtype=np.uint8)
+    for size, calls in ((hashes._BESIDE_BYTES - 1, []), (hashes._BESIDE_BYTES, [hashes._shake])):
+        fields = [bits, bytes(range(256)) * (size // 256) + bytes(size % 256)]
+        assert np.array_equal(hash_bits_later(H1, fields, 77)(), hash_bits(H1, fields, 77))
+        assert submitted == calls

@@ -79,6 +79,35 @@ def test_traced_roundtrip_passes_through_the_metric_spans(
     assert "goppa.patterson_decode" not in names
 
 
+def test_traced_long_tag_roundtrip_keeps_every_span_in_its_parent(
+        toy_params, receiver_keys, sender_keys):
+    # a 256 KiB tag has its H1 absorbed on the hash worker thread; the
+    # tracer keeps one span stack, so a traced call there would interleave
+    # with the caller's spans and break their nesting (a traced hash_bits
+    # on the worker broke it in 19 of 20 single roundtrips, hence three)
+    spans = _spans_module()
+    sk_r, pk_r = receiver_keys
+    sk_s, pk_s = sender_keys
+    payload = np.random.default_rng(2).bytes(256 * 1024)
+    hybrid.signcrypt(toy_params, sk_s, pk_r, b"warm-up", np.random.default_rng(0))
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        for seed in range(3):
+            with tracer.root(spans.OP):
+                sc = hybrid.signcrypt(toy_params, sk_s, pk_r, payload,
+                                      np.random.default_rng(seed))
+                assert hybrid.unsigncrypt(toy_params, sk_r, pk_s, sc) == payload
+    finally:
+        tracer.uninstall()
+    for name, start, end, parent, _ in tracer.spans:
+        if parent >= 0:
+            assert tracer.spans[parent][1] <= start <= end <= tracer.spans[parent][2], name
+    dem = [root for name, _, _, _, root in tracer.spans if name == "hybrid.dem_encrypt"]
+    roots = [i for i, span in enumerate(tracer.spans) if span[3] < 0]
+    assert dem == sorted(2 * roots)
+
+
 def test_every_public_cbsc_name_has_a_caller_or_is_traced():
     # references are AST names, attributes and imported names, so a
     # name that only a docstring or a comment mentions has no caller

@@ -1,11 +1,20 @@
 """Tag-KEM encapsulation/decapsulation contract."""
 
-import numpy as np
+import os
+import signal
+import sys
+import threading
+import time
 
+import numpy as np
+import pytest
+
+from cbsc import hashes
 from cbsc.hashes import H1, hash_bits, hash_trits
+from cbsc.hybrid import signcrypt, unsigncrypt
 from cbsc.linalg import vecmat
 from cbsc.mceliece import PkeCiphertext, pke_encrypt
-from cbsc.sctkem import Encapsulation, decap, encap, sym
+from cbsc.sctkem import Encapsulation, _bound, decap, encap, sym
 from cbsc.uuvsign import sign_syndrome
 
 
@@ -117,3 +126,68 @@ def test_decap_rejects_encrypted_tag_hash_of_another_tag(toy_params, receiver_ke
     forged = np.concatenate([hash_bits(H1, [b"other"], p.k_tilde), varpi])
     E = Encapsulation(e=e, c=pke_encrypt(pk_r, forged, y, p.t))
     assert decap(p, sk_r, pk_s, E, b"tag") is None
+
+
+LONG = 256 * 1024  # a toy-bulk payload, so a tag on the worker's path
+
+
+@pytest.mark.parametrize("size", [hashes._BESIDE_BYTES - 1, hashes._BESIDE_BYTES, LONG])
+def test_bound_equals_the_direct_hashes(toy_params, size):
+    p, rng = toy_params, np.random.default_rng(size)
+    tag = rng.bytes(size)
+    varpi = rng.integers(0, 2, size=p.ell, dtype=np.uint8)
+    y = rng.integers(0, 2, size=p.kappa, dtype=np.uint8)
+    target, tau = _bound(p, tag, varpi, y)
+    assert np.array_equal(target, hash_trits([tag, varpi, hash_bits(H1, [y], p.k_tilde)], p.r_s))
+    assert np.array_equal(tau, hash_bits(H1, [tag], p.k_tilde))
+
+
+def _long_roundtrips(p, receiver_keys, sender_keys, seed, count):
+    """Whether `count` roundtrips of LONG random bytes each return them."""
+    (sk_r, pk_r), (sk_s, pk_s) = receiver_keys, sender_keys
+    rng = np.random.default_rng(seed)
+    payloads = [rng.bytes(LONG) for _ in range(count)]
+    return all(unsigncrypt(p, sk_r, pk_s, signcrypt(p, sk_s, pk_r, m, rng)) == m
+               for m in payloads)
+
+
+def test_forked_child_completes_a_long_tag_roundtrip(toy_params, receiver_keys, sender_keys):
+    # the parent's worker thread does not exist in a child; a child that
+    # reused its pool would wait for a job that never runs
+    assert _long_roundtrips(toy_params, receiver_keys, sender_keys, 10, 1)
+    pid = os.fork()
+    if pid == 0:
+        code = 1
+        try:
+            code = 0 if _long_roundtrips(toy_params, receiver_keys, sender_keys, 11, 1) else 2
+        finally:
+            os._exit(code)
+    deadline = time.monotonic() + 30
+    while (status := os.waitpid(pid, os.WNOHANG))[0] == 0:
+        if time.monotonic() > deadline:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+            pytest.fail("the forked child's roundtrip did not finish in 30 s")
+        time.sleep(0.01)
+    assert os.waitstatus_to_exitcode(status[1]) == 0
+
+
+def test_caller_threads_share_the_worker(toy_params, receiver_keys, sender_keys):
+    # more caller threads than cores, switching often, all on long tags
+    results = {}
+
+    def run(i):
+        results[i] = _long_roundtrips(toy_params, receiver_keys, sender_keys, 20 + i, 3)
+
+    threads = [threading.Thread(target=run, args=(i,)) for i in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert results == {i: True for i in range(4)}
