@@ -87,6 +87,14 @@ starts from its own generator, seeded with SEED, and records:
                    roundtrip's message (of REPEATS runs) and of each key
                    parser on its file (of KEY_PARSE_REPEATS runs), and
                    the `tracemalloc` peak of `serial.par_sender_pub`
+  receiver_keygen_peak_mib
+                   what `tracemalloc` sees allocated while
+                   `goppa._key_pair` builds the key pair of the
+                   profile's first accepted (code, S, P) draw, the
+                   loaded receiver secret key's, again: the reduction
+                   of the parity check, the rank check of S, the
+                   product S·R_free^T and the packed S·G·P; the code's
+                   tables are built before it
   receiver_secret_key_peak_mib
                    what `tracemalloc` sees allocated while
                    `goppa.receiver_secret_key` builds the loaded
@@ -106,11 +114,12 @@ phases are:
                      goppa.keygen_receiver self (mostly the untraced
                      mat_reduce of the parity check in the untraced
                      goppa._receiver_key, once per drawn code; no
-                     generator matrix is built, and the two column
-                     scatters that make S·G·P), linalg.mat_rank (its
-                     forward-pass full-row-rank check of S, once per
-                     drawn code of dimension k_r) and linalg.matmul
-                     (S·R_free^T, the mt pivot columns of S·G; its free
+                     generator matrix is built, and the column
+                     scatters and packing of S·G·P, SLAB rows at a
+                     time), linalg.mat_rank (its forward-pass
+                     full-row-rank check of S, once per drawn code of
+                     dimension k_r) and linalg.matmul (S·R_free^T on
+                     packed rows, the mt pivot columns of S·G; its free
                      columns are S itself)
     receiver load    fields.poly_is_irreducible, the parity check and
                      its mat_reduce (in serial.par_receiver_sec self,
@@ -521,6 +530,7 @@ def bench(params, rng) -> dict:
     record["parse"] = parse_record(blobs, wire)
     record["decoder"] = decoder(params, sk_r, serial.par_receiver_pub(blobs["receiver_pub"])[1])
     S, code = linalg.unpack_rows(sk_r.S_rows, params.k_r), sk_r.code
+    record["receiver_keygen_peak_mib"] = peak_mib(lambda: goppa._key_pair(code, S, sk_r.P))
     record["receiver_secret_key_peak_mib"] = peak_mib(lambda: goppa.receiver_secret_key(
         code.m, code.t, code.g, code.support, S, sk_r.P))
     record["elimination"] = elimination(params, sk_r, sk)
@@ -593,7 +603,8 @@ def report(name: str, rec: dict) -> None:
     for s in rec["sizes"]:
         print(f"{s['key']:14s} {s['file_bytes']:11d} {8 * s['file_bytes']:11d} "
               f"{s['estimator_bits']:15.0f}")
-    print(f"\nreceiver_secret_key allocates {rec['receiver_secret_key_peak_mib']:.1f} MiB; "
+    print(f"\nreceiver keygen (_key_pair) allocates {rec['receiver_keygen_peak_mib']:.1f} MiB; "
+          f"receiver_secret_key allocates {rec['receiver_secret_key_peak_mib']:.1f} MiB; "
           f"peak RSS so far {rec['peak_rss_mib']:.0f} MiB")
 
 

@@ -82,16 +82,38 @@ the unpacked uint8 rows for the 300 x 1024 L1/20 generator, 473-510 ->
 65-79 us for the 1815 x 3488 `paper-l1` one; rows of 64-bit words,
 which the bytes replaced, took 10-10.5 and 63-77 us.
 
-Products run as float32 BLAS, C = A @ B, then one exact reduction by
-floor: q = floor(C / p), C - p*q.  Every partial sum is an integer of
-at most inner * (p - 1)**2, and float32 holds every integer below 2**24
-exactly, so C is exact, in any summation order, while that bound is
-below 2**24; `matmul` refuses larger inner dimensions.  The largest
-product of any profile, at `paper-l1`, has partial sums of at most
-5605 * 4.  The floor is exact too: C / p is below 2**23, where float32
-rounds by at most 1/4, a non-multiple of p lies at least 1/3 from every
-integer, and a multiple divides exactly; p*q and C - p*q are integers
-below 2**24.  A test checks every C below 2**24 at p = 2 and 3.  On one
+`matmul` over GF(2) runs on packed rows as well, for a matrix or a
+vector on either side, by the Method of Four Russians for
+multiplication (Albrecht, Bard and Hart, "Algorithm 898: Efficient
+multiplication of dense matrices over GF(2)", ACM TOMS 2010).  B's rows
+are packed once.  Byte j of a packed row of A selects rows 8j to 8j + 7
+of B, so the table of the 256 XORs of those 8 rows, built by doubling,
+T[2^i + s] = T[s] ^ B[8j + i], holds that byte's share of every row of
+A @ B: the packed product is the XOR, over the byte columns of A, of
+each column's gather from its table, and it is unpacked once at the
+end.  XOR needs no bound on the inner dimension.  The tables of TABLES
+byte columns are built at a time, in one array: one table at a time
+took 12 ms of numpy calls at `paper-l1`, sixteen 1.7 ms.  Key
+generation's one product, S·R_free^T (`goppa._key_pair`), took as
+float32 slabs (median [quartiles] of 15 interleaved runs on one BLAS
+thread of a shared 2-vCPU VM, and the `tracemalloc` peak) 87 [83, 96]
+ms and 12.38 MiB for `paper-l1`'s 1815 x 2720 S by the 2720 x 768
+transposed R_free, and takes 11.0 [10.6, 12.3] ms and 1.57 MiB; at
+L1/20's 300 x 824 by 824 x 200, 2.34 [1.99, 2.46] ms and 1.80 MiB
+became 1.76 [1.42, 1.87] ms and 0.19 MiB; toy's 16 x 22 by 22 x 10
+costs the table set-up, 0.013 -> 0.074 ms.
+
+GF(3) products, and the GF(2) products of `vecmat` and
+`AffineSolver`, run as float32 BLAS, C = A @ B, then one exact
+reduction by floor: q = floor(C / p), C - p*q.  Every partial sum is an
+integer of at most inner * (p - 1)**2, and float32 holds every integer
+below 2**24 exactly, so C is exact, in any summation order, while that
+bound is below 2**24; larger inner dimensions are refused.  The largest
+such product of any profile, `verify_syndrome`'s at `paper-l1`, has
+partial sums of at most 5605 * 4.  The floor is exact too: C / p is
+below 2**23, where float32 rounds by at most 1/4, a non-multiple of p
+lies at least 1/3 from every integer, and a multiple divides exactly;
+p*q and C - p*q are integers below 2**24.  A test checks every C below 2**24 at p = 2 and 3.  On one
 BLAS thread of a shared 2-vCPU VM the reduction of the 32 x 110 L1/20
 V-batch product takes 7.5 us, where `% 3` took 72 us and the product
 itself 11 us; on the 32 x 2199 `paper-l1` V batch 64 us against 1.75 ms,
@@ -101,11 +123,8 @@ product reads: `R_free @ v` on the `paper-l1` V solver's 2199 x 2047
 converted SLAB columns at a time, and a uint8 left operand SLAB rows at
 a time, so no product holds a float32 copy of a whole key:
 `verify_syndrome` at `paper-l1` allocated 62 MiB for its 2887 x 5605 A
-and now 11 MiB, and its product fell from 27 to 8 ms; key
-generation's S·R_free^T there (`goppa._key_pair`), the 1815 x 2720 S by
-the 2720 x 768 transposed R_free, allocates 12.4 MiB, where converting
-both operands whole allocates 32.1 MiB.  A float32 operand, such as a
-solver's R_free, is used whole.
+and now 11 MiB, and its product fell from 27 to 8 ms.  A float32
+operand, such as a solver's R_free, is used whole.
 
 Sums of two reduced uint8 values are reduced by `_mod_small`, the
 minimum of x and the wrapped x - p: 4 us on 32 x 212, where `% 3` took
@@ -121,8 +140,9 @@ import numpy as np
 _EXACT = 2 ** 24
 
 
-# the rows of a matrix that packing or unpacking, or a product's uint8
-# left operand, holds at a time, and the columns of a uint8 right operand
+# the rows of a matrix that packing or unpacking, or a float32 product's
+# uint8 left operand, holds at a time, and the columns of its uint8
+# right operand
 SLAB = 512
 
 
@@ -375,10 +395,50 @@ def _product(A: np.ndarray, B: np.ndarray, p: int) -> np.ndarray:
     return _floor_mod(A @ B.astype(np.float32, copy=False), p).astype(np.uint8)
 
 
+# the byte columns of a GF(2) product's left operand whose tables are
+# built at a time, in one array of TABLES x 256 rows
+TABLES = 16
+
+
+def _xor_product(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """The `pack_rows` bytes of A @ B over GF(2), for 0/1 matrices, by the
+    byte tables of the module docstring."""
+    k, nbytes = A.shape[1], (B.shape[1] + 7) // 8
+    # B's rows, padded with zero rows to 8 per byte column of A; a strided
+    # B, such as a transposed R_free, packs five times faster as
+    # contiguous slabs than as it is
+    B_rows = np.zeros(((k + 7) // 8 * 8, nbytes), dtype=np.uint8)
+    for r in range(0, k, SLAB):
+        B_rows[r:min(r + SLAB, k)] = pack_rows(np.ascontiguousarray(B[r:r + SLAB]))
+    B_rows = B_rows.reshape(len(B_rows) // 8, 8, nbytes)
+    A_rows = pack_rows(A)
+    C = np.zeros((len(A), nbytes), dtype=np.uint8)
+    gathered = np.empty_like(C)
+    T = np.zeros((TABLES, 256, nbytes), dtype=np.uint8)
+    for j0 in range(0, len(B_rows), TABLES):
+        rows = B_rows[j0:j0 + TABLES]
+        tables = T[:len(rows)]
+        # table j's row s is the XOR of B's rows 8j + i for the bits i of s
+        for i in range(8):
+            np.bitwise_xor(tables[:, :1 << i], rows[:, i, None], out=tables[:, 1 << i:2 << i])
+        for j, table in enumerate(tables, j0):
+            # a byte indexes one of 256 rows, so "clip" clips nothing, and
+            # unlike the default mode it gathers straight into `gathered`
+            table.take(A_rows[:, j], axis=0, out=gathered, mode="clip")
+            C ^= gathered
+    return C
+
+
 def matmul(A: np.ndarray, B: np.ndarray, p: int) -> np.ndarray:
-    """A @ B mod p, as an exact float32 BLAS product.  Raises ValueError
-    when A.shape[-1] * (p - 1)**2 reaches 2**24."""
-    return _product(A, B, p)
+    """A @ B mod p, for a matrix or vector on either side.  Over GF(2) a
+    product on packed rows by byte tables; over GF(3) an exact float32
+    BLAS product, which raises ValueError when A.shape[-1] * 4 reaches
+    2**24 (see the module docstring)."""
+    if p != 2:
+        return _product(A, B, p)
+    B2 = B if B.ndim == 2 else B[:, None]
+    C = unpack_rows(_xor_product(np.atleast_2d(A), B2), B2.shape[1])
+    return C.reshape(A.shape[:-1] + B.shape[1:])
 
 
 def vecmat(v: np.ndarray, M: np.ndarray, p: int) -> np.ndarray:

@@ -379,6 +379,22 @@ def test_public_generator_matches_oracle_product(params):
     assert np.array_equal(pk.G, mono_apply(O.matmul(S, G, 2), P, 2))
 
 
+def test_public_generator_packed_in_slabs():
+    # L1/20's code with k-tilde = SLAB + 7: `_key_pair` packs S·G·P in two
+    # slabs, the second of 7 rows.  Each public row is a word of the
+    # permuted code and is S on the information set, which determines it,
+    # as G is the identity on the free columns; the oracle product by the
+    # parity check is a quarter of the one by G
+    params = toy_with(m=10, n_r=1024, t=20, k_tilde=linalg.SLAB + 7)
+    rng = np.random.default_rng(8)
+    code, _ = _code_and_rref(params, rng)
+    S = random_matrix(params.k_tilde, params.k_r, 2, rng)
+    P = random_monomial(params.n_r, 2, rng)
+    sk, pk = goppa._key_pair(code, S, P)
+    assert np.array_equal(pk.G[:, sk.info], S)
+    assert not O.matmul(mono_apply_inv(pk.G, P, 2), goppa_parity_check(code).T, 2).any()
+
+
 def test_public_generator_with_a_unit_pivot_column(monkeypatch):
     # row 1 of R_free made e_1, so that pivot column 1 of G is e_1, as
     # G's second free column is, and row 0 made zero, so that pivot

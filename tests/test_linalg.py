@@ -231,6 +231,9 @@ def test_products_match_oracle(p, rows, inner, cols, seed):
         assert np.array_equal(got, want)
 
 
+# over GF(2) matmul runs on packed rows, which no inner dimension makes
+# inexact (test_gf2_matmul_exact_on_long_inner_dimensions); vecmat keeps
+# the float32 product and its bound at p = 2 and 3, and matmul at p = 3
 @pytest.mark.parametrize("p", [2, 3])
 def test_matmul_refuses_inexact_inner_dimension(p):
     # an inner dimension far past the float32 bound of 2**24; broadcast
@@ -239,11 +242,11 @@ def test_matmul_refuses_inexact_inner_dimension(p):
     inner = 2**53 // (p - 1) ** 2
     A = np.broadcast_to(np.uint8(1), (1, inner))
     B = np.broadcast_to(np.uint8(1), (inner, 1))
-    with pytest.raises(ValueError, match="exact"):
-        L.matmul(A, B, p)
     if p == 3:
         with pytest.raises(ValueError, match="exact"):
-            L.vecmat(A[0], B, p)
+            L.matmul(A, B, p)
+    with pytest.raises(ValueError, match="exact"):
+        L.vecmat(A[0], B, p)
 
 
 @pytest.mark.parametrize("p", [2, 3])
@@ -254,10 +257,73 @@ def test_matmul_exact_up_to_float32_bound(p):
     inner = 2**24 // (p - 1) ** 2
     A = np.broadcast_to(np.uint8(p - 1), (1, inner))
     B = np.broadcast_to(np.uint8(p - 1), (inner, 1))
+    product = L.vecmat if p == 2 else L.matmul
     with pytest.raises(ValueError, match="exact"):
-        L.matmul(A, B, p)
+        product(A, B, p)
     A, B = A[:, 1:], B[1:]
-    assert L.matmul(A, B, p).tolist() == [[(inner - 1) * (p - 1) ** 2 % p]]
+    assert product(A, B, p).tolist() == [[(inner - 1) * (p - 1) ** 2 % p]]
+
+
+def test_gf2_matmul_exact_on_long_inner_dimensions():
+    # a GF(2) product XORs packed rows, so no sum grows with the inner
+    # dimension and none is refused; all-one operands give its parity
+    for inner in (2**16 - 1, 2**16, 2**16 + 1):
+        A = np.broadcast_to(np.uint8(1), (1, inner))
+        B = np.broadcast_to(np.uint8(1), (inner, 3))
+        assert L.matmul(A, B, 2).tolist() == [[inner % 2] * 3]
+
+
+# inner dimensions of one bit, one bit short of a byte, a byte, a bit
+# past it, toy's S·R_free^T (22) and L1/20's (824), with that product's
+# 300 x 824 by 824 x 200 shape; the others' rows and columns end
+# mid-byte
+_GF2_SHAPES = [(13, 1, 11), (13, 7, 11), (13, 8, 11), (13, 9, 11), (16, 22, 10),
+               (300, 824, 200)]
+
+
+@pytest.mark.parametrize("rows, inner, cols", _GF2_SHAPES)
+def test_gf2_matmul_matches_oracle(rows, inner, cols):
+    rng = _rng(inner)
+    A = L.random_matrix(rows, inner, 2, rng)
+    B = L.random_matrix(cols, inner, 2, rng).T  # strided, as key generation's R_free.T
+    v = L.random_matrix(1, inner, 2, rng)[0]
+    w = L.random_matrix(1, rows, 2, rng)[0]
+    for left, right in ((A, B), (A, v), (v, B), (w, A), (v, v)):
+        got = L.matmul(left, right, 2)
+        want = O.matmul(left, right, 2)
+        assert got.dtype == np.uint8 and got.shape == np.shape(want)
+        assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("rows, inner, cols", _GF2_SHAPES)
+def test_gf2_matmul_of_constant_operands(rows, inner, cols):
+    # every entry of a product with an all-zero operand is 0, and of two
+    # all-one operands the parity of the inner dimension
+    rng = _rng(inner)
+    zeros, ones = (np.full((rows, inner), b, dtype=np.uint8) for b in (0, 1))
+    B = L.random_matrix(inner, cols, 2, rng)
+    assert not L.matmul(zeros, B, 2).any()
+    assert not L.matmul(B.T, zeros.T, 2).any()
+    assert np.array_equal(L.matmul(ones, B, 2), O.matmul(ones, B, 2))
+    assert np.array_equal(L.matmul(ones, ones.T, 2),
+                          np.full((rows, rows), inner % 2, dtype=np.uint8))
+    assert np.array_equal(L.matmul(ones[0], ones.T, 2), np.full(rows, inner % 2, dtype=np.uint8))
+
+
+def test_gf2_matmul_copies_no_operand_as_float32():
+    # L1/20's S·R_free^T: float32 copies of both operands took 1.80 MiB;
+    # packed operands, their tables and the result take 0.19 MiB
+    rng = _rng(70)
+    S = L.random_matrix(300, 824, 2, rng)
+    R_free = L.random_matrix(200, 824, 2, rng)
+    tracemalloc.start()
+    try:
+        got = L.matmul(S, R_free.T, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 0.5 * 2**20
+    assert np.array_equal(got, O.matmul(S, R_free.T, 2))
 
 
 @pytest.mark.parametrize("p", [2, 3])
