@@ -33,11 +33,12 @@ starts from its own generator, seeded with SEED, and records:
                    difference is the reduction
   elimination      the eliminations of key generation and loading, each
                    on the loaded keys' own matrix: `mat_reduce` of the
-                   receiver's parity check, `mat_rank` of its S and of
-                   the sender's r_s x r_s square, and `mat_reduce` of
-                   H_U, H_V and all of H_sk·P; per matrix the call, the
-                   field, the shape and the median ms of
-                   KEY_PARSE_REPEATS runs
+                   receiver's parity check, which keygen runs, and
+                   `mat_pivots` of it, the forward pass that loading
+                   runs, `mat_rank` of its S and of the sender's
+                   r_s x r_s square, and `mat_reduce` of H_U, H_V and
+                   all of H_sk·P; per matrix the call, the field, the
+                   shape and the median ms of KEY_PARSE_REPEATS runs
   code_tables_ms   the median ms of REPEATS runs of `goppa.GoppaCode` on
                    the loaded receiver key's m, t, g and support, which
                    builds the code's two tables, and of
@@ -100,7 +101,7 @@ starts from its own generator, seeded with SEED, and records:
                    `goppa.receiver_secret_key` builds the loaded
                    receiver secret key again from its fields: the
                    code's tables, the irreducibility check of g and the
-                   reduction of the parity check included; it builds
+                   forward pass of the parity check included; it builds
                    no S·G·P
   peak_rss_mib     the peak RSS of the process so far; the profiles run
                    in the order given, holding one profile's keys at a
@@ -113,7 +114,7 @@ phases are:
                      goppa.goppa_parity_check (parity check),
                      goppa.keygen_receiver self (mostly the untraced
                      mat_reduce of the parity check in the untraced
-                     goppa._receiver_key, once per drawn code; no
+                     goppa._key_pair, once per drawn code; no
                      generator matrix is built, and the column
                      scatters and packing of S·G·P, SLAB rows at a
                      time), linalg.mat_rank (its forward-pass
@@ -122,11 +123,12 @@ phases are:
                      packed rows, the mt pivot columns of S·G; its free
                      columns are S itself)
     receiver load    fields.poly_is_irreducible, the parity check and
-                     its mat_reduce (in serial.par_receiver_sec self,
-                     through the untraced goppa.receiver_secret_key)
-                     and the rank check of S; the secret key holds S
-                     and its information set, not S·G·P, so no product
-                     is made
+                     its forward pass, mat_pivots, for the information
+                     set (in serial.par_receiver_sec self, through the
+                     untraced goppa.receiver_secret_key; no Gauss-Jordan
+                     and no R_free), and linalg.mat_rank, the rank
+                     check of S; the secret key holds S and its
+                     information set, not S·G·P, so no product is made
     sender keygen    linalg.mat_rank (the forward-pass rank of the
                      r_s x r_s square of H_sk·P, its first r_s columns,
                      once per draw whose H_V has no zero column) and
@@ -458,9 +460,10 @@ def cli_sequence(name: str, profile) -> dict:
 
 def elimination(params, sk_r, sk) -> dict:
     """The `elimination` record of the module docstring."""
-    out = {}
+    out, parity_check = {}, goppa.goppa_parity_check(sk_r.code)
     for name, (call, p, M) in {
-        "receiver parity check": (linalg.mat_reduce, 2, goppa.goppa_parity_check(sk_r.code)),
+        "receiver parity check": (linalg.mat_reduce, 2, parity_check),
+        "receiver parity check, load": (linalg.mat_pivots, 2, parity_check),
         "S": (linalg.mat_rank, 2, linalg.unpack_rows(sk_r.S_rows, params.k_r)),
         "sender square": (linalg.mat_rank, 3,
                           uuvsign.hsk_p_columns(sk.H_U, sk.H_V, sk.P, params.r_s)),
@@ -571,9 +574,9 @@ def report(name: str, rec: dict) -> None:
     for half, bp in rec["batch_products"].items():
         print(f"batch product {half} {bp['shape']}: {bp['product_ms']:.3f} ms "
               f"(BLAS alone {bp['blas_ms']:.3f} ms)")
-    print(f"\n  {'elimination':22s} {'call':10s} {'p':>2s} {'shape':>12s} {'median ms':>10s}")
+    print(f"\n  {'elimination':28s} {'call':10s} {'p':>2s} {'shape':>12s} {'median ms':>10s}")
     for name, el in rec["elimination"].items():
-        print(f"  {name:22s} {el['call']:10s} {el['p']:2d} {'x'.join(map(str, el['shape'])):>12s} "
+        print(f"  {name:28s} {el['call']:10s} {el['p']:2d} {'x'.join(map(str, el['shape'])):>12s} "
               f"{el['median_ms']:10.2f}")
     tables = rec["code_tables_ms"]
     print(f"receiver code tables: GoppaCode {tables['GoppaCode']:.2f} ms, "

@@ -62,16 +62,25 @@ A receiver secret key is valid exactly when `receiver_secret_key`
 accepts its fields, g, the support, S and P: it builds the code, checks
 that g is irreducible and then applies `_receiver_key`'s rules, and key
 loading calls it on a file's fields.  Key generation draws a code, with
-an irreducible g, S and P until `_receiver_key` accepts them.  Both
-reduce the code's parity check once, with `linalg.mat_reduce`: the code
-has dimension k_r exactly when that RREF has k_r free columns.  The code's
-generator G is the identity on those free columns and R_free transposed
-on the pivot columns, which is how `generator_matrix` reads it off the
-RREF.  Key generation builds the public generator S·G·P from the same
-RREF without forming G, and the public key holds it as
-`linalg.pack_rows` bytes.  The secret key holds no copy of it: S·G·P
-is S on the information set P.perm[free], which is all that the
+an irreducible g, S and P until `_receiver_key` accepts them.  The code
+has dimension k_r exactly when the RREF of its parity check has k_r
+free columns.  The code's generator G is the identity on those free
+columns and R_free transposed on the pivot columns, which is how
+`generator_matrix` reads it off the RREF.  Key generation reduces the
+parity check once, with `linalg.mat_reduce`, and builds the public
+generator S·G·P from that RREF without forming G; the public key holds
+it as `linalg.pack_rows` bytes.  The secret key holds no copy of it:
+S·G·P is S on the information set P.perm[free], which is all that the
 re-encryption check of `mceliece.pke_decrypt` reads.
+
+Key loading needs only those free columns, so it runs only the forward
+pass of the parity check, `linalg.mat_pivots`, whose pivots are the
+RREF's: no Gauss-Jordan, and no R_free to unpack and drop.  On one core
+of a shared 2-vCPU VM (median [quartiles] of interleaved runs) that
+took L1/20's 200 x 1024 parity check from 2.49 [2.40, 3.73] to 1.67
+[1.62, 2.44] ms and `paper-l1`'s 768 x 3488 from 30.2 [29.4, 31.5] to
+18.9 [18.5, 19.4] ms; `tracemalloc` saw the load's peak fall from 1.21
+to 1.10 MiB at L1/20 and from 14.66 to 13.06 MiB at `paper-l1`.
 """
 
 from __future__ import annotations
@@ -86,6 +95,7 @@ from . import fields as F
 from .linalg import (
     SLAB,
     Monomial,
+    mat_pivots,
     mat_rank,
     mat_reduce,
     matmul,
@@ -375,18 +385,19 @@ def keygen_receiver(params: CommonParams, rng):
 
 
 def _key_pair(code: GoppaCode, S: np.ndarray, P: Monomial):
-    """The secret key of (code, S, P) and its public key S·G·P, from the
-    one reduction of `_receiver_key`, which raises ValueError unless the
-    key is valid.  G, the `generator_matrix` of the code, is never built:
-    it is the identity on the free columns and R_free transposed on the
-    pivot columns, so S·G is S on the free columns and S·R_free^T, the
-    one product, on the mt pivot columns, and P moves column j to column
-    P.perm[j].  The product runs on packed rows (`linalg.matmul`), and
+    """The secret key of (code, S, P) and its public key S·G·P, from one
+    reduction of the code's parity check; `_receiver_key` raises
+    ValueError unless the key is valid.  G, the `generator_matrix` of
+    the code, is never built: it is the identity on the free columns and
+    R_free transposed on the pivot columns, so S·G is S on the free
+    columns and S·R_free^T, the one product, on the mt pivot columns,
+    and P moves column j to column P.perm[j].  The product runs on packed rows (`linalg.matmul`), and
     S·G·P is assembled and packed SLAB rows at a time, so no unpacked
     k-tilde x n_r copy of it is held: on `paper-l1`'s first key at seed
     0, `tracemalloc` saw this peak at 8.0 MiB, in the reduction, where
     the float32 product and a whole S·G·P took it to 21.1 MiB."""
-    sk, (pivots, _, R_free) = _receiver_key(code, S, P)
+    pivots, free, R_free = mat_reduce(goppa_parity_check(code), 2)
+    sk = _receiver_key(code, S, P, free)
     SR = matmul(S, R_free.T, 2)
     G_rows = np.empty((len(S), (code.n + 7) // 8), dtype=np.uint8)
     slab = np.empty((min(len(S), SLAB), code.n), dtype=np.uint8)
@@ -398,19 +409,18 @@ def _key_pair(code: GoppaCode, S: np.ndarray, P: Monomial):
     return sk, ReceiverPublicKey(G_rows, code.n)
 
 
-def _receiver_key(code: GoppaCode, S: np.ndarray, P: Monomial):
-    """The secret key of (code, S, P) and the RREF (pivots, free, R_free)
-    of the code's parity check, reduced here once.  It raises ValueError
-    unless the code has dimension S.shape[1], that is unless the RREF has
-    one free column per column of S, and unless S has full row rank.  g
-    is taken to be irreducible: keygen draws it so, and
-    `receiver_secret_key` checks a loaded one."""
-    rref = mat_reduce(goppa_parity_check(code), 2)
-    if len(rref[1]) != S.shape[1]:
-        raise ValueError(f"code has dimension {len(rref[1])}, S has {S.shape[1]} columns")
+def _receiver_key(code: GoppaCode, S: np.ndarray, P: Monomial, free: np.ndarray):
+    """The secret key of (code, S, P), given the free columns of the RREF
+    of the code's parity check.  It raises ValueError unless the code has
+    dimension S.shape[1], that is unless there is one free column per
+    column of S, and unless S has full row rank.  g is taken to be
+    irreducible: keygen draws it so, and `receiver_secret_key` checks a
+    loaded one."""
+    if len(free) != S.shape[1]:
+        raise ValueError(f"code has dimension {len(free)}, S has {S.shape[1]} columns")
     if mat_rank(S, 2) != len(S):
         raise ValueError("S does not have full row rank")
-    return ReceiverSecretKey(code, pack_rows(S), P, P.perm[rref[1]]), rref
+    return ReceiverSecretKey(code, pack_rows(S), P, P.perm[free])
 
 
 def receiver_secret_key(m: int, t: int, g: list[int], support: list[int],
@@ -420,7 +430,8 @@ def receiver_secret_key(m: int, t: int, g: list[int], support: list[int],
     exactly when this accepts it: it raises ValueError when `GoppaCode`
     rejects g or the support, when g is not irreducible, and when
     `_receiver_key` rejects the code's dimension or S.  Nothing public
-    is built."""
+    is built, so the parity check's forward pass, `mat_pivots`, is all
+    the elimination it needs: its pivots are those of the RREF."""
     code = GoppaCode(m, t, g, support)
     # bm_decode reads the code as Gamma(L, g^2), which is Gamma(L, g) for
     # an irreducible g, and so does the re-encryption check, which takes
@@ -428,7 +439,8 @@ def receiver_secret_key(m: int, t: int, g: list[int], support: list[int],
     # L <= t needs an irreducible g too
     if not F.poly_is_irreducible(code.g, m):
         raise ValueError("g is not irreducible over GF(2^m)")
-    return _receiver_key(code, S, P)[0]
+    pivots = mat_pivots(goppa_parity_check(code), 2)
+    return _receiver_key(code, S, P, np.delete(np.arange(code.n), pivots))
 
 
 def decode_permuted(sk: ReceiverSecretKey, word: np.ndarray):

@@ -41,11 +41,12 @@ rows under Gauss-Jordan (`mat_reduce`), and, unless the block is the
 last, the rows that hold no pivot yet, which the pivot search of the
 next blocks reads; after the last block they are dropped.  A block with
 no such row builds no table: the last block of the forward pass
-(`mat_rank`), a Gauss-Jordan whose last block follows no earlier pivot,
-and so every matrix that is one block.  The pivot search reads only the
-rows without a pivot, which both passes sweep alike, so `mat_rank` finds
-the pivots of `mat_reduce`; it unpacks nothing and stops once every row
-holds a pivot.
+(`mat_pivots`), a Gauss-Jordan whose last block follows no earlier
+pivot, and so every matrix that is one block.  The pivot search reads
+only the rows without a pivot, which both passes sweep alike, so
+`mat_pivots` finds the pivots of `mat_reduce`, and `mat_rank` is their
+count; the forward pass unpacks nothing and stops once every row holds
+a pivot.
 
 Below 32 rows the whole matrix is one block.  One pivot column per step
 -> one block, measured when the threshold was set, on one core of a
@@ -69,7 +70,8 @@ columns of each unpacked slab, so it never holds a whole bit-plane:
 on a `paper-l1` H_sk·P (2887 x 8492, 23.4 MiB) `tracemalloc` saw it
 peak at 32.3 MiB, of which 15.4 MiB is the R_free it returns.
 
-A GF(2) product of a vector by a fixed matrix runs on that matrix's
+Every GF(2) product runs on packed rows.  One of a vector by a fixed
+matrix runs on that matrix's
 rows packed to bytes, `pack_rows`, in the bit order of every packing
 here and the only form in which a receiver key holds it: PKE encryption
 multiplies by the public generator S·G·P, and the re-encryption check
@@ -103,31 +105,33 @@ L1/20's 300 x 824 by 824 x 200, 2.34 [1.99, 2.46] ms and 1.80 MiB
 became 1.76 [1.42, 1.87] ms and 0.19 MiB; toy's 16 x 22 by 22 x 10
 costs the table set-up, 0.013 -> 0.074 ms.
 
-GF(3) products, and the GF(2) products of `vecmat` and
-`AffineSolver`, run as float32 BLAS, C = A @ B, then one exact
-reduction by floor: q = floor(C / p), C - p*q.  Every partial sum is an
-integer of at most inner * (p - 1)**2, and float32 holds every integer
-below 2**24 exactly, so C is exact, in any summation order, while that
-bound is below 2**24; larger inner dimensions are refused.  The largest
-such product of any profile, `verify_syndrome`'s at `paper-l1`, has
-partial sums of at most 5605 * 4.  The floor is exact too: C / p is
-below 2**23, where float32 rounds by at most 1/4, a non-multiple of p
-lies at least 1/3 from every integer, and a multiple divides exactly;
-p*q and C - p*q are integers below 2**24.  A test checks every C below 2**24 at p = 2 and 3.  On one
+GF(3) products, those of `matmul(..., 3)`, `vecmat` and
+`AffineSolver`, which signing and verification make, run as float32
+BLAS, C = A @ B, then one exact reduction by floor: q = floor(C / 3),
+C - 3q.  Every partial sum is an integer of at most inner * 4, and
+float32 holds every integer below 2**24 exactly, so C is exact, in any
+summation order, while that bound is below 2**24; larger inner
+dimensions are refused.  The largest such product of any profile,
+`verify_syndrome`'s at `paper-l1`, has partial sums of at most
+5605 * 4.  The floor is exact too: C / 3 is below 2**23, where float32
+rounds by at most 1/4, a non-multiple of 3 lies at least 1/3 from every
+integer, and a multiple divides exactly; 3q and C - 3q are integers
+below 2**24.  A test checks every C below 2**24 at p = 3.  On one
 BLAS thread of a shared 2-vCPU VM the reduction of the 32 x 110 L1/20
 V-batch product takes 7.5 us, where `% 3` took 72 us and the product
 itself 11 us; on the 32 x 2199 `paper-l1` V batch 64 us against 1.75 ms,
 next to a 4.7 ms product.  Against float64, float32 halves the memory a
 product reads: `R_free @ v` on the `paper-l1` V solver's 2199 x 2047
 `R_free` took 0.83-0.90 ms, not 1.8-2.1 ms.  A uint8 right operand is
-converted SLAB columns at a time, and a uint8 left operand SLAB rows at
-a time, so no product holds a float32 copy of a whole key:
-`verify_syndrome` at `paper-l1` allocated 62 MiB for its 2887 x 5605 A
-and now 11 MiB, and its product fell from 27 to 8 ms.  A float32
-operand, such as a solver's R_free, is used whole.
+converted SLAB columns at a time, so no product holds a float32 copy of
+a whole key: `verify_syndrome` at `paper-l1` allocated 62 MiB for its
+2887 x 5605 A and now 11 MiB, and its product fell from 27 to 8 ms.
+The left operands are small, a vector in `verify_syndrome` and
+`uuvsign.BATCH` rows in `AffineSolver.solve`, and are converted whole,
+as is a float32 operand, such as a solver's R_free.
 
 Sums of two reduced uint8 values are reduced by `_mod_small`, the
-minimum of x and the wrapped x - p: 4 us on 32 x 212, where `% 3` took
+minimum of x and the wrapped x - 3: 4 us on 32 x 212, where `% 3` took
 19 us.
 """
 
@@ -140,9 +144,8 @@ import numpy as np
 _EXACT = 2 ** 24
 
 
-# the rows of a matrix that packing or unpacking, or a float32 product's
-# uint8 left operand, holds at a time, and the columns of its uint8
-# right operand
+# the rows of a matrix that packing or unpacking holds at a time, and the
+# columns of a float32 product's uint8 right operand
 SLAB = 512
 
 
@@ -300,39 +303,42 @@ def _reduce_blocks(X: list[int], Y: list[int] | None, cols: int, k: int, full: b
     return order, pivots
 
 
+def mat_pivots(M: np.ndarray, p: int) -> list[int]:
+    """The pivot columns of M's RREF modulo p, in increasing order, by the
+    forward pass of the elimination (see the module docstring): each
+    block's table sweeps only the rows that hold no pivot yet, and the
+    last block's none, so the pivots are those of `mat_reduce`."""
+    return _eliminate(M, p, False)[3]
+
+
 def mat_rank(M: np.ndarray, p: int) -> int:
-    """The rank of M modulo p, by the forward pass of the elimination (see
-    the module docstring): each block's table sweeps only the rows that
-    hold no pivot yet, and the last block's none, so the pivots are
-    those of `mat_reduce`."""
-    return len(_eliminate(M, p, False)[3])
+    """The rank of M modulo p: the count of `mat_pivots`."""
+    return len(mat_pivots(M, p))
 
 
 class AffineSolver:
-    """The coset {x : H @ x = H @ w} of any word w, one x per choice of
-    x[free].  H alone is reduced to its RREF R, and for any H, R @ x =
-    R @ w exactly when H @ x = H @ w; as R is the identity on the pivot
-    columns, x[pivots] = w[pivots] + R_free @ (w[free] - x[free]) with
-    the R_free of `mat_reduce`, kept in float32 for the product.  A batch
-    of free values, one row each, is solved in one product."""
+    """The coset {x : H @ x = H @ w} over GF(3) of any word w, one x per
+    choice of x[free].  H alone is reduced to its RREF R, and for any H,
+    R @ x = R @ w exactly when H @ x = H @ w; as R is the identity on the
+    pivot columns, x[pivots] = w[pivots] + R_free @ (w[free] - x[free])
+    with the R_free of `mat_reduce`, kept in float32 for the product.  A
+    batch of free values, one row each, is solved in one product."""
 
-    def __init__(self, H: np.ndarray, p: int):
-        self.p = p
-        pivots, self.free, R_free = mat_reduce(H, p)
+    def __init__(self, H: np.ndarray):
+        pivots, self.free, R_free = mat_reduce(H, 3)
         self.pivots = np.array(pivots, dtype=np.intp)
         self.R_free = R_free.astype(np.float32)
 
     def solve(self, w: np.ndarray, free_values: np.ndarray) -> np.ndarray:
         """The x with H @ x = H @ w and x[free] = free_values; for free
         values of shape (B, f), the B such x as rows.  w may be any
-        uint8 word; the free values must already be in 0..p-1."""
-        p = self.p
-        w = np.asarray(w, dtype=np.uint8) % p
+        uint8 word; the free values must already be in 0..2."""
+        w = np.asarray(w, dtype=np.uint8) % 3
         fv = np.asarray(free_values, dtype=np.uint8)
         x = np.empty(fv.shape[:-1] + w.shape, dtype=np.uint8)
         x[..., self.free] = fv
-        shift = _product(_mod_small(w[self.free] + p - fv, p), self.R_free.T, p)
-        x[..., self.pivots] = _mod_small(shift + w[self.pivots], p)
+        shift = _product(_mod_small(w[self.free] + 3 - fv), self.R_free.T)
+        x[..., self.pivots] = _mod_small(shift + w[self.pivots])
         return x
 
 
@@ -360,39 +366,38 @@ def invert_matrix(M: np.ndarray, p: int) -> np.ndarray:
     return inverse
 
 
-def _floor_mod(C: np.ndarray, p: int) -> np.ndarray:
-    """C mod p in place, for a float32 C of integers in [0, 2**24) (see
+def _floor_mod(C: np.ndarray) -> np.ndarray:
+    """C mod 3 in place, for a float32 C of integers in [0, 2**24) (see
     the module docstring)."""
-    q = C / p
+    q = C / 3
     np.floor(q, out=q)
-    q *= p
+    q *= 3
     C -= q
     return C
 
 
-def _mod_small(x: np.ndarray, p: int) -> np.ndarray:
-    """x mod p in place, for a uint8 array x whose entries are below 2p:
-    where x < p, x - p wraps to at least 256 - p > x, so the minimum of
-    the two is x mod p.  Two ufuncs, where `%` on uint8 is a division
-    per entry."""
-    return np.minimum(x, x - np.uint8(p), out=x)
+def _mod_small(x: np.ndarray) -> np.ndarray:
+    """x mod 3 in place, for a uint8 array x whose entries are below 6:
+    where x < 3, x - 3 wraps to at least 253 > x, so the minimum of the
+    two is x mod 3.  Two ufuncs, where `%` on uint8 is a division per
+    entry."""
+    return np.minimum(x, x - np.uint8(3), out=x)
 
 
 # vecmat and AffineSolver.solve call _product, not matmul, so that a
 # timer wrapped around matmul sees only the key-sized products
-def _product(A: np.ndarray, B: np.ndarray, p: int) -> np.ndarray:
+def _product(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """A @ B mod 3, as an exact float32 BLAS product (see the module
+    docstring)."""
     inner = A.shape[-1]
-    if inner * (p - 1) ** 2 >= _EXACT:
+    if inner * 4 >= _EXACT:
         raise ValueError(f"inner dimension {inner} is too large for an exact "
-                         f"float32 product modulo {p}")
-    if A.dtype != np.float32 and A.ndim == 2 and A.shape[0] > SLAB:
-        return np.concatenate([_product(A[r:r + SLAB], B, p)
-                               for r in range(0, A.shape[0], SLAB)])
+                         "float32 product modulo 3")
     A = A.astype(np.float32, copy=False)
     if B.dtype != np.float32 and B.ndim == 2 and B.shape[1] > SLAB:
-        return np.concatenate([_product(A, B[:, c:c + SLAB], p)
+        return np.concatenate([_product(A, B[:, c:c + SLAB])
                                for c in range(0, B.shape[1], SLAB)], axis=-1)
-    return _floor_mod(A @ B.astype(np.float32, copy=False), p).astype(np.uint8)
+    return _floor_mod(A @ B.astype(np.float32, copy=False)).astype(np.uint8)
 
 
 # the byte columns of a GF(2) product's left operand whose tables are
@@ -434,16 +439,16 @@ def matmul(A: np.ndarray, B: np.ndarray, p: int) -> np.ndarray:
     product on packed rows by byte tables; over GF(3) an exact float32
     BLAS product, which raises ValueError when A.shape[-1] * 4 reaches
     2**24 (see the module docstring)."""
-    if p != 2:
-        return _product(A, B, p)
+    if p == 3:
+        return _product(A, B)
     B2 = B if B.ndim == 2 else B[:, None]
     C = unpack_rows(_xor_product(np.atleast_2d(A), B2), B2.shape[1])
     return C.reshape(A.shape[:-1] + B.shape[1:])
 
 
-def vecmat(v: np.ndarray, M: np.ndarray, p: int) -> np.ndarray:
-    """v @ M mod p, as an exact float32 BLAS product."""
-    return _product(v, M, p)
+def vecmat(v: np.ndarray, M: np.ndarray) -> np.ndarray:
+    """v @ M mod 3, as an exact float32 BLAS product."""
+    return _product(v, M)
 
 
 def pack_rows(M: np.ndarray) -> np.ndarray:
@@ -514,14 +519,14 @@ def mono_apply(v: np.ndarray, M: Monomial, p: int) -> np.ndarray:
     reduced uint8 vector or each row of a matrix: one gather by `inv`,
     then the scalars, which are all 1 over GF(2)."""
     out = v.take(M.inv, axis=-1)
-    return out if p == 2 else _mod_small(np.multiply(out, M.inv_scalars, out=out), p)
+    return out if p == 2 else _mod_small(np.multiply(out, M.inv_scalars, out=out))
 
 
 def mono_apply_inv(v: np.ndarray, M: Monomial, p: int) -> np.ndarray:
     """v @ M^-1: output[..., i] = v[..., perm[i]] / scalars[i] (scalars
     are self-inverse)."""
     out = v.take(M.perm, axis=-1)
-    return out if p == 2 else _mod_small(np.multiply(out, M.scalars, out=out), p)
+    return out if p == 2 else _mod_small(np.multiply(out, M.scalars, out=out))
 
 
 # ---------------------------------------------------------------------------

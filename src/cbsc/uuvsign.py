@@ -63,7 +63,7 @@ class SenderSecretKey:
     @cached_property
     def solvers(self) -> tuple[AffineSolver, AffineSolver]:
         """The solvers of H_U and H_V, built at the first signature."""
-        return AffineSolver(self.H_U, 3), AffineSolver(self.H_V, 3)
+        return AffineSolver(self.H_U), AffineSolver(self.H_V)
 
 
 @dataclass
@@ -88,7 +88,7 @@ def hsk_p_columns(H_U: np.ndarray, H_V: np.ndarray, P: Monomial, count: int) -> 
                            (out[r_U:], H_V, scalars * (left + 1) % 3)):
         H.take(index, axis=1, out=block, mode="clip")
         block *= mult
-    return _mod_small(out, 3)
+    return _mod_small(out)
 
 
 _SINGULAR = "the first r_s columns of H_sk P are singular"
@@ -167,11 +167,11 @@ def _attempts(sk: SenderSecretKey, w: np.ndarray, p_two: np.ndarray, rng) -> np.
     `_free_values` batch."""
     half = len(w) // 2
     solver_U, solver_V = sk.solvers
-    w_U, w_V = w[:half], _mod_small(w[half:] + 3 - w[:half], 3)
+    w_U, w_V = w[:half], _mod_small(w[half:] + 3 - w[:half])
     zeros_V = np.zeros((len(p_two), len(solver_V.free)), dtype=np.uint8)
     e_V = solver_V.solve(w_V, _free_values(zeros_V, p_two, rng))
     e1 = solver_U.solve(w_U, _free_values(e_V[:, solver_U.free], p_two, rng))
-    return np.concatenate([e1, _mod_small(e1 + e_V, 3)], axis=1)
+    return np.concatenate([e1, _mod_small(e1 + e_V)], axis=1)
 
 
 def uuv_decode(sk: SenderSecretKey, w: np.ndarray, omega: int, rng) -> np.ndarray:
@@ -202,4 +202,4 @@ def verify_syndrome(pk: SenderPublicKey, e: np.ndarray, y: np.ndarray,
     r = len(pk.A)
     # vecmat beats summing the columns of A that e selects, and a float32 A is 4x its size
     return (len(e) == r + pk.A.shape[1] and int(np.count_nonzero(e)) == omega
-            and bool(np.array_equal((e[:r] + vecmat(e[r:], pk.A.T, 3)) % 3, y)))
+            and bool(np.array_equal((e[:r] + vecmat(e[r:], pk.A.T)) % 3, y)))

@@ -26,7 +26,7 @@ from cbsc.goppa import (
     random_goppa_code,
 )
 from cbsc.hybrid import signcrypt, unsigncrypt
-from cbsc.linalg import AffineSolver, ints_to_rows, mono_apply_inv, vecmat
+from cbsc.linalg import AffineSolver, ints_to_rows, matmul, mono_apply_inv, vecmat
 from cbsc.mceliece import PkeCiphertext, pke_encrypt
 from cbsc.params import PAPER_L1, TOY
 from cbsc.sctkem import Encapsulation, keygen_receiver_params, keygen_sender_params
@@ -110,7 +110,7 @@ def test_criterion_3_patterson_exhaustive():
     failures = 0
     for _ in range(20):
         msg = rng.integers(0, 2, size=G.shape[0], dtype=np.uint8)
-        cw = vecmat(msg, G, 2)
+        cw = matmul(msg, G, 2)
         for pat in patterns:
             err = np.zeros(32, dtype=np.uint8)
             err[list(pat)] = 1
@@ -132,7 +132,7 @@ def test_criterion_4_subcode_invariant():
         H = goppa_parity_check(sk.code)
         for row in pk.G:
             inner = mono_apply_inv(row, sk.P, 2)
-            assert not np.any(vecmat(inner, H.T, 2)), f"key {i} breaks invariant"
+            assert not np.any(matmul(inner, H.T, 2)), f"key {i} breaks invariant"
     _report(4, True, "50/50 keys: every public row lies in the permuted code")
 
 
@@ -219,7 +219,7 @@ def test_criterion_8_signature_soundness(toy_keys):
     # coset of [target | 0] under the public [I | A], not steered toward
     # omega
     H_pk = np.concatenate([np.eye(TOY.r_s, dtype=np.uint8), pk_s.A], axis=1)
-    solver = AffineSolver(H_pk, 3)
+    solver = AffineSolver(H_pk)
     zeros = np.zeros(TOY.n_s - TOY.r_s, dtype=np.uint8)
     weight_wrong = 0
     for i in range(50):
@@ -231,7 +231,7 @@ def test_criterion_8_signature_soundness(toy_keys):
             e = solver.solve(np.concatenate([target, zeros]), fv)
             if int(np.count_nonzero(e)) != TOY.omega:
                 break
-        assert np.array_equal(vecmat(e, H_pk.T, 3), target)
+        assert np.array_equal(vecmat(e, H_pk.T), target)
         weight_wrong += not verify(pk_s, msg, Signature(e=e, salt=salt), TOY.omega)
     assert weight_wrong == 50
 

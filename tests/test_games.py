@@ -170,7 +170,7 @@ def test_passive_outsider_reads_a_toy_message(users):
         pivots, free, R_free = linalg.mat_reduce(G[:, perm], 2)
         # c0 minus the codeword that agrees with c0 on the information set
         error = c0[perm]
-        error[free] ^= linalg.vecmat(error[pivots], R_free, 2)
+        error[free] ^= linalg.matmul(error[pivots], R_free, 2)
         error[pivots] = 0
         if np.count_nonzero(error) == params.t:
             break

@@ -32,7 +32,6 @@ from cbsc.linalg import (
     random_matrix,
     random_monomial,
     unpack_rows,
-    vecmat,
 )
 from cbsc.params import TOY, ParameterError, custom_params
 
@@ -115,7 +114,7 @@ def test_patterson_corrects_random_errors(m, n, t):
     G = generator_matrix(code)
     for _ in range(30):
         msg = rng.integers(0, 2, size=G.shape[0], dtype=np.uint8)
-        cw = vecmat(msg, G, 2)
+        cw = matmul(msg, G, 2)
         w = int(rng.integers(0, t + 1))
         err = np.zeros(n, dtype=np.uint8)
         err[rng.choice(n, size=w, replace=False)] = 1
@@ -138,7 +137,7 @@ def test_patterson_never_lies_beyond_radius():
     G = generator_matrix(code)
     for _ in range(50):
         msg = rng.integers(0, 2, size=G.shape[0], dtype=np.uint8)
-        cw = vecmat(msg, G, 2)
+        cw = matmul(msg, G, 2)
         err = np.zeros(32, dtype=np.uint8)
         err[rng.choice(32, size=code.t + 1, replace=False)] = 1
         got_err = patterson_decode(code, cw ^ err)
@@ -152,7 +151,7 @@ def test_patterson_exhaustive_weight_le_t():
     G = generator_matrix(code)
     rng = np.random.default_rng(77)
     msg = rng.integers(0, 2, size=G.shape[0], dtype=np.uint8)
-    cw = vecmat(msg, G, 2)
+    cw = matmul(msg, G, 2)
     patterns = [()] + [(i,) for i in range(32)] \
         + list(itertools.combinations(range(32), 2))
     for pat in patterns:
@@ -219,7 +218,7 @@ def _word(rng, G, n, w):
         return rng.integers(0, 2, size=n, dtype=np.uint8), None
     err = np.zeros(n, dtype=np.uint8)
     err[rng.choice(n, size=w, replace=False)] = 1
-    return vecmat(rng.integers(0, 2, size=G.shape[0], dtype=np.uint8), G, 2) ^ err, err
+    return matmul(rng.integers(0, 2, size=G.shape[0], dtype=np.uint8), G, 2) ^ err, err
 
 
 # The oracle decoder takes about 0.2 s a word at L1/20 and far longer at
@@ -260,7 +259,7 @@ def test_bm_decode_with_an_error_at_zero():
         err = np.zeros(code.n, dtype=np.uint8)
         err[zero] = 1
         err[rng.choice(others, size=w - 1, replace=False)] = 1
-        word = vecmat(rng.integers(0, 2, size=G.shape[0], dtype=np.uint8), G, 2) ^ err
+        word = matmul(rng.integers(0, 2, size=G.shape[0], dtype=np.uint8), G, 2) ^ err
         got = _bm_agrees(code, word, oracle=w in (20, 21))
         if w <= code.t:
             assert np.array_equal(got, err), f"weight {w}"
@@ -342,7 +341,7 @@ def test_public_rows_in_permuted_code(receiver_keys):
     H = goppa_parity_check(sk.code)
     for row in pk.G:
         inner = mono_apply_inv(row, sk.P, 2)
-        assert not np.any(vecmat(inner, H.T, 2))
+        assert not np.any(matmul(inner, H.T, 2))
 
 
 def test_decode_permuted_roundtrip(receiver_keys, toy_params):
@@ -351,7 +350,7 @@ def test_decode_permuted_roundtrip(receiver_keys, toy_params):
     rng = np.random.default_rng(123)
     for _ in range(20):
         r = rng.integers(0, 2, size=p.k_tilde, dtype=np.uint8)
-        cw = vecmat(r, pk.G, 2)
+        cw = matmul(r, pk.G, 2)
         err = np.zeros(p.n_r, dtype=np.uint8)
         err[rng.choice(p.n_r, size=p.t, replace=False)] = 1
         got_err = decode_permuted(sk, cw ^ err)
@@ -419,26 +418,47 @@ def test_public_generator_with_a_unit_pivot_column(monkeypatch):
 @pytest.mark.parametrize("seed", [0, 5])
 def test_receiver_keys_reduce_the_parity_check_once(monkeypatch, seed):
     # keygen reduces the mt x n_r parity check once per draw and builds
-    # S·G·P from that RREF, and loading reduces it once and builds
-    # nothing public: one elimination each (the first draw is accepted
-    # at these seeds), and no generator
+    # S·G·P from that RREF, and loading runs only its forward pass and
+    # builds nothing public: one Gauss-Jordan at keygen (the first draw
+    # is accepted at these seeds), one forward pass at load, and no
+    # generator
     blob = serial.ser_receiver_sec(TOY, keygen_receiver(TOY, np.random.default_rng(seed))[0])
-    reduce, calls = linalg.mat_reduce, []
+    calls = []
 
-    def counting_reduce(M, p):
-        calls.append(M.shape)
-        return reduce(M, p)
+    def counting(name, fn):
+        def call(M, p):
+            calls.append((name, M.shape))
+            return fn(M, p)
+        return call
 
     def forbidden(*args):
         raise AssertionError("a generator matrix was built")
 
+    reduce = counting("mat_reduce", linalg.mat_reduce)
     for mod in (linalg, goppa):  # the modules that look mat_reduce up
-        monkeypatch.setattr(mod, "mat_reduce", counting_reduce)
+        monkeypatch.setattr(mod, "mat_reduce", reduce)
+    # goppa's alone: linalg's mat_rank calls mat_pivots too
+    monkeypatch.setattr(goppa, "mat_pivots", counting("mat_pivots", linalg.mat_pivots))
     for mod in (linalg, goppa, serial):
         monkeypatch.setattr(mod, "generator_matrix", forbidden, raising=False)
     keygen_receiver(TOY, np.random.default_rng(seed))
     serial.par_receiver_sec(blob)
-    assert calls == [(TOY.m * TOY.t, TOY.n_r)] * 2, calls
+    shape = (TOY.m * TOY.t, TOY.n_r)
+    assert calls == [("mat_reduce", shape), ("mat_pivots", shape)], calls
+
+
+@pytest.mark.parametrize("params", [TOY, L1_20], ids=["toy", "l1-20"])
+def test_loading_finds_the_information_set_of_keygen(params):
+    # keygen takes the free columns of the parity check from its RREF,
+    # loading from the forward pass alone: 50 keys give the same info
+    # both ways
+    rng = np.random.default_rng(54)
+    for _ in range(50):
+        sk, _ = keygen_receiver(params, rng)
+        code = sk.code
+        loaded = receiver_secret_key(code.m, code.t, code.g, code.support,
+                                     unpack_rows(sk.S_rows, params.k_r), sk.P)
+        assert np.array_equal(loaded.info, sk.info)
 
 
 def test_receiver_secret_key_is_the_rule_of_a_loaded_key():
@@ -512,7 +532,7 @@ def test_keygen_redraws_the_code_after_a_singular_s():
         word_rng = np.random.default_rng(r)
         err = np.zeros(TOY.n_r, dtype=np.uint8)
         err[word_rng.choice(TOY.n_r, size=TOY.t, replace=False)] = 1
-        word = vecmat(word_rng.integers(0, 2, size=TOY.k_tilde, dtype=np.uint8), pk.G, 2) ^ err
+        word = matmul(word_rng.integers(0, 2, size=TOY.k_tilde, dtype=np.uint8), pk.G, 2) ^ err
         for key in (sk, loaded):
             assert np.array_equal(decode_permuted(key, word), err)
 

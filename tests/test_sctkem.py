@@ -12,7 +12,6 @@ import pytest
 from cbsc import hashes
 from cbsc.hashes import H1, hash_bits, hash_trits
 from cbsc.hybrid import signcrypt, unsigncrypt
-from cbsc.linalg import vecmat
 from cbsc.mceliece import PkeCiphertext, pke_encrypt
 from cbsc.sctkem import Encapsulation, _bound, decap, encap, sym
 from cbsc.uuvsign import sign_syndrome

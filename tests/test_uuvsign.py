@@ -46,10 +46,10 @@ def test_parity_check_block_structure():
         # sample u in ker H_U and v in ker H_V by brute randomization
         ku = O.kernel_basis(H_U, 3)
         kv = O.kernel_basis(H_V, 3)
-        u = vecmat(rng.integers(0, 3, size=ku.shape[0], dtype=np.uint8), ku, 3)
-        v = vecmat(rng.integers(0, 3, size=kv.shape[0], dtype=np.uint8), kv, 3)
+        u = vecmat(rng.integers(0, 3, size=ku.shape[0], dtype=np.uint8), ku)
+        v = vecmat(rng.integers(0, 3, size=kv.shape[0], dtype=np.uint8), kv)
         word = np.concatenate([u, (u + v) % 3])
-        assert not np.any(vecmat(word, H.T, 3))
+        assert not np.any(vecmat(word, H.T))
 
 
 def test_keygen_relations(sender_keys, toy_params):
@@ -403,7 +403,7 @@ def test_uuv_decode_meets_syndrome_and_weight(sender_keys, toy_params):
         w = rng.integers(0, 3, size=p.n_s, dtype=np.uint8)
         e = uuv_decode(sk, w, p.omega, rng)
         assert int(np.count_nonzero(e)) == p.omega
-        assert np.array_equal(vecmat(e, H_sk.T, 3), vecmat(w, H_sk.T, 3))
+        assert np.array_equal(vecmat(e, H_sk.T), vecmat(w, H_sk.T))
 
 
 def test_uuv_decode_extreme_weights(sender_keys, toy_params):
@@ -515,7 +515,7 @@ def test_sign_syndrome_verify_syndrome(sender_keys, toy_params):
     y = rng.integers(0, 3, size=p.r_s, dtype=np.uint8)
     e = sign_syndrome(sk, y, p.omega, rng)
     I_A = np.concatenate([np.eye(p.r_s, dtype=np.uint8), pk.A], axis=1)
-    assert np.array_equal(vecmat(e, I_A.T, 3), y)
+    assert np.array_equal(vecmat(e, I_A.T), y)
     assert verify_syndrome(pk, e, y, p.omega)
     assert not verify_syndrome(pk, e, (y + 1) % 3, p.omega)
     assert not verify_syndrome(pk, e, y, p.omega - 1)
