@@ -27,8 +27,9 @@ starts from its own generator, seeded with SEED, and records:
                    calls, inclusive time and self time (inclusive minus
                    traced callees)
   batch_products   one signing batch's two solver products, V then U:
-                   `linalg.matmul` of BATCH rows of free-value
-                   differences by the solver's R_free, and the bare
+                   `linalg.vecmat` of BATCH rows of free-value
+                   differences by the solver's R_free, the product
+                   that `AffineSolver.solve` makes, and the bare
                    float32 BLAS product of the same operands, so the
                    difference is the reduction
   elimination      the eliminations of key generation and loading, each
@@ -372,14 +373,14 @@ def decoder(params, sk, pk) -> dict:
     for error in errors:
         error[rng.choice(params.n_r, size=params.t, replace=False)] = 1
     msgs = rng.integers(0, 2, size=(DECODES, params.k_tilde), dtype=np.uint8)
-    words = linalg.matmul(msgs, pk.G, 2) ^ errors
+    words = linalg.matmul(msgs, pk.G) ^ errors
     ms = defaultdict(list)
     for word, error in zip(words, errors):
-        inner = linalg.mono_apply_inv(word, sk.P, 2)
+        inner = word[sk.P.perm]
         for name, decode, want in (
                 ("decode_permuted", lambda: goppa.decode_permuted(sk, word), error),
                 ("patterson_decode", lambda: goppa.patterson_decode(sk.code, inner),
-                 linalg.mono_apply_inv(error, sk.P, 2))):
+                 error[sk.P.perm])):
             t0 = perf_counter()
             got = decode()
             ms[name].append(1e3 * (perf_counter() - t0))
@@ -388,9 +389,9 @@ def decoder(params, sk, pk) -> dict:
     nones = dict.fromkeys(ms, 0)
     for word in rng.integers(0, 2, size=(DECODES, params.n_r), dtype=np.uint8):
         got = goppa.decode_permuted(sk, word)
-        want = goppa.patterson_decode(sk.code, linalg.mono_apply_inv(word, sk.P, 2))
+        want = goppa.patterson_decode(sk.code, word[sk.P.perm])
         if (got is None) != (want is None) or (
-                got is not None and not np.array_equal(got, linalg.mono_apply(want, sk.P, 2))):
+                got is not None and not np.array_equal(got, want[sk.P.inv])):
             raise RuntimeError("decode_permuted and patterson_decode disagree")
         nones["decode_permuted"] += got is None
         nones["patterson_decode"] += want is None
@@ -483,7 +484,7 @@ def batch_products(sk, rng) -> dict:
         diff = rng.integers(0, 3, size=(uuvsign.BATCH, len(solver.free)), dtype=np.uint8)
         R_T, diff32 = solver.R_free.T, diff.astype(np.float32)
         out[half] = {"shape": [*diff.shape, R_T.shape[1]],
-                     "product_ms": median_ms(lambda: linalg.matmul(diff, R_T, 3)),
+                     "product_ms": median_ms(lambda: linalg.vecmat(diff, R_T)),
                      "blas_ms": median_ms(lambda: diff32 @ R_T)}
     return out
 

@@ -99,8 +99,6 @@ from .linalg import (
     mat_rank,
     mat_reduce,
     matmul,
-    mono_apply,
-    mono_apply_inv,
     pack_rows,
     random_matrix,
     random_monomial,
@@ -398,7 +396,7 @@ def _key_pair(code: GoppaCode, S: np.ndarray, P: Monomial):
     the float32 product and a whole S·G·P took it to 21.1 MiB."""
     pivots, free, R_free = mat_reduce(goppa_parity_check(code), 2)
     sk = _receiver_key(code, S, P, free)
-    SR = matmul(S, R_free.T, 2)
+    SR = matmul(S, R_free.T)
     G_rows = np.empty((len(S), (code.n + 7) // 8), dtype=np.uint8)
     slab = np.empty((min(len(S), SLAB), code.n), dtype=np.uint8)
     for r in range(0, len(S), SLAB):
@@ -446,8 +444,10 @@ def receiver_secret_key(m: int, t: int, g: list[int], support: list[int],
 def decode_permuted(sk: ReceiverSecretKey, word: np.ndarray):
     """The error of a word of the permuted code, in public coordinates,
     or None: un-permute, decode with `bm_decode`, map the error back.
+    The receiver's P is a permutation, so un-permuting, word @ P^-1, is
+    the gather by P.perm, and mapping back, error @ P, the one by P.inv.
     The word XOR this error is a codeword of the permuted code G·P, as
     `bm_decode`'s syndrome re-check certifies it as one of Gamma(L, g^2),
     which is Gamma(L, g) for the irreducible g of every valid key."""
-    error = bm_decode(sk.code, mono_apply_inv(word, sk.P, 2))
-    return None if error is None else mono_apply(error, sk.P, 2)
+    error = bm_decode(sk.code, word.take(sk.P.perm))
+    return None if error is None else error.take(sk.P.inv)

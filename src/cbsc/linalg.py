@@ -84,8 +84,8 @@ the unpacked uint8 rows for the 300 x 1024 L1/20 generator, 473-510 ->
 65-79 us for the 1815 x 3488 `paper-l1` one; rows of 64-bit words,
 which the bytes replaced, took 10-10.5 and 63-77 us.
 
-`matmul` over GF(2) runs on packed rows as well, for a matrix or a
-vector on either side, by the Method of Four Russians for
+`matmul`, the GF(2) product of two matrices, runs on packed rows as
+well, by the Method of Four Russians for matrix
 multiplication (Albrecht, Bard and Hart, "Algorithm 898: Efficient
 multiplication of dense matrices over GF(2)", ACM TOMS 2010).  B's rows
 are packed once.  Byte j of a packed row of A selects rows 8j to 8j + 7
@@ -105,10 +105,10 @@ L1/20's 300 x 824 by 824 x 200, 2.34 [1.99, 2.46] ms and 1.80 MiB
 became 1.76 [1.42, 1.87] ms and 0.19 MiB; toy's 16 x 22 by 22 x 10
 costs the table set-up, 0.013 -> 0.074 ms.
 
-GF(3) products, those of `matmul(..., 3)`, `vecmat` and
-`AffineSolver`, which signing and verification make, run as float32
-BLAS, C = A @ B, then one exact reduction by floor: q = floor(C / 3),
-C - 3q.  Every partial sum is an integer of at most inner * 4, and
+GF(3) products, those of `vecmat` and `AffineSolver`, which
+verification and signing make, run as float32 BLAS, C = A @ B, then
+one exact reduction by floor: q = floor(C / 3), C - 3q.  Every partial
+sum is an integer of at most inner * 4, and
 float32 holds every integer below 2**24 exactly, so C is exact, in any
 summation order, while that bound is below 2**24; larger inner
 dimensions are refused.  The largest such product of any profile,
@@ -384,8 +384,9 @@ def _mod_small(x: np.ndarray) -> np.ndarray:
     return np.minimum(x, x - np.uint8(3), out=x)
 
 
-# vecmat and AffineSolver.solve call _product, not matmul, so that a
-# timer wrapped around matmul sees only the key-sized products
+# AffineSolver.solve calls _product, not vecmat, so that signing opens
+# no vecmat span: verify_syndrome is vecmat's one caller, and a traced
+# vecmat counts verifications
 def _product(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     """A @ B mod 3, as an exact float32 BLAS product (see the module
     docstring)."""
@@ -405,9 +406,9 @@ def _product(A: np.ndarray, B: np.ndarray) -> np.ndarray:
 TABLES = 16
 
 
-def _xor_product(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """The `pack_rows` bytes of A @ B over GF(2), for 0/1 matrices, by the
-    byte tables of the module docstring."""
+def matmul(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """A @ B over GF(2), for 0/1 matrices, on packed rows by the byte
+    tables of the module docstring."""
     k, nbytes = A.shape[1], (B.shape[1] + 7) // 8
     # B's rows, padded with zero rows to 8 per byte column of A; a strided
     # B, such as a transposed R_free, packs five times faster as
@@ -431,19 +432,7 @@ def _xor_product(A: np.ndarray, B: np.ndarray) -> np.ndarray:
             # unlike the default mode it gathers straight into `gathered`
             table.take(A_rows[:, j], axis=0, out=gathered, mode="clip")
             C ^= gathered
-    return C
-
-
-def matmul(A: np.ndarray, B: np.ndarray, p: int) -> np.ndarray:
-    """A @ B mod p, for a matrix or vector on either side.  Over GF(2) a
-    product on packed rows by byte tables; over GF(3) an exact float32
-    BLAS product, which raises ValueError when A.shape[-1] * 4 reaches
-    2**24 (see the module docstring)."""
-    if p == 3:
-        return _product(A, B)
-    B2 = B if B.ndim == 2 else B[:, None]
-    C = unpack_rows(_xor_product(np.atleast_2d(A), B2), B2.shape[1])
-    return C.reshape(A.shape[:-1] + B.shape[1:])
+    return unpack_rows(C, B.shape[1])
 
 
 def vecmat(v: np.ndarray, M: np.ndarray) -> np.ndarray:
@@ -514,19 +503,20 @@ def random_monomial(n: int, p: int, rng) -> Monomial:
     return Monomial(rng.permutation(n), rng.integers(1, p, size=n))
 
 
-def mono_apply(v: np.ndarray, M: Monomial, p: int) -> np.ndarray:
-    """v @ M: output[..., perm[i]] = v[..., i] * scalars[i], for a
-    reduced uint8 vector or each row of a matrix: one gather by `inv`,
-    then the scalars, which are all 1 over GF(2)."""
+def mono_apply(v: np.ndarray, M: Monomial) -> np.ndarray:
+    """v @ M over GF(3): output[..., perm[i]] = v[..., i] * scalars[i],
+    for a reduced uint8 vector or each row of a matrix: one gather by
+    `inv`, then the scalars.  A permutation's scalars are 1, so on 0/1
+    entries this is also its action over GF(2)."""
     out = v.take(M.inv, axis=-1)
-    return out if p == 2 else _mod_small(np.multiply(out, M.inv_scalars, out=out))
+    return _mod_small(np.multiply(out, M.inv_scalars, out=out))
 
 
-def mono_apply_inv(v: np.ndarray, M: Monomial, p: int) -> np.ndarray:
-    """v @ M^-1: output[..., i] = v[..., perm[i]] / scalars[i] (scalars
-    are self-inverse)."""
+def mono_apply_inv(v: np.ndarray, M: Monomial) -> np.ndarray:
+    """v @ M^-1 over GF(3): output[..., i] = v[..., perm[i]] / scalars[i]
+    (scalars are self-inverse)."""
     out = v.take(M.perm, axis=-1)
-    return out if p == 2 else _mod_small(np.multiply(out, M.scalars, out=out))
+    return _mod_small(np.multiply(out, M.scalars, out=out))
 
 
 # ---------------------------------------------------------------------------

@@ -192,7 +192,7 @@ def uuv_decode(sk: SenderSecretKey, w: np.ndarray, omega: int, rng) -> np.ndarra
 def sign_syndrome(sk: SenderSecretKey, y: np.ndarray, omega: int, rng) -> np.ndarray:
     """e with e @ [I | A].T = y and wt(e) = omega: P^-1, the decode, P."""
     w = np.concatenate([y, np.zeros(len(sk.P.perm) - len(y), dtype=np.uint8)])
-    return mono_apply(uuv_decode(sk, mono_apply_inv(w, sk.P, 3), omega, rng), sk.P, 3)
+    return mono_apply(uuv_decode(sk, mono_apply_inv(w, sk.P), omega, rng), sk.P)
 
 
 def verify_syndrome(pk: SenderPublicKey, e: np.ndarray, y: np.ndarray,

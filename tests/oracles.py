@@ -40,12 +40,7 @@ from cbsc import fields as F
 from cbsc import hashes
 from cbsc.fields import IRREDUCIBLE_POLY
 from cbsc.hashes import H2, hash_bytes, keystream
-from cbsc.linalg import (
-    Monomial,
-    invert_matrix,
-    random_full_rank,
-    unpack_bits,
-)
+from cbsc.linalg import Monomial, unpack_bits
 from cbsc.params import CUSTOM_FIELDS, TOY, CommonParams, custom_params
 from cbsc.uuvsign import _FREE_TABLE, sign_syndrome, verify_syndrome
 
@@ -556,7 +551,12 @@ def verify(pk, msg: bytes, sig: Signature, omega: int) -> bool:
 
 
 def random_invertible(n: int, p: int, rng) -> np.ndarray:
-    return random_full_rank(n, n, p, rng)
+    """A uniform invertible n x n matrix modulo p, by rejection on the
+    rank of `mat_reduce` above."""
+    while True:
+        M = rng.integers(0, p, size=(n, n), dtype=np.uint8)
+        if mat_reduce(M, p)[1] == n:
+            return M
 
 
 def bits_from_bytes(data: bytes) -> np.ndarray:
@@ -569,4 +569,7 @@ def recover_message(G_pk: np.ndarray, c0: np.ndarray, sigma: np.ndarray) -> np.n
     if rank != G_pk.shape[0]:
         raise ValueError("public generator not full rank")
     u = (np.asarray(c0, dtype=np.uint8) ^ np.asarray(sigma, dtype=np.uint8))[pivots]
-    return xor_select_rows(u, invert_matrix(G_pk[:, pivots], 2))
+    # the pivot columns B are invertible, and the RREF of [B | I] is [I | B^-1]
+    k = len(pivots)
+    aug = np.concatenate([G_pk[:, pivots], np.eye(k, dtype=np.uint8)], axis=1)
+    return xor_select_rows(u, mat_reduce(aug, 2)[0][:, k:])

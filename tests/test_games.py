@@ -24,6 +24,8 @@ from cbsc.mceliece import pke_decrypt, pke_encrypt
 from cbsc.params import setup
 from cbsc.sctkem import Encapsulation, keygen_receiver_params, keygen_sender_params
 
+import oracles as O
+
 L1_20 = str(Path(__file__).resolve().parent.parent / "perfbench" / "l1-20.profile")
 
 
@@ -127,7 +129,7 @@ def test_outsider_mauls_e_by_a_public_codeword(users):
     x = np.random.default_rng(32).integers(
         0, 3, size=(MAUL_CODEWORDS, pk.A.shape[1]), dtype=np.uint8)
     x = x[x.any(axis=1)]
-    c = np.concatenate([(3 - linalg.matmul(x, pk.A.T, 3)) % 3, x], axis=1)
+    c = np.concatenate([(3 - linalg.vecmat(x, pk.A.T)) % 3, x], axis=1)
     mauled = (sc.E.e + c) % 3
     kept = mauled[np.count_nonzero(mauled, axis=1) == params.omega]
     if params.name == "toy":
@@ -170,7 +172,7 @@ def test_passive_outsider_reads_a_toy_message(users):
         pivots, free, R_free = linalg.mat_reduce(G[:, perm], 2)
         # c0 minus the codeword that agrees with c0 on the information set
         error = c0[perm]
-        error[free] ^= linalg.matmul(error[pivots], R_free, 2)
+        error[free] ^= O.matmul(error[pivots], R_free, 2)
         error[pivots] = 0
         if np.count_nonzero(error) == params.t:
             break

@@ -43,7 +43,7 @@ def test_kernel_basis(p):
         K = O.kernel_basis(M, p)
         rank = L.mat_rank(M, p)
         assert K.shape[0] == 9 - rank  # rank-nullity
-        assert not np.any(L.matmul(M, K.T, p))
+        assert not np.any(O.matmul(M, K.T, p))
         assert L.mat_rank(K, p) == K.shape[0]
 
 
@@ -52,7 +52,7 @@ def test_invert_matrix(p):
     rng = _rng(20 + p)
     for n in (1, 3, 6):
         M = O.random_invertible(n, p, rng)
-        assert np.array_equal(L.matmul(M, L.invert_matrix(M, p), p), np.eye(n, dtype=np.uint8))
+        assert np.array_equal(O.matmul(M, L.invert_matrix(M, p), p), np.eye(n, dtype=np.uint8))
 
 
 def test_invert_singular_raises():
@@ -222,10 +222,13 @@ def test_products_match_oracle(p, rows, inner, cols, seed):
     B = L.random_matrix(inner, cols, p, rng)
     v = L.random_matrix(1, inner, p, rng)[0]
     w = L.random_matrix(1, rows, p, rng)[0]
-    # a vector by a matrix: matmul over GF(2), vecmat over GF(3)
-    def vec(x, M):
-        return L.matmul(x, M, 2) if p == 2 else L.vecmat(x, M)
-    for got, want in ((L.matmul(A, B, p), O.matmul(A, B, p)),
+    # over GF(2) matmul, and a vector by xor_rows on the matrix's packed
+    # rows; over GF(3) vecmat for both
+    if p == 2:
+        prod, vec = L.matmul, lambda x, M: L.xor_rows(x, L.pack_rows(M), M.shape[1])
+    else:
+        prod = vec = L.vecmat
+    for got, want in ((prod(A, B), O.matmul(A, B, p)),
                       (vec(v, B), O.matmul(v, B, p)),
                       (vec(w, A), O.matmul(w, A, p)),
                       (vec(v, A.T), O.matmul(v, A.T, p))):
@@ -233,9 +236,9 @@ def test_products_match_oracle(p, rows, inner, cols, seed):
         assert np.array_equal(got, want)
 
 
-# GF(3) is the float32 product's only field: over GF(2) matmul runs on
-# packed rows, which no inner dimension makes inexact
-# (test_gf2_matmul_exact_on_long_inner_dimensions)
+# GF(3) is the float32 product's only field, and vecmat runs it: over
+# GF(2) matmul runs on packed rows, which no inner dimension makes
+# inexact (test_gf2_matmul_exact_on_long_inner_dimensions)
 @pytest.mark.parametrize("p", [3])
 def test_matmul_refuses_inexact_inner_dimension(p):
     # an inner dimension far past the float32 bound of 2**24; broadcast
@@ -245,7 +248,7 @@ def test_matmul_refuses_inexact_inner_dimension(p):
     A = np.broadcast_to(np.uint8(1), (1, inner))
     B = np.broadcast_to(np.uint8(1), (inner, 1))
     with pytest.raises(ValueError, match="exact"):
-        L.matmul(A, B, p)
+        L.vecmat(A, B)
     with pytest.raises(ValueError, match="exact"):
         L.vecmat(A[0], B)
 
@@ -259,9 +262,9 @@ def test_matmul_exact_up_to_float32_bound(p):
     A = np.broadcast_to(np.uint8(p - 1), (1, inner))
     B = np.broadcast_to(np.uint8(p - 1), (inner, 1))
     with pytest.raises(ValueError, match="exact"):
-        L.matmul(A, B, p)
+        L.vecmat(A, B)
     A, B = A[:, 1:], B[1:]
-    assert L.matmul(A, B, p).tolist() == [[(inner - 1) * (p - 1) ** 2 % p]]
+    assert L.vecmat(A, B).tolist() == [[(inner - 1) * (p - 1) ** 2 % p]]
 
 
 def test_gf2_matmul_exact_on_long_inner_dimensions():
@@ -270,7 +273,7 @@ def test_gf2_matmul_exact_on_long_inner_dimensions():
     for inner in (2**16 - 1, 2**16, 2**16 + 1):
         A = np.broadcast_to(np.uint8(1), (1, inner))
         B = np.broadcast_to(np.uint8(1), (inner, 3))
-        assert L.matmul(A, B, 2).tolist() == [[inner % 2] * 3]
+        assert L.matmul(A, B).tolist() == [[inner % 2] * 3]
 
 
 # inner dimensions of one bit, one bit short of a byte, a byte, a bit
@@ -286,10 +289,11 @@ def test_gf2_matmul_matches_oracle(rows, inner, cols):
     rng = _rng(inner)
     A = L.random_matrix(rows, inner, 2, rng)
     B = L.random_matrix(cols, inner, 2, rng).T  # strided, as key generation's R_free.T
-    v = L.random_matrix(1, inner, 2, rng)[0]
-    w = L.random_matrix(1, rows, 2, rng)[0]
-    for left, right in ((A, B), (A, v), (v, B), (w, A), (v, v)):
-        got = L.matmul(left, right, 2)
+    v = L.random_matrix(1, inner, 2, rng)
+    w = L.random_matrix(1, rows, 2, rng)
+    # a one-column or one-row operand is a matrix too
+    for left, right in ((A, B), (A, v.T), (v, B), (w, A), (v, v.T)):
+        got = L.matmul(left, right)
         want = O.matmul(left, right, 2)
         assert got.dtype == np.uint8 and got.shape == np.shape(want)
         assert np.array_equal(got, want)
@@ -302,12 +306,13 @@ def test_gf2_matmul_of_constant_operands(rows, inner, cols):
     rng = _rng(inner)
     zeros, ones = (np.full((rows, inner), b, dtype=np.uint8) for b in (0, 1))
     B = L.random_matrix(inner, cols, 2, rng)
-    assert not L.matmul(zeros, B, 2).any()
-    assert not L.matmul(B.T, zeros.T, 2).any()
-    assert np.array_equal(L.matmul(ones, B, 2), O.matmul(ones, B, 2))
-    assert np.array_equal(L.matmul(ones, ones.T, 2),
+    assert not L.matmul(zeros, B).any()
+    assert not L.matmul(B.T, zeros.T).any()
+    assert np.array_equal(L.matmul(ones, B), O.matmul(ones, B, 2))
+    assert np.array_equal(L.matmul(ones, ones.T),
                           np.full((rows, rows), inner % 2, dtype=np.uint8))
-    assert np.array_equal(L.matmul(ones[0], ones.T, 2), np.full(rows, inner % 2, dtype=np.uint8))
+    assert np.array_equal(L.matmul(ones[:1], ones.T),
+                          np.full((1, rows), inner % 2, dtype=np.uint8))
 
 
 def test_gf2_matmul_copies_no_operand_as_float32():
@@ -318,7 +323,7 @@ def test_gf2_matmul_copies_no_operand_as_float32():
     R_free = L.random_matrix(200, 824, 2, rng)
     tracemalloc.start()
     try:
-        got = L.matmul(S, R_free.T, 2)
+        got = L.matmul(S, R_free.T)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -351,7 +356,7 @@ def test_products_in_column_slabs_match_oracle(p):
     A = L.random_matrix(3, 40, p, rng)
     B = L.random_matrix(40, cols, p, rng)
     v = L.random_matrix(1, 40, p, rng)[0]
-    for got, want in ((L.matmul(A, B, p), O.matmul(A, B, p)),
+    for got, want in ((L.vecmat(A, B), O.matmul(A, B, p)),
                       (L.vecmat(v, B), O.matmul(v, B, p)),
                       (L.vecmat(v, B.T.copy().T), O.matmul(v, B, p))):
         assert got.dtype == np.uint8
@@ -406,18 +411,19 @@ def test_mono_apply_matches_matrix(p):
         A = O.mono_to_matrix(M)
         v = rng.integers(0, p, size=8, dtype=np.uint8)
         B = L.random_matrix(3, 8, p, rng)
-        # M^-1 = M.T, as the scalars are self-inverse
+        # M^-1 = M.T, as the scalars are self-inverse; over GF(2) M is a
+        # permutation, whose GF(3) action on 0/1 entries is its GF(2) one
         for x in (v, B):
-            assert np.array_equal(L.mono_apply(x, M, p), O.matmul(x, A, p))
-            assert np.array_equal(L.mono_apply_inv(x, M, p), O.matmul(x, A.T, p))
-            assert np.array_equal(L.mono_apply_inv(L.mono_apply(x, M, p), M, p), x)
+            assert np.array_equal(L.mono_apply(x, M), O.matmul(x, A, p))
+            assert np.array_equal(L.mono_apply_inv(x, M), O.matmul(x, A.T, p))
+            assert np.array_equal(L.mono_apply_inv(L.mono_apply(x, M), M), x)
 
 
 def test_monomial_self_transpose_inverse():
     rng = _rng(33)
     M = L.random_monomial(10, 3, rng)
     A = O.mono_to_matrix(M)
-    assert np.array_equal(L.matmul(A, A.T, 3), np.eye(10, dtype=np.uint8))
+    assert np.array_equal(O.matmul(A, A.T, 3), np.eye(10, dtype=np.uint8))
 
 
 @pytest.mark.parametrize("n", [1, 12, 1024])
@@ -439,9 +445,9 @@ def test_mono_gathers_match_coordinate_loops(p, n):
     M = L.random_monomial(n, p, rng)
     v = rng.integers(0, p, size=n, dtype=np.uint8)
     A = rng.integers(0, p, size=(5, n), dtype=np.uint8)
-    for got, want in ((L.mono_apply(v, M, p), O.mono_apply(v, M, p)),
-                      (L.mono_apply_inv(v, M, p), O.mono_apply_inv(v, M, p)),
-                      (L.mono_apply(A, M, p), O.mat_mono(A, M, p))):
+    for got, want in ((L.mono_apply(v, M), O.mono_apply(v, M, p)),
+                      (L.mono_apply_inv(v, M), O.mono_apply_inv(v, M, p)),
+                      (L.mono_apply(A, M), O.mat_mono(A, M, p))):
         assert got.dtype == want.dtype == np.uint8
         assert np.array_equal(got, want)
 
@@ -453,9 +459,9 @@ def test_mono_gathers_match_coordinate_loops_random(p, n, seed):
     M = L.random_monomial(n, p, rng)
     v = rng.integers(0, p, size=n, dtype=np.uint8)
     A = rng.integers(0, p, size=(3, n), dtype=np.uint8)
-    assert np.array_equal(L.mono_apply(v, M, p), O.mono_apply(v, M, p))
-    assert np.array_equal(L.mono_apply_inv(v, M, p), O.mono_apply_inv(v, M, p))
-    assert np.array_equal(L.mono_apply(A, M, p), O.mat_mono(A, M, p))
+    assert np.array_equal(L.mono_apply(v, M), O.mono_apply(v, M, p))
+    assert np.array_equal(L.mono_apply_inv(v, M), O.mono_apply_inv(v, M, p))
+    assert np.array_equal(L.mono_apply(A, M), O.mat_mono(A, M, p))
 
 
 @pytest.mark.parametrize("perm", [[0, 0, 1], [0, 1, 3], [-1, 0, 1]])
