@@ -26,12 +26,12 @@ starts from its own generator, seeded with SEED, and records:
                    every traced function called inside it, per caller:
                    calls, inclusive time and self time (inclusive minus
                    traced callees)
-  batch_products   one signing batch's two solver products, V then U:
-                   `linalg.vecmat` of BATCH rows of free-value
-                   differences by the solver's R_free, the product
-                   that `AffineSolver.solve` makes, and the bare
-                   float32 BLAS product of the same operands, so the
-                   difference is the reduction
+  batch_products   one signing batch's two solves, V then U:
+                   `AffineSolver.solve` of BATCH rows of random free
+                   values and the zero word's offset, and the bare float32
+                   BLAS product that it makes, of the same free values
+                   by the solver's -R_free^T, so the difference is the
+                   addition of the offset, the reduction and the gather
   elimination      the eliminations of key generation and loading, each
                    on the loaded keys' own matrix: `mat_reduce` of the
                    receiver's parity check, which keygen runs, and
@@ -62,8 +62,9 @@ starts from its own generator, seeded with SEED, and records:
                    random syndromes with the loaded sender key, untraced:
                    attempts per signature, counted as the rows of free
                    values that `linalg.AffineSolver.solve` is given,
-                   halved (each attempt solves one row per half), and ms
-                   per signature
+                   halved (each attempt solves one row per half), ms
+                   per signature, and ms per attempt, each signature's
+                   time over its attempts, with their median
   sizes            the serialised key sizes next to the `estimator.sizes`
                    rows they correspond to
   decoder          DECODES words, each a random codeword of the loaded
@@ -151,9 +152,9 @@ phases are:
                      hold PKE encryption and decryption, the DEM, the
                      hashes, (de)serialisation, the signature's
                      linalg.AffineSolver.solve (a product with each
-                     solver's R_free per batch of attempts) and
-                     uuvsign.uuv_decode self (drawing the free values
-                     and the weight check), the `vecmat` of the
+                     solver's -R_free^T per batch of attempts) and
+                     uuvsign.uuv_decode self (the two cosets' offsets,
+                     drawing the free values and the weight check), the `vecmat` of the
                      verification under sctkem.decap (the products of
                      encryption and of the re-encryption check are
                      `linalg.xor_rows`, which is not traced, in
@@ -308,9 +309,9 @@ def solve_rows():
     per half."""
     solve, rows = linalg.AffineSolver.solve, [0]
 
-    def counted(solver, w, free_values):
+    def counted(solver, offset, free_values):
         rows[0] += len(free_values)
-        return solve(solver, w, free_values)
+        return solve(solver, offset, free_values)
     linalg.AffineSolver.solve = counted
     try:
         yield rows
@@ -478,14 +479,18 @@ def elimination(params, sk_r, sk) -> dict:
 
 
 def batch_products(sk, rng) -> dict:
+    """The `batch_products` record of the module docstring."""
     out = {}
     solver_U, solver_V = sk.solvers
     for half, solver in (("V", solver_V), ("U", solver_U)):
-        diff = rng.integers(0, 3, size=(uuvsign.BATCH, len(solver.free)), dtype=np.uint8)
-        R_T, diff32 = solver.R_free.T, diff.astype(np.float32)
-        out[half] = {"shape": [*diff.shape, R_T.shape[1]],
-                     "product_ms": median_ms(lambda: linalg.vecmat(diff, R_T)),
-                     "blas_ms": median_ms(lambda: diff32 @ R_T)}
+        fv = rng.integers(0, 3, size=(uuvsign.BATCH, len(solver.free)), dtype=np.uint8)
+        # the timing does not depend on the word, and drawing none leaves
+        # the records after this one their draws
+        offset = solver.offset(np.zeros(len(solver.order), dtype=np.uint8))
+        fv32 = fv.astype(np.float32)
+        out[half] = {"shape": [*fv.shape, solver.neg_R_T.shape[1]],
+                     "solve_ms": median_ms(lambda: solver.solve(offset, fv)),
+                     "blas_ms": median_ms(lambda: fv32 @ solver.neg_R_T)}
     return out
 
 
@@ -522,9 +527,11 @@ def signatures(params, sk, rng) -> dict:
                 failed += 1
             ms.append(1e3 * (perf_counter() - t0))
         attempts.append(rows[0] // 2)
+    per_attempt = [t / a for t, a in zip(ms, attempts)]
     return {"count": SIGNATURES, "failed": failed, "attempts": attempts,
             "mean_attempts": float(np.mean(attempts)), "median_attempts": median(attempts),
-            "median_ms": median(ms), "max_ms": max(ms)}
+            "median_ms": median(ms), "max_ms": max(ms), "ms_per_attempt": per_attempt,
+            "median_ms_per_attempt": median(per_attempt)}
 
 
 def bench(params, rng) -> dict:
@@ -573,7 +580,7 @@ def report(name: str, rec: dict) -> None:
                   f"{1e3 * st['incl_s']:10.2f} {1e3 * st['self_s']:10.2f}")
     print()
     for half, bp in rec["batch_products"].items():
-        print(f"batch product {half} {bp['shape']}: {bp['product_ms']:.3f} ms "
+        print(f"batch solve {half} {bp['shape']}: {bp['solve_ms']:.3f} ms "
               f"(BLAS alone {bp['blas_ms']:.3f} ms)")
     print(f"\n  {'elimination':28s} {'call':10s} {'p':>2s} {'shape':>12s} {'median ms':>10s}")
     for name, el in rec["elimination"].items():
@@ -591,7 +598,8 @@ def report(name: str, rec: dict) -> None:
     sig = rec["signatures"]
     print(f"{sig['count']} signatures, {sig['failed']} failed: attempts mean "
           f"{sig['mean_attempts']:.1f}, median {sig['median_attempts']}, max "
-          f"{max(sig['attempts'])}; median {sig['median_ms']:.1f} ms, max {sig['max_ms']:.1f} ms")
+          f"{max(sig['attempts'])}; median {sig['median_ms']:.1f} ms, max {sig['max_ms']:.1f} ms, "
+          f"median {sig['median_ms_per_attempt']:.4f} ms per attempt")
     dec = rec["decoder"]
     print(f"\n{dec['decodes']} decodings of weight-t errors, ms:")
     print(f"  {'decoder':16s} {'median':>8s} {'max':>8s}")

@@ -183,9 +183,7 @@ def _fmt_exact(x) -> str:
         return ""
     if isinstance(x, Fraction):
         return f"{_fmt_big_int(x.numerator)}/{_fmt_big_int(x.denominator)}"
-    if isinstance(x, int):
-        return _fmt_big_int(x)
-    return str(x)
+    return _fmt_big_int(x)
 
 
 def format_text(rows: list[CostReport]) -> str:

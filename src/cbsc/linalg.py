@@ -105,30 +105,37 @@ L1/20's 300 x 824 by 824 x 200, 2.34 [1.99, 2.46] ms and 1.80 MiB
 became 1.76 [1.42, 1.87] ms and 0.19 MiB; toy's 16 x 22 by 22 x 10
 costs the table set-up, 0.013 -> 0.074 ms.
 
-GF(3) products, those of `vecmat` and `AffineSolver`, which
-verification and signing make, run as float32 BLAS, C = A @ B, then
-one exact reduction by floor: q = floor(C / 3), C - 3q.  Every partial
-sum is an integer of at most inner * 4, and
-float32 holds every integer below 2**24 exactly, so C is exact, in any
+GF(3) products, those of `vecmat`, which verification makes, and of
+`AffineSolver`, which signing makes, run as float32 BLAS, C = A @ B,
+then one exact reduction by floor: q = floor(C / 3), C - 3q.  Every
+partial sum of `vecmat` is an integer of at most inner * 4, and float32
+holds every integer below 2**24 exactly, so C is exact, in any
 summation order, while that bound is below 2**24; larger inner
-dimensions are refused.  The largest such product of any profile,
-`verify_syndrome`'s at `paper-l1`, has partial sums of at most
-5605 * 4.  The floor is exact too: C / 3 is below 2**23, where float32
-rounds by at most 1/4, a non-multiple of 3 lies at least 1/3 from every
-integer, and a multiple divides exactly; 3q and C - 3q are integers
-below 2**24.  A test checks every C below 2**24 at p = 3.  On one
-BLAS thread of a shared 2-vCPU VM the reduction of the 32 x 110 L1/20
-V-batch product takes 7.5 us, where `% 3` took 72 us and the product
-itself 11 us; on the 32 x 2199 `paper-l1` V batch 64 us against 1.75 ms,
-next to a 4.7 ms product.  Against float64, float32 halves the memory a
-product reads: `R_free @ v` on the `paper-l1` V solver's 2199 x 2047
-`R_free` took 0.83-0.90 ms, not 1.8-2.1 ms.  A uint8 right operand is
-converted SLAB columns at a time, so no product holds a float32 copy of
-a whole key: `verify_syndrome` at `paper-l1` allocated 62 MiB for its
-2887 x 5605 A and now 11 MiB, and its product fell from 27 to 8 ms.
-The left operands are small, a vector in `verify_syndrome` and
-`uuvsign.BATCH` rows in `AffineSolver.solve`, and are converted whole,
-as is a float32 operand, such as a solver's R_free.
+dimensions are refused.  A solver's products add an offset below 3 to
+f such terms, and a solver whose 4f + 3 passes 2**24 is refused.  The
+largest such product of any profile, `verify_syndrome`'s at `paper-l1`,
+has partial sums of at most 5605 * 4.  The floor is exact too: C / 3 is
+below 2**23, where float32 rounds by at most 1/4, a non-multiple of 3
+lies at least 1/3 from every integer, and a multiple divides exactly;
+3q and C - 3q are integers below 2**24.  A test checks every C below
+2**24 at p = 3.  The floor replaced `% 3`, which took 72 us on the
+32 x 110 product of an L1/20 V batch where the floor took 7.5 us.  On
+one BLAS thread of a shared 2-vCPU VM (medians of two runs), a solve of
+that batch, 32 x 102 free values by the 102 x 110 -R_free^T, takes
+32-38 us, of which 7-11 us are the product and 6-7 us the floor, and
+took 43-65 us while each solve reduced the differences w[free] - x[free]
+itself, multiplied by R_free^T and scattered both halves into place; on
+the 32 x 2047 by 2047 x 2199 `paper-l1` V batch 3.8-4.7 ms, of which
+3.8-4.3 ms are the product, where it took 5.7-6.4 ms.  The offset, a
+product of one row by the whole matrix, costs 0.83 ms there once per
+signature.  Against float64, float32 halves the memory a product reads:
+the same row product took 0.83-0.90 ms in float32 and 1.8-2.1 ms in
+float64.  `vecmat`'s uint8 right operand is converted SLAB columns at
+a time, so no product holds a float32 copy of a whole key:
+`verify_syndrome` at `paper-l1` allocated 62 MiB for its 2887 x 5605 A
+and now 11 MiB, and its product fell from 27 to 8 ms.  Its left
+operand, a vector, is converted whole, and so are a solve's BATCH rows
+of free values.
 
 Sums of two reduced uint8 values are reduced by `_mod_small`, the
 minimum of x and the wrapped x - 3: 4 us on 32 x 212, where `% 3` took
@@ -321,25 +328,50 @@ class AffineSolver:
     choice of x[free].  H alone is reduced to its RREF R, and for any H,
     R @ x = R @ w exactly when H @ x = H @ w; as R is the identity on the
     pivot columns, x[pivots] = w[pivots] + R_free @ (w[free] - x[free])
-    with the R_free of `mat_reduce`, kept in float32 for the product.  A
-    batch of free values, one row each, is solved in one product."""
+    with the R_free of `mat_reduce`.  The part that depends on w alone,
+    the coset's offset w[pivots] + R_free @ w[free], is computed once by
+    `offset`, and x[pivots] = offset + x[free] @ -R_free^T.  The solver
+    holds -R_free^T, reduced, as one contiguous float32 f x r matrix, so
+    a batch of free values, one row each, is solved by one product plus
+    the offset, one reduction and one gather from [free | pivots] order
+    back to coordinates."""
 
     def __init__(self, H: np.ndarray):
         pivots, self.free, R_free = mat_reduce(H, 3)
         self.pivots = np.array(pivots, dtype=np.intp)
-        self.R_free = R_free.astype(np.float32)
+        # the products sum f terms below 4 and the offset, below 3
+        if 4 * len(self.free) + 3 > _EXACT:
+            raise ValueError(f"{len(self.free)} free columns are too many for an exact "
+                             "float32 product modulo 3")
+        # the float32 copy is the peak of a build: the list of pivots is
+        # dropped before it, -R_free is formed in place with no temporary
+        # (3 - x is 3, 2 or 1, and 3 becomes 0), and the order below is
+        # allocated once R_free is dropped
+        del pivots
+        np.remainder(np.subtract(3, R_free, out=R_free), 3, out=R_free)
+        self.neg_R_T = np.ascontiguousarray(R_free.T, dtype=np.float32)
+        del R_free
+        # coordinate j of x is entry order[j] of [free values | pivot values]
+        self.order = np.argsort(np.concatenate([self.free, self.pivots]))
 
-    def solve(self, w: np.ndarray, free_values: np.ndarray) -> np.ndarray:
-        """The x with H @ x = H @ w and x[free] = free_values; for free
-        values of shape (B, f), the B such x as rows.  w may be any
-        uint8 word; the free values must already be in 0..2."""
+    def offset(self, w: np.ndarray) -> np.ndarray:
+        """w[pivots] + R_free @ w[free] mod 3, the pivot values of the x
+        whose free values are 0, as an exact float32 row for `solve`.
+        w may be any uint8 word."""
         w = np.asarray(w, dtype=np.uint8) % 3
+        C = ((3 - w[self.free]) % 3).astype(np.float32) @ self.neg_R_T
+        C += w[self.pivots]
+        return _floor_mod(C)
+
+    def solve(self, offset: np.ndarray, free_values: np.ndarray) -> np.ndarray:
+        """The x with H @ x = H @ w and x[free] = free_values, for the
+        `offset(w)` of w; for free values of shape (B, f), the B such x
+        as rows.  The free values must already be in 0..2."""
         fv = np.asarray(free_values, dtype=np.uint8)
-        x = np.empty(fv.shape[:-1] + w.shape, dtype=np.uint8)
-        x[..., self.free] = fv
-        shift = _product(_mod_small(w[self.free] + 3 - fv), self.R_free.T)
-        x[..., self.pivots] = _mod_small(shift + w[self.pivots])
-        return x
+        C = fv.astype(np.float32) @ self.neg_R_T
+        C += offset
+        x = np.concatenate([fv, _floor_mod(C)], axis=-1, dtype=np.uint8, casting="unsafe")
+        return x.take(self.order, axis=-1)
 
 
 def random_matrix(rows: int, cols: int, p: int, rng) -> np.ndarray:
@@ -384,23 +416,6 @@ def _mod_small(x: np.ndarray) -> np.ndarray:
     return np.minimum(x, x - np.uint8(3), out=x)
 
 
-# AffineSolver.solve calls _product, not vecmat, so that signing opens
-# no vecmat span: verify_syndrome is vecmat's one caller, and a traced
-# vecmat counts verifications
-def _product(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """A @ B mod 3, as an exact float32 BLAS product (see the module
-    docstring)."""
-    inner = A.shape[-1]
-    if inner * 4 >= _EXACT:
-        raise ValueError(f"inner dimension {inner} is too large for an exact "
-                         "float32 product modulo 3")
-    A = A.astype(np.float32, copy=False)
-    if B.dtype != np.float32 and B.ndim == 2 and B.shape[1] > SLAB:
-        return np.concatenate([_product(A, B[:, c:c + SLAB])
-                               for c in range(0, B.shape[1], SLAB)], axis=-1)
-    return _floor_mod(A @ B.astype(np.float32, copy=False)).astype(np.uint8)
-
-
 # the byte columns of a GF(2) product's left operand whose tables are
 # built at a time, in one array of TABLES x 256 rows
 TABLES = 16
@@ -436,8 +451,17 @@ def matmul(A: np.ndarray, B: np.ndarray) -> np.ndarray:
 
 
 def vecmat(v: np.ndarray, M: np.ndarray) -> np.ndarray:
-    """v @ M mod 3, as an exact float32 BLAS product."""
-    return _product(v, M)
+    """v @ M mod 3, as an exact float32 BLAS product (see the module
+    docstring)."""
+    inner = v.shape[-1]
+    if inner * 4 >= _EXACT:
+        raise ValueError(f"inner dimension {inner} is too large for an exact "
+                         "float32 product modulo 3")
+    v = v.astype(np.float32, copy=False)
+    if M.ndim == 2 and M.shape[1] > SLAB:
+        return np.concatenate([vecmat(v, M[:, c:c + SLAB])
+                               for c in range(0, M.shape[1], SLAB)], axis=-1)
+    return _floor_mod(v @ M.astype(np.float32)).astype(np.uint8)
 
 
 def pack_rows(M: np.ndarray) -> np.ndarray:

@@ -5,12 +5,16 @@ two codes, U = ker H_U and V = ker H_V.  The trapdoor decodes the coset
 of a word (w1, w2) to a word (u, u + v) of exact weight omega, retrying
 until the weight lands.  Each attempt draws p, omega/n plus N(0, 0.15)
 noise clipped to [0, 1], and solves v in the coset of w2 - w1 under H_V,
-then u in that of w1 under H_U, with free variables from one sampler,
-`_free_values`: one uniform per free coordinate, looked up in a table by
-the other half's trit there (zero for v, v for u), gives the pair
+then u in that of w1 under H_U, with free variables from one law,
+`_FREE_TABLE`: one uniform per free coordinate, looked up in the table
+by the other half's trit there (zero for v, v for u), gives the pair
 (x, x + other) weight 2 with probability p, else the weight of `other`.
-Attempts run BATCH at a time, each half of a batch one solver product:
-B values of p, then a B-row matrix of uniforms for v, then one for u.
+v's free values read only the table's row 0 (`_zero_free_values`), u's
+the whole table (`_free_values`).  Each coset's offset, the part of a
+solution that depends on the word alone, is computed once per
+signature (`_offsets`).  Attempts run BATCH at a time, each half of a
+batch one solver product: B values of p, then a B-row matrix of
+uniforms for v, then one for u.
 The rows are independent attempts, each with the law of a lone attempt,
 and the decoder returns the first row, in batch order, of weight omega.
 The first success of independent attempts has the same law whether they
@@ -152,37 +156,56 @@ def _free_values(other: np.ndarray, p_two: float | np.ndarray, rng) -> np.ndarra
     batch, `other` has one row per attempt and p_two one entry per row."""
     p = np.asarray(p_two)[..., None]
     u = rng.random(other.shape)
-    # the flat index of _FREE_TABLE[other, interval], built in place
+    # the flat index of _FREE_TABLE[other, interval], built in place; a
+    # comparison's uint8 view adds without a cast
     index = other * np.uint8(4)
-    index += u >= p / 2
-    index += u >= p
-    index += u >= (1 + p) / 2
+    index += (u >= p / 2).view(np.uint8)
+    index += (u >= p).view(np.uint8)
+    index += (u >= (1 + p) / 2).view(np.uint8)
     return _FREE_TABLE.take(index)
 
 
-def _attempts(sk: SenderSecretKey, w: np.ndarray, p_two: np.ndarray, rng) -> np.ndarray:
-    """One decoding attempt of the coset of w per entry of p_two, as the
-    rows of e = (u, u + v): v in the coset of w2 - w1 under H_V, then u
-    in that of w1 under H_U, each half's free values from one
-    `_free_values` batch."""
+def _zero_free_values(p_two: np.ndarray, count: int, rng) -> np.ndarray:
+    """`_free_values` of an all-zero `other` of `count` columns, from the
+    same uniforms: row 0 of _FREE_TABLE, whose last two entries are
+    equal, so that two comparisons find the entry."""
+    p = p_two[:, None]
+    u = rng.random((len(p_two), count))
+    index = (u >= p / 2).view(np.uint8)
+    index += (u >= p).view(np.uint8)
+    return _FREE_TABLE[0].take(index)
+
+
+def _offsets(sk: SenderSecretKey, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The offsets of the two cosets a signature of w solves, U's then
+    V's: w1 under H_U and w2 - w1 under H_V."""
     half = len(w) // 2
     solver_U, solver_V = sk.solvers
-    w_U, w_V = w[:half], _mod_small(w[half:] + 3 - w[:half])
-    zeros_V = np.zeros((len(p_two), len(solver_V.free)), dtype=np.uint8)
-    e_V = solver_V.solve(w_V, _free_values(zeros_V, p_two, rng))
-    e1 = solver_U.solve(w_U, _free_values(e_V[:, solver_U.free], p_two, rng))
+    return solver_U.offset(w[:half]), solver_V.offset(w[half:] + 3 - w[:half])
+
+
+def _attempts(sk: SenderSecretKey, offsets: tuple[np.ndarray, np.ndarray],
+              p_two: np.ndarray, rng) -> np.ndarray:
+    """One decoding attempt per entry of p_two of the cosets whose
+    `_offsets` are given, as the rows of e = (u, u + v): v in V's coset,
+    then u in U's, each half's free values from one batch of uniforms."""
+    (solver_U, solver_V), (offset_U, offset_V) = sk.solvers, offsets
+    e_V = solver_V.solve(offset_V, _zero_free_values(p_two, len(solver_V.free), rng))
+    e1 = solver_U.solve(offset_U, _free_values(e_V[:, solver_U.free], p_two, rng))
     return np.concatenate([e1, _mod_small(e1 + e_V)], axis=1)
 
 
 def uuv_decode(sk: SenderSecretKey, w: np.ndarray, omega: int, rng) -> np.ndarray:
     """e with e @ H_sk.T = w @ H_sk.T and wt(e) = omega exactly, for a
     reduced uint8 word w of length n_s and the omega of a validated
-    profile.  The attempts run BATCH at a time and the first row of
-    weight omega, in batch order, is returned; the last batch is cut so
-    that exactly SIGN_ATTEMPTS attempts are made before RetryExhausted."""
+    profile.  The cosets' offsets are computed once; the attempts run
+    BATCH at a time and the first row of weight omega, in batch order, is
+    returned; the last batch is cut so that exactly SIGN_ATTEMPTS
+    attempts are made before RetryExhausted."""
+    offsets = _offsets(sk, w)
     for done in range(0, SIGN_ATTEMPTS, BATCH):
         noise = rng.normal(0.0, 0.15, min(BATCH, SIGN_ATTEMPTS - done))
-        e = _attempts(sk, w, np.clip(omega / len(w) + noise, 0.0, 1.0), rng)
+        e = _attempts(sk, offsets, np.clip(omega / len(w) + noise, 0.0, 1.0), rng)
         hits = np.flatnonzero(np.count_nonzero(e, axis=1) == omega)
         if len(hits):
             return e[hits[0]]

@@ -428,8 +428,8 @@ def uuv_attempt(sk, w: np.ndarray, p_two: float, rng) -> np.ndarray:
     w_U, w_V = w[:half], (w[half:] + 3 - w[:half]) % 3
     solver_U, solver_V = sk.solvers
     zeros_V = np.zeros(len(solver_V.free), dtype=np.uint8)
-    e_V = solver_V.solve(w_V, table_free_values(zeros_V, p_two, rng))
-    e1 = solver_U.solve(w_U, table_free_values(e_V[solver_U.free], p_two, rng))
+    e_V = solver_V.solve(solver_V.offset(w_V), table_free_values(zeros_V, p_two, rng))
+    e1 = solver_U.solve(solver_U.offset(w_U), table_free_values(e_V[solver_U.free], p_two, rng))
     return np.concatenate([e1, (e1 + e_V) % 3])
 
 

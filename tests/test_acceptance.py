@@ -229,7 +229,7 @@ def test_criterion_8_signature_soundness(toy_keys):
         target = hash_trits([msg, salt], TOY.r_s)
         while True:
             fv = rng.integers(0, 3, size=len(solver.free), dtype=np.uint8)
-            e = solver.solve(np.concatenate([target, zeros]), fv)
+            e = solver.solve(solver.offset(np.concatenate([target, zeros])), fv)
             if int(np.count_nonzero(e)) != TOY.omega:
                 break
         assert np.array_equal(vecmat(e, H_pk.T), target)

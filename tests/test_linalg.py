@@ -81,11 +81,12 @@ def test_affine_solver_against_enumeration():
         for i in rng.choice(len(space), 6, replace=False):
             coset = {tuple(x) for x, s in zip(space, syndromes)
                      if np.array_equal(s, syndromes[i])}
-            xs = np.array([solver.solve(space[i], fv) for fv in free_values])
+            offset = solver.offset(space[i])
+            xs = np.array([solver.solve(offset, fv) for fv in free_values])
             assert np.array_equal(xs[:, solver.free], free_values)
             assert {tuple(x) for x in xs} == coset
             # all free values as one batch: the same x, row by row
-            assert np.array_equal(solver.solve(space[i], free_values), xs)
+            assert np.array_equal(solver.solve(offset, free_values), xs)
 
 
 def test_affine_solver_free_values_respected():
@@ -94,9 +95,21 @@ def test_affine_solver_free_values_respected():
     solver = L.AffineSolver(H)
     w = rng.integers(0, 3, size=7, dtype=np.uint8)
     fv = rng.integers(0, 3, size=len(solver.free), dtype=np.uint8)
-    x = solver.solve(w, fv)
+    x = solver.solve(solver.offset(w), fv)
     assert np.array_equal(x[solver.free], fv)
     assert np.array_equal(L.vecmat(x, H.T), L.vecmat(w, H.T))
+
+
+def test_affine_solver_refuses_inexact_free_count(monkeypatch):
+    # a solve sums f products below 4 and an offset below 3, exact while
+    # 4f + 3 <= 2**24; the bound is lowered here to a matrix of 4 free
+    # columns, which is built at 4 * 4 + 3 and refused below it
+    H = L.random_full_rank(3, 7, 3, _rng(10))
+    monkeypatch.setattr(L, "_EXACT", 4 * 4 + 3)
+    assert len(L.AffineSolver(H).free) == 4
+    monkeypatch.setattr(L, "_EXACT", 4 * 4 + 2)
+    with pytest.raises(ValueError, match="exact"):
+        L.AffineSolver(H)
 
 
 # --- packed elimination and float32 products against the uint8/int64 oracles --

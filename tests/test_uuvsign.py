@@ -18,6 +18,8 @@ from cbsc.uuvsign import (
     SenderPublicKey,
     _attempts,
     _free_values,
+    _offsets,
+    _zero_free_values,
     hsk_p_columns,
     keygen_sender,
     sign_syndrome,
@@ -302,6 +304,20 @@ def test_free_values_draws_one_uniform_per_coordinate():
     assert rng.random() == reference.random()
 
 
+def test_zero_free_values_match_free_values_of_zeros():
+    # V's free values read row 0 of the table with two comparisons; on
+    # the same uniforms they are those of an all-zero `other`, p = 0 and
+    # p = 1 included, and they draw the same uniforms
+    p_two = np.concatenate([[0.0, 1.0, 0.5], np.random.default_rng(28).random(37)])
+    zeros = np.zeros((len(p_two), 300), dtype=np.uint8)
+    rng, reference = np.random.default_rng(29), np.random.default_rng(29)
+    x = _zero_free_values(p_two, 300, rng)
+    assert x.dtype == np.uint8
+    assert np.array_equal(x, _free_values(zeros, p_two, reference))
+    assert not x[0].any() and np.all(x[1] != 0)
+    assert rng.random() == reference.random()
+
+
 class _Replay:
     """A generator stand-in that hands out numbers drawn beforehand:
     normal() the entries of `noise` in order, random() the rows of u_V
@@ -350,7 +366,7 @@ def test_batched_attempts_match_oracle_row_for_row(sender_keys, l1_20_sender_key
         p_two = np.random.default_rng(33).random(45)
         p_two[:2] = 0.0, 1.0
         for w in np.random.default_rng(34).integers(0, 3, (4, len(sk.P.perm)), dtype=np.uint8):
-            e = _attempts(sk, w, p_two, _Replay(None, u_V, u_U))
+            e = _attempts(sk, _offsets(sk, w), p_two, _Replay(None, u_V, u_U))
             for i in range(45):
                 row = O.uuv_attempt(sk, w, p_two[i], _Replay(None, u_V[i:], u_U[i:]))
                 assert np.array_equal(e[i], row), i
@@ -385,7 +401,7 @@ def test_uuv_decode_returns_first_hit_of_batch(l1_20_sender_key):
     for seed in range(100):
         rng = np.random.default_rng(seed)
         p_two = np.clip(omega / len(w) + rng.normal(0.0, 0.15, BATCH), 0.0, 1.0)
-        e = _attempts(sk, w, p_two, rng)
+        e = _attempts(sk, _offsets(sk, w), p_two, rng)
         hits = np.flatnonzero(np.count_nonzero(e, axis=1) == omega)
         if len(hits) >= 2 and not np.array_equal(e[hits[0]], e[hits[-1]]):
             break
@@ -432,11 +448,16 @@ def test_uuv_decode_retry_budget(monkeypatch):
         rows.append(len(other))
         return _free_values(other, p_two, rng)
 
-    def solve_spy(solver, w, free_values):
+    def zero_spy(p_two, count, rng):
+        rows.append(len(p_two))
+        return _zero_free_values(p_two, count, rng)
+
+    def solve_spy(solver, offset, free_values):
         solved.append(len(free_values))
-        return solve(solver, w, free_values)
+        return solve(solver, offset, free_values)
 
     monkeypatch.setattr(uuvsign, "_free_values", spy)
+    monkeypatch.setattr(uuvsign, "_zero_free_values", zero_spy)
     monkeypatch.setattr(linalg.AffineSolver, "solve", solve_spy)
     # the budget that perfbench/workloads.py states
     assert uuvsign.SIGN_ATTEMPTS == 10_000
@@ -448,6 +469,37 @@ def test_uuv_decode_retry_budget(monkeypatch):
             uuv_decode(sk, w, 0, rng)
         assert sum(rows) == 2 * budget, (budget, rows)
         assert sum(solved) == 2 * budget, (budget, solved)
+
+
+def test_uuv_decode_draws_one_normal_per_attempt_and_uniforms_per_free_value(
+        sender_keys, toy_params, l1_20_sender_key):
+    # a real generator after uuv_decode is where a fresh one at the same
+    # seed is after BATCH normals and BATCH * (f_V + f_U) uniforms per
+    # batch made; the batches are counted by redrawing them from the
+    # same seed until one has a row of weight omega, the row returned
+    most = 0
+    for sk, omega in ((sender_keys[0], toy_params.omega), l1_20_sender_key[::2]):
+        f_V, f_U = (len(solver.free) for solver in sk.solvers[::-1])
+        for seed in range(36, 46):
+            w = np.random.default_rng(seed).integers(0, 3, len(sk.P.perm), dtype=np.uint8)
+            rng, reference = np.random.default_rng(seed), np.random.default_rng(seed)
+            e = uuv_decode(sk, w, omega, rng)
+            batches = 0
+            while True:
+                batches += 1
+                p_two = np.clip(omega / len(w) + reference.normal(0.0, 0.15, BATCH), 0, 1)
+                rows = _attempts(sk, _offsets(sk, w), p_two, reference)
+                if (np.count_nonzero(rows, axis=1) == omega).any():
+                    break
+            fresh = np.random.default_rng(seed)
+            for _ in range(batches):
+                fresh.normal(0.0, 0.15, BATCH)
+                fresh.random((BATCH, f_V + f_U))
+            assert np.array_equal(e, rows[np.count_nonzero(rows, axis=1) == omega][0])
+            assert rng.random() == fresh.random() == reference.random()
+            most = max(most, batches)
+    # toy's signatures take one batch at these seeds, and L1/20's up to three
+    assert most == 3
 
 
 def test_sign_verify(sender_keys, toy_params):
